@@ -54,6 +54,11 @@ cargo test -q -p mobigrid-experiments --test soa_equivalence
 echo "==> sparse-driver equivalence suite"
 cargo test -q -p mobigrid-experiments --test sparse_equivalence
 
+echo "==> benchmark harness contract tests"
+# perfbench is a workspace of its own; its tests run a short version of
+# every workload against BENCHMARK.json.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> metro_100k smoke (scale sweep, 50-tick cap)"
 # Drives the columnar engine through campus_140 -> city_1140 -> metro_100k;
 # the 100k-node city must build and tick. The printed ns/tick is advisory

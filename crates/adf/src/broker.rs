@@ -207,7 +207,7 @@ impl NodeSlot {
     /// Stores an estimate for a filtered update. Returns
     /// `(estimate_stored, first_record)`.
     fn note_filtered(&mut self, time_s: f64) -> (bool, bool) {
-        let Some(est) = &self.estimator else {
+        let Some(est) = &mut self.estimator else {
             return (false, false);
         };
         let Some(position) = est.estimate(time_s) else {
@@ -241,7 +241,7 @@ impl NodeSlot {
     /// stored at all).
     fn note_lost(&mut self, time_s: f64) -> (bool, bool, f64) {
         self.staleness = self.staleness.saturating_add(1);
-        let Some(est) = &self.estimator else {
+        let Some(est) = &mut self.estimator else {
             return (false, false, 1.0);
         };
         let Some(extrapolated) = est.estimate(time_s) else {

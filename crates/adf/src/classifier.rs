@@ -1,15 +1,30 @@
 use std::collections::VecDeque;
 
-use mobigrid_geo::{Heading, Point};
+use mobigrid_geo::{Heading, Point, Vec2};
 use mobigrid_mobility::MobilityPattern;
 
-/// One step of observed motion: speed and (when moving) direction.
+use crate::filter::same_bits;
+
+/// The motion step [`MobilityClassifier::observe`] derived from two
+/// consecutive observations: where it started and how long it was. The
+/// ADF's distance filter reuses the length instead of measuring the same
+/// step again.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MotionSample {
-    /// Speed over the step, in m/s.
-    pub speed: f64,
-    /// Direction of the step; `None` when stationary.
-    pub heading: Option<Heading>,
+pub struct MotionStep {
+    /// The previous observed position, where the step starts.
+    pub from: Point,
+    /// The step's length in metres: `(position - from).norm()`.
+    pub length: f64,
+}
+
+/// One window entry: the step's speed and its raw displacement. The
+/// heading is a pure function of the displacement, so it is derived only
+/// where it is read ([`MobilityClassifier::change_fraction`] and
+/// [`MobilityClassifier::last_heading`]), not on every observation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct WindowSample {
+    speed: f64,
+    delta: Vec2,
 }
 
 /// The paper's Figure-2 mobility-pattern classification algorithm.
@@ -53,7 +68,7 @@ pub struct MobilityClassifier {
     direction_change_threshold: f64,
     speed_change_fraction: f64,
     frequent_fraction: f64,
-    samples: VecDeque<MotionSample>,
+    samples: VecDeque<WindowSample>,
     last: Option<(f64, Point)>,
     /// Number of consecutive most-recent samples with speed exactly `+0.0`.
     /// Once this reaches the window length the whole window is zeros and
@@ -124,19 +139,23 @@ impl MobilityClassifier {
     }
 
     /// Feeds the node's position at `time_s`, deriving one motion step from
-    /// the previous observation. Out-of-order or same-time observations are
-    /// ignored.
-    pub fn observe(&mut self, time_s: f64, position: Point) {
+    /// the previous observation, and returns that step. Out-of-order or
+    /// same-time observations are ignored and return `None`, as does the
+    /// first observation (there is nothing to measure from).
+    pub fn observe(&mut self, time_s: f64, position: Point) -> Option<MotionStep> {
+        let mut step = None;
         if let Some((t0, p0)) = self.last {
             let dt = time_s - t0;
             if dt <= 0.0 {
-                return;
+                return None;
             }
             let delta = position - p0;
-            let sample = MotionSample {
-                speed: delta.norm() / dt,
-                heading: delta.heading(),
+            let length = delta.norm();
+            let sample = WindowSample {
+                speed: length / dt,
+                delta,
             };
+            step = Some(MotionStep { from: p0, length });
             if self.samples.len() == self.window {
                 self.samples.pop_front();
             }
@@ -151,6 +170,7 @@ impl MobilityClassifier {
             self.samples.push_back(sample);
         }
         self.last = Some((time_s, position));
+        step
     }
 
     /// Replays a repeat observation of a node pinned at the zero-motion
@@ -161,13 +181,13 @@ impl MobilityClassifier {
     /// would take is provably a no-op on the window:
     ///
     /// * `position` is bit-identical to the last observed position and
-    ///   finite, so the derived step is exactly
-    ///   `MotionSample { speed: +0.0, heading: None }` (for finite `x`,
-    ///   `x - x` is `+0.0`; a zero delta has no heading);
+    ///   finite, so the derived step has speed exactly `+0.0` and
+    ///   displacement `(+0.0, +0.0)` (for finite `x`, `x - x` is `+0.0`);
     /// * the window is full **and** saturated with zero-speed samples
-    ///   (`zero_run >= window`), so `pop_front` removes a sample
-    ///   bit-identical to the one `push_back` would add — the deque is
-    ///   unchanged — and `sample_count()` does not grow, so callers keyed
+    ///   (`zero_run >= window`), so `pop_front` removes a sample with the
+    ///   same speed (`+0.0`) and no heading, like the one `push_back` would
+    ///   add — every value read from the window is unchanged — and
+    ///   `sample_count()` does not grow, so callers keyed
     ///   on sample growth (the ADF's global speed statistic) skip exactly
     ///   as they would on the full path.
     ///
@@ -179,10 +199,7 @@ impl MobilityClassifier {
         let Some((t0, p0)) = self.last else {
             return false;
         };
-        let frozen = p0.x.to_bits() == position.x.to_bits()
-            && p0.y.to_bits() == position.y.to_bits()
-            && position.x.is_finite()
-            && position.y.is_finite();
+        let frozen = same_bits(p0, position) && position.x.is_finite() && position.y.is_finite();
         if !frozen || time_s - t0 <= 0.0 {
             return false;
         }
@@ -217,7 +234,7 @@ impl MobilityClassifier {
     /// The most recent heading observed while moving, if any.
     #[must_use]
     pub fn last_heading(&self) -> Option<Heading> {
-        self.samples.iter().rev().find_map(|s| s.heading)
+        self.samples.iter().rev().find_map(|s| s.delta.heading())
     }
 
     /// Fraction of window steps exhibiting a velocity or direction change.
@@ -229,12 +246,13 @@ impl MobilityClassifier {
         let mean = self.mean_speed().max(1e-9);
         let mut changes = 0usize;
         let mut steps = 0usize;
-        let mut prev: Option<&MotionSample> = None;
+        let mut prev: Option<(f64, Option<Heading>)> = None;
         for s in &self.samples {
-            if let Some(p) = prev {
+            let heading = s.delta.heading();
+            if let Some((p_speed, p_heading)) = prev {
                 steps += 1;
-                let speed_jump = (s.speed - p.speed).abs() > self.speed_change_fraction * mean;
-                let turn = match (p.heading, s.heading) {
+                let speed_jump = (s.speed - p_speed).abs() > self.speed_change_fraction * mean;
+                let turn = match (p_heading, heading) {
                     (Some(a), Some(b)) => a.angle_to(b) > self.direction_change_threshold,
                     // A transition between moving and stopped counts as a
                     // change of movement character.
@@ -245,7 +263,7 @@ impl MobilityClassifier {
                     changes += 1;
                 }
             }
-            prev = Some(s);
+            prev = Some((s.speed, heading));
         }
         changes as f64 / steps as f64
     }

@@ -2,6 +2,8 @@ use serde::{Deserialize, Serialize};
 
 use mobigrid_geo::Point;
 
+use crate::MotionStep;
+
 /// The outcome of passing one location observation through a filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
@@ -135,11 +137,31 @@ impl DistanceFilter {
 
     /// Filters one observation.
     pub fn observe(&mut self, position: Point) -> Decision {
+        self.observe_after(position, None)
+    }
+
+    /// Filters one observation, reusing the length of `step` — the motion
+    /// step a [`MobilityClassifier`](crate::MobilityClassifier) derived
+    /// from the same observation — when it measures exactly the distance
+    /// [`DistanceFilter::observe`] would: the reference is
+    /// [`FilterReference::PreviousObservation`] and the step starts at a
+    /// point bit-identical to the last observed position. Both then compute
+    /// `(position - from).norm()` from the same bits, so the decision and
+    /// every piece of state are bit-identical to `observe`. Otherwise the
+    /// step is ignored and the distance is measured as usual.
+    pub(crate) fn observe_after(&mut self, position: Point, step: Option<MotionStep>) -> Decision {
         let anchor = match self.reference {
             FilterReference::PreviousObservation => self.last_observed,
             FilterReference::LastTransmitted => self.last_sent,
         };
-        let dist = anchor.map(|prev| prev.distance_to(position));
+        let dist = match (self.reference, anchor, step) {
+            (FilterReference::PreviousObservation, Some(prev), Some(step))
+                if same_bits(prev, step.from) =>
+            {
+                Some(step.length)
+            }
+            _ => anchor.map(|prev| prev.distance_to(position)),
+        };
         let send = match dist {
             None => true,
             Some(d) => d >= self.dth,
@@ -175,10 +197,8 @@ impl DistanceFilter {
             return None;
         }
         let anchor = self.last_observed?;
-        let frozen = anchor.x.to_bits() == position.x.to_bits()
-            && anchor.y.to_bits() == position.y.to_bits()
-            && position.x.is_finite()
-            && position.y.is_finite();
+        let frozen =
+            same_bits(anchor, position) && position.x.is_finite() && position.y.is_finite();
         if !frozen {
             return None;
         }
@@ -214,6 +234,11 @@ impl DistanceFilter {
     pub fn filtered_count(&self) -> u64 {
         self.filtered
     }
+}
+
+/// Whether two points have bit-identical coordinates.
+pub(crate) fn same_bits(a: Point, b: Point) -> bool {
+    a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
 #[cfg(test)]
@@ -310,6 +335,69 @@ mod tests {
     }
 
     #[test]
+    fn observe_after_matches_observe_given_the_classifier_step() {
+        let path = [
+            Point::new(0.0, 0.0),
+            Point::new(1.25, -0.5),
+            Point::new(1.25, -0.5),
+            Point::new(4.0, 3.0),
+            Point::new(-0.0, 3.5),
+            Point::new(9.5, -7.25),
+        ];
+        // Under the dead-band semantics the step's length is not the
+        // distance to the anchor, so reusing it there would show.
+        for reference in [
+            FilterReference::PreviousObservation,
+            FilterReference::LastTransmitted,
+        ] {
+            let mut plain = DistanceFilter::with_reference(2.0, reference);
+            let mut reused = DistanceFilter::with_reference(2.0, reference);
+            let mut prev: Option<Point> = None;
+            for (i, p) in path.iter().enumerate() {
+                let step = prev.map(|from| MotionStep {
+                    from,
+                    length: (*p - from).norm(),
+                });
+                assert_eq!(
+                    plain.observe(*p),
+                    reused.observe_after(*p, step),
+                    "step {i}"
+                );
+                assert_eq!(
+                    plain.last_displacement().map(f64::to_bits),
+                    reused.last_displacement().map(f64::to_bits),
+                    "step {i}"
+                );
+                assert_eq!(plain, reused, "step {i}");
+                prev = Some(*p);
+            }
+        }
+    }
+
+    #[test]
+    fn observe_after_reuses_only_a_step_from_the_last_observation() {
+        let mut df = DistanceFilter::new(2.0);
+        df.observe(Point::new(-0.0, 1.0));
+        // A step from a different point — here `+0.0` against the stored
+        // `-0.0` — is ignored and the distance measured afresh.
+        let elsewhere = MotionStep {
+            from: Point::new(0.0, 1.0),
+            length: 1e9,
+        };
+        assert!(!df
+            .observe_after(Point::new(1.0, 1.0), Some(elsewhere))
+            .is_sent());
+        assert_eq!(df.last_displacement(), Some(1.0));
+        // A step from the last observed position is trusted as given.
+        let here = MotionStep {
+            from: Point::new(1.0, 1.0),
+            length: 5.0,
+        };
+        assert!(df.observe_after(Point::new(1.5, 1.0), Some(here)).is_sent());
+        assert_eq!(df.last_displacement(), Some(5.0));
+    }
+
+    #[test]
     fn boundary_is_inclusive() {
         let mut df = DistanceFilter::new(2.0);
         df.observe(Point::ORIGIN);
@@ -381,7 +469,11 @@ mod tests {
         let mut df = DistanceFilter::new(3.0);
         assert_eq!(df.last_displacement(), None);
         df.observe(Point::new(0.0, 0.0));
-        assert_eq!(df.last_displacement(), None, "first observation has no anchor");
+        assert_eq!(
+            df.last_displacement(),
+            None,
+            "first observation has no anchor"
+        );
         df.observe(Point::new(2.0, 0.0));
         assert_eq!(df.last_displacement(), Some(2.0));
         df.observe(Point::new(6.0, 0.0));
@@ -391,6 +483,10 @@ mod tests {
         db.observe(Point::new(0.0, 0.0));
         db.observe(Point::new(1.0, 0.0));
         db.observe(Point::new(2.0, 0.0));
-        assert_eq!(db.last_displacement(), Some(2.0), "accumulated from last sent");
+        assert_eq!(
+            db.last_displacement(),
+            Some(2.0),
+            "accumulated from last sent"
+        );
     }
 }

@@ -55,7 +55,7 @@ mod store;
 pub use broker::{
     ApplyInfo, BrokerDelta, BrokerShard, EstimatorKind, GridBroker, LocationRecord, StateDigest,
 };
-pub use classifier::{MobilityClassifier, MotionSample};
+pub use classifier::{MobilityClassifier, MotionStep};
 pub use columns::{MovementShard, NodeColumns, NodeView};
 pub use config::AdfConfig;
 pub use filter::{Decision, DistanceFilter, FilterReference};

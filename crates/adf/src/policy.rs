@@ -6,7 +6,7 @@ use mobigrid_mobility::MobilityPattern;
 use mobigrid_sim::stats::Welford;
 use mobigrid_wireless::MnId;
 
-use crate::{AdfConfig, Decision, DistanceFilter, FilterReference, MobilityClassifier};
+use crate::{AdfConfig, Decision, DistanceFilter, FilterReference, MobilityClassifier, MotionStep};
 
 /// A snapshot of the per-node filter state behind one decision, exposed
 /// for the flight recorder: which mobility class and cluster were in
@@ -283,6 +283,40 @@ struct AdfNodeState {
     cluster: Option<usize>,
 }
 
+impl AdfNodeState {
+    fn new(cfg: &AdfConfig) -> Self {
+        AdfNodeState {
+            classifier: MobilityClassifier::new(cfg.classifier_window, cfg.v_walk).with_thresholds(
+                cfg.direction_change_threshold,
+                cfg.speed_change_fraction,
+                cfg.frequent_fraction,
+            ),
+            // DTH 0 until the initial clustering: pass everything through,
+            // matching the paper's "similar to the ideal LU at initial".
+            filter: DistanceFilter::with_reference(0.0, cfg.reference),
+            pattern: MobilityPattern::Stop,
+            cluster: None,
+        }
+    }
+
+    /// Step (3) for one node: the classifier observes `pos`. While the
+    /// window is still filling, each new motion step pushes the window's
+    /// mean speed into the global statistic `speeds`.
+    fn observe_motion(
+        &mut self,
+        speeds: &mut Welford,
+        time_s: f64,
+        pos: Point,
+    ) -> Option<MotionStep> {
+        let before = self.classifier.sample_count();
+        let step = self.classifier.observe(time_s, pos);
+        if self.classifier.sample_count() > before {
+            speeds.push(self.classifier.mean_speed());
+        }
+        step
+    }
+}
+
 /// Dense per-node state table indexed by [`MnId::index`].
 ///
 /// Node ids in this codebase are dense (`0..population`), so a flat `Vec`
@@ -306,16 +340,13 @@ impl AdfNodeTable {
         self.slots.get_mut(node.index()).and_then(Option::as_mut)
     }
 
-    fn get_or_insert_with(
-        &mut self,
-        node: MnId,
-        init: impl FnOnce() -> AdfNodeState,
-    ) -> &mut AdfNodeState {
+    /// The node's state, created from `cfg` on first sight.
+    fn get_or_insert(&mut self, node: MnId, cfg: &AdfConfig) -> &mut AdfNodeState {
         let index = node.index();
         if index >= self.slots.len() {
             self.slots.resize_with(index + 1, || None);
         }
-        self.slots[index].get_or_insert_with(init)
+        self.slots[index].get_or_insert_with(|| AdfNodeState::new(cfg))
     }
 
     /// Present states in ascending-id order.
@@ -409,20 +440,74 @@ impl AdaptiveDistanceFilter {
         self.nodes.get(node).and_then(|s| s.cluster)
     }
 
-    fn node_state(&mut self, node: MnId) -> &mut AdfNodeState {
-        let cfg = &self.config;
-        self.nodes.get_or_insert_with(node, || AdfNodeState {
-            classifier: MobilityClassifier::new(cfg.classifier_window, cfg.v_walk).with_thresholds(
-                cfg.direction_change_threshold,
-                cfg.speed_change_fraction,
-                cfg.frequent_fraction,
-            ),
-            // DTH 0 until the initial clustering: pass everything through,
-            // matching the paper's "similar to the ideal LU at initial".
-            filter: DistanceFilter::with_reference(0.0, cfg.reference),
-            pattern: MobilityPattern::Stop,
-            cluster: None,
-        })
+    /// Whether tick number `tick` runs steps (1)/(2)/(6): the initial
+    /// clustering after warmup, then every `recluster_interval` ticks.
+    fn recluster_due(&self, tick: u64) -> bool {
+        if self.clustered_once {
+            tick.is_multiple_of(self.config.recluster_interval)
+        } else {
+            tick >= self.config.warmup_ticks
+        }
+    }
+
+    /// One tick of steps (3)–(6), shared by the dense and the sparse entry
+    /// points. `asleep` is the sparse driver's sleep hint, either empty or
+    /// one flag per observation.
+    ///
+    /// On a reclustering tick the cross-node recluster sits between the
+    /// per-node observe and filter steps, so the tick takes two passes.
+    /// Every other tick takes one fused pass, the per-node ADF kernel.
+    /// Fusing is bit-exact: a node's classifier and filter share no state,
+    /// and the only cross-node state, the global speed Welford, is written
+    /// in the same ascending observation order either way and is read only
+    /// at reclustering.
+    fn run_tick(
+        &mut self,
+        time_s: f64,
+        observations: &[(MnId, Point)],
+        asleep: &[bool],
+        decisions: &mut Vec<Decision>,
+    ) {
+        self.tick += 1;
+        decisions.clear();
+
+        if self.recluster_due(self.tick) {
+            // Step (3): acquire locations; update per-node motion history.
+            for (node, pos) in observations {
+                let state = self.nodes.get_or_insert(*node, &self.config);
+                state.observe_motion(&mut self.global_speeds, time_s, *pos);
+            }
+            // Steps (1)/(2)/(6): classify, cluster, size the DTHs.
+            self.recluster();
+            // Steps (4)/(5): distance-filter each observation.
+            for (node, pos) in observations {
+                let state = self.nodes.get_or_insert(*node, &self.config);
+                decisions.push(state.filter.observe(*pos));
+            }
+            return;
+        }
+
+        for (i, (node, pos)) in observations.iter().enumerate() {
+            // The sleep hint unlocks the replay fast path: an SS-classified,
+            // position-frozen node costs one branch, a zero-run bump and a
+            // counter — no window walk, no distance. The window does not
+            // grow, so the full path would not push a speed sample either.
+            if asleep.get(i) == Some(&true) {
+                if let Some(state) = self.nodes.get_mut(*node) {
+                    if state.classifier.observe_stationary(time_s, *pos) {
+                        let decision = match state.filter.observe_stationary(*pos) {
+                            Some(d) => d,
+                            None => state.filter.observe(*pos),
+                        };
+                        decisions.push(decision);
+                        continue;
+                    }
+                }
+            }
+            let state = self.nodes.get_or_insert(*node, &self.config);
+            let step = state.observe_motion(&mut self.global_speeds, time_s, *pos);
+            decisions.push(state.filter.observe_after(*pos, step));
+        }
     }
 
     /// Reclassifies every node and rebuilds the velocity clusters,
@@ -486,57 +571,12 @@ impl FilterPolicy for AdaptiveDistanceFilter {
         observations: &[(MnId, Point)],
         decisions: &mut Vec<Decision>,
     ) {
-        self.tick += 1;
-
-        // Step (3): acquire locations; update per-node motion history.
-        for (node, pos) in observations {
-            // Borrow dance: compute the speed sample before mutating self.
-            let prev_speed = {
-                let state = self.node_state(*node);
-                let before = state.classifier.sample_count();
-                state.classifier.observe(time_s, *pos);
-                if state.classifier.sample_count() > before {
-                    // A new motion step was derived; its speed is the last
-                    // one folded into the mean. Recover it from the mean
-                    // delta is overkill — just use mean over window for the
-                    // global statistic.
-                    Some(state.classifier.mean_speed())
-                } else {
-                    None
-                }
-            };
-            if let Some(v) = prev_speed {
-                self.global_speeds.push(v);
-            }
-        }
-
-        // Steps (1)/(2)/(6): initial clustering after warmup, then
-        // periodic reclustering.
-        let due_initial = !self.clustered_once && self.tick >= self.config.warmup_ticks;
-        let due_periodic =
-            self.clustered_once && self.tick.is_multiple_of(self.config.recluster_interval);
-        if due_initial || due_periodic {
-            self.recluster();
-        }
-
-        // Steps (4)/(5): distance-filter each observation.
-        decisions.clear();
-        for (node, pos) in observations {
-            let decision = self.node_state(*node).filter.observe(*pos);
-            decisions.push(decision);
-        }
+        self.run_tick(time_s, observations, &[], decisions);
     }
 
-    /// The sparse driver's sleep hint unlocks the replay fast path the
-    /// roadmap asks for: an SS-classified, position-frozen node costs one
-    /// branch, a zero-run bump and a counter — no window walk, no distance.
-    ///
-    /// Fusing the observe and filter passes into one loop is bit-exact
-    /// here because the only cross-node state, the global speed Welford,
-    /// is written in the same ascending observation order either way and
-    /// is only *read* at reclustering — and reclustering ticks (which do
-    /// interleave a cross-node pass between the two per-node passes) fall
-    /// back to the dense path wholesale.
+    /// Takes the replay fast path for hinted nodes whose classifier and
+    /// filter each re-prove the zero-motion fixpoint; reclustering ticks
+    /// ignore the hint.
     fn process_tick_sparse(
         &mut self,
         time_s: f64,
@@ -544,47 +584,12 @@ impl FilterPolicy for AdaptiveDistanceFilter {
         asleep: &[bool],
         decisions: &mut Vec<Decision>,
     ) {
-        let next_tick = self.tick + 1;
-        let due_initial = !self.clustered_once && next_tick >= self.config.warmup_ticks;
-        let due_periodic =
-            self.clustered_once && next_tick.is_multiple_of(self.config.recluster_interval);
-        if due_initial || due_periodic || asleep.len() != observations.len() {
-            self.process_tick(time_s, observations, decisions);
-            return;
-        }
-        self.tick = next_tick;
-        decisions.clear();
-        for (i, (node, pos)) in observations.iter().enumerate() {
-            if asleep[i] {
-                if let Some(state) = self.nodes.get_mut(*node) {
-                    if state.classifier.observe_stationary(time_s, *pos) {
-                        // The window did not grow, so the full path would
-                        // not have pushed to the global speed statistic.
-                        let decision = match state.filter.observe_stationary(*pos) {
-                            Some(d) => d,
-                            None => state.filter.observe(*pos),
-                        };
-                        decisions.push(decision);
-                        continue;
-                    }
-                }
-            }
-            // Full path — same steps as `process_tick`, fused per node.
-            let prev_speed = {
-                let state = self.node_state(*node);
-                let before = state.classifier.sample_count();
-                state.classifier.observe(time_s, *pos);
-                if state.classifier.sample_count() > before {
-                    Some(state.classifier.mean_speed())
-                } else {
-                    None
-                }
-            };
-            if let Some(v) = prev_speed {
-                self.global_speeds.push(v);
-            }
-            decisions.push(self.node_state(*node).filter.observe(*pos));
-        }
+        let hint = if asleep.len() == observations.len() {
+            asleep
+        } else {
+            &[]
+        };
+        self.run_tick(time_s, observations, hint, decisions);
     }
 
     fn name(&self) -> &str {
@@ -659,6 +664,33 @@ mod tests {
                     "displacement diverged at tick {t} for {id:?}"
                 );
             }
+        }
+    }
+
+    /// The per-node state of the filter kernel and of the broker's Brown
+    /// estimator must not grow: at 20,000 nodes every word is 160 kB, and
+    /// the estimator's memoised plan is paid for by the smoothers' compact
+    /// representation, not by extra bytes.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn per_node_footprint_does_not_grow() {
+        use mobigrid_forecast::BrownPositionEstimator;
+        use std::mem::size_of;
+        let sizes = [
+            ("MobilityClassifier", size_of::<MobilityClassifier>(), 120),
+            ("DistanceFilter", size_of::<DistanceFilter>(), 96),
+            ("AdfNodeState", size_of::<AdfNodeState>(), 240),
+            (
+                "BrownPositionEstimator",
+                size_of::<BrownPositionEstimator>(),
+                272,
+            ),
+        ];
+        for (name, size, budget) in sizes {
+            assert!(
+                size <= budget,
+                "{name} grew to {size} B (budget {budget} B)"
+            );
         }
     }
 

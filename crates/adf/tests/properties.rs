@@ -5,7 +5,9 @@ use mobigrid_adf::{
     MobileGridSim, MobileNode, MobilityClassifier, RegionTally, SimBuilder,
 };
 use mobigrid_campus::{RegionId, RegionKind};
-use mobigrid_geo::{Point, Polyline, Vec2};
+use std::collections::VecDeque;
+
+use mobigrid_geo::{Heading, Point, Polyline, Vec2};
 use mobigrid_mobility::{LoopMode, MobilityPattern, NodeType, PathFollower, StopModel};
 use mobigrid_wireless::MnId;
 use proptest::prelude::*;
@@ -23,7 +25,140 @@ fn trajectory() -> impl Strategy<Value = Vec<Point>> {
     })
 }
 
+/// The classifier with an eager window, as it stood before headings were
+/// derived lazily: each step's heading is computed on observation and
+/// stored next to its speed. The oracle for
+/// `lazy_heading_classifier_matches_the_eager_window`.
+struct EagerClassifier {
+    window: usize,
+    v_walk: f64,
+    samples: VecDeque<(f64, Option<Heading>)>,
+    last: Option<(f64, Point)>,
+}
+
+impl EagerClassifier {
+    fn new(window: usize, v_walk: f64) -> Self {
+        EagerClassifier {
+            window,
+            v_walk,
+            samples: VecDeque::new(),
+            last: None,
+        }
+    }
+
+    fn observe(&mut self, time_s: f64, position: Point) {
+        if let Some((t0, p0)) = self.last {
+            let dt = time_s - t0;
+            if dt <= 0.0 {
+                return;
+            }
+            let delta = position - p0;
+            if self.samples.len() == self.window {
+                self.samples.pop_front();
+            }
+            self.samples.push_back((delta.norm() / dt, delta.heading()));
+        }
+        self.last = Some((time_s, position));
+    }
+
+    fn mean_speed(&self) -> f64 {
+        if self.samples.is_empty() {
+            return 0.0;
+        }
+        self.samples.iter().map(|s| s.0).sum::<f64>() / self.samples.len() as f64
+    }
+
+    fn last_heading(&self) -> Option<Heading> {
+        self.samples.iter().rev().find_map(|s| s.1)
+    }
+
+    fn change_fraction(&self) -> f64 {
+        if self.samples.len() < 2 {
+            return 0.0;
+        }
+        let mean = self.mean_speed().max(1e-9);
+        let mut changes = 0usize;
+        for (p, s) in self.samples.iter().zip(self.samples.iter().skip(1)) {
+            let speed_jump =
+                (s.0 - p.0).abs() > MobilityClassifier::DEFAULT_SPEED_CHANGE_FRACTION * mean;
+            let turn = match (p.1, s.1) {
+                (Some(a), Some(b)) => a.angle_to(b) > MobilityClassifier::DEFAULT_DIRECTION_CHANGE,
+                (None, Some(_)) | (Some(_), None) => true,
+                (None, None) => false,
+            };
+            if speed_jump || turn {
+                changes += 1;
+            }
+        }
+        changes as f64 / (self.samples.len() - 1) as f64
+    }
+
+    fn classify(&self) -> MobilityPattern {
+        let v = self.mean_speed();
+        if v <= MobilityClassifier::DEFAULT_STOP_SPEED {
+            MobilityPattern::Stop
+        } else if v > self.v_walk
+            || self.change_fraction() <= MobilityClassifier::DEFAULT_FREQUENT_FRACTION
+        {
+            MobilityPattern::Linear
+        } else {
+            MobilityPattern::Random
+        }
+    }
+}
+
 proptest! {
+    /// Deriving headings lazily from the stored displacement gives the
+    /// same classification, change fraction, last heading and mean speed,
+    /// bit for bit, as the eager window — on random walks mixing moves,
+    /// stationary steps, repeated timestamps and uneven time steps.
+    #[test]
+    fn lazy_heading_classifier_matches_the_eager_window(
+        steps in prop::collection::vec((0u8..5, -3.0..3.0f64, -3.0..3.0f64), 1..90),
+        window in 2usize..12,
+        v_walk in 0.5..3.0f64,
+    ) {
+        let mut lazy = MobilityClassifier::new(window, v_walk);
+        let mut eager = EagerClassifier::new(window, v_walk);
+        let mut t = 0.0;
+        let mut pos = Point::new(10.0, -4.0);
+        for (i, (kind, dx, dy)) in steps.into_iter().enumerate() {
+            match kind {
+                // Stand still for a tick.
+                0 => t += 1.0,
+                // Re-report at the same instant (ignored by both).
+                1 => pos += Vec2::new(dx, dy),
+                // An uneven time step.
+                2 => {
+                    t += 0.25 + dx.abs();
+                    pos += Vec2::new(dx, dy);
+                }
+                _ => {
+                    t += 1.0;
+                    pos += Vec2::new(dx, dy);
+                }
+            }
+            lazy.observe(t, pos);
+            eager.observe(t, pos);
+            prop_assert_eq!(lazy.classify(), eager.classify(), "step {}", i);
+            prop_assert_eq!(
+                lazy.change_fraction().to_bits(),
+                eager.change_fraction().to_bits(),
+                "step {}", i
+            );
+            prop_assert_eq!(
+                lazy.last_heading().map(|h| h.radians().to_bits()),
+                eager.last_heading().map(|h| h.radians().to_bits()),
+                "step {}", i
+            );
+            prop_assert_eq!(
+                lazy.mean_speed().to_bits(),
+                eager.mean_speed().to_bits(),
+                "step {}", i
+            );
+        }
+    }
+
     /// Raising the DTH never increases the number of transmitted updates
     /// under the paper's per-observation semantics, where each decision
     /// depends only on the current step length.

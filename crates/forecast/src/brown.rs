@@ -29,8 +29,11 @@ use crate::{ForecastError, Forecaster};
 #[derive(Debug, Clone, PartialEq)]
 pub struct BrownDouble {
     alpha: f64,
-    s1: Option<f64>,
-    s2: Option<f64>,
+    /// The two smoothed series `s′` and `s″`; meaningful only once
+    /// `count > 0` (both are `0.0` before), which keeps the smoother two
+    /// words smaller than a pair of `Option`s.
+    s1: f64,
+    s2: f64,
     count: u64,
 }
 
@@ -49,8 +52,8 @@ impl BrownDouble {
         }
         Ok(BrownDouble {
             alpha,
-            s1: None,
-            s2: None,
+            s1: 0.0,
+            s2: 0.0,
             count: 0,
         })
     }
@@ -64,29 +67,26 @@ impl BrownDouble {
     /// The current level estimate `aₜ = 2s′ₜ − s″ₜ`.
     #[must_use]
     pub fn level(&self) -> Option<f64> {
-        Some(2.0 * self.s1? - self.s2?)
+        (self.count > 0).then_some(2.0 * self.s1 - self.s2)
     }
 
     /// The current per-step trend estimate `bₜ = α/(1 − α)·(s′ₜ − s″ₜ)`.
     #[must_use]
     pub fn trend(&self) -> Option<f64> {
-        Some(self.alpha / (1.0 - self.alpha) * (self.s1? - self.s2?))
+        (self.count > 0).then(|| self.alpha / (1.0 - self.alpha) * (self.s1 - self.s2))
     }
 }
 
 impl Forecaster for BrownDouble {
     fn observe(&mut self, value: f64) {
+        if self.count == 0 {
+            self.s1 = value;
+            self.s2 = value;
+        } else {
+            self.s1 = self.alpha * value + (1.0 - self.alpha) * self.s1;
+            self.s2 = self.alpha * self.s1 + (1.0 - self.alpha) * self.s2;
+        }
         self.count += 1;
-        let s1 = match self.s1 {
-            None => value,
-            Some(prev) => self.alpha * value + (1.0 - self.alpha) * prev,
-        };
-        let s2 = match self.s2 {
-            None => s1,
-            Some(prev) => self.alpha * s1 + (1.0 - self.alpha) * prev,
-        };
-        self.s1 = Some(s1);
-        self.s2 = Some(s2);
     }
 
     fn forecast(&self, horizon: f64) -> Option<f64> {
@@ -94,8 +94,8 @@ impl Forecaster for BrownDouble {
     }
 
     fn reset(&mut self) {
-        self.s1 = None;
-        self.s2 = None;
+        self.s1 = 0.0;
+        self.s2 = 0.0;
         self.count = 0;
     }
 

@@ -206,7 +206,7 @@ impl PositionEstimator for KalmanCv {
         }
     }
 
-    fn estimate(&self, time_s: f64) -> Option<Point> {
+    fn estimate(&mut self, time_s: f64) -> Option<Point> {
         let (t0, _) = self.state?;
         let dt = (time_s - t0).max(0.0);
         let x = self.predict_state(dt)?;

@@ -22,7 +22,9 @@ use crate::{ForecastError, Forecaster};
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingleExponential {
     alpha: f64,
-    level: Option<f64>,
+    /// The smoothed level; meaningful only once `count > 0` (`0.0`
+    /// before), which keeps the smoother a word smaller than an `Option`.
+    level: f64,
     count: u64,
 }
 
@@ -39,7 +41,7 @@ impl SingleExponential {
         }
         Ok(SingleExponential {
             alpha,
-            level: None,
+            level: 0.0,
             count: 0,
         })
     }
@@ -53,26 +55,27 @@ impl SingleExponential {
     /// The current smoothed level, if any observation has been seen.
     #[must_use]
     pub fn level(&self) -> Option<f64> {
-        self.level
+        (self.count > 0).then_some(self.level)
     }
 }
 
 impl Forecaster for SingleExponential {
     fn observe(&mut self, value: f64) {
-        self.count += 1;
-        self.level = Some(match self.level {
+        self.level = if self.count == 0 {
             // Standard initialisation: seed the level with the first sample.
-            None => value,
-            Some(prev) => self.alpha * value + (1.0 - self.alpha) * prev,
-        });
+            value
+        } else {
+            self.alpha * value + (1.0 - self.alpha) * self.level
+        };
+        self.count += 1;
     }
 
     fn forecast(&self, _horizon: f64) -> Option<f64> {
-        self.level
+        self.level()
     }
 
     fn reset(&mut self) {
-        self.level = None;
+        self.level = 0.0;
         self.count = 0;
     }
 

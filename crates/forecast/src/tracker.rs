@@ -18,7 +18,11 @@ pub trait PositionEstimator {
 
     /// Estimates the position at `time_s` (typically later than the last
     /// observation), or `None` before any observation.
-    fn estimate(&self, time_s: f64) -> Option<Point>;
+    ///
+    /// Takes `&mut self` so an estimator may memoise the parts of the
+    /// answer that depend only on its state; the result must not depend on
+    /// whether such a memo is warm.
+    fn estimate(&mut self, time_s: f64) -> Option<Point>;
 
     /// Supplies prior knowledge of where the node *lives* (e.g. the centre
     /// of its registered home region). Estimators that maintain a
@@ -78,7 +82,7 @@ impl PositionEstimator for LastKnown {
         self.last = Some(position);
     }
 
-    fn estimate(&self, _time_s: f64) -> Option<Point> {
+    fn estimate(&mut self, _time_s: f64) -> Option<Point> {
         self.last
     }
 
@@ -124,7 +128,7 @@ impl PositionEstimator for DeadReckoning {
         self.last = Some((time_s, position));
     }
 
-    fn estimate(&self, time_s: f64) -> Option<Point> {
+    fn estimate(&mut self, time_s: f64) -> Option<Point> {
         let (t0, p0) = self.last?;
         let dt = (time_s - t0).max(0.0);
         Some(p0 + self.velocity * dt)
@@ -208,6 +212,31 @@ pub struct BrownPositionEstimator {
     /// folded into the anchor with [`Self::HOME_PRIOR_WEIGHT`]
     /// pseudo-observations.
     home_prior: Option<Point>,
+    /// The memoised state-only terms of [`PositionEstimator::estimate`].
+    plan: Plan,
+}
+
+/// The terms of [`BrownPositionEstimator`]'s estimate that depend only on
+/// its state, not on the query time: derived by the first `estimate` after
+/// a mutation and reused until the next `observe`, `set_home_anchor` or
+/// `reset`. A broker estimates a filtered node every tick but only a
+/// received update changes these terms.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Plan {
+    /// Not derived since the last mutation.
+    Stale,
+    /// The smoothers are not warmed up: hold the last reported position.
+    Hold,
+    /// Extrapolate from the last report along the smoothed heading.
+    Extrapolate {
+        /// The clamped extrapolation speed, in m/s.
+        speed: f64,
+        /// The squared direction-consistency gate.
+        gate: f64,
+        /// Cosine and sine of the smoothed heading.
+        cos: f64,
+        sin: f64,
+    },
 }
 
 impl BrownPositionEstimator {
@@ -251,6 +280,7 @@ impl BrownPositionEstimator {
             mean_pos: Point::ORIGIN,
             obs_count: 0,
             home_prior: None,
+            plan: Plan::Stale,
         })
     }
 
@@ -336,10 +366,40 @@ impl BrownPositionEstimator {
     pub fn heading_estimate(&self) -> Option<Heading> {
         self.direction.level().map(Heading::from_radians)
     }
+
+    /// Derives the state-only terms of [`PositionEstimator::estimate`].
+    fn derive_plan(&self) -> Plan {
+        let (Some(speed), Some(dir)) = (self.speed.forecast(1.0), self.direction.forecast(1.0))
+        else {
+            // Not warmed up (fewer than two observations): fall back to the
+            // last known coordinate, matching the broker's behaviour before
+            // a node has any motion history.
+            return Plan::Hold;
+        };
+        let speed = speed.max(0.0);
+        // Once a silence is in progress (estimation *is* the silent case),
+        // the learned silence speed is the better predictor; bound it by
+        // the send-time speed so a single long-gap outlier cannot inflate
+        // it.
+        let speed = match self.silence_speed.forecast(0.0) {
+            Some(s) => s.clamp(0.0, speed.max(0.0)).min(speed),
+            None => speed,
+        };
+        let heading = Heading::from_radians(dir).radians();
+        Plan::Extrapolate {
+            speed,
+            // The gate squares so that half-coherent motion extrapolates
+            // only a quarter of the way — conservative by design.
+            gate: self.direction_consistency().powi(2),
+            cos: heading.cos(),
+            sin: heading.sin(),
+        }
+    }
 }
 
 impl PositionEstimator for BrownPositionEstimator {
     fn observe(&mut self, time_s: f64, position: Point) {
+        self.plan = Plan::Stale;
         if let Some((t0, p0)) = self.last {
             let dt = time_s - t0;
             if dt > 0.0 {
@@ -401,33 +461,27 @@ impl PositionEstimator for BrownPositionEstimator {
         self.last = Some((time_s, position));
     }
 
-    fn estimate(&self, time_s: f64) -> Option<Point> {
+    fn estimate(&mut self, time_s: f64) -> Option<Point> {
         let (t0, p0) = self.last?;
         let dt = (time_s - t0).max(0.0);
-        let (Some(speed), Some(dir)) = (self.speed.forecast(1.0), self.direction.forecast(1.0))
+        if matches!(self.plan, Plan::Stale) {
+            self.plan = self.derive_plan();
+        }
+        let Plan::Extrapolate {
+            speed,
+            gate,
+            cos,
+            sin,
+        } = self.plan
         else {
-            // Not warmed up (fewer than two observations): fall back to the
-            // last known coordinate, matching the broker's behaviour before
-            // a node has any motion history.
             return Some(p0);
         };
-        let speed = speed.max(0.0);
-        // Once a silence is in progress (estimation *is* the silent case),
-        // the learned silence speed is the better predictor; bound it by
-        // the send-time speed so a single long-gap outlier cannot inflate
-        // it.
-        let speed = match self.silence_speed.forecast(0.0) {
-            Some(s) => s.clamp(0.0, speed.max(0.0)).min(speed),
-            None => speed,
-        };
-        let heading = Heading::from_radians(dir);
         // Silence decay: ≈ dt while the gap is fresh, saturating at τ.
         let tau = self.silence_tau_secs;
         let effective_dt = tau * (1.0 - (-dt / tau).exp());
-        // The gate squares so that half-coherent motion extrapolates only a
-        // quarter of the way — conservative by design.
-        let gate = self.direction_consistency().powi(2);
-        let linear = p0 + Vec2::from_polar(speed * effective_dt * gate, heading);
+        // `Vec2::from_polar` with the memoised cosine and sine.
+        let magnitude = speed * effective_dt * gate;
+        let linear = p0 + Vec2::new(magnitude * cos, magnitude * sin);
 
         // Long-horizon blend: once the last report is several τ stale, no
         // trajectory extrapolation is credible any more, but the node's
@@ -446,6 +500,7 @@ impl PositionEstimator for BrownPositionEstimator {
     }
 
     fn set_home_anchor(&mut self, anchor: Point) {
+        self.plan = Plan::Stale;
         self.home_prior = Some(anchor);
     }
 
@@ -462,6 +517,7 @@ impl PositionEstimator for BrownPositionEstimator {
     }
 
     fn reset(&mut self) {
+        self.plan = Plan::Stale;
         self.speed.reset();
         self.direction.reset();
         self.last = None;
@@ -516,7 +572,7 @@ impl<F: Forecaster> PositionEstimator for AxisSmoothing<F> {
         self.last = Some((time_s, position));
     }
 
-    fn estimate(&self, time_s: f64) -> Option<Point> {
+    fn estimate(&mut self, time_s: f64) -> Option<Point> {
         let (t0, p0) = self.last?;
         let horizon = ((time_s - t0).max(0.0)) / self.nominal_dt;
         match (self.x.forecast(horizon), self.y.forecast(horizon)) {
@@ -547,7 +603,7 @@ mod tests {
 
     #[test]
     fn last_known_before_any_observation() {
-        let lk = LastKnown::new();
+        let mut lk = LastKnown::new();
         assert_eq!(lk.estimate(0.0), None);
     }
 
@@ -648,6 +704,103 @@ mod tests {
         est.observe(1.0, Point::new(2.0, 2.0));
         est.reset();
         assert_eq!(est.estimate(2.0), None);
+    }
+
+    /// The estimate formula as it stood before the plan was memoised: every
+    /// state-only term re-derived on every call. The oracle for
+    /// `brown_memoised_estimate_matches_the_unmemoised_formula`.
+    fn unmemoised_estimate(est: &BrownPositionEstimator, time_s: f64) -> Option<Point> {
+        let (t0, p0) = est.last?;
+        let dt = (time_s - t0).max(0.0);
+        let (Some(speed), Some(dir)) = (est.speed.forecast(1.0), est.direction.forecast(1.0))
+        else {
+            return Some(p0);
+        };
+        let speed = speed.max(0.0);
+        let speed = match est.silence_speed.forecast(0.0) {
+            Some(s) => s.clamp(0.0, speed.max(0.0)).min(speed),
+            None => speed,
+        };
+        let heading = Heading::from_radians(dir);
+        let tau = est.silence_tau_secs;
+        let effective_dt = tau * (1.0 - (-dt / tau).exp());
+        let gate = est.direction_consistency().powi(2);
+        let linear = p0 + Vec2::from_polar(speed * effective_dt * gate, heading);
+        match est.anchor() {
+            Some(anchor) => {
+                let w = (-(dt / (2.0 * tau)).powi(2)).exp();
+                Some(linear.lerp(anchor, 1.0 - w))
+            }
+            None => Some(linear),
+        }
+    }
+
+    #[test]
+    fn brown_memoised_estimate_matches_the_unmemoised_formula() {
+        let bits = |p: Option<Point>| p.map(|p| (p.x.to_bits(), p.y.to_bits()));
+        // Asks at several horizons, twice each so the second call reads the
+        // warm plan, and checks every answer against the oracle.
+        let check = |est: &mut BrownPositionEstimator, t_last: f64, label: &str| {
+            for _ in 0..2 {
+                for gap in [0.0, 0.5, 1.0, 3.0, 17.0, 90.0, 1e4] {
+                    let expect = unmemoised_estimate(est, t_last + gap);
+                    assert_eq!(
+                        bits(est.estimate(t_last + gap)),
+                        bits(expect),
+                        "{label}: gap {gap}"
+                    );
+                }
+            }
+        };
+        let mut est = BrownPositionEstimator::new(0.5).unwrap();
+        check(&mut est, 0.0, "empty");
+        // Warm-up: one report holds, the second starts extrapolating.
+        est.observe(0.0, Point::new(3.0, -2.0));
+        check(&mut est, 0.0, "one report");
+        est.observe(1.0, Point::new(4.5, -1.0));
+        check(&mut est, 1.0, "warming");
+        // A steady walk north-east, then a stationary report.
+        let mut t = 1.0;
+        let mut pos = Point::new(4.5, -1.0);
+        for _ in 0..6 {
+            t += 1.0;
+            pos += Vec2::new(1.2, 0.9);
+            est.observe(t, pos);
+            check(&mut est, t, "walk");
+        }
+        t += 1.0;
+        est.observe(t, pos);
+        check(&mut est, t, "stationary step");
+        // A manoeuvre: a turn of more than 90° resets the direction state.
+        for _ in 0..3 {
+            t += 1.0;
+            pos += Vec2::new(-1.5, -0.2);
+            est.observe(t, pos);
+            check(&mut est, t, "manoeuvre");
+        }
+        // Silences: gaps well past the nominal spacing feed the silence
+        // speed, which then caps the extrapolation speed.
+        for gap in [4.0, 9.0] {
+            t += gap;
+            pos += Vec2::new(0.3 * gap, -0.4 * gap);
+            est.observe(t, pos);
+            check(&mut est, t, "silence");
+        }
+        // A home anchor set after observations reshapes the long horizon.
+        est.set_home_anchor(Point::new(-40.0, 25.0));
+        check(&mut est, t, "home anchor");
+        t += 1.0;
+        pos += Vec2::new(0.5, 0.5);
+        est.observe(t, pos);
+        check(&mut est, t, "after anchor");
+        // Reset forgets the history but keeps the prior; warm up again.
+        est.reset();
+        check(&mut est, t, "reset");
+        est.observe(t + 1.0, Point::new(1.0, 1.0));
+        check(&mut est, t + 1.0, "reset, one report");
+        est.observe(t + 2.0, Point::new(1.0, 2.5));
+        est.observe(t + 3.0, Point::new(1.0, 4.0));
+        check(&mut est, t + 3.0, "rewarmed");
     }
 
     #[test]

@@ -137,9 +137,20 @@ impl fmt::Display for Heading {
 /// ```
 #[must_use]
 pub fn normalize_radians(radians: f64) -> f64 {
-    let r = radians.rem_euclid(TAU);
-    // rem_euclid can return TAU itself for tiny negative inputs due to
-    // rounding; fold that back to zero so the invariant r < TAU holds.
+    // Exact fast paths: on `[0, TAU)` and `(-TAU, 0)` the `fmod` inside
+    // `rem_euclid` returns its input unchanged, so `rem_euclid` reduces to
+    // the identity and to `r + TAU` respectively — the same bits, without
+    // the `fmod` call.
+    if (0.0..TAU).contains(&radians) {
+        return radians;
+    }
+    let r = if radians > -TAU && radians < 0.0 {
+        radians + TAU
+    } else {
+        radians.rem_euclid(TAU)
+    };
+    // `r + TAU` rounds to TAU itself for tiny negative inputs; fold that
+    // back to zero so the invariant r < TAU holds.
     if r >= TAU {
         0.0
     } else {
@@ -156,6 +167,66 @@ mod tests {
     fn normalisation_wraps_negative_angles() {
         let h = Heading::from_radians(-FRAC_PI_2);
         assert!((h.radians() - 3.0 * FRAC_PI_2).abs() < 1e-12);
+    }
+
+    /// The fast paths must agree bit for bit with the plain `rem_euclid`
+    /// fold they shortcut, including signed zeros, values whose `+ TAU`
+    /// rounds to `TAU`, NaN and infinities.
+    #[test]
+    fn normalisation_fast_paths_match_rem_euclid() {
+        fn reference(radians: f64) -> f64 {
+            let r = radians.rem_euclid(TAU);
+            if r >= TAU {
+                0.0
+            } else {
+                r
+            }
+        }
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            TAU,
+            -TAU,
+            PI,
+            -PI,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            5e-324,
+            -1e-17,
+            -1e-300,
+            TAU - 1e-15,
+            -(TAU - 1e-15),
+            f64::from_bits(TAU.to_bits() - 1),
+            -f64::from_bits(TAU.to_bits() - 1),
+            f64::from_bits(TAU.to_bits() + 1),
+            -f64::from_bits(TAU.to_bits() + 1),
+            1e6,
+            -1e6,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // A deterministic xorshift sweep over (-3 TAU, 3 TAU).
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..100_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            inputs.push((unit * 6.0 - 3.0) * TAU);
+        }
+        for x in inputs {
+            assert_eq!(
+                normalize_radians(x).to_bits(),
+                reference(x).to_bits(),
+                "normalize_radians({x:e}) diverged from rem_euclid"
+            );
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! exports the merged telemetry as JSONL on shutdown — the same format
 //! the experiment harness emits, accepted by `trace --check` and, paired
 //! with a client export, by `trace --stitch`. With `--profile` the
-//! ingest hot phases (CRC verify, frame decode, shard apply, digest
-//! fold) are timed into `serve.phase.*_us` histograms, visible on
-//! `/metrics`.
+//! ingest hot phases (CRC verify, frame decode, shard apply) and the
+//! `digest` query's fold are timed into `serve.phase.*_us` histograms,
+//! visible on `/metrics`.
 
 use std::sync::Arc;
 use std::time::Duration;

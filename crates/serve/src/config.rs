@@ -22,7 +22,8 @@ pub struct ServeConfig {
     /// ingest hot path then runs the event-free branch.
     pub flight: bool,
     /// Record per-phase self-profiling spans and histograms (frame
-    /// decode, CRC verify, shard apply, digest fold). Off by default.
+    /// decode, CRC verify, shard apply, and the `digest` query's fold).
+    /// Off by default.
     pub profile: bool,
     /// Span / event ring capacity of the flight-recorder detail recorder
     /// (ignored unless `flight` is set).

@@ -25,8 +25,8 @@
 //!   server keeps a per-LU flight recorder whose export stitches against
 //!   a client export (`trace --stitch CLIENT.jsonl SERVER.jsonl`), and
 //!   with [`ServeConfig::profile`] the ingest hot phases (CRC verify,
-//!   frame decode, shard apply, digest fold) are timed into
-//!   `serve.phase.*_us` histograms. All of it is off by default and
+//!   frame decode, shard apply) and the `digest` query's fold are timed
+//!   into `serve.phase.*_us` histograms. All of it is off by default and
 //!   costs nothing then.
 //!
 //! The `serve` binary hosts the server on loopback; the `loadgen` binary

@@ -39,7 +39,7 @@ type BatchStamp = (u64, u64, u64, f64);
 /// the producing sim uses, so the server's telemetry export stitches
 /// against a client export (`trace --stitch`). With
 /// [`ServeConfig::profile`] set the ingest hot phases (CRC verify, frame
-/// decode, shard apply, digest fold) are timed into
+/// decode, shard apply) and the `digest` query's fold are timed into
 /// `serve.phase.*_us` histograms. Both are off by default and their
 /// branches are never taken then — the default ingest path is unchanged.
 pub struct Server {
@@ -168,11 +168,6 @@ impl Server {
             None
         };
         let apply_us = t.elapsed().as_secs_f64() * 1e6;
-        let digest_us = self.profile.then(|| {
-            let t = Instant::now();
-            let _ = self.store.state_digest();
-            t.elapsed().as_secs_f64() * 1e6
-        });
 
         let total_us = started.elapsed().as_secs_f64() * 1e6;
         let ticks = ops
@@ -201,10 +196,6 @@ impl Server {
                 }
                 rec.span(Phase::Apply, ops.len() as u64);
                 merge_sample(&mut rec, "serve.phase.apply_us", apply_us);
-                if let Some(us) = digest_us {
-                    rec.span(Phase::Digest, 1);
-                    merge_sample(&mut rec, "serve.phase.digest_us", us);
-                }
             }
         }
         if let (Some(detail), Some(infos)) = (&self.detail, &infos) {
@@ -315,10 +306,17 @@ impl Server {
                 out.push('}');
                 Ok(out)
             }
-            "digest" => Ok(format!(
-                "{{\"ok\":true,\"digest\":\"{:016x}\"}}",
-                self.store.state_digest()
-            )),
+            "digest" => {
+                let t = Instant::now();
+                let digest = self.store.state_digest();
+                if self.profile {
+                    let us = t.elapsed().as_secs_f64() * 1e6;
+                    let mut rec = self.metrics.lock().expect("metrics mutex");
+                    rec.span(Phase::Digest, 1);
+                    merge_sample(&mut rec, "serve.phase.digest_us", us);
+                }
+                Ok(format!("{{\"ok\":true,\"digest\":\"{digest:016x}\"}}"))
+            }
             "shutdown" => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 Ok("{\"ok\":true}".to_string())
@@ -660,6 +658,31 @@ mod tests {
             assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{bad}");
         }
         assert_eq!(s.counter("serve.queries"), 6);
+    }
+
+    #[test]
+    fn profile_times_the_digest_only_when_queried() {
+        let s = Server::new(&ServeConfig {
+            nodes: 16,
+            profile: true,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let samples = |s: &Server, name: &str| {
+            let rec = s.metrics.lock().unwrap();
+            rec.histogram(name).map_or(0, |h| h.count())
+        };
+        for tick in 1..=3 {
+            s.ingest_frame(&encode_batch(&[IngestRecord::TickEnd {
+                tick,
+                time_s: tick as f64,
+            }]))
+            .unwrap();
+        }
+        assert_eq!(samples(&s, "serve.phase.apply_us"), 3);
+        assert_eq!(samples(&s, "serve.phase.digest_us"), 0, "ingest folded");
+        let _ = s.query_line(r#"{"op":"digest"}"#);
+        assert_eq!(samples(&s, "serve.phase.digest_us"), 1);
     }
 
     #[test]
