@@ -118,4 +118,7 @@ cargo clippy -p mobigrid-telemetry -- -D warnings -D missing-docs
 echo "==> cargo clippy -p mobigrid-adf -- -D warnings -D missing-docs"
 cargo clippy -p mobigrid-adf -- -D warnings -D missing-docs
 
+echo "==> rustdoc -p mobigrid-adf with -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc -p mobigrid-adf --no-deps
+
 echo "CI OK"

@@ -434,33 +434,34 @@ impl BrokerShard<'_> {
     }
 
     /// Replays a cached filtered-update evaluation without consulting the
-    /// estimator: stores `stored` (the estimate a previous
-    /// [`BrokerShard::note_filtered`] produced) at the new `time_s`, or
-    /// does nothing when the previous evaluation produced no estimate.
+    /// estimator. When the previous [`BrokerShard::note_filtered`] stored
+    /// an estimate (`stored`), the slot's record still holds it, so only
+    /// its timestamp moves to `time_s`; otherwise this does nothing, as
+    /// `note_filtered` would.
     ///
     /// Bit-identical to `note_filtered` **provided** the slot's estimator
     /// was static ([`BrokerShard::estimator_is_static`]) and untouched
-    /// (no receive / loss) since `stored` was captured — the sparse
-    /// driver's idle-replay contract.
-    pub fn replay_filtered(&mut self, node: MnId, time_s: f64, stored: Option<Point>) -> ApplyInfo {
+    /// (no receive / loss) since the evaluation being replayed — the
+    /// sparse driver's idle-replay contract.
+    pub fn replay_filtered(&mut self, node: MnId, time_s: f64, stored: bool) -> ApplyInfo {
         let slot = self.slot_mut(node);
-        let (estimated, fresh) = match stored {
-            Some(position) => {
-                let fresh = slot.record.is_none();
-                slot.record = Some(LocationRecord {
-                    position,
-                    time_s,
-                    estimated: true,
-                });
-                (true, fresh)
-            }
-            None => (false, false),
-        };
+        if stored {
+            let record = slot
+                .record
+                .as_mut()
+                .expect("a replayed estimate has a record");
+            debug_assert!(record.estimated, "the replayed record is an estimate");
+            record.time_s = time_s;
+            debug_assert_eq!(
+                slot.estimator.as_mut().and_then(|e| e.estimate(time_s)),
+                slot.record.map(|r| r.position),
+                "the replayed record holds the static estimate"
+            );
+        }
         let staleness = slot.staleness;
-        self.delta.estimated += u64::from(estimated);
-        self.delta.fresh_records += u64::from(fresh);
+        self.delta.estimated += u64::from(stored);
         ApplyInfo {
-            outcome: if estimated {
+            outcome: if stored {
                 ApplyOutcome::Estimated
             } else {
                 ApplyOutcome::NoRecord
@@ -468,17 +469,6 @@ impl BrokerShard<'_> {
             staleness,
             blend: 1.0,
         }
-    }
-
-    /// Number of nodes in this shard currently marked stale (at least one
-    /// consecutive loss since their last receipt).
-    #[must_use]
-    pub fn stale_count(&self) -> u32 {
-        let mut n = 0u32;
-        for slot in self.slots.iter() {
-            n += u32::from(slot.staleness > 0);
-        }
-        n
     }
 
     /// The shard's current belief about a node — a direct dense-slot read,
@@ -1137,11 +1127,9 @@ mod tests {
                     shard.receive(&lu(node, t as f64, f64::from(node) * t as f64, 0.0));
                 }
             }
-            shards[0].note_lost(MnId::new(1), 3.0);
-            shards[0].note_lost(MnId::new(1), 4.0);
-            shards[1].note_lost(MnId::new(3), 3.0);
-            assert_eq!(shards[0].stale_count(), 1);
-            assert_eq!(shards[1].stale_count(), 1);
+            assert_eq!(shards[0].note_lost(MnId::new(1), 3.0).staleness, 1);
+            assert_eq!(shards[0].note_lost(MnId::new(1), 4.0).staleness, 2);
+            assert_eq!(shards[1].note_lost(MnId::new(3), 3.0).staleness, 1);
             let deltas: Vec<BrokerDelta> = shards.into_iter().map(BrokerShard::into_delta).collect();
             for d in &deltas {
                 sharded.apply_delta(d);
@@ -1209,57 +1197,60 @@ mod tests {
             b.ensure_nodes(2);
             b.receive(&lu(0, 0.0, 5.0, 5.0));
             b.receive(&lu(0, 1.0, 5.0, 5.0));
+            // A loss leaves a staleness the replays must report unchanged.
+            b.note_lost(MnId::new(0), 1.5);
         }
         let node = MnId::new(0);
-
-        // Capture the cacheable evaluation from a full note_filtered.
-        let stored = {
-            let mut shards = live.shard_views(2);
-            assert!(shards[0].estimator_is_static(node));
-            let info = shards[0].note_filtered(node, 2.0);
-            assert_eq!(info.outcome, ApplyOutcome::Estimated);
-            let pos = shards[0].location(node).unwrap().position;
+        let apply = |b: &mut GridBroker, f: &mut dyn FnMut(&mut BrokerShard<'_>)| {
+            let mut shards = b.shard_views(2);
+            f(&mut shards[0]);
             let d: Vec<BrokerDelta> = shards.into_iter().map(BrokerShard::into_delta).collect();
             for delta in &d {
-                live.apply_delta(delta);
+                b.apply_delta(delta);
             }
-            Some(pos)
         };
 
-        // Dense side: two more live evaluations. Sparse side: one live
-        // (to create the cache point) then replays.
-        for t in [2.0, 3.0, 4.0] {
-            let mut shards = live.shard_views(2);
-            if t > 2.0 {
-                shards[0].note_filtered(node, t);
-            }
-            let mut r = replayed.shard_views(2);
-            if t == 2.0 {
-                r[0].note_filtered(node, t);
-            } else {
-                let info = r[0].replay_filtered(node, t, stored);
+        // Both sides evaluate t = 2 in full; that is the cache point.
+        let mut captured = None;
+        for b in [&mut live, &mut replayed] {
+            apply(b, &mut |s| {
+                assert!(s.estimator_is_static(node));
+                let info = s.note_filtered(node, 2.0);
                 assert_eq!(info.outcome, ApplyOutcome::Estimated);
-                assert_eq!(info.staleness, 0);
-            }
-            let dl: Vec<BrokerDelta> = shards.into_iter().map(BrokerShard::into_delta).collect();
-            for delta in &dl {
-                live.apply_delta(delta);
-            }
-            let dr: Vec<BrokerDelta> = r.into_iter().map(BrokerShard::into_delta).collect();
-            for delta in &dr {
-                replayed.apply_delta(delta);
-            }
+                captured = s.location(node).copied();
+            });
         }
-        assert_eq!(live.location(node), replayed.location(node));
+        let captured = captured.expect("an estimate was stored");
+        assert!(captured.estimated && captured.time_s == 2.0);
+
+        // Then the live side keeps evaluating while the other replays:
+        // a time-only restamp of the record the full evaluation left.
+        for t in [3.0, 4.0, 7.5] {
+            let mut live_info = None;
+            apply(&mut live, &mut |s| {
+                live_info = Some(s.note_filtered(node, t))
+            });
+            let mut replay_info = None;
+            apply(&mut replayed, &mut |s| {
+                replay_info = Some(s.replay_filtered(node, t, true));
+            });
+            assert_eq!(replay_info, live_info);
+            assert_eq!(replay_info.map(|i| i.staleness), Some(1));
+            let rec = replayed.location(node).expect("record kept");
+            assert_eq!(rec.position, captured.position, "only the time moves");
+            assert_eq!(rec.time_s, t);
+            assert_eq!(live.location(node), Some(rec));
+        }
         assert_eq!(live.estimated_count(), replayed.estimated_count());
         assert_eq!(live.node_count(), replayed.node_count());
+        assert_eq!(live.state_digest(), replayed.state_digest());
 
         // A never-heard-from node: static (no estimator), and replaying
         // its NoRecord evaluation changes nothing.
         let ghost = MnId::new(1);
         let mut r = replayed.shard_views(2);
         assert!(r[0].estimator_is_static(ghost));
-        let info = r[0].replay_filtered(ghost, 5.0, None);
+        let info = r[0].replay_filtered(ghost, 5.0, false);
         assert_eq!(info.outcome, ApplyOutcome::NoRecord);
         let dr: Vec<BrokerDelta> = r.into_iter().map(BrokerShard::into_delta).collect();
         assert_eq!(dr[0], BrokerDelta::default());

@@ -195,6 +195,10 @@ impl MobilityClassifier {
     /// last-observation timestamp, which this method performs. When any
     /// precondition fails it returns `false` with no state change and the
     /// caller must use [`MobilityClassifier::observe`].
+    ///
+    /// The ADF's sparse path calls it to arm a parked node's doze; the
+    /// further calls the doze defers are applied in one step when the
+    /// node wakes.
     pub fn observe_stationary(&mut self, time_s: f64, position: Point) -> bool {
         let Some((t0, p0)) = self.last else {
             return false;
@@ -209,6 +213,18 @@ impl MobilityClassifier {
         self.zero_run = self.zero_run.saturating_add(1);
         self.last = Some((time_s, position));
         true
+    }
+
+    /// Applies `k` deferred [`MobilityClassifier::observe_stationary`]
+    /// calls at once, the last of which observed `position` at `time_s`.
+    ///
+    /// Sound only while the node sat at the zero-motion fixpoint for all
+    /// `k` calls: each would have bumped the trailing zero run and
+    /// re-stamped the last observation, and nothing else. The ADF's doze
+    /// ([`crate::AdaptiveDistanceFilter`]) defers exactly those calls.
+    pub(crate) fn catch_up_stationary(&mut self, k: u32, time_s: f64, position: Point) {
+        self.zero_run = self.zero_run.saturating_add(k as usize);
+        self.last = Some((time_s, position));
     }
 
     /// Number of motion steps currently in the window.

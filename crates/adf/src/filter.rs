@@ -191,15 +191,10 @@ impl DistanceFilter {
     /// `0.0 >= dth` — `Sent` during the zero-DTH warmup, `Filtered` once
     /// a positive DTH is assigned. Returns `None` with no state change
     /// when the fast path does not apply; the caller must then use
-    /// [`DistanceFilter::observe`].
+    /// [`DistanceFilter::observe`]. Like the classifier's twin, the ADF
+    /// calls it to arm a parked node's doze.
     pub fn observe_stationary(&mut self, position: Point) -> Option<Decision> {
-        if self.reference != FilterReference::PreviousObservation {
-            return None;
-        }
-        let anchor = self.last_observed?;
-        let frozen =
-            same_bits(anchor, position) && position.x.is_finite() && position.y.is_finite();
-        if !frozen {
+        if !self.is_frozen_repeat(position) {
             return None;
         }
         self.last_step = Some(0.0);
@@ -212,6 +207,32 @@ impl DistanceFilter {
             self.filtered += 1;
             Decision::Filtered
         })
+    }
+
+    /// Whether [`DistanceFilter::observe_stationary`] would apply to
+    /// `position` and suppress it.
+    pub(crate) fn suppresses_repeat(&self, position: Point) -> bool {
+        self.is_frozen_repeat(position) && self.dth > 0.0
+    }
+
+    /// The stationary fast path's precondition (see
+    /// [`DistanceFilter::observe_stationary`]).
+    fn is_frozen_repeat(&self, position: Point) -> bool {
+        self.reference == FilterReference::PreviousObservation
+            && self
+                .last_observed
+                .is_some_and(|anchor| same_bits(anchor, position))
+            && position.x.is_finite()
+            && position.y.is_finite()
+    }
+
+    /// Applies `k` deferred [`DistanceFilter::observe_stationary`] calls
+    /// that each returned [`Decision::Filtered`]: they bumped the filtered
+    /// counter and re-wrote a zero displacement and the same anchor, so
+    /// the counter is all that is left to do.
+    pub(crate) fn catch_up_filtered(&mut self, k: u32) {
+        debug_assert_eq!(self.last_step, Some(0.0));
+        self.filtered += u64::from(k);
     }
 
     /// The displacement (metres against the filter's reference) measured

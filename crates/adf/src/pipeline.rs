@@ -28,6 +28,9 @@ use crate::{
 /// many. Threads only decide *where* a shard executes.
 const SHARD_SIZE: usize = 64;
 
+// A shard reports its newly idle-cached nodes as one bit each of a `u64`.
+const _: () = assert!(SHARD_SIZE <= 64);
+
 /// Upper bound on the invariant violations [`MobileGridSim`] retains in
 /// memory (the recorder additionally sees every one as an event). A
 /// healthy run keeps zero; the cap only stops a systemically broken run
@@ -331,8 +334,9 @@ struct TickScratch {
     /// Per-node apply fate for the invariant monitors, derived from the
     /// decisions (no network) or the link outcomes (network attached).
     fates: Vec<NodeFate>,
-    /// Per-node with-LE staleness counters after the apply phase, read
-    /// back from the broker for the staleness-consistency monitor.
+    /// Per-node with-LE staleness counters after the apply phase, for the
+    /// staleness-consistency monitor. Phase 3 writes each node's from the
+    /// `ApplyInfo` of its one apply call.
     staleness: Vec<u32>,
     /// Per-node flag: a deferred frame for this node arrived late and was
     /// accepted earlier in the tick (resets the staleness baseline).
@@ -396,19 +400,21 @@ impl RetryState {
 /// both brokers (`BrokerShard::estimator_is_static`). While valid — no
 /// receive, no loss, no late frame, ground truth bit-unchanged, no
 /// refresh wake — the node's next idle evaluation is a pure replay:
-/// `replay_filtered` re-stores the cached estimates and the cached errors
-/// are pushed, all bit-identical to the dense computation they skip.
+/// nothing has touched either broker slot since the capture, so each
+/// still holds the estimate that evaluation stored, and
+/// `replay_filtered` only moves its timestamp; the cached errors are
+/// pushed. All of it is bit-identical to the dense computation it skips.
 #[derive(Debug, Clone, Copy)]
-struct IdleCache {
+pub(crate) struct IdleCache {
     valid: bool,
     /// Ground-truth position when the cache was captured; any change
     /// (compared bitwise) invalidates the cached errors.
     pos: Point,
-    /// What the with-LE broker's `note_filtered` stored (`None` =
-    /// `NoRecord`: no estimator or no estimate yet).
-    le_stored: Option<Point>,
+    /// Whether the with-LE broker's `note_filtered` stored an estimate
+    /// (`false` = `NoRecord`: no estimator or no estimate yet).
+    le_stored: bool,
     /// Same for the without-LE broker.
-    raw_stored: Option<Point>,
+    raw_stored: bool,
     /// Cached location errors against ground truth.
     err_le: f64,
     err_raw: f64,
@@ -418,8 +424,8 @@ impl IdleCache {
     const INVALID: IdleCache = IdleCache {
         valid: false,
         pos: Point::ORIGIN,
-        le_stored: None,
-        raw_stored: None,
+        le_stored: false,
+        raw_stored: false,
         err_le: 0.0,
         err_raw: 0.0,
     };
@@ -616,6 +622,8 @@ struct ShardJob<'a> {
     seqs: &'a mut [u32],
     le: BrokerShard<'a>,
     raw: BrokerShard<'a>,
+    /// Where each node's with-LE staleness counter after its apply goes.
+    staleness: &'a mut [u32],
     /// Sparse-driver context (idle caches, refresh flags, eval clocks for
     /// this shard's nodes); `None` under the dense driver, whose per-node
     /// path is then exactly the historical one.
@@ -668,10 +676,10 @@ struct ShardOut {
     /// enabled (stays an unallocated empty `Vec` otherwise, keeping the
     /// steady-state tick allocation-free).
     flight: Vec<FlightSample>,
-    /// Sparse driver: nodes whose idle cache was (re)captured by a full
-    /// evaluation this tick — the caller re-arms their refresh wake in
-    /// shard order. Empty (unallocated) under the dense driver.
-    newly_cached: Vec<u32>,
+    /// Sparse driver: bit `k` is set when a full evaluation (re)captured
+    /// the idle cache of the shard's `k`-th node this tick — the caller
+    /// re-arms their refresh wakes in shard order.
+    newly_cached: u64,
     /// Sparse driver: replayed node-ticks in this shard.
     replays: u64,
     /// Sparse driver: largest full-evaluation gap observed in this shard.
@@ -811,11 +819,12 @@ impl MobileGridSim {
     /// partial is reduced in shard order, so the returned [`TickStats`]
     /// stream is bit-identical for every thread count.
     ///
-    /// Every phase works in the reusable [`TickScratch`] buffers, so in
-    /// steady state (with a single worker thread) a tick performs **zero
-    /// heap allocations** — pinned by the counting-allocator test in
-    /// `crates/bench/tests/zero_alloc.rs`. With more threads the only
-    /// allocations are the executor's transient spawn scaffolding.
+    /// Every phase works in the reusable tick-scratch buffers, so in
+    /// steady state (with a single worker thread, under either driver) a
+    /// tick performs **zero heap allocations** — pinned by the
+    /// counting-allocator tests in `crates/bench/tests/zero_alloc.rs`.
+    /// With more threads the only allocations are the executor's
+    /// transient spawn scaffolding.
     pub fn step(&mut self) -> TickStats {
         self.step_recorded(&mut NoopRecorder)
     }
@@ -1199,20 +1208,21 @@ impl MobileGridSim {
         // slots. The job list is a lazy zip of per-shard slices; results
         // land in the reused `outs` buffer in shard order.
         let mut refreshed_now = 0u64;
-        match self.sparse.as_deref_mut() {
-            None => {
-                let jobs = self
-                    .cols
-                    .region_kinds()
-                    .chunks(SHARD_SIZE)
-                    .zip(scratch.observations.chunks(SHARD_SIZE))
-                    .zip(scratch.decisions.chunks(SHARD_SIZE))
-                    .zip(scratch.sent_seq.chunks_mut(SHARD_SIZE))
-                    .zip(self.seqs.chunks_mut(SHARD_SIZE))
-                    .zip(self.broker_le.shard_views_iter(SHARD_SIZE))
-                    .zip(self.broker_raw.shard_views_iter(SHARD_SIZE))
-                    .enumerate()
-                    .map(|(i, ((((((kinds, obs), dec), sent_seqs), seqs), le), raw))| ShardJob {
+        let jobs = self
+            .cols
+            .region_kinds()
+            .chunks(SHARD_SIZE)
+            .zip(scratch.observations.chunks(SHARD_SIZE))
+            .zip(scratch.decisions.chunks(SHARD_SIZE))
+            .zip(scratch.sent_seq.chunks_mut(SHARD_SIZE))
+            .zip(self.seqs.chunks_mut(SHARD_SIZE))
+            .zip(self.broker_le.shard_views_iter(SHARD_SIZE))
+            .zip(self.broker_raw.shard_views_iter(SHARD_SIZE))
+            .zip(scratch.staleness.chunks_mut(SHARD_SIZE))
+            .enumerate()
+            .map(
+                |(i, (((((((kinds, obs), dec), sent_seqs), seqs), le), raw), staleness))| {
+                    ShardJob {
                         kinds,
                         observations: obs,
                         decisions: dec,
@@ -1221,8 +1231,13 @@ impl MobileGridSim {
                         seqs,
                         le,
                         raw,
+                        staleness,
                         sparse: None,
-                    });
+                    }
+                },
+            );
+        match self.sparse.as_deref_mut() {
+            None => {
                 self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
                     Self::run_shard(time_s, recording, job)
                 });
@@ -1238,44 +1253,21 @@ impl MobileGridSim {
                 sp.wake_refresh += refreshed_now;
 
                 let tick = self.tick;
-                let jobs = self
-                    .cols
-                    .region_kinds()
-                    .chunks(SHARD_SIZE)
-                    .zip(scratch.observations.chunks(SHARD_SIZE))
-                    .zip(scratch.decisions.chunks(SHARD_SIZE))
-                    .zip(scratch.sent_seq.chunks_mut(SHARD_SIZE))
-                    .zip(self.seqs.chunks_mut(SHARD_SIZE))
-                    .zip(self.broker_le.shard_views_iter(SHARD_SIZE))
-                    .zip(self.broker_raw.shard_views_iter(SHARD_SIZE))
-                    .zip(sp.idle.chunks_mut(SHARD_SIZE))
+                let sparse = sp
+                    .idle
+                    .chunks_mut(SHARD_SIZE)
                     .zip(sp.force_eval.chunks_mut(SHARD_SIZE))
                     .zip(sp.last_eval.chunks_mut(SHARD_SIZE))
-                    .enumerate()
-                    .map(
-                        |(
-                            i,
-                            (
-                                ((((((((kinds, obs), dec), sent_seqs), seqs), le), raw), idle), force_eval),
-                                last_eval,
-                            ),
-                        )| ShardJob {
-                            kinds,
-                            observations: obs,
-                            decisions: dec,
-                            link: link.map(|d| &d[i * SHARD_SIZE..(i * SHARD_SIZE + obs.len())]),
-                            sent_seqs,
-                            seqs,
-                            le,
-                            raw,
-                            sparse: Some(SparseShard {
-                                idle,
-                                force_eval,
-                                last_eval,
-                                tick,
-                            }),
-                        },
-                    );
+                    .map(|((idle, force_eval), last_eval)| SparseShard {
+                        idle,
+                        force_eval,
+                        last_eval,
+                        tick,
+                    });
+                let jobs = jobs.zip(sparse).map(|(job, sparse)| ShardJob {
+                    sparse: Some(sparse),
+                    ..job
+                });
                 self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
                     Self::run_shard(time_s, recording, job)
                 });
@@ -1336,13 +1328,17 @@ impl MobileGridSim {
         // of thread scheduling.
         let mut replays_now = 0u64;
         if let Some(sp) = self.sparse.as_deref_mut() {
-            for out in &scratch.outs {
+            for (shard, out) in scratch.outs.iter().enumerate() {
                 replays_now += out.replays;
                 if out.max_eval_gap > sp.max_eval_gap {
                     sp.max_eval_gap = out.max_eval_gap;
                 }
-                for &node in &out.newly_cached {
-                    sp.refresh.schedule(node, self.tick + sp.staleness_refresh);
+                let mut cached = out.newly_cached;
+                while cached != 0 {
+                    let node = shard * SHARD_SIZE + cached.trailing_zeros() as usize;
+                    cached &= cached - 1;
+                    sp.refresh
+                        .schedule(node as u32, self.tick + sp.staleness_refresh);
                 }
             }
             sp.replayed_node_ticks += replays_now;
@@ -1422,12 +1418,19 @@ impl MobileGridSim {
         }
         self.prev_stale = stale_nodes;
 
-        // Online invariant monitors — every tick, recording or not. The
-        // per-node staleness counters are read back from the with-LE
-        // broker after the apply deltas landed.
-        for (i, slot) in scratch.staleness.iter_mut().enumerate() {
-            *slot = self.broker_le.staleness(MnId::new(i as u32));
-        }
+        // Online invariant monitors — every tick, recording or not. Phase
+        // 3 left each node's with-LE staleness counter in `staleness`:
+        // every node gets exactly one apply call there, its `ApplyInfo`
+        // carries the counter after the call, and nothing after it (the
+        // counter deltas included) touches staleness.
+        debug_assert!(
+            scratch
+                .staleness
+                .iter()
+                .enumerate()
+                .all(|(i, s)| *s == self.broker_le.staleness(MnId::new(i as u32))),
+            "phase-3 staleness disagrees with the broker"
+        );
         let vitals = TickVitals {
             tick: self.tick,
             generated: scratch.observations.len() as u64,
@@ -1502,7 +1505,7 @@ impl MobileGridSim {
             err_le: HistogramDelta::new(error_bucket_spec()),
             err_raw: HistogramDelta::new(error_bucket_spec()),
             flight: Vec::new(),
-            newly_cached: Vec::new(),
+            newly_cached: 0,
             replays: 0,
             max_eval_gap: 0,
         };
@@ -1530,6 +1533,8 @@ impl MobileGridSim {
                     out.tally.record(kind, false);
                     let apply = job.le.replay_filtered(*id, time_s, cache.le_stored);
                     job.raw.replay_filtered(*id, time_s, cache.raw_stored);
+                    job.staleness[i] = apply.staleness;
+                    out.stale += u32::from(apply.staleness > 0);
                     out.replays += 1;
                     let (err_le, err_raw) = (cache.err_le, cache.err_raw);
                     out.all_le.push(err_le);
@@ -1622,6 +1627,8 @@ impl MobileGridSim {
                     }
                 },
             };
+            job.staleness[i] = apply.staleness;
+            out.stale += u32::from(apply.staleness > 0);
             // Measure against ground truth via direct dense-slot reads.
             let err_le = job
                 .le
@@ -1673,8 +1680,7 @@ impl MobileGridSim {
                     // carry strictly increasing times per node, so matching
                     // on `time_s` uniquely identifies this tick's store.
                     let stored = |rec: Option<&LocationRecord>| {
-                        rec.filter(|r| r.estimated && r.time_s == time_s)
-                            .map(|r| r.position)
+                        rec.is_some_and(|r| r.estimated && r.time_s == time_s)
                     };
                     sp.idle[i] = IdleCache {
                         valid: true,
@@ -1684,13 +1690,12 @@ impl MobileGridSim {
                         err_le,
                         err_raw,
                     };
-                    out.newly_cached.push(id.raw());
+                    out.newly_cached |= 1 << i;
                 } else {
                     sp.idle[i].valid = false;
                 }
             }
         }
-        out.stale = job.le.stale_count();
         out.le_delta = job.le.into_delta();
         out.raw_delta = job.raw.into_delta();
         out

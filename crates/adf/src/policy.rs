@@ -6,6 +6,7 @@ use mobigrid_mobility::MobilityPattern;
 use mobigrid_sim::stats::Welford;
 use mobigrid_wireless::MnId;
 
+use crate::filter::same_bits;
 use crate::{AdfConfig, Decision, DistanceFilter, FilterReference, MobilityClassifier, MotionStep};
 
 /// A snapshot of the per-node filter state behind one decision, exposed
@@ -315,6 +316,51 @@ impl AdfNodeState {
         }
         step
     }
+
+    /// The per-node ADF kernel of a non-reclustering tick: steps (3)–(5)
+    /// fused, the filter reusing the step the classifier derived.
+    fn observe(&mut self, speeds: &mut Welford, time_s: f64, pos: Point) -> Decision {
+        let step = self.observe_motion(speeds, time_s, pos);
+        self.filter.observe_after(pos, step)
+    }
+}
+
+/// One node's entry in the ADF's doze table: the sleep-hinted ticks a
+/// node at the zero-motion fixpoint has spent without its
+/// [`AdfNodeState`] being touched.
+///
+/// While `armed`, each hinted tick that observes the node at the bit-equal
+/// `pos` only bumps `pending`; [`Doze::wake`] later applies them all in
+/// one step. `odd` is the parity of the policy tick that armed or last
+/// bumped the entry. Between calls every armed entry carries the previous
+/// call's parity, so within a call it tells an entry this call already
+/// touched from one it has not.
+#[derive(Clone, Copy)]
+struct Doze {
+    pos: Point,
+    pending: u32,
+    armed: bool,
+    odd: bool,
+}
+
+impl Doze {
+    const IDLE: Doze = Doze {
+        pos: Point::ORIGIN,
+        pending: 0,
+        armed: false,
+        odd: false,
+    };
+
+    /// Catches `state` up on the deferred ticks and disarms the entry.
+    /// `time_s` is the time of the last tick the entry absorbed (its
+    /// arming tick when `pending` is 0).
+    fn wake(&mut self, state: &mut AdfNodeState, time_s: f64) {
+        state
+            .classifier
+            .catch_up_stationary(self.pending, time_s, self.pos);
+        state.filter.catch_up_filtered(self.pending);
+        *self = Doze::IDLE;
+    }
 }
 
 /// Dense per-node state table indexed by [`MnId::index`].
@@ -347,6 +393,13 @@ impl AdfNodeTable {
             self.slots.resize_with(index + 1, || None);
         }
         self.slots[index].get_or_insert_with(|| AdfNodeState::new(cfg))
+    }
+
+    /// The state of a node the table is known to hold.
+    fn expect_mut(&mut self, index: usize) -> &mut AdfNodeState {
+        self.slots[index]
+            .as_mut()
+            .expect("a dozing node has filter state")
     }
 
     /// Present states in ascending-id order.
@@ -395,6 +448,13 @@ pub struct AdaptiveDistanceFilter {
     global_speeds: Welford,
     nodes: AdfNodeTable,
     cluster_count: usize,
+    /// Per-node doze entries, indexed like `nodes`; sized by the sparse
+    /// path.
+    doze: Vec<Doze>,
+    /// Number of armed doze entries.
+    dozing: usize,
+    /// `time_s` of the previous tick.
+    last_time: f64,
 }
 
 impl AdaptiveDistanceFilter {
@@ -412,6 +472,9 @@ impl AdaptiveDistanceFilter {
             global_speeds: Welford::new(),
             nodes: AdfNodeTable::default(),
             cluster_count: 0,
+            doze: Vec::new(),
+            dozing: 0,
+            last_time: 0.0,
         })
     }
 
@@ -461,6 +524,10 @@ impl AdaptiveDistanceFilter {
     /// and the only cross-node state, the global speed Welford, is written
     /// in the same ascending observation order either way and is read only
     /// at reclustering.
+    ///
+    /// Dozing nodes (see [`AdaptiveDistanceFilter::doze_tick`]) are caught
+    /// up before anything else reads their state: here, before a
+    /// reclustering or a dense tick, and in `doze_tick` otherwise.
     fn run_tick(
         &mut self,
         time_s: f64,
@@ -470,8 +537,12 @@ impl AdaptiveDistanceFilter {
     ) {
         self.tick += 1;
         decisions.clear();
+        let recluster = self.recluster_due(self.tick);
+        if self.dozing > 0 && (recluster || asleep.is_empty()) {
+            self.wake_all();
+        }
 
-        if self.recluster_due(self.tick) {
+        if recluster {
             // Step (3): acquire locations; update per-node motion history.
             for (node, pos) in observations {
                 let state = self.nodes.get_or_insert(*node, &self.config);
@@ -484,30 +555,128 @@ impl AdaptiveDistanceFilter {
                 let state = self.nodes.get_or_insert(*node, &self.config);
                 decisions.push(state.filter.observe(*pos));
             }
-            return;
+        } else if asleep.is_empty() {
+            let (nodes, speeds, config) = (&mut self.nodes, &mut self.global_speeds, &self.config);
+            for (node, pos) in observations {
+                let state = nodes.get_or_insert(*node, config);
+                decisions.push(state.observe(speeds, time_s, *pos));
+            }
+        } else {
+            self.doze_tick(time_s, observations, asleep, decisions);
         }
+        self.last_time = time_s;
+    }
 
-        for (i, (node, pos)) in observations.iter().enumerate() {
-            // The sleep hint unlocks the replay fast path: an SS-classified,
-            // position-frozen node costs one branch, a zero-run bump and a
-            // counter — no window walk, no distance. The window does not
-            // grow, so the full path would not push a speed sample either.
-            if asleep.get(i) == Some(&true) {
-                if let Some(state) = self.nodes.get_mut(*node) {
-                    if state.classifier.observe_stationary(time_s, *pos) {
-                        let decision = match state.filter.observe_stationary(*pos) {
-                            Some(d) => d,
-                            None => state.filter.observe(*pos),
+    /// A sleep-hinted, non-reclustering tick.
+    ///
+    /// A hinted node whose classifier and filter both take their
+    /// stationary fast paths (window full of exact zeros, position
+    /// bit-frozen, decision `Filtered`) is *armed*: from then on each
+    /// hinted tick that observes it at the same bits only bumps its
+    /// doze entry's `pending` count and yields `Filtered`, without
+    /// touching its [`AdfNodeState`]. Those ticks would have bumped the
+    /// classifier's zero run, re-stamped its last observation and counted
+    /// one more filtered update, and nothing else, so the wake applies the
+    /// `pending` of them in one step. Pattern, cluster and DTH change only
+    /// at reclustering, and the filter's last displacement is already the
+    /// `0.0` of the arming tick, so [`FilterPolicy::probe`] and
+    /// [`FilterPolicy::dth_for`] read a dozing node correctly as it is.
+    /// Every other node takes the per-node kernel, as on a dense tick.
+    ///
+    /// An armed node wakes when it is observed unhinted, at other bits, at
+    /// a time that does not advance, or a second time in one call; an
+    /// armed node the call did not observe at all wakes at the end of it.
+    fn doze_tick(
+        &mut self,
+        time_s: f64,
+        observations: &[(MnId, Point)],
+        asleep: &[bool],
+        decisions: &mut Vec<Decision>,
+    ) {
+        // One entry per node seen before this tick: only those can arm.
+        if self.doze.len() < self.nodes.slots.len() {
+            self.doze.resize(self.nodes.slots.len(), Doze::IDLE);
+        }
+        let odd = self.tick % 2 == 1;
+        let prev_time = self.last_time;
+        // The classifier's own same-time guard, against the time every
+        // armed entry last absorbed.
+        let stalled = time_s - prev_time <= 0.0;
+        // Split borrows: the loop keeps its tables in locals.
+        let AdaptiveDistanceFilter {
+            config,
+            global_speeds: speeds,
+            nodes,
+            doze,
+            dozing,
+            ..
+        } = self;
+        // Armed entries this call has bumped or armed.
+        let mut touched = 0usize;
+        for ((node, pos), &hinted) in observations.iter().zip(asleep) {
+            let index = node.index();
+            if let Some(entry) = doze.get_mut(index).filter(|e| e.armed) {
+                if hinted
+                    && entry.odd != odd
+                    && !stalled
+                    && entry.pending < u32::MAX
+                    && same_bits(entry.pos, *pos)
+                {
+                    entry.pending += 1;
+                    entry.odd = odd;
+                    touched += 1;
+                    decisions.push(Decision::Filtered);
+                    continue;
+                }
+                let now = entry.odd == odd;
+                touched -= usize::from(now);
+                *dozing -= 1;
+                let last = if now { time_s } else { prev_time };
+                entry.wake(nodes.expect_mut(index), last);
+            }
+            if hinted {
+                if let Some(state) = nodes.get_mut(*node) {
+                    // Arming: both halves take their stationary path and
+                    // the filter suppresses the repeat.
+                    if state.filter.suppresses_repeat(*pos)
+                        && state.classifier.observe_stationary(time_s, *pos)
+                    {
+                        let decision = state.filter.observe_stationary(*pos);
+                        debug_assert_eq!(decision, Some(Decision::Filtered));
+                        doze[index] = Doze {
+                            pos: *pos,
+                            pending: 0,
+                            armed: true,
+                            odd,
                         };
-                        decisions.push(decision);
+                        *dozing += 1;
+                        touched += 1;
+                        decisions.push(Decision::Filtered);
                         continue;
                     }
                 }
             }
-            let state = self.nodes.get_or_insert(*node, &self.config);
-            let step = state.observe_motion(&mut self.global_speeds, time_s, *pos);
-            decisions.push(state.filter.observe_after(*pos, step));
+            let state = nodes.get_or_insert(*node, config);
+            decisions.push(state.observe(speeds, time_s, *pos));
         }
+        if *dozing > touched {
+            for (index, entry) in doze.iter_mut().enumerate() {
+                if entry.armed && entry.odd != odd {
+                    entry.wake(nodes.expect_mut(index), prev_time);
+                    *dozing -= 1;
+                }
+            }
+        }
+    }
+
+    /// Wakes every dozing node; each last absorbed the previous tick.
+    fn wake_all(&mut self) {
+        for (index, entry) in self.doze.iter_mut().enumerate() {
+            if entry.armed {
+                entry.wake(self.nodes.expect_mut(index), self.last_time);
+            }
+        }
+        self.dozing = 0;
     }
 
     /// Reclassifies every node and rebuilds the velocity clusters,
@@ -574,9 +743,11 @@ impl FilterPolicy for AdaptiveDistanceFilter {
         self.run_tick(time_s, observations, &[], decisions);
     }
 
-    /// Takes the replay fast path for hinted nodes whose classifier and
-    /// filter each re-prove the zero-motion fixpoint; reclustering ticks
-    /// ignore the hint.
+    /// Lets hinted nodes at the zero-motion fixpoint doze: once a node's
+    /// classifier window is all exact zeros and its filter suppresses the
+    /// frozen position, each further hinted tick at the same bits costs a
+    /// counter bump, and the node's state catches up on all of them in
+    /// one step when it next wakes. Reclustering ticks ignore the hint.
     fn process_tick_sparse(
         &mut self,
         time_s: f64,
@@ -667,13 +838,77 @@ mod tests {
         }
     }
 
+    /// Every doze catch-up restores exactly the state the eager path
+    /// would have built, counters included (which no public accessor
+    /// shows): after sleeps of every length, woken by moving, by a
+    /// reclustering, by a dense call, by being left out of a tick and by
+    /// being observed twice in one.
+    #[test]
+    fn doze_wake_restores_the_eager_state() {
+        fn assert_same_state(doze: &AdaptiveDistanceFilter, eager: &AdaptiveDistanceFilter) {
+            assert_eq!(doze.global_speeds, eager.global_speeds);
+            assert_eq!(doze.nodes.slots.len(), eager.nodes.slots.len());
+            for ((i, d), (j, e)) in doze.nodes.iter().zip(eager.nodes.iter()) {
+                assert_eq!(i, j);
+                assert_eq!(d.classifier, e.classifier, "classifier of node {i:?}");
+                assert_eq!(d.filter, e.filter, "filter of node {i:?}");
+                assert_eq!((d.pattern, d.cluster), (e.pattern, e.cluster));
+            }
+        }
+        let cfg = AdfConfig {
+            recluster_interval: 40,
+            ..AdfConfig::new(1.0)
+        };
+        let mut doze = AdaptiveDistanceFilter::new(cfg).expect("valid config");
+        let mut eager = AdaptiveDistanceFilter::new(cfg).expect("valid config");
+        let (mut d_out, mut e_out) = (Vec::new(), Vec::new());
+        let mut max_dozing = 0;
+        for t in 1..=200u32 {
+            let time_s = f64::from(t);
+            // Node 0 walks; node k > 0 parks, except that it steps once
+            // every 23k ticks; node 5 is left out of every 50th tick and
+            // node 4 observed twice in every 60th.
+            let obs: Vec<(MnId, Point)> = (0..6u32)
+                .filter(|&k| k != 5 || t % 50 != 0)
+                .chain((t % 60 == 0).then_some(4))
+                .map(|k| {
+                    let x = if k == 0 {
+                        time_s * 1.5
+                    } else {
+                        f64::from(k) * 10.0 + f64::from(t / (23 * k))
+                    };
+                    (MnId::new(k), Point::new(x, 2.0))
+                })
+                .collect();
+            let hint: Vec<bool> = obs.iter().map(|(id, _)| id.raw() != 0).collect();
+            eager.process_tick(time_s, &obs, &mut e_out);
+            if t % 37 == 0 {
+                doze.process_tick(time_s, &obs, &mut d_out);
+            } else {
+                doze.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+            }
+            assert_eq!(d_out, e_out, "decisions diverged at tick {t}");
+            max_dozing = max_dozing.max(doze.dozing);
+            if t % 10 == 0 {
+                // A wake at an arbitrary point catches up whatever the
+                // sleeps have deferred so far.
+                doze.wake_all();
+                assert_same_state(&doze, &eager);
+            }
+        }
+        assert_eq!(max_dozing, 5, "every parked node dozed at some point");
+    }
+
     /// The per-node state of the filter kernel and of the broker's Brown
     /// estimator must not grow: at 20,000 nodes every word is 160 kB, and
     /// the estimator's memoised plan is paid for by the smoothers' compact
-    /// representation, not by extra bytes.
+    /// representation, not by extra bytes. The two records a sleeping node
+    /// touches each sparse tick — its doze entry and its idle-replay cache
+    /// — are budgeted tighter still.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn per_node_footprint_does_not_grow() {
+        use crate::pipeline::IdleCache;
         use mobigrid_forecast::BrownPositionEstimator;
         use std::mem::size_of;
         let sizes = [
@@ -685,6 +920,8 @@ mod tests {
                 size_of::<BrownPositionEstimator>(),
                 272,
             ),
+            ("Doze", size_of::<Doze>(), 24),
+            ("IdleCache", size_of::<IdleCache>(), 40),
         ];
         for (name, size, budget) in sizes {
             assert!(

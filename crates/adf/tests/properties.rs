@@ -439,3 +439,165 @@ proptest! {
         prop_assert_eq!(serial, threaded);
     }
 }
+
+/// A small xorshift stream for the doze schedules (proptest supplies the
+/// seed and the shape; the stream fills in the per-tick details).
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// `true` with probability `per_mille / 1000`.
+    fn chance(&mut self, per_mille: u64) -> bool {
+        self.next() % 1000 < per_mille
+    }
+}
+
+/// Asserts that two ADFs report the same per-node view — the probe
+/// (class, cluster, DTH, displacement) and `dth_for` — bit for bit.
+fn assert_same_view(
+    dozing: &AdaptiveDistanceFilter,
+    eager: &AdaptiveDistanceFilter,
+    nodes: usize,
+    tick: u64,
+) {
+    for i in 0..nodes {
+        let id = MnId::new(i as u32);
+        let (d, e) = (dozing.probe(id), eager.probe(id));
+        assert_eq!(
+            d.map(|p| (p.pattern, p.cluster)),
+            e.map(|p| (p.pattern, p.cluster)),
+            "class/cluster of node {i} at tick {tick}"
+        );
+        assert_eq!(
+            d.map(|p| (p.dth.map(f64::to_bits), p.displacement.map(f64::to_bits))),
+            e.map(|p| (p.dth.map(f64::to_bits), p.displacement.map(f64::to_bits))),
+            "DTH/displacement of node {i} at tick {tick}"
+        );
+        assert_eq!(
+            dozing.dth_for(id).map(f64::to_bits),
+            eager.dth_for(id).map(f64::to_bits),
+            "dth_for node {i} at tick {tick}"
+        );
+    }
+}
+
+/// One run of [`doze_matches_the_eager_fast_path`]: `ticks` random ticks
+/// over `nodes` nodes, then a walking tail.
+fn doze_case(nodes: usize, ticks: u64, recluster_interval: u64, seed: u64) {
+    let cfg = AdfConfig {
+        recluster_interval,
+        ..AdfConfig::new(1.0)
+    };
+    let mut dozing = AdaptiveDistanceFilter::new(cfg).expect("valid");
+    let mut eager = AdaptiveDistanceFilter::new(cfg).expect("valid");
+    let mut rng = Xorshift(seed | 1);
+    let mut pos: Vec<Point> = (0..nodes)
+        .map(|i| Point::new(i as f64 * 40.0, 5.0))
+        .collect();
+    // Per node: ticks left in the current segment, and whether it walks.
+    let mut segment: Vec<(u64, bool)> = vec![(0, false); nodes];
+    let (mut d_out, mut e_out) = (Vec::new(), Vec::new());
+    let mut time_s = 0.0;
+    for tick in 1..=ticks {
+        if !rng.chance(20) {
+            time_s += 1.0;
+        }
+        let mut obs = Vec::with_capacity(nodes + 1);
+        let mut hint = Vec::with_capacity(nodes + 1);
+        for (i, p) in pos.iter_mut().enumerate() {
+            let (left, walking) = &mut segment[i];
+            if *left == 0 {
+                *walking = rng.chance(400);
+                *left = 1 + rng.next() % if *walking { 25 } else { 90 };
+            }
+            *left -= 1;
+            if *walking {
+                let speed = 0.5 + (i % 4) as f64 * 1.25;
+                *p = Point::new(p.x + speed, p.y + (rng.next() % 3) as f64 * 0.1);
+            }
+            // A truthful hint covers a parked node; a wrong one a walker.
+            let hinted = if *walking {
+                rng.chance(100)
+            } else {
+                !rng.chance(50)
+            };
+            if rng.chance(15) {
+                continue; // this node is left out of the tick
+            }
+            obs.push((MnId::new(i as u32), *p));
+            hint.push(hinted);
+            if rng.chance(10) {
+                obs.push((MnId::new(i as u32), *p)); // and this one repeated
+                hint.push(true);
+            }
+        }
+        eager.process_tick(time_s, &obs, &mut e_out);
+        if rng.chance(40) {
+            dozing.process_tick(time_s, &obs, &mut d_out);
+        } else {
+            dozing.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+        }
+        assert_eq!(d_out, e_out, "decisions diverged at tick {tick}");
+        assert_same_view(&dozing, &eager, nodes, tick);
+    }
+    // Walking tail: everyone moves, hinted or not, past a reclustering.
+    for k in 0..(2 * recluster_interval + 12) {
+        time_s += 1.0;
+        let obs: Vec<(MnId, Point)> = pos
+            .iter_mut()
+            .enumerate()
+            .map(|(i, p)| {
+                *p = Point::new(p.x + 0.4 + i as f64 * 0.9, p.y);
+                (MnId::new(i as u32), *p)
+            })
+            .collect();
+        let hint = vec![k % 3 == 0; nodes];
+        eager.process_tick(time_s, &obs, &mut e_out);
+        dozing.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+        assert_eq!(d_out, e_out, "decisions diverged in the tail, step {k}");
+        assert_same_view(&dozing, &eager, nodes, ticks + k);
+    }
+    for i in 0..nodes {
+        let id = MnId::new(i as u32);
+        assert_eq!(dozing.pattern_of(id), eager.pattern_of(id));
+        assert_eq!(dozing.cluster_of(id), eager.cluster_of(id));
+    }
+}
+
+proptest! {
+    /// The ADF's deferred doze against the eager semantics it defers. The
+    /// reference twin sees every tick through `process_tick`, which takes
+    /// the full per-node path — bit-identical to the old eager stationary
+    /// fast path by construction. The dozing twin sees the same ticks
+    /// through `process_tick_sparse` with a random hint schedule:
+    ///
+    /// * nodes park for long stretches (up to 90 ticks) and walk between;
+    /// * a truthful hint covers a parked node, but hints are also set
+    ///   wrongly (the node moved while hinted) and dropped at random
+    ///   (a node woken mid-window);
+    /// * reclustering ticks fall inside the sleeps;
+    /// * some ticks reach the dozing twin as a dense `process_tick`, some
+    ///   leave a node out, repeat a node, or repeat the previous time.
+    ///
+    /// Per-tick decisions and the per-node view must match. A walking
+    /// tail then wakes everyone and runs past a reclustering, so the
+    /// classification and mean speed each classifier caught up to are
+    /// compared through the pattern and the velocity-cluster DTH.
+    #[test]
+    fn doze_matches_the_eager_fast_path(
+        nodes in 2usize..8,
+        ticks in 40u64..240,
+        recluster_interval in 5u64..45,
+        seed in any::<u64>(),
+    ) {
+        for run in 0..4u64 {
+            doze_case(nodes, ticks, recluster_interval, seed.rotate_left(16 * run as u32) ^ run);
+        }
+    }
+}

@@ -239,6 +239,66 @@ fn columnar_shard_sweep_does_not_allocate() {
     );
 }
 
+/// The sparse (wake-wheel) driver keeps the same promise: with most of
+/// the population parked — asleep in the wheel, replayed from the idle
+/// cache and dozing in the ADF — and a few walkers keeping the dense
+/// paths busy, a steady-state tick allocates nothing. The warmup covers
+/// the initial clustering, the nodes falling asleep and several
+/// staleness-refresh rounds, so every reused buffer has reached its
+/// high-water capacity.
+#[test]
+fn sparse_driver_ticks_do_not_allocate() {
+    use mobigrid_adf::TickDriver;
+
+    // 1,000 parked nodes and 64 walkers: 17 shards, the last one ragged.
+    let nodes: Vec<MobileNode> = (0..1064u32)
+        .map(|i| {
+            if i < 1000 {
+                parked(i)
+            } else {
+                walker(i, 0.75 + f64::from(i % 5))
+            }
+        })
+        .collect();
+    let adf = AdfConfig {
+        recluster_interval: 10_000,
+        ..AdfConfig::new(1.0)
+    };
+    let mut sim = SimBuilder::new()
+        .nodes(nodes)
+        .policy(AdaptiveDistanceFilter::new(adf).expect("valid config"))
+        .driver(TickDriver::Sparse)
+        .threads(1)
+        .build()
+        .expect("valid simulation");
+
+    for _ in 0..200 {
+        sim.step();
+    }
+    let replayed_before = sim.wake_stats().expect("sparse driver").replayed_node_ticks;
+
+    let before = allocation_count();
+    let mut sent = 0u64;
+    for _ in 0..100 {
+        sent += u64::from(sim.step().sent);
+    }
+    let allocations = allocation_count() - before;
+
+    assert_eq!(
+        allocations, 0,
+        "steady-state sparse ticks allocated {allocations} times"
+    );
+    // The window exercised both halves of the sparse tick: the walkers
+    // transmitted and the parked nodes were replayed.
+    let wake = sim.wake_stats().expect("sparse driver");
+    assert!(sent > 0, "measured window transmitted nothing");
+    assert!(wake.asleep >= 1000, "only {} nodes asleep", wake.asleep);
+    assert!(
+        wake.replayed_node_ticks - replayed_before > 50_000,
+        "the parked nodes were not replayed"
+    );
+}
+
 #[test]
 fn warmup_is_where_the_allocations_happen() {
     // Sanity check on the methodology: the same counter does see the

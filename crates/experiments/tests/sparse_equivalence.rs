@@ -10,6 +10,8 @@
 //!
 //! * bit-identical per-node ground-truth positions every tick,
 //! * equality of every `TickStats` field every tick (whole struct),
+//! * equal state digests of both brokers every tick (every record's
+//!   position, time and staleness, and the lifetime counters),
 //! * byte-identical telemetry JSONL and CSV exports,
 //! * all of the above with the sparse driver on 1, 2 and 4 worker
 //!   threads against the dense single-threaded baseline.
@@ -141,8 +143,9 @@ fn build(
 
 proptest! {
     /// Dense and sparse runs, stepped in lockstep on one thread, agree on
-    /// every ground-truth position bit, every `TickStats` field and every
-    /// exported telemetry byte — with and without fault injection.
+    /// every ground-truth position bit, every `TickStats` field, both
+    /// brokers' state and every exported telemetry byte — with and
+    /// without fault injection.
     #[test]
     fn sparse_matches_dense_bit_for_bit(
         node_count in 1usize..56,
@@ -166,6 +169,17 @@ proptest! {
                     "node {} position diverged at tick {}", i, t
                 );
             }
+            let digests = |sim: &MobileGridSim| {
+                (
+                    sim.broker_with_le().state_digest(),
+                    sim.broker_without_le().state_digest(),
+                )
+            };
+            prop_assert_eq!(
+                digests(&dense),
+                digests(&sparse),
+                "broker state diverged at tick {}", t
+            );
         }
         prop_assert_eq!(dense_rec.to_jsonl(), sparse_rec.to_jsonl(), "JSONL diverged");
         prop_assert_eq!(dense_rec.to_csv(), sparse_rec.to_csv(), "CSV diverged");
