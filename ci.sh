@@ -109,16 +109,11 @@ rm -f "$serve_jsonl" "$client_jsonl"
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace -- -D warnings -D missing-docs"
+# Every public item in every crate needs a doc comment.
+cargo clippy --workspace -- -D warnings -D missing-docs
 
-echo "==> cargo clippy -p mobigrid-telemetry -- -D warnings -D missing-docs"
-cargo clippy -p mobigrid-telemetry -- -D warnings -D missing-docs
-
-echo "==> cargo clippy -p mobigrid-adf -- -D warnings -D missing-docs"
-cargo clippy -p mobigrid-adf -- -D warnings -D missing-docs
-
-echo "==> rustdoc -p mobigrid-adf with -D warnings"
-RUSTDOCFLAGS="-D warnings" cargo doc -p mobigrid-adf --no-deps
+echo "==> rustdoc --workspace with -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "CI OK"

@@ -3,7 +3,7 @@ use mobigrid_forecast::{
 };
 use mobigrid_geo::Point;
 use mobigrid_telemetry::ApplyOutcome;
-use mobigrid_wireless::{LocationUpdate, MnId};
+use mobigrid_wireless::{IngestRecord, MnId};
 
 /// Which location estimator the broker runs for filtered nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,7 +108,7 @@ pub struct LocationRecord {
 }
 
 /// How many consecutive losses it takes to halve the broker's trust in
-/// pure extrapolation (see [`NodeSlot::note_lost`]).
+/// pure extrapolation (see [`NodeSlot::apply`]).
 const STALENESS_TRUST_WINDOW: f64 = 8.0;
 
 /// The last update actually received from a node — the dedup/ordering key
@@ -125,32 +125,17 @@ struct LastRx {
 /// trust-window blend weight used (1.0 when no degraded blending
 /// happened).
 ///
-/// Every apply entry point ([`GridBroker::receive`] /
-/// [`GridBroker::note_filtered`] / [`GridBroker::note_lost`] and their
-/// shard twins) returns one; callers that don't record simply ignore it.
+/// Every broker operation ([`GridBroker::apply`], [`BrokerShard::apply`])
+/// returns one; callers that don't record simply ignore it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApplyInfo {
     /// What the broker did.
     pub outcome: ApplyOutcome,
     /// The node's consecutive-loss staleness counter after the call.
     pub staleness: u32,
-    /// Trust-window weight toward pure extrapolation (see
-    /// [`GridBroker::note_lost`]); 1.0 everywhere else.
+    /// Trust-window weight toward pure extrapolation for a lost update
+    /// (see [`IngestRecord::Lost`]); 1.0 everywhere else.
     pub blend: f64,
-}
-
-/// What [`NodeSlot::receive`] did with an incoming update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RxOutcome {
-    /// Stored and fed to the estimator; `fresh` marks the node's first
-    /// record.
-    Accepted { fresh: bool },
-    /// An exact copy of the last accepted update (a channel duplicate) —
-    /// ignored, protecting the estimator's monotone-time contract.
-    Duplicate,
-    /// Older than the last accepted update (a reordered late frame) —
-    /// ignored.
-    Stale,
 }
 
 /// Everything the broker tracks for one node, stored densely by `MnId`
@@ -167,119 +152,128 @@ struct NodeSlot {
 }
 
 impl NodeSlot {
-    /// Ingests a received update, rejecting channel duplicates and
-    /// reordered stale frames before they can reach the estimator (whose
-    /// observation times must be non-decreasing).
-    fn receive(&mut self, kind: EstimatorKind, lu: &LocationUpdate) -> RxOutcome {
-        if let Some(rx) = &self.last_rx {
-            if lu.time_s == rx.time_s && lu.seq == rx.seq {
-                return RxOutcome::Duplicate;
-            }
-            if lu.time_s < rx.time_s {
-                return RxOutcome::Stale;
-            }
-        }
-        let fresh = self.record.is_none();
-        self.record = Some(LocationRecord {
-            position: lu.position,
-            time_s: lu.time_s,
-            estimated: false,
-        });
-        self.last_rx = Some(LastRx {
-            time_s: lu.time_s,
-            seq: lu.seq,
-            position: lu.position,
-        });
-        self.staleness = 0;
-        let anchor = self.home_anchor;
-        self.estimator
-            .get_or_insert_with(|| {
-                let mut est = kind.build();
-                if let Some(a) = anchor {
-                    est.set_home_anchor(a);
-                }
-                est
-            })
-            .observe(lu.time_s, lu.position);
-        RxOutcome::Accepted { fresh }
-    }
-
-    /// Stores an estimate for a filtered update. Returns
-    /// `(estimate_stored, first_record)`.
-    fn note_filtered(&mut self, time_s: f64) -> (bool, bool) {
-        let Some(est) = &mut self.estimator else {
-            return (false, false);
-        };
-        let Some(position) = est.estimate(time_s) else {
-            return (false, false);
-        };
-        let fresh = self.record.is_none();
-        self.record = Some(LocationRecord {
-            position,
-            time_s,
-            estimated: true,
-        });
-        (true, fresh)
-    }
-
-    /// Stores a *degraded* estimate for an update the broker expected but
-    /// never received (dropped, corrupted or still in flight).
+    /// The broker's one apply path: applies `op` to this slot and counts
+    /// it in `counters`. The op's node id is not consulted — the caller
+    /// has already picked the slot. Returns `None` for the framing
+    /// markers, which touch no slot.
     ///
-    /// Unlike a filtered update — where the filter guarantees the node is
-    /// within its DTH of the last transmission — a lost update carries no
-    /// such bound, so blind extrapolation can run away (dead reckoning and
-    /// the Kalman filter extrapolate unboundedly through silences). The
-    /// slot therefore widens its trust window as staleness grows: the
-    /// stored belief is the estimator's extrapolation blended toward the
-    /// last *confirmed* fix with weight `W / (W + staleness - 1)`
-    /// (`W =` [`STALENESS_TRUST_WINDOW`]). The first loss trusts the
-    /// estimator fully; sustained silence decays smoothly back to the last
-    /// thing the node actually said.
-    /// Returns `(estimate_stored, first_record, blend)` where `blend` is
-    /// the trust weight applied toward pure extrapolation (1.0 when no
-    /// blending happened — no confirmed fix to blend toward, or nothing
-    /// stored at all).
-    fn note_lost(&mut self, time_s: f64) -> (bool, bool, f64) {
-        self.staleness = self.staleness.saturating_add(1);
-        let Some(est) = &mut self.estimator else {
-            return (false, false, 1.0);
-        };
-        let Some(extrapolated) = est.estimate(time_s) else {
-            return (false, false, 1.0);
-        };
-        let (position, blend) = match &self.last_rx {
-            Some(rx) => {
-                let trust = STALENESS_TRUST_WINDOW
-                    / (STALENESS_TRUST_WINDOW + f64::from(self.staleness - 1));
-                (
-                    Point::new(
-                        rx.position.x + (extrapolated.x - rx.position.x) * trust,
-                        rx.position.y + (extrapolated.y - rx.position.y) * trust,
-                    ),
-                    trust,
-                )
+    /// - [`IngestRecord::Update`] stores the received position and feeds
+    ///   the estimator. Exact duplicates of the last accepted update and
+    ///   frames older than it (channel reorderings) are rejected before
+    ///   they reach the estimator, whose observation times must be
+    ///   non-decreasing.
+    /// - [`IngestRecord::Filtered`] stores the estimator's position. A
+    ///   node never heard from has no estimator; nothing is stored then
+    ///   (the broker cannot invent a location).
+    /// - [`IngestRecord::Lost`] bumps the staleness counter and stores a
+    ///   *degraded* estimate. Unlike a filtered update — where the filter
+    ///   guarantees the node is within its DTH of the last transmission —
+    ///   a lost one carries no such bound, so blind extrapolation can run
+    ///   away (dead reckoning and the Kalman filter extrapolate
+    ///   unboundedly through silences). The stored belief is therefore
+    ///   the extrapolation blended toward the last *confirmed* fix with
+    ///   weight `W / (W + staleness - 1)` (`W =`
+    ///   [`STALENESS_TRUST_WINDOW`]): the first loss trusts the estimator
+    ///   fully, sustained silence decays smoothly back to the last thing
+    ///   the node actually said.
+    #[inline]
+    fn apply(
+        &mut self,
+        kind: EstimatorKind,
+        op: &IngestRecord,
+        counters: &mut BrokerDelta,
+    ) -> Option<ApplyInfo> {
+        let had_record = self.record.is_some();
+        let mut blend = 1.0;
+        let outcome = match op {
+            IngestRecord::Update(lu) => match self.last_rx {
+                Some(rx) if lu.time_s == rx.time_s && lu.seq == rx.seq => {
+                    counters.rejected += 1;
+                    ApplyOutcome::Duplicate
+                }
+                Some(rx) if lu.time_s < rx.time_s => {
+                    counters.rejected += 1;
+                    ApplyOutcome::Stale
+                }
+                _ => {
+                    self.record = Some(LocationRecord {
+                        position: lu.position,
+                        time_s: lu.time_s,
+                        estimated: false,
+                    });
+                    self.last_rx = Some(LastRx {
+                        time_s: lu.time_s,
+                        seq: lu.seq,
+                        position: lu.position,
+                    });
+                    self.staleness = 0;
+                    let anchor = self.home_anchor;
+                    self.estimator
+                        .get_or_insert_with(|| {
+                            let mut est = kind.build();
+                            if let Some(a) = anchor {
+                                est.set_home_anchor(a);
+                            }
+                            est
+                        })
+                        .observe(lu.time_s, lu.position);
+                    counters.received += 1;
+                    ApplyOutcome::Accepted
+                }
+            },
+            IngestRecord::Filtered { time_s, .. } | IngestRecord::Lost { time_s, .. } => {
+                let lost = matches!(op, IngestRecord::Lost { .. });
+                if lost {
+                    self.staleness = self.staleness.saturating_add(1);
+                    counters.lost += 1;
+                }
+                match self.estimator.as_mut().and_then(|e| e.estimate(*time_s)) {
+                    None => ApplyOutcome::NoRecord,
+                    Some(mut position) => {
+                        if let (true, Some(rx)) = (lost, &self.last_rx) {
+                            blend = STALENESS_TRUST_WINDOW
+                                / (STALENESS_TRUST_WINDOW + f64::from(self.staleness - 1));
+                            position = Point::new(
+                                rx.position.x + (position.x - rx.position.x) * blend,
+                                rx.position.y + (position.y - rx.position.y) * blend,
+                            );
+                        }
+                        self.record = Some(LocationRecord {
+                            position,
+                            time_s: *time_s,
+                            estimated: true,
+                        });
+                        counters.estimated += 1;
+                        if lost {
+                            ApplyOutcome::Degraded
+                        } else {
+                            ApplyOutcome::Estimated
+                        }
+                    }
+                }
             }
-            None => (extrapolated, 1.0),
+            IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => return None,
         };
-        let fresh = self.record.is_none();
-        self.record = Some(LocationRecord {
-            position,
-            time_s,
-            estimated: true,
-        });
-        (true, fresh, blend)
+        counters.fresh_records += u64::from(!had_record && self.record.is_some());
+        Some(ApplyInfo {
+            outcome,
+            staleness: self.staleness,
+            blend,
+        })
     }
 }
 
-/// Counter changes accumulated by a [`BrokerShard`], merged back into the
-/// owning [`GridBroker`] in shard order after a parallel region.
+/// Broker lifetime counters: a [`GridBroker`]'s running totals, and the
+/// changes a [`BrokerShard`] accumulates inside a parallel region, merged
+/// back into the owning broker in shard order afterwards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerDelta {
     /// Updates received.
     pub received: u64,
     /// Estimates performed.
     pub estimated: u64,
-    /// Nodes that gained their first record.
+    /// Nodes that gained their first record (for a broker's totals: the
+    /// nodes holding a live record).
     pub fresh_records: u64,
     /// Expected updates that never arrived (degraded estimates stored).
     pub lost: u64,
@@ -334,117 +328,56 @@ impl BrokerShard<'_> {
         self.slots.is_empty()
     }
 
-    fn slot_mut(&mut self, node: MnId) -> &mut NodeSlot {
-        let local = node
-            .index()
+    /// `node`'s index into this shard's slots.
+    fn local(&self, node: MnId) -> usize {
+        node.index()
             .checked_sub(self.base)
             .filter(|i| *i < self.slots.len())
-            .expect("node id outside this broker shard");
-        &mut self.slots[local]
+            .expect("node id outside this broker shard")
     }
 
-    /// Ingests a received location update for a node in this shard.
-    /// Duplicate and stale frames are counted as rejected, not received.
-    pub fn receive(&mut self, lu: &LocationUpdate) -> ApplyInfo {
-        let kind = self.kind;
-        let (rx, staleness) = {
-            let slot = self.slot_mut(lu.node);
-            let rx = slot.receive(kind, lu);
-            (rx, slot.staleness)
-        };
-        let outcome = match rx {
-            RxOutcome::Accepted { fresh } => {
-                self.delta.received += 1;
-                self.delta.fresh_records += u64::from(fresh);
-                ApplyOutcome::Accepted
-            }
-            RxOutcome::Duplicate => {
-                self.delta.rejected += 1;
-                ApplyOutcome::Duplicate
-            }
-            RxOutcome::Stale => {
-                self.delta.rejected += 1;
-                ApplyOutcome::Stale
-            }
-        };
-        ApplyInfo {
-            outcome,
-            staleness,
-            blend: 1.0,
-        }
-    }
-
-    /// Notes a filtered update for a node in this shard: estimates and
-    /// stores its position, as [`GridBroker::note_filtered`] does.
-    pub fn note_filtered(&mut self, node: MnId, time_s: f64) -> ApplyInfo {
-        let slot = self.slot_mut(node);
-        let (estimated, fresh) = slot.note_filtered(time_s);
-        let staleness = slot.staleness;
-        self.delta.estimated += u64::from(estimated);
-        self.delta.fresh_records += u64::from(fresh);
-        ApplyInfo {
-            outcome: if estimated {
-                ApplyOutcome::Estimated
-            } else {
-                ApplyOutcome::NoRecord
-            },
-            staleness,
-            blend: 1.0,
-        }
-    }
-
-    /// Notes an update that was sent but never arrived: stores a degraded
-    /// estimate, as [`GridBroker::note_lost`] does.
-    pub fn note_lost(&mut self, node: MnId, time_s: f64) -> ApplyInfo {
-        let slot = self.slot_mut(node);
-        let (estimated, fresh, blend) = slot.note_lost(time_s);
-        let staleness = slot.staleness;
-        self.delta.lost += 1;
-        self.delta.estimated += u64::from(estimated);
-        self.delta.fresh_records += u64::from(fresh);
-        ApplyInfo {
-            outcome: if estimated {
-                ApplyOutcome::Degraded
-            } else {
-                ApplyOutcome::NoRecord
-            },
-            staleness,
-            blend,
-        }
+    /// Applies one broker op to a node in this shard, exactly as
+    /// [`GridBroker::apply`] does; returns `None` for the framing
+    /// markers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the op names a node outside this shard.
+    #[inline]
+    pub fn apply(&mut self, op: &IngestRecord) -> Option<ApplyInfo> {
+        let local = self.local(op.node()?);
+        self.slots[local].apply(self.kind, op, &mut self.delta)
     }
 
     /// Whether `node`'s estimator is provably *time-invariant*: its
     /// [`PositionEstimator::estimate`] returns bit-identical results for
     /// every query time until the next `observe`/`reset`. A node with no
-    /// estimator yet is trivially static (every `note_filtered` is a
+    /// estimator yet is trivially static (every filtered update is a
     /// `NoRecord` no-op until a receive builds one).
     ///
     /// This is the safety gate for [`BrokerShard::replay_filtered`].
     #[must_use]
     pub fn estimator_is_static(&self, node: MnId) -> bool {
-        let local = node
-            .index()
-            .checked_sub(self.base)
-            .filter(|i| *i < self.slots.len())
-            .expect("node id outside this broker shard");
-        self.slots[local]
+        self.slots[self.local(node)]
             .estimator
             .as_ref()
             .is_none_or(|e| e.is_static())
     }
 
-    /// Replays a cached filtered-update evaluation without consulting the
-    /// estimator. When the previous [`BrokerShard::note_filtered`] stored
-    /// an estimate (`stored`), the slot's record still holds it, so only
-    /// its timestamp moves to `time_s`; otherwise this does nothing, as
-    /// `note_filtered` would.
+    /// Replays a cached [`IngestRecord::Filtered`] evaluation without
+    /// consulting the estimator. When the previous evaluation stored an
+    /// estimate (`stored`), the slot's record still holds it, so only its
+    /// timestamp moves to `time_s`; otherwise this does nothing, as the
+    /// evaluation would not.
     ///
-    /// Bit-identical to `note_filtered` **provided** the slot's estimator
-    /// was static ([`BrokerShard::estimator_is_static`]) and untouched
-    /// (no receive / loss) since the evaluation being replayed — the
-    /// sparse driver's idle-replay contract.
+    /// Bit-identical to [`BrokerShard::apply`] of the filtered op
+    /// **provided** the slot's estimator was static
+    /// ([`BrokerShard::estimator_is_static`]) and untouched (no receive /
+    /// loss) since the evaluation being replayed — the sparse driver's
+    /// idle-replay contract.
     pub fn replay_filtered(&mut self, node: MnId, time_s: f64, stored: bool) -> ApplyInfo {
-        let slot = self.slot_mut(node);
+        let local = self.local(node);
+        let slot = &mut self.slots[local];
         if stored {
             let record = slot
                 .record
@@ -458,7 +391,6 @@ impl BrokerShard<'_> {
                 "the replayed record holds the static estimate"
             );
         }
-        let staleness = slot.staleness;
         self.delta.estimated += u64::from(stored);
         ApplyInfo {
             outcome: if stored {
@@ -466,7 +398,7 @@ impl BrokerShard<'_> {
             } else {
                 ApplyOutcome::NoRecord
             },
-            staleness,
+            staleness: slot.staleness,
             blend: 1.0,
         }
     }
@@ -475,12 +407,7 @@ impl BrokerShard<'_> {
     /// no map lookup.
     #[must_use]
     pub fn location(&self, node: MnId) -> Option<&LocationRecord> {
-        let local = node
-            .index()
-            .checked_sub(self.base)
-            .filter(|i| *i < self.slots.len())
-            .expect("node id outside this broker shard");
-        self.slots[local].record.as_ref()
+        self.slots[self.local(node)].record.as_ref()
     }
 
     /// Consumes the shard, yielding the counter changes it accumulated.
@@ -495,7 +422,9 @@ impl BrokerShard<'_> {
 ///
 /// Received updates are stored verbatim and fed to the per-node estimator;
 /// when an update is filtered the broker asks the estimator for the node's
-/// likely position and stores that instead, flagged as estimated.
+/// likely position and stores that instead, flagged as estimated. Every
+/// change goes through [`GridBroker::apply`], one [`IngestRecord`] at a
+/// time.
 ///
 /// Per-node state lives in a dense vector indexed by [`MnId::index`] — node
 /// ids are expected to be (near-)dense, as [`crate::SimBuilder`] enforces;
@@ -507,16 +436,16 @@ impl BrokerShard<'_> {
 /// ```
 /// use mobigrid_adf::{EstimatorKind, GridBroker};
 /// use mobigrid_geo::Point;
-/// use mobigrid_wireless::{LocationUpdate, MnId};
+/// use mobigrid_wireless::{IngestRecord, LocationUpdate, MnId};
 ///
 /// let mut broker = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
 /// let mn = MnId::new(1);
 /// for t in 0..10 {
 ///     let lu = LocationUpdate::new(mn, t as f64, Point::new(2.0 * t as f64, 0.0), t);
-///     broker.receive(&lu);
+///     broker.apply(&IngestRecord::Update(lu));
 /// }
-/// // The next two updates are filtered; the broker extrapolates the walk.
-/// broker.note_filtered(mn, 10.0);
+/// // The next update is filtered; the broker extrapolates the walk.
+/// broker.apply(&IngestRecord::Filtered { node: mn, time_s: 10.0 });
 /// let rec = broker.location(mn).unwrap();
 /// assert!(rec.estimated);
 /// assert!((rec.position.x - 20.0).abs() < 1.0);
@@ -524,22 +453,15 @@ impl BrokerShard<'_> {
 pub struct GridBroker {
     kind: EstimatorKind,
     slots: Vec<NodeSlot>,
-    live_records: usize,
-    received: u64,
-    estimated: u64,
-    lost: u64,
-    rejected: u64,
+    /// Lifetime counters; `fresh_records` is the live-record count.
+    counters: BrokerDelta,
 }
 
 impl std::fmt::Debug for GridBroker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GridBroker")
             .field("kind", &self.kind)
-            .field("nodes", &self.live_records)
-            .field("received", &self.received)
-            .field("estimated", &self.estimated)
-            .field("lost", &self.lost)
-            .field("rejected", &self.rejected)
+            .field("counters", &self.counters)
             .finish()
     }
 }
@@ -555,16 +477,12 @@ impl GridBroker {
         Ok(GridBroker {
             kind,
             slots: Vec::new(),
-            live_records: 0,
-            received: 0,
-            estimated: 0,
-            lost: 0,
-            rejected: 0,
+            counters: BrokerDelta::default(),
         })
     }
 
     /// Pre-sizes the dense slot storage for node indices `0..n`. Growing is
-    /// otherwise on demand; pre-sizing lets [`GridBroker::shard_views`]
+    /// otherwise on demand; pre-sizing lets [`GridBroker::shard_views_iter`]
     /// cover the whole population.
     pub fn ensure_nodes(&mut self, n: usize) {
         if self.slots.len() < n {
@@ -592,89 +510,29 @@ impl GridBroker {
         self.kind
     }
 
-    /// Ingests a received location update. Exact duplicates of the last
-    /// accepted update and frames older than it (channel reorderings) are
-    /// rejected and counted in [`GridBroker::rejected_count`].
-    pub fn receive(&mut self, lu: &LocationUpdate) -> ApplyInfo {
-        self.ensure_nodes(lu.node.index() + 1);
-        let kind = self.kind;
-        let slot = &mut self.slots[lu.node.index()];
-        let rx = slot.receive(kind, lu);
-        let staleness = slot.staleness;
-        let outcome = match rx {
-            RxOutcome::Accepted { fresh } => {
-                self.received += 1;
-                self.live_records += usize::from(fresh);
-                ApplyOutcome::Accepted
-            }
-            RxOutcome::Duplicate => {
-                self.rejected += 1;
-                ApplyOutcome::Duplicate
-            }
-            RxOutcome::Stale => {
-                self.rejected += 1;
-                ApplyOutcome::Stale
-            }
-        };
-        ApplyInfo {
-            outcome,
-            staleness,
-            blend: 1.0,
-        }
+    /// Applies one broker op — a received update, a filtered update, or
+    /// an update that was sent but never arrived — to its node's slot and
+    /// the lifetime counters, growing the slots to cover the node.
+    /// Returns what the broker did, or `None` for the framing markers
+    /// ([`IngestRecord::TickEnd`], [`IngestRecord::BatchSpan`]), which
+    /// change nothing.
+    ///
+    /// Exact duplicates of the last accepted update and frames older than
+    /// it (channel reorderings) are rejected and counted in
+    /// [`GridBroker::rejected_count`]. A filtered update for a node never
+    /// heard from stores nothing (the broker cannot invent a location); a
+    /// lost one only bumps the node's staleness counter then.
+    pub fn apply(&mut self, op: &IngestRecord) -> Option<ApplyInfo> {
+        let index = op.node()?.index();
+        self.ensure_nodes(index + 1);
+        self.apply_at(index, op)
     }
 
-    /// Notes that `node`'s update at `time_s` was filtered: estimates its
-    /// position and stores the estimate.
-    ///
-    /// A node never heard from has no record and no estimator; the call is
-    /// a no-op then (the broker cannot invent a location).
-    pub fn note_filtered(&mut self, node: MnId, time_s: f64) -> ApplyInfo {
-        let Some(slot) = self.slots.get_mut(node.index()) else {
-            return ApplyInfo {
-                outcome: ApplyOutcome::NoRecord,
-                staleness: 0,
-                blend: 1.0,
-            };
-        };
-        let (estimated, fresh) = slot.note_filtered(time_s);
-        let staleness = slot.staleness;
-        self.estimated += u64::from(estimated);
-        self.live_records += usize::from(fresh);
-        ApplyInfo {
-            outcome: if estimated {
-                ApplyOutcome::Estimated
-            } else {
-                ApplyOutcome::NoRecord
-            },
-            staleness,
-            blend: 1.0,
-        }
-    }
-
-    /// Notes that `node`'s update at `time_s` was sent but never arrived
-    /// (dropped, corrupted or delayed past this tick): stores a degraded
-    /// estimate whose trust in extrapolation shrinks with consecutive
-    /// losses, and bumps the node's staleness counter.
-    ///
-    /// A node never heard from has no estimator; only the staleness
-    /// bookkeeping happens then.
-    pub fn note_lost(&mut self, node: MnId, time_s: f64) -> ApplyInfo {
-        self.ensure_nodes(node.index() + 1);
-        let slot = &mut self.slots[node.index()];
-        let (estimated, fresh, blend) = slot.note_lost(time_s);
-        let staleness = slot.staleness;
-        self.lost += 1;
-        self.estimated += u64::from(estimated);
-        self.live_records += usize::from(fresh);
-        ApplyInfo {
-            outcome: if estimated {
-                ApplyOutcome::Degraded
-            } else {
-                ApplyOutcome::NoRecord
-            },
-            staleness,
-            blend,
-        }
+    /// Applies `op` to slot `index`, whatever node id the op names — the
+    /// sharded store's entry point, which rebases ids to shard-local
+    /// slots.
+    pub(crate) fn apply_at(&mut self, index: usize, op: &IngestRecord) -> Option<ApplyInfo> {
+        self.slots[index].apply(self.kind, op, &mut self.counters)
     }
 
     /// Consecutive losses since `node`'s last accepted update (zero for a
@@ -691,20 +549,11 @@ impl GridBroker {
     }
 
     /// Splits the broker's slots into contiguous shards of `shard_size`
-    /// nodes for a parallel region. Call [`GridBroker::ensure_nodes`] first
-    /// so the shards cover the whole population; merge each shard's
-    /// [`BrokerDelta`] back with [`GridBroker::apply_delta`] in shard order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard_size` is zero.
-    pub fn shard_views(&mut self, shard_size: usize) -> Vec<BrokerShard<'_>> {
-        self.shard_views_iter(shard_size).collect()
-    }
-
-    /// Iterator form of [`GridBroker::shard_views`]: yields the shards
-    /// lazily without collecting them into a `Vec`, so a caller zipping
-    /// broker shards into larger per-shard jobs allocates nothing here.
+    /// nodes for a parallel region, lazily, so a caller zipping broker
+    /// shards into larger per-shard jobs allocates nothing here. Call
+    /// [`GridBroker::ensure_nodes`] first so the shards cover the whole
+    /// population; merge each shard's [`BrokerDelta`] back with
+    /// [`GridBroker::apply_delta`] in shard order.
     ///
     /// # Panics
     ///
@@ -728,49 +577,44 @@ impl GridBroker {
 
     /// Merges a shard's counter changes back into the broker.
     pub fn apply_delta(&mut self, delta: &BrokerDelta) {
-        self.received += delta.received;
-        self.estimated += delta.estimated;
-        self.live_records += delta.fresh_records as usize;
-        self.lost += delta.lost;
-        self.rejected += delta.rejected;
+        self.counters.merge(delta);
+    }
+
+    /// The lifetime counters (`fresh_records` counts the nodes holding a
+    /// live record).
+    #[must_use]
+    pub(crate) fn counters(&self) -> &BrokerDelta {
+        &self.counters
     }
 
     /// Number of nodes with a record in the location DB.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.live_records
+        self.counters.fresh_records as usize
     }
 
     /// Updates received.
     #[must_use]
     pub fn received_count(&self) -> u64 {
-        self.received
+        self.counters.received
     }
 
     /// Estimates performed.
     #[must_use]
     pub fn estimated_count(&self) -> u64 {
-        self.estimated
+        self.counters.estimated
     }
 
     /// Expected updates that never arrived (lost to the channel).
     #[must_use]
     pub fn lost_count(&self) -> u64 {
-        self.lost
+        self.counters.lost
     }
 
     /// Received frames rejected as duplicates or stale reorderings.
     #[must_use]
     pub fn rejected_count(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Total slot capacity (node indices `0..capacity` are addressable
-    /// without growth). Distinct from [`GridBroker::node_count`], which
-    /// counts nodes holding a live record.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.counters.rejected
     }
 
     /// Iterates every node the broker holds a belief for, in node order,
@@ -791,22 +635,16 @@ impl GridBroker {
     /// digest identically; any divergence — a single ULP of position, one
     /// extra rejection — changes the digest. This is what the serve
     /// crate's golden-parity tests compare. The sharded
-    /// [`BrokerStore`](crate::BrokerStore) computes the identical digest
-    /// over its shards via [`StateDigest`], so the two are directly
-    /// comparable.
+    /// [`BrokerStore`](crate::BrokerStore) folds the same records in
+    /// global node order and the summed counters via [`StateDigest`], so
+    /// the two are directly comparable.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut digest = StateDigest::new();
         for (node, record, staleness) in self.records() {
             digest.record(u64::from(node.raw()), &record, staleness);
         }
-        digest.counters(
-            self.live_records as u64,
-            self.received,
-            self.estimated,
-            self.lost,
-            self.rejected,
-        );
+        digest.counters(&self.counters);
         digest.finish()
     }
 }
@@ -857,12 +695,12 @@ impl StateDigest {
 
     /// Folds the lifetime counters (summed across shards when the state is
     /// sharded). Call once, after every record.
-    pub fn counters(&mut self, live: u64, received: u64, estimated: u64, lost: u64, rejected: u64) {
-        self.fold(live);
-        self.fold(received);
-        self.fold(estimated);
-        self.fold(lost);
-        self.fold(rejected);
+    pub fn counters(&mut self, counters: &BrokerDelta) {
+        self.fold(counters.fresh_records);
+        self.fold(counters.received);
+        self.fold(counters.estimated);
+        self.fold(counters.lost);
+        self.fold(counters.rejected);
     }
 
     /// The digest value.
@@ -875,16 +713,31 @@ impl StateDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobigrid_wireless::LocationUpdate;
 
-    fn lu(node: u32, t: f64, x: f64, y: f64) -> LocationUpdate {
-        LocationUpdate::new(MnId::new(node), t, Point::new(x, y), 0)
+    fn lu(node: u32, t: f64, x: f64, y: f64) -> IngestRecord {
+        IngestRecord::Update(LocationUpdate::new(MnId::new(node), t, Point::new(x, y), 0))
+    }
+
+    fn filtered(node: u32, time_s: f64) -> IngestRecord {
+        IngestRecord::Filtered {
+            node: MnId::new(node),
+            time_s,
+        }
+    }
+
+    fn lost(node: u32, time_s: f64) -> IngestRecord {
+        IngestRecord::Lost {
+            node: MnId::new(node),
+            time_s,
+        }
     }
 
     #[test]
     fn without_le_keeps_last_received() {
         let mut b = GridBroker::new(EstimatorKind::WithoutLe).unwrap();
-        b.receive(&lu(1, 0.0, 5.0, 5.0));
-        b.note_filtered(MnId::new(1), 10.0);
+        b.apply(&lu(1, 0.0, 5.0, 5.0));
+        b.apply(&filtered(1, 10.0));
         let rec = b.location(MnId::new(1)).unwrap();
         // "Estimate" equals the stale last position.
         assert_eq!(rec.position, Point::new(5.0, 5.0));
@@ -895,9 +748,9 @@ mod tests {
     fn brown_extrapolates_straight_walks() {
         let mut b = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
         for t in 0..20 {
-            b.receive(&lu(1, t as f64, 1.5 * t as f64, 0.0));
+            b.apply(&lu(1, t as f64, 1.5 * t as f64, 0.0));
         }
-        b.note_filtered(MnId::new(1), 22.0);
+        b.apply(&filtered(1, 22.0));
         let rec = b.location(MnId::new(1)).unwrap();
         assert!(rec.estimated);
         assert!(
@@ -910,11 +763,11 @@ mod tests {
     #[test]
     fn received_overrides_previous_estimate() {
         let mut b = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
-        b.receive(&lu(1, 0.0, 0.0, 0.0));
-        b.receive(&lu(1, 1.0, 1.0, 0.0));
-        b.note_filtered(MnId::new(1), 2.0);
+        b.apply(&lu(1, 0.0, 0.0, 0.0));
+        b.apply(&lu(1, 1.0, 1.0, 0.0));
+        b.apply(&filtered(1, 2.0));
         assert!(b.location(MnId::new(1)).unwrap().estimated);
-        b.receive(&lu(1, 3.0, 3.0, 0.0));
+        b.apply(&lu(1, 3.0, 3.0, 0.0));
         let rec = b.location(MnId::new(1)).unwrap();
         assert!(!rec.estimated);
         assert_eq!(rec.position, Point::new(3.0, 0.0));
@@ -923,7 +776,7 @@ mod tests {
     #[test]
     fn unknown_node_filtered_is_noop() {
         let mut b = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
-        b.note_filtered(MnId::new(9), 1.0);
+        b.apply(&filtered(9, 1.0));
         assert_eq!(b.location(MnId::new(9)), None);
         assert_eq!(b.estimated_count(), 0);
     }
@@ -931,9 +784,9 @@ mod tests {
     #[test]
     fn counters_track_activity() {
         let mut b = GridBroker::new(EstimatorKind::DeadReckoning).unwrap();
-        b.receive(&lu(1, 0.0, 0.0, 0.0));
-        b.receive(&lu(2, 0.0, 1.0, 1.0));
-        b.note_filtered(MnId::new(1), 1.0);
+        b.apply(&lu(1, 0.0, 0.0, 0.0));
+        b.apply(&lu(2, 0.0, 1.0, 1.0));
+        b.apply(&filtered(1, 1.0));
         assert_eq!(b.received_count(), 2);
         assert_eq!(b.estimated_count(), 1);
         assert_eq!(b.node_count(), 2);
@@ -958,9 +811,9 @@ mod tests {
         })
         .unwrap();
         for t in 0..30 {
-            b.receive(&lu(1, t as f64, t as f64, 2.0 * t as f64));
+            b.apply(&lu(1, t as f64, t as f64, 2.0 * t as f64));
         }
-        b.note_filtered(MnId::new(1), 31.0);
+        b.apply(&filtered(1, 31.0));
         let rec = b.location(MnId::new(1)).unwrap();
         assert!((rec.position.x - 31.0).abs() < 1.0);
         assert!((rec.position.y - 62.0).abs() < 2.0);
@@ -972,7 +825,7 @@ mod tests {
         // hand it to the estimator it lazily builds on first receive.
         let mut b = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
         b.set_home_anchor(MnId::new(0), Point::new(7.0, 7.0));
-        b.receive(&lu(0, 0.0, 1.0, 1.0));
+        b.apply(&lu(0, 0.0, 1.0, 1.0));
         assert_eq!(b.node_count(), 1);
         assert!(b.location(MnId::new(0)).is_some());
     }
@@ -981,7 +834,7 @@ mod tests {
     fn shard_views_partition_the_population() {
         let mut b = GridBroker::new(EstimatorKind::WithoutLe).unwrap();
         b.ensure_nodes(10);
-        let shards = b.shard_views(4);
+        let shards = b.shard_views_iter(4).collect::<Vec<_>>();
         assert_eq!(shards.len(), 3);
         assert_eq!(
             shards.iter().map(BrokerShard::len).collect::<Vec<_>>(),
@@ -1001,21 +854,22 @@ mod tests {
 
         for t in 0..5 {
             for node in 0..6u32 {
-                seq.receive(&lu(node, t as f64, f64::from(node) + t as f64, 0.0));
+                seq.apply(&lu(node, t as f64, f64::from(node) + t as f64, 0.0));
             }
         }
-        seq.note_filtered(MnId::new(2), 5.0);
+        seq.apply(&filtered(2, 5.0));
 
         {
-            let mut shards = sharded.shard_views(4);
+            let mut shards = sharded.shard_views_iter(4).collect::<Vec<_>>();
             for t in 0..5 {
                 for node in 0..6u32 {
                     let shard = &mut shards[node as usize / 4];
-                    shard.receive(&lu(node, t as f64, f64::from(node) + t as f64, 0.0));
+                    shard.apply(&lu(node, t as f64, f64::from(node) + t as f64, 0.0));
                 }
             }
-            shards[0].note_filtered(MnId::new(2), 5.0);
-            let deltas: Vec<BrokerDelta> = shards.into_iter().map(BrokerShard::into_delta).collect();
+            shards[0].apply(&filtered(2, 5.0));
+            let deltas: Vec<BrokerDelta> =
+                shards.into_iter().map(BrokerShard::into_delta).collect();
             for d in &deltas {
                 sharded.apply_delta(d);
             }
@@ -1025,7 +879,10 @@ mod tests {
         assert_eq!(seq.estimated_count(), sharded.estimated_count());
         assert_eq!(seq.node_count(), sharded.node_count());
         for node in 0..6u32 {
-            assert_eq!(seq.location(MnId::new(node)), sharded.location(MnId::new(node)));
+            assert_eq!(
+                seq.location(MnId::new(node)),
+                sharded.location(MnId::new(node))
+            );
         }
     }
 
@@ -1033,8 +890,8 @@ mod tests {
     fn duplicate_frames_are_rejected() {
         let mut b = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
         let update = lu(1, 1.0, 2.0, 3.0);
-        b.receive(&update);
-        b.receive(&update); // channel duplicate: same time, same seq
+        b.apply(&update);
+        b.apply(&update); // channel duplicate: same time, same seq
         assert_eq!(b.received_count(), 1);
         assert_eq!(b.rejected_count(), 1);
         assert!(!b.location(MnId::new(1)).unwrap().estimated);
@@ -1043,13 +900,16 @@ mod tests {
     #[test]
     fn stale_frames_are_rejected() {
         let mut b = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
-        b.receive(&lu(1, 5.0, 10.0, 0.0));
+        b.apply(&lu(1, 5.0, 10.0, 0.0));
         // A delayed frame from t=2 arrives after the t=5 one: dropped, and
         // the stored belief keeps the newer position.
-        b.receive(&lu(1, 2.0, 4.0, 0.0));
+        b.apply(&lu(1, 2.0, 4.0, 0.0));
         assert_eq!(b.received_count(), 1);
         assert_eq!(b.rejected_count(), 1);
-        assert_eq!(b.location(MnId::new(1)).unwrap().position, Point::new(10.0, 0.0));
+        assert_eq!(
+            b.location(MnId::new(1)).unwrap().position,
+            Point::new(10.0, 0.0)
+        );
     }
 
     #[test]
@@ -1058,19 +918,23 @@ mod tests {
         // between the last confirmed fix and the raw extrapolation, and move
         // toward the fix as staleness grows.
         let mut b = GridBroker::new(EstimatorKind::DeadReckoning).unwrap();
-        b.receive(&lu(1, 0.0, 0.0, 0.0));
-        b.receive(&lu(1, 1.0, 2.0, 0.0));
+        b.apply(&lu(1, 0.0, 0.0, 0.0));
+        b.apply(&lu(1, 1.0, 2.0, 0.0));
         let last_rx_x = 2.0;
 
-        b.note_lost(MnId::new(1), 2.0);
+        b.apply(&lost(1, 2.0));
         let first = b.location(MnId::new(1)).unwrap();
         assert!(first.estimated);
         // staleness = 1 → trust = 1.0 → pure extrapolation (x = 4).
-        assert!((first.position.x - 4.0).abs() < 1e-9, "x = {}", first.position.x);
+        assert!(
+            (first.position.x - 4.0).abs() < 1e-9,
+            "x = {}",
+            first.position.x
+        );
         assert_eq!(b.staleness(MnId::new(1)), 1);
 
         for k in 2..=10u32 {
-            b.note_lost(MnId::new(1), 1.0 + f64::from(k));
+            b.apply(&lost(1, 1.0 + f64::from(k)));
         }
         let later = b.location(MnId::new(1)).unwrap();
         let raw_x = 2.0 + 2.0 * 10.0; // dead reckoning at t=11
@@ -1078,26 +942,30 @@ mod tests {
         assert!(later.position.x > last_rx_x && later.position.x < raw_x);
         // trust = 8/(8+9): well under half the raw extrapolated offset.
         let expected_x = last_rx_x + (raw_x - last_rx_x) * (8.0 / 17.0);
-        assert!((later.position.x - expected_x).abs() < 1e-9, "x = {}", later.position.x);
+        assert!(
+            (later.position.x - expected_x).abs() < 1e-9,
+            "x = {}",
+            later.position.x
+        );
         assert_eq!(b.lost_count(), 10);
     }
 
     #[test]
     fn receive_resets_staleness() {
         let mut b = GridBroker::new(EstimatorKind::DeadReckoning).unwrap();
-        b.receive(&lu(1, 0.0, 0.0, 0.0));
-        b.note_lost(MnId::new(1), 1.0);
-        b.note_lost(MnId::new(1), 2.0);
+        b.apply(&lu(1, 0.0, 0.0, 0.0));
+        b.apply(&lost(1, 1.0));
+        b.apply(&lost(1, 2.0));
         assert_eq!(b.staleness(MnId::new(1)), 2);
-        b.receive(&lu(1, 3.0, 6.0, 0.0));
+        b.apply(&lu(1, 3.0, 6.0, 0.0));
         assert_eq!(b.staleness(MnId::new(1)), 0);
         assert!(!b.location(MnId::new(1)).unwrap().estimated);
     }
 
     #[test]
-    fn note_lost_on_unknown_node_only_tracks_staleness() {
+    fn lost_on_unknown_node_only_tracks_staleness() {
         let mut b = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
-        b.note_lost(MnId::new(4), 1.0);
+        b.apply(&lost(4, 1.0));
         assert_eq!(b.location(MnId::new(4)), None);
         assert_eq!(b.lost_count(), 1);
         assert_eq!(b.estimated_count(), 0);
@@ -1105,32 +973,33 @@ mod tests {
     }
 
     #[test]
-    fn shard_note_lost_matches_sequential() {
+    fn shard_lost_matches_sequential() {
         let mut seq = GridBroker::new(EstimatorKind::DeadReckoning).unwrap();
         let mut sharded = GridBroker::new(EstimatorKind::DeadReckoning).unwrap();
         sharded.ensure_nodes(4);
 
         for t in 0..3 {
             for node in 0..4u32 {
-                seq.receive(&lu(node, t as f64, f64::from(node) * t as f64, 0.0));
+                seq.apply(&lu(node, t as f64, f64::from(node) * t as f64, 0.0));
             }
         }
-        seq.note_lost(MnId::new(1), 3.0);
-        seq.note_lost(MnId::new(1), 4.0);
-        seq.note_lost(MnId::new(3), 3.0);
+        seq.apply(&lost(1, 3.0));
+        seq.apply(&lost(1, 4.0));
+        seq.apply(&lost(3, 3.0));
 
         {
-            let mut shards = sharded.shard_views(2);
+            let mut shards = sharded.shard_views_iter(2).collect::<Vec<_>>();
             for t in 0..3 {
                 for node in 0..4u32 {
                     let shard = &mut shards[node as usize / 2];
-                    shard.receive(&lu(node, t as f64, f64::from(node) * t as f64, 0.0));
+                    shard.apply(&lu(node, t as f64, f64::from(node) * t as f64, 0.0));
                 }
             }
-            assert_eq!(shards[0].note_lost(MnId::new(1), 3.0).staleness, 1);
-            assert_eq!(shards[0].note_lost(MnId::new(1), 4.0).staleness, 2);
-            assert_eq!(shards[1].note_lost(MnId::new(3), 3.0).staleness, 1);
-            let deltas: Vec<BrokerDelta> = shards.into_iter().map(BrokerShard::into_delta).collect();
+            assert_eq!(shards[0].apply(&lost(1, 3.0)).unwrap().staleness, 1);
+            assert_eq!(shards[0].apply(&lost(1, 4.0)).unwrap().staleness, 2);
+            assert_eq!(shards[1].apply(&lost(3, 3.0)).unwrap().staleness, 1);
+            let deltas: Vec<BrokerDelta> =
+                shards.into_iter().map(BrokerShard::into_delta).collect();
             for d in &deltas {
                 sharded.apply_delta(d);
             }
@@ -1139,70 +1008,99 @@ mod tests {
         assert_eq!(seq.lost_count(), sharded.lost_count());
         assert_eq!(seq.estimated_count(), sharded.estimated_count());
         for node in 0..4u32 {
-            assert_eq!(seq.location(MnId::new(node)), sharded.location(MnId::new(node)));
-            assert_eq!(seq.staleness(MnId::new(node)), sharded.staleness(MnId::new(node)));
+            assert_eq!(
+                seq.location(MnId::new(node)),
+                sharded.location(MnId::new(node))
+            );
+            assert_eq!(
+                seq.staleness(MnId::new(node)),
+                sharded.staleness(MnId::new(node))
+            );
         }
     }
 
     #[test]
     fn apply_info_reports_outcome_staleness_and_blend() {
         let mut b = GridBroker::new(EstimatorKind::DeadReckoning).unwrap();
-        // Unknown node: nothing to estimate from.
-        let info = b.note_filtered(MnId::new(1), 0.0);
-        assert_eq!(info.outcome, ApplyOutcome::NoRecord);
-        fn check(info: ApplyInfo, outcome: ApplyOutcome, staleness: u32) {
+        fn check(info: Option<ApplyInfo>, outcome: ApplyOutcome, staleness: u32) -> ApplyInfo {
+            let info = info.expect("a broker op reports an ApplyInfo");
             assert_eq!(info.outcome, outcome);
             assert_eq!(info.staleness, staleness);
+            info
         }
-        check(b.receive(&lu(1, 0.0, 0.0, 0.0)), ApplyOutcome::Accepted, 0);
-        check(b.receive(&lu(1, 1.0, 2.0, 0.0)), ApplyOutcome::Accepted, 0);
+        // Unknown node: nothing to estimate from.
+        check(b.apply(&filtered(1, 0.0)), ApplyOutcome::NoRecord, 0);
+        check(b.apply(&lu(1, 0.0, 0.0, 0.0)), ApplyOutcome::Accepted, 0);
+        check(b.apply(&lu(1, 1.0, 2.0, 0.0)), ApplyOutcome::Accepted, 0);
         // Duplicate and stale frames keep staleness untouched.
-        check(b.receive(&lu(1, 1.0, 2.0, 0.0)), ApplyOutcome::Duplicate, 0);
-        check(b.receive(&lu(1, 0.5, 1.0, 0.0)), ApplyOutcome::Stale, 0);
+        check(b.apply(&lu(1, 1.0, 2.0, 0.0)), ApplyOutcome::Duplicate, 0);
+        check(b.apply(&lu(1, 0.5, 1.0, 0.0)), ApplyOutcome::Stale, 0);
         // Suppressed tick: estimated, still not stale, no blending.
-        let info = b.note_filtered(MnId::new(1), 2.0);
-        check(info, ApplyOutcome::Estimated, 0);
+        let info = check(b.apply(&filtered(1, 2.0)), ApplyOutcome::Estimated, 0);
         assert_eq!(info.blend, 1.0);
         // First loss: degraded with full trust in extrapolation.
-        let info = b.note_lost(MnId::new(1), 3.0);
-        check(info, ApplyOutcome::Degraded, 1);
+        let info = check(b.apply(&lost(1, 3.0)), ApplyOutcome::Degraded, 1);
         assert!((info.blend - 1.0).abs() < 1e-12);
         // Second loss: trust shrinks to W/(W+1) = 8/9.
-        let info = b.note_lost(MnId::new(1), 4.0);
-        check(info, ApplyOutcome::Degraded, 2);
-        assert!((info.blend - 8.0 / 9.0).abs() < 1e-12, "blend {}", info.blend);
+        let info = check(b.apply(&lost(1, 4.0)), ApplyOutcome::Degraded, 2);
+        assert!(
+            (info.blend - 8.0 / 9.0).abs() < 1e-12,
+            "blend {}",
+            info.blend
+        );
         // A receive resets staleness.
-        check(b.receive(&lu(1, 5.0, 10.0, 0.0)), ApplyOutcome::Accepted, 0);
+        check(b.apply(&lu(1, 5.0, 10.0, 0.0)), ApplyOutcome::Accepted, 0);
         // Loss on a never-heard-from node: staleness only, nothing stored.
-        check(b.note_lost(MnId::new(7), 5.0), ApplyOutcome::NoRecord, 1);
+        check(b.apply(&lost(7, 5.0)), ApplyOutcome::NoRecord, 1);
+
+        // Framing markers touch nothing.
+        let tick_end = IngestRecord::TickEnd {
+            tick: 1,
+            time_s: 5.0,
+        };
+        let before = b.state_digest();
+        assert_eq!(b.apply(&tick_end), None);
+        assert_eq!(b.state_digest(), before);
 
         // Shard views report the same ApplyInfo shape.
         let mut sb = GridBroker::new(EstimatorKind::DeadReckoning).unwrap();
         sb.ensure_nodes(2);
-        let mut shards = sb.shard_views(2);
-        check(shards[0].receive(&lu(0, 0.0, 0.0, 0.0)), ApplyOutcome::Accepted, 0);
-        check(shards[0].receive(&lu(0, 1.0, 1.0, 0.0)), ApplyOutcome::Accepted, 0);
-        check(shards[0].note_lost(MnId::new(0), 2.0), ApplyOutcome::Degraded, 1);
-        check(shards[0].note_filtered(MnId::new(1), 2.0), ApplyOutcome::NoRecord, 0);
+        let mut shards = sb.shard_views_iter(2).collect::<Vec<_>>();
+        check(
+            shards[0].apply(&lu(0, 0.0, 0.0, 0.0)),
+            ApplyOutcome::Accepted,
+            0,
+        );
+        check(
+            shards[0].apply(&lu(0, 1.0, 1.0, 0.0)),
+            ApplyOutcome::Accepted,
+            0,
+        );
+        check(shards[0].apply(&lost(0, 2.0)), ApplyOutcome::Degraded, 1);
+        check(
+            shards[0].apply(&filtered(1, 2.0)),
+            ApplyOutcome::NoRecord,
+            0,
+        );
     }
 
     #[test]
-    fn replay_filtered_matches_note_filtered_for_static_estimators() {
+    fn replay_filtered_matches_apply_for_static_estimators() {
         // A node that never moves: Brown's direction smoother never warms,
-        // so the estimator stays static and note_filtered keeps producing
+        // so the estimator stays static and each filtered op stores
         // the same position. The replay must be indistinguishable.
         let mk = || GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
         let (mut live, mut replayed) = (mk(), mk());
         for b in [&mut live, &mut replayed] {
             b.ensure_nodes(2);
-            b.receive(&lu(0, 0.0, 5.0, 5.0));
-            b.receive(&lu(0, 1.0, 5.0, 5.0));
+            b.apply(&lu(0, 0.0, 5.0, 5.0));
+            b.apply(&lu(0, 1.0, 5.0, 5.0));
             // A loss leaves a staleness the replays must report unchanged.
-            b.note_lost(MnId::new(0), 1.5);
+            b.apply(&lost(0, 1.5));
         }
         let node = MnId::new(0);
         let apply = |b: &mut GridBroker, f: &mut dyn FnMut(&mut BrokerShard<'_>)| {
-            let mut shards = b.shard_views(2);
+            let mut shards = b.shard_views_iter(2).collect::<Vec<_>>();
             f(&mut shards[0]);
             let d: Vec<BrokerDelta> = shards.into_iter().map(BrokerShard::into_delta).collect();
             for delta in &d {
@@ -1215,7 +1113,7 @@ mod tests {
         for b in [&mut live, &mut replayed] {
             apply(b, &mut |s| {
                 assert!(s.estimator_is_static(node));
-                let info = s.note_filtered(node, 2.0);
+                let info = s.apply(&filtered(0, 2.0)).unwrap();
                 assert_eq!(info.outcome, ApplyOutcome::Estimated);
                 captured = s.location(node).copied();
             });
@@ -1228,7 +1126,7 @@ mod tests {
         for t in [3.0, 4.0, 7.5] {
             let mut live_info = None;
             apply(&mut live, &mut |s| {
-                live_info = Some(s.note_filtered(node, t))
+                live_info = s.apply(&filtered(0, t));
             });
             let mut replay_info = None;
             apply(&mut replayed, &mut |s| {
@@ -1248,7 +1146,7 @@ mod tests {
         // A never-heard-from node: static (no estimator), and replaying
         // its NoRecord evaluation changes nothing.
         let ghost = MnId::new(1);
-        let mut r = replayed.shard_views(2);
+        let mut r = replayed.shard_views_iter(2).collect::<Vec<_>>();
         assert!(r[0].estimator_is_static(ghost));
         let info = r[0].replay_filtered(ghost, 5.0, false);
         assert_eq!(info.outcome, ApplyOutcome::NoRecord);
@@ -1261,9 +1159,9 @@ mod tests {
         let mut b = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
         b.ensure_nodes(1);
         for t in 0..10 {
-            b.receive(&lu(0, f64::from(t), 2.0 * f64::from(t), 0.0));
+            b.apply(&lu(0, f64::from(t), 2.0 * f64::from(t), 0.0));
         }
-        let shards = b.shard_views(1);
+        let shards = b.shard_views_iter(1).collect::<Vec<_>>();
         assert!(!shards[0].estimator_is_static(MnId::new(0)));
     }
 
@@ -1272,7 +1170,7 @@ mod tests {
     fn shard_rejects_foreign_node() {
         let mut b = GridBroker::new(EstimatorKind::WithoutLe).unwrap();
         b.ensure_nodes(8);
-        let mut shards = b.shard_views(4);
-        shards[0].receive(&lu(6, 0.0, 0.0, 0.0));
+        let mut shards = b.shard_views_iter(4).collect::<Vec<_>>();
+        shards[0].apply(&lu(6, 0.0, 0.0, 0.0));
     }
 }

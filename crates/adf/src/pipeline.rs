@@ -16,8 +16,8 @@ use mobigrid_wireless::{
 use crate::broker::{ApplyInfo, BrokerDelta, BrokerShard};
 use crate::runtime::{FaultSpec, RuntimeOptions, SimError, TickDriver};
 use crate::{
-    Decision, EstimatorKind, FilterPolicy, GridBroker, LocationRecord, MobileNode, NodeColumns,
-    NodeView, RegionTally,
+    Decision, EstimatorKind, FilterPolicy, GridBroker, MobileNode, NodeColumns, NodeView,
+    RegionTally,
 };
 
 /// Nodes per shard in the parallel tick phases.
@@ -376,6 +376,49 @@ enum LinkOutcome {
     Lost { transmitted: bool },
 }
 
+/// How one node's tick reaches the brokers — the single mapping from a
+/// filter decision (no network) or a routing outcome (network attached)
+/// to broker ops, shared by the apply phase and the op-stream tap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NodeOp {
+    /// Suppressed, idle, or out of coverage (the frame never reached the
+    /// air): the brokers estimate.
+    Filtered,
+    /// A sent or delivered update, applied twice when the channel
+    /// delivered a byte-identical second copy.
+    Update { duplicate: bool },
+    /// A transmitted frame that never arrived: the brokers degrade.
+    Lost,
+}
+
+impl NodeOp {
+    #[inline]
+    fn of(decision: Decision, link: Option<LinkOutcome>) -> NodeOp {
+        match (link, decision) {
+            (None, Decision::Sent) => NodeOp::Update { duplicate: false },
+            (Some(LinkOutcome::Delivered { duplicate }), _) => NodeOp::Update { duplicate },
+            (Some(LinkOutcome::Lost { transmitted: true }), _) => NodeOp::Lost,
+            (None, Decision::Filtered)
+            | (Some(LinkOutcome::Idle | LinkOutcome::Lost { transmitted: false }), _) => {
+                NodeOp::Filtered
+            }
+        }
+    }
+
+    /// The op as the broker record for `node` at `time_s`; `seq` is the
+    /// transmitted sequence number (read only by an update).
+    #[inline]
+    fn record(self, node: MnId, position: Point, time_s: f64, seq: u32) -> IngestRecord {
+        match self {
+            NodeOp::Filtered => IngestRecord::Filtered { node, time_s },
+            NodeOp::Update { .. } => {
+                IngestRecord::Update(LocationUpdate::new(node, time_s, position, seq))
+            }
+            NodeOp::Lost => IngestRecord::Lost { node, time_s },
+        }
+    }
+}
+
 /// Per-node retransmission state driven by the node's [`RetryPolicy`].
 #[derive(Debug, Clone, Copy)]
 struct RetryState {
@@ -410,7 +453,7 @@ pub(crate) struct IdleCache {
     /// Ground-truth position when the cache was captured; any change
     /// (compared bitwise) invalidates the cached errors.
     pos: Point,
-    /// Whether the with-LE broker's `note_filtered` stored an estimate
+    /// Whether the with-LE broker's filtered apply stored an estimate
     /// (`false` = `NoRecord`: no estimator or no estimate yet).
     le_stored: bool,
     /// Same for the without-LE broker.
@@ -1029,8 +1072,9 @@ impl MobileGridSim {
                 scratch.late_lus.clear();
                 ch.drain_due(self.tick, &mut scratch.late_lus);
                 for lu in &scratch.late_lus {
-                    let info = self.broker_le.receive(lu);
-                    self.broker_raw.receive(lu);
+                    let op = IngestRecord::Update(*lu);
+                    let info = self.broker_le.apply(&op).expect("an update is a broker op");
+                    self.broker_raw.apply(&op);
                     // A late arrival touches the node's estimator (or at
                     // least its dedup state): its idle-replay cache, if
                     // any, is no longer safe to replay.
@@ -1511,22 +1555,18 @@ impl MobileGridSim {
         };
         for (i, (id, pos)) in job.observations.iter().enumerate() {
             let kind = job.kinds[i];
-            // Whether this node takes the pure filtered/idle path this
-            // tick: nothing reaches the broker, both slots just estimate.
-            // (`Lost {transmitted: false}` — out of coverage — applies as
-            // a filtered update too.)
-            let idle_path = match job.link {
-                None => matches!(job.decisions[i], Decision::Filtered),
-                Some(link) => matches!(
-                    link[i],
-                    LinkOutcome::Idle | LinkOutcome::Lost { transmitted: false }
-                ),
-            };
+            let node_op = NodeOp::of(job.decisions[i], job.link.map(|link| link[i]));
+            // The pure filtered/idle path: nothing reaches the broker,
+            // both slots just estimate.
+            let idle_path = node_op == NodeOp::Filtered;
             // Sparse idle-replay fast path: with a valid cache, unchanged
             // ground truth and no forced refresh, the evaluation below is
             // provably bit-identical to the cached one — re-store the
             // cached estimates (keeping broker records and deltas exact)
-            // and push the cached errors.
+            // and push the cached errors. This runs before the op record
+            // is built, and keeps its own copy of the tail below: building
+            // the record first measured ~15% slower per idle-dominated
+            // tick, folding into the shared tail ~5% slower (2-vCPU VM).
             if let Some(sp) = &mut job.sparse {
                 let cache = sp.idle[i];
                 if idle_path && cache.valid && !sp.force_eval[i] && cache.pos == *pos {
@@ -1562,82 +1602,38 @@ impl MobileGridSim {
                     continue;
                 }
             }
-            let apply = match job.link {
-                // No network: a sent update reaches the brokers directly,
-                // and this phase owns the sequence counters (writing the
-                // used value back for the seq-monotonicity monitor).
-                None => match job.decisions[i] {
-                    Decision::Sent => {
-                        let seq = &mut job.seqs[i];
-                        let lu = LocationUpdate::new(*id, time_s, *pos, *seq);
-                        job.sent_seqs[i] = *seq;
-                        *seq = seq.wrapping_add(1);
-                        out.sent += 1;
-                        out.tally.record(kind, true);
-                        let info = job.le.receive(&lu);
-                        job.raw.receive(&lu);
-                        info
-                    }
-                    Decision::Filtered => {
-                        out.tally.record(kind, false);
-                        let info = job.le.note_filtered(*id, time_s);
-                        job.raw.note_filtered(*id, time_s);
-                        info
-                    }
-                },
-                // With a network the routing phase already decided every
-                // frame's fate; apply it to both brokers.
-                Some(link) => match link[i] {
-                    LinkOutcome::Idle => {
-                        out.tally.record(kind, false);
-                        let info = job.le.note_filtered(*id, time_s);
-                        job.raw.note_filtered(*id, time_s);
-                        info
-                    }
-                    LinkOutcome::Delivered { duplicate } => {
-                        let lu = LocationUpdate::new(*id, time_s, *pos, job.sent_seqs[i]);
-                        out.sent += 1;
-                        out.tally.record(kind, true);
-                        let info = job.le.receive(&lu);
-                        job.raw.receive(&lu);
-                        if duplicate {
-                            // The second copy is byte-identical; the broker
-                            // rejects it and counts the rejection.
-                            job.le.receive(&lu);
-                            job.raw.receive(&lu);
-                        }
-                        info
-                    }
-                    LinkOutcome::Lost { transmitted: true } => {
-                        // The frame consumed airtime but never arrived: the
-                        // broker expected it and degrades gracefully.
-                        out.sent += 1;
-                        out.tally.record(kind, true);
-                        let info = job.le.note_lost(*id, time_s);
-                        job.raw.note_lost(*id, time_s);
-                        info
-                    }
-                    LinkOutcome::Lost { transmitted: false } => {
-                        // Out of coverage: the frame never reached the air;
-                        // the broker estimates, same as a filtered update.
-                        out.tally.record(kind, false);
-                        let info = job.le.note_filtered(*id, time_s);
-                        job.raw.note_filtered(*id, time_s);
-                        info
-                    }
-                },
+            let seq = match (job.link, node_op) {
+                // No network: this phase owns the sequence counters, and
+                // writes the used value back for the seq-monotonicity
+                // monitor.
+                (None, NodeOp::Update { .. }) => {
+                    let seq = job.seqs[i];
+                    job.seqs[i] = seq.wrapping_add(1);
+                    job.sent_seqs[i] = seq;
+                    seq
+                }
+                // With one, the routing phase already used and recorded it.
+                _ => job.sent_seqs[i],
             };
+            let op = node_op.record(*id, *pos, time_s, seq);
+            let apply = job.le.apply(&op).expect("a node op is a broker op");
+            let raw = job.raw.apply(&op).expect("a node op is a broker op");
+            if node_op == (NodeOp::Update { duplicate: true }) {
+                // The second copy is byte-identical; the broker rejects it
+                // and counts the rejection.
+                job.le.apply(&op);
+                job.raw.apply(&op);
+            }
+            // Measure against ground truth via direct dense-slot reads.
+            let err = |b: &BrokerShard<'_>| {
+                b.location(*id)
+                    .map_or(0.0, |r| r.position.distance_to(*pos))
+            };
+            let (err_le, err_raw) = (err(&job.le), err(&job.raw));
+            out.sent += u32::from(!idle_path);
+            out.tally.record(kind, !idle_path);
             job.staleness[i] = apply.staleness;
             out.stale += u32::from(apply.staleness > 0);
-            // Measure against ground truth via direct dense-slot reads.
-            let err_le = job
-                .le
-                .location(*id)
-                .map_or(0.0, |r| r.position.distance_to(*pos));
-            let err_raw = job
-                .raw
-                .location(*id)
-                .map_or(0.0, |r| r.position.distance_to(*pos));
             out.all_le.push(err_le);
             out.all_raw.push(err_raw);
             if record {
@@ -1666,27 +1662,16 @@ impl MobileGridSim {
             // was pure idle AND both estimators are provably
             // time-invariant until their next observation.
             if let Some(sp) = &mut job.sparse {
-                let gap = sp.tick - sp.last_eval[i];
-                if gap > out.max_eval_gap {
-                    out.max_eval_gap = gap;
-                }
+                out.max_eval_gap = out.max_eval_gap.max(sp.tick - sp.last_eval[i]);
                 sp.last_eval[i] = sp.tick;
                 sp.force_eval[i] = false;
-                if idle_path
-                    && job.le.estimator_is_static(*id)
-                    && job.raw.estimator_is_static(*id)
+                if idle_path && job.le.estimator_is_static(*id) && job.raw.estimator_is_static(*id)
                 {
-                    // The estimate this tick stored, if any: broker records
-                    // carry strictly increasing times per node, so matching
-                    // on `time_s` uniquely identifies this tick's store.
-                    let stored = |rec: Option<&LocationRecord>| {
-                        rec.is_some_and(|r| r.estimated && r.time_s == time_s)
-                    };
                     sp.idle[i] = IdleCache {
                         valid: true,
                         pos: *pos,
-                        le_stored: stored(job.le.location(*id)),
-                        raw_stored: stored(job.raw.location(*id)),
+                        le_stored: apply.outcome == ApplyOutcome::Estimated,
+                        raw_stored: raw.outcome == ApplyOutcome::Estimated,
                         err_le,
                         err_raw,
                     };
@@ -1707,32 +1692,32 @@ impl MobileGridSim {
     }
 
     /// Executes one tick like [`MobileGridSim::step`] and appends the
-    /// tick's **broker operation stream** to `ops` — exactly the sequence
-    /// of [`GridBroker`] calls the with-LE broker saw, as wire-encodable
-    /// [`IngestRecord`]s, terminated by an
+    /// tick's **broker operation stream** to `ops` — exactly the
+    /// [`IngestRecord`]s both brokers applied, in order, terminated by an
     /// [`IngestRecord::TickEnd`] marker.
     ///
-    /// Replaying the stream in order against a fresh
-    /// [`MobileGridSim::replica_broker`] (or feeding it to the
-    /// `mobigrid-broker-serve` ingest front-end) reproduces this sim's
-    /// `broker_le` state **bit for bit** — compare with
+    /// Replaying the stream in order against a fresh broker running the
+    /// same estimator with this sim's home anchors registered (or feeding
+    /// it to the `mobigrid-broker-serve` ingest front-end) reproduces this
+    /// sim's `broker_le` state **bit for bit** — compare with
     /// [`GridBroker::state_digest`]. The ordering contract that makes the
     /// sequential replay exact:
     ///
     /// 1. late (deferred) frames delivered this tick come first, in drain
     ///    order — they reach the brokers in phase 2b before any per-node
     ///    apply;
-    /// 2. one record per node in node order — [`IngestRecord::Update`]
-    ///    for a delivered frame (twice on a channel duplicate),
-    ///    [`IngestRecord::Lost`] for a transmitted-but-lost frame, and
-    ///    [`IngestRecord::Filtered`] for everything the broker estimates
-    ///    through (suppressed, idle, or out-of-coverage). The shard-
-    ///    parallel apply phase touches disjoint per-node slots and merges
-    ///    counter deltas in shard order, so the node-order sequential
-    ///    replay is state-identical. The sparse driver's idle-replay path
-    ///    is bit-identical to `note_filtered` by construction (pinned by
-    ///    the dense/sparse equivalence suite), so replayed nodes also map
-    ///    to `Filtered`;
+    /// 2. one record per node in node order (two for a channel
+    ///    duplicate), derived by the same mapping the apply phase
+    ///    applies — [`IngestRecord::Update`] for a sent or delivered
+    ///    frame, [`IngestRecord::Lost`] for a transmitted-but-lost frame,
+    ///    and [`IngestRecord::Filtered`] for everything the broker
+    ///    estimates through (suppressed, idle, or out-of-coverage). The
+    ///    shard-parallel apply phase touches disjoint per-node slots and
+    ///    merges counter deltas in shard order, so the node-order
+    ///    sequential replay is state-identical. The sparse driver's
+    ///    idle-replay path is bit-identical to applying `Filtered` (pinned
+    ///    by the dense/sparse equivalence suite and the tap-parity test),
+    ///    so replayed nodes also map to `Filtered`;
     /// 3. the `TickEnd` marker.
     pub fn step_tapped(&mut self, ops: &mut Vec<IngestRecord>) -> TickStats {
         self.step_tapped_recorded(&mut NoopRecorder, ops)
@@ -1751,51 +1736,24 @@ impl MobileGridSim {
     ) -> TickStats {
         let stats = self.step_recorded(rec);
         let time_s = self.tick as f64 * self.dt;
+        let scratch = &self.scratch;
         // Phase 2b applied these before anything else this tick. The
         // buffer still holds exactly this tick's drain (it is cleared at
         // the start of the next one, and stays empty without a channel).
-        for lu in &self.scratch.late_lus {
-            ops.push(IngestRecord::Update(*lu));
-        }
-        if self.network.is_some() {
-            for (i, ((id, pos), outcome)) in self
-                .scratch
-                .observations
-                .iter()
-                .zip(self.scratch.link.iter())
-                .enumerate()
-            {
-                match outcome {
-                    LinkOutcome::Idle | LinkOutcome::Lost { transmitted: false } => {
-                        ops.push(IngestRecord::Filtered { node: *id, time_s });
-                    }
-                    LinkOutcome::Delivered { duplicate } => {
-                        let lu =
-                            LocationUpdate::new(*id, time_s, *pos, self.scratch.sent_seq[i]);
-                        ops.push(IngestRecord::Update(lu));
-                        if *duplicate {
-                            ops.push(IngestRecord::Update(lu));
-                        }
-                    }
-                    LinkOutcome::Lost { transmitted: true } => {
-                        ops.push(IngestRecord::Lost { node: *id, time_s });
-                    }
-                }
-            }
-        } else {
-            for (i, ((id, pos), decision)) in self
-                .scratch
-                .observations
-                .iter()
-                .zip(self.scratch.decisions.iter())
-                .enumerate()
-            {
-                if decision.is_sent() {
-                    let lu = LocationUpdate::new(*id, time_s, *pos, self.scratch.sent_seq[i]);
-                    ops.push(IngestRecord::Update(lu));
-                } else {
-                    ops.push(IngestRecord::Filtered { node: *id, time_s });
-                }
+        ops.extend(scratch.late_lus.iter().map(|lu| IngestRecord::Update(*lu)));
+        // Both sequence paths leave the used value in `sent_seq`.
+        let link = self.network.is_some().then_some(&scratch.link[..]);
+        for (i, ((id, pos), decision)) in scratch
+            .observations
+            .iter()
+            .zip(&scratch.decisions)
+            .enumerate()
+        {
+            let node_op = NodeOp::of(*decision, link.map(|link| link[i]));
+            let op = node_op.record(*id, *pos, time_s, scratch.sent_seq[i]);
+            ops.push(op);
+            if node_op == (NodeOp::Update { duplicate: true }) {
+                ops.push(op);
             }
         }
         ops.push(IngestRecord::TickEnd {
@@ -1803,24 +1761,6 @@ impl MobileGridSim {
             time_s,
         });
         stats
-    }
-
-    /// A fresh, empty broker configured exactly like this sim's with-LE
-    /// broker: same estimator kind, slots pre-sized for the population,
-    /// home anchors registered. Replaying a [`MobileGridSim::step_tapped`]
-    /// op stream into it reproduces `broker_le`'s state bit for bit; the
-    /// serve crate shards copies of it behind its concurrent store.
-    #[must_use]
-    pub fn replica_broker(&self) -> GridBroker {
-        let mut broker = GridBroker::new(self.broker_le.estimator_kind())
-            .expect("the live broker's estimator kind already validated");
-        broker.ensure_nodes(self.cols.len());
-        for (i, anchor) in self.cols.home_anchors().iter().enumerate() {
-            if let Some(anchor) = anchor {
-                broker.set_home_anchor(MnId::new(i as u32), *anchor);
-            }
-        }
-        broker
     }
 
     /// Runs `ticks` steps like [`MobileGridSim::run`], streaming telemetry
@@ -2253,14 +2193,15 @@ mod tests {
     }
 
     /// The op-stream tap contract: replaying `step_tapped`'s records
-    /// sequentially into a fresh replica broker — and through the sharded
-    /// concurrent store — reproduces the live with-LE broker bit for bit,
-    /// including under a channel that drops, delays, duplicates and
-    /// corrupts frames (all four apply paths exercised).
+    /// sequentially into fresh replica brokers — and through the sharded
+    /// concurrent store — reproduces both live brokers (with and without
+    /// the location estimator) bit for bit, every tick. Covered: both
+    /// tick drivers (the sparse one's idle replay included), the
+    /// no-network branch, and a faulty network that drops, delays,
+    /// duplicates and corrupts frames (every apply path exercised).
     #[test]
     fn tapped_op_stream_replays_bit_identically() {
         use crate::BrokerStore;
-        use mobigrid_wireless::IngestRecord;
         let plan = FaultPlan {
             drop_rate: 0.2,
             corrupt_rate: 0.1,
@@ -2269,58 +2210,88 @@ mod tests {
             duplicate_rate: 0.2,
             ..FaultPlan::lossless()
         };
-        let mut sim = SimBuilder::new()
-            .nodes((0..40).map(|i| walker(i, 1.0 + f64::from(i % 5))).collect())
-            .policy(AdaptiveDistanceFilter::new(crate::AdfConfig::new(1.0)).unwrap())
-            .network(wide_net())
-            .faults(plan, 11)
-            .build()
-            .unwrap();
-        let mut replica = sim.replica_broker();
-        let store = BrokerStore::new(replica.estimator_kind(), sim.node_count(), 4).unwrap();
-        for (i, anchor) in sim.columns().home_anchors().iter().enumerate() {
-            if let Some(anchor) = anchor {
-                store.set_home_anchor(MnId::new(i as u32), *anchor);
-            }
-        }
-        let mut ops = Vec::new();
-        for tick in 1..=60u64 {
-            ops.clear();
-            sim.step_tapped(&mut ops);
-            assert!(
-                matches!(ops.last(), Some(IngestRecord::TickEnd { tick: t, .. }) if *t == tick),
-                "tick {tick}: stream must end with its TickEnd marker"
-            );
-            for op in &ops {
-                match op {
-                    IngestRecord::Update(lu) => {
-                        replica.receive(lu);
-                    }
-                    IngestRecord::Filtered { node, time_s } => {
-                        replica.note_filtered(*node, *time_s);
-                    }
-                    IngestRecord::Lost { node, time_s } => {
-                        replica.note_lost(*node, *time_s);
-                    }
-                    IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => {}
+        // Replicas of one live broker: a sequential broker and a 4-shard
+        // store, both with the sim's home anchors registered.
+        let replicas = |sim: &MobileGridSim, kind: EstimatorKind| {
+            let mut broker = GridBroker::new(kind).unwrap();
+            broker.ensure_nodes(sim.node_count());
+            let store = BrokerStore::new(kind, sim.node_count(), 4).unwrap();
+            for (i, anchor) in sim.columns().home_anchors().iter().enumerate() {
+                if let Some(anchor) = anchor {
+                    broker.set_home_anchor(MnId::new(i as u32), *anchor);
+                    store.set_home_anchor(MnId::new(i as u32), *anchor);
                 }
             }
-            store.apply_batch(&ops);
-            assert_eq!(
-                replica.state_digest(),
-                sim.broker_with_le().state_digest(),
-                "tick {tick}: sequential replay diverged from the live broker"
-            );
-            assert_eq!(
-                store.state_digest(),
-                sim.broker_with_le().state_digest(),
-                "tick {tick}: sharded store diverged from the live broker"
-            );
+            (broker, store)
+        };
+        for driver in [TickDriver::Dense, TickDriver::Sparse] {
+            for faulty in [false, true] {
+                let case = format!("{driver:?}, faulty network: {faulty}");
+                let nodes = (0..40)
+                    .map(|i| walker(i, 1.0 + f64::from(i % 5)))
+                    .chain((40..60).map(parked))
+                    .collect();
+                let builder = SimBuilder::new()
+                    .nodes(nodes)
+                    .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).unwrap())
+                    .runtime(RuntimeOptions {
+                        driver,
+                        ..RuntimeOptions::default()
+                    });
+                let mut sim = if faulty {
+                    builder.network(wide_net()).faults(plan.clone(), 11)
+                } else {
+                    builder
+                }
+                .build()
+                .unwrap();
+                let (mut le, le_store) = replicas(&sim, sim.broker_with_le().estimator_kind());
+                let (mut raw, raw_store) = replicas(&sim, EstimatorKind::WithoutLe);
+                let mut ops = Vec::new();
+                for tick in 1..=60u64 {
+                    ops.clear();
+                    sim.step_tapped(&mut ops);
+                    assert!(
+                        matches!(ops.last(), Some(IngestRecord::TickEnd { tick: t, .. }) if *t == tick),
+                        "{case}, tick {tick}: stream must end with its TickEnd marker"
+                    );
+                    for op in &ops {
+                        le.apply(op);
+                        raw.apply(op);
+                    }
+                    le_store.apply_batch(&ops);
+                    raw_store.apply_batch(&ops);
+                    let live = (
+                        sim.broker_with_le().state_digest(),
+                        sim.broker_without_le().state_digest(),
+                    );
+                    assert_eq!(
+                        (le.state_digest(), raw.state_digest()),
+                        live,
+                        "{case}, tick {tick}: sequential replay diverged from the live brokers"
+                    );
+                    assert_eq!(
+                        (le_store.state_digest(), raw_store.state_digest()),
+                        live,
+                        "{case}, tick {tick}: sharded store diverged from the live brokers"
+                    );
+                }
+                if faulty {
+                    let b = sim.broker_with_le();
+                    assert!(
+                        b.lost_count() > 0 && b.rejected_count() > 0,
+                        "{case}: fault plan failed to exercise the lost and duplicate paths"
+                    );
+                }
+                if driver == TickDriver::Sparse {
+                    let wake = sim.wake_stats().expect("sparse run reports wake stats");
+                    assert!(
+                        wake.replayed_node_ticks > 0,
+                        "{case}: idle replay never ran"
+                    );
+                }
+            }
         }
-        assert!(
-            sim.broker_with_le().lost_count() > 0 && sim.broker_with_le().rejected_count() > 0,
-            "fault plan failed to exercise the lost and duplicate paths"
-        );
     }
 
     #[test]

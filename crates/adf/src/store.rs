@@ -14,12 +14,14 @@
 //! directly comparable, and the serve parity tests compare them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockWriteGuard};
 
 use mobigrid_geo::{Point, Rect};
-use mobigrid_wireless::{IngestRecord, LocationUpdate, MnId};
+use mobigrid_wireless::{IngestRecord, MnId};
 
-use crate::broker::{EstimatorKind, GridBroker, LocationRecord, StateDigest};
+use crate::broker::{
+    ApplyInfo, BrokerDelta, EstimatorKind, GridBroker, LocationRecord, StateDigest,
+};
 
 /// Summed lifetime counters across every shard of a [`BrokerStore`] —
 /// the service's `stats` query payload.
@@ -69,16 +71,18 @@ pub struct CensusReport {
 }
 
 /// A sharded, concurrently readable and writable fleet of [`GridBroker`]s
-/// covering one node-id space.
+/// covering the node ids `0..capacity`.
 ///
-/// Node index `i` lives in shard `min(i / span, shards - 1)` where
-/// `span = capacity.div_ceil(shards)`; ids at or beyond the declared
-/// capacity overflow into the last shard, which grows on demand like a
-/// plain broker. Inside each shard, node ids are rebased to shard-local
-/// indices so the dense slot vectors stay small and contiguous.
+/// Node index `i` lives in shard `i / span` where
+/// `span = capacity.div_ceil(shards)`. Inside each shard, node ids are
+/// rebased to shard-local indices so the dense slot vectors stay small and
+/// contiguous. The capacity is fixed at construction: the store never
+/// grows, so ids at or beyond it are refused (see
+/// [`BrokerStore::apply_batch`]).
 pub struct BrokerStore {
     shards: Vec<RwLock<GridBroker>>,
     span: usize,
+    capacity: usize,
     ticks: AtomicU64,
 }
 
@@ -87,6 +91,7 @@ impl std::fmt::Debug for BrokerStore {
         f.debug_struct("BrokerStore")
             .field("shards", &self.shards.len())
             .field("span", &self.span)
+            .field("capacity", &self.capacity)
             .finish()
     }
 }
@@ -117,14 +122,16 @@ impl BrokerStore {
         Ok(BrokerStore {
             shards: fleet,
             span,
+            capacity,
             ticks: AtomicU64::new(0),
         })
     }
 
-    /// Which shard owns `index`, and the index rebased into that shard.
-    fn route(&self, index: usize) -> (usize, MnId) {
-        let shard = (index / self.span).min(self.shards.len() - 1);
-        (shard, MnId::new((index - shard * self.span) as u32))
+    /// Which shard owns `node`, and the node's index inside that shard;
+    /// `None` for an id at or beyond the capacity.
+    fn route(&self, node: MnId) -> Option<(usize, usize)> {
+        let index = node.index();
+        (index < self.capacity).then(|| (index / self.span, index % self.span))
     }
 
     /// Number of shards.
@@ -133,158 +140,99 @@ impl BrokerStore {
         self.shards.len()
     }
 
+    /// The declared node capacity: valid ids are `0..capacity`.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Registers `node`'s home anchor (see [`GridBroker::set_home_anchor`])
     /// on its owning shard.
     ///
     /// # Panics
     ///
-    /// Panics if the shard lock is poisoned.
+    /// Panics if `node` is at or beyond the capacity, or if the shard
+    /// lock is poisoned.
     pub fn set_home_anchor(&self, node: MnId, anchor: Point) {
-        let (shard, local) = self.route(node.index());
+        let (shard, local) = self
+            .route(node)
+            .expect("node id beyond the store's capacity");
         self.shards[shard]
             .write()
             .expect("shard lock poisoned")
-            .set_home_anchor(local, anchor);
+            .set_home_anchor(MnId::new(local as u32), anchor);
     }
 
-    /// Applies one ingest record to its owning shard.
-    /// [`IngestRecord::TickEnd`] only advances the tick counter.
+    /// Applies a batch of ingest records in order (see
+    /// [`GridBroker::apply`]), holding each shard's write lock across runs
+    /// of consecutive same-shard records (one lock acquisition per run
+    /// instead of per record). [`IngestRecord::TickEnd`] only advances
+    /// the tick counter.
     ///
     /// # Panics
     ///
-    /// Panics if the shard lock is poisoned.
-    pub fn apply(&self, op: &IngestRecord) {
-        match op {
-            IngestRecord::Update(lu) => {
-                let (shard, local) = self.route(lu.node.index());
-                let rebased = LocationUpdate::new(local, lu.time_s, lu.position, lu.seq);
-                self.shards[shard]
-                    .write()
-                    .expect("shard lock poisoned")
-                    .receive(&rebased);
-            }
-            IngestRecord::Filtered { node, time_s } => {
-                let (shard, local) = self.route(node.index());
-                self.shards[shard]
-                    .write()
-                    .expect("shard lock poisoned")
-                    .note_filtered(local, *time_s);
-            }
-            IngestRecord::Lost { node, time_s } => {
-                let (shard, local) = self.route(node.index());
-                self.shards[shard]
-                    .write()
-                    .expect("shard lock poisoned")
-                    .note_lost(local, *time_s);
-            }
-            IngestRecord::TickEnd { .. } => {
-                self.ticks.fetch_add(1, Ordering::Relaxed);
-            }
-            // A tracing stamp, not a broker operation.
-            IngestRecord::BatchSpan { .. } => {}
-        }
-    }
-
-    /// Applies a batch of ingest records in order, holding each shard's
-    /// write lock across runs of consecutive same-shard records (one lock
-    /// acquisition per run instead of per record).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard lock is poisoned.
+    /// Panics if a record names a node at or beyond the capacity — check
+    /// untrusted batches against [`BrokerStore::capacity`] first — or if
+    /// a shard lock is poisoned.
     pub fn apply_batch(&self, ops: &[IngestRecord]) {
-        let mut held: Option<(usize, std::sync::RwLockWriteGuard<'_, GridBroker>)> = None;
-        for op in ops {
-            let index = match op {
-                IngestRecord::Update(lu) => lu.node.index(),
-                IngestRecord::Filtered { node, .. } | IngestRecord::Lost { node, .. } => {
-                    node.index()
-                }
-                IngestRecord::TickEnd { .. } => {
-                    self.ticks.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                // A tracing stamp, not a broker operation.
-                IngestRecord::BatchSpan { .. } => continue,
-            };
-            let (shard, local) = self.route(index);
-            if held.as_ref().map(|(s, _)| *s) != Some(shard) {
-                held = Some((
-                    shard,
-                    self.shards[shard].write().expect("shard lock poisoned"),
-                ));
-            }
-            let broker = &mut held.as_mut().expect("guard just ensured").1;
-            match op {
-                IngestRecord::Update(lu) => {
-                    broker.receive(&LocationUpdate::new(local, lu.time_s, lu.position, lu.seq));
-                }
-                IngestRecord::Filtered { time_s, .. } => {
-                    broker.note_filtered(local, *time_s);
-                }
-                IngestRecord::Lost { time_s, .. } => {
-                    broker.note_lost(local, *time_s);
-                }
-                IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => {
-                    unreachable!("handled above")
-                }
-            }
-        }
+        self.apply_each(ops, |_| {});
     }
 
     /// [`BrokerStore::apply_batch`], additionally reporting what the
     /// broker did with each record: pushes one `Some(ApplyInfo)` per
     /// broker operation and one `None` per framing marker
     /// ([`IngestRecord::TickEnd`] / [`IngestRecord::BatchSpan`]) onto
-    /// `infos`, in record order. The locking discipline — one write-guard
-    /// acquisition per run of consecutive same-shard records — and the
-    /// resulting store state are identical to the untraced path.
+    /// `infos`, in record order. The locking and the resulting store
+    /// state are identical to the untraced path.
     ///
     /// # Panics
     ///
-    /// Panics if a shard lock is poisoned.
-    pub fn apply_batch_traced(
-        &self,
-        ops: &[IngestRecord],
-        infos: &mut Vec<Option<crate::broker::ApplyInfo>>,
-    ) {
-        let mut held: Option<(usize, std::sync::RwLockWriteGuard<'_, GridBroker>)> = None;
+    /// As [`BrokerStore::apply_batch`].
+    pub fn apply_batch_traced(&self, ops: &[IngestRecord], infos: &mut Vec<Option<ApplyInfo>>) {
+        self.apply_each(ops, |info| infos.push(info));
+    }
+
+    /// The store's one routing loop: applies every record to its owning
+    /// shard and hands each record's [`ApplyInfo`] to `each`.
+    fn apply_each(&self, ops: &[IngestRecord], mut each: impl FnMut(Option<ApplyInfo>)) {
+        let mut held: Option<(usize, RwLockWriteGuard<'_, GridBroker>)> = None;
         for op in ops {
-            let index = match op {
-                IngestRecord::Update(lu) => lu.node.index(),
-                IngestRecord::Filtered { node, .. } | IngestRecord::Lost { node, .. } => {
-                    node.index()
-                }
-                IngestRecord::TickEnd { .. } => {
+            let Some(node) = op.node() else {
+                if matches!(op, IngestRecord::TickEnd { .. }) {
                     self.ticks.fetch_add(1, Ordering::Relaxed);
-                    infos.push(None);
-                    continue;
                 }
-                IngestRecord::BatchSpan { .. } => {
-                    infos.push(None);
-                    continue;
-                }
+                each(None);
+                continue;
             };
-            let (shard, local) = self.route(index);
+            let (shard, local) = self
+                .route(node)
+                .expect("node id beyond the store's capacity");
             if held.as_ref().map(|(s, _)| *s) != Some(shard) {
+                // Release the previous shard before locking the next: a
+                // writer never holds two shard locks, so concurrent
+                // batches cannot deadlock on each other.
+                drop(held.take());
                 held = Some((
                     shard,
                     self.shards[shard].write().expect("shard lock poisoned"),
                 ));
             }
-            let broker = &mut held.as_mut().expect("guard just ensured").1;
-            let info = match op {
-                IngestRecord::Update(lu) => {
-                    broker.receive(&LocationUpdate::new(local, lu.time_s, lu.position, lu.seq))
-                }
-                IngestRecord::Filtered { time_s, .. } => broker.note_filtered(local, *time_s),
-                IngestRecord::Lost { time_s, .. } => broker.note_lost(local, *time_s),
-                IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => {
-                    unreachable!("handled above")
-                }
-            };
-            infos.push(Some(info));
+            let (_, broker) = held.as_mut().expect("guard just ensured");
+            each(broker.apply_at(local, op));
         }
+    }
+
+    /// Visits every shard under its read lock, in shard order, with the
+    /// global id of the shard's first node; returns the lifetime counters
+    /// summed across shards.
+    fn fold_shards(&self, mut visit: impl FnMut(u64, &GridBroker)) -> BrokerDelta {
+        let mut sum = BrokerDelta::default();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let broker = shard.read().expect("shard lock poisoned");
+            visit((i * self.span) as u64, &broker);
+            sum.merge(broker.counters());
+        }
+        sum
     }
 
     /// Live-record count per shard, in shard order — the `/metrics`
@@ -295,38 +243,40 @@ impl BrokerStore {
     /// Panics if a shard lock is poisoned.
     #[must_use]
     pub fn shard_live_records(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|shard| shard.read().expect("shard lock poisoned").node_count() as u64)
-            .collect()
+        let mut live = Vec::with_capacity(self.shards.len());
+        self.fold_shards(|_, broker| live.push(broker.node_count() as u64));
+        live
     }
 
-    /// The store's belief about `node` (a read lock on one shard).
+    /// The store's belief about `node` (a read lock on one shard); `None`
+    /// also for an id beyond the capacity.
     ///
     /// # Panics
     ///
     /// Panics if the shard lock is poisoned.
     #[must_use]
     pub fn position(&self, node: MnId) -> Option<LocationRecord> {
-        let (shard, local) = self.route(node.index());
+        let (shard, local) = self.route(node)?;
         self.shards[shard]
             .read()
             .expect("shard lock poisoned")
-            .location(local)
+            .location(MnId::new(local as u32))
     }
 
-    /// `node`'s consecutive-loss staleness counter.
+    /// `node`'s consecutive-loss staleness counter (zero for an id beyond
+    /// the capacity).
     ///
     /// # Panics
     ///
     /// Panics if the shard lock is poisoned.
     #[must_use]
     pub fn staleness(&self, node: MnId) -> u32 {
-        let (shard, local) = self.route(node.index());
-        self.shards[shard]
-            .read()
-            .expect("shard lock poisoned")
-            .staleness(local)
+        self.route(node).map_or(0, |(shard, local)| {
+            self.shards[shard]
+                .read()
+                .expect("shard lock poisoned")
+                .staleness(MnId::new(local as u32))
+        })
     }
 
     /// Counts live records believed to be inside `region`, sweeping shards
@@ -338,15 +288,14 @@ impl BrokerStore {
     #[must_use]
     pub fn census(&self, region: Rect) -> CensusReport {
         let mut report = CensusReport::default();
-        for shard in &self.shards {
-            let broker = shard.read().expect("shard lock poisoned");
+        self.fold_shards(|_, broker| {
             for (_, record, _) in broker.records() {
                 if region.contains(record.position) {
                     report.inside += 1;
                     report.estimated += u64::from(record.estimated);
                 }
             }
-        }
+        });
         report
     }
 
@@ -358,8 +307,7 @@ impl BrokerStore {
     #[must_use]
     pub fn staleness_report(&self) -> StalenessReport {
         let mut report = StalenessReport::default();
-        for shard in &self.shards {
-            let broker = shard.read().expect("shard lock poisoned");
+        self.fold_shards(|_, broker| {
             for (_, _, staleness) in broker.records() {
                 report.live_records += 1;
                 if staleness > 0 {
@@ -368,7 +316,7 @@ impl BrokerStore {
                     report.max_staleness = report.max_staleness.max(staleness);
                 }
             }
-        }
+        });
         report
     }
 
@@ -379,26 +327,22 @@ impl BrokerStore {
     /// Panics if a shard lock is poisoned.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        let mut stats = StoreStats {
-            shards: self.shards.len(),
+        let sum = self.fold_shards(|_, _| {});
+        StoreStats {
+            received: sum.received,
+            estimated: sum.estimated,
+            lost: sum.lost,
+            rejected: sum.rejected,
+            live_records: sum.fresh_records,
             ticks: self.ticks.load(Ordering::Relaxed),
-            ..StoreStats::default()
-        };
-        for shard in &self.shards {
-            let broker = shard.read().expect("shard lock poisoned");
-            stats.received += broker.received_count();
-            stats.estimated += broker.estimated_count();
-            stats.lost += broker.lost_count();
-            stats.rejected += broker.rejected_count();
-            stats.live_records += broker.node_count() as u64;
+            shards: self.shards.len(),
         }
-        stats
     }
 
-    /// The same order-sensitive digest as [`GridBroker::state_digest`],
-    /// computed over global node ids in global order with counters summed
-    /// across shards — so a store and a single broker that applied the
-    /// same op stream digest identically.
+    /// The same order-sensitive digest as [`GridBroker::state_digest`]:
+    /// every live record folded under its global node id in global node
+    /// order, then the counters summed across shards — so a store and a
+    /// single broker that applied the same op stream digest identically.
     ///
     /// # Panics
     ///
@@ -406,24 +350,12 @@ impl BrokerStore {
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut digest = StateDigest::new();
-        let mut live = 0u64;
-        let mut received = 0u64;
-        let mut estimated = 0u64;
-        let mut lost = 0u64;
-        let mut rejected = 0u64;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let base = (i * self.span) as u64;
-            let broker = shard.read().expect("shard lock poisoned");
+        let sum = self.fold_shards(|base, broker| {
             for (local, record, staleness) in broker.records() {
                 digest.record(base + u64::from(local.raw()), &record, staleness);
             }
-            live += broker.node_count() as u64;
-            received += broker.received_count();
-            estimated += broker.estimated_count();
-            lost += broker.lost_count();
-            rejected += broker.rejected_count();
-        }
-        digest.counters(live, received, estimated, lost, rejected);
+        });
+        digest.counters(&sum);
         digest.finish()
     }
 }
@@ -431,6 +363,7 @@ impl BrokerStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobigrid_wireless::LocationUpdate;
 
     fn lu(node: u32, t: f64, x: f64, y: f64, seq: u32) -> LocationUpdate {
         LocationUpdate::new(MnId::new(node), t, Point::new(x, y), seq)
@@ -459,10 +392,7 @@ mod tests {
                     _ => IngestRecord::Update(lu(n, t, f64::from(n) - t, -t, tick as u32)),
                 });
             }
-            ops.push(IngestRecord::TickEnd {
-                tick,
-                time_s: t,
-            });
+            ops.push(IngestRecord::TickEnd { tick, time_s: t });
         }
         ops
     }
@@ -473,18 +403,7 @@ mod tests {
         let mut single = GridBroker::new(brown()).unwrap();
         single.ensure_nodes(23);
         for op in &ops {
-            match op {
-                IngestRecord::Update(lu) => {
-                    single.receive(lu);
-                }
-                IngestRecord::Filtered { node, time_s } => {
-                    single.note_filtered(*node, *time_s);
-                }
-                IngestRecord::Lost { node, time_s } => {
-                    single.note_lost(*node, *time_s);
-                }
-                IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => {}
-            }
+            single.apply(op);
         }
         for shards in [1, 2, 4, 7, 23] {
             let store = BrokerStore::new(brown(), 23, shards).unwrap();
@@ -514,7 +433,7 @@ mod tests {
         let b = BrokerStore::new(brown(), 10, 3).unwrap();
         a.apply_batch(&ops);
         for op in &ops {
-            b.apply(op);
+            b.apply_batch(std::slice::from_ref(op));
         }
         assert_eq!(a.state_digest(), b.state_digest());
         assert_eq!(a.stats(), b.stats());
@@ -560,24 +479,38 @@ mod tests {
     }
 
     #[test]
-    fn overflow_ids_land_in_the_last_shard() {
+    fn ids_beyond_the_capacity_read_as_unknown() {
         let store = BrokerStore::new(brown(), 8, 4).unwrap();
-        // Node 100 is far past the declared capacity; the last shard grows.
-        store.apply(&IngestRecord::Update(lu(100, 1.0, 5.0, 5.0, 0)));
-        let rec = store.position(MnId::new(100)).expect("stored");
-        assert_eq!(rec.position, Point::new(5.0, 5.0));
-        assert_eq!(store.stats().received, 1);
+        assert_eq!(store.capacity(), 8);
+        store.apply_batch(&[IngestRecord::Update(lu(7, 1.0, 5.0, 5.0, 0))]);
+        for id in [8, 100, u32::MAX] {
+            assert_eq!(store.position(MnId::new(id)), None);
+            assert_eq!(store.staleness(MnId::new(id)), 0);
+        }
+        assert!(store.position(MnId::new(7)).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the store's capacity")]
+    fn applying_beyond_the_capacity_panics_instead_of_growing() {
+        let store = BrokerStore::new(brown(), 8, 4).unwrap();
+        store.apply_batch(&[IngestRecord::Lost {
+            node: MnId::new(8),
+            time_s: 1.0,
+        }]);
     }
 
     #[test]
     fn census_and_staleness_reports_aggregate() {
         let store = BrokerStore::new(brown(), 6, 2).unwrap();
-        store.apply(&IngestRecord::Update(lu(0, 1.0, 1.0, 1.0, 0)));
-        store.apply(&IngestRecord::Update(lu(1, 1.0, 9.0, 9.0, 0)));
-        store.apply(&IngestRecord::Lost {
-            node: MnId::new(0),
-            time_s: 2.0,
-        });
+        store.apply_batch(&[
+            IngestRecord::Update(lu(0, 1.0, 1.0, 1.0, 0)),
+            IngestRecord::Update(lu(1, 1.0, 9.0, 9.0, 0)),
+            IngestRecord::Lost {
+                node: MnId::new(0),
+                time_s: 2.0,
+            },
+        ]);
         let census = store.census(Rect::from_corners(
             Point::new(0.0, 0.0),
             Point::new(5.0, 5.0),

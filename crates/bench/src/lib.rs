@@ -76,11 +76,11 @@ pub fn build_city_sim(seed: u64, blocks: (usize, usize), threads: usize) -> Mobi
 
 /// Builds an idle-dominated workload for the sparse tick driver: `parked`
 /// permanently stationary nodes plus `walkers` ping-pong path followers,
-/// under the given [`TickDriver`]. This is the regime the wake wheel
-/// targets — most of the population is provably quiescent, so the sparse
-/// driver sleeps it and replays the cached broker evaluations, while the
-/// dense driver re-evaluates everything every tick. Both drivers compute
-/// bit-identical results.
+/// under the given [`TickDriver`](mobigrid_adf::TickDriver). This is the
+/// regime the wake wheel targets — most of the population is provably
+/// quiescent, so the sparse driver sleeps it and replays the cached
+/// broker evaluations, while the dense driver re-evaluates everything
+/// every tick. Both drivers compute bit-identical results.
 ///
 /// # Panics
 ///

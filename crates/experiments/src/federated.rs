@@ -18,7 +18,7 @@ use mobigrid_campus::Campus;
 use mobigrid_geo::Point;
 use mobigrid_hla::{Callback, FedTime, ObjectHandle, ObjectModel, Rti};
 use mobigrid_sim::stats::Rmse;
-use mobigrid_wireless::{LocationUpdate, MnId};
+use mobigrid_wireless::{IngestRecord, LocationUpdate, MnId};
 
 use crate::config::ExperimentConfig;
 use crate::workload;
@@ -183,14 +183,19 @@ pub fn run_federated_adf(cfg: &ExperimentConfig, dth_factor: f64) -> FederatedRe
                 total_reflections += 1;
                 let lu = LocationUpdate::decode(&values[0].1).expect("well-formed frame");
                 heard.push(lu.node);
-                broker_le.receive(&lu);
-                broker_raw.receive(&lu);
+                let op = IngestRecord::Update(lu);
+                broker_le.apply(&op);
+                broker_raw.apply(&op);
             }
         }
         for node in nodes.iter() {
             if !heard.contains(&node.id()) {
-                broker_le.note_filtered(node.id(), time_s);
-                broker_raw.note_filtered(node.id(), time_s);
+                let op = IngestRecord::Filtered {
+                    node: node.id(),
+                    time_s,
+                };
+                broker_le.apply(&op);
+                broker_raw.apply(&op);
             }
         }
 

@@ -5,8 +5,7 @@
 //! crate runs in production — [`mobigrid_adf::MobileGridSim::step_tapped`]
 //! producing the
 //! per-tick broker op stream, the wire codec
-//! ([`encode_batch`](mobigrid_wireless::encode_batch) /
-//! [`decode_batch`](mobigrid_wireless::decode_batch)) framing it into
+//! ([`encode_batch`] / [`decode_batch`]) framing it into
 //! length-prefixed batches, and a sharded [`BrokerStore`] applying the
 //! decoded records — and then proves the replay exact by comparing
 //! [`state digests`](mobigrid_adf::GridBroker::state_digest) against the

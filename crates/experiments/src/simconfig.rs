@@ -10,9 +10,6 @@
 //! and violations reported through one [`ConfigError`] enum (with
 //! [`std::error::Error::source`] chaining into the engine's `SimError`).
 //!
-//! The old per-layer paths remain as thin deprecated shims
-//! (`Scenario::build_sim`, `Scenario::build_sim_with`) that delegate here.
-//!
 //! # Examples
 //!
 //! ```
@@ -46,7 +43,7 @@ use crate::workload;
 #[non_exhaustive]
 pub enum ConfigError {
     /// The named scenario is not registered (see
-    /// [`scenarios::ALL`](crate::scenarios::ALL)).
+    /// [`scenarios::ALL`]).
     UnknownScenario {
         /// The name that failed to resolve.
         name: String,
@@ -259,16 +256,15 @@ mod tests {
     }
 
     #[test]
-    fn matches_the_deprecated_scenario_shim() {
-        #[allow(deprecated)]
-        let mut old = scenarios::find("campus_140").unwrap().build_sim(5, 2);
-        let mut new = SimConfig::scenario("campus_140")
-            .seed(5)
-            .threads(2)
-            .build()
-            .unwrap();
-        for _ in 0..30 {
-            assert_eq!(old.step(), new.step(), "shim diverged from SimConfig");
+    fn scenario_sims_step() {
+        for driver in [TickDriver::Dense, TickDriver::Sparse] {
+            let mut sim = SimConfig::scenario("campus_140")
+                .seed(3)
+                .threads(1)
+                .driver(driver)
+                .build()
+                .unwrap();
+            assert_eq!(sim.step().observed, 140, "{driver:?}");
         }
     }
 

@@ -122,10 +122,14 @@ mod tests {
         let server = Arc::new(Server::new(&ServeConfig::default()).unwrap());
         let (addr, handle) = spawn_admin(Arc::clone(&server), "127.0.0.1:0").unwrap();
 
-        server.ingest_ops(&[mobigrid_wireless::IngestRecord::TickEnd {
-            tick: 1,
-            time_s: 1.0,
-        }]);
+        server
+            .ingest_frame(&mobigrid_wireless::encode_batch(&[
+                mobigrid_wireless::IngestRecord::TickEnd {
+                    tick: 1,
+                    time_s: 1.0,
+                },
+            ]))
+            .unwrap();
         let metrics = get(addr, "/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
         assert!(metrics.contains("Content-Length: "), "{metrics}");

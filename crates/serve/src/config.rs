@@ -7,8 +7,9 @@ use mobigrid_adf::EstimatorKind;
 /// estimator every shard broker runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Declared node-id capacity; ids at or beyond it still work but all
-    /// route to the last shard.
+    /// Declared node-id capacity: the server accepts ids `0..nodes` and
+    /// refuses, whole, any ingest batch or `register` naming an id at or
+    /// beyond it. Set it to the population the producer streams.
     pub nodes: usize,
     /// Shards the store splits the id space into (clamped to
     /// `[1, nodes]` by the store).

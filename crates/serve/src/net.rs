@@ -11,7 +11,9 @@
 //! issued after the last ack observes every record.
 //!
 //! **Query wire protocol** — line-delimited JSON, one request line in,
-//! one response line out (see [`Server::query_line`]).
+//! one response line out (see [`Server::query_line`]). A request line is
+//! capped at [`MAX_QUERY_LINE`] bytes; a longer one gets an error line
+//! and the connection is closed.
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -22,11 +24,17 @@ use std::time::Duration;
 use mobigrid_telemetry::json::{self, Value};
 use mobigrid_wireless::{encode_batch, IngestRecord, BATCH_PREFIX_SIZE};
 
-use crate::server::Server;
+use crate::server::{err_line, Server};
 
 /// The ack value signalling a rejected batch (no valid batch can apply
 /// `u32::MAX` records: the payload cap bounds batches far below it).
 pub const INGEST_NAK: u32 = u32::MAX;
+
+/// Longest query request line the server reads, in bytes (newline
+/// excluded). A longer line is answered with one error line and the
+/// connection is closed, so a peer streaming bytes without a newline
+/// cannot grow the server's memory.
+pub const MAX_QUERY_LINE: usize = 64 * 1024;
 
 /// How often the accept loops poll the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
@@ -125,18 +133,31 @@ fn handle_ingest_conn(server: Arc<Server>, mut stream: TcpStream) {
 
 fn handle_query_conn(server: Arc<Server>, stream: TcpStream) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap: enough to tell an
+        // over-length line from one that fits, never more.
+        match (&mut reader)
+            .take(MAX_QUERY_LINE as u64 + 1)
+            .read_until(b'\n', &mut line)
+        {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+        if line.len() > MAX_QUERY_LINE && line.last() != Some(&b'\n') {
+            let mut response = err_line(&format!(
+                "request line exceeds the {MAX_QUERY_LINE}-byte limit"
+            ));
+            response.push('\n');
+            let _ = reader.get_mut().write_all(response.as_bytes());
+            return;
         }
-        let mut response = server.query_line(trimmed);
+        let mut response = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => server.query_line(text.trim()),
+            Err(_) => err_line("request line is not UTF-8"),
+        };
         response.push('\n');
         if reader.get_mut().write_all(response.as_bytes()).is_err() {
             return;

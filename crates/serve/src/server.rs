@@ -88,8 +88,10 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the codec's rejection (bad prefix, unknown opcode,
-    /// truncated record, CRC mismatch) without applying anything; the
-    /// rejection is counted under `serve.frames_rejected`.
+    /// truncated record, CRC mismatch), and refuses a batch naming a node
+    /// at or beyond [`ServeConfig::nodes`]
+    /// ([`WirelessError::NodeOutOfRange`]), without applying anything;
+    /// the rejection is counted under `serve.frames_rejected`.
     pub fn ingest_frame(&self, frame: &[u8]) -> Result<usize, WirelessError> {
         let started = Instant::now();
         let crc_us = if self.profile {
@@ -105,39 +107,21 @@ impl Server {
             None
         };
         let t = Instant::now();
-        let ops = match decode_batch(frame) {
+        let decoded = decode_batch(frame);
+        let decode_us = t.elapsed().as_secs_f64() * 1e6;
+        let checked = decoded.and_then(|ops| {
+            ops.iter()
+                .filter_map(IngestRecord::node)
+                .try_for_each(|node| self.check_node(node))
+                .map(|()| ops)
+        });
+        let ops = match checked {
             Ok(ops) => ops,
             Err(e) => {
                 self.count_rejected_frame();
                 return Err(e);
             }
         };
-        let decode_us = t.elapsed().as_secs_f64() * 1e6;
-        self.apply_ops(&ops, frame.len(), started, Some(decode_us), crc_us);
-        Ok(ops.len())
-    }
-
-    /// Applies an already-decoded op batch (the in-process fast path the
-    /// deterministic tests drive), recording the same ingest metrics as
-    /// [`Server::ingest_frame`] minus the wire-only decode/CRC phases.
-    pub fn ingest_ops(&self, ops: &[IngestRecord]) {
-        let started = Instant::now();
-        self.apply_ops(ops, 0, started, None, None);
-    }
-
-    fn count_rejected_frame(&self) {
-        let mut rec = self.metrics.lock().expect("metrics mutex");
-        rec.counter_add("serve.frames_rejected", 1);
-    }
-
-    fn apply_ops(
-        &self,
-        ops: &[IngestRecord],
-        wire_bytes: usize,
-        started: Instant,
-        decode_us: Option<f64>,
-        crc_us: Option<f64>,
-    ) {
         let stamp: Option<BatchStamp> = ops.iter().find_map(|op| match *op {
             IngestRecord::BatchSpan {
                 tick,
@@ -161,10 +145,10 @@ impl Server {
         let t = Instant::now();
         let infos = if self.detail.is_some() {
             let mut infos = Vec::with_capacity(ops.len());
-            self.store.apply_batch_traced(ops, &mut infos);
+            self.store.apply_batch_traced(&ops, &mut infos);
             Some(infos)
         } else {
-            self.store.apply_batch(ops);
+            self.store.apply_batch(&ops);
             None
         };
         let apply_us = t.elapsed().as_secs_f64() * 1e6;
@@ -179,7 +163,7 @@ impl Server {
             rec.counter_add("serve.batches", 1);
             rec.counter_add("serve.records", ops.len() as u64);
             rec.counter_add("serve.ticks", ticks);
-            rec.counter_add("serve.wire_bytes", wire_bytes as u64);
+            rec.counter_add("serve.wire_bytes", frame.len() as u64);
             rec.span(Phase::Ingest, ops.len() as u64);
             merge_sample(&mut rec, "serve.ingest_batch_us", total_us);
             if let Some(us) = wire_us {
@@ -190,18 +174,36 @@ impl Server {
                     rec.span(Phase::Crc, ops.len() as u64);
                     merge_sample(&mut rec, "serve.phase.crc_us", us);
                 }
-                if let Some(us) = decode_us {
-                    rec.span(Phase::Decode, ops.len() as u64);
-                    merge_sample(&mut rec, "serve.phase.decode_us", us);
-                }
+                rec.span(Phase::Decode, ops.len() as u64);
+                merge_sample(&mut rec, "serve.phase.decode_us", decode_us);
                 rec.span(Phase::Apply, ops.len() as u64);
                 merge_sample(&mut rec, "serve.phase.apply_us", apply_us);
             }
         }
         if let (Some(detail), Some(infos)) = (&self.detail, &infos) {
             let mut rec = detail.lock().expect("detail mutex");
-            emit_flight(&mut rec, ops, infos, stamp, wire_us, apply_us);
+            emit_flight(&mut rec, &ops, infos, stamp, wire_us, apply_us);
         }
+        Ok(ops.len())
+    }
+
+    /// Refuses a node at or beyond the store's capacity: the store never
+    /// grows, so such an id has no slot to land in.
+    fn check_node(&self, node: MnId) -> Result<(), WirelessError> {
+        let capacity = self.store.capacity();
+        if node.index() < capacity {
+            Ok(())
+        } else {
+            Err(WirelessError::NodeOutOfRange {
+                node: node.raw(),
+                capacity,
+            })
+        }
+    }
+
+    fn count_rejected_frame(&self) {
+        let mut rec = self.metrics.lock().expect("metrics mutex");
+        rec.counter_add("serve.frames_rejected", 1);
     }
 
     /// Answers one line of the query RPC: parses `line` as a JSON request
@@ -233,6 +235,7 @@ impl Server {
                 let node = node_arg(&req)?;
                 let x = num_arg(&req, "x")?;
                 let y = num_arg(&req, "y")?;
+                self.check_node(node).map_err(|e| e.to_string())?;
                 self.store.set_home_anchor(node, Point::new(x, y));
                 Ok("{\"ok\":true}".to_string())
             }
@@ -508,7 +511,7 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn err_line(message: &str) -> String {
+pub(crate) fn err_line(message: &str) -> String {
     // Escape the two characters the JSON string grammar cannot carry raw;
     // error texts are ASCII diagnostics.
     let escaped: String = message

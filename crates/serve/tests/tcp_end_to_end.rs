@@ -91,3 +91,117 @@ fn corrupt_wire_batches_are_nacked() {
     assert_eq!(server.counter("serve.frames_rejected"), 1);
     assert_eq!(server.store().stats().ticks, 0, "nothing may apply");
 }
+
+/// Sends a batch whose last record names `hostile` to a 16-node server and
+/// checks the whole batch is refused: a NAK, nothing applied (the digest
+/// is unchanged), and the refusal counted.
+fn refuses_a_batch_naming(hostile: u32) {
+    use mobigrid_geo::Point;
+    use mobigrid_wireless::{IngestRecord, LocationUpdate, MnId};
+
+    let (server, ingest_addr, query_addr) = start_server(16);
+    let mut query = QueryClient::connect(query_addr).unwrap();
+    let digest = |query: &mut QueryClient| {
+        let reply = query.call_ok(r#"{"op":"digest"}"#).unwrap();
+        reply
+            .get("digest")
+            .and_then(Value::as_str)
+            .unwrap()
+            .to_string()
+    };
+    let before = digest(&mut query);
+
+    let mut ingest = IngestClient::connect(ingest_addr).unwrap();
+    let update = |node: u32| {
+        IngestRecord::Update(LocationUpdate::new(
+            MnId::new(node),
+            1.0,
+            Point::new(5.0, 5.0),
+            0,
+        ))
+    };
+    let err = ingest
+        .send_batch(&[update(3), update(hostile)])
+        .unwrap_err();
+    assert!(err.contains("rejected"), "{err}");
+    assert_eq!(server.counter("serve.frames_rejected"), 1);
+    assert_eq!(server.store().stats().received, 0, "nothing may apply");
+    assert_eq!(
+        digest(&mut query),
+        before,
+        "a refused batch changed the state"
+    );
+
+    // Registering the id is refused too, with an error line.
+    let reply = query
+        .call(&format!(
+            r#"{{"op":"register","node":{hostile},"x":1.0,"y":1.0}}"#
+        ))
+        .unwrap();
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false));
+    assert!(
+        reply
+            .get("error")
+            .and_then(Value::as_str)
+            .is_some_and(|e| e.contains("capacity")),
+        "{reply:?}"
+    );
+    assert_eq!(digest(&mut query), before);
+
+    // The server still serves in-range ids afterwards.
+    let mut ingest = IngestClient::connect(ingest_addr).unwrap();
+    assert_eq!(ingest.send_batch(&[update(15)]).unwrap(), 1);
+    assert_eq!(server.store().stats().received, 1);
+}
+
+#[test]
+fn batches_naming_ids_beyond_the_capacity_are_nacked() {
+    refuses_a_batch_naming(1_000_000);
+}
+
+#[test]
+fn the_largest_node_id_is_refused_without_allocating() {
+    refuses_a_batch_naming(u32::MAX);
+}
+
+#[test]
+fn over_long_query_lines_are_refused_and_closed() {
+    use mobigrid_broker_serve::net::MAX_QUERY_LINE;
+    use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+    use std::time::Duration;
+
+    let (_server, _, query_addr) = start_server(16);
+    let mut stream = std::net::TcpStream::connect(query_addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // One byte past the cap and no newline; the socket stays open.
+    stream.write_all(&vec![b'a'; MAX_QUERY_LINE + 1]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("an error line before the read timeout");
+    let reply = mobigrid_telemetry::json::parse(line.trim()).unwrap();
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false));
+    assert!(line.contains("limit"), "{line}");
+    let mut rest = Vec::new();
+    assert_eq!(
+        reader.read_to_end(&mut rest).unwrap(),
+        0,
+        "the server closes the connection"
+    );
+
+    // A line of exactly the cap is still read and answered.
+    let mut stream = std::net::TcpStream::connect(query_addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut request = br#"{"op":"stats"}"#.to_vec();
+    request.resize(MAX_QUERY_LINE, b' ');
+    request.push(b'\n');
+    stream.write_all(&request).unwrap();
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true"), "{line}");
+}

@@ -68,6 +68,15 @@ pub enum WirelessError {
         /// The offending opcode byte.
         opcode: u8,
     },
+    /// An ingest batch named a node at or beyond the receiver's declared
+    /// node capacity; the whole batch is refused, so a hostile id cannot
+    /// make the receiver grow its per-node storage.
+    NodeOutOfRange {
+        /// The offending node id.
+        node: u32,
+        /// The receiver's node capacity (valid ids are `0..capacity`).
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for WirelessError {
@@ -105,6 +114,9 @@ impl fmt::Display for WirelessError {
             }
             WirelessError::UnknownOpcode { opcode } => {
                 write!(f, "unknown ingest record opcode {opcode:#04x}")
+            }
+            WirelessError::NodeOutOfRange { node, capacity } => {
+                write!(f, "node {node} is beyond the {capacity}-node capacity")
             }
         }
     }

@@ -58,24 +58,24 @@ const OP_TICK_END: u8 = 0x04;
 const OP_BATCH_SPAN: u8 = 0x05;
 
 /// One record of the broker ingest stream — exactly the operations a
-/// [`GridBroker`](../../mobigrid_adf/struct.GridBroker.html) applies,
-/// plus a tick boundary marker.
+/// [`GridBroker`](../../mobigrid_adf/struct.GridBroker.html) applies
+/// (its `apply` takes one record), plus the framing markers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum IngestRecord {
-    /// A location update that reached the broker (maps to
-    /// `GridBroker::receive`). Channel duplicates appear twice in the
-    /// stream; the broker's own dedup decides, exactly as in-sim.
+    /// A location update that reached the broker: stored and fed to the
+    /// node's estimator. Channel duplicates appear twice in the stream;
+    /// the broker's own dedup decides, exactly as in-sim.
     Update(LocationUpdate),
-    /// An update the filter suppressed (maps to
-    /// `GridBroker::note_filtered`).
+    /// An update the filter suppressed: the broker stores the
+    /// estimator's position for the node.
     Filtered {
         /// The suppressed node.
         node: MnId,
         /// Simulation time of the suppressed update, in seconds.
         time_s: f64,
     },
-    /// An update that was transmitted but never arrived (maps to
-    /// `GridBroker::note_lost`).
+    /// An update that was transmitted but never arrived: the broker
+    /// stores a degraded estimate and bumps the node's staleness.
     Lost {
         /// The node whose update was lost.
         node: MnId,
@@ -110,6 +110,17 @@ pub enum IngestRecord {
 }
 
 impl IngestRecord {
+    /// The node a broker operation applies to; `None` for the framing
+    /// markers ([`IngestRecord::TickEnd`], [`IngestRecord::BatchSpan`]).
+    #[must_use]
+    pub const fn node(&self) -> Option<MnId> {
+        match self {
+            IngestRecord::Update(lu) => Some(lu.node),
+            IngestRecord::Filtered { node, .. } | IngestRecord::Lost { node, .. } => Some(*node),
+            IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => None,
+        }
+    }
+
     /// The record's encoded size in bytes (opcode included).
     #[must_use]
     pub const fn encoded_len(&self) -> usize {

@@ -12,7 +12,7 @@ use mobigrid::campus::{Campus, RegionShape};
 use mobigrid::geo::Point;
 use mobigrid::hla::{Callback, FedTime, ObjectModel, Rti};
 use mobigrid::mobility::{MobilityModel, RoadPatroller};
-use mobigrid::wireless::{LocationUpdate, MnId};
+use mobigrid::wireless::{IngestRecord, LocationUpdate, MnId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -108,7 +108,10 @@ fn main() {
                         )
                         .expect("owned object");
                 } else {
-                    broker.note_filtered(lu.node, lu.time_s);
+                    broker.apply(&IngestRecord::Filtered {
+                        node: lu.node,
+                        time_s: lu.time_s,
+                    });
                 }
             }
         }
@@ -119,7 +122,7 @@ fn main() {
                 unreachable!("no interactions declared");
             } else if let Callback::ReflectAttributes { values, .. } = cb {
                 let lu = LocationUpdate::decode(&values[0].1).expect("well-formed frame");
-                broker.receive(&lu);
+                broker.apply(&IngestRecord::Update(lu));
             }
         }
         mn_fed.tick().expect("joined");

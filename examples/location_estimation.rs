@@ -12,7 +12,7 @@ use mobigrid::adf::{DistanceFilter, EstimatorKind, GridBroker};
 use mobigrid::campus::{Campus, RegionShape};
 use mobigrid::forecast::metrics;
 use mobigrid::mobility::{MobilityModel, RoadPatroller};
-use mobigrid::wireless::{LocationUpdate, MnId};
+use mobigrid::wireless::{IngestRecord, LocationUpdate, MnId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,12 +55,13 @@ fn main() {
         let time_s = f64::from(t);
         let pos = node.step(1.0, &mut rng);
         let decision = filter.observe(pos);
+        let op = if decision.is_sent() {
+            IngestRecord::Update(LocationUpdate::new(mn, time_s, pos, t))
+        } else {
+            IngestRecord::Filtered { node: mn, time_s }
+        };
         for broker in &mut brokers {
-            if decision.is_sent() {
-                broker.receive(&LocationUpdate::new(mn, time_s, pos, t));
-            } else {
-                broker.note_filtered(mn, time_s);
-            }
+            broker.apply(&op);
         }
         if decision.is_sent() {
             sent += 1;

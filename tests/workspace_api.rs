@@ -8,7 +8,7 @@ use mobigrid::forecast::{BrownDouble, Forecaster};
 use mobigrid::geo::{Heading, Point, Vec2};
 use mobigrid::mobility::{MobilityModel, StopModel};
 use mobigrid::sim::{SeedStream, SimTime, TickDriver};
-use mobigrid::wireless::{LocationUpdate, MnId};
+use mobigrid::wireless::{IngestRecord, LocationUpdate, MnId};
 
 #[test]
 fn geometry_reexports_work() {
@@ -54,14 +54,17 @@ fn broker_and_wireless_through_umbrella() {
     let mut broker = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).expect("valid");
     let mn = MnId::new(1);
     for t in 0..5 {
-        broker.receive(&LocationUpdate::new(
+        broker.apply(&IngestRecord::Update(LocationUpdate::new(
             mn,
             f64::from(t),
             Point::new(f64::from(t), 0.0),
             t,
-        ));
+        )));
     }
-    broker.note_filtered(mn, 6.0);
+    broker.apply(&IngestRecord::Filtered {
+        node: mn,
+        time_s: 6.0,
+    });
     assert!(broker.location(mn).expect("known node").estimated);
 }
 
