@@ -88,11 +88,21 @@ cargo run --release -q -p mobigrid-broker-serve --bin loadgen -- \
   --ingest 127.0.0.1:47471 --query 127.0.0.1:47472 --ticks 200 --speed 50 \
   --telemetry "$client_jsonl" --events 2097152 &
 loadgen_pid=$!
-sleep 1
 # Live scrape while the replay is in flight: /health must answer 200
 # and /metrics must be valid Prometheus text exposition — validated by
-# an independent python parser, not the renderer's own code.
+# an independent python parser, not the renderer's own code. The ingest
+# metric families appear with the first applied batch, so poll /metrics
+# (every 0.2 s, for up to 30 s) until one has arrived, however long
+# loadgen takes to build and start; the check then runs as strictly as
+# ever, and fails if the deadline passed without a batch.
 if command -v python3 > /dev/null; then
+  for _ in $(seq 150); do
+    if python3 -c 'import sys, urllib.request as u; sys.exit(b"serve_batches_total" not in u.urlopen(sys.argv[1], timeout=2).read())' \
+      http://127.0.0.1:47473/metrics 2> /dev/null; then
+      break
+    fi
+    sleep 0.2
+  done
   python3 scripts/check_exposition.py http://127.0.0.1:47473
 fi
 wait "$loadgen_pid"

@@ -138,20 +138,37 @@ pub struct ApplyInfo {
     pub blend: f64,
 }
 
-/// Everything the broker tracks for one node, stored densely by `MnId`
-/// index: the current belief, the per-node estimator, the registration
-/// anchor, plus the fault-tolerance state (last receipt and staleness).
-#[derive(Default)]
-struct NodeSlot {
+/// The hot half of a node's broker slot: what a replayed idle evaluation
+/// touches (the record's timestamp) and what the per-tick reads
+/// ([`GridBroker::location`], [`GridBroker::staleness`],
+/// [`GridBroker::records`]) read. Kept in its own dense column, 40 B per
+/// node, so a tick that replays thousands of parked nodes streams through
+/// these and never through the cold half.
+#[derive(Clone, Copy, Default)]
+struct HotSlot {
     record: Option<LocationRecord>,
-    estimator: Option<Box<dyn PositionEstimator + Send + Sync>>,
-    home_anchor: Option<Point>,
-    last_rx: Option<LastRx>,
     /// Consecutive expected-but-lost updates since the last receipt.
     staleness: u32,
 }
 
-impl NodeSlot {
+/// The cold half of a node's broker slot: the per-node estimator, the
+/// registration anchor and the last receipt, which only a full
+/// evaluation reads or writes.
+#[derive(Default)]
+struct ColdSlot {
+    estimator: Option<Box<dyn PositionEstimator + Send + Sync>>,
+    home_anchor: Option<Point>,
+    last_rx: Option<LastRx>,
+}
+
+/// Everything the broker tracks for one node: a view over its hot and
+/// cold halves, which live in two dense columns indexed by `MnId`.
+struct NodeSlot<'a> {
+    hot: &'a mut HotSlot,
+    cold: &'a mut ColdSlot,
+}
+
+impl NodeSlot<'_> {
     /// The broker's one apply path: applies `op` to this slot and counts
     /// it in `counters`. The op's node id is not consulted — the caller
     /// has already picked the slot. Returns `None` for the framing
@@ -178,15 +195,15 @@ impl NodeSlot {
     ///   the node actually said.
     #[inline]
     fn apply(
-        &mut self,
+        self,
         kind: EstimatorKind,
         op: &IngestRecord,
         counters: &mut BrokerDelta,
     ) -> Option<ApplyInfo> {
-        let had_record = self.record.is_some();
+        let had_record = self.hot.record.is_some();
         let mut blend = 1.0;
         let outcome = match op {
-            IngestRecord::Update(lu) => match self.last_rx {
+            IngestRecord::Update(lu) => match self.cold.last_rx {
                 Some(rx) if lu.time_s == rx.time_s && lu.seq == rx.seq => {
                     counters.rejected += 1;
                     ApplyOutcome::Duplicate
@@ -196,19 +213,20 @@ impl NodeSlot {
                     ApplyOutcome::Stale
                 }
                 _ => {
-                    self.record = Some(LocationRecord {
+                    self.hot.record = Some(LocationRecord {
                         position: lu.position,
                         time_s: lu.time_s,
                         estimated: false,
                     });
-                    self.last_rx = Some(LastRx {
+                    self.cold.last_rx = Some(LastRx {
                         time_s: lu.time_s,
                         seq: lu.seq,
                         position: lu.position,
                     });
-                    self.staleness = 0;
-                    let anchor = self.home_anchor;
-                    self.estimator
+                    self.hot.staleness = 0;
+                    let anchor = self.cold.home_anchor;
+                    self.cold
+                        .estimator
                         .get_or_insert_with(|| {
                             let mut est = kind.build();
                             if let Some(a) = anchor {
@@ -224,21 +242,26 @@ impl NodeSlot {
             IngestRecord::Filtered { time_s, .. } | IngestRecord::Lost { time_s, .. } => {
                 let lost = matches!(op, IngestRecord::Lost { .. });
                 if lost {
-                    self.staleness = self.staleness.saturating_add(1);
+                    self.hot.staleness = self.hot.staleness.saturating_add(1);
                     counters.lost += 1;
                 }
-                match self.estimator.as_mut().and_then(|e| e.estimate(*time_s)) {
+                match self
+                    .cold
+                    .estimator
+                    .as_mut()
+                    .and_then(|e| e.estimate(*time_s))
+                {
                     None => ApplyOutcome::NoRecord,
                     Some(mut position) => {
-                        if let (true, Some(rx)) = (lost, &self.last_rx) {
+                        if let (true, Some(rx)) = (lost, &self.cold.last_rx) {
                             blend = STALENESS_TRUST_WINDOW
-                                / (STALENESS_TRUST_WINDOW + f64::from(self.staleness - 1));
+                                / (STALENESS_TRUST_WINDOW + f64::from(self.hot.staleness - 1));
                             position = Point::new(
                                 rx.position.x + (position.x - rx.position.x) * blend,
                                 rx.position.y + (position.y - rx.position.y) * blend,
                             );
                         }
-                        self.record = Some(LocationRecord {
+                        self.hot.record = Some(LocationRecord {
                             position,
                             time_s: *time_s,
                             estimated: true,
@@ -254,10 +277,10 @@ impl NodeSlot {
             }
             IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => return None,
         };
-        counters.fresh_records += u64::from(!had_record && self.record.is_some());
+        counters.fresh_records += u64::from(!had_record && self.hot.record.is_some());
         Some(ApplyInfo {
             outcome,
-            staleness: self.staleness,
+            staleness: self.hot.staleness,
             blend,
         })
     }
@@ -305,7 +328,8 @@ impl BrokerDelta {
 pub struct BrokerShard<'a> {
     kind: EstimatorKind,
     base: usize,
-    slots: &'a mut [NodeSlot],
+    hot: &'a mut [HotSlot],
+    cold: &'a mut [ColdSlot],
     delta: BrokerDelta,
 }
 
@@ -319,20 +343,20 @@ impl BrokerShard<'_> {
     /// Number of nodes covered by this shard.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.hot.len()
     }
 
     /// Whether the shard covers no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.hot.is_empty()
     }
 
     /// `node`'s index into this shard's slots.
     fn local(&self, node: MnId) -> usize {
         node.index()
             .checked_sub(self.base)
-            .filter(|i| *i < self.slots.len())
+            .filter(|i| *i < self.hot.len())
             .expect("node id outside this broker shard")
     }
 
@@ -346,7 +370,19 @@ impl BrokerShard<'_> {
     #[inline]
     pub fn apply(&mut self, op: &IngestRecord) -> Option<ApplyInfo> {
         let local = self.local(op.node()?);
-        self.slots[local].apply(self.kind, op, &mut self.delta)
+        self.apply_at(local, op)
+    }
+
+    /// Applies `op` to the shard's `local`-th slot, whatever node id the
+    /// op names — the tick's entry point, which walks the shard by local
+    /// index and so skips the id translation.
+    #[inline]
+    pub(crate) fn apply_at(&mut self, local: usize, op: &IngestRecord) -> Option<ApplyInfo> {
+        NodeSlot {
+            hot: &mut self.hot[local],
+            cold: &mut self.cold[local],
+        }
+        .apply(self.kind, op, &mut self.delta)
     }
 
     /// Whether `node`'s estimator is provably *time-invariant*: its
@@ -358,7 +394,7 @@ impl BrokerShard<'_> {
     /// This is the safety gate for [`BrokerShard::replay_filtered`].
     #[must_use]
     pub fn estimator_is_static(&self, node: MnId) -> bool {
-        self.slots[self.local(node)]
+        self.cold[self.local(node)]
             .estimator
             .as_ref()
             .is_none_or(|e| e.is_static())
@@ -377,19 +413,8 @@ impl BrokerShard<'_> {
     /// idle-replay contract.
     pub fn replay_filtered(&mut self, node: MnId, time_s: f64, stored: bool) -> ApplyInfo {
         let local = self.local(node);
-        let slot = &mut self.slots[local];
         if stored {
-            let record = slot
-                .record
-                .as_mut()
-                .expect("a replayed estimate has a record");
-            debug_assert!(record.estimated, "the replayed record is an estimate");
-            record.time_s = time_s;
-            debug_assert_eq!(
-                slot.estimator.as_mut().and_then(|e| e.estimate(time_s)),
-                slot.record.map(|r| r.position),
-                "the replayed record holds the static estimate"
-            );
+            self.restamp(local, time_s);
         }
         self.delta.estimated += u64::from(stored);
         ApplyInfo {
@@ -398,16 +423,49 @@ impl BrokerShard<'_> {
             } else {
                 ApplyOutcome::NoRecord
             },
-            staleness: slot.staleness,
+            staleness: self.hot[local].staleness,
             blend: 1.0,
         }
+    }
+
+    /// The hot-column half of a replayed estimate: moves the stored
+    /// estimate of the shard's `local`-th node to `time_s`, touching
+    /// nothing else and counting nothing. The caller counts the estimate
+    /// (see [`BrokerShard::replay_filtered`]).
+    #[inline]
+    pub(crate) fn restamp(&mut self, local: usize, time_s: f64) {
+        let record = self.hot[local]
+            .record
+            .as_mut()
+            .expect("a replayed estimate has a record");
+        debug_assert!(record.estimated, "the replayed record is an estimate");
+        record.time_s = time_s;
+        debug_assert_eq!(
+            self.cold[local]
+                .estimator
+                .as_mut()
+                .and_then(|e| e.estimate(time_s)),
+            self.hot[local].record.map(|r| r.position),
+            "the replayed record holds the static estimate"
+        );
+    }
+
+    /// The staleness counter of the shard's `local`-th node.
+    pub(crate) fn staleness_at(&self, local: usize) -> u32 {
+        self.hot[local].staleness
     }
 
     /// The shard's current belief about a node — a direct dense-slot read,
     /// no map lookup.
     #[must_use]
     pub fn location(&self, node: MnId) -> Option<&LocationRecord> {
-        self.slots[self.local(node)].record.as_ref()
+        self.location_at(self.local(node))
+    }
+
+    /// The belief about the shard's `local`-th node.
+    #[inline]
+    pub(crate) fn location_at(&self, local: usize) -> Option<&LocationRecord> {
+        self.hot[local].record.as_ref()
     }
 
     /// Consumes the shard, yielding the counter changes it accumulated.
@@ -452,7 +510,10 @@ impl BrokerShard<'_> {
 /// ```
 pub struct GridBroker {
     kind: EstimatorKind,
-    slots: Vec<NodeSlot>,
+    /// Per-node hot halves (record, staleness), indexed by `MnId`.
+    hot: Vec<HotSlot>,
+    /// Per-node cold halves (estimator, anchor, last receipt), same index.
+    cold: Vec<ColdSlot>,
     /// Lifetime counters; `fresh_records` is the live-record count.
     counters: BrokerDelta,
 }
@@ -476,7 +537,8 @@ impl GridBroker {
         kind.validate()?;
         Ok(GridBroker {
             kind,
-            slots: Vec::new(),
+            hot: Vec::new(),
+            cold: Vec::new(),
             counters: BrokerDelta::default(),
         })
     }
@@ -485,8 +547,9 @@ impl GridBroker {
     /// otherwise on demand; pre-sizing lets [`GridBroker::shard_views_iter`]
     /// cover the whole population.
     pub fn ensure_nodes(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize_with(n, NodeSlot::default);
+        if self.hot.len() < n {
+            self.hot.resize(n, HotSlot::default());
+            self.cold.resize_with(n, ColdSlot::default);
         }
     }
 
@@ -497,7 +560,7 @@ impl GridBroker {
     /// thin.
     pub fn set_home_anchor(&mut self, node: MnId, anchor: Point) {
         self.ensure_nodes(node.index() + 1);
-        let slot = &mut self.slots[node.index()];
+        let slot = &mut self.cold[node.index()];
         slot.home_anchor = Some(anchor);
         if let Some(est) = &mut slot.estimator {
             est.set_home_anchor(anchor);
@@ -532,20 +595,24 @@ impl GridBroker {
     /// sharded store's entry point, which rebases ids to shard-local
     /// slots.
     pub(crate) fn apply_at(&mut self, index: usize, op: &IngestRecord) -> Option<ApplyInfo> {
-        self.slots[index].apply(self.kind, op, &mut self.counters)
+        NodeSlot {
+            hot: &mut self.hot[index],
+            cold: &mut self.cold[index],
+        }
+        .apply(self.kind, op, &mut self.counters)
     }
 
     /// Consecutive losses since `node`'s last accepted update (zero for a
     /// healthy or unknown node).
     #[must_use]
     pub fn staleness(&self, node: MnId) -> u32 {
-        self.slots.get(node.index()).map_or(0, |s| s.staleness)
+        self.hot.get(node.index()).map_or(0, |s| s.staleness)
     }
 
     /// The broker's current belief about `node`.
     #[must_use]
     pub fn location(&self, node: MnId) -> Option<LocationRecord> {
-        self.slots.get(node.index()).and_then(|s| s.record)
+        self.hot.get(node.index()).and_then(|s| s.record)
     }
 
     /// Splits the broker's slots into contiguous shards of `shard_size`
@@ -564,13 +631,15 @@ impl GridBroker {
     ) -> impl ExactSizeIterator<Item = BrokerShard<'_>> {
         assert!(shard_size > 0, "shard size must be positive");
         let kind = self.kind;
-        self.slots
+        self.hot
             .chunks_mut(shard_size)
+            .zip(self.cold.chunks_mut(shard_size))
             .enumerate()
-            .map(move |(i, slots)| BrokerShard {
+            .map(move |(i, (hot, cold))| BrokerShard {
                 kind,
                 base: i * shard_size,
-                slots,
+                hot,
+                cold,
                 delta: BrokerDelta::default(),
             })
     }
@@ -621,7 +690,7 @@ impl GridBroker {
     /// yielding `(node, record, staleness)` — the read surface the serve
     /// crate's census and staleness queries are built on.
     pub fn records(&self) -> impl Iterator<Item = (MnId, LocationRecord, u32)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, slot)| {
+        self.hot.iter().enumerate().filter_map(|(i, slot)| {
             slot.record
                 .map(|record| (MnId::new(i as u32), record, slot.staleness))
         })
@@ -1163,6 +1232,14 @@ mod tests {
         }
         let shards = b.shard_views_iter(1).collect::<Vec<_>>();
         assert!(!shards[0].estimator_is_static(MnId::new(0)));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn hot_slot_stays_small() {
+        // A replayed idle evaluation streams through the hot column only;
+        // it must not grow back toward the whole slot.
+        assert!(std::mem::size_of::<HotSlot>() <= 40);
     }
 
     #[test]

@@ -331,8 +331,8 @@ struct TickScratch {
     late_lus: Vec<LocationUpdate>,
     /// Per-shard partial results of the fused apply/measure phase.
     outs: Vec<ShardOut>,
-    /// Per-node apply fate for the invariant monitors, derived from the
-    /// decisions (no network) or the link outcomes (network attached).
+    /// Per-node apply fate for the invariant monitors. Phase 3 writes each
+    /// node's from its `NodeOp` and link outcome ([`NodeOp::fate`]).
     fates: Vec<NodeFate>,
     /// Per-node with-LE staleness counters after the apply phase, for the
     /// staleness-consistency monitor. Phase 3 writes each node's from the
@@ -405,6 +405,21 @@ impl NodeOp {
         }
     }
 
+    /// The invariant monitors' view of this op. Only the filtered op
+    /// needs the link outcome: it is out of coverage when the node's frame
+    /// never reached the air, and idle otherwise.
+    #[inline]
+    fn fate(self, link: Option<LinkOutcome>) -> NodeFate {
+        match self {
+            NodeOp::Update { .. } => NodeFate::Accepted,
+            NodeOp::Lost => NodeFate::LostInFlight,
+            NodeOp::Filtered if link == Some(LinkOutcome::Lost { transmitted: false }) => {
+                NodeFate::NoCoverage
+            }
+            NodeOp::Filtered => NodeFate::Idle,
+        }
+    }
+
     /// The op as the broker record for `node` at `time_s`; `seq` is the
     /// transmitted sequence number (read only by an update).
     #[inline]
@@ -472,6 +487,14 @@ impl IdleCache {
         err_le: 0.0,
         err_raw: 0.0,
     };
+
+    /// Whether a filtered evaluation of the node at `pos` is a pure replay
+    /// of this cache: the cache is valid, no refresh wake forces a full
+    /// evaluation, and ground truth has not moved.
+    #[inline]
+    fn replays(&self, force_eval: bool, pos: Point) -> bool {
+        self.valid && !force_eval && self.pos == pos
+    }
 }
 
 /// All state the sparse ([`TickDriver::Sparse`]) driver adds on top of the
@@ -494,6 +517,10 @@ struct SparseState {
     asleep_count: usize,
     /// Per-node idle-replay caches for the apply/measure phase.
     idle: Vec<IdleCache>,
+    /// Per-shard replay memo: the sums of the shard's last tick, kept
+    /// only when every node of the shard replayed an idle cache with an
+    /// idle fate on that tick (see `MobileGridSim::replay_memo`).
+    memo: Vec<Option<ShardSums>>,
     /// Per-node: a refresh wake forces a full evaluation this tick.
     force_eval: Vec<bool>,
     /// Tick of each node's last full (non-replayed) broker evaluation.
@@ -512,6 +539,8 @@ struct SparseState {
     slept_node_ticks: u64,
     /// Cumulative node-ticks of replayed broker evaluation.
     replayed_node_ticks: u64,
+    /// Cumulative shard-ticks served whole from the replay memo.
+    replayed_shard_ticks: u64,
     /// Largest observed gap (ticks) between full evaluations of any node.
     max_eval_gap: u64,
 }
@@ -533,6 +562,7 @@ impl SparseState {
             slept_at: vec![0; nodes],
             asleep_count: 0,
             idle: vec![IdleCache::INVALID; nodes],
+            memo: vec![None; mobigrid_sim::par::shard_count(nodes, SHARD_SIZE)],
             force_eval: vec![false; nodes],
             last_eval: vec![0; nodes],
             staleness_refresh,
@@ -542,6 +572,7 @@ impl SparseState {
             wake_refresh: 0,
             slept_node_ticks: 0,
             replayed_node_ticks: 0,
+            replayed_shard_ticks: 0,
             max_eval_gap: 0,
         }
     }
@@ -561,6 +592,11 @@ pub struct WakeStats {
     pub slept_node_ticks: u64,
     /// Cumulative node-ticks of replayed broker evaluation.
     pub replayed_node_ticks: u64,
+    /// Cumulative shard-ticks whose apply/measure phase was served whole
+    /// from the shard's replay memo: every node replayed its idle cache,
+    /// and the shard's sums were those of an earlier all-replay tick.
+    /// Recorded ticks never take the memo path.
+    pub replayed_shard_ticks: u64,
     /// Nodes with a pending wake across both wheels.
     pub wheel_occupancy: usize,
     /// Largest gap (ticks) between full broker evaluations of any node —
@@ -667,6 +703,8 @@ struct ShardJob<'a> {
     raw: BrokerShard<'a>,
     /// Where each node's with-LE staleness counter after its apply goes.
     staleness: &'a mut [u32],
+    /// Where each node's apply fate for the invariant monitors goes.
+    fates: &'a mut [NodeFate],
     /// Sparse-driver context (idle caches, refresh flags, eval clocks for
     /// this shard's nodes); `None` under the dense driver, whose per-node
     /// path is then exactly the historical one.
@@ -678,6 +716,8 @@ struct SparseShard<'a> {
     idle: &'a mut [IdleCache],
     force_eval: &'a mut [bool],
     last_eval: &'a mut [u64],
+    /// This shard's replay memo.
+    memo: &'a mut Option<ShardSums>,
     tick: u64,
 }
 
@@ -693,10 +733,13 @@ struct FlightSample {
     err_raw: f64,
 }
 
-/// One shard's partial results. `sent` and the tally are exact (`u32`/`u64`)
-/// under any merge order; the RMSE partials are reduced in shard order so
-/// the floating-point sums are bit-identical across thread counts.
-struct ShardOut {
+/// One shard's sums: `sent`, the stale count, the tally and the broker
+/// deltas are exact (`u32`/`u64`) under any merge order; the RMSE
+/// partials are reduced in shard order so the floating-point sums are
+/// bit-identical across thread counts. This is also what a shard's replay
+/// memo keeps.
+#[derive(Clone, Copy, Default)]
+struct ShardSums {
     sent: u32,
     stale: u32,
     tally: RegionTally,
@@ -708,6 +751,12 @@ struct ShardOut {
     bld_raw: Rmse,
     le_delta: BrokerDelta,
     raw_delta: BrokerDelta,
+}
+
+/// One shard's partial results: its sums plus what is recorded or fed
+/// back to the sparse driver.
+struct ShardOut {
+    sums: ShardSums,
     /// Per-node location-error histograms over [`error_bucket_spec`]
     /// buckets, filled only when a recorder is enabled. Like the RMSE
     /// partials they are merged in shard order — and because a
@@ -725,6 +774,8 @@ struct ShardOut {
     newly_cached: u64,
     /// Sparse driver: replayed node-ticks in this shard.
     replays: u64,
+    /// Sparse driver: the shard was served from its replay memo.
+    memo_hit: bool,
     /// Sparse driver: largest full-evaluation gap observed in this shard.
     max_eval_gap: u64,
 }
@@ -829,6 +880,7 @@ impl MobileGridSim {
             asleep: sp.asleep_count,
             slept_node_ticks: sp.slept_node_ticks,
             replayed_node_ticks: sp.replayed_node_ticks,
+            replayed_shard_ticks: sp.replayed_shard_ticks,
             wheel_occupancy: sp.mobility.occupancy() + sp.refresh.occupancy(),
             max_eval_gap: sp.max_eval_gap,
         })
@@ -1222,27 +1274,6 @@ impl MobileGridSim {
         } else {
             false
         };
-        // Per-node apply fates for the invariant monitors: without a
-        // network a sent update reaches the broker directly; with one the
-        // routing phase just decided every frame's fate.
-        if routed {
-            for (fate, outcome) in scratch.fates.iter_mut().zip(scratch.link.iter()) {
-                *fate = match outcome {
-                    LinkOutcome::Idle => NodeFate::Idle,
-                    LinkOutcome::Delivered { .. } => NodeFate::Accepted,
-                    LinkOutcome::Lost { transmitted: true } => NodeFate::LostInFlight,
-                    LinkOutcome::Lost { transmitted: false } => NodeFate::NoCoverage,
-                };
-            }
-        } else {
-            for (fate, decision) in scratch.fates.iter_mut().zip(scratch.decisions.iter()) {
-                *fate = if decision.is_sent() {
-                    NodeFate::Accepted
-                } else {
-                    NodeFate::Idle
-                };
-            }
-        }
         let link: Option<&[LinkOutcome]> = routed.then_some(&scratch.link);
         rec.span(Phase::Transmit, on_air);
 
@@ -1263,9 +1294,13 @@ impl MobileGridSim {
             .zip(self.broker_le.shard_views_iter(SHARD_SIZE))
             .zip(self.broker_raw.shard_views_iter(SHARD_SIZE))
             .zip(scratch.staleness.chunks_mut(SHARD_SIZE))
+            .zip(scratch.fates.chunks_mut(SHARD_SIZE))
             .enumerate()
             .map(
-                |(i, (((((((kinds, obs), dec), sent_seqs), seqs), le), raw), staleness))| {
+                |(
+                    i,
+                    ((((((((kinds, obs), dec), sent_seqs), seqs), le), raw), staleness), fates),
+                )| {
                     ShardJob {
                         kinds,
                         observations: obs,
@@ -1276,6 +1311,7 @@ impl MobileGridSim {
                         le,
                         raw,
                         staleness,
+                        fates,
                         sparse: None,
                     }
                 },
@@ -1302,10 +1338,12 @@ impl MobileGridSim {
                     .chunks_mut(SHARD_SIZE)
                     .zip(sp.force_eval.chunks_mut(SHARD_SIZE))
                     .zip(sp.last_eval.chunks_mut(SHARD_SIZE))
-                    .map(|((idle, force_eval), last_eval)| SparseShard {
+                    .zip(sp.memo.iter_mut())
+                    .map(|(((idle, force_eval), last_eval), memo)| SparseShard {
                         idle,
                         force_eval,
                         last_eval,
+                        memo,
                         tick,
                     });
                 let jobs = jobs.zip(sparse).map(|(job, sparse)| ShardJob {
@@ -1332,15 +1370,16 @@ impl MobileGridSim {
         let mut err_le = HistogramDelta::new(error_bucket_spec());
         let mut err_raw = HistogramDelta::new(error_bucket_spec());
         for out in &scratch.outs {
-            sent += out.sent;
-            stale_nodes += out.stale;
-            tick_tally.merge(&out.tally);
-            all_le.merge(&out.all_le);
-            all_raw.merge(&out.all_raw);
-            road_le.merge(&out.road_le);
-            road_raw.merge(&out.road_raw);
-            bld_le.merge(&out.bld_le);
-            bld_raw.merge(&out.bld_raw);
+            let sums = &out.sums;
+            sent += sums.sent;
+            stale_nodes += sums.stale;
+            tick_tally.merge(&sums.tally);
+            all_le.merge(&sums.all_le);
+            all_raw.merge(&sums.all_raw);
+            road_le.merge(&sums.road_le);
+            road_raw.merge(&sums.road_raw);
+            bld_le.merge(&sums.bld_le);
+            bld_raw.merge(&sums.bld_raw);
             if recording {
                 err_le.merge(&out.err_le);
                 err_raw.merge(&out.err_raw);
@@ -1363,8 +1402,8 @@ impl MobileGridSim {
                     });
                 }
             }
-            self.broker_le.apply_delta(&out.le_delta);
-            self.broker_raw.apply_delta(&out.raw_delta);
+            self.broker_le.apply_delta(&sums.le_delta);
+            self.broker_raw.apply_delta(&sums.raw_delta);
         }
         // Sparse post-pass: fold the shards' wake accounting and re-arm the
         // refresh wake of every node a full evaluation just (re)cached —
@@ -1374,6 +1413,7 @@ impl MobileGridSim {
         if let Some(sp) = self.sparse.as_deref_mut() {
             for (shard, out) in scratch.outs.iter().enumerate() {
                 replays_now += out.replays;
+                sp.replayed_shard_ticks += u64::from(out.memo_hit);
                 if out.max_eval_gap > sp.max_eval_gap {
                     sp.max_eval_gap = out.max_eval_gap;
                 }
@@ -1535,27 +1575,35 @@ impl MobileGridSim {
     /// per-node location-error histograms).
     fn run_shard(time_s: f64, record: bool, mut job: ShardJob<'_>) -> ShardOut {
         let mut out = ShardOut {
-            sent: 0,
-            stale: 0,
-            tally: RegionTally::new(),
-            all_le: Rmse::new(),
-            all_raw: Rmse::new(),
-            road_le: Rmse::new(),
-            road_raw: Rmse::new(),
-            bld_le: Rmse::new(),
-            bld_raw: Rmse::new(),
-            le_delta: BrokerDelta::default(),
-            raw_delta: BrokerDelta::default(),
+            sums: ShardSums::default(),
             err_le: HistogramDelta::new(error_bucket_spec()),
             err_raw: HistogramDelta::new(error_bucket_spec()),
             flight: Vec::new(),
             newly_cached: 0,
             replays: 0,
+            memo_hit: false,
             max_eval_gap: 0,
         };
+        // A recorded tick needs every node's flight sample and histogram
+        // entries, so it always takes the per-node loop below (which still
+        // keeps the memo up to date).
+        if !record {
+            if let Some(sums) = Self::replay_memo(time_s, &mut job) {
+                out.sums = sums;
+                out.replays = job.observations.len() as u64;
+                out.memo_hit = true;
+                return out;
+            }
+        }
+        // Whether every node so far replayed its idle cache with an idle
+        // fate: the condition for keeping this tick's sums as the memo.
+        let mut memo_ok = true;
         for (i, (id, pos)) in job.observations.iter().enumerate() {
             let kind = job.kinds[i];
-            let node_op = NodeOp::of(job.decisions[i], job.link.map(|link| link[i]));
+            let link = job.link.map(|link| link[i]);
+            let node_op = NodeOp::of(job.decisions[i], link);
+            let fate = node_op.fate(link);
+            job.fates[i] = fate;
             // The pure filtered/idle path: nothing reaches the broker,
             // both slots just estimate.
             let idle_path = node_op == NodeOp::Filtered;
@@ -1569,16 +1617,17 @@ impl MobileGridSim {
             // tick, folding into the shared tail ~5% slower (2-vCPU VM).
             if let Some(sp) = &mut job.sparse {
                 let cache = sp.idle[i];
-                if idle_path && cache.valid && !sp.force_eval[i] && cache.pos == *pos {
-                    out.tally.record(kind, false);
+                if idle_path && cache.replays(sp.force_eval[i], *pos) {
+                    memo_ok &= fate == NodeFate::Idle;
+                    out.sums.tally.record(kind, false);
                     let apply = job.le.replay_filtered(*id, time_s, cache.le_stored);
                     job.raw.replay_filtered(*id, time_s, cache.raw_stored);
                     job.staleness[i] = apply.staleness;
-                    out.stale += u32::from(apply.staleness > 0);
+                    out.sums.stale += u32::from(apply.staleness > 0);
                     out.replays += 1;
                     let (err_le, err_raw) = (cache.err_le, cache.err_raw);
-                    out.all_le.push(err_le);
-                    out.all_raw.push(err_raw);
+                    out.sums.all_le.push(err_le);
+                    out.sums.all_raw.push(err_raw);
                     if record {
                         out.err_le.record(err_le);
                         out.err_raw.record(err_raw);
@@ -1591,17 +1640,18 @@ impl MobileGridSim {
                     }
                     match kind {
                         RegionKind::Road => {
-                            out.road_le.push(err_le);
-                            out.road_raw.push(err_raw);
+                            out.sums.road_le.push(err_le);
+                            out.sums.road_raw.push(err_raw);
                         }
                         RegionKind::Building => {
-                            out.bld_le.push(err_le);
-                            out.bld_raw.push(err_raw);
+                            out.sums.bld_le.push(err_le);
+                            out.sums.bld_raw.push(err_raw);
                         }
                     }
                     continue;
                 }
             }
+            memo_ok = false;
             let seq = match (job.link, node_op) {
                 // No network: this phase owns the sequence counters, and
                 // writes the used value back for the seq-monotonicity
@@ -1616,26 +1666,28 @@ impl MobileGridSim {
                 _ => job.sent_seqs[i],
             };
             let op = node_op.record(*id, *pos, time_s, seq);
-            let apply = job.le.apply(&op).expect("a node op is a broker op");
-            let raw = job.raw.apply(&op).expect("a node op is a broker op");
+            // Node ids are dense, so the shard's `i`-th slot is `id`'s.
+            debug_assert_eq!(id.index(), job.le.base() + i);
+            let apply = job.le.apply_at(i, &op).expect("a node op is a broker op");
+            let raw = job.raw.apply_at(i, &op).expect("a node op is a broker op");
             if node_op == (NodeOp::Update { duplicate: true }) {
                 // The second copy is byte-identical; the broker rejects it
                 // and counts the rejection.
-                job.le.apply(&op);
-                job.raw.apply(&op);
+                job.le.apply_at(i, &op);
+                job.raw.apply_at(i, &op);
             }
             // Measure against ground truth via direct dense-slot reads.
             let err = |b: &BrokerShard<'_>| {
-                b.location(*id)
+                b.location_at(i)
                     .map_or(0.0, |r| r.position.distance_to(*pos))
             };
             let (err_le, err_raw) = (err(&job.le), err(&job.raw));
-            out.sent += u32::from(!idle_path);
-            out.tally.record(kind, !idle_path);
+            out.sums.sent += u32::from(!idle_path);
+            out.sums.tally.record(kind, !idle_path);
             job.staleness[i] = apply.staleness;
-            out.stale += u32::from(apply.staleness > 0);
-            out.all_le.push(err_le);
-            out.all_raw.push(err_raw);
+            out.sums.stale += u32::from(apply.staleness > 0);
+            out.sums.all_le.push(err_le);
+            out.sums.all_raw.push(err_raw);
             if record {
                 out.err_le.record(err_le);
                 out.err_raw.record(err_raw);
@@ -1648,12 +1700,12 @@ impl MobileGridSim {
             }
             match kind {
                 RegionKind::Road => {
-                    out.road_le.push(err_le);
-                    out.road_raw.push(err_raw);
+                    out.sums.road_le.push(err_le);
+                    out.sums.road_raw.push(err_raw);
                 }
                 RegionKind::Building => {
-                    out.bld_le.push(err_le);
-                    out.bld_raw.push(err_raw);
+                    out.sums.bld_le.push(err_le);
+                    out.sums.bld_raw.push(err_raw);
                 }
             }
             // Sparse bookkeeping after a full evaluation: account the eval
@@ -1681,9 +1733,59 @@ impl MobileGridSim {
                 }
             }
         }
-        out.le_delta = job.le.into_delta();
-        out.raw_delta = job.raw.into_delta();
+        out.sums.le_delta = job.le.into_delta();
+        out.sums.raw_delta = job.raw.into_delta();
+        if let Some(sp) = job.sparse {
+            *sp.memo = memo_ok.then_some(out.sums);
+        }
         out
+    }
+
+    /// The sparse driver's shard-level replay: when the shard's memo holds
+    /// the sums of an earlier tick on which every node replayed its idle
+    /// cache, and every node replays it again this tick with an idle fate,
+    /// this tick's sums are the memo's, bit for bit, and the only
+    /// per-node work left is moving each stored estimate's timestamp in
+    /// both brokers' hot columns. Returns `None`, having restamped at most
+    /// a prefix of the shard (the per-node loop restamps those nodes
+    /// again, to the same time), as soon as one node does not replay.
+    ///
+    /// *Why the memo is exact:* a node's idle cache changes only on a
+    /// full evaluation or is invalidated by a late frame, and a full
+    /// evaluation in the shard clears the memo (a late frame fails the
+    /// check here). So every cache the shard replays now is the one it
+    /// replayed on the memo's tick: the same errors pushed in the same
+    /// order, the same tally entries, the same staleness counters (only
+    /// a full evaluation or a late frame moves one) and the same estimate
+    /// counts. The per-node columns the pass owns are therefore already
+    /// what the loop would write.
+    fn replay_memo(time_s: f64, job: &mut ShardJob<'_>) -> Option<ShardSums> {
+        let sp = job.sparse.as_mut()?;
+        let sums = (*sp.memo)?;
+        for (i, (_, pos)) in job.observations.iter().enumerate() {
+            let link = job.link.map(|link| link[i]);
+            let cache = sp.idle[i];
+            if NodeOp::of(job.decisions[i], link).fate(link) != NodeFate::Idle
+                || !cache.replays(sp.force_eval[i], *pos)
+            {
+                return None;
+            }
+            if cache.le_stored {
+                job.le.restamp(i, time_s);
+            }
+            if cache.raw_stored {
+                job.raw.restamp(i, time_s);
+            }
+        }
+        debug_assert!(
+            job.fates.iter().all(|f| *f == NodeFate::Idle),
+            "a memo shard's fates are all idle"
+        );
+        debug_assert!(
+            (0..job.staleness.len()).all(|i| job.staleness[i] == job.le.staleness_at(i)),
+            "a memo shard's staleness column is current"
+        );
+        Some(sums)
     }
 
     /// Runs `ticks` steps, collecting every tick's statistics.
@@ -1934,6 +2036,45 @@ mod tests {
         }
         assert_eq!(quiet_rec.counter("wake.refresh"), 0);
         assert_eq!(quiet_rec.gauge("wake.asleep"), None);
+    }
+
+    #[test]
+    fn refresh_rounds_reach_memo_shards() {
+        // Two whole shards of parked nodes under plain ticks: after every
+        // refresh round each shard re-evaluates in full once, rebuilds its
+        // memo on the next tick, and is served from it until the next
+        // round. The memo must not swallow the refresh wakes.
+        let window = 8;
+        let nodes = (0..2 * SHARD_SIZE as u32).map(parked).collect();
+        let mut sim = SimBuilder::new()
+            .nodes(nodes)
+            .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).unwrap())
+            .runtime(RuntimeOptions {
+                driver: TickDriver::Sparse,
+                staleness_refresh: window,
+                ..RuntimeOptions::default()
+            })
+            .build()
+            .unwrap();
+        let ticks = 200;
+        for _ in 0..ticks {
+            sim.step();
+        }
+        let wake = sim.wake_stats().expect("sparse run reports wake stats");
+        let rounds = ticks / window - 2;
+        assert!(
+            wake.refresh_wakes >= rounds * 2 * SHARD_SIZE as u64,
+            "{} refresh wakes in {rounds}+ rounds",
+            wake.refresh_wakes
+        );
+        assert!(wake.max_eval_gap <= window + 1);
+        // Per round and shard: one full tick, one tick that rebuilds the
+        // memo, then memo hits.
+        assert!(
+            wake.replayed_shard_ticks >= rounds * 2 * (window - 2),
+            "{} memo shard-ticks",
+            wake.replayed_shard_ticks
+        );
     }
 
     #[test]

@@ -74,7 +74,9 @@ pub struct CensusReport {
 /// covering the node ids `0..capacity`.
 ///
 /// Node index `i` lives in shard `i / span` where
-/// `span = capacity.div_ceil(shards)`. Inside each shard, node ids are
+/// `span = capacity.div_ceil(shards)`; the store keeps only the
+/// `capacity.div_ceil(span)` shards that own an id, so every shard is
+/// non-empty. Inside each shard, node ids are
 /// rebased to shard-local indices so the dense slot vectors stay small and
 /// contiguous. The capacity is fixed at construction: the store never
 /// grows, so ids at or beyond it are refused (see
@@ -97,16 +99,21 @@ impl std::fmt::Debug for BrokerStore {
 }
 
 impl BrokerStore {
-    /// Creates a store of `shards` brokers (each running `kind`) covering
-    /// node ids `0..capacity`. `shards` is clamped to at least 1 and at
-    /// most `capacity.max(1)` so every shard owns a non-empty range.
+    /// Creates a store of up to `shards` brokers (each running `kind`)
+    /// covering node ids `0..capacity`. The count is clamped so every
+    /// shard owns a non-empty range: to at least 1, and to the number of
+    /// `capacity.div_ceil(shards)`-id spans it takes to cover the
+    /// capacity (`(23, 7)` gives six shards of 4, 4, 4, 4, 4 and 3 ids).
+    /// [`BrokerStore::shard_count`] and [`StoreStats::shards`] report the
+    /// clamped count.
     ///
     /// # Errors
     ///
     /// Returns the estimator's parameter-validation message.
     pub fn new(kind: EstimatorKind, capacity: usize, shards: usize) -> Result<Self, String> {
-        let shards = shards.clamp(1, capacity.max(1));
-        let span = capacity.max(1).div_ceil(shards);
+        let ids = capacity.max(1);
+        let span = ids.div_ceil(shards.clamp(1, ids));
+        let shards = ids.div_ceil(span);
         let mut fleet = Vec::with_capacity(shards);
         for i in 0..shards {
             let base = i * span;
@@ -476,6 +483,43 @@ mod tests {
         let per_shard = store.shard_live_records();
         assert_eq!(per_shard.len(), 3);
         assert_eq!(per_shard.iter().sum::<u64>(), store.stats().live_records);
+    }
+
+    /// One received update from each of the nodes `0..nodes`.
+    fn every_node_reports(nodes: u32) -> Vec<IngestRecord> {
+        (0..nodes)
+            .map(|n| IngestRecord::Update(lu(n, 1.0, f64::from(n), 0.0, 0)))
+            .collect()
+    }
+
+    #[test]
+    fn uneven_layouts_leave_no_shard_empty() {
+        // Span 4: six shards cover ids 0..23; a seventh would own none.
+        let store = BrokerStore::new(brown(), 23, 7).unwrap();
+        assert_eq!(store.shard_count(), 6);
+        assert_eq!(store.stats().shards, 6);
+        store.apply_batch(&every_node_reports(23));
+        assert_eq!(store.shard_live_records(), vec![4, 4, 4, 4, 4, 3]);
+    }
+
+    proptest::proptest! {
+        /// Whatever the requested layout, every shard owns at least one
+        /// id, every id routes to a shard, and once every node has
+        /// reported the per-shard gauges sum to the capacity.
+        #[test]
+        fn every_shard_owns_an_id(capacity in 1usize..200, shards in 1usize..16) {
+            let store = BrokerStore::new(brown(), capacity, shards).unwrap();
+            proptest::prop_assert!(store.shard_count() <= shards);
+            proptest::prop_assert_eq!(store.stats().shards, store.shard_count());
+            for id in 0..capacity {
+                proptest::prop_assert!(store.route(MnId::new(id as u32)).is_some());
+            }
+            store.apply_batch(&every_node_reports(capacity as u32));
+            let live = store.shard_live_records();
+            proptest::prop_assert_eq!(live.len(), store.shard_count());
+            proptest::prop_assert!(live.iter().all(|&n| n >= 1), "an empty shard: {:?}", live);
+            proptest::prop_assert_eq!(live.iter().sum::<u64>(), capacity as u64);
+        }
     }
 
     #[test]

@@ -275,7 +275,7 @@ fn sparse_driver_ticks_do_not_allocate() {
     for _ in 0..200 {
         sim.step();
     }
-    let replayed_before = sim.wake_stats().expect("sparse driver").replayed_node_ticks;
+    let wake_before = sim.wake_stats().expect("sparse driver");
 
     let before = allocation_count();
     let mut sent = 0u64;
@@ -289,13 +289,18 @@ fn sparse_driver_ticks_do_not_allocate() {
         "steady-state sparse ticks allocated {allocations} times"
     );
     // The window exercised both halves of the sparse tick: the walkers
-    // transmitted and the parked nodes were replayed.
+    // transmitted and the parked nodes were replayed, whole shards of
+    // them from the shard replay memo.
     let wake = sim.wake_stats().expect("sparse driver");
     assert!(sent > 0, "measured window transmitted nothing");
     assert!(wake.asleep >= 1000, "only {} nodes asleep", wake.asleep);
     assert!(
-        wake.replayed_node_ticks - replayed_before > 50_000,
+        wake.replayed_node_ticks - wake_before.replayed_node_ticks > 50_000,
         "the parked nodes were not replayed"
+    );
+    assert!(
+        wake.replayed_shard_ticks > wake_before.replayed_shard_ticks,
+        "no shard was served from its replay memo"
     );
 }
 

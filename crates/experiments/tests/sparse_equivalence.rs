@@ -14,7 +14,10 @@
 //!   position, time and staleness, and the lifetime counters),
 //! * byte-identical telemetry JSONL and CSV exports,
 //! * all of the above with the sparse driver on 1, 2 and 4 worker
-//!   threads against the dense single-threaded baseline.
+//!   threads against the dense single-threaded baseline,
+//! * and, for whole shards of parked nodes under a mix of plain and
+//!   recorded ticks, that the per-shard replay memo fires and stays
+//!   exact through refresh rounds, hops and recorded ticks.
 //!
 //! This mirrors `soa_equivalence.rs`, which pins the columnar engine to
 //! the archaic array-of-structs driver; here the dense driver is the
@@ -26,7 +29,10 @@ use mobigrid_adf::{
 use mobigrid_campus::{Campus, RegionId, RegionKind};
 use mobigrid_experiments::workload;
 use mobigrid_geo::{Point, Polyline, Rect};
-use mobigrid_mobility::{LoopMode, MobilityModel, MobilityPattern, NodeType, PathFollower, RandomWalk, StopModel};
+use mobigrid_mobility::{
+    LoopMode, MobilityModel, MobilityPattern, NodeType, PathFollower, Phase, RandomWalk, Schedule,
+    StopModel,
+};
 use mobigrid_telemetry::MemoryRecorder;
 use mobigrid_wireless::{FaultPlan, MnId, RetryPolicy};
 use proptest::prelude::*;
@@ -119,6 +125,72 @@ fn fault_plan() -> FaultPlan {
     }
 }
 
+/// Nodes per shard of the tick's parallel phases.
+const SHARD: u32 = 64;
+
+/// Whole shards of `StopModel` nodes at the head of the memo population.
+const PARKED_SHARDS: u32 = 3;
+
+/// A parked node that hops: it stays at `at` for a few seconds, takes a
+/// sub-metre step, stays, steps back, and so on, then parks. Each hop
+/// re-evaluates one node of an otherwise replaying shard and changes its
+/// cached error, so the shard's replay memo must be dropped and rebuilt.
+fn hopper(i: u32, at: Point) -> Schedule {
+    let there = Point::new(at.x + 0.3, at.y);
+    let hop = |from: Point, to: Point| {
+        let path = Polyline::new(vec![from, to]).expect("two distinct points");
+        PathFollower::new(path, 0.5, LoopMode::Once)
+    };
+    let mut phases = Vec::new();
+    for k in 0..4 {
+        let (from, to) = if k % 2 == 0 { (at, there) } else { (there, at) };
+        let stay = f64::from(3 + (i + 5 * k) % 13);
+        phases.push(Phase::timed("stay", stay, StopModel::new(from)));
+        phases.push(Phase::until_arrival("hop", hop(from, to)));
+    }
+    Schedule::new(phases)
+}
+
+/// The memo population: `PARKED_SHARDS` shards of `StopModel` nodes, a
+/// shard of parked nodes of which every eighth hops, then `walkers`
+/// nodes of the mixed population above.
+fn memo_population(walkers: usize, seed: u64, with_retry: bool) -> Vec<MobileNode> {
+    let parked = (PARKED_SHARDS + 1) * SHARD;
+    (0..parked + walkers as u32)
+        .map(|i| {
+            let at = Point::new(f64::from(i % 40) * 3.0, f64::from(i / 40) * 3.0);
+            let (model, pattern, kind): (Box<dyn MobilityModel + Send>, _, _) = if i >= parked {
+                model_for(i, seed)
+            } else {
+                let kind = if i % 3 == 0 {
+                    RegionKind::Road
+                } else {
+                    RegionKind::Building
+                };
+                if i >= PARKED_SHARDS * SHARD && i % 8 == 5 {
+                    (Box::new(hopper(i, at)), MobilityPattern::Stop, kind)
+                } else {
+                    (Box::new(StopModel::new(at)), MobilityPattern::Stop, kind)
+                }
+            };
+            let node = MobileNode::new(
+                MnId::new(i),
+                RegionId::from_index(0),
+                kind,
+                NodeType::Human,
+                pattern,
+                model,
+                seed ^ (u64::from(i) << 17),
+            );
+            if with_retry {
+                node.with_retry_policy(RetryPolicy::default())
+            } else {
+                node
+            }
+        })
+        .collect()
+}
+
 fn build(
     node_count: usize,
     seed: u64,
@@ -126,8 +198,24 @@ fn build(
     driver: TickDriver,
     with_faults: bool,
 ) -> MobileGridSim {
+    build_with(
+        population(node_count, seed, with_faults),
+        seed,
+        threads,
+        driver,
+        with_faults,
+    )
+}
+
+fn build_with(
+    nodes: Vec<MobileNode>,
+    seed: u64,
+    threads: usize,
+    driver: TickDriver,
+    with_faults: bool,
+) -> MobileGridSim {
     let builder = SimBuilder::new()
-        .nodes(population(node_count, seed, with_faults))
+        .nodes(nodes)
         .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).expect("valid"))
         .threads(threads)
         .driver(driver);
@@ -207,6 +295,77 @@ proptest! {
             prop_assert_eq!(&stats, &base_stats, "TickStats diverged at threads={}", threads);
             prop_assert_eq!(&jsonl, &base_jsonl, "JSONL diverged at threads={}", threads);
             prop_assert_eq!(&csv, &base_csv, "CSV diverged at threads={}", threads);
+        }
+    }
+
+    /// Whole shards of parked nodes, stepped through two staleness-refresh
+    /// rounds with a random mix of plain and recorded ticks (always
+    /// including a recorded refresh tick followed by a plain one), agree
+    /// with the dense driver on every `TickStats` field, position bit and
+    /// broker digest every tick at 1 and 2 threads, and the shard-level
+    /// replay memo serves some of those shard-ticks.
+    #[test]
+    fn the_shard_replay_memo_matches_dense(
+        walkers in 1usize..40,
+        seed in any::<u64>(),
+        recorded_mask in any::<u64>(),
+        with_faults in any::<bool>(),
+    ) {
+        const TICKS: u64 = 75;
+        let make = |threads: usize, driver: TickDriver| {
+            let nodes = memo_population(walkers, seed, with_faults);
+            build_with(nodes, seed, threads, driver, with_faults)
+        };
+        // The first tick that fires refresh wakes, from a plain probe run
+        // (recording does not change what a tick does).
+        let mut probe = make(1, TickDriver::Sparse);
+        let refresh_tick = (1..=TICKS)
+            .find(|_| {
+                let before = probe.wake_stats().expect("sparse").refresh_wakes;
+                probe.step();
+                probe.wake_stats().expect("sparse").refresh_wakes > before
+            })
+            .expect("a refresh round within the run");
+        let recorded = |t: u64| {
+            t == refresh_tick || (t != refresh_tick + 1 && recorded_mask >> (t % 64) & 1 == 1)
+        };
+        let digests = |sim: &MobileGridSim| {
+            (
+                sim.broker_with_le().state_digest(),
+                sim.broker_without_le().state_digest(),
+            )
+        };
+
+        let mut dense = make(1, TickDriver::Dense);
+        let mut sparse = [make(1, TickDriver::Sparse), make(2, TickDriver::Sparse)];
+        let mut dense_rec = MemoryRecorder::new();
+        let mut sparse_rec = [MemoryRecorder::new(), MemoryRecorder::new()];
+        let node_count = dense.node_count();
+        for t in 1..=TICKS {
+            let d = if recorded(t) { dense.step_recorded(&mut dense_rec) } else { dense.step() };
+            for (sim, rec) in sparse.iter_mut().zip(&mut sparse_rec) {
+                let threads = sim.threads();
+                let s = if recorded(t) { sim.step_recorded(rec) } else { sim.step() };
+                prop_assert_eq!(d, s, "TickStats diverged at tick {} ({} threads)", t, threads);
+                for i in 0..node_count {
+                    let (dp, sp) = (dense.node(i).position(), sim.node(i).position());
+                    prop_assert_eq!(
+                        (dp.x.to_bits(), dp.y.to_bits()),
+                        (sp.x.to_bits(), sp.y.to_bits()),
+                        "node {} position diverged at tick {}", i, t
+                    );
+                }
+                prop_assert_eq!(
+                    digests(&dense),
+                    digests(sim),
+                    "broker state diverged at tick {} ({} threads)", t, threads
+                );
+            }
+        }
+        for (sim, rec) in sparse.iter().zip(&sparse_rec) {
+            prop_assert_eq!(dense_rec.to_jsonl(), rec.to_jsonl(), "JSONL diverged");
+            let wake = sim.wake_stats().expect("sparse");
+            prop_assert!(wake.replayed_shard_ticks > 0, "the replay memo never fired");
         }
     }
 }
