@@ -119,9 +119,10 @@ rm -f "$serve_jsonl" "$client_jsonl"
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
-echo "==> cargo clippy --workspace -- -D warnings -D missing-docs"
-# Every public item in every crate needs a doc comment.
-cargo clippy --workspace -- -D warnings -D missing-docs
+echo "==> cargo clippy --workspace --all-targets -- -D warnings -D missing-docs"
+# Every public item in every crate needs a doc comment; tests, benches
+# and examples are linted too.
+cargo clippy --workspace --all-targets -- -D warnings -D missing-docs
 
 echo "==> rustdoc --workspace with -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -281,7 +281,6 @@ impl SimBuilder {
                 self.runtime.staleness_refresh,
             ))),
         };
-        let wake_telemetry = self.runtime.wake_telemetry;
         Ok(MobileGridSim {
             cols,
             policy,
@@ -301,7 +300,6 @@ impl SimBuilder {
             monitors: MonitorSet::standard(),
             violations: Vec::new(),
             sparse,
-            wake_telemetry,
         })
     }
 }
@@ -668,8 +666,6 @@ pub struct MobileGridSim {
     violations: Vec<Violation>,
     /// Sparse-driver state (`None` under [`TickDriver::Dense`]).
     sparse: Option<Box<SparseState>>,
-    /// Emit `wake.*` telemetry when recording under the sparse driver.
-    wake_telemetry: bool,
 }
 
 impl std::fmt::Debug for MobileGridSim {
@@ -984,8 +980,6 @@ impl MobileGridSim {
         //    still-asleep nodes — their position and observation slots are
         //    provably bit-unchanged — and newly quiescent nodes are filed
         //    into the wake wheel in shard order.
-        let mut woken_now = 0u64;
-        let mut slept_now = 0u64;
         match self.sparse.as_deref_mut() {
             None => self.pool.for_each(
                 self.cols
@@ -1006,10 +1000,8 @@ impl MobileGridSim {
                     sp.asleep[i] = false;
                 }
                 sp.asleep_count -= sp.woken.len();
-                woken_now = sp.woken.len() as u64;
-                sp.wake_mobility += woken_now;
-                slept_now = sp.asleep_count as u64;
-                sp.slept_node_ticks += slept_now;
+                sp.wake_mobility += sp.woken.len() as u64;
+                sp.slept_node_ticks += sp.asleep_count as u64;
 
                 let shards = self
                     .cols
@@ -1282,7 +1274,6 @@ impl MobileGridSim {
         // RMSE over all n nodes at time t — from the freshly updated dense
         // slots. The job list is a lazy zip of per-shard slices; results
         // land in the reused `outs` buffer in shard order.
-        let mut refreshed_now = 0u64;
         let jobs = self
             .cols
             .region_kinds()
@@ -1329,8 +1320,7 @@ impl MobileGridSim {
                 for &node in due {
                     sp.force_eval[node as usize] = true;
                 }
-                refreshed_now = due.len() as u64;
-                sp.wake_refresh += refreshed_now;
+                sp.wake_refresh += due.len() as u64;
 
                 let tick = self.tick;
                 let sparse = sp
@@ -1409,10 +1399,9 @@ impl MobileGridSim {
         // refresh wake of every node a full evaluation just (re)cached —
         // in shard order, so the wheel's schedule history stays independent
         // of thread scheduling.
-        let mut replays_now = 0u64;
         if let Some(sp) = self.sparse.as_deref_mut() {
             for (shard, out) in scratch.outs.iter().enumerate() {
-                replays_now += out.replays;
+                sp.replayed_node_ticks += out.replays;
                 sp.replayed_shard_ticks += u64::from(out.memo_hit);
                 if out.max_eval_gap > sp.max_eval_gap {
                     sp.max_eval_gap = out.max_eval_gap;
@@ -1425,7 +1414,6 @@ impl MobileGridSim {
                         .schedule(node as u32, self.tick + sp.staleness_refresh);
                 }
             }
-            sp.replayed_node_ticks += replays_now;
         }
         self.cumulative.merge(&tick_tally);
         rec.span(Phase::Estimate, scratch.observations.len() as u64);
@@ -1475,23 +1463,6 @@ impl MobileGridSim {
             }
             if let Some(ch) = &self.channel {
                 ch.record_telemetry(rec);
-            }
-            // Wake accounting is opt-in (`RuntimeOptions::wake_telemetry`)
-            // so a default sparse run's telemetry stays byte-identical to
-            // the dense run it mirrors.
-            if self.wake_telemetry {
-                if let Some(sp) = self.sparse.as_deref() {
-                    rec.counter_add("wake.mobility", woken_now);
-                    rec.counter_add("wake.refresh", refreshed_now);
-                    rec.counter_add("wake.slept_node_ticks", slept_now);
-                    rec.counter_add("wake.replays", replays_now);
-                    rec.gauge_set(
-                        "wake.wheel_occupancy",
-                        (sp.mobility.occupancy() + sp.refresh.occupancy()) as f64,
-                    );
-                    rec.gauge_set("wake.asleep", sp.asleep_count as f64);
-                    rec.gauge_set("wake.max_eval_gap", sp.max_eval_gap as f64);
-                }
             }
             if stale_nodes != self.prev_stale {
                 rec.event(EventKind::StalenessTransition {
@@ -1996,21 +1967,16 @@ mod tests {
             )
         };
         let window = 8;
-        let build = |wake_telemetry: bool| {
-            SimBuilder::new()
-                .nodes(vec![parked(0), parked(1), parked(2), frozen()])
-                .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.25)).unwrap())
-                .runtime(RuntimeOptions {
-                    driver: TickDriver::Sparse,
-                    staleness_refresh: window,
-                    wake_telemetry,
-                    ..RuntimeOptions::default()
-                })
-                .build()
-                .unwrap()
-        };
-
-        let mut sim = build(true);
+        let mut sim = SimBuilder::new()
+            .nodes(vec![parked(0), parked(1), parked(2), frozen()])
+            .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.25)).unwrap())
+            .runtime(RuntimeOptions {
+                driver: TickDriver::Sparse,
+                staleness_refresh: window,
+                ..RuntimeOptions::default()
+            })
+            .build()
+            .unwrap();
         let mut rec = MemoryRecorder::new();
         for _ in 0..200 {
             sim.step_recorded(&mut rec);
@@ -2023,19 +1989,6 @@ mod tests {
             "eval gap {} breached the {window}-tick staleness window",
             wake.max_eval_gap
         );
-        assert!(rec.counter("wake.refresh") > 0);
-        assert!(rec.counter("wake.replays") > 0);
-        assert_eq!(rec.gauge("wake.asleep"), Some(4.0));
-
-        // The wake telemetry is opt-in: without the flag a sparse run
-        // leaves the telemetry stream untouched by wake metrics.
-        let mut quiet = build(false);
-        let mut quiet_rec = MemoryRecorder::new();
-        for _ in 0..50 {
-            quiet.step_recorded(&mut quiet_rec);
-        }
-        assert_eq!(quiet_rec.counter("wake.refresh"), 0);
-        assert_eq!(quiet_rec.gauge("wake.asleep"), None);
     }
 
     #[test]

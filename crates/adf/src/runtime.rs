@@ -111,10 +111,6 @@ pub struct RuntimeOptions {
     /// drift could go unobserved if a cache invariant were ever violated.
     /// Must be ≥ 1; ignored by the dense driver.
     pub staleness_refresh: u64,
-    /// Emit `wake.*` counters and the `wake.wheel_occupancy` gauge into
-    /// telemetry when the sparse driver runs. Off by default so sparse and
-    /// dense runs produce byte-identical telemetry.
-    pub wake_telemetry: bool,
 }
 
 impl Default for RuntimeOptions {
@@ -126,7 +122,6 @@ impl Default for RuntimeOptions {
             retry: None,
             driver: TickDriver::Dense,
             staleness_refresh: 32,
-            wake_telemetry: false,
         }
     }
 }
@@ -215,7 +210,6 @@ mod tests {
         assert_eq!((d.threads, d.campaign_threads), (1, 1));
         assert!(d.faults.is_none() && d.retry.is_none());
         assert_eq!(d.driver, TickDriver::Dense);
-        assert!(!d.wake_telemetry);
         assert!(d.validate().is_ok());
     }
 

@@ -82,13 +82,19 @@ fn bench_fig8_fig9_rmse_by_region(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    figures,
-    bench_table1,
-    bench_fig4_lu_rate,
-    bench_fig5_accumulated,
-    bench_fig6_by_region,
-    bench_fig7_rmse,
-    bench_fig8_fig9_rmse_by_region
-);
-criterion_main!(figures);
+// The group function `criterion_group!` expands to is public; a private
+// module keeps it out of the crate's documented surface.
+mod groups {
+    use super::*;
+
+    criterion_group!(
+        figures,
+        bench_table1,
+        bench_fig4_lu_rate,
+        bench_fig5_accumulated,
+        bench_fig6_by_region,
+        bench_fig7_rmse,
+        bench_fig8_fig9_rmse_by_region
+    );
+}
+criterion_main!(groups::figures);

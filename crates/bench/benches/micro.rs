@@ -11,7 +11,6 @@ use mobigrid_cluster::Bsas;
 use mobigrid_forecast::{BrownPositionEstimator, Forecaster, PositionEstimator};
 use mobigrid_geo::{Point, Polyline};
 use mobigrid_hla::{FedTime, ObjectModel, Rti};
-use mobigrid_sim::{EventQueue, SimTime};
 
 fn bench_bsas_clustering(c: &mut Criterion) {
     // 110 moving nodes' velocity features, the per-recluster workload.
@@ -93,22 +92,6 @@ fn bench_campus_routing(c: &mut Criterion) {
     let to = campus.entrance("B4").expect("exists");
     c.bench_function("campus_dijkstra_route", |b| {
         b.iter(|| black_box(campus.route(black_box(from), black_box(to))));
-    });
-}
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_push_pop_1000", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..1000u64 {
-                q.push(SimTime::from_micros((i * 7919) % 1000), i);
-            }
-            let mut sum = 0u64;
-            while let Some(e) = q.pop() {
-                sum += e.event;
-            }
-            black_box(sum)
-        });
     });
 }
 
@@ -353,23 +336,28 @@ fn bench_sparse_tick(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    micro,
-    bench_bsas_clustering,
-    bench_brown_smoother,
-    bench_position_estimator,
-    bench_distance_filter,
-    bench_classifier,
-    bench_polyline_walk,
-    bench_campus_routing,
-    bench_event_queue,
-    bench_hla_update_reflect,
-    bench_full_sim_tick,
-    bench_steady_state_tick,
-    bench_recording_overhead,
-    bench_fault_channel,
-    bench_tick_throughput,
-    bench_soa_tick,
-    bench_sparse_tick
-);
-criterion_main!(micro);
+// The group function `criterion_group!` expands to is public; a private
+// module keeps it out of the crate's documented surface.
+mod groups {
+    use super::*;
+
+    criterion_group!(
+        micro,
+        bench_bsas_clustering,
+        bench_brown_smoother,
+        bench_position_estimator,
+        bench_distance_filter,
+        bench_classifier,
+        bench_polyline_walk,
+        bench_campus_routing,
+        bench_hla_update_reflect,
+        bench_full_sim_tick,
+        bench_steady_state_tick,
+        bench_recording_overhead,
+        bench_fault_channel,
+        bench_tick_throughput,
+        bench_soa_tick,
+        bench_sparse_tick
+    );
+}
+criterion_main!(groups::micro);

@@ -1,8 +1,8 @@
 /// The result of a clustering pass: per-item assignments plus per-cluster
 /// centroids and sizes.
 ///
-/// Returned by [`Bsas::cluster`](crate::Bsas::cluster) and
-/// [`kmeans`](crate::kmeans). The adaptive distance filter reads the
+/// Returned by [`Bsas::cluster`](crate::Bsas::cluster). The adaptive
+/// distance filter reads the
 /// centroid's velocity component of each cluster to size that cluster's
 /// distance threshold.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,8 +10,7 @@
 //!
 //! * [`Bsas`] — one-shot sequential clustering over a batch of items,
 //! * [`OnlineBsas`] — incremental variant with running centroids,
-//! * [`kmeans`] — a k-means baseline for the clustering ablation,
-//! * [`Clustering`] — the assignment + centroid result shared by both.
+//! * [`Clustering`] — the assignment + centroid result of a batch pass.
 //!
 //! # Examples
 //!
@@ -32,9 +31,7 @@
 mod bsas;
 mod clustering;
 mod distance;
-mod kmeans;
 
 pub use bsas::{Bsas, OnlineBsas};
 pub use clustering::Clustering;
 pub use distance::euclidean;
-pub use kmeans::kmeans;

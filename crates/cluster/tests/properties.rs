@@ -1,9 +1,7 @@
 //! Property-based tests for the clustering substrate.
 
-use mobigrid_cluster::{euclidean, kmeans, Bsas};
+use mobigrid_cluster::{euclidean, Bsas};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn items_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-100.0..100.0f64, 2), 1..60)
@@ -62,32 +60,5 @@ proptest! {
     fn huge_alpha_collapses_to_one_cluster(items in items_strategy()) {
         let c = Bsas::new(1e6).cluster(&items);
         prop_assert_eq!(c.cluster_count(), 1);
-    }
-
-    #[test]
-    fn kmeans_preserves_item_count(items in items_strategy(), seed in any::<u64>()) {
-        let k = (items.len() / 4).max(1);
-        let c = kmeans(&items, k, 30, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(c.item_count(), items.len());
-        prop_assert_eq!(c.cluster_count(), k);
-        let total: usize = (0..k).map(|i| c.size(i)).sum();
-        prop_assert_eq!(total, items.len());
-    }
-
-    #[test]
-    fn kmeans_assigns_each_item_to_nearest_centroid(
-        items in items_strategy(),
-        seed in any::<u64>(),
-    ) {
-        let k = (items.len() / 3).max(1);
-        let c = kmeans(&items, k, 100, &mut StdRng::seed_from_u64(seed));
-        for (i, item) in items.iter().enumerate() {
-            let assigned = euclidean(item, c.centroid(c.assignment(i)));
-            for cl in 0..k {
-                // The final assignment pass guarantees no other centroid is
-                // meaningfully nearer.
-                prop_assert!(assigned <= euclidean(item, c.centroid(cl)) + 1e-9);
-            }
-        }
     }
 }

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors from constructing or fitting forecasters.
+/// Errors from constructing forecasters.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ForecastError {
@@ -10,20 +10,6 @@ pub enum ForecastError {
         /// The rejected value.
         value: f64,
     },
-    /// An autoregressive model needs a positive order.
-    InvalidOrder {
-        /// The rejected order.
-        order: usize,
-    },
-    /// The linear system arising in a least-squares fit was singular.
-    SingularSystem,
-    /// Not enough observations to fit the requested model.
-    NotEnoughData {
-        /// Observations required.
-        needed: usize,
-        /// Observations available.
-        got: usize,
-    },
 }
 
 impl fmt::Display for ForecastError {
@@ -31,13 +17,6 @@ impl fmt::Display for ForecastError {
         match self {
             ForecastError::InvalidSmoothingFactor { value } => {
                 write!(f, "smoothing factor must be in (0, 1], got {value}")
-            }
-            ForecastError::InvalidOrder { order } => {
-                write!(f, "autoregressive order must be positive, got {order}")
-            }
-            ForecastError::SingularSystem => write!(f, "least-squares system was singular"),
-            ForecastError::NotEnoughData { needed, got } => {
-                write!(f, "model needs {needed} observations, got {got}")
             }
         }
     }

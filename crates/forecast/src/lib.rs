@@ -4,13 +4,14 @@
 //! broker no longer knows where a mobile node is; the paper closes that gap
 //! with **Brown's double exponential smoothing** over the node's velocity and
 //! direction (§3.3). This crate implements that estimator along with the
-//! alternatives the paper discusses (ARIMA-style autoregression, simple
-//! exponential smoothing) and the machinery to compare them:
+//! comparators the broker's estimator ablation arms use (simple exponential
+//! smoothing, Holt's linear trend, a constant-velocity Kalman filter):
 //!
 //! * scalar forecasters: [`SingleExponential`], [`BrownDouble`],
-//!   [`HoltLinear`], [`AutoRegressive`],
+//!   [`HoltLinear`],
 //! * position trackers built on them: [`BrownPositionEstimator`],
-//!   [`DeadReckoning`], [`LastKnown`], [`AxisSmoothing`],
+//!   [`DeadReckoning`], [`LastKnown`], [`AxisSmoothing`], plus the
+//!   constant-velocity [`KalmanCv`],
 //! * error metrics: [`metrics::rmse`], [`metrics::mae`], [`metrics::mape`].
 //!
 //! # Examples
@@ -31,22 +32,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ar;
 mod brown;
 mod error;
 mod holt;
 mod kalman;
-mod lin;
 pub mod metrics;
 mod ses;
 mod tracker;
 
-pub use ar::AutoRegressive;
 pub use brown::BrownDouble;
 pub use error::ForecastError;
 pub use holt::HoltLinear;
 pub use kalman::KalmanCv;
-pub use lin::solve_linear_system;
 pub use ses::SingleExponential;
 pub use tracker::{
     AxisSmoothing, BrownPositionEstimator, DeadReckoning, LastKnown, PositionEstimator,

@@ -10,11 +10,6 @@ pub enum GeoError {
         /// Number of vertices that were supplied.
         got: usize,
     },
-    /// A polygon needs at least three vertices to enclose area.
-    PolygonTooSmall {
-        /// Number of vertices that were supplied.
-        got: usize,
-    },
     /// A coordinate was NaN or infinite.
     NonFiniteCoordinate,
     /// A rectangle was given a min corner that exceeds its max corner.
@@ -26,9 +21,6 @@ impl fmt::Display for GeoError {
         match self {
             GeoError::PolylineTooShort { got } => {
                 write!(f, "polyline requires at least 2 vertices, got {got}")
-            }
-            GeoError::PolygonTooSmall { got } => {
-                write!(f, "polygon requires at least 3 vertices, got {got}")
             }
             GeoError::NonFiniteCoordinate => write!(f, "coordinate was NaN or infinite"),
             GeoError::InvertedRect => write!(f, "rectangle min corner exceeds max corner"),

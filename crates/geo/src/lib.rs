@@ -10,7 +10,7 @@
 //! * [`Heading`] — a direction of travel with correct angular wrap-around,
 //! * [`Segment`], [`Polyline`] — straight paths and arc-length parametrised
 //!   walks along multi-leg paths,
-//! * [`Rect`], [`Polygon`] — region shapes with containment queries.
+//! * [`Rect`] — axis-aligned regions with containment queries.
 //!
 //! # Examples
 //!
@@ -32,7 +32,6 @@
 mod error;
 mod heading;
 mod point;
-mod polygon;
 mod polyline;
 mod rect;
 mod segment;
@@ -41,7 +40,6 @@ mod vec2;
 pub use error::GeoError;
 pub use heading::{normalize_radians, Heading};
 pub use point::Point;
-pub use polygon::Polygon;
 pub use polyline::Polyline;
 pub use rect::Rect;
 pub use segment::Segment;

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use mobigrid_geo::{Heading, Point, Polygon, Polyline, Rect, Segment, Vec2};
+use mobigrid_geo::{Heading, Point, Polyline, Rect, Segment, Vec2};
 use proptest::prelude::*;
 
 const COORD: std::ops::Range<f64> = -1.0e4..1.0e4;
@@ -98,37 +98,5 @@ proptest! {
     fn rect_uv_sampling_stays_inside(a in point(), b in point(), u in 0.0..1.0f64, v in 0.0..1.0f64) {
         let r = Rect::from_corners(a, b);
         prop_assert!(r.contains(r.point_at_uv(u, v)));
-    }
-
-    #[test]
-    fn rect_polygon_containment_agrees(a in point(), b in point(), p in point()) {
-        let r = Rect::from_corners(a, b);
-        let poly = Polygon::from_rect(r);
-        // Skip points razor-close to the boundary where the polygon's
-        // epsilon-thick edge rule may differ from the rect's closed test.
-        let on_edge = poly.edges().any(|e| e.distance_to_point(p) < 1e-6);
-        if !on_edge {
-            prop_assert_eq!(r.contains(p), poly.contains(p));
-        }
-    }
-
-    #[test]
-    fn polygon_centroid_lies_in_bounding_box(
-        pts in prop::collection::vec((COORD, COORD), 3..8)
-    ) {
-        // The centroid containment guarantee only holds for simple polygons,
-        // so order the random vertices by angle around their mean to produce
-        // a star-shaped (hence simple) boundary.
-        let mut pts: Vec<Point> = pts.into_iter().map(Point::from).collect();
-        let n = pts.len() as f64;
-        let (cx, cy) = pts.iter().fold((0.0, 0.0), |(x, y), p| (x + p.x, y + p.y));
-        let (cx, cy) = (cx / n, cy / n);
-        pts.sort_by(|a, b| {
-            let aa = (a.y - cy).atan2(a.x - cx);
-            let ab = (b.y - cy).atan2(b.x - cx);
-            aa.partial_cmp(&ab).unwrap()
-        });
-        let poly = Polygon::new(pts).unwrap();
-        prop_assert!(poly.bounding_box().inflated(1e-6).contains(poly.centroid()));
     }
 }

@@ -165,6 +165,41 @@ fn the_largest_node_id_is_refused_without_allocating() {
 }
 
 #[test]
+fn deeply_nested_query_lines_get_an_error_and_serve_keeps_answering() {
+    use mobigrid_broker_serve::net::MAX_QUERY_LINE;
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::time::Duration;
+
+    let (_server, _, query_addr) = start_server(16);
+    let ask = |request: &[u8]| {
+        let mut stream = std::net::TcpStream::connect(query_addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(request).unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        mobigrid_telemetry::json::parse(line.trim()).unwrap()
+    };
+    // A full-length line of `[`: the parser refuses it past its nesting
+    // cap instead of overflowing the connection thread's stack.
+    let mut deep = vec![b'['; MAX_QUERY_LINE];
+    deep.push(b'\n');
+    let reply = ask(&deep);
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false));
+    assert!(
+        reply
+            .get("error")
+            .and_then(Value::as_str)
+            .is_some_and(|e| e.contains("nesting")),
+        "{reply:?}"
+    );
+    // The process survived: a fresh connection still gets answers.
+    let stats = ask(b"{\"op\":\"stats\"}\n");
+    assert_eq!(stats.get("ok").and_then(Value::as_bool), Some(true));
+}
+
+#[test]
 fn over_long_query_lines_are_refused_and_closed() {
     use mobigrid_broker_serve::net::MAX_QUERY_LINE;
     use std::io::{BufRead as _, BufReader, Read as _, Write as _};

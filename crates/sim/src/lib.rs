@@ -1,16 +1,9 @@
-//! Discrete-event simulation kernel for the mobigrid workspace.
+//! Deterministic execution substrate for the mobigrid tick loop.
 //!
-//! The paper evaluates the adaptive distance filter inside an HLA-based
-//! distributed simulation. This crate provides the simulation *kernel* that
-//! both the HLA run-time infrastructure and the experiment harness are built
-//! on:
+//! The simulator advances on a fixed 1 s tick over columnar node state;
+//! this crate holds the pieces that keep that loop reproducible at any
+//! thread count:
 //!
-//! * [`SimTime`] — an exact, totally-ordered simulation clock,
-//! * [`EventQueue`] — a deterministic pending-event set with FIFO
-//!   tie-breaking and O(log n) scheduling,
-//! * [`Engine`] / [`Model`] — an event-dispatch loop over a user model,
-//! * [`TickDriver`] — the fixed-step (1 s tick) driver the campus
-//!   experiments use,
 //! * [`SeedStream`] — reproducible per-entity random seeds, and
 //!   [`SplitMix64`] — the canonical single-word generator those seeds drive,
 //! * [`par::ShardPool`] — deterministic sharded parallel execution with
@@ -18,47 +11,33 @@
 //!   counts),
 //! * [`WakeWheel`] — a deterministic timer wheel for sparse event-driven
 //!   ticking (due sets drain in ascending node-id order),
-//! * [`stats`] — streaming statistics (Welford mean/variance, RMSE
-//!   accumulators, time series) shared by the experiment harness.
+//! * [`stats`] — streaming statistics ([`stats::Welford`] mean/variance,
+//!   [`stats::Rmse`] accumulators and a fixed-bin [`stats::Histogram`])
+//!   shared by the experiment harness.
 //!
 //! # Examples
 //!
 //! ```
-//! use mobigrid_sim::{Engine, Model, Context, SimTime};
+//! use mobigrid_sim::{SeedStream, WakeWheel};
 //!
-//! struct Counter { fired: u32 }
+//! // Per-node seeds are a pure function of the master seed and the id.
+//! let seeds = SeedStream::new(7);
+//! assert_eq!(seeds.seed_for(3), SeedStream::new(7).seed_for(3));
 //!
-//! impl Model for Counter {
-//!     type Event = &'static str;
-//!     fn handle(&mut self, ctx: &mut Context<'_, Self::Event>, event: Self::Event) {
-//!         self.fired += 1;
-//!         if event == "again" && self.fired < 3 {
-//!             ctx.schedule_in(SimTime::from_secs(1), "again");
-//!         }
-//!     }
-//! }
-//!
-//! let mut engine = Engine::new(Counter { fired: 0 });
-//! engine.schedule(SimTime::ZERO, "again");
-//! engine.run();
-//! assert_eq!(engine.model().fired, 3);
+//! // Wakes due on the same tick drain in ascending node-id order.
+//! let mut wheel = WakeWheel::new(4);
+//! wheel.schedule(2, 5);
+//! wheel.schedule(0, 5);
+//! assert_eq!(wheel.advance(5), &[0, 2]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 pub mod par;
-mod queue;
 mod rng;
 pub mod stats;
-mod stepper;
-mod time;
 mod wheel;
 
-pub use engine::{Context, Engine, Model};
-pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::{SeedStream, SplitMix64};
-pub use stepper::{Tick, TickDriver};
-pub use time::SimTime;
 pub use wheel::WakeWheel;

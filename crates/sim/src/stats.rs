@@ -3,9 +3,7 @@
 //! The paper reports averages (LUs per second), accumulations (total LUs over
 //! 1800 s) and root-mean-square errors (location error). These accumulators
 //! compute all three in one pass without storing samples, plus a
-//! [`TimeSeries`] recorder for the per-second figure data.
-
-use crate::SimTime;
+//! fixed-bin [`Histogram`] for inter-update intervals.
 
 /// Welford's online algorithm for mean and variance.
 ///
@@ -199,139 +197,6 @@ impl Rmse {
     }
 }
 
-/// A recorded `(time, value)` series for figure output.
-///
-/// # Examples
-///
-/// ```
-/// use mobigrid_sim::stats::TimeSeries;
-/// use mobigrid_sim::SimTime;
-///
-/// let mut s = TimeSeries::new("lu_per_sec");
-/// s.push(SimTime::from_secs(1), 135.0);
-/// s.push(SimTime::from_secs(2), 134.0);
-/// assert_eq!(s.len(), 2);
-/// assert!((s.mean() - 134.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeSeries {
-    name: String,
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series labelled `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// The series label.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Appends a sample. Samples should be pushed in time order; this is
-    /// asserted in debug builds.
-    pub fn push(&mut self, time: SimTime, value: f64) {
-        debug_assert!(
-            self.samples.last().is_none_or(|(t, _)| *t <= time),
-            "time series samples must be pushed in order"
-        );
-        self.samples.push((time, value));
-    }
-
-    /// The recorded samples in time order.
-    #[must_use]
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` when no samples are recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Mean of the sample values; zero when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|(_, v)| v).sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Sum of the sample values.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.samples.iter().map(|(_, v)| v).sum()
-    }
-
-    /// Final sample value, if any.
-    #[must_use]
-    pub fn last_value(&self) -> Option<f64> {
-        self.samples.last().map(|(_, v)| *v)
-    }
-
-    /// The running-total series: sample i holds the sum of values 0..=i.
-    /// Used to turn a per-second LU series into the paper's accumulated-LU
-    /// figure.
-    #[must_use]
-    pub fn accumulated(&self) -> TimeSeries {
-        let mut total = 0.0;
-        let mut out = TimeSeries::new(format!("{}_accumulated", self.name));
-        for (t, v) in &self.samples {
-            total += v;
-            out.push(*t, total);
-        }
-        out
-    }
-
-    /// Averages samples into windows of `window` seconds for smoother plots.
-    #[must_use]
-    pub fn windowed_mean(&self, window: u64) -> TimeSeries {
-        assert!(window > 0, "window must be positive");
-        let mut out = TimeSeries::new(format!("{}_w{}", self.name, window));
-        let mut acc = 0.0;
-        let mut n = 0u64;
-        let mut bucket_end: Option<u64> = None;
-        for (t, v) in &self.samples {
-            let bucket = (t.as_secs() / window + 1) * window;
-            match bucket_end {
-                Some(end) if bucket != end => {
-                    out.push(SimTime::from_secs(end), acc / n as f64);
-                    acc = *v;
-                    n = 1;
-                    bucket_end = Some(bucket);
-                }
-                Some(_) => {
-                    acc += v;
-                    n += 1;
-                }
-                None => {
-                    acc = *v;
-                    n = 1;
-                    bucket_end = Some(bucket);
-                }
-            }
-        }
-        if let Some(end) = bucket_end {
-            out.push(SimTime::from_secs(end), acc / n as f64);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,40 +273,6 @@ mod tests {
         b.push(4.0);
         a.merge(&b);
         assert!((a.value() - (12.5f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_series_accumulated() {
-        let mut s = TimeSeries::new("x");
-        for (i, v) in [1.0, 2.0, 3.0].iter().enumerate() {
-            s.push(SimTime::from_secs(i as u64 + 1), *v);
-        }
-        let acc = s.accumulated();
-        let vals: Vec<f64> = acc.samples().iter().map(|(_, v)| *v).collect();
-        assert_eq!(vals, vec![1.0, 3.0, 6.0]);
-        assert_eq!(acc.last_value(), Some(6.0));
-    }
-
-    #[test]
-    fn time_series_windowed_mean() {
-        let mut s = TimeSeries::new("x");
-        for i in 0..6u64 {
-            s.push(SimTime::from_secs(i), (i % 3) as f64);
-        }
-        // seconds 0,1,2 -> bucket ending 3 ; seconds 3,4,5 -> bucket ending 6
-        let w = s.windowed_mean(3);
-        assert_eq!(w.len(), 2);
-        assert!((w.samples()[0].1 - 1.0).abs() < 1e-12);
-        assert!((w.samples()[1].1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_series_mean_and_sum() {
-        let mut s = TimeSeries::new("x");
-        s.push(SimTime::from_secs(1), 10.0);
-        s.push(SimTime::from_secs(2), 20.0);
-        assert_eq!(s.sum(), 30.0);
-        assert_eq!(s.mean(), 15.0);
     }
 }
 

@@ -1,58 +1,15 @@
-//! Property-based tests for the simulation kernel.
+//! Property-based tests for the seed stream and streaming statistics.
 
 use mobigrid_sim::stats::{Rmse, Welford};
-use mobigrid_sim::{EventQueue, SeedStream, SimTime, TickDriver};
+use mobigrid_sim::SeedStream;
 use proptest::prelude::*;
 
 proptest! {
-    #[test]
-    fn queue_pops_sorted_by_time_then_fifo(times in prop::collection::vec(0u64..100, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.push(SimTime::from_secs(*t), i);
-        }
-        let mut popped = Vec::new();
-        while let Some(e) = q.pop() {
-            popped.push((e.time, e.event));
-        }
-        // Times are non-decreasing.
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            // Among equal times, insertion order is preserved.
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1);
-            }
-        }
-        prop_assert_eq!(popped.len(), times.len());
-    }
-
-    #[test]
-    fn simtime_roundtrip_is_lossless_to_microseconds(micros in 0u64..10_000_000_000) {
-        let t = SimTime::from_micros(micros);
-        let back = SimTime::from_secs_f64(t.as_secs_f64());
-        // f64 has 53 bits of mantissa; within this range the round trip is exact.
-        prop_assert_eq!(back, t);
-    }
-
     #[test]
     fn seed_stream_is_deterministic_and_spread(master in any::<u64>(), idx in 0u64..10_000) {
         let s = SeedStream::new(master);
         prop_assert_eq!(s.seed_for(idx), SeedStream::new(master).seed_for(idx));
         prop_assert_ne!(s.seed_for(idx), s.seed_for(idx + 1));
-    }
-
-    #[test]
-    fn tick_driver_covers_time_exactly(dt_ms in 1u64..5000, total in 0u64..500) {
-        let driver = TickDriver::new(SimTime::from_millis(dt_ms), total);
-        let ticks: Vec<_> = driver.clone().collect();
-        prop_assert_eq!(ticks.len() as u64, total);
-        if let Some(last) = ticks.last() {
-            prop_assert_eq!(last.time, driver.end_time());
-        }
-        // Ticks are contiguous: each ends dt after the previous.
-        for w in ticks.windows(2) {
-            prop_assert_eq!(w[1].time - w[0].time, SimTime::from_millis(dt_ms));
-        }
     }
 
     #[test]

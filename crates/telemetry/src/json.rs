@@ -5,6 +5,23 @@
 //! recursive-descent checker instead ([`validate`] / [`validate_jsonl`]
 //! check syntax only and build no tree), and the trace-analysis CLI reads
 //! exported lines back through [`parse`] into a [`Value`] tree.
+//!
+//! Both descend one call per nesting level, so both refuse documents
+//! nested deeper than [`MAX_DEPTH`]: a line of brackets from a hostile
+//! peer must get an error, not overflow the reading thread's stack.
+
+/// The deepest array/object nesting [`validate`] and [`parse`] accept.
+/// Exported lines nest only a few levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// Enters one more array/object level at `pos`, or refuses past
+/// [`MAX_DEPTH`].
+fn nest(depth: usize, pos: usize) -> Result<usize, String> {
+    if depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
+    Ok(depth + 1)
+}
 
 /// Validates that `s` is exactly one JSON value (with optional surrounding
 /// whitespace).
@@ -16,7 +33,7 @@
 pub fn validate(s: &str) -> Result<(), String> {
     let b = s.as_bytes();
     let mut pos = skip_ws(b, 0);
-    pos = value(b, pos)?;
+    pos = value(b, pos, 0)?;
     pos = skip_ws(b, pos);
     if pos != b.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -50,10 +67,10 @@ fn skip_ws(b: &[u8], mut pos: usize) -> usize {
     pos
 }
 
-fn value(b: &[u8], pos: usize) -> Result<usize, String> {
+fn value(b: &[u8], pos: usize, depth: usize) -> Result<usize, String> {
     match b.get(pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
+        Some(b'{') => object(b, pos, nest(depth, pos)?),
+        Some(b'[') => array(b, pos, nest(depth, pos)?),
         Some(b'"') => string(b, pos),
         Some(b't') => literal(b, pos, b"true"),
         Some(b'f') => literal(b, pos, b"false"),
@@ -72,7 +89,7 @@ fn literal(b: &[u8], pos: usize, lit: &[u8]) -> Result<usize, String> {
     }
 }
 
-fn object(b: &[u8], mut pos: usize) -> Result<usize, String> {
+fn object(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
     pos = skip_ws(b, pos + 1); // consume '{'
     if b.get(pos) == Some(&b'}') {
         return Ok(pos + 1);
@@ -84,7 +101,7 @@ fn object(b: &[u8], mut pos: usize) -> Result<usize, String> {
             return Err(format!("expected ':' at byte {pos}"));
         }
         pos = skip_ws(b, pos + 1);
-        pos = skip_ws(b, value(b, pos)?);
+        pos = skip_ws(b, value(b, pos, depth)?);
         match b.get(pos) {
             Some(b',') => pos = skip_ws(b, pos + 1),
             Some(b'}') => return Ok(pos + 1),
@@ -93,13 +110,13 @@ fn object(b: &[u8], mut pos: usize) -> Result<usize, String> {
     }
 }
 
-fn array(b: &[u8], mut pos: usize) -> Result<usize, String> {
+fn array(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
     pos = skip_ws(b, pos + 1); // consume '['
     if b.get(pos) == Some(&b']') {
         return Ok(pos + 1);
     }
     loop {
-        pos = skip_ws(b, value(b, pos)?);
+        pos = skip_ws(b, value(b, pos, depth)?);
         match b.get(pos) {
             Some(b',') => pos = skip_ws(b, pos + 1),
             Some(b']') => return Ok(pos + 1),
@@ -272,7 +289,7 @@ impl Value {
 pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
     let pos = skip_ws(b, 0);
-    let (v, pos) = parse_value(b, pos)?;
+    let (v, pos) = parse_value(b, pos, 0)?;
     let pos = skip_ws(b, pos);
     if pos != b.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -280,10 +297,10 @@ pub fn parse(s: &str) -> Result<Value, String> {
     Ok(v)
 }
 
-fn parse_value(b: &[u8], pos: usize) -> Result<(Value, usize), String> {
+fn parse_value(b: &[u8], pos: usize, depth: usize) -> Result<(Value, usize), String> {
     match b.get(pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{') => parse_object(b, pos, nest(depth, pos)?),
+        Some(b'[') => parse_array(b, pos, nest(depth, pos)?),
         Some(b'"') => {
             let (s, end) = parse_string(b, pos)?;
             Ok((Value::Str(s), end))
@@ -302,7 +319,7 @@ fn parse_value(b: &[u8], pos: usize) -> Result<(Value, usize), String> {
     }
 }
 
-fn parse_object(b: &[u8], mut pos: usize) -> Result<(Value, usize), String> {
+fn parse_object(b: &[u8], mut pos: usize, depth: usize) -> Result<(Value, usize), String> {
     let mut members = Vec::new();
     pos = skip_ws(b, pos + 1); // consume '{'
     if b.get(pos) == Some(&b'}') {
@@ -315,7 +332,7 @@ fn parse_object(b: &[u8], mut pos: usize) -> Result<(Value, usize), String> {
             return Err(format!("expected ':' at byte {pos}"));
         }
         pos = skip_ws(b, pos + 1);
-        let (v, end) = parse_value(b, pos)?;
+        let (v, end) = parse_value(b, pos, depth)?;
         members.push((key, v));
         pos = skip_ws(b, end);
         match b.get(pos) {
@@ -326,14 +343,14 @@ fn parse_object(b: &[u8], mut pos: usize) -> Result<(Value, usize), String> {
     }
 }
 
-fn parse_array(b: &[u8], mut pos: usize) -> Result<(Value, usize), String> {
+fn parse_array(b: &[u8], mut pos: usize, depth: usize) -> Result<(Value, usize), String> {
     let mut items = Vec::new();
     pos = skip_ws(b, pos + 1); // consume '['
     if b.get(pos) == Some(&b']') {
         return Ok((Value::Arr(items), pos + 1));
     }
     loop {
-        let (v, end) = parse_value(b, pos)?;
+        let (v, end) = parse_value(b, pos, depth)?;
         items.push(v);
         pos = skip_ws(b, end);
         match b.get(pos) {
@@ -507,5 +524,36 @@ mod tests {
         assert_eq!(v.get("sent").and_then(Value::as_bool), Some(false));
         assert_eq!(v.get("displacement"), Some(&Value::Null));
         assert_eq!(v.get("dth").and_then(Value::as_f64), Some(38.5));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        // serve's 64 KiB query-line cap: the longest line a peer can send.
+        let line_cap = 64 * 1024;
+        let deep_object = "{\"a\":".repeat(line_cap / 5) + &"}".repeat(line_cap / 5);
+        let docs = ["[".repeat(line_cap), deep_object];
+        // A stack far below the 2 MiB default: recursion must stop at
+        // MAX_DEPTH whatever the input.
+        std::thread::Builder::new()
+            .stack_size(512 * 1024)
+            .spawn(move || {
+                for doc in &docs {
+                    assert!(validate(doc).unwrap_err().contains("nesting"));
+                    assert!(parse(doc).unwrap_err().contains("nesting"));
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_is_accepted() {
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(validate(&at_cap).is_ok());
+        assert!(parse(&at_cap).is_ok());
+        let past = format!("[{at_cap}]");
+        assert!(validate(&past).is_err());
+        assert!(parse(&past).is_err());
     }
 }

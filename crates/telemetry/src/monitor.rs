@@ -168,61 +168,34 @@ pub struct TickVitals<'a> {
     pub late_accepted: &'a [bool],
 }
 
-/// An online invariant monitor, run once per tick from the pipeline.
-///
-/// Implementations may keep cross-tick state (previous counters, per-node
-/// baselines); they must push one [`Violation`] per broken relation and
-/// never panic — violations are data, not aborts, so a monitor bug cannot
-/// take down a release run.
-pub trait Monitor: Send {
-    /// The monitor's stable name.
-    fn kind(&self) -> MonitorKind;
-
-    /// Checks one tick, appending any violations to `out`.
-    fn check_tick(&mut self, vitals: &TickVitals<'_>, out: &mut Vec<Violation>);
-}
-
 /// Checks `generated == filter_sent + suppressed`.
-#[derive(Debug, Default)]
-pub struct FilterConservation;
-
-impl Monitor for FilterConservation {
-    fn kind(&self) -> MonitorKind {
-        MonitorKind::FilterConservation
-    }
-
-    fn check_tick(&mut self, v: &TickVitals<'_>, out: &mut Vec<Violation>) {
-        let accounted = v.filter_sent + v.suppressed;
-        if accounted != v.generated {
-            out.push(Violation {
-                monitor: self.kind(),
-                tick: v.tick,
-                node: None,
-                expected: v.generated as i64,
-                actual: accounted as i64,
-                detail: "filter_sent + suppressed must equal generated",
-            });
-        }
+fn check_filter_conservation(v: &TickVitals<'_>, out: &mut Vec<Violation>) {
+    let accounted = v.filter_sent + v.suppressed;
+    if accounted != v.generated {
+        out.push(Violation {
+            monitor: MonitorKind::FilterConservation,
+            tick: v.tick,
+            node: None,
+            expected: v.generated as i64,
+            actual: accounted as i64,
+            detail: "filter_sent + suppressed must equal generated",
+        });
     }
 }
 
 /// Checks `on_air == delivered + lost + no_coverage` and the in-flight
 /// queue's tick-to-tick continuity.
 #[derive(Debug, Default)]
-pub struct ChannelConservation {
+struct ChannelConservation {
     prev_in_flight: Option<u64>,
 }
 
-impl Monitor for ChannelConservation {
-    fn kind(&self) -> MonitorKind {
-        MonitorKind::ChannelConservation
-    }
-
+impl ChannelConservation {
     fn check_tick(&mut self, v: &TickVitals<'_>, out: &mut Vec<Violation>) {
         let accounted = v.delivered + v.lost + v.no_coverage;
         if accounted != v.on_air {
             out.push(Violation {
-                monitor: self.kind(),
+                monitor: MonitorKind::ChannelConservation,
                 tick: v.tick,
                 node: None,
                 expected: v.on_air as i64,
@@ -232,7 +205,7 @@ impl Monitor for ChannelConservation {
         }
         if v.deferred > v.lost {
             out.push(Violation {
-                monitor: self.kind(),
+                monitor: MonitorKind::ChannelConservation,
                 tick: v.tick,
                 node: None,
                 expected: v.lost as i64,
@@ -244,7 +217,7 @@ impl Monitor for ChannelConservation {
             let expected = prev as i64 + v.deferred as i64 - v.arrived_late as i64;
             if v.in_flight as i64 != expected {
                 out.push(Violation {
-                    monitor: self.kind(),
+                    monitor: MonitorKind::ChannelConservation,
                     tick: v.tick,
                     node: None,
                     expected,
@@ -259,45 +232,24 @@ impl Monitor for ChannelConservation {
 
 /// Checks that each node's transmitted wire sequence numbers advance by
 /// exactly one per transmission (wrapping).
+///
+/// Strict mode knows sequence numbers start at 0 (a run observed from its
+/// first tick); lazy mode lets the first transmission seen per node
+/// establish its baseline (a stream whose head may have been dropped).
 #[derive(Debug)]
-pub struct SeqMonotonicity {
+struct SeqMonotonicity {
     strict: bool,
     expected: Vec<u32>,
     sighted: Vec<bool>,
 }
 
 impl SeqMonotonicity {
-    /// Strict mode: sequence numbers are known to start at 0 (a run
-    /// observed from its first tick).
-    #[must_use]
-    pub fn new() -> Self {
+    fn new(strict: bool) -> Self {
         SeqMonotonicity {
-            strict: true,
+            strict,
             expected: Vec::new(),
             sighted: Vec::new(),
         }
-    }
-
-    /// Lazy mode: the first transmission seen per node establishes its
-    /// baseline (a stream whose head may have been dropped).
-    #[must_use]
-    pub fn resuming() -> Self {
-        SeqMonotonicity {
-            strict: false,
-            ..SeqMonotonicity::new()
-        }
-    }
-}
-
-impl Default for SeqMonotonicity {
-    fn default() -> Self {
-        SeqMonotonicity::new()
-    }
-}
-
-impl Monitor for SeqMonotonicity {
-    fn kind(&self) -> MonitorKind {
-        MonitorKind::SeqMonotonicity
     }
 
     fn check_tick(&mut self, v: &TickVitals<'_>, out: &mut Vec<Violation>) {
@@ -315,7 +267,7 @@ impl Monitor for SeqMonotonicity {
             let seq = v.wire_seqs[i];
             if self.sighted[i] && seq != self.expected[i] {
                 out.push(Violation {
-                    monitor: self.kind(),
+                    monitor: MonitorKind::SeqMonotonicity,
                     tick: v.tick,
                     node: Some(i as u32),
                     expected: i64::from(self.expected[i]),
@@ -331,43 +283,23 @@ impl Monitor for SeqMonotonicity {
 
 /// Checks that per-node staleness counters match the loss/acceptance
 /// model and that the population stale count agrees with them.
+///
+/// Strict mode knows staleness starts at 0 everywhere; lazy mode takes
+/// the first staleness value seen per node as its baseline.
 #[derive(Debug)]
-pub struct StalenessConsistency {
+struct StalenessConsistency {
     strict: bool,
     prev: Vec<u32>,
     sighted: Vec<bool>,
 }
 
 impl StalenessConsistency {
-    /// Strict mode: staleness is known to start at 0 everywhere.
-    #[must_use]
-    pub fn new() -> Self {
+    fn new(strict: bool) -> Self {
         StalenessConsistency {
-            strict: true,
+            strict,
             prev: Vec::new(),
             sighted: Vec::new(),
         }
-    }
-
-    /// Lazy mode: the first staleness value seen per node is its baseline.
-    #[must_use]
-    pub fn resuming() -> Self {
-        StalenessConsistency {
-            strict: false,
-            ..StalenessConsistency::new()
-        }
-    }
-}
-
-impl Default for StalenessConsistency {
-    fn default() -> Self {
-        StalenessConsistency::new()
-    }
-}
-
-impl Monitor for StalenessConsistency {
-    fn kind(&self) -> MonitorKind {
-        MonitorKind::StalenessConsistency
     }
 
     fn check_tick(&mut self, v: &TickVitals<'_>, out: &mut Vec<Violation>) {
@@ -377,7 +309,7 @@ impl Monitor for StalenessConsistency {
         let stale = v.staleness.iter().filter(|s| **s > 0).count() as u32;
         if stale != v.stale_nodes {
             out.push(Violation {
-                monitor: self.kind(),
+                monitor: MonitorKind::StalenessConsistency,
                 tick: v.tick,
                 node: None,
                 expected: i64::from(stale),
@@ -405,7 +337,7 @@ impl Monitor for StalenessConsistency {
                 };
                 if actual != expected {
                     out.push(Violation {
-                        monitor: self.kind(),
+                        monitor: MonitorKind::StalenessConsistency,
                         tick: v.tick,
                         node: Some(i as u32),
                         expected: i64::from(expected),
@@ -420,85 +352,55 @@ impl Monitor for StalenessConsistency {
     }
 }
 
-/// The monitor battery the pipeline runs every tick.
+/// The four-law monitor battery the pipeline runs every tick.
+///
+/// Monitors may keep cross-tick state (previous counters, per-node
+/// baselines); they push one [`Violation`] per broken relation and never
+/// panic — violations are data, not aborts, so a monitor bug cannot take
+/// down a release run.
+#[derive(Debug)]
 pub struct MonitorSet {
-    monitors: Vec<Box<dyn Monitor>>,
+    channel: ChannelConservation,
+    seq: SeqMonotonicity,
+    staleness: StalenessConsistency,
     scratch: Vec<Violation>,
 }
 
-impl fmt::Debug for MonitorSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MonitorSet")
-            .field("monitors", &self.monitors.len())
-            .finish()
-    }
-}
-
 impl MonitorSet {
-    /// The standard four-law battery in strict mode, for online checking
-    /// from the first tick of a run.
+    fn new(strict: bool) -> Self {
+        MonitorSet {
+            channel: ChannelConservation::default(),
+            seq: SeqMonotonicity::new(strict),
+            staleness: StalenessConsistency::new(strict),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The standard battery in strict mode, for online checking from the
+    /// first tick of a run.
     #[must_use]
     pub fn standard() -> Self {
-        MonitorSet::with_monitors(vec![
-            Box::new(FilterConservation),
-            Box::new(ChannelConservation::default()),
-            Box::new(SeqMonotonicity::new()),
-            Box::new(StalenessConsistency::new()),
-        ])
+        MonitorSet::new(true)
     }
 
     /// The standard battery in lazy-baseline mode, for replaying a stream
     /// whose head may have been truncated (the offline `trace --check`).
     #[must_use]
     pub fn resuming() -> Self {
-        MonitorSet::with_monitors(vec![
-            Box::new(FilterConservation),
-            Box::new(ChannelConservation::default()),
-            Box::new(SeqMonotonicity::resuming()),
-            Box::new(StalenessConsistency::resuming()),
-        ])
-    }
-
-    /// A set with an explicit monitor list.
-    #[must_use]
-    pub fn with_monitors(monitors: Vec<Box<dyn Monitor>>) -> Self {
-        MonitorSet {
-            monitors,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// An empty set (checks nothing).
-    #[must_use]
-    pub fn empty() -> Self {
-        MonitorSet::with_monitors(Vec::new())
-    }
-
-    /// Adds a monitor to the battery.
-    pub fn push(&mut self, monitor: Box<dyn Monitor>) {
-        self.monitors.push(monitor);
-    }
-
-    /// Number of monitors in the battery.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.monitors.len()
-    }
-
-    /// True when the battery is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.monitors.is_empty()
+        MonitorSet::new(false)
     }
 
     /// Runs every monitor over one tick's vitals and returns the
-    /// violations found this tick (empty on a healthy tick). The returned
-    /// slice is valid until the next call.
+    /// violations found this tick (empty on a healthy tick), in monitor
+    /// order: filter conservation, channel conservation, seq
+    /// monotonicity, staleness consistency. The returned slice is valid
+    /// until the next call.
     pub fn check_tick(&mut self, vitals: &TickVitals<'_>) -> &[Violation] {
         self.scratch.clear();
-        for monitor in &mut self.monitors {
-            monitor.check_tick(vitals, &mut self.scratch);
-        }
+        check_filter_conservation(vitals, &mut self.scratch);
+        self.channel.check_tick(vitals, &mut self.scratch);
+        self.seq.check_tick(vitals, &mut self.scratch);
+        self.staleness.check_tick(vitals, &mut self.scratch);
         &self.scratch
     }
 }

@@ -2,7 +2,8 @@
 
 use mobigrid_geo::Point;
 use mobigrid_wireless::{
-    AccessNetwork, Battery, EnergyModel, FaultChannel, FaultPlan, Gateway, GatewayKind, LinkEvent,
+    decode_batch, decode_payload, encode_batch, verify_batch_crcs, AccessNetwork, Battery,
+    EnergyModel, FaultChannel, FaultPlan, Gateway, GatewayKind, IngestRecord, LinkEvent,
     LocationUpdate, MnId,
 };
 use proptest::prelude::*;
@@ -19,6 +20,75 @@ fn grid_network(cells: u32, range: f64) -> AccessNetwork {
         })
         .collect();
     AccessNetwork::new(gateways)
+}
+
+/// Payload-shaped bytes: runs of an opcode (mostly valid, sometimes not)
+/// followed by a body of random length, so the decoders get past the
+/// first byte. At most 64 × 49 bytes, under 4 KiB.
+fn record_shaped_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((0u8..7, prop::collection::vec(any::<u8>(), 0..48)), 0..64).prop_map(
+        |chunks| {
+            chunks
+                .into_iter()
+                .flat_map(|(opcode, body)| std::iter::once(opcode).chain(body))
+                .collect()
+        },
+    )
+}
+
+/// Prefixes `payload` with its own big-endian length, as a sender would.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut batch = (payload.len() as u32).to_be_bytes().to_vec();
+    batch.extend_from_slice(payload);
+    batch
+}
+
+/// One record of each kind in turn, built from `(node, value)` pairs.
+fn mixed_records(xs: &[(u32, f64)]) -> Vec<IngestRecord> {
+    xs.iter()
+        .enumerate()
+        .map(|(i, &(node, v))| {
+            let node = MnId::new(node);
+            match i % 5 {
+                0 => {
+                    IngestRecord::Update(LocationUpdate::new(node, v, Point::new(v, -v), i as u32))
+                }
+                1 => IngestRecord::Filtered { node, time_s: v },
+                2 => IngestRecord::Lost { node, time_s: v },
+                3 => IngestRecord::TickEnd {
+                    tick: i as u64,
+                    time_s: v,
+                },
+                _ => IngestRecord::BatchSpan {
+                    tick: i as u64,
+                    batch_seq: 7,
+                    sent_unix_us: 1,
+                    dt_s: v,
+                },
+            }
+        })
+        .collect()
+}
+
+/// The batch decoders never panic, and the CRC pass rejects exactly what
+/// the decoder rejects, counting one check per LU record it accepts.
+fn check_batch_decoders(payload: &[u8]) {
+    let _ = decode_batch(payload);
+    let decoded = decode_batch(&framed(payload));
+    let verified = verify_batch_crcs(payload);
+    assert_eq!(
+        decoded.is_ok(),
+        verified.is_ok(),
+        "{decoded:?} vs {verified:?}"
+    );
+    if let (Ok(records), Ok(checked)) = (decoded, verified) {
+        let updates = records
+            .iter()
+            .filter(|r| matches!(r, IngestRecord::Update(_)))
+            .count();
+        assert_eq!(checked, updates as u64);
+        assert_eq!(decode_payload(payload).unwrap(), records);
+    }
 }
 
 proptest! {
@@ -210,5 +280,38 @@ proptest! {
             }
         }
         prop_assert!(net.handoffs() <= ok.saturating_sub(1));
+    }
+
+    #[test]
+    fn batch_decoders_never_panic_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..4096),
+    ) {
+        check_batch_decoders(&bytes);
+    }
+
+    #[test]
+    fn batch_decoders_never_panic_on_record_shaped_bytes(bytes in record_shaped_bytes()) {
+        check_batch_decoders(&bytes);
+    }
+
+    #[test]
+    fn batch_decoders_never_panic_on_damaged_batches(
+        xs in prop::collection::vec((any::<u32>(), -1.0e6..1.0e6f64), 0..40),
+        cut in any::<usize>(),
+        index in any::<usize>(),
+        flip in any::<u8>(),
+    ) {
+        // A real batch of every record kind, then one byte flipped and
+        // the tail cut at a random point.
+        let records = mixed_records(&xs);
+        let batch = encode_batch(&records);
+        let mut payload = batch[4..].to_vec();
+        if !payload.is_empty() {
+            let at = index % payload.len();
+            payload[at] ^= flip;
+            payload.truncate(at + cut % (payload.len() - at + 1));
+        }
+        check_batch_decoders(&payload);
+        prop_assert_eq!(decode_batch(&batch).unwrap(), records);
     }
 }

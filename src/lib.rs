@@ -12,13 +12,13 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`geo`] | `mobigrid-geo` | 2-D geometry: points, headings, polylines, regions |
-//! | [`sim`] | `mobigrid-sim` | Discrete-event kernel, deterministic RNG, statistics |
+//! | [`sim`] | `mobigrid-sim` | Seed streams, sharded executor, wake wheel, statistics |
 //! | [`hla`] | `mobigrid-hla` | Mini HLA 1.3 RTI: pub/sub, object, time management |
 //! | [`campus`] | `mobigrid-campus` | The Figure-1 experiment site and routing |
 //! | [`mobility`] | `mobigrid-mobility` | SS/RMS/LMS mobility models, schedules, traces |
 //! | [`wireless`] | `mobigrid-wireless` | Gateways, coverage, LU frames, traffic meters |
-//! | [`forecast`] | `mobigrid-forecast` | Exponential smoothing family, position estimators |
-//! | [`cluster`] | `mobigrid-cluster` | Sequential clustering (BSAS), k-means baseline |
+//! | [`forecast`] | `mobigrid-forecast` | Brown DES and comparators, position estimators |
+//! | [`cluster`] | `mobigrid-cluster` | Sequential clustering (BSAS) |
 //! | [`adf`] | `mobigrid-adf` | **The paper's contribution**: classifier, filters, broker, pipeline |
 //! | [`experiments`] | `mobigrid-experiments` | Table-1 workload and figure regeneration |
 //! | [`serve`] | `mobigrid-broker-serve` | The broker as a live service: ingest, query RPC, loadgen |
