@@ -284,13 +284,15 @@ impl NodeColumns {
             .zip(self.positions.chunks_mut(shard_size))
             .zip(self.traces.chunks_mut(shard_size))
             .zip(self.record_trace.chunks(shard_size))
-            .map(|((((engines, rng), positions), traces), record_trace)| MovementShard {
-                engines,
-                rng,
-                positions,
-                traces,
-                record_trace,
-            })
+            .map(
+                |((((engines, rng), positions), traces), record_trace)| MovementShard {
+                    engines,
+                    rng,
+                    positions,
+                    traces,
+                    record_trace,
+                },
+            )
     }
 }
 

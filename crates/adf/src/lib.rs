@@ -61,9 +61,9 @@ pub use config::AdfConfig;
 pub use filter::{Decision, DistanceFilter, FilterReference};
 pub use node::MobileNode;
 pub use pipeline::{error_bucket_spec, MobileGridSim, SimBuilder, TickStats, WakeStats};
-pub use runtime::{FaultSpec, RuntimeOptions, SimError, TickDriver};
 pub use policy::{
     AdaptiveDistanceFilter, FilterPolicy, FilterProbe, GeneralDistanceFilter, IdealPolicy,
 };
+pub use runtime::{FaultSpec, RuntimeOptions, SimError, TickDriver};
 pub use stats::{KindTally, RegionTally};
 pub use store::{BrokerStore, CensusReport, StalenessReport, StoreStats};

@@ -1,6 +1,8 @@
 use mobigrid_campus::{RegionId, RegionKind};
 use mobigrid_geo::Point;
-use mobigrid_mobility::{MobilityEngine, MobilityKind, MobilityModel, MobilityPattern, NodeType, Trace};
+use mobigrid_mobility::{
+    MobilityEngine, MobilityKind, MobilityModel, MobilityPattern, NodeType, Trace,
+};
 use mobigrid_sim::SplitMix64;
 use mobigrid_wireless::{MnId, RetryPolicy};
 

@@ -1108,6 +1108,9 @@ mod tests {
 
         // Boxed policies forward the probe.
         let boxed: Box<dyn FilterPolicy> = Box::new(adf);
-        assert_eq!(boxed.probe(node).unwrap().pattern, Some(MobilityPattern::Linear));
+        assert_eq!(
+            boxed.probe(node).unwrap().pattern,
+            Some(MobilityPattern::Linear)
+        );
     }
 }

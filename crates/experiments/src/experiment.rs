@@ -56,7 +56,11 @@ pub trait Experiment: Sync {
 
 /// `run` for campaign-backed experiments: compute the campaign (recorded),
 /// then render through `run_on`.
-fn run_via_campaign(exp: &dyn Experiment, cfg: &ExperimentConfig, rec: &mut dyn Recorder) -> Report {
+fn run_via_campaign(
+    exp: &dyn Experiment,
+    cfg: &ExperimentConfig,
+    rec: &mut dyn Recorder,
+) -> Report {
     let data = run_campaign_recorded(cfg, rec);
     exp.run_on(&data)
         .expect("campaign-backed experiments implement run_on")

@@ -62,12 +62,12 @@ pub(crate) mod test_support {
 pub mod extensions;
 pub mod fault_matrix;
 pub mod federated;
-pub mod intervals;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig89;
+pub mod intervals;
 pub mod report;
 pub mod robustness;
 pub mod scalability;

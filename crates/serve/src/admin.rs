@@ -134,7 +134,10 @@ mod tests {
         assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
         assert!(metrics.contains("Content-Length: "), "{metrics}");
         assert!(metrics.contains("serve_batches_total 1\n"), "{metrics}");
-        assert!(metrics.contains("serve_shard_live_records{shard=\"0\"} 0"), "{metrics}");
+        assert!(
+            metrics.contains("serve_shard_live_records{shard=\"0\"} 0"),
+            "{metrics}"
+        );
 
         assert!(get(addr, "/health").contains("\r\n\r\nok\n"));
         assert!(get(addr, "/ready").starts_with("HTTP/1.1 200 OK"));

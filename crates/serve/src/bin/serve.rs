@@ -50,20 +50,29 @@ fn parse_args() -> Cli {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().unwrap_or_else(|| panic!("{flag} needs a value\n{USAGE}"));
+        let mut value = |flag: &str| {
+            args.next()
+                .unwrap_or_else(|| panic!("{flag} needs a value\n{USAGE}"))
+        };
         match arg.as_str() {
             "--ingest" => cli.ingest = value("--ingest"),
             "--query" => cli.query = value("--query"),
             "--admin" => cli.admin = value("--admin"),
             "--nodes" => {
-                cli.nodes = value("--nodes").parse().unwrap_or_else(|e| panic!("--nodes: {e}"));
+                cli.nodes = value("--nodes")
+                    .parse()
+                    .unwrap_or_else(|e| panic!("--nodes: {e}"));
             }
             "--shards" => {
-                cli.shards = value("--shards").parse().unwrap_or_else(|e| panic!("--shards: {e}"));
+                cli.shards = value("--shards")
+                    .parse()
+                    .unwrap_or_else(|e| panic!("--shards: {e}"));
             }
             "--telemetry" => cli.telemetry = Some(value("--telemetry")),
             "--events" => {
-                cli.events = value("--events").parse().unwrap_or_else(|e| panic!("--events: {e}"));
+                cli.events = value("--events")
+                    .parse()
+                    .unwrap_or_else(|e| panic!("--events: {e}"));
             }
             "--profile" => cli.profile = true,
             other => panic!("unknown flag {other:?}\n{USAGE}"),

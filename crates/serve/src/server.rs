@@ -595,7 +595,11 @@ mod tests {
         frame[flip] ^= 0xFF;
         assert!(s.ingest_frame(&frame).is_err());
         assert_eq!(s.counter("serve.frames_rejected"), 1);
-        assert_eq!(s.store().stats().received, 0, "rejected batch must not apply");
+        assert_eq!(
+            s.store().stats().received,
+            0,
+            "rejected batch must not apply"
+        );
     }
 
     #[test]

@@ -87,10 +87,7 @@ fn queries_answer_through_the_in_proc_transport() {
     }
     let stats = client.call(r#"{"op":"stats"}"#).unwrap();
     assert_eq!(stats.get("ticks").and_then(Value::as_u64), Some(40));
-    assert_eq!(
-        stats.get("live_records").and_then(Value::as_u64),
-        Some(140)
-    );
+    assert_eq!(stats.get("live_records").and_then(Value::as_u64), Some(140));
     let census = client
         .call(r#"{"op":"census","x0":-10000.0,"y0":-10000.0,"x1":10000.0,"y1":10000.0}"#)
         .unwrap();

@@ -142,7 +142,11 @@ impl WakeWheel {
     ///
     /// Panics when `tick` is not monotonically increasing.
     pub fn advance(&mut self, tick: u64) -> &[u32] {
-        assert!(tick > self.now, "advance must move forward (now={})", self.now);
+        assert!(
+            tick > self.now,
+            "advance must move forward (now={})",
+            self.now
+        );
         let prev = self.now;
         self.now = tick;
         self.due.clear();

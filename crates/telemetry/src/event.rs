@@ -467,13 +467,19 @@ mod tests {
         }
         assert_eq!(ring.dropped(), 15);
         assert_eq!(ring.len(), 4);
-        assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![15, 16, 17, 18]);
+        assert_eq!(
+            ring.iter().copied().collect::<Vec<_>>(),
+            vec![15, 16, 17, 18]
+        );
         // Dropped keeps counting monotonically on further wraps.
         for v in 19..27 {
             ring.push(v);
         }
         assert_eq!(ring.dropped(), 23);
-        assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![23, 24, 25, 26]);
+        assert_eq!(
+            ring.iter().copied().collect::<Vec<_>>(),
+            vec![23, 24, 25, 26]
+        );
     }
 
     #[test]

@@ -190,7 +190,10 @@ impl MemoryRecorder {
             self.events_dropped(),
         );
         for (name, v) in self.counters() {
-            let _ = writeln!(out, "{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":{v}}}");
+            let _ = writeln!(
+                out,
+                "{{\"type\":\"counter\",\"name\":\"{name}\",\"value\":{v}}}"
+            );
         }
         for (name, v) in self.gauges() {
             let _ = writeln!(
@@ -243,8 +246,12 @@ impl MemoryRecorder {
                 if count == 0 {
                     continue;
                 }
-                let lo = spec.lower_bound(slot).map_or(String::new(), |b| format!("{b:?}"));
-                let hi = spec.upper_bound(slot).map_or(String::new(), |b| format!("{b:?}"));
+                let lo = spec
+                    .lower_bound(slot)
+                    .map_or(String::new(), |b| format!("{b:?}"));
+                let hi = spec
+                    .upper_bound(slot)
+                    .map_or(String::new(), |b| format!("{b:?}"));
                 let _ = writeln!(out, "histogram,{name},{lo},{hi},{count}");
             }
         }
@@ -342,7 +349,9 @@ mod tests {
         assert_eq!(lines, 15);
         assert!(text.contains("\"format\":\"mobigrid-telemetry/2\""));
         assert!(text.contains("\"name\":\"sim.sent\",\"value\":4"));
-        assert!(text.contains("\"kind\":\"lu_generated\",\"node\":3,\"seq\":1,\"x\":10.0,\"y\":-2.5"));
+        assert!(
+            text.contains("\"kind\":\"lu_generated\",\"node\":3,\"seq\":1,\"x\":10.0,\"y\":-2.5")
+        );
         assert!(text.contains("\"class\":\"linear\",\"cluster\":2"));
         assert!(
             text.contains("\"sent\":true,\"displacement\":null"),
@@ -355,7 +364,10 @@ mod tests {
             "\"kind\":\"invariant_violation\",\"monitor\":\"filter_conservation\",\"node\":4294967295,\"expected\":140,\"actual\":139"
         ));
         assert!(text.contains("\"phase\":\"observe\""));
-        assert!(text.contains("\"value\":null"), "NaN gauge must render as null");
+        assert!(
+            text.contains("\"value\":null"),
+            "NaN gauge must render as null"
+        );
         assert!(
             text.contains(
                 "\"kind\":\"ingest_batch\",\"batch_tick\":1,\"batch_seq\":1,\"records\":141,\"wire_us\":null,\"apply_us\":37.5"
@@ -372,7 +384,9 @@ mod tests {
         // 1 counter + 2 gauges + 3 non-zero buckets (under, mid, over).
         assert_eq!(lines.len(), 1 + 1 + 2 + 3);
         assert!(csv.contains("counter,sim.sent,,,4"));
-        assert!(csv.lines().any(|l| l.starts_with("histogram,sim.err_with_le,,0.5,")));
+        assert!(csv
+            .lines()
+            .any(|l| l.starts_with("histogram,sim.err_with_le,,0.5,")));
     }
 
     #[test]

@@ -133,19 +133,17 @@ fn string(b: &[u8], pos: usize) -> Result<usize, String> {
     while let Some(&c) = b.get(i) {
         match c {
             b'"' => return Ok(i + 1),
-            b'\\' => {
-                match b.get(i + 1) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
-                    Some(b'u') => {
-                        let hex = b.get(i + 2..i + 6).ok_or("truncated \\u escape")?;
-                        if !hex.iter().all(u8::is_ascii_hexdigit) {
-                            return Err(format!("bad \\u escape at byte {i}"));
-                        }
-                        i += 6;
+            b'\\' => match b.get(i + 1) {
+                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
+                Some(b'u') => {
+                    let hex = b.get(i + 2..i + 6).ok_or("truncated \\u escape")?;
+                    if !hex.iter().all(u8::is_ascii_hexdigit) {
+                        return Err(format!("bad \\u escape at byte {i}"));
                     }
-                    _ => return Err(format!("bad escape at byte {i}")),
+                    i += 6;
                 }
-            }
+                _ => return Err(format!("bad escape at byte {i}")),
+            },
             0x00..=0x1F => return Err(format!("unescaped control byte at {i}")),
             _ => i += 1,
         }
@@ -252,7 +250,9 @@ impl Value {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Num(v)
-                if v.fract() == 0.0 && *v >= -9.223372036854776e18 && *v <= 9.223372036854776e18 =>
+                if v.fract() == 0.0
+                    && *v >= -9.223372036854776e18
+                    && *v <= 9.223372036854776e18 =>
             {
                 Some(*v as i64)
             }
@@ -311,7 +311,9 @@ fn parse_value(b: &[u8], pos: usize, depth: usize) -> Result<(Value, usize), Str
         Some(c) if *c == b'-' || c.is_ascii_digit() => {
             let end = number(b, pos)?;
             let text = std::str::from_utf8(&b[pos..end]).map_err(|_| "non-utf8 number")?;
-            let v: f64 = text.parse().map_err(|_| format!("bad number at byte {pos}"))?;
+            let v: f64 = text
+                .parse()
+                .map_err(|_| format!("bad number at byte {pos}"))?;
             Ok((Value::Num(v), end))
         }
         Some(c) => Err(format!("unexpected byte {:?} at {pos}", *c as char)),

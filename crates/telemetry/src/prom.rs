@@ -102,7 +102,10 @@ mod tests {
 
     #[test]
     fn sanitize_maps_dots_and_leading_digits() {
-        assert_eq!(sanitize_name("serve.ingest_batch_us"), "serve_ingest_batch_us");
+        assert_eq!(
+            sanitize_name("serve.ingest_batch_us"),
+            "serve_ingest_batch_us"
+        );
         assert_eq!(sanitize_name("9lives"), "_9lives");
         assert_eq!(sanitize_name("a:b_c1"), "a:b_c1");
     }

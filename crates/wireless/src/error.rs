@@ -95,7 +95,10 @@ impl fmt::Display for WirelessError {
                 )
             }
             WirelessError::NonFiniteOutageWindow { start_s, end_s } => {
-                write!(f, "outage window bounds must be finite: [{start_s}, {end_s})")
+                write!(
+                    f,
+                    "outage window bounds must be finite: [{start_s}, {end_s})"
+                )
             }
             WirelessError::EmptyOutageWindow { start_s, end_s } => {
                 write!(
@@ -110,7 +113,10 @@ impl fmt::Display for WirelessError {
                 write!(f, "invalid fault parameter: {reason}")
             }
             WirelessError::BatchTooLarge { got, max } => {
-                write!(f, "ingest batch of {got} bytes exceeds the {max}-byte limit")
+                write!(
+                    f,
+                    "ingest batch of {got} bytes exceeds the {max}-byte limit"
+                )
             }
             WirelessError::UnknownOpcode { opcode } => {
                 write!(f, "unknown ingest record opcode {opcode:#04x}")

@@ -142,7 +142,11 @@ mod tests {
     #[test]
     fn non_finite_windows_are_rejected() {
         let mut s = OutageSchedule::new();
-        for (start, end) in [(f64::NAN, 1.0), (0.0, f64::INFINITY), (f64::NEG_INFINITY, 0.0)] {
+        for (start, end) in [
+            (f64::NAN, 1.0),
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.0),
+        ] {
             let err = s.add_window(GatewayId::new(0), start, end).unwrap_err();
             assert!(
                 matches!(err, WirelessError::NonFiniteOutageWindow { .. }),

@@ -297,12 +297,12 @@ pub fn verify_batch_crcs(payload: &[u8]) -> Result<u64, WirelessError> {
         let rest = &payload[at..];
         let body_len = match opcode {
             OP_UPDATE => {
-                let frame = rest
-                    .get(..LocationUpdate::WIRE_SIZE)
-                    .ok_or(WirelessError::MalformedFrame {
-                        got: rest.len(),
-                        needed: LocationUpdate::WIRE_SIZE,
-                    })?;
+                let frame =
+                    rest.get(..LocationUpdate::WIRE_SIZE)
+                        .ok_or(WirelessError::MalformedFrame {
+                            got: rest.len(),
+                            needed: LocationUpdate::WIRE_SIZE,
+                        })?;
                 LocationUpdate::decode_from(frame)?;
                 checked += 1;
                 LocationUpdate::WIRE_SIZE
@@ -334,14 +334,13 @@ pub fn verify_batch_crcs(payload: &[u8]) -> Result<u64, WirelessError> {
 /// [`WirelessError::MalformedFrame`] when the buffer does not contain
 /// exactly the declared payload.
 pub fn decode_batch(batch: &[u8]) -> Result<Vec<IngestRecord>, WirelessError> {
-    let prefix: [u8; BATCH_PREFIX_SIZE] =
-        batch
-            .get(..BATCH_PREFIX_SIZE)
-            .map(|p| p.try_into().expect("prefix-sized slice"))
-            .ok_or(WirelessError::MalformedFrame {
-                got: batch.len(),
-                needed: BATCH_PREFIX_SIZE,
-            })?;
+    let prefix: [u8; BATCH_PREFIX_SIZE] = batch
+        .get(..BATCH_PREFIX_SIZE)
+        .map(|p| p.try_into().expect("prefix-sized slice"))
+        .ok_or(WirelessError::MalformedFrame {
+            got: batch.len(),
+            needed: BATCH_PREFIX_SIZE,
+        })?;
     let declared = payload_len(prefix)?;
     let payload = &batch[BATCH_PREFIX_SIZE..];
     if payload.len() != declared {
