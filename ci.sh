@@ -7,6 +7,9 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
+
 echo "==> cargo build --release"
 cargo build --release
 

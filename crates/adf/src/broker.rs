@@ -38,6 +38,14 @@ pub enum EstimatorKind {
     },
 }
 
+impl Default for EstimatorKind {
+    /// The paper's estimator: Brown's double exponential smoothing with
+    /// α = 0.5.
+    fn default() -> Self {
+        EstimatorKind::Brown { alpha: 0.5 }
+    }
+}
+
 impl EstimatorKind {
     fn build(self) -> Box<dyn PositionEstimator + Send + Sync> {
         match self {

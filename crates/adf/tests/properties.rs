@@ -2,7 +2,7 @@
 
 use mobigrid_adf::{
     AdaptiveDistanceFilter, AdfConfig, DistanceFilter, FilterPolicy, FilterReference,
-    MobileGridSim, MobileNode, MobilityClassifier, RegionTally, SimBuilder,
+    MobileGridSim, MobileNode, MobilityClassifier, RegionTally, RuntimeOptions, SimBuilder,
 };
 use mobigrid_campus::{RegionId, RegionKind};
 use std::collections::VecDeque;
@@ -395,7 +395,10 @@ fn synthetic_sim(node_count: usize, seed: u64, threads: usize) -> MobileGridSim 
     SimBuilder::new()
         .nodes(synthetic_population(node_count, seed))
         .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).expect("valid"))
-        .threads(threads)
+        .runtime(RuntimeOptions {
+            threads,
+            ..RuntimeOptions::default()
+        })
         .build()
         .expect("valid simulation")
 }

@@ -86,10 +86,8 @@ fn ablation_estimators() {
     ];
     let mut rows = Vec::new();
     for (name, kind) in kinds {
-        let config = ExperimentConfig {
-            estimator: kind,
-            ..cfg()
-        };
+        let mut config = cfg();
+        config.estimator = kind;
         let run = run_policy(&config, PolicySpec::Adf(1.0));
         let (with, without) = run.mean_rmse();
         rows.push(vec![
@@ -111,10 +109,8 @@ fn ablation_alpha() {
     let ideal = run_policy(&base, PolicySpec::Ideal).total_sent();
     let mut rows = Vec::new();
     for alpha in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let config = ExperimentConfig {
-            adf: AdfConfig { alpha, ..base.adf },
-            ..base.clone()
-        };
+        let mut config = base.clone();
+        config.adf.alpha = alpha;
         let run = run_policy(&config, PolicySpec::Adf(1.0));
         let (red, rmse_raw, rmse_le) = summarise(&run, ideal);
         rows.push(vec![
@@ -139,7 +135,7 @@ fn ablation_classifier_window() {
     let campus = Campus::inha_like();
     let mut rows = Vec::new();
     for window in [4usize, 10, 20, 40] {
-        let mut nodes = workload::generate_population(&campus, 42);
+        let mut nodes = workload::populate(&campus, 42);
         let mut adf = AdaptiveDistanceFilter::new(AdfConfig {
             classifier_window: window,
             ..AdfConfig::new(1.0)
@@ -190,13 +186,8 @@ fn ablation_filter_reference() {
             FilterReference::LastTransmitted,
         ),
     ] {
-        let config = ExperimentConfig {
-            adf: AdfConfig {
-                reference,
-                ..base.adf
-            },
-            ..base.clone()
-        };
+        let mut config = base.clone();
+        config.adf.reference = reference;
         let run = run_policy(&config, PolicySpec::Adf(1.0));
         let (red, rmse_raw, rmse_le) = summarise(&run, ideal);
         rows.push(vec![

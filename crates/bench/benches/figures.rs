@@ -5,11 +5,19 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use mobigrid_bench::bench_config;
 use mobigrid_experiments::campaign::{run_campaign, run_policy, PolicySpec};
+use mobigrid_experiments::config::ExperimentConfig;
 use mobigrid_experiments::{fig4, fig5, fig6, fig89, table1};
 
 const TICKS: u64 = 120;
+
+/// The paper's campaign shortened to `TICKS`.
+fn bench_config() -> ExperimentConfig {
+    ExperimentConfig {
+        duration_ticks: TICKS,
+        ..ExperimentConfig::default()
+    }
+}
 
 fn bench_table1(c: &mut Criterion) {
     c.bench_function("table1_spec", |b| {
@@ -26,7 +34,7 @@ fn bench_fig4_lu_rate(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("ideal_vs_adf", |b| {
         b.iter(|| {
-            let data = run_campaign(&bench_config(TICKS));
+            let data = run_campaign(&bench_config());
             let fig = fig4::compute(&data);
             assert!(fig.reduction_pct.last().expect("rows").1 > 0.0);
             black_box(fig)
@@ -36,7 +44,7 @@ fn bench_fig4_lu_rate(c: &mut Criterion) {
 }
 
 fn bench_fig5_accumulated(c: &mut Criterion) {
-    let data = run_campaign(&bench_config(TICKS));
+    let data = run_campaign(&bench_config());
     c.bench_function("fig5_accumulated", |b| {
         b.iter(|| {
             let fig = fig5::compute(black_box(&data));
@@ -47,7 +55,7 @@ fn bench_fig5_accumulated(c: &mut Criterion) {
 }
 
 fn bench_fig6_by_region(c: &mut Criterion) {
-    let data = run_campaign(&bench_config(TICKS));
+    let data = run_campaign(&bench_config());
     c.bench_function("fig6_by_region", |b| {
         b.iter(|| {
             let fig = fig6::compute(black_box(&data));
@@ -62,7 +70,7 @@ fn bench_fig7_rmse(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("with_and_without_le", |b| {
         b.iter(|| {
-            let run = run_policy(&bench_config(TICKS), PolicySpec::Adf(1.0));
+            let run = run_policy(&bench_config(), PolicySpec::Adf(1.0));
             let (with, without) = run.mean_rmse();
             assert!(with.is_finite() && without.is_finite());
             black_box((with, without))
@@ -72,7 +80,7 @@ fn bench_fig7_rmse(c: &mut Criterion) {
 }
 
 fn bench_fig8_fig9_rmse_by_region(c: &mut Criterion) {
-    let data = run_campaign(&bench_config(TICKS));
+    let data = run_campaign(&bench_config());
     c.bench_function("fig8_fig9_rmse_by_region", |b| {
         b.iter(|| {
             let fig = fig89::compute(black_box(&data));

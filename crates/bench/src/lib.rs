@@ -11,48 +11,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mobigrid_adf::{AdaptiveDistanceFilter, AdfConfig, MobileGridSim, SimBuilder};
+use mobigrid_adf::{
+    AdaptiveDistanceFilter, AdfConfig, MobileGridSim, MobileNode, RuntimeOptions, SimBuilder,
+    TickDriver,
+};
 use mobigrid_campus::Campus;
-use mobigrid_experiments::config::ExperimentConfig;
 use mobigrid_experiments::workload;
-
-/// A short configuration used by the timing benches: full population, a few
-/// simulated minutes.
-#[must_use]
-pub fn bench_config(ticks: u64) -> ExperimentConfig {
-    ExperimentConfig {
-        duration_ticks: ticks,
-        ..ExperimentConfig::default()
-    }
-}
-
-/// Builds a ready-to-run 140-node ADF simulation for micro/figure benches.
-///
-/// # Panics
-///
-/// Panics if the static configuration is invalid (it is not).
-#[must_use]
-pub fn build_adf_sim(seed: u64, factor: f64) -> MobileGridSim {
-    build_adf_sim_threaded(seed, factor, 1)
-}
-
-/// Like [`build_adf_sim`] but with an explicit worker-thread budget for the
-/// parallel tick phases.
-///
-/// # Panics
-///
-/// Panics if the static configuration is invalid (it is not).
-#[must_use]
-pub fn build_adf_sim_threaded(seed: u64, factor: f64, threads: usize) -> MobileGridSim {
-    let campus = Campus::inha_like();
-    let nodes = workload::generate_population(&campus, seed);
-    SimBuilder::new()
-        .nodes(nodes)
-        .policy(AdaptiveDistanceFilter::new(AdfConfig::new(factor)).expect("valid config"))
-        .threads(threads)
-        .build()
-        .expect("valid simulation")
-}
 
 /// Builds an ADF simulation over a [`Campus::grid_city`] of `blocks` with
 /// the Table-1 per-region densities — the scalability workload the
@@ -65,18 +29,26 @@ pub fn build_adf_sim_threaded(seed: u64, factor: f64, threads: usize) -> MobileG
 #[must_use]
 pub fn build_city_sim(seed: u64, blocks: (usize, usize), threads: usize) -> MobileGridSim {
     let city = Campus::grid_city(blocks.0, blocks.1);
-    let nodes = workload::populate(&city, seed);
+    let runtime = RuntimeOptions {
+        threads,
+        ..RuntimeOptions::default()
+    };
+    adf_sim(workload::populate(&city, seed), runtime)
+}
+
+/// The default ADF over `nodes`, executed with `runtime`.
+fn adf_sim(nodes: Vec<MobileNode>, runtime: RuntimeOptions) -> MobileGridSim {
     SimBuilder::new()
         .nodes(nodes)
-        .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).expect("valid config"))
-        .threads(threads)
+        .policy(AdaptiveDistanceFilter::new(AdfConfig::default()).expect("valid config"))
+        .runtime(runtime)
         .build()
         .expect("valid simulation")
 }
 
 /// Builds an idle-dominated workload for the sparse tick driver: `parked`
 /// permanently stationary nodes plus `walkers` ping-pong path followers,
-/// under the given [`TickDriver`](mobigrid_adf::TickDriver). This is the
+/// under the given [`TickDriver`]. This is the
 /// regime the wake wheel targets — most of the population is provably
 /// quiescent, so the sparse driver sleeps it and replays the cached
 /// broker evaluations, while the dense driver re-evaluates everything
@@ -90,9 +62,8 @@ pub fn build_idle_sim(
     seed: u64,
     parked: usize,
     walkers: usize,
-    driver: mobigrid_adf::TickDriver,
+    driver: TickDriver,
 ) -> MobileGridSim {
-    use mobigrid_adf::MobileNode;
     use mobigrid_campus::{RegionId, RegionKind};
     use mobigrid_geo::{Point, Polyline};
     use mobigrid_mobility::{LoopMode, MobilityPattern, NodeType, PathFollower, StopModel};
@@ -126,25 +97,16 @@ pub fn build_idle_sim(
             seed ^ u64::from(i),
         ));
     }
-    SimBuilder::new()
-        .nodes(nodes)
-        .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).expect("valid config"))
-        .driver(driver)
-        .build()
-        .expect("valid simulation")
+    let runtime = RuntimeOptions {
+        driver,
+        ..RuntimeOptions::default()
+    };
+    adf_sim(nodes, runtime)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn helpers_build() {
-        assert_eq!(bench_config(10).duration_ticks, 10);
-        let mut sim = build_adf_sim(1, 1.0);
-        let s = sim.step();
-        assert_eq!(s.observed, 140);
-    }
 
     #[test]
     fn city_helper_reaches_bench_scale() {
@@ -156,7 +118,6 @@ mod tests {
 
     #[test]
     fn idle_helper_is_driver_invariant() {
-        use mobigrid_adf::TickDriver;
         let mut dense = build_idle_sim(5, 300, 10, TickDriver::Dense);
         let mut sparse = build_idle_sim(5, 300, 10, TickDriver::Sparse);
         for t in 0..60 {

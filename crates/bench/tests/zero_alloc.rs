@@ -25,7 +25,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mobigrid_adf::{AdaptiveDistanceFilter, AdfConfig, MobileGridSim, MobileNode, SimBuilder};
+use mobigrid_adf::{
+    AdaptiveDistanceFilter, AdfConfig, MobileGridSim, MobileNode, RuntimeOptions, SimBuilder,
+};
 use mobigrid_campus::{RegionId, RegionKind};
 use mobigrid_geo::{Point, Polyline};
 use mobigrid_mobility::{LoopMode, MobilityPattern, NodeType, PathFollower, StopModel};
@@ -126,7 +128,6 @@ fn steady_state_sim() -> MobileGridSim {
         .nodes(nodes)
         .policy(AdaptiveDistanceFilter::new(adf).expect("valid config"))
         .network(network)
-        .threads(1)
         .build()
         .expect("valid simulation")
 }
@@ -213,7 +214,6 @@ fn columnar_shard_sweep_does_not_allocate() {
     let mut sim = SimBuilder::new()
         .nodes(nodes)
         .policy(AdaptiveDistanceFilter::new(adf).expect("valid config"))
-        .threads(1)
         .build()
         .expect("valid simulation");
 
@@ -267,8 +267,10 @@ fn sparse_driver_ticks_do_not_allocate() {
     let mut sim = SimBuilder::new()
         .nodes(nodes)
         .policy(AdaptiveDistanceFilter::new(adf).expect("valid config"))
-        .driver(TickDriver::Sparse)
-        .threads(1)
+        .runtime(RuntimeOptions {
+            driver: TickDriver::Sparse,
+            ..RuntimeOptions::default()
+        })
         .build()
         .expect("valid simulation");
 

@@ -11,10 +11,10 @@
 
 use std::fmt;
 
-use mobigrid_campus::{Campus, RegionKind};
+use mobigrid_campus::Campus;
 use mobigrid_wireless::{EnergyModel, GatewayId, LocationUpdate, OutageSchedule};
 
-use mobigrid_adf::{AdaptiveDistanceFilter, AdfConfig, SimBuilder};
+use mobigrid_adf::MobileGridSim;
 
 use crate::campaign::{run_policy, PolicySpec};
 use crate::config::ExperimentConfig;
@@ -121,12 +121,6 @@ impl OutageReport {
     pub fn stale_degradation(&self) -> f64 {
         self.outage_rmse.1 - self.baseline_rmse.1
     }
-
-    /// How much error the outages added for the LE broker, in metres.
-    #[must_use]
-    pub fn le_degradation(&self) -> f64 {
-        self.outage_rmse.0 - self.baseline_rmse.0
-    }
 }
 
 impl fmt::Display for OutageReport {
@@ -160,42 +154,8 @@ impl fmt::Display for OutageReport {
 /// effect is on the error of updates lost in flight.
 #[must_use]
 pub fn outage_resilience(cfg: &ExperimentConfig) -> OutageReport {
-    let campus = Campus::inha_like();
-
     let run = |with_outages: bool| {
-        let mut network = workload::default_network(&campus);
-        if with_outages {
-            let mut sched = OutageSchedule::new();
-            // Gateway 0 is the base station; 1..=6 are the building APs.
-            // Also take the base station down briefly so road nodes see
-            // real disconnections.
-            for ap in 1..=6u32 {
-                let mut start = f64::from(ap) * 50.0;
-                while start < cfg.duration_ticks as f64 {
-                    sched
-                        .add_window(GatewayId::new(ap), start, start + 60.0)
-                        .expect("well-formed outage window");
-                    start += 300.0;
-                }
-            }
-            let mut start = 120.0;
-            while start < cfg.duration_ticks as f64 {
-                sched
-                    .add_window(GatewayId::new(0), start, start + 20.0)
-                    .expect("well-formed outage window");
-                start += 400.0;
-            }
-            network = network.with_outages(sched);
-        }
-        let nodes = workload::generate_population(&campus, cfg.seed);
-        let mut sim = SimBuilder::new()
-            .nodes(nodes)
-            .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).expect("valid"))
-            .estimator(cfg.estimator)
-            .network(network)
-            .threads(cfg.runtime.threads)
-            .build()
-            .expect("valid simulation");
+        let mut sim = outage_sim(cfg, with_outages);
         let stats = sim.run(cfg.duration_ticks);
         let n = stats.len() as f64;
         let with: f64 = stats.iter().map(|t| t.rmse_with_le).sum::<f64>() / n;
@@ -213,11 +173,38 @@ pub fn outage_resilience(cfg: &ExperimentConfig) -> OutageReport {
     }
 }
 
-/// Sanity helper for tests: which kinds of regions the default network's
-/// access points cover.
-#[must_use]
-pub fn ap_region_kind() -> RegionKind {
-    RegionKind::Building
+/// The sim of [`outage_resilience`]: the base ADF recipe over the campus
+/// population, on the default network with or without the outages.
+fn outage_sim(cfg: &ExperimentConfig, with_outages: bool) -> MobileGridSim {
+    let campus = Campus::inha_like();
+    let mut network = workload::default_network(&campus);
+    if with_outages {
+        let mut sched = OutageSchedule::new();
+        // Gateway 0 is the base station; 1..=6 are the building APs.
+        // Also take the base station down briefly so road nodes see
+        // real disconnections.
+        for ap in 1..=6u32 {
+            let mut start = f64::from(ap) * 50.0;
+            while start < cfg.duration_ticks as f64 {
+                sched
+                    .add_window(GatewayId::new(ap), start, start + 60.0)
+                    .expect("well-formed outage window");
+                start += 300.0;
+            }
+        }
+        let mut start = 120.0;
+        while start < cfg.duration_ticks as f64 {
+            sched
+                .add_window(GatewayId::new(0), start, start + 20.0)
+                .expect("well-formed outage window");
+            start += 400.0;
+        }
+        network = network.with_outages(sched);
+    }
+    let nodes = workload::populate(&campus, cfg.seed);
+    cfg.sim(PolicySpec::Adf(cfg.adf.dth_factor))
+        .build_over(nodes, Some(network))
+        .expect("validated configuration")
 }
 
 #[cfg(test)]
@@ -251,6 +238,18 @@ mod tests {
         let text = energy_extension(&cfg()).to_string();
         assert!(text.contains("battery life"));
         assert!(text.contains("ideal"));
+    }
+
+    #[test]
+    fn outage_sims_take_the_whole_runtime() {
+        let mut cfg = cfg();
+        cfg.runtime.driver = mobigrid_adf::TickDriver::Sparse;
+        cfg.runtime.threads = 2;
+        for with_outages in [false, true] {
+            let sim = outage_sim(&cfg, with_outages);
+            assert_eq!(sim.driver(), mobigrid_adf::TickDriver::Sparse);
+            assert_eq!(sim.threads(), 2);
+        }
     }
 
     #[test]

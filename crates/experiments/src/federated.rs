@@ -99,7 +99,7 @@ pub fn run_federated_adf(cfg: &ExperimentConfig, dth_factor: f64) -> FederatedRe
 
     // --- World state behind the MN federate --------------------------------
     let campus = Campus::inha_like();
-    let mut nodes = workload::generate_population(&campus, cfg.seed);
+    let mut nodes = workload::populate(&campus, cfg.seed);
 
     // One raw object and one filtered object per node. The reverse maps let
     // the subscribing federates recover the node from the object handle.
@@ -233,11 +233,12 @@ mod tests {
     use crate::campaign::{run_policy, PolicySpec};
 
     fn cfg(ticks: u64) -> ExperimentConfig {
-        ExperimentConfig {
+        let mut cfg = ExperimentConfig {
             duration_ticks: ticks,
-            with_network: false,
             ..ExperimentConfig::default()
-        }
+        };
+        cfg.with_network = false;
+        cfg
     }
 
     #[test]

@@ -64,10 +64,8 @@ pub fn sweep_seeds(base: &ExperimentConfig, seeds: &[u64]) -> SeedSweep {
         let handles: Vec<_> = seeds
             .iter()
             .map(|&seed| {
-                let cfg = ExperimentConfig {
-                    seed,
-                    ..base.clone()
-                };
+                let mut cfg = base.clone();
+                cfg.seed = seed;
                 scope.spawn(move |_| run_campaign(&cfg))
             })
             .collect();

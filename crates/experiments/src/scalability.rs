@@ -8,9 +8,10 @@
 use std::fmt;
 use std::time::Instant;
 
-use mobigrid_adf::{AdaptiveDistanceFilter, SimBuilder};
+use mobigrid_adf::{MobileGridSim, MobileNode};
 use mobigrid_campus::Campus;
 
+use crate::campaign::PolicySpec;
 use crate::config::ExperimentConfig;
 use crate::report::text_table;
 use crate::workload;
@@ -60,13 +61,7 @@ pub fn sweep_city_sizes(cfg: &ExperimentConfig, sizes: &[(usize, usize)]) -> Sca
         let ideal_sent = population as u64 * cfg.duration_ticks;
 
         let started = Instant::now();
-        let mut sim = SimBuilder::new()
-            .nodes(nodes)
-            .policy(AdaptiveDistanceFilter::new(cfg.adf).expect("validated configuration"))
-            .estimator(cfg.estimator)
-            .threads(cfg.runtime.threads)
-            .build()
-            .expect("valid simulation");
+        let mut sim = city_sim(cfg, nodes);
         let stats = sim.run(cfg.duration_ticks);
         let runtime_s = started.elapsed().as_secs_f64();
 
@@ -86,6 +81,13 @@ pub fn sweep_city_sizes(cfg: &ExperimentConfig, sizes: &[(usize, usize)]) -> Sca
         duration_ticks: cfg.duration_ticks,
         rows,
     }
+}
+
+/// The sim the sweep runs: the base ADF recipe over one city's `nodes`.
+fn city_sim(cfg: &ExperimentConfig, nodes: Vec<MobileNode>) -> MobileGridSim {
+    cfg.sim(PolicySpec::Adf(cfg.adf.dth_factor))
+        .build_over(nodes, None)
+        .expect("validated configuration")
 }
 
 impl ScalabilityReport {
@@ -170,6 +172,16 @@ mod tests {
             );
         }
         assert!(report.reduction_is_scale_stable(25.0), "{report}");
+    }
+
+    #[test]
+    fn city_sims_take_the_whole_runtime() {
+        let mut cfg = ExperimentConfig::default();
+        cfg.runtime.driver = mobigrid_adf::TickDriver::Sparse;
+        cfg.runtime.threads = 2;
+        let sim = city_sim(&cfg, workload::populate(&Campus::grid_city(1, 1), 1));
+        assert_eq!(sim.driver(), mobigrid_adf::TickDriver::Sparse);
+        assert_eq!(sim.threads(), 2);
     }
 
     #[test]

@@ -108,37 +108,14 @@ fn building_rect(region: &Region) -> mobigrid_geo::Rect {
     }
 }
 
-/// Generates the deterministic 140-node population on `campus`.
+/// Populates a campus with the Table-1 per-region densities: 10 nodes per
+/// road (5 human LMS + 5 vehicle LMS) and 15 per building (5 SS + 5 RMS +
+/// 5 LMS). On [`Campus::inha_like`] that is the paper's 140 nodes; the
+/// scalability experiments use [`Campus::grid_city`] layouts.
 ///
 /// Every node draws its velocity, start position and RNG from
 /// `SeedStream::new(seed)`, so two calls with the same seed produce
 /// identical workloads.
-///
-/// # Panics
-///
-/// Panics if `campus` does not have the 11-region layout of
-/// [`Campus::inha_like`].
-#[must_use]
-pub fn generate_population(campus: &Campus, seed: u64) -> Vec<MobileNode> {
-    assert_eq!(
-        campus.regions_of_kind(RegionKind::Road).count(),
-        5,
-        "expected the 5-road campus layout"
-    );
-    assert_eq!(
-        campus.regions_of_kind(RegionKind::Building).count(),
-        6,
-        "expected the 6-building campus layout"
-    );
-    let nodes = populate(campus, seed);
-    debug_assert_eq!(nodes.len(), POPULATION);
-    nodes
-}
-
-/// Populates *any* campus with the Table-1 per-region densities: 10 nodes
-/// per road (5 human LMS + 5 vehicle LMS) and 15 per building (5 SS +
-/// 5 RMS + 5 LMS). Used by the scalability experiments on
-/// [`Campus::grid_city`] layouts.
 #[must_use]
 pub fn populate(campus: &Campus, seed: u64) -> Vec<MobileNode> {
     let stream = SeedStream::new(seed);
@@ -261,7 +238,7 @@ mod tests {
     #[test]
     fn population_matches_table1() {
         let campus = Campus::inha_like();
-        let nodes = generate_population(&campus, 7);
+        let nodes = populate(&campus, 7);
         assert_eq!(nodes.len(), POPULATION);
 
         let road_nodes = nodes
@@ -285,7 +262,7 @@ mod tests {
     #[test]
     fn ids_are_dense() {
         let campus = Campus::inha_like();
-        let nodes = generate_population(&campus, 7);
+        let nodes = populate(&campus, 7);
         for (i, n) in nodes.iter().enumerate() {
             assert_eq!(n.id().index(), i);
         }
@@ -294,13 +271,13 @@ mod tests {
     #[test]
     fn generation_is_deterministic_per_seed() {
         let campus = Campus::inha_like();
-        let a = generate_population(&campus, 3);
-        let b = generate_population(&campus, 3);
+        let a = populate(&campus, 3);
+        let b = populate(&campus, 3);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.position(), y.position());
             assert_eq!(x.declared_pattern(), y.declared_pattern());
         }
-        let c = generate_population(&campus, 4);
+        let c = populate(&campus, 4);
         // A different seed moves at least some starting positions.
         let moved = a
             .iter()
@@ -313,7 +290,7 @@ mod tests {
     #[test]
     fn start_positions_are_inside_home_regions() {
         let campus = Campus::inha_like();
-        let nodes = generate_population(&campus, 11);
+        let nodes = populate(&campus, 11);
         for n in &nodes {
             let region = campus.region(n.region());
             assert!(
@@ -330,7 +307,7 @@ mod tests {
     fn network_covers_every_start_position() {
         let campus = Campus::inha_like();
         let net = default_network(&campus);
-        let nodes = generate_population(&campus, 5);
+        let nodes = populate(&campus, 5);
         for n in &nodes {
             assert!(
                 net.best_gateway(n.position()).is_some(),

@@ -9,20 +9,18 @@
 //!
 //! [`TickStats`]: mobigrid_adf::TickStats
 
-use mobigrid_adf::{AdaptiveDistanceFilter, AdfConfig, MobileGridSim, SimBuilder, TickStats};
-use mobigrid_campus::Campus;
-use mobigrid_experiments::workload;
+use mobigrid_adf::{MobileGridSim, TickStats};
+use mobigrid_experiments::SimConfig;
 
+/// The paper's campus (seed 42, ADF at 1.0 av) on its access network.
 fn build(threads: usize) -> MobileGridSim {
-    let campus = Campus::inha_like();
-    let nodes = workload::generate_population(&campus, 42);
-    SimBuilder::new()
-        .nodes(nodes)
-        .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).expect("valid config"))
-        .network(workload::default_network(&campus))
-        .threads(threads)
-        .build()
-        .expect("valid simulation")
+    SimConfig {
+        with_network: true,
+        ..SimConfig::scenario("campus_140")
+    }
+    .threads(threads)
+    .build()
+    .expect("valid simulation")
 }
 
 #[test]

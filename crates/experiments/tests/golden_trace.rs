@@ -26,7 +26,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use mobigrid_adf::{
-    AdaptiveDistanceFilter, AdfConfig, MobileGridSim, SimBuilder, TickDriver, TickStats,
+    AdaptiveDistanceFilter, AdfConfig, FaultSpec, MobileGridSim, RuntimeOptions, SimBuilder,
+    TickDriver, TickStats,
 };
 use mobigrid_campus::Campus;
 use mobigrid_experiments::workload;
@@ -56,24 +57,28 @@ fn fault_plan() -> FaultPlan {
 
 fn build(threads: usize, faults: Option<FaultPlan>, driver: TickDriver) -> MobileGridSim {
     let campus = Campus::inha_like();
-    let mut nodes = workload::generate_population(&campus, WORKLOAD_SEED);
+    let mut nodes = workload::populate(&campus, WORKLOAD_SEED);
     if faults.is_some() {
         nodes = nodes
             .into_iter()
             .map(|n| n.with_retry_policy(RetryPolicy::default()))
             .collect();
     }
-    let builder = SimBuilder::new()
+    SimBuilder::new()
         .nodes(nodes)
         .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).expect("valid config"))
         .network(workload::default_network(&campus))
-        .threads(threads)
-        .driver(driver);
-    let builder = match faults {
-        Some(plan) => builder.faults(plan, FAULT_SEED),
-        None => builder,
-    };
-    builder.build().expect("valid simulation")
+        .runtime(RuntimeOptions {
+            threads,
+            driver,
+            faults: faults.map(|plan| FaultSpec {
+                plan,
+                seed: FAULT_SEED,
+            }),
+            ..RuntimeOptions::default()
+        })
+        .build()
+        .expect("valid simulation")
 }
 
 /// An `f64` as its exact bit pattern — equality on the rendered form is

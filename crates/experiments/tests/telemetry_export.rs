@@ -14,7 +14,7 @@ fn quick(threads: usize, campaign_threads: usize) -> ExperimentConfig {
         ..ExperimentConfig::default()
     };
     cfg.runtime.threads = threads;
-    cfg.runtime.campaign_threads = campaign_threads;
+    cfg.campaign_threads = campaign_threads;
     cfg
 }
 

@@ -302,22 +302,6 @@ impl BrownPositionEstimator {
         }
     }
 
-    /// Overrides the expected observation spacing in seconds (default 1.0,
-    /// the campus experiments' tick).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `secs` is not strictly positive.
-    #[must_use]
-    pub fn with_nominal_dt(mut self, secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs > 0.0,
-            "nominal spacing must be positive"
-        );
-        self.nominal_dt = secs;
-        self
-    }
-
     /// Overrides the silence time constant τ in seconds.
     ///
     /// # Panics
@@ -331,21 +315,6 @@ impl BrownPositionEstimator {
         );
         self.silence_tau_secs = secs;
         self
-    }
-
-    /// Overrides the consistency-gate smoothing factor (must be in
-    /// `(0, 1]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ForecastError::InvalidSmoothingFactor`] for values outside
-    /// `(0, 1]`.
-    pub fn with_consistency_alpha(mut self, alpha: f64) -> Result<Self, ForecastError> {
-        if !alpha.is_finite() || alpha <= 0.0 || alpha > 1.0 {
-            return Err(ForecastError::InvalidSmoothingFactor { value: alpha });
-        }
-        self.consistency_alpha = alpha;
-        Ok(self)
     }
 
     /// The current direction-consistency gate in `[0, 1]`: ≈ 1 for steady

@@ -95,12 +95,6 @@ impl Point {
         }
     }
 
-    /// Returns the displacement vector from `self` to `other`.
-    #[must_use]
-    pub fn vector_to(self, other: Point) -> Vec2 {
-        other - self
-    }
-
     /// Returns `true` when both coordinates are finite numbers.
     #[must_use]
     pub fn is_finite(self) -> bool {

@@ -55,8 +55,6 @@ pub enum MobilityKind {
     Schedule,
     /// [`TraceReplay`] — deterministic replay of a recorded trace.
     TraceReplay,
-    /// An out-of-tree boxed [`MobilityModel`] (the escape hatch).
-    Custom,
 }
 
 /// Every in-tree mobility model as one enum, dispatched by `match` instead
@@ -64,9 +62,7 @@ pub enum MobilityKind {
 ///
 /// The simulation stores one engine per node in a dense column; enum
 /// dispatch keeps the movement kernel branch-predictable and free of heap
-/// pointer chasing for all in-tree models. [`MobilityEngine::Custom`] keeps
-/// the model surface pluggable: anything implementing [`MobilityModel`]
-/// still works, it just pays the old boxed-dispatch cost.
+/// pointer chasing.
 ///
 /// # Examples
 ///
@@ -97,16 +93,9 @@ pub enum MobilityEngine {
     Schedule(Schedule),
     /// A trace replayer.
     TraceReplay(TraceReplay),
-    /// Any other model, boxed (legacy dynamic dispatch).
-    Custom(Box<dyn MobilityModel + Send>),
 }
 
 impl MobilityEngine {
-    /// Wraps an out-of-tree model in the boxed escape-hatch variant.
-    pub fn custom(model: impl MobilityModel + Send + 'static) -> Self {
-        MobilityEngine::Custom(Box::new(model))
-    }
-
     /// This engine's variant discriminant.
     #[must_use]
     pub fn kind(&self) -> MobilityKind {
@@ -119,7 +108,6 @@ impl MobilityEngine {
             MobilityEngine::GaussMarkov(_) => MobilityKind::GaussMarkov,
             MobilityEngine::Schedule(_) => MobilityKind::Schedule,
             MobilityEngine::TraceReplay(_) => MobilityKind::TraceReplay,
-            MobilityEngine::Custom(_) => MobilityKind::Custom,
         }
     }
 
@@ -165,7 +153,6 @@ impl MobilityEngine {
             MobilityEngine::GaussMarkov(m) => m,
             MobilityEngine::Schedule(m) => m,
             MobilityEngine::TraceReplay(m) => m,
-            MobilityEngine::Custom(m) => m.as_ref(),
         }
     }
 }
@@ -182,7 +169,6 @@ impl MobilityModel for MobilityEngine {
             MobilityEngine::GaussMarkov(m) => m.step(dt, rng),
             MobilityEngine::Schedule(m) => m.step(dt, rng),
             MobilityEngine::TraceReplay(m) => m.step(dt, rng),
-            MobilityEngine::Custom(m) => m.step(dt, rng),
         }
     }
 
@@ -253,11 +239,6 @@ impl From<TraceReplay> for MobilityEngine {
         MobilityEngine::TraceReplay(m)
     }
 }
-impl From<Box<dyn MobilityModel + Send>> for MobilityEngine {
-    fn from(m: Box<dyn MobilityModel + Send>) -> Self {
-        MobilityEngine::Custom(m)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -276,8 +257,6 @@ mod tests {
         assert_eq!(e.kind(), MobilityKind::Stop);
         let e = MobilityEngine::from(RandomWalk::new(bounds(), Point::new(5.0, 5.0), 1.0));
         assert_eq!(e.kind(), MobilityKind::RandomWalk);
-        let e = MobilityEngine::custom(StopModel::new(Point::new(0.0, 0.0)));
-        assert_eq!(e.kind(), MobilityKind::Custom);
     }
 
     /// Enum dispatch is a pure reorganisation: stepping an engine with a
@@ -295,16 +274,6 @@ mod tests {
         }
         assert_eq!(direct.position(), engine.position());
         assert_eq!(direct.pattern(), engine.pattern());
-    }
-
-    #[test]
-    fn custom_box_round_trips_through_from() {
-        let boxed: Box<dyn MobilityModel + Send> = Box::new(StopModel::new(Point::new(3.0, 4.0)));
-        let mut e = MobilityEngine::from(boxed);
-        assert_eq!(e.kind(), MobilityKind::Custom);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(e.step(1.0, &mut rng), Point::new(3.0, 4.0));
-        assert!(!e.is_finished());
     }
 
     #[test]
@@ -330,10 +299,6 @@ mod tests {
         assert_eq!(parked.quiescence(1.0), Quiescence::Forever);
         let walker = MobilityEngine::from(IndoorWalker::new(bounds(), Point::new(5.0, 5.0), 1.0));
         assert_eq!(walker.quiescence(1.0), Quiescence::Active);
-
-        // The escape hatch is never assumed quiescent.
-        let custom = MobilityEngine::custom(StopModel::new(Point::ORIGIN));
-        assert_eq!(custom.quiescence(1.0), Quiescence::Active);
     }
 
     /// Sleeping through a quiescent window and replaying it must leave the

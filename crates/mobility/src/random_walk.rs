@@ -68,21 +68,6 @@ impl RandomWalk {
         }
     }
 
-    /// Overrides the maximum per-step heading change in radians.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `max_turn` is negative or non-finite.
-    #[must_use]
-    pub fn with_max_turn(mut self, max_turn: f64) -> Self {
-        assert!(
-            max_turn.is_finite() && max_turn >= 0.0,
-            "max turn must be non-negative"
-        );
-        self.max_turn = max_turn;
-        self
-    }
-
     /// The confining rectangle.
     #[must_use]
     pub fn bounds(&self) -> Rect {

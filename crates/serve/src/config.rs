@@ -38,15 +38,15 @@ impl ServeConfig {
 }
 
 impl Default for ServeConfig {
-    /// 1024-node capacity over 4 shards with the paper's Brown α = 0.5
-    /// estimator — the same estimator `SimConfig` defaults to, so a
-    /// default server is digest-compatible with a default sim. Flight
+    /// 1024-node capacity over 4 shards with the paper's estimator
+    /// ([`EstimatorKind::default`]) — the one `SimConfig` defaults to, so
+    /// a default server is digest-compatible with a default sim. Flight
     /// recording and self-profiling are off.
     fn default() -> Self {
         ServeConfig {
             nodes: 1024,
             shards: 4,
-            estimator: EstimatorKind::Brown { alpha: 0.5 },
+            estimator: EstimatorKind::default(),
             flight: false,
             profile: false,
             events: ServeConfig::DEFAULT_EVENTS,

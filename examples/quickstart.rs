@@ -5,31 +5,20 @@
 //! cargo run --example quickstart
 //! ```
 
-use mobigrid::adf::{AdaptiveDistanceFilter, AdfConfig, SimBuilder};
-use mobigrid::campus::Campus;
-use mobigrid::experiments::workload;
+use mobigrid::experiments::SimConfig;
 
 fn main() {
-    // The Figure-1 campus: 6 buildings, 5 roads, 2 gates.
-    let campus = Campus::inha_like();
-    println!(
-        "campus: {} regions, graph of {} waypoints",
-        campus.regions().len(),
-        campus.graph().node_count()
-    );
-
-    // The Table-1 population: 140 nodes, deterministic from the seed.
-    let nodes = workload::generate_population(&campus, 42);
-    println!("population: {} mobile nodes", nodes.len());
-
-    // The adaptive distance filter at DTH = 1.0 × cluster average velocity.
-    let adf = AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).expect("valid configuration");
-    let mut sim = SimBuilder::new()
-        .nodes(nodes)
-        .policy(adf)
-        .network(workload::default_network(&campus))
-        .build()
-        .expect("valid simulation");
+    // The paper's recipe: the Table-1 population of 140 nodes on the
+    // Figure-1 campus (deterministic from the seed), the adaptive distance
+    // filter at DTH = 1.0 × cluster average velocity, Brown location
+    // estimation, and the campus access network.
+    let mut sim = SimConfig {
+        with_network: true,
+        ..SimConfig::scenario("campus_140")
+    }
+    .build()
+    .expect("valid simulation");
+    println!("population: {} mobile nodes", sim.node_count());
 
     let stats = sim.run(120);
 

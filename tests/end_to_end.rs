@@ -10,7 +10,7 @@ use mobigrid::experiments::workload;
 
 fn run_adf(seed: u64, factor: f64, ticks: u64) -> Vec<TickStats> {
     let campus = Campus::inha_like();
-    let nodes = workload::generate_population(&campus, seed);
+    let nodes = workload::populate(&campus, seed);
     let mut sim = SimBuilder::new()
         .nodes(nodes)
         .policy(AdaptiveDistanceFilter::new(AdfConfig::new(factor)).expect("valid config"))
@@ -65,7 +65,7 @@ fn accounting_conservation_sent_plus_filtered_equals_observed() {
 #[test]
 fn network_byte_accounting_matches_sent_updates() {
     let campus = Campus::inha_like();
-    let nodes = workload::generate_population(&campus, 5);
+    let nodes = workload::populate(&campus, 5);
     let mut sim = SimBuilder::new()
         .nodes(nodes)
         .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).expect("valid config"))
@@ -90,7 +90,7 @@ fn network_byte_accounting_matches_sent_updates() {
 #[test]
 fn broker_learns_every_node_under_ideal_updates() {
     let campus = Campus::inha_like();
-    let nodes = workload::generate_population(&campus, 9);
+    let nodes = workload::populate(&campus, 9);
     let mut sim = SimBuilder::new()
         .nodes(nodes)
         .policy(IdealPolicy::new())
@@ -109,7 +109,7 @@ fn broker_learns_every_node_under_ideal_updates() {
 #[test]
 fn nodes_stay_inside_their_home_regions() {
     let campus = Campus::inha_like();
-    let nodes = workload::generate_population(&campus, 3);
+    let nodes = workload::populate(&campus, 3);
     let mut sim = SimBuilder::new()
         .nodes(nodes)
         .policy(IdealPolicy::new())
@@ -137,7 +137,7 @@ fn ground_truth_traces_are_recorded_when_opted_in() {
     // allocation-free); analyses that want ground-truth traces opt in
     // per node.
     let campus = Campus::inha_like();
-    let nodes: Vec<_> = workload::generate_population(&campus, 4)
+    let nodes: Vec<_> = workload::populate(&campus, 4)
         .into_iter()
         .map(MobileNode::with_trace_recording)
         .collect();
@@ -156,7 +156,7 @@ fn ground_truth_traces_are_recorded_when_opted_in() {
 #[test]
 fn traces_stay_empty_by_default() {
     let campus = Campus::inha_like();
-    let nodes = workload::generate_population(&campus, 4);
+    let nodes = workload::populate(&campus, 4);
     let mut sim = SimBuilder::new()
         .nodes(nodes)
         .policy(IdealPolicy::new())
