@@ -86,7 +86,24 @@ cargo run --release -q -p mobigrid-broker-serve --bin serve -- \
   --ingest 127.0.0.1:47471 --query 127.0.0.1:47472 --admin 127.0.0.1:47473 \
   --nodes 140 --telemetry "$serve_jsonl" --events 2097152 &
 serve_pid=$!
-sleep 1
+# loadgen's clients connect once and do not retry, so wait until the server
+# listens: its admin plane binds after ingest and query, so a 200 from
+# /health means all three are up. Poll every 0.2 s, for up to 30 s (cargo
+# may still be building serve), and fail if it never answers.
+serve_up=0
+for _ in $(seq 150); do
+  if python3 -c 'import sys, urllib.request as u; sys.exit(u.urlopen(sys.argv[1], timeout=2).status != 200)' \
+    http://127.0.0.1:47473/health 2> /dev/null; then
+    serve_up=1
+    break
+  fi
+  sleep 0.2
+done
+if [ "$serve_up" != 1 ]; then
+  echo "serve never answered /health" >&2
+  kill "$serve_pid" 2> /dev/null || true
+  exit 1
+fi
 cargo run --release -q -p mobigrid-broker-serve --bin loadgen -- \
   --ingest 127.0.0.1:47471 --query 127.0.0.1:47472 --ticks 200 --speed 50 \
   --telemetry "$client_jsonl" --events 2097152 &

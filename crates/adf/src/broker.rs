@@ -153,7 +153,7 @@ pub struct ApplyInfo {
 /// node, so a tick that replays thousands of parked nodes streams through
 /// these and never through the cold half.
 #[derive(Clone, Copy, Default)]
-struct HotSlot {
+pub(crate) struct HotSlot {
     record: Option<LocationRecord>,
     /// Consecutive expected-but-lost updates since the last receipt.
     staleness: u32,
@@ -338,7 +338,40 @@ pub struct BrokerShard<'a> {
     base: usize,
     hot: &'a mut [HotSlot],
     cold: &'a mut [ColdSlot],
+    /// The shard's replay clock (see [`BrokerShard::restamp_all`]).
+    clock: &'a mut Option<f64>,
     delta: BrokerDelta,
+}
+
+/// Writes a set replay `clock` into every record of its shard's `hot`
+/// column and clears it — the materialise step every per-node write to a
+/// shard takes first, so a write never mixes with clocked records.
+#[inline]
+fn materialise(clock: &mut Option<f64>, hot: &mut [HotSlot]) {
+    // Only a set clock is written back, so an unclocked shard's writes
+    // pay one read here.
+    if let Some(time_s) = *clock {
+        *clock = None;
+        date_records(hot, time_s);
+    }
+}
+
+/// Moves every record of `hot` to `time_s` (out of line: a shard
+/// materialises at most once per tick).
+#[cold]
+fn date_records(hot: &mut [HotSlot], time_s: f64) {
+    for record in hot.iter_mut().filter_map(|slot| slot.record.as_mut()) {
+        record.time_s = time_s;
+    }
+}
+
+/// A stored `record` as its shard's replay `clock` dates it.
+#[inline]
+fn resolve(record: Option<LocationRecord>, clock: Option<f64>) -> Option<LocationRecord> {
+    match (record, clock) {
+        (Some(record), Some(time_s)) => Some(LocationRecord { time_s, ..record }),
+        (record, _) => record,
+    }
 }
 
 impl BrokerShard<'_> {
@@ -386,6 +419,7 @@ impl BrokerShard<'_> {
     /// index and so skips the id translation.
     #[inline]
     pub(crate) fn apply_at(&mut self, local: usize, op: &IngestRecord) -> Option<ApplyInfo> {
+        materialise(self.clock, self.hot);
         NodeSlot {
             hot: &mut self.hot[local],
             cold: &mut self.cold[local],
@@ -439,9 +473,12 @@ impl BrokerShard<'_> {
     /// The hot-column half of a replayed estimate: moves the stored
     /// estimate of the shard's `local`-th node to `time_s`, touching
     /// nothing else and counting nothing. The caller counts the estimate
-    /// (see [`BrokerShard::replay_filtered`]).
+    /// (see [`BrokerShard::replay_filtered`]). Like every per-node write it
+    /// first materialises the shard's replay clock; to move every stored
+    /// estimate of the shard at once, see [`BrokerShard::restamp_all`].
     #[inline]
     pub(crate) fn restamp(&mut self, local: usize, time_s: f64) {
+        materialise(self.clock, self.hot);
         let record = self.hot[local]
             .record
             .as_mut()
@@ -458,6 +495,37 @@ impl BrokerShard<'_> {
         );
     }
 
+    /// Moves every record the shard holds to `time_s` with one write: sets
+    /// the shard's replay clock, which every reader resolves and the next
+    /// per-node write materialises. The sparse driver's memo hit calls it
+    /// instead of [`BrokerShard::restamp`] per stored estimate.
+    ///
+    /// The caller guarantees that every record the shard holds is a stored
+    /// estimate of a static estimator, so restamping each is exact — in a
+    /// memo shard every node with a record replays a stored estimate, since
+    /// a node with a record has an estimator and a static estimator's
+    /// filtered apply stores one. Debug builds check it record by record.
+    #[inline]
+    pub(crate) fn restamp_all(&mut self, time_s: f64) {
+        #[cfg(debug_assertions)]
+        for (hot, cold) in self.hot.iter().zip(self.cold.iter_mut()) {
+            if let Some(record) = hot.record {
+                debug_assert!(record.estimated, "a restamped record is an estimate");
+                let estimator = cold
+                    .estimator
+                    .as_mut()
+                    .expect("a node with a record has an estimator");
+                debug_assert!(estimator.is_static(), "a restamped estimate is static");
+                debug_assert_eq!(
+                    estimator.estimate(time_s),
+                    Some(record.position),
+                    "the restamped record holds the static estimate"
+                );
+            }
+        }
+        *self.clock = Some(time_s);
+    }
+
     /// The staleness counter of the shard's `local`-th node.
     pub(crate) fn staleness_at(&self, local: usize) -> u32 {
         self.hot[local].staleness
@@ -466,14 +534,21 @@ impl BrokerShard<'_> {
     /// The shard's current belief about a node — a direct dense-slot read,
     /// no map lookup.
     #[must_use]
-    pub fn location(&self, node: MnId) -> Option<&LocationRecord> {
+    pub fn location(&self, node: MnId) -> Option<LocationRecord> {
         self.location_at(self.local(node))
     }
 
     /// The belief about the shard's `local`-th node.
     #[inline]
-    pub(crate) fn location_at(&self, local: usize) -> Option<&LocationRecord> {
-        self.hot[local].record.as_ref()
+    pub(crate) fn location_at(&self, local: usize) -> Option<LocationRecord> {
+        resolve(self.hot[local].record, *self.clock)
+    }
+
+    /// The believed position of the shard's `local`-th node: the clock
+    /// only dates a record, so this reads the hot column alone.
+    #[inline]
+    pub(crate) fn position_at(&self, local: usize) -> Option<Point> {
+        self.hot[local].record.map(|r| r.position)
     }
 
     /// Consumes the shard, yielding the counter changes it accumulated.
@@ -522,6 +597,12 @@ pub struct GridBroker {
     hot: Vec<HotSlot>,
     /// Per-node cold halves (estimator, anchor, last receipt), same index.
     cold: Vec<ColdSlot>,
+    /// One replay clock per view shard (see [`BrokerShard::restamp_all`]).
+    /// [`GridBroker::shard_views_iter`] allocates them, so a broker that
+    /// never takes views has none.
+    clocks: Vec<Option<f64>>,
+    /// The view shard size the clocks cover (0 before the first view).
+    clock_span: usize,
     /// Lifetime counters; `fresh_records` is the live-record count.
     counters: BrokerDelta,
 }
@@ -547,6 +628,8 @@ impl GridBroker {
             kind,
             hot: Vec::new(),
             cold: Vec::new(),
+            clocks: Vec::new(),
+            clock_span: 0,
             counters: BrokerDelta::default(),
         })
     }
@@ -603,6 +686,12 @@ impl GridBroker {
     /// sharded store's entry point, which rebases ids to shard-local
     /// slots.
     pub(crate) fn apply_at(&mut self, index: usize, op: &IngestRecord) -> Option<ApplyInfo> {
+        if self.clock_of(index).is_some() {
+            let shard = index / self.clock_span;
+            let start = shard * self.clock_span;
+            let end = self.hot.len().min(start + self.clock_span);
+            materialise(&mut self.clocks[shard], &mut self.hot[start..end]);
+        }
         NodeSlot {
             hot: &mut self.hot[index],
             cold: &mut self.cold[index],
@@ -620,12 +709,24 @@ impl GridBroker {
     /// The broker's current belief about `node`.
     #[must_use]
     pub fn location(&self, node: MnId) -> Option<LocationRecord> {
-        self.hot.get(node.index()).and_then(|s| s.record)
+        let index = node.index();
+        resolve(self.hot.get(index)?.record, self.clock_of(index))
+    }
+
+    /// The replay clock of the view shard holding slot `index`, if set.
+    #[inline]
+    fn clock_of(&self, index: usize) -> Option<f64> {
+        if self.clock_span == 0 {
+            return None;
+        }
+        self.clocks.get(index / self.clock_span).copied().flatten()
     }
 
     /// Splits the broker's slots into contiguous shards of `shard_size`
     /// nodes for a parallel region, lazily, so a caller zipping broker
-    /// shards into larger per-shard jobs allocates nothing here. Call
+    /// shards into larger per-shard jobs allocates nothing here once the
+    /// shards' replay clocks exist (the first call, and a call with a new
+    /// `shard_size`, which materialises the old ones, sizes them). Call
     /// [`GridBroker::ensure_nodes`] first so the shards cover the whole
     /// population; merge each shard's [`BrokerDelta`] back with
     /// [`GridBroker::apply_delta`] in shard order.
@@ -638,16 +739,33 @@ impl GridBroker {
         shard_size: usize,
     ) -> impl ExactSizeIterator<Item = BrokerShard<'_>> {
         assert!(shard_size > 0, "shard size must be positive");
+        if self.clock_span != shard_size {
+            if self.clock_span > 0 {
+                for (clock, hot) in self
+                    .clocks
+                    .iter_mut()
+                    .zip(self.hot.chunks_mut(self.clock_span))
+                {
+                    materialise(clock, hot);
+                }
+            }
+            self.clocks.clear();
+            self.clock_span = shard_size;
+        }
+        self.clocks
+            .resize(self.hot.len().div_ceil(shard_size), None);
         let kind = self.kind;
         self.hot
             .chunks_mut(shard_size)
             .zip(self.cold.chunks_mut(shard_size))
+            .zip(self.clocks.iter_mut())
             .enumerate()
-            .map(move |(i, (hot, cold))| BrokerShard {
+            .map(move |(i, ((hot, cold), clock))| BrokerShard {
                 kind,
                 base: i * shard_size,
                 hot,
                 cold,
+                clock,
                 delta: BrokerDelta::default(),
             })
     }
@@ -699,7 +817,7 @@ impl GridBroker {
     /// crate's census and staleness queries are built on.
     pub fn records(&self) -> impl Iterator<Item = (MnId, LocationRecord, u32)> + '_ {
         self.hot.iter().enumerate().filter_map(|(i, slot)| {
-            slot.record
+            resolve(slot.record, self.clock_of(i))
                 .map(|record| (MnId::new(i as u32), record, slot.staleness))
         })
     }
@@ -1192,7 +1310,7 @@ mod tests {
                 assert!(s.estimator_is_static(node));
                 let info = s.apply(&filtered(0, 2.0)).unwrap();
                 assert_eq!(info.outcome, ApplyOutcome::Estimated);
-                captured = s.location(node).copied();
+                captured = s.location(node);
             });
         }
         let captured = captured.expect("an estimate was stored");
@@ -1242,12 +1360,128 @@ mod tests {
         assert!(!shards[0].estimator_is_static(MnId::new(0)));
     }
 
-    #[test]
-    #[cfg(target_pointer_width = "64")]
-    fn hot_slot_stays_small() {
-        // A replayed idle evaluation streams through the hot column only;
-        // it must not grow back toward the whole slot.
-        assert!(std::mem::size_of::<HotSlot>() <= 40);
+    /// Runs `f` on the `k`-th of `b`'s views of `span` nodes, then merges
+    /// every view's delta back in shard order.
+    fn with_shard<R>(
+        b: &mut GridBroker,
+        span: usize,
+        k: usize,
+        f: impl FnOnce(&mut BrokerShard<'_>) -> R,
+    ) -> R {
+        let mut shards = b.shard_views_iter(span).collect::<Vec<_>>();
+        let r = f(&mut shards[k]);
+        let deltas: Vec<BrokerDelta> = shards.into_iter().map(BrokerShard::into_delta).collect();
+        for d in &deltas {
+            b.apply_delta(d);
+        }
+        r
+    }
+
+    /// Whether restamping the shard's `local`-th record (if any) at
+    /// `time_s` is exact: it is the static estimate its estimator gives at
+    /// `time_s`.
+    fn restampable(s: &mut BrokerShard<'_>, local: usize, time_s: f64) -> bool {
+        match s.location_at(local) {
+            None => true,
+            Some(record) => {
+                let estimator = s.cold[local]
+                    .estimator
+                    .as_mut()
+                    .expect("a record has an estimator");
+                record.estimated
+                    && estimator.is_static()
+                    && estimator.estimate(time_s) == Some(record.position)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// A broker whose memo-style restamps set a shard's replay clock
+        /// reads exactly like a twin that restamps each stored estimate:
+        /// the same locations, through the broker and through views, the
+        /// same records and the same digest, through updates, filtered
+        /// and lost applies and single-node idle replays into clocked
+        /// shards, late broker-level applies, and one change of view span.
+        #[test]
+        fn replay_clock_reads_like_per_node_restamps(
+            steps in proptest::collection::vec((0u8..11, 0u32..10, 0u8..4), 1..80),
+            switch_at in 0usize..80,
+        ) {
+            const NODES: u32 = 10;
+            let mk = || {
+                let mut b = GridBroker::new(EstimatorKind::DeadReckoning).unwrap();
+                b.ensure_nodes(NODES as usize);
+                b
+            };
+            let (mut clocked, mut twin) = (mk(), mk());
+            let mut span = 4;
+            for (step, &(op, node, moved)) in steps.iter().enumerate() {
+                let t = step as f64 + 1.0;
+                if step == switch_at {
+                    span = 3;
+                }
+                let (k, local) = (node as usize / span, node as usize % span);
+                // Three in four updates report the node's fixed spot, so
+                // its estimator often turns static.
+                let x = f64::from(node) + if moved == 0 { t } else { 0.0 };
+                let op = match op {
+                    0..=3 => {
+                        let whole = |s: &mut BrokerShard<'_>| (0..s.len()).all(|l| restampable(s, l, t));
+                        if with_shard(&mut twin, span, k, whole) {
+                            with_shard(&mut clocked, span, k, |s| s.restamp_all(t));
+                            with_shard(&mut twin, span, k, |s| {
+                                for l in 0..s.len() {
+                                    if s.location_at(l).is_some() {
+                                        s.restamp(l, t);
+                                    }
+                                }
+                            });
+                        }
+                        None
+                    }
+                    4 => Some(lu(node, t, x, 0.0)),
+                    5..=7 => Some(filtered(node, t)),
+                    8 => Some(lost(node, t)),
+                    9 => {
+                        // One node's idle replay: a per-node restamp.
+                        let id = MnId::new(node);
+                        if with_shard(&mut twin, span, k, |s| restampable(s, local, t)) {
+                            let stored = twin.location(id).is_some();
+                            let a = with_shard(&mut clocked, span, k, |s| s.replay_filtered(id, t, stored));
+                            let b = with_shard(&mut twin, span, k, |s| s.replay_filtered(id, t, stored));
+                            proptest::prop_assert_eq!(a, b);
+                        }
+                        None
+                    }
+                    _ => {
+                        // A late frame, applied broker-level into a
+                        // possibly clocked shard; older than the node's
+                        // last receipt, it is rejected as stale.
+                        let late = lu(node, t - 1.5, x, 0.0);
+                        clocked.apply(&late);
+                        twin.apply(&late);
+                        None
+                    }
+                };
+                if let Some(op) = op {
+                    let a = with_shard(&mut clocked, span, k, |s| s.apply(&op));
+                    let b = with_shard(&mut twin, span, k, |s| s.apply(&op));
+                    proptest::prop_assert_eq!(a, b);
+                }
+                for i in 0..NODES {
+                    let id = MnId::new(i);
+                    proptest::prop_assert_eq!(clocked.location(id), twin.location(id));
+                    let j = i as usize / span;
+                    let view = with_shard(&mut clocked, span, j, |s| s.location(id));
+                    proptest::prop_assert_eq!(view, twin.location(id));
+                }
+                proptest::prop_assert_eq!(
+                    clocked.records().collect::<Vec<_>>(),
+                    twin.records().collect::<Vec<_>>()
+                );
+                proptest::prop_assert_eq!(clocked.state_digest(), twin.state_digest());
+            }
+        }
     }
 
     #[test]

@@ -125,7 +125,8 @@ impl MovementShard<'_> {
     ///
     /// The caller files the reported nodes into its wake wheel *in shard
     /// order*, keeping the schedule history — and therefore the drain
-    /// order — independent of thread count.
+    /// order — independent of thread count. A shard whose every node is
+    /// asleep returns at once, touching no column.
     pub fn advance_sparse(
         self,
         base: usize,
@@ -137,6 +138,9 @@ impl MovementShard<'_> {
         debug_assert_eq!(self.engines.len(), obs.len());
         debug_assert_eq!(self.engines.len(), asleep.len());
         let mut newly_asleep = Vec::new();
+        if asleep.iter().all(|&a| a) {
+            return newly_asleep;
+        }
         for (k, (engine, rng)) in self.engines.iter_mut().zip(self.rng.iter_mut()).enumerate() {
             if asleep[k] {
                 continue;

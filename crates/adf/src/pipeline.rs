@@ -270,6 +270,9 @@ struct TickScratch {
     late_lus: Vec<LocationUpdate>,
     /// Per-shard partial results of the fused apply/measure phase.
     outs: Vec<ShardOut>,
+    /// Per-shard flight-recorder scratch of the apply/measure phase: sized
+    /// on the first recorded tick, and touched only on recorded ticks.
+    recording: Vec<ShardRecording>,
     /// Per-node apply fate for the invariant monitors. Phase 3 writes each
     /// node's from its `NodeOp` and link outcome ([`NodeOp::fate`]).
     fates: Vec<NodeFate>,
@@ -291,6 +294,7 @@ impl TickScratch {
             sent_seq: vec![0u32; nodes],
             late_lus: Vec::new(),
             outs: Vec::with_capacity(mobigrid_sim::par::shard_count(nodes, SHARD_SIZE)),
+            recording: Vec::new(),
             fates: vec![NodeFate::Idle; nodes],
             staleness: vec![0u32; nodes],
             late_accepted: vec![false; nodes],
@@ -639,6 +643,9 @@ struct ShardJob<'a> {
     /// this shard's nodes); `None` under the dense driver, whose per-node
     /// path is then exactly the historical one.
     sparse: Option<SparseShard<'a>>,
+    /// The shard's flight-recorder scratch, present only on a recorded
+    /// tick.
+    rec: Option<&'a mut ShardRecording>,
 }
 
 /// The sparse driver's per-shard slices of its idle-replay columns.
@@ -683,21 +690,55 @@ struct ShardSums {
     raw_delta: BrokerDelta,
 }
 
-/// One shard's partial results: its sums plus what is recorded or fed
-/// back to the sparse driver.
-struct ShardOut {
-    sums: ShardSums,
+/// One shard's flight-recorder scratch, reused across recorded ticks and
+/// drained in shard order, so the emitted events and the merged histograms
+/// are identical at any thread count.
+struct ShardRecording {
     /// Per-node location-error histograms over [`error_bucket_spec`]
-    /// buckets, filled only when a recorder is enabled. Like the RMSE
-    /// partials they are merged in shard order — and because a
-    /// [`HistogramDelta`] merge is pure integer adds plus f64 min/max,
-    /// the merged result is bit-identical under *any* order.
+    /// buckets. Like the RMSE partials they are merged in shard order —
+    /// and because a [`HistogramDelta`] merge is pure integer adds plus
+    /// f64 min/max, the merged result is bit-identical under *any* order.
     err_le: HistogramDelta,
     err_raw: HistogramDelta,
-    /// Per-node flight-recorder samples, filled only when a recorder is
-    /// enabled (stays an unallocated empty `Vec` otherwise, keeping the
-    /// steady-state tick allocation-free).
+    /// Per-node flight-recorder samples.
     flight: Vec<FlightSample>,
+}
+
+impl ShardRecording {
+    fn new() -> Self {
+        ShardRecording {
+            err_le: HistogramDelta::new(error_bucket_spec()),
+            err_raw: HistogramDelta::new(error_bucket_spec()),
+            flight: Vec::new(),
+        }
+    }
+
+    /// Empties the scratch for a new tick, keeping the flight buffer's
+    /// capacity.
+    fn clear(&mut self) {
+        self.err_le = HistogramDelta::new(error_bucket_spec());
+        self.err_raw = HistogramDelta::new(error_bucket_spec());
+        self.flight.clear();
+    }
+
+    /// Records one node's apply verdict and location errors.
+    fn push(&mut self, node: u32, apply: ApplyInfo, err_le: f64, err_raw: f64) {
+        self.err_le.record(err_le);
+        self.err_raw.record(err_raw);
+        self.flight.push(FlightSample {
+            node,
+            apply,
+            err_le,
+            err_raw,
+        });
+    }
+}
+
+/// One shard's partial results: its sums plus what is fed back to the
+/// sparse driver. What only a recorder reads lives in the shard's
+/// [`ShardRecording`], so the unrecorded tick never zeroes or copies it.
+pub(crate) struct ShardOut {
+    sums: ShardSums,
     /// Sparse driver: bit `k` is set when a full evaluation (re)captured
     /// the idle cache of the shard's `k`-th node this tick — the caller
     /// re-arms their refresh wakes in shard order.
@@ -1198,7 +1239,17 @@ impl MobileGridSim {
         // and measure location error against ground truth — the paper's
         // RMSE over all n nodes at time t — from the freshly updated dense
         // slots. The job list is a lazy zip of per-shard slices; results
-        // land in the reused `outs` buffer in shard order.
+        // land in the reused `outs` buffer in shard order, and a recorded
+        // tick's samples in the shards' reused `recording` scratch.
+        let recorded_shards = if recording {
+            let shards = mobigrid_sim::par::shard_count(scratch.observations.len(), SHARD_SIZE);
+            scratch.recording.resize_with(shards, ShardRecording::new);
+            scratch.recording.iter_mut().for_each(ShardRecording::clear);
+            shards
+        } else {
+            0
+        };
+        let mut rec_slots = scratch.recording[..recorded_shards].iter_mut();
         let jobs = self
             .cols
             .region_kinds()
@@ -1229,13 +1280,14 @@ impl MobileGridSim {
                         staleness,
                         fates,
                         sparse: None,
+                        rec: rec_slots.next(),
                     }
                 },
             );
         match self.sparse.as_deref_mut() {
             None => {
                 self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
-                    Self::run_shard(time_s, recording, job)
+                    Self::run_shard(time_s, job)
                 });
             }
             Some(sp) => {
@@ -1266,7 +1318,7 @@ impl MobileGridSim {
                     ..job
                 });
                 self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
-                    Self::run_shard(time_s, recording, job)
+                    Self::run_shard(time_s, job)
                 });
             }
         }
@@ -1282,8 +1334,6 @@ impl MobileGridSim {
         let mut road_raw = Rmse::new();
         let mut bld_le = Rmse::new();
         let mut bld_raw = Rmse::new();
-        let mut err_le = HistogramDelta::new(error_bucket_spec());
-        let mut err_raw = HistogramDelta::new(error_bucket_spec());
         for out in &scratch.outs {
             let sums = &out.sums;
             sent += sums.sent;
@@ -1295,30 +1345,29 @@ impl MobileGridSim {
             road_raw.merge(&sums.road_raw);
             bld_le.merge(&sums.bld_le);
             bld_raw.merge(&sums.bld_raw);
-            if recording {
-                err_le.merge(&out.err_le);
-                err_raw.merge(&out.err_raw);
-                // Drain the shard's flight samples in shard order, so the
-                // apply/error event stream is identical at any thread
-                // count.
-                for s in &out.flight {
-                    rec.event(EventKind::LuApply {
-                        node: s.node,
-                        seq: gen_seq,
-                        outcome: s.apply.outcome,
-                        staleness: s.apply.staleness,
-                        blend: s.apply.blend,
-                    });
-                    rec.event(EventKind::LuError {
-                        node: s.node,
-                        seq: gen_seq,
-                        err_le: s.err_le,
-                        err_raw: s.err_raw,
-                    });
-                }
-            }
             self.broker_le.apply_delta(&sums.le_delta);
             self.broker_raw.apply_delta(&sums.raw_delta);
+        }
+        // Drain the shards' flight samples in shard order, so the
+        // apply/error event stream is identical at any thread count (the
+        // recording slice is empty on an unrecorded tick).
+        for s in scratch.recording[..recorded_shards]
+            .iter()
+            .flat_map(|r| &r.flight)
+        {
+            rec.event(EventKind::LuApply {
+                node: s.node,
+                seq: gen_seq,
+                outcome: s.apply.outcome,
+                staleness: s.apply.staleness,
+                blend: s.apply.blend,
+            });
+            rec.event(EventKind::LuError {
+                node: s.node,
+                seq: gen_seq,
+                err_le: s.err_le,
+                err_raw: s.err_raw,
+            });
         }
         // Sparse post-pass: fold the shards' wake accounting and re-arm the
         // refresh wake of every node a full evaluation just (re)cached —
@@ -1344,6 +1393,12 @@ impl MobileGridSim {
         rec.span(Phase::Estimate, scratch.observations.len() as u64);
 
         if recording {
+            let mut err_le = HistogramDelta::new(error_bucket_spec());
+            let mut err_raw = HistogramDelta::new(error_bucket_spec());
+            for r in &scratch.recording[..recorded_shards] {
+                err_le.merge(&r.err_le);
+                err_raw.merge(&r.err_raw);
+            }
             rec.histogram_merge("sim.err_with_le", &err_le);
             rec.histogram_merge("sim.err_without_le", &err_raw);
 
@@ -1483,14 +1538,11 @@ impl MobileGridSim {
     }
 
     /// Applies one shard's decisions to both broker shards and accumulates
-    /// the shard's tally and RMSE partials (plus, when `record` is set, the
-    /// per-node location-error histograms).
-    fn run_shard(time_s: f64, record: bool, mut job: ShardJob<'_>) -> ShardOut {
+    /// the shard's tally and RMSE partials (plus, on a recorded tick, each
+    /// node's flight sample and location-error histogram entries).
+    fn run_shard(time_s: f64, mut job: ShardJob<'_>) -> ShardOut {
         let mut out = ShardOut {
             sums: ShardSums::default(),
-            err_le: HistogramDelta::new(error_bucket_spec()),
-            err_raw: HistogramDelta::new(error_bucket_spec()),
-            flight: Vec::new(),
             newly_cached: 0,
             replays: 0,
             memo_hit: false,
@@ -1499,7 +1551,7 @@ impl MobileGridSim {
         // A recorded tick needs every node's flight sample and histogram
         // entries, so it always takes the per-node loop below (which still
         // keeps the memo up to date).
-        if !record {
+        if job.rec.is_none() {
             if let Some(sums) = Self::replay_memo(time_s, &mut job) {
                 out.sums = sums;
                 out.replays = job.observations.len() as u64;
@@ -1540,15 +1592,8 @@ impl MobileGridSim {
                     let (err_le, err_raw) = (cache.err_le, cache.err_raw);
                     out.sums.all_le.push(err_le);
                     out.sums.all_raw.push(err_raw);
-                    if record {
-                        out.err_le.record(err_le);
-                        out.err_raw.record(err_raw);
-                        out.flight.push(FlightSample {
-                            node: id.raw(),
-                            apply,
-                            err_le,
-                            err_raw,
-                        });
+                    if let Some(rec) = &mut job.rec {
+                        rec.push(id.raw(), apply, err_le, err_raw);
                     }
                     match kind {
                         RegionKind::Road => {
@@ -1589,10 +1634,7 @@ impl MobileGridSim {
                 job.raw.apply_at(i, &op);
             }
             // Measure against ground truth via direct dense-slot reads.
-            let err = |b: &BrokerShard<'_>| {
-                b.location_at(i)
-                    .map_or(0.0, |r| r.position.distance_to(*pos))
-            };
+            let err = |b: &BrokerShard<'_>| b.position_at(i).map_or(0.0, |p| p.distance_to(*pos));
             let (err_le, err_raw) = (err(&job.le), err(&job.raw));
             out.sums.sent += u32::from(!idle_path);
             out.sums.tally.record(kind, !idle_path);
@@ -1600,15 +1642,8 @@ impl MobileGridSim {
             out.sums.stale += u32::from(apply.staleness > 0);
             out.sums.all_le.push(err_le);
             out.sums.all_raw.push(err_raw);
-            if record {
-                out.err_le.record(err_le);
-                out.err_raw.record(err_raw);
-                out.flight.push(FlightSample {
-                    node: id.raw(),
-                    apply,
-                    err_le,
-                    err_raw,
-                });
+            if let Some(rec) = &mut job.rec {
+                rec.push(id.raw(), apply, err_le, err_raw);
             }
             match kind {
                 RegionKind::Road => {
@@ -1656,11 +1691,15 @@ impl MobileGridSim {
     /// The sparse driver's shard-level replay: when the shard's memo holds
     /// the sums of an earlier tick on which every node replayed its idle
     /// cache, and every node replays it again this tick with an idle fate,
-    /// this tick's sums are the memo's, bit for bit, and the only
-    /// per-node work left is moving each stored estimate's timestamp in
-    /// both brokers' hot columns. Returns `None`, having restamped at most
-    /// a prefix of the shard (the per-node loop restamps those nodes
-    /// again, to the same time), as soon as one node does not replay.
+    /// this tick's sums are the memo's, bit for bit, and the only work
+    /// left is moving every stored estimate's timestamp. The check reads
+    /// each node and writes nothing; on a hit each broker shard's replay
+    /// clock takes the new time in one write
+    /// ([`BrokerShard::restamp_all`]). That restamps exactly the stored
+    /// estimates, because in a memo shard every record is one: a node
+    /// with a record has an estimator, and each cache was captured with
+    /// static estimators, whose filtered apply stores an estimate. Returns
+    /// `None`, having touched nothing, when one node does not replay.
     ///
     /// *Why the memo is exact:* a node's idle cache changes only on a
     /// full evaluation or is invalidated by a late frame, and a full
@@ -1672,23 +1711,32 @@ impl MobileGridSim {
     /// counts. The per-node columns the pass owns are therefore already
     /// what the loop would write.
     fn replay_memo(time_s: f64, job: &mut ShardJob<'_>) -> Option<ShardSums> {
-        let sp = job.sparse.as_mut()?;
+        let sp = job.sparse.as_ref()?;
         let sums = (*sp.memo)?;
-        for (i, (_, pos)) in job.observations.iter().enumerate() {
-            let link = job.link.map(|link| link[i]);
-            let cache = sp.idle[i];
-            if NodeOp::of(job.decisions[i], link).fate(link) != NodeFate::Idle
-                || !cache.replays(sp.force_eval[i], *pos)
-            {
-                return None;
-            }
-            if cache.le_stored {
-                job.le.restamp(i, time_s);
-            }
-            if cache.raw_stored {
-                job.raw.restamp(i, time_s);
-            }
+        let link = job.link;
+        let replays = job
+            .observations
+            .iter()
+            .zip(job.decisions)
+            .zip(sp.idle.iter().zip(sp.force_eval.iter()))
+            .enumerate()
+            .all(|(i, (((_, pos), decision), (cache, force_eval)))| {
+                let link = link.map(|link| link[i]);
+                NodeOp::of(*decision, link).fate(link) == NodeFate::Idle
+                    && cache.replays(*force_eval, *pos)
+            });
+        if !replays {
+            return None;
         }
+        debug_assert!(
+            sp.idle.iter().enumerate().all(|(i, cache)| {
+                cache.le_stored == job.le.location_at(i).is_some()
+                    && cache.raw_stored == job.raw.location_at(i).is_some()
+            }),
+            "in a memo shard every record is a stored estimate"
+        );
+        job.le.restamp_all(time_s);
+        job.raw.restamp_all(time_s);
         debug_assert!(
             job.fates.iter().all(|f| *f == NodeFate::Idle),
             "a memo shard's fates are all idle"

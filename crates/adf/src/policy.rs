@@ -902,13 +902,15 @@ mod tests {
     /// The per-node state of the filter kernel and of the broker's Brown
     /// estimator must not grow: at 20,000 nodes every word is 160 kB, and
     /// the estimator's memoised plan is paid for by the smoothers' compact
-    /// representation, not by extra bytes. The two records a sleeping node
-    /// touches each sparse tick — its doze entry and its idle-replay cache
-    /// — are budgeted tighter still.
+    /// representation, not by extra bytes. The records a sleeping node
+    /// touches each sparse tick — its doze entry, its idle-replay cache
+    /// and its brokers' hot slots — are budgeted tighter still, as is the
+    /// per-shard result every shard of every tick writes and copies.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn per_node_footprint_does_not_grow() {
-        use crate::pipeline::IdleCache;
+        use crate::broker::HotSlot;
+        use crate::pipeline::{IdleCache, ShardOut};
         use mobigrid_forecast::BrownPositionEstimator;
         use std::mem::size_of;
         let sizes = [
@@ -922,6 +924,8 @@ mod tests {
             ),
             ("Doze", size_of::<Doze>(), 24),
             ("IdleCache", size_of::<IdleCache>(), 40),
+            ("HotSlot", size_of::<HotSlot>(), 40),
+            ("ShardOut", size_of::<ShardOut>(), 299),
         ];
         for (name, size, budget) in sizes {
             assert!(

@@ -92,6 +92,20 @@ pub const NODES_PER_ROAD: usize = 10;
 /// Nodes hosted by each building (5 SS + 5 RMS + 5 LMS).
 pub const NODES_PER_BUILDING: usize = 15;
 
+/// The interval an RMS (random-walk) node's maximum speed is drawn from,
+/// inside its Table 1 row's 0–1 m/s.
+const RMS_MAX_SPEED: (f64, f64) = (0.4, 1.0);
+
+/// The speed range [`populate`] draws from for a Table 1 row: the row's
+/// own range, except that an RMS node draws its maximum speed from
+/// [`RMS_MAX_SPEED`].
+fn draw_range(row: &SpecRow) -> (f64, f64) {
+    match row.pattern {
+        MobilityPattern::Random => RMS_MAX_SPEED,
+        MobilityPattern::Stop | MobilityPattern::Linear => row.velocity_range,
+    }
+}
+
 fn road_model(region: &Region, speed_range: (f64, f64), start_fraction: f64) -> RoadPatroller {
     let RegionShape::Corridor { spine, .. } = region.shape() else {
         panic!("road regions are corridors");
@@ -119,6 +133,26 @@ fn building_rect(region: &Region) -> mobigrid_geo::Rect {
 #[must_use]
 pub fn populate(campus: &Campus, seed: u64) -> Vec<MobileNode> {
     let stream = SeedStream::new(seed);
+    let rows = table1_rows();
+    let draw = |kind: RegionKind, pattern: MobilityPattern, node_type: NodeType| {
+        let row = rows
+            .iter()
+            .find(|r| r.region_kind == kind && r.pattern == pattern && r.node_type == node_type)
+            .expect("Table 1 has the row");
+        draw_range(row)
+    };
+    let road_human = draw(RegionKind::Road, MobilityPattern::Linear, NodeType::Human);
+    let road_vehicle = draw(RegionKind::Road, MobilityPattern::Linear, NodeType::Vehicle);
+    let rms_max_speed = draw(
+        RegionKind::Building,
+        MobilityPattern::Random,
+        NodeType::Human,
+    );
+    let building_lms = draw(
+        RegionKind::Building,
+        MobilityPattern::Linear,
+        NodeType::Human,
+    );
     let roads: Vec<&Region> = campus.regions_of_kind(RegionKind::Road).collect();
     let buildings: Vec<&Region> = campus.regions_of_kind(RegionKind::Building).collect();
     let mut nodes: Vec<MobileNode> =
@@ -139,9 +173,9 @@ pub fn populate(campus: &Campus, seed: u64) -> Vec<MobileNode> {
             let setup = stream.substream(1000 + u64::from(id.raw()));
             let mut rng = setup.rng_for(0);
             let (node_type, speed_range) = if k < 5 {
-                (NodeType::Human, (1.0, 4.0))
+                (NodeType::Human, road_human)
             } else {
-                (NodeType::Vehicle, (4.0, 10.0))
+                (NodeType::Vehicle, road_vehicle)
             };
             let start_fraction: f64 = rng.gen();
             let model = road_model(road, speed_range, start_fraction);
@@ -171,7 +205,7 @@ pub fn populate(campus: &Campus, seed: u64) -> Vec<MobileNode> {
             let (pattern, model): (MobilityPattern, MobilityEngine) = if k < 5 {
                 (MobilityPattern::Stop, StopModel::new(start).into())
             } else if k < 10 {
-                let max_speed = rng.gen_range(0.4..=1.0);
+                let max_speed = rng.gen_range(rms_max_speed.0..=rms_max_speed.1);
                 (
                     MobilityPattern::Random,
                     RandomWalk::new(rect, start, max_speed).into(),
@@ -179,7 +213,7 @@ pub fn populate(campus: &Campus, seed: u64) -> Vec<MobileNode> {
             } else {
                 (
                     MobilityPattern::Linear,
-                    IndoorWalker::with_speed_range(rect, start, (1.0, 1.5)).into(),
+                    IndoorWalker::with_speed_range(rect, start, building_lms).into(),
                 )
             };
             nodes.push(
@@ -233,6 +267,25 @@ mod tests {
         let total: usize = rows.iter().map(|r| r.count).sum();
         assert_eq!(total, POPULATION);
         assert_eq!(rows.len(), 5);
+    }
+
+    #[test]
+    fn every_draw_range_lies_inside_its_table1_row() {
+        let rows = table1_rows();
+        let rms = rows
+            .iter()
+            .find(|r| r.pattern == MobilityPattern::Random)
+            .expect("an RMS row");
+        assert_eq!(rms.velocity_range, (0.0, 1.0));
+        assert_eq!(draw_range(rms), (0.4, 1.0));
+        for row in &rows {
+            let (lo, hi) = draw_range(row);
+            let (row_lo, row_hi) = row.velocity_range;
+            assert!(
+                row_lo <= lo && lo <= hi && hi <= row_hi,
+                "{row:?} draws from ({lo}, {hi})"
+            );
+        }
     }
 
     #[test]

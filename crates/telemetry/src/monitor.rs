@@ -233,50 +233,53 @@ impl ChannelConservation {
 /// Checks that each node's transmitted wire sequence numbers advance by
 /// exactly one per transmission (wrapping).
 ///
-/// Strict mode knows sequence numbers start at 0 (a run observed from its
-/// first tick); lazy mode lets the first transmission seen per node
-/// establish its baseline (a stream whose head may have been dropped).
-#[derive(Debug)]
+/// Strict mode (`STRICT`) knows sequence numbers start at 0 (a run
+/// observed from its first tick), so every node counts as sighted and the
+/// `sighted` column stays empty; lazy mode lets the first transmission seen
+/// per node establish its baseline (a stream whose head may have been
+/// dropped).
+#[derive(Debug, Default)]
 struct SeqMonotonicity {
-    strict: bool,
     expected: Vec<u32>,
+    /// Lazy mode only: whether the node's baseline is established.
     sighted: Vec<bool>,
 }
 
 impl SeqMonotonicity {
-    fn new(strict: bool) -> Self {
-        SeqMonotonicity {
-            strict,
-            expected: Vec::new(),
-            sighted: Vec::new(),
-        }
-    }
-
-    fn check_tick(&mut self, v: &TickVitals<'_>, out: &mut Vec<Violation>) {
-        if v.node_fates.is_empty() || v.wire_seqs.len() != v.node_fates.len() {
+    /// One zipped pass over the tick's fates and wire seqs.
+    fn check_tick<const STRICT: bool>(&mut self, v: &TickVitals<'_>, out: &mut Vec<Violation>) {
+        let n = v.node_fates.len();
+        if n == 0 || v.wire_seqs.len() != n {
             return;
         }
-        if self.expected.len() < v.node_fates.len() {
-            self.expected.resize(v.node_fates.len(), 0);
-            self.sighted.resize(v.node_fates.len(), self.strict);
+        if self.expected.len() < n {
+            self.expected.resize(n, 0);
+            if !STRICT {
+                self.sighted.resize(n, false);
+            }
         }
-        for (i, fate) in v.node_fates.iter().enumerate() {
+        let nodes = v
+            .node_fates
+            .iter()
+            .zip(v.wire_seqs)
+            .zip(&mut self.expected[..n])
+            .enumerate();
+        for (i, ((fate, &seq), expected)) in nodes {
             if *fate == NodeFate::Idle {
                 continue;
             }
-            let seq = v.wire_seqs[i];
-            if self.sighted[i] && seq != self.expected[i] {
+            let sighted = STRICT || std::mem::replace(&mut self.sighted[i], true);
+            if sighted && seq != *expected {
                 out.push(Violation {
                     monitor: MonitorKind::SeqMonotonicity,
                     tick: v.tick,
                     node: Some(i as u32),
-                    expected: i64::from(self.expected[i]),
+                    expected: i64::from(*expected),
                     actual: i64::from(seq),
                     detail: "wire seq must advance by one per transmission",
                 });
             }
-            self.sighted[i] = true;
-            self.expected[i] = seq.wrapping_add(1);
+            *expected = seq.wrapping_add(1);
         }
     }
 }
@@ -284,53 +287,48 @@ impl SeqMonotonicity {
 /// Checks that per-node staleness counters match the loss/acceptance
 /// model and that the population stale count agrees with them.
 ///
-/// Strict mode knows staleness starts at 0 everywhere; lazy mode takes
-/// the first staleness value seen per node as its baseline.
-#[derive(Debug)]
+/// Strict mode (`STRICT`) knows staleness starts at 0 everywhere, so the
+/// `sighted` column stays empty; lazy mode takes the first staleness value
+/// seen per node as its baseline.
+#[derive(Debug, Default)]
 struct StalenessConsistency {
-    strict: bool,
     prev: Vec<u32>,
+    /// Lazy mode only: whether the node's baseline is established.
     sighted: Vec<bool>,
 }
 
 impl StalenessConsistency {
-    fn new(strict: bool) -> Self {
-        StalenessConsistency {
-            strict,
-            prev: Vec::new(),
-            sighted: Vec::new(),
-        }
-    }
-
-    fn check_tick(&mut self, v: &TickVitals<'_>, out: &mut Vec<Violation>) {
-        if v.staleness.is_empty() {
+    /// One pass over the tick's staleness column, counting the stale nodes
+    /// and, when the per-node slices are present, checking each node. The
+    /// aggregate violation goes ahead of the tick's per-node ones.
+    fn check_tick<const STRICT: bool>(&mut self, v: &TickVitals<'_>, out: &mut Vec<Violation>) {
+        let n = v.staleness.len();
+        if n == 0 {
             return;
         }
-        let stale = v.staleness.iter().filter(|s| **s > 0).count() as u32;
-        if stale != v.stale_nodes {
-            out.push(Violation {
-                monitor: MonitorKind::StalenessConsistency,
-                tick: v.tick,
-                node: None,
-                expected: i64::from(stale),
-                actual: i64::from(v.stale_nodes),
-                detail: "stale_nodes must count the nodes with positive staleness",
-            });
+        let per_node = v.node_fates.len() == n && v.late_accepted.len() == n;
+        if per_node && self.prev.len() < n {
+            self.prev.resize(n, 0);
+            if !STRICT {
+                self.sighted.resize(n, false);
+            }
         }
-        if v.node_fates.len() != v.staleness.len() || v.late_accepted.len() != v.staleness.len() {
-            return;
-        }
-        if self.prev.len() < v.staleness.len() {
-            self.prev.resize(v.staleness.len(), 0);
-            self.sighted.resize(v.staleness.len(), self.strict);
-        }
-        for (i, fate) in v.node_fates.iter().enumerate() {
-            let actual = v.staleness[i];
-            if self.sighted[i] {
+        let checked = if per_node { n } else { 0 };
+        let (fates, late_accepted) = (&v.node_fates[..checked], &v.late_accepted[..checked]);
+        let prev = &mut self.prev[..checked];
+        let first = out.len();
+        let mut stale = 0u32;
+        for (i, &actual) in v.staleness.iter().enumerate() {
+            stale += u32::from(actual > 0);
+            if !per_node {
+                continue;
+            }
+            let sighted = STRICT || std::mem::replace(&mut self.sighted[i], true);
+            if sighted {
                 // A late acceptance earlier in the tick reset the counter
                 // before the apply phase ran.
-                let base = if v.late_accepted[i] { 0 } else { self.prev[i] };
-                let expected = match fate {
+                let base = if late_accepted[i] { 0 } else { prev[i] };
+                let expected = match fates[i] {
                     NodeFate::Accepted => 0,
                     NodeFate::LostInFlight => base.saturating_add(1),
                     NodeFate::Idle | NodeFate::NoCoverage => base,
@@ -346,8 +344,20 @@ impl StalenessConsistency {
                     });
                 }
             }
-            self.sighted[i] = true;
-            self.prev[i] = actual;
+            prev[i] = actual;
+        }
+        if stale != v.stale_nodes {
+            out.insert(
+                first,
+                Violation {
+                    monitor: MonitorKind::StalenessConsistency,
+                    tick: v.tick,
+                    node: None,
+                    expected: i64::from(stale),
+                    actual: i64::from(v.stale_nodes),
+                    detail: "stale_nodes must count the nodes with positive staleness",
+                },
+            );
         }
     }
 }
@@ -360,6 +370,9 @@ impl StalenessConsistency {
 /// down a release run.
 #[derive(Debug)]
 pub struct MonitorSet {
+    /// Strict baselines ([`MonitorSet::standard`]) or lazy ones
+    /// ([`MonitorSet::resuming`]).
+    strict: bool,
     channel: ChannelConservation,
     seq: SeqMonotonicity,
     staleness: StalenessConsistency,
@@ -369,9 +382,10 @@ pub struct MonitorSet {
 impl MonitorSet {
     fn new(strict: bool) -> Self {
         MonitorSet {
+            strict,
             channel: ChannelConservation::default(),
-            seq: SeqMonotonicity::new(strict),
-            staleness: StalenessConsistency::new(strict),
+            seq: SeqMonotonicity::default(),
+            staleness: StalenessConsistency::default(),
             scratch: Vec::new(),
         }
     }
@@ -393,15 +407,157 @@ impl MonitorSet {
     /// Runs every monitor over one tick's vitals and returns the
     /// violations found this tick (empty on a healthy tick), in monitor
     /// order: filter conservation, channel conservation, seq
-    /// monotonicity, staleness consistency. The returned slice is valid
-    /// until the next call.
+    /// monotonicity, staleness consistency — within staleness
+    /// consistency, the population stale-count violation ahead of the
+    /// per-node ones. The returned slice is valid until the next call.
+    ///
+    /// Each per-node monitor makes one pass over its columns, and the
+    /// stale count is taken in the staleness pass. The strict battery
+    /// reads no `sighted` column: every node's baseline is known.
     pub fn check_tick(&mut self, vitals: &TickVitals<'_>) -> &[Violation] {
         self.scratch.clear();
         check_filter_conservation(vitals, &mut self.scratch);
         self.channel.check_tick(vitals, &mut self.scratch);
-        self.seq.check_tick(vitals, &mut self.scratch);
-        self.staleness.check_tick(vitals, &mut self.scratch);
+        if self.strict {
+            self.seq.check_tick::<true>(vitals, &mut self.scratch);
+            self.staleness.check_tick::<true>(vitals, &mut self.scratch);
+        } else {
+            self.seq.check_tick::<false>(vitals, &mut self.scratch);
+            self.staleness
+                .check_tick::<false>(vitals, &mut self.scratch);
+        }
         &self.scratch
+    }
+}
+
+/// The per-node monitors as plain loops — two passes for staleness, a
+/// `sighted` column in either mode — kept as the oracle the one-pass
+/// monitors are tested against.
+#[cfg(test)]
+mod reference {
+    use super::{MonitorKind, NodeFate, TickVitals, Violation};
+
+    /// Checks that each node's transmitted wire sequence numbers advance by
+    /// exactly one per transmission (wrapping).
+    ///
+    /// Strict mode knows sequence numbers start at 0 (a run observed from its
+    /// first tick); lazy mode lets the first transmission seen per node
+    /// establish its baseline (a stream whose head may have been dropped).
+    #[derive(Debug)]
+    pub(super) struct SeqMonotonicity {
+        strict: bool,
+        pub(super) expected: Vec<u32>,
+        pub(super) sighted: Vec<bool>,
+    }
+
+    impl SeqMonotonicity {
+        pub(super) fn new(strict: bool) -> Self {
+            SeqMonotonicity {
+                strict,
+                expected: Vec::new(),
+                sighted: Vec::new(),
+            }
+        }
+
+        pub(super) fn check_tick(&mut self, v: &TickVitals<'_>, out: &mut Vec<Violation>) {
+            if v.node_fates.is_empty() || v.wire_seqs.len() != v.node_fates.len() {
+                return;
+            }
+            if self.expected.len() < v.node_fates.len() {
+                self.expected.resize(v.node_fates.len(), 0);
+                self.sighted.resize(v.node_fates.len(), self.strict);
+            }
+            for (i, fate) in v.node_fates.iter().enumerate() {
+                if *fate == NodeFate::Idle {
+                    continue;
+                }
+                let seq = v.wire_seqs[i];
+                if self.sighted[i] && seq != self.expected[i] {
+                    out.push(Violation {
+                        monitor: MonitorKind::SeqMonotonicity,
+                        tick: v.tick,
+                        node: Some(i as u32),
+                        expected: i64::from(self.expected[i]),
+                        actual: i64::from(seq),
+                        detail: "wire seq must advance by one per transmission",
+                    });
+                }
+                self.sighted[i] = true;
+                self.expected[i] = seq.wrapping_add(1);
+            }
+        }
+    }
+
+    /// Checks that per-node staleness counters match the loss/acceptance
+    /// model and that the population stale count agrees with them.
+    ///
+    /// Strict mode knows staleness starts at 0 everywhere; lazy mode takes
+    /// the first staleness value seen per node as its baseline.
+    #[derive(Debug)]
+    pub(super) struct StalenessConsistency {
+        strict: bool,
+        pub(super) prev: Vec<u32>,
+        pub(super) sighted: Vec<bool>,
+    }
+
+    impl StalenessConsistency {
+        pub(super) fn new(strict: bool) -> Self {
+            StalenessConsistency {
+                strict,
+                prev: Vec::new(),
+                sighted: Vec::new(),
+            }
+        }
+
+        pub(super) fn check_tick(&mut self, v: &TickVitals<'_>, out: &mut Vec<Violation>) {
+            if v.staleness.is_empty() {
+                return;
+            }
+            let stale = v.staleness.iter().filter(|s| **s > 0).count() as u32;
+            if stale != v.stale_nodes {
+                out.push(Violation {
+                    monitor: MonitorKind::StalenessConsistency,
+                    tick: v.tick,
+                    node: None,
+                    expected: i64::from(stale),
+                    actual: i64::from(v.stale_nodes),
+                    detail: "stale_nodes must count the nodes with positive staleness",
+                });
+            }
+            if v.node_fates.len() != v.staleness.len() || v.late_accepted.len() != v.staleness.len()
+            {
+                return;
+            }
+            if self.prev.len() < v.staleness.len() {
+                self.prev.resize(v.staleness.len(), 0);
+                self.sighted.resize(v.staleness.len(), self.strict);
+            }
+            for (i, fate) in v.node_fates.iter().enumerate() {
+                let actual = v.staleness[i];
+                if self.sighted[i] {
+                    // A late acceptance earlier in the tick reset the counter
+                    // before the apply phase ran.
+                    let base = if v.late_accepted[i] { 0 } else { self.prev[i] };
+                    let expected = match fate {
+                        NodeFate::Accepted => 0,
+                        NodeFate::LostInFlight => base.saturating_add(1),
+                        NodeFate::Idle | NodeFate::NoCoverage => base,
+                    };
+                    if actual != expected {
+                        out.push(Violation {
+                            monitor: MonitorKind::StalenessConsistency,
+                            tick: v.tick,
+                            node: Some(i as u32),
+                            expected: i64::from(expected),
+                            actual: i64::from(actual),
+                            detail: "staleness must follow the loss/acceptance history",
+                        });
+                    }
+                }
+                self.sighted[i] = true;
+                self.prev[i] = actual;
+            }
+        }
     }
 }
 
@@ -632,6 +788,119 @@ mod tests {
         let mut set = MonitorSet::standard();
         // Aggregates only — per-node monitors must not fire or panic.
         assert!(set.check_tick(&healthy()).is_empty());
+    }
+
+    /// The model a generated tick sequence is driven by: per node, the
+    /// next wire seq and the staleness counter the broker would hold.
+    struct Model {
+        seq: Vec<u32>,
+        staleness: Vec<u32>,
+    }
+
+    proptest::proptest! {
+        /// The one-pass monitors, strict and lazy, report exactly what the
+        /// plain reference loops report, in the same order, and keep the
+        /// same baselines, over random vitals with injected seq gaps,
+        /// staleness jumps, late resets and a wrong `stale_nodes`.
+        #[test]
+        fn one_pass_monitors_match_the_reference_loops(
+            n in 1usize..24,
+            ticks in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u8..8, 0u8..16, 0u8..16, proptest::prelude::any::<bool>()), 24),
+                    0u8..8,
+                    0u8..8,
+                ),
+                1..16,
+            ),
+            start in 0u32..1000,
+        ) {
+            for strict in [true, false] {
+                let mut set = MonitorSet::new(strict);
+                let mut seq_ref = reference::SeqMonotonicity::new(strict);
+                let mut stale_ref = reference::StalenessConsistency::new(strict);
+                // A lazy replay may join mid-stream: start from arbitrary
+                // baselines.
+                let base = if strict { 0 } else { start };
+                let mut model = Model { seq: vec![base; n], staleness: vec![0; n] };
+                // Each tick: per node `(fate, seq glitch, staleness jump,
+                // late reset)` selectors, an error in `stale_nodes`, and
+                // which per-node slices the vitals carry.
+                for (tick, (nodes, stale_error, slices)) in ticks.iter().enumerate() {
+                    let (fates, wire_seqs, staleness, late) = generate(&mut model, &nodes[..n]);
+                    let true_stale = staleness.iter().filter(|s| **s > 0).count() as u32;
+                    let stale_nodes = true_stale + u32::from(*stale_error == 0);
+                    // Mostly full vitals; sometimes no wire seqs, or no
+                    // per-node staleness inputs.
+                    let empty_seqs: &[u32] = &[];
+                    let empty_late: &[bool] = &[];
+                    let v = TickVitals {
+                        tick: tick as u64,
+                        stale_nodes,
+                        node_fates: &fates,
+                        wire_seqs: if *slices == 0 { empty_seqs } else { &wire_seqs },
+                        staleness: &staleness,
+                        late_accepted: if *slices == 1 { empty_late } else { &late },
+                        ..TickVitals::default()
+                    };
+                    let mut expected = Vec::new();
+                    seq_ref.check_tick(&v, &mut expected);
+                    stale_ref.check_tick(&v, &mut expected);
+                    proptest::prop_assert_eq!(set.check_tick(&v), &expected[..]);
+                    proptest::prop_assert_eq!(&set.seq.expected, &seq_ref.expected);
+                    proptest::prop_assert_eq!(&set.staleness.prev, &stale_ref.prev);
+                    if strict {
+                        proptest::prop_assert!(set.seq.sighted.is_empty());
+                        proptest::prop_assert!(set.staleness.sighted.is_empty());
+                        proptest::prop_assert!(seq_ref.sighted.iter().all(|s| *s));
+                        proptest::prop_assert!(stale_ref.sighted.iter().all(|s| *s));
+                    } else {
+                        proptest::prop_assert_eq!(&set.seq.sighted, &seq_ref.sighted);
+                        proptest::prop_assert_eq!(&set.staleness.sighted, &stale_ref.sighted);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Advances `model` by one tick of `nodes` selectors: mostly lawful
+    /// fates, seqs and staleness, with the occasional seq gap, staleness
+    /// jump and late reset. Returns the tick's per-node columns.
+    fn generate(
+        model: &mut Model,
+        nodes: &[(u8, u8, u8, bool)],
+    ) -> (Vec<NodeFate>, Vec<u32>, Vec<u32>, Vec<bool>) {
+        let mut columns = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (i, &(fate, glitch, jump, late)) in nodes.iter().enumerate() {
+            let fate = match fate {
+                0..=3 => NodeFate::Idle,
+                4 | 5 => NodeFate::Accepted,
+                6 => NodeFate::LostInFlight,
+                _ => NodeFate::NoCoverage,
+            };
+            // A late reset lands on a fifth of the nodes.
+            let late = late && glitch % 5 == 0;
+            let mut wire_seq = 0;
+            if fate != NodeFate::Idle {
+                wire_seq = model.seq[i].wrapping_add(u32::from(glitch == 0) * u32::from(jump));
+                model.seq[i] = wire_seq.wrapping_add(1);
+            }
+            let base = if late { 0 } else { model.staleness[i] };
+            let mut staleness = match fate {
+                NodeFate::Accepted => 0,
+                NodeFate::LostInFlight => base + 1,
+                NodeFate::Idle | NodeFate::NoCoverage => base,
+            };
+            if jump == 0 {
+                staleness += u32::from(glitch) + 1;
+            }
+            model.staleness[i] = staleness;
+            columns.0.push(fate);
+            columns.1.push(wire_seq);
+            columns.2.push(staleness);
+            columns.3.push(late);
+        }
+        columns
     }
 
     #[test]
