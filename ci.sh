@@ -62,6 +62,12 @@ echo "==> benchmark harness contract tests"
 # every workload against BENCHMARK.json.
 cargo test --release --manifest-path perfbench/Cargo.toml
 
+echo "==> perf ledger check (advisory)"
+# Compares the newest side of each workload in BENCH_perfbench.json with
+# the side before it, inside BENCHMARK.json's bounds. Ledger runs come from
+# a noisy shared host, so this step reports and never fails the build.
+python3 scripts/bench_check.py || echo "bench_check.py: advisory only, not a gate"
+
 echo "==> metro_100k smoke (scale sweep, 50-tick cap)"
 # Drives the columnar engine through campus_140 -> city_1140 -> metro_100k;
 # the 100k-node city must build and tick. The printed ns/tick is advisory

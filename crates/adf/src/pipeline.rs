@@ -464,6 +464,8 @@ struct SparseState {
     /// only when every node of the shard replayed an idle cache with an
     /// idle fate on that tick (see `MobileGridSim::replay_memo`).
     memo: Vec<Option<ShardSums>>,
+    /// Per-shard counts behind the memo's O(1) proof.
+    counts: Vec<ShardCounts>,
     /// Per-node: a refresh wake forces a full evaluation this tick.
     force_eval: Vec<bool>,
     /// Tick of each node's last full (non-replayed) broker evaluation.
@@ -500,6 +502,7 @@ impl SparseState {
             asleep_count: 0,
             idle: vec![IdleCache::INVALID; nodes],
             memo: vec![None; mobigrid_sim::par::shard_count(nodes, SHARD_SIZE)],
+            counts: vec![ShardCounts::default(); mobigrid_sim::par::shard_count(nodes, SHARD_SIZE)],
             force_eval: vec![false; nodes],
             last_eval: vec![0; nodes],
             woken: Vec::new(),
@@ -512,6 +515,29 @@ impl SparseState {
             max_eval_gap: 0,
         }
     }
+}
+
+/// The sparse driver's per-shard counts of the events that can break a
+/// quiet shard, each kept where its event happens. With a memo, a shard
+/// whose counts read all asleep and nothing else is a memo hit, proved
+/// without reading a node (see `MobileGridSim::replay_memo`).
+#[derive(Debug, Clone, Copy, Default)]
+struct ShardCounts {
+    /// Nodes whose movement the kernel skips this tick: a mobility wake
+    /// takes one off before movement, and a new sleeper is added only
+    /// after the apply phase, so during a tick a node counts only when its
+    /// observation repeats the previous tick's.
+    asleep: u32,
+    /// Refresh wakes due this tick (set `force_eval` flags): each due
+    /// wake adds one, and the shard's per-node pass, which gives every
+    /// flagged node a full evaluation, clears them all.
+    refresh_due: u32,
+    /// `Sent` filter decisions this tick, written by the filter-split
+    /// loop.
+    filter_sends: u32,
+    /// Nodes with a frame on the air this tick (first sends and due
+    /// retries), written by the routing phase; zero without a network.
+    link_active: u32,
 }
 
 /// A snapshot of the sparse driver's wake accounting (see
@@ -533,6 +559,9 @@ pub struct WakeStats {
     /// and the shard's sums were those of an earlier all-replay tick.
     /// Recorded ticks never take the memo path.
     pub replayed_shard_ticks: u64,
+    /// Cumulative node blocks the filter policy absorbed whole, at one
+    /// clock write each ([`FilterPolicy::dozed_blocks`]).
+    pub dozed_blocks: u64,
     /// Nodes with a pending wake across both wheels.
     pub wheel_occupancy: usize,
     /// Largest gap (ticks) between full broker evaluations of any node —
@@ -655,6 +684,8 @@ struct SparseShard<'a> {
     last_eval: &'a mut [u64],
     /// This shard's replay memo.
     memo: &'a mut Option<ShardSums>,
+    /// This shard's event counts.
+    counts: &'a mut ShardCounts,
     tick: u64,
 }
 
@@ -840,6 +871,7 @@ impl MobileGridSim {
             slept_node_ticks: sp.slept_node_ticks,
             replayed_node_ticks: sp.replayed_node_ticks,
             replayed_shard_ticks: sp.replayed_shard_ticks,
+            dozed_blocks: self.policy.dozed_blocks(),
             wheel_occupancy: sp.mobility.occupancy() + sp.refresh.occupancy(),
             max_eval_gap: sp.max_eval_gap,
         })
@@ -961,6 +993,7 @@ impl MobileGridSim {
                         self.cols.replay_quiescent(i, skipped, dt);
                     }
                     sp.asleep[i] = false;
+                    sp.counts[i / SHARD_SIZE].asleep -= 1;
                 }
                 sp.asleep_count -= sp.woken.len();
                 sp.wake_mobility += sp.woken.len() as u64;
@@ -975,20 +1008,9 @@ impl MobileGridSim {
                     .run_into(shards, &mut sp.newly_asleep, |i, ((shard, obs), asleep)| {
                         shard.advance_sparse(i * SHARD_SIZE, time_s, dt, obs, asleep)
                     });
-                // File new sleepers in shard order — the schedule history,
-                // and therefore every future drain order, stays a pure
-                // function of the simulation, never of thread scheduling.
-                for list in &sp.newly_asleep {
-                    for &(node, ticks) in list {
-                        let i = node as usize;
-                        sp.asleep[i] = true;
-                        sp.slept_at[i] = self.tick;
-                        sp.asleep_count += 1;
-                        if ticks != u64::MAX {
-                            sp.mobility.schedule(node, self.tick + ticks + 1);
-                        }
-                    }
-                }
+                // New sleepers moved this tick: they are filed after the
+                // apply phase, so until then `asleep` marks exactly the
+                // nodes whose observation repeats the previous tick's.
             }
         }
 
@@ -1010,10 +1032,16 @@ impl MobileGridSim {
             ),
         }
         debug_assert_eq!(scratch.decisions.len(), scratch.observations.len());
-        // The filter-conservation monitor needs the split every tick.
+        // The filter-conservation monitor needs the split every tick; the
+        // sparse driver keeps each shard's part of it.
         let mut filter_sent = 0u32;
-        for decision in &scratch.decisions {
-            filter_sent += u32::from(decision.is_sent());
+        let mut shard_sends = self.sparse.as_deref_mut().map(|sp| sp.counts.iter_mut());
+        for chunk in scratch.decisions.chunks(SHARD_SIZE) {
+            let sent = chunk.iter().map(|d| u32::from(d.is_sent())).sum::<u32>();
+            filter_sent += sent;
+            if let Some(counts) = shard_sends.as_mut().and_then(Iterator::next) {
+                counts.filter_sends = sent;
+            }
         }
         let suppressed = scratch.decisions.len() as u32 - filter_sent;
         // An update's flight-recorder identity is (node, generation tick):
@@ -1087,9 +1115,11 @@ impl MobileGridSim {
                     self.broker_raw.apply(&op);
                     // A late arrival touches the node's estimator (or at
                     // least its dedup state): its idle-replay cache, if
-                    // any, is no longer safe to replay.
+                    // any, is no longer safe to replay, nor is its
+                    // shard's memo.
                     if let Some(sp) = self.sparse.as_deref_mut() {
                         sp.idle[lu.node.index()].valid = false;
+                        sp.memo[lu.node.index() / SHARD_SIZE] = None;
                     }
                     if info.outcome == ApplyOutcome::Accepted {
                         // Resets the node's staleness baseline before the
@@ -1120,6 +1150,10 @@ impl MobileGridSim {
                 }
                 late = scratch.late_lus.len() as u32;
             }
+            let mut shard_counts = self.sparse.as_deref_mut().map(|sp| &mut sp.counts[..]);
+            if let Some(counts) = shard_counts.as_deref_mut() {
+                counts.iter_mut().for_each(|c| c.link_active = 0);
+            }
             for (i, (((id, pos), decision), out)) in scratch
                 .observations
                 .iter()
@@ -1132,6 +1166,9 @@ impl MobileGridSim {
                 if !(matches!(decision, Decision::Sent) || retry_due) {
                     *out = LinkOutcome::Idle;
                     continue;
+                }
+                if let Some(counts) = shard_counts.as_deref_mut() {
+                    counts[i / SHARD_SIZE].link_active += 1;
                 }
                 let attempt = state.attempt;
                 let seq = self.seqs[i];
@@ -1250,6 +1287,35 @@ impl MobileGridSim {
             0
         };
         let mut rec_slots = scratch.recording[..recorded_shards].iter_mut();
+        // The sparse driver's per-shard idle-replay columns. Due
+        // staleness-refresh wakes force a full evaluation of their node
+        // this tick; the full path re-arms them below.
+        let tick = self.tick;
+        let mut sparse_shards = self.sparse.as_deref_mut().map(|sp| {
+            let due = sp.refresh.advance(tick);
+            for &node in due {
+                let i = node as usize;
+                sp.counts[i / SHARD_SIZE].refresh_due += u32::from(!sp.force_eval[i]);
+                sp.force_eval[i] = true;
+            }
+            sp.wake_refresh += due.len() as u64;
+            sp.idle
+                .chunks_mut(SHARD_SIZE)
+                .zip(sp.force_eval.chunks_mut(SHARD_SIZE))
+                .zip(sp.last_eval.chunks_mut(SHARD_SIZE))
+                .zip(sp.memo.iter_mut())
+                .zip(sp.counts.iter_mut())
+                .map(
+                    move |((((idle, force_eval), last_eval), memo), counts)| SparseShard {
+                        idle,
+                        force_eval,
+                        last_eval,
+                        memo,
+                        counts,
+                        tick,
+                    },
+                )
+        });
         let jobs = self
             .cols
             .region_kinds()
@@ -1279,49 +1345,14 @@ impl MobileGridSim {
                         raw,
                         staleness,
                         fates,
-                        sparse: None,
+                        sparse: sparse_shards.as_mut().and_then(Iterator::next),
                         rec: rec_slots.next(),
                     }
                 },
             );
-        match self.sparse.as_deref_mut() {
-            None => {
-                self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
-                    Self::run_shard(time_s, job)
-                });
-            }
-            Some(sp) => {
-                // Due staleness-refresh wakes force a full evaluation of
-                // their node this tick; the full path re-arms them below.
-                let due = sp.refresh.advance(self.tick);
-                for &node in due {
-                    sp.force_eval[node as usize] = true;
-                }
-                sp.wake_refresh += due.len() as u64;
-
-                let tick = self.tick;
-                let sparse = sp
-                    .idle
-                    .chunks_mut(SHARD_SIZE)
-                    .zip(sp.force_eval.chunks_mut(SHARD_SIZE))
-                    .zip(sp.last_eval.chunks_mut(SHARD_SIZE))
-                    .zip(sp.memo.iter_mut())
-                    .map(|(((idle, force_eval), last_eval), memo)| SparseShard {
-                        idle,
-                        force_eval,
-                        last_eval,
-                        memo,
-                        tick,
-                    });
-                let jobs = jobs.zip(sparse).map(|(job, sparse)| ShardJob {
-                    sparse: Some(sparse),
-                    ..job
-                });
-                self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
-                    Self::run_shard(time_s, job)
-                });
-            }
-        }
+        self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
+            Self::run_shard(time_s, job)
+        });
 
         // Shard-ordered reduction: exact for the integer tallies, and a
         // fixed floating-point summation order for the RMSE partials.
@@ -1386,6 +1417,21 @@ impl MobileGridSim {
                     cached &= cached - 1;
                     sp.refresh
                         .schedule(node as u32, self.tick + STALENESS_REFRESH);
+                }
+            }
+            // File this tick's new sleepers in shard order — the schedule
+            // history, and therefore every future drain order, stays a pure
+            // function of the simulation, never of thread scheduling.
+            for list in &sp.newly_asleep {
+                for &(node, ticks) in list {
+                    let i = node as usize;
+                    sp.asleep[i] = true;
+                    sp.slept_at[i] = self.tick;
+                    sp.asleep_count += 1;
+                    sp.counts[i / SHARD_SIZE].asleep += 1;
+                    if ticks != u64::MAX {
+                        sp.mobility.schedule(node, self.tick + ticks + 1);
+                    }
                 }
             }
         }
@@ -1684,50 +1730,77 @@ impl MobileGridSim {
         out.sums.raw_delta = job.raw.into_delta();
         if let Some(sp) = job.sparse {
             *sp.memo = memo_ok.then_some(out.sums);
+            // Every node a refresh flagged took a full evaluation above.
+            sp.counts.refresh_due = 0;
         }
         out
     }
 
     /// The sparse driver's shard-level replay: when the shard's memo holds
-    /// the sums of an earlier tick on which every node replayed its idle
-    /// cache, and every node replays it again this tick with an idle fate,
-    /// this tick's sums are the memo's, bit for bit, and the only work
-    /// left is moving every stored estimate's timestamp. The check reads
-    /// each node and writes nothing; on a hit each broker shard's replay
-    /// clock takes the new time in one write
-    /// ([`BrokerShard::restamp_all`]). That restamps exactly the stored
-    /// estimates, because in a memo shard every record is one: a node
-    /// with a record has an estimator, and each cache was captured with
-    /// static estimators, whose filtered apply stores an estimate. Returns
-    /// `None`, having touched nothing, when one node does not replay.
+    /// the sums of the previous tick, on which every node replayed its
+    /// idle cache, and every node replays it again this tick with an idle
+    /// fate, this tick's sums are the memo's, bit for bit, and the only
+    /// work left is moving every stored estimate's timestamp. The proof
+    /// reads no node: it takes the memo and the shard's [`ShardCounts`].
+    /// On a hit each broker shard's replay clock takes the new time in one
+    /// write ([`BrokerShard::restamp_all`]). That restamps exactly the
+    /// stored estimates, because in a memo shard every record is one: a
+    /// node with a record has an estimator, and each cache was captured
+    /// with static estimators, whose filtered apply stores an estimate.
+    /// Returns `None`, having touched nothing, when the counts do not
+    /// prove the hit; the shard then takes the per-node loop.
     ///
-    /// *Why the memo is exact:* a node's idle cache changes only on a
-    /// full evaluation or is invalidated by a late frame, and a full
-    /// evaluation in the shard clears the memo (a late frame fails the
-    /// check here). So every cache the shard replays now is the one it
-    /// replayed on the memo's tick: the same errors pushed in the same
-    /// order, the same tally entries, the same staleness counters (only
-    /// a full evaluation or a late frame moves one) and the same estimate
-    /// counts. The per-node columns the pass owns are therefore already
-    /// what the loop would write.
+    /// *Why the counts prove it:* every sparse tick runs every shard, and
+    /// the per-node loop rewrites the memo, so a memo means the previous
+    /// tick replayed every node: each cache was valid, unforced and at the
+    /// node's position. A cache changes only on a full evaluation, which
+    /// rewrites the memo, or is invalidated by a late frame, which clears
+    /// it. With every node asleep this tick each observation repeats the
+    /// previous one, so each cache is at its node's position again; no
+    /// refresh due means none is forced; no filter send (and, with a
+    /// network, no frame on the air) means every fate is idle. So every
+    /// cache the shard replays now is the one it replayed on the memo's
+    /// tick: the same errors pushed in the same order, the same tally
+    /// entries, the same staleness counters (only a full evaluation or a
+    /// late frame moves one) and the same estimate counts. The per-node
+    /// columns the pass owns are therefore already what the loop would
+    /// write. Debug builds re-prove all of it node by node.
+    ///
+    /// Out of line: inlined into `run_shard`, it measured ~2% slower in
+    /// the dense driver's apply pass, which never takes the memo.
+    #[inline(never)]
     fn replay_memo(time_s: f64, job: &mut ShardJob<'_>) -> Option<ShardSums> {
         let sp = job.sparse.as_ref()?;
         let sums = (*sp.memo)?;
-        let link = job.link;
-        let replays = job
-            .observations
-            .iter()
-            .zip(job.decisions)
-            .zip(sp.idle.iter().zip(sp.force_eval.iter()))
-            .enumerate()
-            .all(|(i, (((_, pos), decision), (cache, force_eval)))| {
-                let link = link.map(|link| link[i]);
-                NodeOp::of(*decision, link).fate(link) == NodeFate::Idle
-                    && cache.replays(*force_eval, *pos)
-            });
-        if !replays {
+        let counts = *sp.counts;
+        if counts.asleep as usize != job.observations.len()
+            || counts.refresh_due != 0
+            || counts.filter_sends != 0
+            || counts.link_active != 0
+        {
             return None;
         }
+        debug_assert_eq!(
+            counts.refresh_due as usize,
+            sp.force_eval.iter().filter(|f| **f).count(),
+            "the refresh count matches the shard's flags"
+        );
+        debug_assert!(
+            {
+                let link = job.link;
+                job.observations
+                    .iter()
+                    .zip(job.decisions)
+                    .zip(sp.idle.iter().zip(sp.force_eval.iter()))
+                    .enumerate()
+                    .all(|(i, (((_, pos), decision), (cache, force_eval)))| {
+                        let link = link.map(|link| link[i]);
+                        NodeOp::of(*decision, link).fate(link) == NodeFate::Idle
+                            && cache.replays(*force_eval, *pos)
+                    })
+            },
+            "a shard the counts prove quiet replays every node with an idle fate"
+        );
         debug_assert!(
             sp.idle.iter().enumerate().all(|(i, cache)| {
                 cache.le_stored == job.le.location_at(i).is_some()
@@ -1985,6 +2058,67 @@ mod tests {
             "eval gap {} breached the {window}-tick staleness window",
             wake.max_eval_gap
         );
+    }
+
+    /// Filters every observation, except that every `period`-th tick it
+    /// sends them all: a send from nodes that neither moved nor woke.
+    struct Pulse {
+        period: u64,
+        tick: u64,
+    }
+
+    impl FilterPolicy for Pulse {
+        fn process_tick(
+            &mut self,
+            _time_s: f64,
+            observations: &[(MnId, Point)],
+            decisions: &mut Vec<Decision>,
+        ) {
+            self.tick += 1;
+            let decision = if self.tick.is_multiple_of(self.period) {
+                Decision::Sent
+            } else {
+                Decision::Filtered
+            };
+            decisions.clear();
+            decisions.resize(observations.len(), decision);
+        }
+
+        fn name(&self) -> &str {
+            "pulse"
+        }
+    }
+
+    #[test]
+    fn memo_shards_see_sends_from_sleeping_nodes() {
+        // Two whole shards of parked nodes fall quiet between pulses; a
+        // pulse sends every node's unchanged position, and the memo's
+        // proof must see it through its filter-send count.
+        let sim = |driver| {
+            SimBuilder::new()
+                .nodes((0..2 * SHARD_SIZE as u32).map(parked).collect())
+                .policy(Pulse {
+                    period: 13,
+                    tick: 0,
+                })
+                .runtime(RuntimeOptions {
+                    driver,
+                    ..RuntimeOptions::default()
+                })
+                .build()
+                .unwrap()
+        };
+        let (mut dense, mut sparse) = (sim(TickDriver::Dense), sim(TickDriver::Sparse));
+        for t in 1..=120 {
+            assert_eq!(dense.step(), sparse.step(), "tick {t}");
+            assert_eq!(
+                dense.broker_with_le().state_digest(),
+                sparse.broker_with_le().state_digest(),
+                "tick {t}"
+            );
+        }
+        let wake = sparse.wake_stats().expect("sparse run reports wake stats");
+        assert!(wake.replayed_shard_ticks > 0, "no memo shard to break");
     }
 
     #[test]

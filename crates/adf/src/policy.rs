@@ -57,10 +57,11 @@ pub trait FilterPolicy {
     /// hint from the sparse tick driver.
     ///
     /// `asleep[i]` is `true` when the driver proved observation `i` is a
-    /// bit-identical repeat of the previous tick's (the node is quiescent
-    /// and the movement kernel skipped it). Policies may exploit the hint
-    /// to take a cheaper path, but the contract is strict: decisions and
-    /// every piece of internal state must end up bit-identical to a plain
+    /// bit-identical repeat of the previous tick's observation `i`, node
+    /// id included (the node is quiescent and the movement kernel skipped
+    /// it this tick). Policies may exploit the hint to take a cheaper
+    /// path, but the contract is strict: decisions and every piece of
+    /// internal state must end up bit-identical to a plain
     /// [`FilterPolicy::process_tick`] call — the dense/sparse differential
     /// suite enforces this. The default ignores the hint.
     fn process_tick_sparse(
@@ -85,6 +86,14 @@ pub trait FilterPolicy {
 
     /// A short human-readable policy name for reports.
     fn name(&self) -> &str;
+
+    /// Cumulative node blocks the policy absorbed whole on sleep-hinted
+    /// ticks, at one clock write per block instead of one update per node
+    /// (the ADF's block doze clock). `0`, the default, for policies
+    /// without one.
+    fn dozed_blocks(&self) -> u64 {
+        0
+    }
 
     /// The node's current distance threshold, when the policy uses one.
     fn dth_for(&self, node: MnId) -> Option<f64> {
@@ -123,6 +132,10 @@ impl<P: FilterPolicy + ?Sized> FilterPolicy for Box<P> {
 
     fn name(&self) -> &str {
         (**self).name()
+    }
+
+    fn dozed_blocks(&self) -> u64 {
+        (**self).dozed_blocks()
     }
 
     fn dth_for(&self, node: MnId) -> Option<f64> {
@@ -329,38 +342,74 @@ impl AdfNodeState {
 /// node at the zero-motion fixpoint has spent without its
 /// [`AdfNodeState`] being touched.
 ///
-/// While `armed`, each hinted tick that observes the node at the bit-equal
-/// `pos` only bumps `pending`; [`Doze::wake`] later applies them all in
-/// one step. `odd` is the parity of the policy tick that armed or last
-/// bumped the entry. Between calls every armed entry carries the previous
-/// call's parity, so within a call it tells an entry this call already
-/// touched from one it has not.
+/// While armed, each hinted tick that observes the node at the bit-equal
+/// `pos` is *absorbed*: it only moves the entry's last absorbed tick, and
+/// [`Doze::wake`] later applies every absorbed tick in one step. Ticks are
+/// policy ticks, stamped as `u32` (the sparse path runs only below
+/// `u32::MAX` ticks). An entry's last absorbed tick is the later of its
+/// own `last` and its block's clock ([`DozeBlock::last`]), which absorbs
+/// all 64 entries of a whole-dozing block at once; [`Doze::absorbed`]
+/// resolves the two. Between calls every armed entry has absorbed the
+/// previous call, so within a call the stamp tells an entry this call
+/// already absorbed from one it has not.
 #[derive(Clone, Copy)]
 struct Doze {
     pos: Point,
-    pending: u32,
-    armed: bool,
-    odd: bool,
+    /// Policy tick of the arming call; `u32::MAX` while disarmed.
+    armed_at: u32,
+    /// Policy tick of the last call that absorbed this entry on its own.
+    last: u32,
 }
 
 impl Doze {
     const IDLE: Doze = Doze {
         pos: Point::ORIGIN,
-        pending: 0,
-        armed: false,
-        odd: false,
+        armed_at: u32::MAX,
+        last: 0,
     };
 
-    /// Catches `state` up on the deferred ticks and disarms the entry.
-    /// `time_s` is the time of the last tick the entry absorbed (its
-    /// arming tick when `pending` is 0).
-    fn wake(&mut self, state: &mut AdfNodeState, time_s: f64) {
+    fn armed(&self) -> bool {
+        self.armed_at != u32::MAX
+    }
+
+    /// The policy tick this entry last absorbed, given its block's clock.
+    #[inline]
+    fn absorbed(&self, block: &DozeBlock) -> u32 {
+        self.last.max(block.last)
+    }
+
+    /// Catches `state` up on the ticks absorbed after the arming one and
+    /// disarms the entry. `last` is the entry's last absorbed tick
+    /// ([`Doze::absorbed`]) and `time_s` that tick's time.
+    fn wake(&mut self, state: &mut AdfNodeState, last: u32, time_s: f64) {
+        let pending = last - self.armed_at;
         state
             .classifier
-            .catch_up_stationary(self.pending, time_s, self.pos);
-        state.filter.catch_up_filtered(self.pending);
+            .catch_up_stationary(pending, time_s, self.pos);
+        state.filter.catch_up_filtered(pending);
         *self = Doze::IDLE;
     }
+}
+
+/// Nodes per doze block: the ADF's doze clock runs per fixed block of
+/// this many consecutive node ids, the sparse driver's shard size.
+const DOZE_BLOCK: usize = 64;
+
+/// The doze clock of one [`DOZE_BLOCK`]-node block.
+///
+/// A *whole-dozing* block is absorbed by one clock write per call instead
+/// of one write per entry: `last` takes the call's tick, and each entry
+/// reads it through [`Doze::absorbed`]. A later per-entry stamp wins over
+/// an older clock, so a per-node touch never needs to rewrite the block.
+#[derive(Clone, Copy, Default)]
+struct DozeBlock {
+    /// Policy tick of the last call that absorbed the whole block.
+    last: u32,
+    /// Whether the next call may absorb the block whole: at the end of the
+    /// last call all its entries were armed, each absorbed by the
+    /// observation in its own slot (slot index = node index), and nothing
+    /// touched them after that. Every per-node touch of an entry clears it.
+    whole: bool,
 }
 
 /// Dense per-node state table indexed by [`MnId::index`].
@@ -451,8 +500,12 @@ pub struct AdaptiveDistanceFilter {
     /// Per-node doze entries, indexed like `nodes`; sized by the sparse
     /// path.
     doze: Vec<Doze>,
+    /// One doze clock per [`DOZE_BLOCK`] entries of `doze`.
+    blocks: Vec<DozeBlock>,
     /// Number of armed doze entries.
     dozing: usize,
+    /// Cumulative blocks absorbed whole by their doze clock.
+    block_ticks: u64,
     /// `time_s` of the previous tick.
     last_time: f64,
 }
@@ -473,7 +526,9 @@ impl AdaptiveDistanceFilter {
             nodes: AdfNodeTable::default(),
             cluster_count: 0,
             doze: Vec::new(),
+            blocks: Vec::new(),
             dozing: 0,
+            block_ticks: 0,
             last_time: 0.0,
         })
     }
@@ -537,6 +592,12 @@ impl AdaptiveDistanceFilter {
     ) {
         self.tick += 1;
         decisions.clear();
+        // Doze stamps are `u32` ticks: past that range every tick is dense.
+        let asleep = if self.tick < u64::from(u32::MAX) {
+            asleep
+        } else {
+            &[]
+        };
         let recluster = self.recluster_due(self.tick);
         if self.dozing > 0 && (recluster || asleep.is_empty()) {
             self.wake_all();
@@ -572,20 +633,30 @@ impl AdaptiveDistanceFilter {
     /// A hinted node whose classifier and filter both take their
     /// stationary fast paths (window full of exact zeros, position
     /// bit-frozen, decision `Filtered`) is *armed*: from then on each
-    /// hinted tick that observes it at the same bits only bumps its
-    /// doze entry's `pending` count and yields `Filtered`, without
-    /// touching its [`AdfNodeState`]. Those ticks would have bumped the
-    /// classifier's zero run, re-stamped its last observation and counted
-    /// one more filtered update, and nothing else, so the wake applies the
-    /// `pending` of them in one step. Pattern, cluster and DTH change only
-    /// at reclustering, and the filter's last displacement is already the
-    /// `0.0` of the arming tick, so [`FilterPolicy::probe`] and
+    /// hinted tick that observes it at the same bits is only absorbed
+    /// by its doze entry and yields `Filtered`, without touching its
+    /// [`AdfNodeState`]. Those ticks would have bumped the classifier's
+    /// zero run, re-stamped its last observation and counted one more
+    /// filtered update, and nothing else, so the wake applies all of them
+    /// in one step. Pattern, cluster and DTH change only at reclustering,
+    /// and the filter's last displacement is already the `0.0` of the
+    /// arming tick, so [`FilterPolicy::probe`] and
     /// [`FilterPolicy::dth_for`] read a dozing node correctly as it is.
     /// Every other node takes the per-node kernel, as on a dense tick.
     ///
     /// An armed node wakes when it is observed unhinted, at other bits, at
     /// a time that does not advance, or a second time in one call; an
     /// armed node the call did not observe at all wakes at the end of it.
+    ///
+    /// Observations go in [`DOZE_BLOCK`]-slot chunks. A chunk whose block
+    /// is whole-dozing ([`DozeBlock::whole`]) and whose every slot is
+    /// hinted costs one clock write: by the hint's contract each slot
+    /// repeats the previous call's, which absorbed node `slot` at its
+    /// armed position, so every entry would be absorbed again. Only debug
+    /// builds re-prove that per node. Any other chunk takes the per-node
+    /// path, which re-proves every gate itself and marks its block whole
+    /// again once all of the block's entries are absorbed from their own
+    /// slots.
     fn doze_tick(
         &mut self,
         time_s: f64,
@@ -596,8 +667,11 @@ impl AdaptiveDistanceFilter {
         // One entry per node seen before this tick: only those can arm.
         if self.doze.len() < self.nodes.slots.len() {
             self.doze.resize(self.nodes.slots.len(), Doze::IDLE);
+            self.blocks
+                .resize(self.doze.len().div_ceil(DOZE_BLOCK), DozeBlock::default());
         }
-        let odd = self.tick % 2 == 1;
+        // `run_tick` keeps the sparse path below `u32::MAX` ticks.
+        let now = self.tick as u32;
         let prev_time = self.last_time;
         // The classifier's own same-time guard, against the time every
         // armed entry last absorbed.
@@ -608,61 +682,99 @@ impl AdaptiveDistanceFilter {
             global_speeds: speeds,
             nodes,
             doze,
+            blocks,
             dozing,
+            block_ticks,
             ..
         } = self;
-        // Armed entries this call has bumped or armed.
+        // Armed entries this call has absorbed or armed.
         let mut touched = 0usize;
-        for ((node, pos), &hinted) in observations.iter().zip(asleep) {
-            let index = node.index();
-            if let Some(entry) = doze.get_mut(index).filter(|e| e.armed) {
-                if hinted
-                    && entry.odd != odd
-                    && !stalled
-                    && entry.pending < u32::MAX
-                    && same_bits(entry.pos, *pos)
-                {
-                    entry.pending += 1;
-                    entry.odd = odd;
-                    touched += 1;
-                    decisions.push(Decision::Filtered);
-                    continue;
-                }
-                let now = entry.odd == odd;
-                touched -= usize::from(now);
-                *dozing -= 1;
-                let last = if now { time_s } else { prev_time };
-                entry.wake(nodes.expect_mut(index), last);
+        for (b, (chunk, hints)) in observations
+            .chunks(DOZE_BLOCK)
+            .zip(asleep.chunks(DOZE_BLOCK))
+            .enumerate()
+        {
+            let base = b * DOZE_BLOCK;
+            if !stalled
+                && chunk.len() == DOZE_BLOCK
+                && blocks.get(b).is_some_and(|block| block.whole)
+                // One branch-free pass over the 64 hints.
+                && hints.iter().fold(true, |all, &h| all & h)
+            {
+                debug_assert!(
+                    chunk.iter().enumerate().all(|(k, (node, pos))| {
+                        let entry = &doze[base + k];
+                        node.index() == base + k
+                            && entry.armed()
+                            && entry.absorbed(&blocks[b]) == now - 1
+                            && same_bits(entry.pos, *pos)
+                    }),
+                    "a hinted whole-dozing block repeats the previous call's observations"
+                );
+                blocks[b].last = now;
+                *block_ticks += 1;
+                touched += DOZE_BLOCK;
+                decisions.extend(std::iter::repeat_n(Decision::Filtered, DOZE_BLOCK));
+                continue;
             }
-            if hinted {
-                if let Some(state) = nodes.get_mut(*node) {
-                    // Arming: both halves take their stationary path and
-                    // the filter suppresses the repeat.
-                    if state.filter.suppresses_repeat(*pos)
-                        && state.classifier.observe_stationary(time_s, *pos)
-                    {
-                        let decision = state.filter.observe_stationary(*pos);
-                        debug_assert_eq!(decision, Some(Decision::Filtered));
-                        doze[index] = Doze {
-                            pos: *pos,
-                            pending: 0,
-                            armed: true,
-                            odd,
-                        };
-                        *dozing += 1;
+            // Slots of this chunk absorbed or armed by their own node.
+            let mut own = 0usize;
+            for (k, ((node, pos), &hinted)) in chunk.iter().zip(hints).enumerate() {
+                let index = node.index();
+                let own_slot = index == base + k;
+                if let Some(entry) = doze.get_mut(index).filter(|e| e.armed()) {
+                    let block = &mut blocks[index / DOZE_BLOCK];
+                    block.whole = false;
+                    let last = entry.absorbed(block);
+                    if hinted && last != now && !stalled && same_bits(entry.pos, *pos) {
+                        entry.last = now;
                         touched += 1;
+                        own += usize::from(own_slot);
                         decisions.push(Decision::Filtered);
                         continue;
                     }
+                    let this_call = last == now;
+                    touched -= usize::from(this_call);
+                    *dozing -= 1;
+                    let last_time = if this_call { time_s } else { prev_time };
+                    entry.wake(nodes.expect_mut(index), last, last_time);
                 }
+                if hinted {
+                    if let Some(state) = nodes.get_mut(*node) {
+                        // Arming: both halves take their stationary path and
+                        // the filter suppresses the repeat.
+                        if state.filter.suppresses_repeat(*pos)
+                            && state.classifier.observe_stationary(time_s, *pos)
+                        {
+                            let decision = state.filter.observe_stationary(*pos);
+                            debug_assert_eq!(decision, Some(Decision::Filtered));
+                            doze[index] = Doze {
+                                pos: *pos,
+                                armed_at: now,
+                                last: now,
+                            };
+                            *dozing += 1;
+                            touched += 1;
+                            own += usize::from(own_slot);
+                            decisions.push(Decision::Filtered);
+                            continue;
+                        }
+                    }
+                }
+                let state = nodes.get_or_insert(*node, config);
+                decisions.push(state.observe(speeds, time_s, *pos));
             }
-            let state = nodes.get_or_insert(*node, config);
-            decisions.push(state.observe(speeds, time_s, *pos));
+            if own == DOZE_BLOCK {
+                blocks[b].whole = true;
+            }
         }
         if *dozing > touched {
             for (index, entry) in doze.iter_mut().enumerate() {
-                if entry.armed && entry.odd != odd {
-                    entry.wake(nodes.expect_mut(index), prev_time);
+                let block = &mut blocks[index / DOZE_BLOCK];
+                if entry.armed() && entry.absorbed(block) != now {
+                    block.whole = false;
+                    let last = entry.absorbed(block);
+                    entry.wake(nodes.expect_mut(index), last, prev_time);
                     *dozing -= 1;
                 }
             }
@@ -672,10 +784,12 @@ impl AdaptiveDistanceFilter {
     /// Wakes every dozing node; each last absorbed the previous tick.
     fn wake_all(&mut self) {
         for (index, entry) in self.doze.iter_mut().enumerate() {
-            if entry.armed {
-                entry.wake(self.nodes.expect_mut(index), self.last_time);
+            if entry.armed() {
+                let last = entry.absorbed(&self.blocks[index / DOZE_BLOCK]);
+                entry.wake(self.nodes.expect_mut(index), last, self.last_time);
             }
         }
+        self.blocks.iter_mut().for_each(|block| block.whole = false);
         self.dozing = 0;
     }
 
@@ -746,8 +860,12 @@ impl FilterPolicy for AdaptiveDistanceFilter {
     /// Lets hinted nodes at the zero-motion fixpoint doze: once a node's
     /// classifier window is all exact zeros and its filter suppresses the
     /// frozen position, each further hinted tick at the same bits costs a
-    /// counter bump, and the node's state catches up on all of them in
-    /// one step when it next wakes. Reclustering ticks ignore the hint.
+    /// stamp write, and the node's state catches up on all of them in
+    /// one step when it next wakes. A block of 64 dozing nodes observed
+    /// in their own slots and all hinted costs one clock write. The
+    /// per-node path re-proves every gate, so a wrong hint there is
+    /// harmless; the block path trusts the hint (debug builds check it).
+    /// Reclustering ticks ignore the hint.
     fn process_tick_sparse(
         &mut self,
         time_s: f64,
@@ -765,6 +883,10 @@ impl FilterPolicy for AdaptiveDistanceFilter {
 
     fn name(&self) -> &str {
         "adf"
+    }
+
+    fn dozed_blocks(&self) -> u64 {
+        self.block_ticks
     }
 
     fn dth_for(&self, node: MnId) -> Option<f64> {
@@ -787,8 +909,9 @@ mod tests {
 
     /// The sleep-hinted entry point must be bit-identical to the dense
     /// one across warmup, window saturation and reclustering ticks — even
-    /// when the hint is (wrongly) set for a moving node, because every
-    /// fast-path gate re-proves its own soundness per node.
+    /// when the hint is (wrongly) set for a moving node, because with no
+    /// whole 64-node block every node takes the per-node path, whose
+    /// gates re-prove their own soundness.
     #[test]
     fn process_tick_sparse_is_bit_identical_to_process_tick() {
         let cfg = AdfConfig::new(1.0);
@@ -842,7 +965,8 @@ mod tests {
     /// would have built, counters included (which no public accessor
     /// shows): after sleeps of every length, woken by moving, by a
     /// reclustering, by a dense call, by being left out of a tick and by
-    /// being observed twice in one.
+    /// being observed twice in one — per node, and through the block doze
+    /// clock of whole-dozing blocks, one of whose nodes then wakes alone.
     #[test]
     fn doze_wake_restores_the_eager_state() {
         fn assert_same_state(doze: &AdaptiveDistanceFilter, eager: &AdaptiveDistanceFilter) {
@@ -855,6 +979,10 @@ mod tests {
                 assert_eq!((d.pattern, d.cluster), (e.pattern, e.cluster));
             }
         }
+        // Nodes 0-5 in block 0 (node 0 walks, so block 0 never dozes
+        // whole), parked nodes after them through two whole blocks.
+        // Tick 115 repeats tick 114's time.
+        const NODES: u32 = 3 * DOZE_BLOCK as u32;
         let cfg = AdfConfig {
             recluster_interval: 40,
             ..AdfConfig::new(1.0)
@@ -862,41 +990,76 @@ mod tests {
         let mut doze = AdaptiveDistanceFilter::new(cfg).expect("valid config");
         let mut eager = AdaptiveDistanceFilter::new(cfg).expect("valid config");
         let (mut d_out, mut e_out) = (Vec::new(), Vec::new());
+        let mut prev: Vec<(MnId, Point)> = Vec::new();
         let mut max_dozing = 0;
+        let mut woke_from_block = false;
         for t in 1..=200u32 {
-            let time_s = f64::from(t);
-            // Node 0 walks; node k > 0 parks, except that it steps once
-            // every 23k ticks; node 5 is left out of every 50th tick and
-            // node 4 observed twice in every 60th.
-            let obs: Vec<(MnId, Point)> = (0..6u32)
+            let time_s = f64::from(t - u32::from(t == 115));
+            // Node 0 walks; node k in 1..=5 parks, except that it steps
+            // once every 23k ticks; node 5 is left out of every 50th tick
+            // and node 4 observed twice in every 60th. Node 100 (a whole
+            // block's) steps once, on tick 77; node 150 is observed twice
+            // in every 45th tick. Block 1 is left out of ticks 133-136,
+            // so block 2 fills its slots, and node 70 of ticks 161-164,
+            // so the rest of block 1 shifts a slot.
+            let obs: Vec<(MnId, Point)> = (0..NODES)
                 .filter(|&k| k != 5 || t % 50 != 0)
+                .filter(|&k| !(64..128).contains(&k) || !(133..=136).contains(&t))
+                .filter(|&k| k != 70 || !(161..=164).contains(&t))
                 .chain((t % 60 == 0).then_some(4))
+                .chain((t % 45 == 0).then_some(150))
                 .map(|k| {
-                    let x = if k == 0 {
-                        time_s * 1.5
-                    } else {
-                        f64::from(k) * 10.0 + f64::from(t / (23 * k))
+                    let x = match k {
+                        0 => time_s * 1.5,
+                        1..=5 => f64::from(k) * 10.0 + f64::from(t / (23 * k)),
+                        100 => 1000.0 + f64::from(u32::from(t >= 77)),
+                        _ => f64::from(k) * 10.0,
                     };
                     (MnId::new(k), Point::new(x, 2.0))
                 })
                 .collect();
-            let hint: Vec<bool> = obs.iter().map(|(id, _)| id.raw() != 0).collect();
+            // Block 0 is hinted for every parked node, moving or not (its
+            // per-node path re-proves each gate); the whole blocks only
+            // where the slot repeats the previous call's, as the hint's
+            // contract demands of a block path.
+            let hint: Vec<bool> = obs
+                .iter()
+                .enumerate()
+                .map(|(i, &(id, pos))| {
+                    if id.index() < DOZE_BLOCK {
+                        id.raw() != 0
+                    } else {
+                        prev.get(i)
+                            .is_some_and(|&(pid, ppos)| pid == id && same_bits(ppos, pos))
+                    }
+                })
+                .collect();
             eager.process_tick(time_s, &obs, &mut e_out);
             if t % 37 == 0 {
                 doze.process_tick(time_s, &obs, &mut d_out);
             } else {
+                let whole = doze.blocks.get(1).is_some_and(|b| b.whole);
                 doze.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+                // Node 100 wakes alone out of a whole-dozing block.
+                woke_from_block |= t == 77 && whole && doze.doze[100].armed_at == u32::MAX;
             }
             assert_eq!(d_out, e_out, "decisions diverged at tick {t}");
             max_dozing = max_dozing.max(doze.dozing);
-            if t % 10 == 0 {
+            if t % 10 == 0 || t == 77 {
                 // A wake at an arbitrary point catches up whatever the
-                // sleeps have deferred so far.
+                // sleeps and the block clocks have deferred so far.
                 doze.wake_all();
                 assert_same_state(&doze, &eager);
             }
+            prev = obs;
         }
-        assert_eq!(max_dozing, 5, "every parked node dozed at some point");
+        assert_eq!(
+            max_dozing,
+            NODES as usize - 1,
+            "every parked node dozed at some point"
+        );
+        assert!(doze.dozed_blocks() > 100, "the block clocks never ran");
+        assert!(woke_from_block, "no node woke out of a whole-dozing block");
     }
 
     /// The per-node state of the filter kernel and of the broker's Brown

@@ -573,6 +573,106 @@ fn doze_case(nodes: usize, ticks: u64, recluster_interval: u64, seed: u64) {
     }
 }
 
+/// One run of the block half of [`doze_matches_the_eager_fast_path`]:
+/// `blocks` 64-node blocks of parked nodes, then a ragged tail of
+/// walkers. Hints follow the contract a block path trusts (a slot is
+/// hinted only when it repeats the previous call's, node id included),
+/// except in the ragged tail, where they are random. So whole blocks doze
+/// on their block clock, and then break: a single node hops out of one,
+/// a node left out of a tick shifts the slots after it, a node is
+/// observed twice, the time stalls, or the tick reaches the dozing twin
+/// dense.
+fn doze_block_case(blocks: usize, ticks: u64, recluster_interval: u64, seed: u64) {
+    const BLOCK: usize = 64;
+    let cfg = AdfConfig {
+        recluster_interval,
+        ..AdfConfig::new(1.0)
+    };
+    let mut dozing = AdaptiveDistanceFilter::new(cfg).expect("valid");
+    let mut eager = AdaptiveDistanceFilter::new(cfg).expect("valid");
+    let mut rng = Xorshift(seed | 1);
+    let parked = blocks * BLOCK;
+    let nodes = parked + 5;
+    let mut pos: Vec<Point> = (0..nodes)
+        .map(|i| Point::new(i as f64 * 40.0, 5.0))
+        .collect();
+    let (mut d_out, mut e_out) = (Vec::new(), Vec::new());
+    let mut prev: Vec<(MnId, Point)> = Vec::new();
+    let mut time_s = 0.0;
+    for tick in 1..=ticks {
+        if !rng.chance(20) {
+            time_s += 1.0;
+        }
+        // The walkers move every tick; one parked node hops now and then.
+        for (i, p) in pos.iter_mut().enumerate().skip(parked) {
+            *p = Point::new(p.x + 0.5 + (i % 4) as f64, p.y);
+        }
+        if rng.chance(40) {
+            let k = rng.next() as usize % parked;
+            pos[k] = Point::new(pos[k].x + 0.7, pos[k].y);
+        }
+        let mut obs: Vec<(MnId, Point)> = pos
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (MnId::new(i as u32), *p))
+            .collect();
+        if rng.chance(30) {
+            obs.remove(rng.next() as usize % nodes);
+        }
+        if rng.chance(30) {
+            let k = rng.next() as usize % obs.len();
+            obs.push(obs[k]);
+        }
+        let hint: Vec<bool> = obs
+            .iter()
+            .enumerate()
+            .map(|(i, &(id, p))| {
+                if i >= parked {
+                    rng.chance(500)
+                } else {
+                    prev.get(i).is_some_and(|&(pid, pp)| {
+                        pid == id
+                            && (pp.x.to_bits(), pp.y.to_bits()) == (p.x.to_bits(), p.y.to_bits())
+                    })
+                }
+            })
+            .collect();
+        eager.process_tick(time_s, &obs, &mut e_out);
+        if rng.chance(25) {
+            dozing.process_tick(time_s, &obs, &mut d_out);
+        } else {
+            dozing.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+        }
+        assert_eq!(d_out, e_out, "decisions diverged at tick {tick}");
+        assert_same_view(&dozing, &eager, nodes, tick);
+        prev = obs;
+    }
+    assert!(dozing.dozed_blocks() > 0, "no block ever dozed whole");
+    // Walking tail: everyone moves (so no slot is hinted), past a
+    // reclustering; the block clocks catch up on the wakes.
+    for k in 0..(2 * recluster_interval + 12) {
+        time_s += 1.0;
+        let obs: Vec<(MnId, Point)> = pos
+            .iter_mut()
+            .enumerate()
+            .map(|(i, p)| {
+                *p = Point::new(p.x + 0.4 + (i % 9) as f64 * 0.9, p.y);
+                (MnId::new(i as u32), *p)
+            })
+            .collect();
+        let hint = vec![false; obs.len()];
+        eager.process_tick(time_s, &obs, &mut e_out);
+        dozing.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+        assert_eq!(d_out, e_out, "decisions diverged in the tail, step {k}");
+        assert_same_view(&dozing, &eager, nodes, ticks + k);
+    }
+    for i in 0..nodes {
+        let id = MnId::new(i as u32);
+        assert_eq!(dozing.pattern_of(id), eager.pattern_of(id));
+        assert_eq!(dozing.cluster_of(id), eager.cluster_of(id));
+    }
+}
+
 proptest! {
     /// The ADF's deferred doze against the eager semantics it defers. The
     /// reference twin sees every tick through `process_tick`, which takes
@@ -592,6 +692,10 @@ proptest! {
     /// tail then wakes everyone and runs past a reclustering, so the
     /// classification and mean speed each classifier caught up to are
     /// compared through the pattern and the velocity-cluster DTH.
+    ///
+    /// A fifth run ([`doze_block_case`]) does the same over one or two
+    /// whole 64-node blocks, so the block doze clock absorbs whole blocks
+    /// and single nodes then wake out of them.
     #[test]
     fn doze_matches_the_eager_fast_path(
         nodes in 2usize..8,
@@ -602,5 +706,6 @@ proptest! {
         for run in 0..4u64 {
             doze_case(nodes, ticks, recluster_interval, seed.rotate_left(16 * run as u32) ^ run);
         }
+        doze_block_case(1 + (seed % 2) as usize, ticks, recluster_interval, seed);
     }
 }

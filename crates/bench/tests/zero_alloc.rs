@@ -291,8 +291,9 @@ fn sparse_driver_ticks_do_not_allocate() {
         "steady-state sparse ticks allocated {allocations} times"
     );
     // The window exercised both halves of the sparse tick: the walkers
-    // transmitted and the parked nodes were replayed, whole shards of
-    // them from the shard replay memo.
+    // transmitted and the parked nodes were replayed, and the O(1) paths
+    // ran: most shard-ticks were served whole from the shard replay memo,
+    // and the ADF absorbed whole blocks through its block doze clock.
     let wake = sim.wake_stats().expect("sparse driver");
     assert!(sent > 0, "measured window transmitted nothing");
     assert!(wake.asleep >= 1000, "only {} nodes asleep", wake.asleep);
@@ -300,9 +301,16 @@ fn sparse_driver_ticks_do_not_allocate() {
         wake.replayed_node_ticks - wake_before.replayed_node_ticks > 50_000,
         "the parked nodes were not replayed"
     );
+    let shard_ticks = 100 * 1064u64.div_ceil(64);
+    let memo_hits = wake.replayed_shard_ticks - wake_before.replayed_shard_ticks;
     assert!(
-        wake.replayed_shard_ticks > wake_before.replayed_shard_ticks,
-        "no shard was served from its replay memo"
+        2 * memo_hits > shard_ticks,
+        "only {memo_hits} of {shard_ticks} shard-ticks were memo hits"
+    );
+    let dozed = wake.dozed_blocks - wake_before.dozed_blocks;
+    assert!(
+        2 * dozed > shard_ticks,
+        "only {dozed} of {shard_ticks} block-ticks dozed whole"
     );
 }
 

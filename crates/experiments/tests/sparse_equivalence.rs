@@ -15,9 +15,12 @@
 //! * byte-identical telemetry JSONL and CSV exports,
 //! * all of the above with the sparse driver on 1, 2 and 4 worker
 //!   threads against the dense single-threaded baseline,
-//! * and, for whole shards of parked nodes under a mix of plain and
+//! * for whole shards of parked nodes under a mix of plain and
 //!   recorded ticks, that the per-shard replay memo fires and stays
-//!   exact through refresh rounds, hops and recorded ticks.
+//!   exact through refresh rounds, hops and recorded ticks,
+//! * and that a quiet shard — served by the memo's O(1) proof and
+//!   dozing whole in the ADF's block clock — stays exact when a hop, a
+//!   refresh round, a retry, a late frame or a reclustering breaks it.
 //!
 //! This mirrors `soa_equivalence.rs`, which pins the columnar engine to
 //! the archaic array-of-structs driver; here the dense driver is the
@@ -192,6 +195,84 @@ fn memo_population(walkers: usize, seed: u64, with_retry: bool) -> Vec<MobileNod
         .collect()
 }
 
+/// A parked node that breaks its quiet shard twice: it stays `quiet`
+/// seconds, hops `hop` metres in one tick (a mobility wake; a long hop is
+/// an update the filter sends, a tiny one a move it suppresses), stays
+/// `quiet / 2 + 9` seconds, hops back, then parks for good.
+fn breaker(at: Point, quiet: f64, hop: f64) -> Schedule {
+    let there = Point::new(at.x + hop, at.y);
+    let leg = |from: Point, to: Point| {
+        let path = Polyline::new(vec![from, to]).expect("two distinct points");
+        PathFollower::new(path, hop, LoopMode::Once)
+    };
+    Schedule::new(vec![
+        Phase::timed("stay", quiet, StopModel::new(at)),
+        Phase::until_arrival("hop", leg(at, there)),
+        Phase::timed("stay", (quiet / 2.0).floor() + 9.0, StopModel::new(there)),
+        Phase::until_arrival("hop back", leg(there, at)),
+    ])
+}
+
+/// The quiet-shard population: `PARKED_SHARDS` shards of `StopModel`
+/// nodes, the first two each holding one [`breaker`] at `slot` (the
+/// second one quiet 17 s longer) hopping `hop` metres, then `walkers`
+/// nodes of the mixed
+/// population. Every node retries lost frames after a long backoff, so a
+/// retry can come due while its shard is quiet again.
+fn quiet_population(walkers: usize, seed: u64, slot: u32, quiet: f64, hop: f64) -> Vec<MobileNode> {
+    let parked = PARKED_SHARDS * SHARD;
+    let retry = RetryPolicy {
+        max_retries: 3,
+        base_backoff_ticks: 6,
+        max_backoff_ticks: 24,
+        jitter_ticks: 2,
+    };
+    (0..parked + walkers as u32)
+        .map(|i| {
+            let at = Point::new(f64::from(i % 40) * 3.0, f64::from(i / 40) * 3.0);
+            let (model, pattern, kind): (MobilityEngine, _, _) = if i >= parked {
+                model_for(i, seed)
+            } else if i % SHARD == slot && i < 2 * SHARD {
+                let quiet = quiet + f64::from(17 * (i / SHARD));
+                (
+                    breaker(at, quiet, hop).into(),
+                    MobilityPattern::Stop,
+                    RegionKind::Building,
+                )
+            } else {
+                (
+                    StopModel::new(at).into(),
+                    MobilityPattern::Stop,
+                    RegionKind::Building,
+                )
+            };
+            MobileNode::new(
+                MnId::new(i),
+                RegionId::from_index(0),
+                kind,
+                NodeType::Human,
+                pattern,
+                model,
+                seed ^ (u64::from(i) << 17),
+            )
+            .with_retry_policy(retry)
+        })
+        .collect()
+}
+
+/// Faults with long deferrals, so a deferred hop can arrive late into a
+/// shard that has fallen quiet again.
+fn late_fault_plan() -> FaultPlan {
+    FaultPlan {
+        drop_rate: 0.25,
+        corrupt_rate: 0.05,
+        delay_rate: 0.3,
+        max_delay_ticks: 25,
+        duplicate_rate: 0.05,
+        flaps: Vec::new(),
+    }
+}
+
 fn build(
     node_count: usize,
     seed: u64,
@@ -199,21 +280,21 @@ fn build(
     driver: TickDriver,
     with_faults: bool,
 ) -> MobileGridSim {
-    build_with(
+    build_faulty(
         population(node_count, seed, with_faults),
         seed,
         threads,
         driver,
-        with_faults,
+        with_faults.then(fault_plan),
     )
 }
 
-fn build_with(
+fn build_faulty(
     nodes: Vec<MobileNode>,
     seed: u64,
     threads: usize,
     driver: TickDriver,
-    with_faults: bool,
+    faults: Option<FaultPlan>,
 ) -> MobileGridSim {
     let mut runtime = RuntimeOptions {
         threads,
@@ -223,9 +304,9 @@ fn build_with(
     let mut builder = SimBuilder::new()
         .nodes(nodes)
         .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).expect("valid"));
-    if with_faults {
+    if let Some(plan) = faults {
         runtime.faults = Some(FaultSpec {
-            plan: fault_plan(),
+            plan,
             seed: seed ^ 0xFEED_FACE,
         });
         builder = builder.network(workload::default_network(&Campus::inha_like()));
@@ -325,7 +406,7 @@ proptest! {
         const TICKS: u64 = 75;
         let make = |threads: usize, driver: TickDriver| {
             let nodes = memo_population(walkers, seed, with_faults);
-            build_with(nodes, seed, threads, driver, with_faults)
+            build_faulty(nodes, seed, threads, driver, with_faults.then(fault_plan))
         };
         // The first tick that fires refresh wakes, from a plain probe run
         // (recording does not change what a tick does).
@@ -377,6 +458,63 @@ proptest! {
             prop_assert_eq!(dense_rec.to_jsonl(), rec.to_jsonl(), "JSONL diverged");
             let wake = sim.wake_stats().expect("sparse");
             prop_assert!(wake.replayed_shard_ticks > 0, "the replay memo never fired");
+        }
+    }
+
+    /// Quiet shards broken every way. Whole shards of parked nodes fall
+    /// quiet — the replay memo serves them from its O(1) proof and the
+    /// ADF absorbs them on its block doze clock — and are then broken: a
+    /// parked node woken mid-run by a mobility wake hops out and back
+    /// (far, so its update is sent, or by a millimetre, so it is not),
+    /// refresh rounds force full evaluations,
+    /// under faults a dropped hop is retried and a deferred one arrives
+    /// late into a shard quiet again, and reclustering ticks wake every
+    /// dozer. Every `TickStats` field and both broker digests match the
+    /// dense driver every tick at 1 and 2 threads.
+    #[test]
+    fn quiet_shards_broken_every_way_match_dense(
+        walkers in 1usize..40,
+        seed in any::<u64>(),
+        slot in 0u32..SHARD,
+        quiet in 15u32..50,
+        tiny_hop in any::<bool>(),
+        with_faults in any::<bool>(),
+    ) {
+        // Past three reclusterings (ticks 30, 60, 90) and two refresh
+        // rounds.
+        const TICKS: u64 = 100;
+        let make = |threads: usize, driver: TickDriver| {
+            let hop = if tiny_hop { 1e-3 } else { 25.0 };
+            let nodes = quiet_population(walkers, seed, slot, f64::from(quiet), hop);
+            build_faulty(nodes, seed, threads, driver, with_faults.then(late_fault_plan))
+        };
+        let digests = |sim: &MobileGridSim| {
+            (
+                sim.broker_with_le().state_digest(),
+                sim.broker_without_le().state_digest(),
+            )
+        };
+        let mut dense = make(1, TickDriver::Dense);
+        let mut sparse = [make(1, TickDriver::Sparse), make(2, TickDriver::Sparse)];
+        for t in 1..=TICKS {
+            let d = dense.step();
+            for sim in &mut sparse {
+                let threads = sim.threads();
+                prop_assert_eq!(d, sim.step(), "TickStats diverged at tick {} ({} threads)", t, threads);
+                prop_assert_eq!(
+                    digests(&dense),
+                    digests(sim),
+                    "broker state diverged at tick {} ({} threads)", t, threads
+                );
+            }
+        }
+        for sim in &sparse {
+            let wake = sim.wake_stats().expect("sparse");
+            prop_assert!(wake.replayed_shard_ticks > 0, "the replay memo never fired");
+            prop_assert!(wake.dozed_blocks > 0, "no block dozed whole");
+            prop_assert!(wake.mobility_wakes >= 2, "the breakers never woke");
+            prop_assert!(wake.refresh_wakes > 0, "no refresh round");
+            prop_assert!(sim.invariant_violations().is_empty());
         }
     }
 }

@@ -10,9 +10,12 @@ this repository's root by default:
 
     {"commit", "workload", "seed", "seconds", "end_to_end", "host_steal"}
 
-`commit` is the checkout's `git rev-parse HEAD`, suffixed `-dirty` when its
-tracked files differ from that commit; a checkout without git history needs
-`--commit`. `end_to_end` maps each end-to-end metric to its value (units are
+plus `"label"` when `--label` is given. `commit` is the checkout's
+`git rev-parse HEAD`, suffixed `-dirty` when its tracked files differ from
+that commit; a checkout without git history needs `--commit`. `--label`
+names an uncommitted change, so runs of different changes on top of one
+parent do not all read `<parent>-dirty`; `scripts/bench_check.py` tells
+runs apart by label first, then by commit. `end_to_end` maps each end-to-end metric to its value (units are
 in `BENCHMARK.json`); `host_steal` is the run's host steal in percent, or
 null when the run did not report it. The ledger is a JSON list, oldest entry
 first. The script only reads `perfbench/` and `BENCHMARK.json`; it writes
@@ -52,6 +55,7 @@ def main():
     parser.add_argument("--seconds", required=True, type=int)
     parser.add_argument("--root", default=ROOT, help="checkout to benchmark")
     parser.add_argument("--commit", help="commit label (default: from git)")
+    parser.add_argument("--label", help="name of the uncommitted change")
     parser.add_argument(
         "--ledger", default=os.path.join(ROOT, "BENCH_perfbench.json")
     )
@@ -88,6 +92,8 @@ def main():
         "end_to_end": {k: v["value"] for k, v in result["metrics"].items()},
         "host_steal": steal,
     }
+    if args.label:
+        entry["label"] = args.label
 
     ledger = []
     if os.path.exists(args.ledger):
