@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate — the same steps the GitHub workflow runs.
+# The CI gate: the GitHub workflow's build-test-lint job runs this script.
 #
 #   ./ci.sh
 #
@@ -13,24 +13,17 @@ cargo fmt --all --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -p mobigrid-wireless"
-cargo test -q -p mobigrid-wireless
-
-echo "==> cargo test -q"
-cargo test -q
-
-echo "==> cargo test -p mobigrid-bench --test zero_alloc"
-cargo test -p mobigrid-bench --test zero_alloc
-
-echo "==> cargo test -p mobigrid-experiments --test golden_trace"
-cargo test -q -p mobigrid-experiments --test golden_trace
+echo "==> cargo test -q --workspace"
+# Every crate's unit, property and integration tests, the zero-alloc pin,
+# golden-trace conformance and the equivalence suites included; it also
+# builds every example.
+cargo test -q --workspace
 
 echo "==> fault_matrix smoke"
 cargo run --release -p mobigrid-experiments --bin experiment -- \
   --experiment fault_matrix --ticks 60 > /dev/null
 
 echo "==> telemetry export smoke"
-cargo test -q -p mobigrid-experiments --test telemetry_export
 smoke_jsonl="$(mktemp -t mobigrid-telemetry.XXXXXX.jsonl)"
 cargo run --release -p mobigrid-experiments --bin experiment -- \
   --experiment fig4 --ticks 60 --telemetry "$smoke_jsonl" > /dev/null
@@ -42,7 +35,6 @@ fi
 rm -f "$smoke_jsonl"
 
 echo "==> flight-recorder smoke"
-cargo test -q -p mobigrid-experiments --test flight_recorder
 # Record a campus run with a ring big enough to retain every event, then
 # replay the invariant monitors offline; any violation fails the build.
 flight_jsonl="$(mktemp -t mobigrid-flight.XXXXXX.jsonl)"
@@ -50,12 +42,6 @@ cargo run --release -p mobigrid-experiments --bin experiment -- \
   --experiment fig4 --ticks 120 --telemetry "$flight_jsonl" --events 2097152 > /dev/null
 cargo run --release -p mobigrid-experiments --bin trace -- "$flight_jsonl" --check
 rm -f "$flight_jsonl"
-
-echo "==> SoA equivalence suite"
-cargo test -q -p mobigrid-experiments --test soa_equivalence
-
-echo "==> sparse-driver equivalence suite"
-cargo test -q -p mobigrid-experiments --test sparse_equivalence
 
 echo "==> benchmark harness contract tests"
 # perfbench is a workspace of its own; its tests run a short version of
@@ -142,12 +128,9 @@ cargo run --release -p mobigrid-experiments --bin trace -- \
   --stitch "$client_jsonl" "$serve_jsonl" --check
 rm -f "$serve_jsonl" "$client_jsonl"
 
-echo "==> cargo bench --workspace --no-run"
-cargo bench --workspace --no-run
-
 echo "==> cargo clippy --workspace --all-targets -- -D warnings -D missing-docs"
-# Every public item in every crate needs a doc comment; tests, benches
-# and examples are linted too.
+# Every public item in every crate needs a doc comment; tests and
+# examples are linted too.
 cargo clippy --workspace --all-targets -- -D warnings -D missing-docs
 
 echo "==> rustdoc --workspace with -D warnings"

@@ -118,7 +118,7 @@ impl MobilityClassifier {
     }
 
     /// Overrides the change-detection thresholds (used by the classifier
-    /// ablation bench).
+    /// ablation).
     #[must_use]
     pub fn with_thresholds(
         mut self,

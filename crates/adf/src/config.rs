@@ -6,8 +6,8 @@ use crate::FilterReference;
 ///
 /// The paper fixes some of these (1 s sampling, DTH factors 0.75/1.0/1.25)
 /// and leaves others unspecified; the defaults here are the values used for
-/// the reproduced figures, and every knob is exposed for the ablation
-/// benches.
+/// the reproduced figures, and every knob is exposed for the design
+/// ablations.
 ///
 /// # Examples
 ///

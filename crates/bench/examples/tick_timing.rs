@@ -7,9 +7,10 @@
 //!
 //! Builds the grid-city ADF simulation, warms it past first-contact
 //! registrations and scratch high-water marks, then times `ticks` steps
-//! `reps` times and prints each reading plus the best ns/tick. The best-of
-//! metric is what `BENCH_tick.json` records: on noisy shared containers
-//! only best-of or interleaved readings are meaningful.
+//! `reps` times and prints each reading plus the best ns/tick. On noisy
+//! shared hosts only best-of or interleaved readings are meaningful; the
+//! gated, recorded numbers come from `perfbench` and its ledger
+//! `BENCH_perfbench.json`.
 
 use std::time::Instant;
 

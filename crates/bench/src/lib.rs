@@ -1,12 +1,11 @@
-//! Shared helpers for the benchmark harness.
+//! Workload builders shared by the benchmark harness (`perfbench/`) and
+//! this crate's examples:
 //!
-//! The benches live in `benches/`:
-//!
-//! * `figures` — one Criterion benchmark per paper table/figure, timing the
-//!   regeneration of each from scratch,
-//! * `ablations` — quality ablations over the design choices (`cargo bench
-//!   --bench ablations` prints comparison tables),
-//! * `micro` — micro-benchmarks of the hot algorithmic kernels.
+//! * `tick_timing` — a best-of steady-state tick timer for interleaved A/B
+//!   comparisons,
+//! * `ablations` — quality ablations over the design choices (`cargo run
+//!   --release -p mobigrid-bench --example ablations` prints comparison
+//!   tables).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,9 +18,8 @@ use mobigrid_campus::Campus;
 use mobigrid_experiments::workload;
 
 /// Builds an ADF simulation over a [`Campus::grid_city`] of `blocks` with
-/// the Table-1 per-region densities — the scalability workload the
-/// `tick_throughput` bench scales across thread counts. An 8×8 city holds
-/// 1140 nodes.
+/// the Table-1 per-region densities — the scalability workload
+/// `tick_timing` runs across thread counts. An 8×8 city holds 1140 nodes.
 ///
 /// # Panics
 ///

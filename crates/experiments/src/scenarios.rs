@@ -12,8 +12,8 @@
 //! buildings; with the Table-1 densities (10 nodes per road, 15 per
 //! building) its population is `10·(bx + by + 2) + 15·bx·by`. The two
 //! large scenarios exist to exercise the columnar node-state engine well
-//! past the paper's scale — `metro_100k` is the benchmark workload
-//! recorded in `BENCH_tick.json`, `mega_1m` the stress ceiling.
+//! past the paper's scale — `metro_100k` is the largest workload of
+//! `--experiment scale`, `mega_1m` the stress ceiling.
 
 use mobigrid_adf::MobileNode;
 use mobigrid_campus::Campus;

@@ -766,7 +766,7 @@ fn retained_window(trace: &Trace) -> Option<(u64, u64)> {
     let first = trace.events.first()?.tick;
     let last = trace.events.last()?.tick;
     let lo = if trace.events_dropped > 0 {
-        first + 1
+        first.checked_add(1)?
     } else {
         first
     };

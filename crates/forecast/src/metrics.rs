@@ -3,7 +3,7 @@
 //! The paper quantifies location error with the root-mean-square error
 //! `RMSE = sqrt(Σ(RLᵢ − ELᵢ)²/n)` over real locations `RL` and estimated
 //! locations `EL` (§4.2, citing Ghilani & Wolf). These helpers implement that
-//! and the companion metrics used in the ablation benches.
+//! and the companion metrics used in the design ablations.
 
 /// Root-mean-square error between paired samples.
 ///

@@ -502,7 +502,7 @@ impl PositionEstimator for BrownPositionEstimator {
 /// A generic 2-D estimator that smooths the x and y coordinates
 /// independently with any scalar [`Forecaster`].
 ///
-/// Used by the estimator ablation bench to pit coordinate-space smoothing
+/// Used by the estimator ablation to pit coordinate-space smoothing
 /// against the paper's speed/direction formulation.
 #[derive(Debug, Clone)]
 pub struct AxisSmoothing<F> {
