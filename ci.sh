@@ -48,6 +48,11 @@ echo "==> benchmark harness contract tests"
 # every workload against BENCHMARK.json.
 cargo test --release --manifest-path perfbench/Cargo.toml
 
+echo "==> non-test line count (informational)"
+# The number the code-size aim is counted by: every line of the non-test
+# Rust sources (scripts/count_nontest_lines.py says which).
+python3 scripts/count_nontest_lines.py || echo "count_nontest_lines.py: informational only"
+
 echo "==> perf ledger check (advisory)"
 # Compares the newest side of each workload in BENCH_perfbench.json with
 # the side before it, inside BENCHMARK.json's bounds. Ledger runs come from

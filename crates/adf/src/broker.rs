@@ -1,5 +1,5 @@
 use mobigrid_forecast::{
-    AxisSmoothing, BrownPositionEstimator, DeadReckoning, HoltLinear, LastKnown, PositionEstimator,
+    AxisSmoothing, BrownPositionEstimator, DeadReckoning, HoltLinear, KalmanCv,
 };
 use mobigrid_geo::Point;
 use mobigrid_telemetry::ApplyOutcome;
@@ -47,25 +47,28 @@ impl Default for EstimatorKind {
 }
 
 impl EstimatorKind {
-    fn build(self) -> Box<dyn PositionEstimator + Send + Sync> {
-        match self {
-            EstimatorKind::WithoutLe => Box::new(LastKnown::new()),
-            EstimatorKind::Brown { alpha } => {
-                Box::new(BrownPositionEstimator::new(alpha).expect("validated smoothing factor"))
-            }
+    /// A fresh estimator for a node first heard from; `None` for
+    /// [`EstimatorKind::WithoutLe`], whose slots hold their last receipt
+    /// instead.
+    fn build(self) -> Option<Box<Estimator>> {
+        let estimator = match self {
+            EstimatorKind::WithoutLe => return None,
+            EstimatorKind::Brown { alpha } => Estimator::Brown(
+                BrownPositionEstimator::new(alpha).expect("validated smoothing factor"),
+            ),
             EstimatorKind::HoltAxes { alpha, beta } => {
                 let make = || HoltLinear::new(alpha, beta).expect("validated smoothing factors");
-                Box::new(AxisSmoothing::new(make(), make(), 1.0))
+                Estimator::HoltAxes(AxisSmoothing::new(make(), make(), 1.0))
             }
-            EstimatorKind::DeadReckoning => Box::new(DeadReckoning::new()),
+            EstimatorKind::DeadReckoning => Estimator::DeadReckoning(DeadReckoning::new()),
             EstimatorKind::KalmanCv {
                 accel_sigma,
                 measurement_sigma,
-            } => Box::new(
-                mobigrid_forecast::KalmanCv::new(accel_sigma, measurement_sigma)
-                    .expect("validated sigmas"),
+            } => Estimator::KalmanCv(
+                KalmanCv::new(accel_sigma, measurement_sigma).expect("validated sigmas"),
             ),
-        }
+        };
+        Some(Box::new(estimator))
     }
 
     /// Validates the embedded parameters.
@@ -100,6 +103,28 @@ impl EstimatorKind {
             _ => {}
         }
         Ok(())
+    }
+}
+
+/// One node's location estimator, for every [`EstimatorKind`] but
+/// [`EstimatorKind::WithoutLe`]. A slot holds it boxed: inline, every slot
+/// of both brokers would pay for the largest variant (Brown's), while the
+/// without-LE broker needs no estimator at all.
+enum Estimator {
+    Brown(BrownPositionEstimator),
+    HoltAxes(AxisSmoothing<HoltLinear>),
+    DeadReckoning(DeadReckoning),
+    KalmanCv(KalmanCv),
+}
+
+impl Estimator {
+    fn observe(&mut self, time_s: f64, position: Point) {
+        match self {
+            Estimator::Brown(e) => e.observe(time_s, position),
+            Estimator::HoltAxes(e) => e.observe(time_s, position),
+            Estimator::DeadReckoning(e) => e.observe(time_s, position),
+            Estimator::KalmanCv(e) => e.observe(time_s, position),
+        }
     }
 }
 
@@ -161,12 +186,53 @@ pub(crate) struct HotSlot {
 
 /// The cold half of a node's broker slot: the per-node estimator, the
 /// registration anchor and the last receipt, which only a full
-/// evaluation reads or writes.
+/// evaluation reads or writes. A node has an estimator exactly when it
+/// has a receipt, unless its broker runs [`EstimatorKind::WithoutLe`],
+/// which builds none.
 #[derive(Default)]
-struct ColdSlot {
-    estimator: Option<Box<dyn PositionEstimator + Send + Sync>>,
+pub(crate) struct ColdSlot {
+    estimator: Option<Box<Estimator>>,
     home_anchor: Option<Point>,
     last_rx: Option<LastRx>,
+}
+
+impl ColdSlot {
+    /// The node's believed position at `time_s`: its estimator's, or else
+    /// its last receipt's (a without-LE slot); `None` for a node never
+    /// heard from.
+    #[inline]
+    fn estimate(&mut self, time_s: f64) -> Option<Point> {
+        match self.estimator.as_deref_mut() {
+            Some(Estimator::Brown(e)) => e.estimate(time_s),
+            Some(Estimator::HoltAxes(e)) => e.estimate(time_s),
+            Some(Estimator::DeadReckoning(e)) => e.estimate(time_s),
+            Some(Estimator::KalmanCv(e)) => e.estimate(time_s),
+            None => self.last_rx.map(|rx| rx.position),
+        }
+    }
+
+    /// Whether [`ColdSlot::estimate`] is the same for every `time_s` until
+    /// the node's next receipt.
+    #[inline]
+    fn is_static(&self) -> bool {
+        match self.estimator.as_deref() {
+            Some(Estimator::Brown(e)) => e.is_static(),
+            Some(Estimator::HoltAxes(e)) => e.is_static(),
+            Some(Estimator::DeadReckoning(e)) => e.is_static(),
+            Some(Estimator::KalmanCv(e)) => e.is_static(),
+            None => true,
+        }
+    }
+
+    /// Hands the registered home anchor, if any, to the estimator; of the
+    /// estimators, only Brown's keeps one.
+    fn share_anchor(&mut self) {
+        if let (Some(Estimator::Brown(brown)), Some(anchor)) =
+            (self.estimator.as_deref_mut(), self.home_anchor)
+        {
+            brown.set_home_anchor(anchor);
+        }
+    }
 }
 
 /// Everything the broker tracks for one node: a view over its hot and
@@ -187,9 +253,10 @@ impl NodeSlot<'_> {
     ///   frames older than it (channel reorderings) are rejected before
     ///   they reach the estimator, whose observation times must be
     ///   non-decreasing.
-    /// - [`IngestRecord::Filtered`] stores the estimator's position. A
-    ///   node never heard from has no estimator; nothing is stored then
-    ///   (the broker cannot invent a location).
+    /// - [`IngestRecord::Filtered`] stores the estimator's position, or
+    ///   the last received one when the broker runs
+    ///   [`EstimatorKind::WithoutLe`]. Nothing is stored for a node never
+    ///   heard from (the broker cannot invent a location).
     /// - [`IngestRecord::Lost`] bumps the staleness counter and stores a
     ///   *degraded* estimate. Unlike a filtered update — where the filter
     ///   guarantees the node is within its DTH of the last transmission —
@@ -226,23 +293,19 @@ impl NodeSlot<'_> {
                         time_s: lu.time_s,
                         estimated: false,
                     });
+                    if self.cold.last_rx.is_none() {
+                        self.cold.estimator = kind.build();
+                        self.cold.share_anchor();
+                    }
                     self.cold.last_rx = Some(LastRx {
                         time_s: lu.time_s,
                         seq: lu.seq,
                         position: lu.position,
                     });
                     self.hot.staleness = 0;
-                    let anchor = self.cold.home_anchor;
-                    self.cold
-                        .estimator
-                        .get_or_insert_with(|| {
-                            let mut est = kind.build();
-                            if let Some(a) = anchor {
-                                est.set_home_anchor(a);
-                            }
-                            est
-                        })
-                        .observe(lu.time_s, lu.position);
+                    if let Some(estimator) = &mut self.cold.estimator {
+                        estimator.observe(lu.time_s, lu.position);
+                    }
                     counters.received += 1;
                     ApplyOutcome::Accepted
                 }
@@ -253,12 +316,7 @@ impl NodeSlot<'_> {
                     self.hot.staleness = self.hot.staleness.saturating_add(1);
                     counters.lost += 1;
                 }
-                match self
-                    .cold
-                    .estimator
-                    .as_mut()
-                    .and_then(|e| e.estimate(*time_s))
-                {
+                match self.cold.estimate(*time_s) {
                     None => ApplyOutcome::NoRecord,
                     Some(mut position) => {
                         if let (true, Some(rx)) = (lost, &self.cold.last_rx) {
@@ -427,19 +485,16 @@ impl BrokerShard<'_> {
         .apply(self.kind, op, &mut self.delta)
     }
 
-    /// Whether `node`'s estimator is provably *time-invariant*: its
-    /// [`PositionEstimator::estimate`] returns bit-identical results for
-    /// every query time until the next `observe`/`reset`. A node with no
-    /// estimator yet is trivially static (every filtered update is a
-    /// `NoRecord` no-op until a receive builds one).
+    /// Whether `node`'s estimate is provably *time-invariant*: bit-identical
+    /// for every query time until the node's next receipt. A node with no
+    /// estimator is trivially static: never heard from, every filtered
+    /// update is a `NoRecord` no-op; under [`EstimatorKind::WithoutLe`],
+    /// the estimate is the last receipt.
     ///
     /// This is the safety gate for [`BrokerShard::replay_filtered`].
     #[must_use]
     pub fn estimator_is_static(&self, node: MnId) -> bool {
-        self.cold[self.local(node)]
-            .estimator
-            .as_ref()
-            .is_none_or(|e| e.is_static())
+        self.cold[self.local(node)].is_static()
     }
 
     /// Replays a cached [`IngestRecord::Filtered`] evaluation without
@@ -486,10 +541,7 @@ impl BrokerShard<'_> {
         debug_assert!(record.estimated, "the replayed record is an estimate");
         record.time_s = time_s;
         debug_assert_eq!(
-            self.cold[local]
-                .estimator
-                .as_mut()
-                .and_then(|e| e.estimate(time_s)),
+            self.cold[local].estimate(time_s),
             self.hot[local].record.map(|r| r.position),
             "the replayed record holds the static estimate"
         );
@@ -503,21 +555,21 @@ impl BrokerShard<'_> {
     /// The caller guarantees that every record the shard holds is a stored
     /// estimate of a static estimator, so restamping each is exact — in a
     /// memo shard every node with a record replays a stored estimate, since
-    /// a node with a record has an estimator and a static estimator's
-    /// filtered apply stores one. Debug builds check it record by record.
+    /// a node with a record has a last receipt, so a filtered apply with a
+    /// static estimate stores one. Debug builds check it record by record.
     #[inline]
     pub(crate) fn restamp_all(&mut self, time_s: f64) {
         #[cfg(debug_assertions)]
         for (hot, cold) in self.hot.iter().zip(self.cold.iter_mut()) {
             if let Some(record) = hot.record {
                 debug_assert!(record.estimated, "a restamped record is an estimate");
-                let estimator = cold
-                    .estimator
-                    .as_mut()
-                    .expect("a node with a record has an estimator");
-                debug_assert!(estimator.is_static(), "a restamped estimate is static");
+                debug_assert!(
+                    cold.last_rx.is_some(),
+                    "a node with a record has a last receipt"
+                );
+                debug_assert!(cold.is_static(), "a restamped estimate is static");
                 debug_assert_eq!(
-                    estimator.estimate(time_s),
+                    cold.estimate(time_s),
                     Some(record.position),
                     "the restamped record holds the static estimate"
                 );
@@ -653,9 +705,7 @@ impl GridBroker {
         self.ensure_nodes(node.index() + 1);
         let slot = &mut self.cold[node.index()];
         slot.home_anchor = Some(anchor);
-        if let Some(est) = &mut slot.estimator {
-            est.set_home_anchor(anchor);
-        }
+        slot.share_anchor();
     }
 
     /// The estimator this broker runs.
@@ -1384,13 +1434,10 @@ mod tests {
         match s.location_at(local) {
             None => true,
             Some(record) => {
-                let estimator = s.cold[local]
-                    .estimator
-                    .as_mut()
-                    .expect("a record has an estimator");
+                let cold = &mut s.cold[local];
                 record.estimated
-                    && estimator.is_static()
-                    && estimator.estimate(time_s) == Some(record.position)
+                    && cold.is_static()
+                    && cold.estimate(time_s) == Some(record.position)
             }
         }
     }

@@ -71,9 +71,10 @@ impl MobileNode {
     /// (what the generator intends), which the ADF's classifier tries to
     /// recover from motion alone.
     ///
-    /// `model` is any concrete mobility model (or an already-built
-    /// [`MobilityEngine`], or a legacy `Box<dyn MobilityModel + Send>` for
-    /// out-of-tree models). `rng_seed` seeds the node's SplitMix64 stream
+    /// `model` is an already-built [`MobilityEngine`] or any mobility model
+    /// that converts into one: `StopModel`, `RandomWalk`, `IndoorWalker`,
+    /// `RoadPatroller`, `PathFollower`, `GaussMarkov`, `Schedule` or
+    /// `TraceReplay`. `rng_seed` seeds the node's SplitMix64 stream
     /// exactly like the former per-node `StdRng::seed_from_u64(rng_seed)`
     /// did, so trajectories are unchanged from the AoS era.
     pub fn new(

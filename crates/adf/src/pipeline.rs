@@ -515,6 +515,69 @@ impl SparseState {
             max_eval_gap: 0,
         }
     }
+
+    /// The apply phase's per-shard views of the idle-replay columns. Due
+    /// staleness-refresh wakes first force a full evaluation of their node
+    /// this tick; the full path re-arms them ([`SparseState::fold_shard_outs`]).
+    fn shards(&mut self, tick: u64) -> impl Iterator<Item = SparseShard<'_>> {
+        let due = self.refresh.advance(tick);
+        for &node in due {
+            let i = node as usize;
+            self.counts[i / SHARD_SIZE].refresh_due += u32::from(!self.force_eval[i]);
+            self.force_eval[i] = true;
+        }
+        self.wake_refresh += due.len() as u64;
+        self.idle
+            .chunks_mut(SHARD_SIZE)
+            .zip(self.force_eval.chunks_mut(SHARD_SIZE))
+            .zip(self.last_eval.chunks_mut(SHARD_SIZE))
+            .zip(self.memo.iter_mut())
+            .zip(self.counts.iter_mut())
+            .map(
+                move |((((idle, force_eval), last_eval), memo), counts)| SparseShard {
+                    idle,
+                    force_eval,
+                    last_eval,
+                    memo,
+                    counts,
+                    tick,
+                },
+            )
+    }
+
+    /// The apply phase's post-pass: folds the shards' wake accounting,
+    /// re-arms the refresh wake of every node a full evaluation just
+    /// (re)cached, and files this tick's new sleepers. All of it in shard
+    /// order, so the wheels' schedule history, and therefore every future
+    /// drain order, stays a pure function of the simulation, never of
+    /// thread scheduling.
+    fn fold_shard_outs(&mut self, outs: &[ShardOut], tick: u64) {
+        for (shard, out) in outs.iter().enumerate() {
+            self.replayed_node_ticks += out.replays;
+            self.replayed_shard_ticks += u64::from(out.memo_hit);
+            if out.max_eval_gap > self.max_eval_gap {
+                self.max_eval_gap = out.max_eval_gap;
+            }
+            let mut cached = out.newly_cached;
+            while cached != 0 {
+                let node = shard * SHARD_SIZE + cached.trailing_zeros() as usize;
+                cached &= cached - 1;
+                self.refresh.schedule(node as u32, tick + STALENESS_REFRESH);
+            }
+        }
+        for list in &self.newly_asleep {
+            for &(node, ticks) in list {
+                let i = node as usize;
+                self.asleep[i] = true;
+                self.slept_at[i] = tick;
+                self.asleep_count += 1;
+                self.counts[i / SHARD_SIZE].asleep += 1;
+                if ticks != u64::MAX {
+                    self.mobility.schedule(node, tick + ticks + 1);
+                }
+            }
+        }
+    }
 }
 
 /// The sparse driver's per-shard counts of the events that can break a
@@ -721,6 +784,42 @@ struct ShardSums {
     raw_delta: BrokerDelta,
 }
 
+impl ShardSums {
+    /// Folds `other` into these sums; called in shard order.
+    fn merge(&mut self, other: &ShardSums) {
+        self.sent += other.sent;
+        self.stale += other.stale;
+        self.tally.merge(&other.tally);
+        self.all_le.merge(&other.all_le);
+        self.all_raw.merge(&other.all_raw);
+        self.road_le.merge(&other.road_le);
+        self.road_raw.merge(&other.road_raw);
+        self.bld_le.merge(&other.bld_le);
+        self.bld_raw.merge(&other.bld_raw);
+        self.le_delta.merge(&other.le_delta);
+        self.raw_delta.merge(&other.raw_delta);
+    }
+}
+
+/// The tick's update flow, as the filter phase splits it and the transmit
+/// phase routes it (see [`TickStats`] for `retries`, `lost` and `late`).
+#[derive(Clone, Copy, Default)]
+struct Flow {
+    /// `Sent` filter decisions.
+    filter_sent: u32,
+    suppressed: u32,
+    /// Frames on the air: first sends and retries; none without a network.
+    on_air: u64,
+    retries: u32,
+    lost: u32,
+    late: u32,
+    /// Updates that reached the brokers, a duplicated frame counted once;
+    /// without a network, every sent update.
+    delivered: u32,
+    deferred: u32,
+    no_coverage: u32,
+}
+
 /// One shard's flight-recorder scratch, reused across recorded ticks and
 /// drained in shard order, so the emitted events and the merged histograms
 /// are identical at any thread count.
@@ -894,16 +993,14 @@ impl MobileGridSim {
 
     /// Executes one tick and returns its statistics.
     ///
-    /// The tick runs in four phases. Ground-truth advancement (1) and the
-    /// fused deliver/estimate/measure phase (3+4) run shard-parallel over
-    /// fixed `SHARD_SIZE`-node slices; filtering (2) and network routing
-    /// (2b) stay sequential — the ADF clusters across the whole population
-    /// and the access network is a single shared resource with ordered
-    /// accounting. Phase 2b also drains the fault channel's deferred
-    /// frames and drives each node's retry schedule; fault fates are pure
-    /// hashes of the event identity, never of scheduling. Every per-shard
-    /// partial is reduced in shard order, so the returned [`TickStats`]
-    /// stream is bit-identical for every thread count.
+    /// The tick runs in four phases: ground-truth advancement and the fused
+    /// deliver/estimate/measure phase run shard-parallel over fixed
+    /// `SHARD_SIZE`-node slices; filtering and network routing stay
+    /// sequential, as the ADF clusters across the whole population and the
+    /// access network is one shared resource with ordered accounting. Fault
+    /// fates are pure hashes of the event identity, never of scheduling,
+    /// and every per-shard partial is reduced in shard order, so the
+    /// returned [`TickStats`] stream is bit-identical for every thread count.
     ///
     /// Every phase works in the reusable tick-scratch buffers, so in
     /// steady state (with a single worker thread, under either driver) a
@@ -961,26 +1058,59 @@ impl MobileGridSim {
         self.tick += 1;
         rec.tick_start(self.tick);
         let time_s = self.tick as f64 * DT;
-        let dt = DT;
-        let scratch = &mut self.scratch;
+        let observed = self.scratch.observations.len() as u32;
 
-        // 1. Advance ground truth — the columnar movement kernel, shard-
-        //    parallel, each shard sweeping disjoint slices of the engine /
-        //    RNG / position columns and writing its observations into a
-        //    disjoint slice of the flat buffer. Each node owns its RNG
-        //    state, so per-node trajectories are independent of scheduling.
-        //
-        //    Sparse driver: due mobility wakes fire first (replaying each
-        //    woken node's skipped no-op ticks), the kernel then skips
-        //    still-asleep nodes — their position and observation slots are
-        //    provably bit-unchanged — and newly quiescent nodes are filed
-        //    into the wake wheel in shard order.
+        self.observe(time_s);
+        rec.span(Phase::Observe, u64::from(observed));
+        let mut flow = self.filter(time_s, recording, rec);
+        rec.span(Phase::Filter, self.scratch.decisions.len() as u64);
+        self.transmit(time_s, &mut flow, recording, rec);
+        rec.span(Phase::Transmit, flow.on_air);
+        let sums = self.apply_and_measure(time_s, recording, rec);
+        rec.span(Phase::Estimate, u64::from(observed));
+        if recording {
+            self.record_tick(time_s, flow, &sums, rec);
+        }
+        self.prev_stale = sums.stale;
+        self.check_monitors(flow, sums.stale, recording, rec);
+
+        TickStats {
+            time_s,
+            sent: sums.sent,
+            observed,
+            retries: flow.retries,
+            lost: flow.lost,
+            late: flow.late,
+            stale_nodes: sums.stale,
+            region: sums.tally,
+            rmse_with_le: sums.all_le.value(),
+            rmse_without_le: sums.all_raw.value(),
+            road_rmse_with_le: sums.road_le.value(),
+            road_rmse_without_le: sums.road_raw.value(),
+            building_rmse_with_le: sums.bld_le.value(),
+            building_rmse_without_le: sums.bld_raw.value(),
+        }
+    }
+
+    /// Phase 1, observe: advances ground truth with the columnar movement
+    /// kernel, shard-parallel, each shard sweeping disjoint slices of the
+    /// engine / RNG / position columns and writing its observations into a
+    /// disjoint slice of the flat buffer. Each node owns its RNG state, so
+    /// per-node trajectories are independent of scheduling.
+    ///
+    /// Sparse driver: due mobility wakes fire first (replaying each woken
+    /// node's skipped no-op ticks), the kernel then skips still-asleep
+    /// nodes — their position and observation slots are provably
+    /// bit-unchanged — and newly quiescent nodes are filed into the wake
+    /// wheel in shard order after the apply phase.
+    fn observe(&mut self, time_s: f64) {
+        let observations = &mut self.scratch.observations;
         match self.sparse.as_deref_mut() {
             None => self.pool.for_each(
                 self.cols
                     .movement_shards(SHARD_SIZE)
-                    .zip(scratch.observations.chunks_mut(SHARD_SIZE)),
-                |i, (shard, obs)| shard.advance(i * SHARD_SIZE, time_s, dt, obs),
+                    .zip(observations.chunks_mut(SHARD_SIZE)),
+                |i, (shard, obs)| shard.advance(i * SHARD_SIZE, time_s, DT, obs),
             ),
             Some(sp) => {
                 sp.woken.clear();
@@ -990,7 +1120,7 @@ impl MobileGridSim {
                     debug_assert!(sp.asleep[i], "a wake fired for an awake node");
                     let skipped = self.tick - sp.slept_at[i] - 1;
                     if skipped > 0 {
-                        self.cols.replay_quiescent(i, skipped, dt);
+                        self.cols.replay_quiescent(i, skipped, DT);
                     }
                     sp.asleep[i] = false;
                     sp.counts[i / SHARD_SIZE].asleep -= 1;
@@ -1002,23 +1132,26 @@ impl MobileGridSim {
                 let shards = self
                     .cols
                     .movement_shards(SHARD_SIZE)
-                    .zip(scratch.observations.chunks_mut(SHARD_SIZE))
+                    .zip(observations.chunks_mut(SHARD_SIZE))
                     .zip(sp.asleep.chunks(SHARD_SIZE));
                 self.pool
                     .run_into(shards, &mut sp.newly_asleep, |i, ((shard, obs), asleep)| {
-                        shard.advance_sparse(i * SHARD_SIZE, time_s, dt, obs, asleep)
+                        shard.advance_sparse(i * SHARD_SIZE, time_s, DT, obs, asleep)
                     });
                 // New sleepers moved this tick: they are filed after the
                 // apply phase, so until then `asleep` marks exactly the
                 // nodes whose observation repeats the previous tick's.
             }
         }
+    }
 
-        rec.span(Phase::Observe, scratch.observations.len() as u64);
-
-        // 2. Filter — sequential: the ADF clusters across all nodes. The
-        //    sparse driver passes its sleep mask so the policy can take
-        //    its own (bit-identical) replay path for frozen nodes.
+    /// Phase 2, filter — sequential: the ADF clusters across all nodes. The
+    /// sparse driver passes its sleep mask so the policy can take its own
+    /// (bit-identical) replay path for frozen nodes. Returns the split of
+    /// the decisions, which the filter-conservation monitor needs every
+    /// tick; the sparse driver also keeps each shard's part of it.
+    fn filter(&mut self, time_s: f64, recording: bool, rec: &mut dyn Recorder) -> Flow {
+        let scratch = &mut self.scratch;
         match self.sparse.as_deref() {
             None => {
                 self.policy
@@ -1032,23 +1165,21 @@ impl MobileGridSim {
             ),
         }
         debug_assert_eq!(scratch.decisions.len(), scratch.observations.len());
-        // The filter-conservation monitor needs the split every tick; the
-        // sparse driver keeps each shard's part of it.
-        let mut filter_sent = 0u32;
+        let mut sent = 0u32;
         let mut shard_sends = self.sparse.as_deref_mut().map(|sp| sp.counts.iter_mut());
         for chunk in scratch.decisions.chunks(SHARD_SIZE) {
-            let sent = chunk.iter().map(|d| u32::from(d.is_sent())).sum::<u32>();
-            filter_sent += sent;
+            let shard_sent = chunk.iter().map(|d| u32::from(d.is_sent())).sum::<u32>();
+            sent += shard_sent;
             if let Some(counts) = shard_sends.as_mut().and_then(Iterator::next) {
-                counts.filter_sends = sent;
+                counts.filter_sends = shard_sent;
             }
         }
-        let suppressed = scratch.decisions.len() as u32 - filter_sent;
-        // An update's flight-recorder identity is (node, generation tick):
-        // stable across retries and deferrals, unlike the wire seq which
-        // advances once per frame on the air.
-        let gen_seq = self.tick as u32;
+        let suppressed = scratch.decisions.len() as u32 - sent;
         if recording {
+            // An update's flight-recorder identity is (node, generation
+            // tick): stable across retries and deferrals, unlike the wire
+            // seq, which advances once per frame on the air.
+            let gen_seq = self.tick as u32;
             for ((id, pos), decision) in scratch.observations.iter().zip(&scratch.decisions) {
                 rec.event(EventKind::LuGenerated {
                     node: id.raw(),
@@ -1087,197 +1218,200 @@ impl MobileGridSim {
                 });
             }
         }
-        rec.span(Phase::Filter, scratch.decisions.len() as u64);
+        Flow {
+            filter_sent: sent,
+            suppressed,
+            ..Flow::default()
+        }
+    }
 
-        // 2b. Route transmitted updates through the access network (and the
-        //     fault channel, when one is attached), in node order. When a
-        //     network is present this phase owns the sequence counters: it
-        //     advances them and records the used value in `sent_seq` so
-        //     phase 3 can rebuild the identical update. Retry-due nodes
-        //     retransmit here even when the filter said nothing new.
-        let mut retries = 0u32;
-        let mut lost = 0u32;
-        let mut late = 0u32;
-        let mut on_air = 0u64;
-        let mut delivered = 0u32;
-        let mut deferred = 0u32;
-        let mut no_coverage = 0u32;
-        scratch.late_accepted.fill(false);
-        let routed = if let Some(net) = self.network.as_mut() {
-            // Deferred frames due now reach the brokers before anything
-            // sent this tick, so their (older) timestamps stay in order.
-            if let Some(ch) = self.channel.as_mut() {
-                scratch.late_lus.clear();
-                ch.drain_due(self.tick, &mut scratch.late_lus);
-                for lu in &scratch.late_lus {
-                    let op = IngestRecord::Update(*lu);
-                    let info = self.broker_le.apply(&op).expect("an update is a broker op");
-                    self.broker_raw.apply(&op);
-                    // A late arrival touches the node's estimator (or at
-                    // least its dedup state): its idle-replay cache, if
-                    // any, is no longer safe to replay, nor is its
-                    // shard's memo.
-                    if let Some(sp) = self.sparse.as_deref_mut() {
-                        sp.idle[lu.node.index()].valid = false;
-                        sp.memo[lu.node.index() / SHARD_SIZE] = None;
-                    }
-                    if info.outcome == ApplyOutcome::Accepted {
-                        // Resets the node's staleness baseline before the
-                        // apply phase runs — the staleness monitor needs
-                        // to know.
-                        scratch.late_accepted[lu.node.index()] = true;
-                    }
-                    if recording {
-                        // A deferred frame keeps its generation-tick
-                        // identity: recover it from the timestamp.
-                        let seq = (lu.time_s / dt).round() as u32;
-                        rec.event(EventKind::LuChannel {
-                            node: lu.node.raw(),
-                            seq,
-                            wire_seq: lu.seq,
-                            attempt: 0,
-                            fate: LinkFate::ArrivedLate,
-                            due_tick: self.tick,
-                        });
-                        rec.event(EventKind::LuApply {
-                            node: lu.node.raw(),
-                            seq,
-                            outcome: info.outcome,
-                            staleness: info.staleness,
-                            blend: info.blend,
-                        });
-                    }
-                }
-                late = scratch.late_lus.len() as u32;
-            }
-            let mut shard_counts = self.sparse.as_deref_mut().map(|sp| &mut sp.counts[..]);
-            if let Some(counts) = shard_counts.as_deref_mut() {
-                counts.iter_mut().for_each(|c| c.link_active = 0);
-            }
-            for (i, (((id, pos), decision), out)) in scratch
-                .observations
-                .iter()
-                .zip(&scratch.decisions)
-                .zip(scratch.link.iter_mut())
-                .enumerate()
-            {
-                let state = &mut self.retry[i];
-                let retry_due = state.due_tick <= self.tick;
-                if !(matches!(decision, Decision::Sent) || retry_due) {
-                    *out = LinkOutcome::Idle;
-                    continue;
-                }
-                if let Some(counts) = shard_counts.as_deref_mut() {
-                    counts[i / SHARD_SIZE].link_active += 1;
-                }
-                let attempt = state.attempt;
-                let seq = self.seqs[i];
-                self.seqs[i] = seq.wrapping_add(1);
-                scratch.sent_seq[i] = seq;
-                retries += u32::from(attempt > 0);
-                let lu = LocationUpdate::new(*id, time_s, *pos, seq);
-                let event = match self.channel.as_mut() {
-                    Some(ch) => ch.transmit(net, &lu, attempt, self.tick),
-                    None => match net.transmit(&lu) {
-                        Ok(gateway) => LinkEvent::Delivered {
-                            gateway,
-                            duplicate: false,
-                        },
-                        Err(_) => LinkEvent::Dropped {
-                            cause: DropCause::NoCoverage,
-                        },
-                    },
-                };
-                on_air += 1;
-                let (fate, due) = match &event {
-                    LinkEvent::Delivered {
-                        duplicate: false, ..
-                    } => (LinkFate::Delivered, 0),
-                    LinkEvent::Delivered {
-                        duplicate: true, ..
-                    } => (LinkFate::DeliveredDuplicate, 0),
-                    LinkEvent::Deferred { due_tick, .. } => (LinkFate::Deferred, *due_tick),
-                    LinkEvent::Dropped {
-                        cause: DropCause::NoCoverage,
-                    } => (LinkFate::DroppedNoCoverage, 0),
-                    LinkEvent::Dropped {
-                        cause: DropCause::Fault,
-                    } => (LinkFate::DroppedFault, 0),
-                    LinkEvent::Dropped {
-                        cause: DropCause::Corrupted,
-                    } => (LinkFate::DroppedCorrupted, 0),
-                };
-                match fate {
-                    LinkFate::Delivered | LinkFate::DeliveredDuplicate => delivered += 1,
-                    LinkFate::Deferred => deferred += 1,
-                    LinkFate::DroppedNoCoverage => no_coverage += 1,
-                    _ => {}
-                }
-                if recording {
-                    rec.event(EventKind::LuChannel {
-                        node: id.raw(),
-                        seq: gen_seq,
-                        wire_seq: seq,
-                        attempt,
-                        fate,
-                        due_tick: due,
-                    });
-                }
-                *out = match event {
-                    LinkEvent::Delivered { duplicate, .. } => {
-                        *state = RetryState::IDLE;
-                        LinkOutcome::Delivered { duplicate }
-                    }
-                    LinkEvent::Deferred { .. } => {
-                        // In flight: it will arrive on its own, so the
-                        // sender does not retransmit, but the broker misses
-                        // it this tick.
-                        *state = RetryState::IDLE;
-                        lost += 1;
-                        LinkOutcome::Lost { transmitted: true }
-                    }
-                    LinkEvent::Dropped {
-                        cause: DropCause::NoCoverage,
-                    } => {
-                        *state = RetryState::IDLE;
-                        LinkOutcome::Lost { transmitted: false }
-                    }
-                    LinkEvent::Dropped { .. } => {
-                        lost += 1;
-                        *state = match self.retry_policies[i] {
-                            Some(policy) if attempt < policy.max_retries => {
-                                let next = attempt + 1;
-                                let noise = event_noise(
-                                    self.channel.as_ref().map_or(0, FaultChannel::seed),
-                                    id.raw(),
-                                    seq,
-                                    next,
-                                    SALT_RETRY_JITTER,
-                                );
-                                RetryState {
-                                    attempt: next,
-                                    due_tick: self.tick + policy.backoff_ticks(next, noise),
-                                }
-                            }
-                            _ => RetryState::IDLE,
-                        };
-                        LinkOutcome::Lost { transmitted: true }
-                    }
-                };
-            }
-            true
-        } else {
-            false
+    /// Phase 2b, transmit: routes transmitted updates through the access
+    /// network (and the fault channel, when one is attached), in node
+    /// order. When a network is present this phase owns the sequence
+    /// counters: it advances them and records the used value in `sent_seq`
+    /// so phase 3 can rebuild the identical update. Retry-due nodes
+    /// retransmit here even when the filter said nothing new. Without a
+    /// network nothing is on the air, and every sent update reaches the
+    /// brokers directly.
+    fn transmit(&mut self, time_s: f64, flow: &mut Flow, recording: bool, rec: &mut dyn Recorder) {
+        self.scratch.late_accepted.fill(false);
+        flow.late = self.drain_late(recording, rec);
+        let Some(net) = self.network.as_mut() else {
+            flow.delivered = flow.filter_sent;
+            return;
         };
-        let link: Option<&[LinkOutcome]> = routed.then_some(&scratch.link);
-        rec.span(Phase::Transmit, on_air);
+        let gen_seq = self.tick as u32;
+        let scratch = &mut self.scratch;
+        let mut shard_counts = self.sparse.as_deref_mut().map(|sp| &mut sp.counts[..]);
+        if let Some(counts) = shard_counts.as_deref_mut() {
+            counts.iter_mut().for_each(|c| c.link_active = 0);
+        }
+        for (i, (((id, pos), decision), out)) in scratch
+            .observations
+            .iter()
+            .zip(&scratch.decisions)
+            .zip(scratch.link.iter_mut())
+            .enumerate()
+        {
+            let state = &mut self.retry[i];
+            let retry_due = state.due_tick <= self.tick;
+            if !(matches!(decision, Decision::Sent) || retry_due) {
+                *out = LinkOutcome::Idle;
+                continue;
+            }
+            if let Some(counts) = shard_counts.as_deref_mut() {
+                counts[i / SHARD_SIZE].link_active += 1;
+            }
+            let attempt = state.attempt;
+            let seq = self.seqs[i];
+            self.seqs[i] = seq.wrapping_add(1);
+            scratch.sent_seq[i] = seq;
+            flow.retries += u32::from(attempt > 0);
+            let lu = LocationUpdate::new(*id, time_s, *pos, seq);
+            let event = match self.channel.as_mut() {
+                Some(ch) => ch.transmit(net, &lu, attempt, self.tick),
+                None => match net.transmit(&lu) {
+                    Ok(gateway) => LinkEvent::Delivered {
+                        gateway,
+                        duplicate: false,
+                    },
+                    Err(_) => LinkEvent::Dropped {
+                        cause: DropCause::NoCoverage,
+                    },
+                },
+            };
+            flow.on_air += 1;
+            // Only a frame lost in flight schedules a retransmission.
+            *state = RetryState::IDLE;
+            let (fate, due_tick, outcome) = match event {
+                LinkEvent::Delivered { duplicate, .. } => {
+                    flow.delivered += 1;
+                    let fate = match duplicate {
+                        false => LinkFate::Delivered,
+                        true => LinkFate::DeliveredDuplicate,
+                    };
+                    (fate, 0, LinkOutcome::Delivered { duplicate })
+                }
+                LinkEvent::Deferred { due_tick, .. } => {
+                    // In flight: it will arrive on its own, so the sender
+                    // does not retransmit, but the broker misses it this
+                    // tick.
+                    flow.deferred += 1;
+                    flow.lost += 1;
+                    let outcome = LinkOutcome::Lost { transmitted: true };
+                    (LinkFate::Deferred, due_tick, outcome)
+                }
+                LinkEvent::Dropped {
+                    cause: DropCause::NoCoverage,
+                } => {
+                    flow.no_coverage += 1;
+                    let outcome = LinkOutcome::Lost { transmitted: false };
+                    (LinkFate::DroppedNoCoverage, 0, outcome)
+                }
+                LinkEvent::Dropped { cause } => {
+                    flow.lost += 1;
+                    let retry = self.retry_policies[i].filter(|p| attempt < p.max_retries);
+                    if let Some(policy) = retry {
+                        let next = attempt + 1;
+                        let noise = event_noise(
+                            self.channel.as_ref().map_or(0, FaultChannel::seed),
+                            id.raw(),
+                            seq,
+                            next,
+                            SALT_RETRY_JITTER,
+                        );
+                        *state = RetryState {
+                            attempt: next,
+                            due_tick: self.tick + policy.backoff_ticks(next, noise),
+                        };
+                    }
+                    let fate = match cause {
+                        DropCause::Corrupted => LinkFate::DroppedCorrupted,
+                        _ => LinkFate::DroppedFault,
+                    };
+                    (fate, 0, LinkOutcome::Lost { transmitted: true })
+                }
+            };
+            *out = outcome;
+            if recording {
+                rec.event(EventKind::LuChannel {
+                    node: id.raw(),
+                    seq: gen_seq,
+                    wire_seq: seq,
+                    attempt,
+                    fate,
+                    due_tick,
+                });
+            }
+        }
+    }
 
-        // 3+4 fused, shard-parallel: apply each decision to both brokers
-        // and measure location error against ground truth — the paper's
-        // RMSE over all n nodes at time t — from the freshly updated dense
-        // slots. The job list is a lazy zip of per-shard slices; results
-        // land in the reused `outs` buffer in shard order, and a recorded
-        // tick's samples in the shards' reused `recording` scratch.
+    /// Delivers the fault channel's deferred frames that came due this
+    /// tick to both brokers, before anything sent this tick, so their
+    /// (older) timestamps stay in order. Returns how many arrived; none
+    /// without a channel.
+    fn drain_late(&mut self, recording: bool, rec: &mut dyn Recorder) -> u32 {
+        let Some(ch) = self.channel.as_mut() else {
+            return 0;
+        };
+        let scratch = &mut self.scratch;
+        scratch.late_lus.clear();
+        ch.drain_due(self.tick, &mut scratch.late_lus);
+        for lu in &scratch.late_lus {
+            let op = IngestRecord::Update(*lu);
+            let info = self.broker_le.apply(&op).expect("an update is a broker op");
+            self.broker_raw.apply(&op);
+            // A late arrival touches the node's estimator (or at least its
+            // dedup state): its idle-replay cache, if any, is no longer
+            // safe to replay, nor is its shard's memo.
+            if let Some(sp) = self.sparse.as_deref_mut() {
+                sp.idle[lu.node.index()].valid = false;
+                sp.memo[lu.node.index() / SHARD_SIZE] = None;
+            }
+            if info.outcome == ApplyOutcome::Accepted {
+                // Resets the node's staleness baseline before the apply
+                // phase runs — the staleness monitor needs to know.
+                scratch.late_accepted[lu.node.index()] = true;
+            }
+            if recording {
+                // A deferred frame keeps its generation-tick identity:
+                // recover it from the timestamp.
+                let seq = (lu.time_s / DT).round() as u32;
+                rec.event(EventKind::LuChannel {
+                    node: lu.node.raw(),
+                    seq,
+                    wire_seq: lu.seq,
+                    attempt: 0,
+                    fate: LinkFate::ArrivedLate,
+                    due_tick: self.tick,
+                });
+                rec.event(EventKind::LuApply {
+                    node: lu.node.raw(),
+                    seq,
+                    outcome: info.outcome,
+                    staleness: info.staleness,
+                    blend: info.blend,
+                });
+            }
+        }
+        scratch.late_lus.len() as u32
+    }
+
+    /// Phases 3+4 fused, shard-parallel, apply and measure: applies each
+    /// decision to both brokers and measures location error against ground
+    /// truth — the paper's RMSE over all n nodes at time t — from the
+    /// freshly updated dense slots. The job list is a lazy zip of per-shard
+    /// slices; results land in the reused `outs` buffer in shard order, and
+    /// a recorded tick's samples in the shards' reused `recording` scratch.
+    /// Returns the shard-ordered reduction of the shards' sums, whose
+    /// broker deltas are already merged into the brokers.
+    fn apply_and_measure(
+        &mut self,
+        time_s: f64,
+        recording: bool,
+        rec: &mut dyn Recorder,
+    ) -> ShardSums {
+        let scratch = &mut self.scratch;
         let recorded_shards = if recording {
             let shards = mobigrid_sim::par::shard_count(scratch.observations.len(), SHARD_SIZE);
             scratch.recording.resize_with(shards, ShardRecording::new);
@@ -1287,35 +1421,9 @@ impl MobileGridSim {
             0
         };
         let mut rec_slots = scratch.recording[..recorded_shards].iter_mut();
-        // The sparse driver's per-shard idle-replay columns. Due
-        // staleness-refresh wakes force a full evaluation of their node
-        // this tick; the full path re-arms them below.
+        let link: Option<&[LinkOutcome]> = self.network.is_some().then_some(&scratch.link);
         let tick = self.tick;
-        let mut sparse_shards = self.sparse.as_deref_mut().map(|sp| {
-            let due = sp.refresh.advance(tick);
-            for &node in due {
-                let i = node as usize;
-                sp.counts[i / SHARD_SIZE].refresh_due += u32::from(!sp.force_eval[i]);
-                sp.force_eval[i] = true;
-            }
-            sp.wake_refresh += due.len() as u64;
-            sp.idle
-                .chunks_mut(SHARD_SIZE)
-                .zip(sp.force_eval.chunks_mut(SHARD_SIZE))
-                .zip(sp.last_eval.chunks_mut(SHARD_SIZE))
-                .zip(sp.memo.iter_mut())
-                .zip(sp.counts.iter_mut())
-                .map(
-                    move |((((idle, force_eval), last_eval), memo), counts)| SparseShard {
-                        idle,
-                        force_eval,
-                        last_eval,
-                        memo,
-                        counts,
-                        tick,
-                    },
-                )
-        });
+        let mut sparse_shards = self.sparse.as_deref_mut().map(|sp| sp.shards(tick));
         let jobs = self
             .cols
             .region_kinds()
@@ -1330,7 +1438,7 @@ impl MobileGridSim {
             .zip(scratch.fates.chunks_mut(SHARD_SIZE))
             .enumerate()
             .map(
-                |(
+                move |(
                     i,
                     ((((((((kinds, obs), dec), sent_seqs), seqs), le), raw), staleness), fates),
                 )| {
@@ -1354,34 +1462,19 @@ impl MobileGridSim {
             Self::run_shard(time_s, job)
         });
 
-        // Shard-ordered reduction: exact for the integer tallies, and a
-        // fixed floating-point summation order for the RMSE partials.
-        let mut tick_tally = RegionTally::new();
-        let mut sent = 0u32;
-        let mut stale_nodes = 0u32;
-        let mut all_le = Rmse::new();
-        let mut all_raw = Rmse::new();
-        let mut road_le = Rmse::new();
-        let mut road_raw = Rmse::new();
-        let mut bld_le = Rmse::new();
-        let mut bld_raw = Rmse::new();
+        // Shard-ordered reduction: exact for the integer tallies and
+        // counters, and a fixed floating-point summation order for the
+        // RMSE partials.
+        let mut sums = ShardSums::default();
         for out in &scratch.outs {
-            let sums = &out.sums;
-            sent += sums.sent;
-            stale_nodes += sums.stale;
-            tick_tally.merge(&sums.tally);
-            all_le.merge(&sums.all_le);
-            all_raw.merge(&sums.all_raw);
-            road_le.merge(&sums.road_le);
-            road_raw.merge(&sums.road_raw);
-            bld_le.merge(&sums.bld_le);
-            bld_raw.merge(&sums.bld_raw);
-            self.broker_le.apply_delta(&sums.le_delta);
-            self.broker_raw.apply_delta(&sums.raw_delta);
+            sums.merge(&out.sums);
         }
+        self.broker_le.apply_delta(&sums.le_delta);
+        self.broker_raw.apply_delta(&sums.raw_delta);
         // Drain the shards' flight samples in shard order, so the
         // apply/error event stream is identical at any thread count (the
         // recording slice is empty on an unrecorded tick).
+        let gen_seq = tick as u32;
         for s in scratch.recording[..recorded_shards]
             .iter()
             .flat_map(|r| &r.flight)
@@ -1400,122 +1493,87 @@ impl MobileGridSim {
                 err_raw: s.err_raw,
             });
         }
-        // Sparse post-pass: fold the shards' wake accounting and re-arm the
-        // refresh wake of every node a full evaluation just (re)cached —
-        // in shard order, so the wheel's schedule history stays independent
-        // of thread scheduling.
         if let Some(sp) = self.sparse.as_deref_mut() {
-            for (shard, out) in scratch.outs.iter().enumerate() {
-                sp.replayed_node_ticks += out.replays;
-                sp.replayed_shard_ticks += u64::from(out.memo_hit);
-                if out.max_eval_gap > sp.max_eval_gap {
-                    sp.max_eval_gap = out.max_eval_gap;
-                }
-                let mut cached = out.newly_cached;
-                while cached != 0 {
-                    let node = shard * SHARD_SIZE + cached.trailing_zeros() as usize;
-                    cached &= cached - 1;
-                    sp.refresh
-                        .schedule(node as u32, self.tick + STALENESS_REFRESH);
-                }
-            }
-            // File this tick's new sleepers in shard order — the schedule
-            // history, and therefore every future drain order, stays a pure
-            // function of the simulation, never of thread scheduling.
-            for list in &sp.newly_asleep {
-                for &(node, ticks) in list {
-                    let i = node as usize;
-                    sp.asleep[i] = true;
-                    sp.slept_at[i] = self.tick;
-                    sp.asleep_count += 1;
-                    sp.counts[i / SHARD_SIZE].asleep += 1;
-                    if ticks != u64::MAX {
-                        sp.mobility.schedule(node, self.tick + ticks + 1);
-                    }
-                }
-            }
+            sp.fold_shard_outs(&scratch.outs, tick);
         }
-        self.cumulative.merge(&tick_tally);
-        rec.span(Phase::Estimate, scratch.observations.len() as u64);
+        self.cumulative.merge(&sums.tally);
+        sums
+    }
 
-        if recording {
-            let mut err_le = HistogramDelta::new(error_bucket_spec());
-            let mut err_raw = HistogramDelta::new(error_bucket_spec());
-            for r in &scratch.recording[..recorded_shards] {
-                err_le.merge(&r.err_le);
-                err_raw.merge(&r.err_raw);
-            }
-            rec.histogram_merge("sim.err_with_le", &err_le);
-            rec.histogram_merge("sim.err_without_le", &err_raw);
-
-            rec.counter_add("sim.ticks", 1);
-            rec.counter_add("sim.observed", u64::from(scratch.observations.len() as u32));
-            rec.counter_add("sim.sent", u64::from(sent));
-            rec.counter_add("sim.retries", u64::from(retries));
-            rec.counter_add("sim.lost", u64::from(lost));
-            rec.counter_add("sim.late", u64::from(late));
-            rec.counter_add("sim.filter_sent", u64::from(filter_sent));
-            rec.counter_add("sim.suppressed", u64::from(suppressed));
-            rec.counter_add(
-                "sim.delivered",
-                u64::from(if routed { delivered } else { filter_sent }),
-            );
-            rec.counter_add("sim.deferred", u64::from(deferred));
-            rec.counter_add("sim.no_coverage", u64::from(no_coverage));
-            rec.counter_add("sim.road.sent", tick_tally.road.sent);
-            rec.counter_add("sim.road.observed", tick_tally.road.observed);
-            rec.counter_add("sim.building.sent", tick_tally.building.sent);
-            rec.counter_add("sim.building.observed", tick_tally.building.observed);
-
-            rec.gauge_set("sim.time_s", time_s);
-            rec.gauge_set("sim.stale_nodes", f64::from(stale_nodes));
-            rec.gauge_set("sim.rmse_with_le", all_le.value());
-            rec.gauge_set("sim.rmse_without_le", all_raw.value());
-            rec.gauge_set("sim.road.rmse_with_le", road_le.value());
-            rec.gauge_set("sim.road.rmse_without_le", road_raw.value());
-            rec.gauge_set("sim.building.rmse_with_le", bld_le.value());
-            rec.gauge_set("sim.building.rmse_without_le", bld_raw.value());
-
-            rec.gauge_set("broker.le.received", self.broker_le.received_count() as f64);
-            rec.gauge_set(
-                "broker.le.estimated",
-                self.broker_le.estimated_count() as f64,
-            );
-            rec.gauge_set("broker.le.lost", self.broker_le.lost_count() as f64);
-            rec.gauge_set("broker.le.rejected", self.broker_le.rejected_count() as f64);
-            rec.gauge_set(
-                "broker.raw.received",
-                self.broker_raw.received_count() as f64,
-            );
-            rec.gauge_set(
-                "broker.raw.estimated",
-                self.broker_raw.estimated_count() as f64,
-            );
-            rec.gauge_set("broker.raw.lost", self.broker_raw.lost_count() as f64);
-            rec.gauge_set(
-                "broker.raw.rejected",
-                self.broker_raw.rejected_count() as f64,
-            );
-            if let Some(net) = &self.network {
-                net.record_telemetry(rec);
-            }
-            if let Some(ch) = &self.channel {
-                ch.record_telemetry(rec);
-            }
-            if stale_nodes != self.prev_stale {
-                rec.event(EventKind::StalenessTransition {
-                    stale_nodes,
-                    previous: self.prev_stale,
-                });
-            }
+    /// Tick telemetry, on a recorded tick: the merged location-error
+    /// histograms, the counters mirroring [`TickStats`] plus the
+    /// flow-conservation quantities, the gauges, the network's and the
+    /// channel's own telemetry, and the staleness transition event.
+    fn record_tick(&self, time_s: f64, flow: Flow, sums: &ShardSums, rec: &mut dyn Recorder) {
+        let mut err_le = HistogramDelta::new(error_bucket_spec());
+        let mut err_raw = HistogramDelta::new(error_bucket_spec());
+        for r in &self.scratch.recording {
+            err_le.merge(&r.err_le);
+            err_raw.merge(&r.err_raw);
         }
-        self.prev_stale = stale_nodes;
+        rec.histogram_merge("sim.err_with_le", &err_le);
+        rec.histogram_merge("sim.err_without_le", &err_raw);
 
-        // Online invariant monitors — every tick, recording or not. Phase
-        // 3 left each node's with-LE staleness counter in `staleness`:
-        // every node gets exactly one apply call there, its `ApplyInfo`
-        // carries the counter after the call, and nothing after it (the
-        // counter deltas included) touches staleness.
+        let tally = &sums.tally;
+        rec.counter_add("sim.ticks", 1);
+        rec.counter_add("sim.observed", self.scratch.observations.len() as u64);
+        rec.counter_add("sim.sent", u64::from(sums.sent));
+        rec.counter_add("sim.retries", u64::from(flow.retries));
+        rec.counter_add("sim.lost", u64::from(flow.lost));
+        rec.counter_add("sim.late", u64::from(flow.late));
+        rec.counter_add("sim.filter_sent", u64::from(flow.filter_sent));
+        rec.counter_add("sim.suppressed", u64::from(flow.suppressed));
+        rec.counter_add("sim.delivered", u64::from(flow.delivered));
+        rec.counter_add("sim.deferred", u64::from(flow.deferred));
+        rec.counter_add("sim.no_coverage", u64::from(flow.no_coverage));
+        rec.counter_add("sim.road.sent", tally.road.sent);
+        rec.counter_add("sim.road.observed", tally.road.observed);
+        rec.counter_add("sim.building.sent", tally.building.sent);
+        rec.counter_add("sim.building.observed", tally.building.observed);
+
+        rec.gauge_set("sim.time_s", time_s);
+        rec.gauge_set("sim.stale_nodes", f64::from(sums.stale));
+        rec.gauge_set("sim.rmse_with_le", sums.all_le.value());
+        rec.gauge_set("sim.rmse_without_le", sums.all_raw.value());
+        rec.gauge_set("sim.road.rmse_with_le", sums.road_le.value());
+        rec.gauge_set("sim.road.rmse_without_le", sums.road_raw.value());
+        rec.gauge_set("sim.building.rmse_with_le", sums.bld_le.value());
+        rec.gauge_set("sim.building.rmse_without_le", sums.bld_raw.value());
+
+        let (le, raw) = (self.broker_le.counters(), self.broker_raw.counters());
+        for (name, count) in [
+            ("broker.le.received", le.received),
+            ("broker.le.estimated", le.estimated),
+            ("broker.le.lost", le.lost),
+            ("broker.le.rejected", le.rejected),
+            ("broker.raw.received", raw.received),
+            ("broker.raw.estimated", raw.estimated),
+            ("broker.raw.lost", raw.lost),
+            ("broker.raw.rejected", raw.rejected),
+        ] {
+            rec.gauge_set(name, count as f64);
+        }
+        if let Some(net) = &self.network {
+            net.record_telemetry(rec);
+        }
+        if let Some(ch) = &self.channel {
+            ch.record_telemetry(rec);
+        }
+        if sums.stale != self.prev_stale {
+            rec.event(EventKind::StalenessTransition {
+                stale_nodes: sums.stale,
+                previous: self.prev_stale,
+            });
+        }
+    }
+
+    /// The online invariant monitors — every tick, recording or not. The
+    /// apply phase left each node's with-LE staleness counter in
+    /// `staleness`: every node gets exactly one apply call there, its
+    /// `ApplyInfo` carries the counter after the call, and nothing after
+    /// it (the counter deltas included) touches staleness.
+    fn check_monitors(&mut self, flow: Flow, stale: u32, recording: bool, rec: &mut dyn Recorder) {
+        let scratch = &self.scratch;
         debug_assert!(
             scratch
                 .staleness
@@ -1527,22 +1585,22 @@ impl MobileGridSim {
         let vitals = TickVitals {
             tick: self.tick,
             generated: scratch.observations.len() as u64,
-            filter_sent: u64::from(filter_sent),
-            suppressed: u64::from(suppressed),
+            filter_sent: u64::from(flow.filter_sent),
+            suppressed: u64::from(flow.suppressed),
             // Without a network a sent update reaches the broker
             // directly: one "frame" per send, all delivered.
-            on_air: if routed {
-                on_air
+            on_air: if self.network.is_some() {
+                flow.on_air
             } else {
-                u64::from(filter_sent)
+                u64::from(flow.filter_sent)
             },
-            delivered: u64::from(if routed { delivered } else { filter_sent }),
-            lost: u64::from(lost),
-            no_coverage: u64::from(no_coverage),
-            deferred: u64::from(deferred),
-            arrived_late: u64::from(late),
+            delivered: u64::from(flow.delivered),
+            lost: u64::from(flow.lost),
+            no_coverage: u64::from(flow.no_coverage),
+            deferred: u64::from(flow.deferred),
+            arrived_late: u64::from(flow.late),
             in_flight: self.channel.as_ref().map_or(0, |ch| ch.in_flight() as u64),
-            stale_nodes,
+            stale_nodes: stale,
             node_fates: &scratch.fates,
             wire_seqs: &scratch.sent_seq,
             staleness: &scratch.staleness,
@@ -1563,23 +1621,6 @@ impl MobileGridSim {
             }
             let room = VIOLATION_LOG_CAP.saturating_sub(self.violations.len());
             self.violations.extend(found.iter().take(room).copied());
-        }
-
-        TickStats {
-            time_s,
-            sent,
-            observed: scratch.observations.len() as u32,
-            retries,
-            lost,
-            late,
-            stale_nodes,
-            region: tick_tally,
-            rmse_with_le: all_le.value(),
-            rmse_without_le: all_raw.value(),
-            road_rmse_with_le: road_le.value(),
-            road_rmse_without_le: road_raw.value(),
-            building_rmse_with_le: bld_le.value(),
-            building_rmse_without_le: bld_raw.value(),
         }
     }
 

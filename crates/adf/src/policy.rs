@@ -1068,11 +1068,14 @@ mod tests {
     /// representation, not by extra bytes. The records a sleeping node
     /// touches each sparse tick — its doze entry, its idle-replay cache
     /// and its brokers' hot slots — are budgeted tighter still, as is the
-    /// per-shard result every shard of every tick writes and copies.
+    /// per-shard result every shard of every tick writes and copies. Each
+    /// broker's cold slot keeps its estimator behind one pointer: an
+    /// inline estimator would put Brown's bytes in every slot of both
+    /// brokers.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn per_node_footprint_does_not_grow() {
-        use crate::broker::HotSlot;
+        use crate::broker::{ColdSlot, HotSlot};
         use crate::pipeline::{IdleCache, ShardOut};
         use mobigrid_forecast::BrownPositionEstimator;
         use std::mem::size_of;
@@ -1088,6 +1091,7 @@ mod tests {
             ("Doze", size_of::<Doze>(), 24),
             ("IdleCache", size_of::<IdleCache>(), 40),
             ("HotSlot", size_of::<HotSlot>(), 40),
+            ("ColdSlot", size_of::<ColdSlot>(), 72),
             ("ShardOut", size_of::<ShardOut>(), 299),
         ];
         for (name, size, budget) in sizes {

@@ -1,15 +1,17 @@
 //! Property-based tests for the adaptive distance filter.
 
 use mobigrid_adf::{
-    AdaptiveDistanceFilter, AdfConfig, DistanceFilter, FilterPolicy, FilterReference,
-    MobileGridSim, MobileNode, MobilityClassifier, RegionTally, RuntimeOptions, SimBuilder,
+    AdaptiveDistanceFilter, AdfConfig, DistanceFilter, EstimatorKind, FilterPolicy,
+    FilterReference, GridBroker, LocationRecord, MobileGridSim, MobileNode, MobilityClassifier,
+    RegionTally, RuntimeOptions, SimBuilder,
 };
 use mobigrid_campus::{RegionId, RegionKind};
 use std::collections::VecDeque;
 
 use mobigrid_geo::{Heading, Point, Polyline, Vec2};
 use mobigrid_mobility::{LoopMode, MobilityPattern, NodeType, PathFollower, StopModel};
-use mobigrid_wireless::MnId;
+use mobigrid_telemetry::ApplyOutcome;
+use mobigrid_wireless::{IngestRecord, LocationUpdate, MnId};
 use proptest::prelude::*;
 
 fn trajectory() -> impl Strategy<Value = Vec<Point>> {
@@ -440,6 +442,138 @@ proptest! {
         let serial = synthetic_sim(node_count, seed, 1).run(ticks);
         let threaded = synthetic_sim(node_count, seed, 3).run(ticks);
         prop_assert_eq!(serial, threaded);
+    }
+}
+
+/// What a without-LE broker holds for one node, modelled directly.
+#[derive(Clone, Copy, Default)]
+struct RawSlot {
+    /// The last accepted update's time, seq and position.
+    last_rx: Option<(f64, u32, Point)>,
+    record: Option<LocationRecord>,
+    staleness: u32,
+}
+
+proptest! {
+    /// The without-LE broker runs no estimator: whatever mix of updates
+    /// (exact duplicates and frames older than the last receipt included),
+    /// filtered and lost ops and home anchors (set before or after first
+    /// contact) reaches it, each record it holds is at the position of the
+    /// node's last accepted update, its outcomes, staleness counters and
+    /// lifetime counters match a model of that rule, and every node's
+    /// estimate is static.
+    #[test]
+    fn without_le_broker_holds_the_last_accepted_update(
+        ops in prop::collection::vec(
+            (0u8..8, 0u32..4, 0u8..3, -50.0..50.0f64, -50.0..50.0f64),
+            1..120,
+        ),
+    ) {
+        const NODES: u32 = 4;
+        let mut broker = GridBroker::new(EstimatorKind::WithoutLe).unwrap();
+        broker.ensure_nodes(NODES as usize);
+        let mut model = [RawSlot::default(); NODES as usize];
+        let (mut received, mut estimated, mut lost, mut rejected) = (0u64, 0u64, 0u64, 0u64);
+        let mut last_update = None;
+        for (step, &(kind, node, back, x, y)) in ops.iter().enumerate() {
+            let (t, id) = (step as f64, MnId::new(node));
+            let op = match kind {
+                0 => {
+                    broker.set_home_anchor(id, Point::new(x, y));
+                    None
+                }
+                // `back` > 0 sends a frame from an earlier tick, which is
+                // stale when the node has heard something newer since.
+                1..=3 => Some(IngestRecord::Update(LocationUpdate::new(
+                    id,
+                    t - f64::from(back),
+                    Point::new(x, y),
+                    step as u32,
+                ))),
+                // The previous update frame again, byte for byte.
+                4 => last_update.map(IngestRecord::Update),
+                5 | 6 => Some(IngestRecord::Filtered { node: id, time_s: t }),
+                _ => Some(IngestRecord::Lost { node: id, time_s: t }),
+            };
+            if let Some(op) = op {
+                let slot = &mut model[op.node().expect("a node op").index()];
+                let expected = match op {
+                    IngestRecord::Update(lu) => {
+                        last_update = Some(lu);
+                        match slot.last_rx {
+                            Some((time_s, seq, _)) if lu.time_s == time_s && lu.seq == seq => {
+                                rejected += 1;
+                                ApplyOutcome::Duplicate
+                            }
+                            Some((time_s, _, _)) if lu.time_s < time_s => {
+                                rejected += 1;
+                                ApplyOutcome::Stale
+                            }
+                            _ => {
+                                slot.last_rx = Some((lu.time_s, lu.seq, lu.position));
+                                slot.record = Some(LocationRecord {
+                                    position: lu.position,
+                                    time_s: lu.time_s,
+                                    estimated: false,
+                                });
+                                slot.staleness = 0;
+                                received += 1;
+                                ApplyOutcome::Accepted
+                            }
+                        }
+                    }
+                    IngestRecord::Filtered { time_s, .. } | IngestRecord::Lost { time_s, .. } => {
+                        let is_lost = matches!(op, IngestRecord::Lost { .. });
+                        if is_lost {
+                            slot.staleness += 1;
+                            lost += 1;
+                        }
+                        match slot.last_rx {
+                            None => ApplyOutcome::NoRecord,
+                            Some((_, _, position)) => {
+                                slot.record = Some(LocationRecord {
+                                    position,
+                                    time_s,
+                                    estimated: true,
+                                });
+                                estimated += 1;
+                                if is_lost {
+                                    ApplyOutcome::Degraded
+                                } else {
+                                    ApplyOutcome::Estimated
+                                }
+                            }
+                        }
+                    }
+                    _ => unreachable!("the generator makes node ops only"),
+                };
+                let info = broker.apply(&op).expect("a node op is a broker op");
+                prop_assert_eq!(info.outcome, expected);
+                prop_assert_eq!(info.staleness, slot.staleness);
+            }
+            for (i, slot) in model.iter().enumerate() {
+                let id = MnId::new(i as u32);
+                prop_assert_eq!(broker.location(id), slot.record);
+                prop_assert_eq!(
+                    broker.location(id).map(|r| r.position),
+                    slot.last_rx.map(|(_, _, position)| position)
+                );
+                prop_assert_eq!(broker.staleness(id), slot.staleness);
+            }
+            prop_assert_eq!(
+                (broker.received_count(), broker.estimated_count()),
+                (received, estimated)
+            );
+            prop_assert_eq!((broker.lost_count(), broker.rejected_count()), (lost, rejected));
+            prop_assert_eq!(
+                broker.node_count(),
+                model.iter().filter(|s| s.record.is_some()).count()
+            );
+            let shard = broker.shard_views_iter(NODES as usize).next().expect("one shard");
+            for i in 0..NODES {
+                prop_assert!(shard.estimator_is_static(MnId::new(i)));
+            }
+        }
     }
 }
 

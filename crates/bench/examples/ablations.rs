@@ -209,7 +209,7 @@ fn ablation_filter_reference() {
 
 /// Ablation 6 — the estimator's silence time constant τ.
 fn ablation_silence_tau() {
-    use mobigrid_forecast::{BrownPositionEstimator, PositionEstimator};
+    use mobigrid_forecast::BrownPositionEstimator;
     use mobigrid_geo::Point;
 
     println!("== Ablation: estimator silence time constant τ ==");

@@ -9,7 +9,7 @@
 
 use mobigrid_geo::{Point, Vec2};
 
-use crate::{ForecastError, PositionEstimator};
+use crate::ForecastError;
 
 type Mat4 = [[f64; 4]; 4];
 type Vec4 = [f64; 4];
@@ -65,7 +65,7 @@ fn identity() -> Mat4 {
 /// # Examples
 ///
 /// ```
-/// use mobigrid_forecast::{KalmanCv, PositionEstimator};
+/// use mobigrid_forecast::KalmanCv;
 /// use mobigrid_geo::Point;
 ///
 /// let mut kf = KalmanCv::new(0.5, 0.5).unwrap();
@@ -140,10 +140,10 @@ impl KalmanCv {
     pub fn velocity(&self) -> Option<Vec2> {
         self.state.map(|(_, x)| Vec2::new(x[2], x[3]))
     }
-}
 
-impl PositionEstimator for KalmanCv {
-    fn observe(&mut self, time_s: f64, position: Point) {
+    /// Feeds a position measurement; a measurement that does not advance
+    /// time is ignored.
+    pub fn observe(&mut self, time_s: f64, position: Point) {
         match self.state {
             None => {
                 self.state = Some((time_s, [position.x, position.y, 0.0, 0.0]));
@@ -206,24 +206,24 @@ impl PositionEstimator for KalmanCv {
         }
     }
 
-    fn estimate(&mut self, time_s: f64) -> Option<Point> {
+    /// Predicts the position at `time_s`, or `None` before any
+    /// measurement.
+    pub fn estimate(&mut self, time_s: f64) -> Option<Point> {
         let (t0, _) = self.state?;
         let dt = (time_s - t0).max(0.0);
         let x = self.predict_state(dt)?;
         Some(Point::new(x[0], x[1]))
     }
 
-    /// Conservative: only the uninitialised filter (estimate `None`) is
-    /// reported static. A single-observation filter holds its position in
-    /// *value* but extrapolates through matrix arithmetic whose signed-zero
-    /// handling is not worth certifying bit-stable.
-    fn is_static(&self) -> bool {
+    /// Whether [`KalmanCv::estimate`] returns the same bits for every query
+    /// time until the next `observe`. Conservative: only the uninitialised
+    /// filter (estimate `None`) is reported static. A single-observation
+    /// filter holds its position in *value* but extrapolates through matrix
+    /// arithmetic whose signed-zero handling is not worth certifying
+    /// bit-stable.
+    #[must_use]
+    pub fn is_static(&self) -> bool {
         self.state.is_none()
-    }
-
-    fn reset(&mut self) {
-        self.state = None;
-        self.p = identity();
     }
 }
 
@@ -282,14 +282,6 @@ mod tests {
         kf.observe(1.0, Point::new(0.0, 0.0));
         kf.observe(1.0, Point::new(100.0, 100.0)); // dt = 0: ignored
         assert_eq!(kf.estimate(1.0), Some(Point::new(0.0, 0.0)));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut kf = KalmanCv::new(0.5, 0.5).unwrap();
-        kf.observe(0.0, Point::new(1.0, 1.0));
-        kf.reset();
-        assert_eq!(kf.estimate(1.0), None);
     }
 
     #[test]

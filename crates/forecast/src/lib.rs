@@ -10,8 +10,10 @@
 //! * scalar forecasters: [`SingleExponential`], [`BrownDouble`],
 //!   [`HoltLinear`],
 //! * position trackers built on them: [`BrownPositionEstimator`],
-//!   [`DeadReckoning`], [`LastKnown`], [`AxisSmoothing`], plus the
-//!   constant-velocity [`KalmanCv`],
+//!   [`DeadReckoning`], [`AxisSmoothing`], plus the constant-velocity
+//!   [`KalmanCv`], each with inherent `observe`, `estimate` and
+//!   `is_static` methods (the paper's "without LE" arm needs no tracker:
+//!   it holds the last received position),
 //! * error metrics: [`metrics::rmse`], [`metrics::mae`], [`metrics::mape`].
 //!
 //! # Examples
@@ -45,9 +47,7 @@ pub use error::ForecastError;
 pub use holt::HoltLinear;
 pub use kalman::KalmanCv;
 pub use ses::SingleExponential;
-pub use tracker::{
-    AxisSmoothing, BrownPositionEstimator, DeadReckoning, LastKnown, PositionEstimator,
-};
+pub use tracker::{AxisSmoothing, BrownPositionEstimator, DeadReckoning};
 
 /// A scalar one-dimensional forecaster.
 ///

@@ -2,107 +2,13 @@ use mobigrid_geo::{Heading, Point, Vec2};
 
 use crate::{BrownDouble, ForecastError, Forecaster, SingleExponential};
 
-/// A 2-D position estimator: the broker-side component that answers "where is
-/// this node *now*" from the (filtered) stream of location updates it has
-/// seen.
-///
-/// Implementations receive timestamped observations via
-/// [`PositionEstimator::observe`] — one per location update that *reached*
-/// the broker — and extrapolate to any later time via
-/// [`PositionEstimator::estimate`].
-pub trait PositionEstimator {
-    /// Feeds a received location update.
-    ///
-    /// Observations must arrive in non-decreasing time order.
-    fn observe(&mut self, time_s: f64, position: Point);
-
-    /// Estimates the position at `time_s` (typically later than the last
-    /// observation), or `None` before any observation.
-    ///
-    /// Takes `&mut self` so an estimator may memoise the parts of the
-    /// answer that depend only on its state; the result must not depend on
-    /// whether such a memo is warm.
-    fn estimate(&mut self, time_s: f64) -> Option<Point>;
-
-    /// Supplies prior knowledge of where the node *lives* (e.g. the centre
-    /// of its registered home region). Estimators that maintain a
-    /// long-horizon anchor fold this in as a prior; the default ignores it.
-    fn set_home_anchor(&mut self, anchor: Point) {
-        let _ = anchor;
-    }
-
-    /// Whether the estimate is currently *time-invariant*: for every query
-    /// time, [`PositionEstimator::estimate`] is guaranteed to return the
-    /// same `Option<Point>` — bit-for-bit — until the estimator is next
-    /// mutated (`observe`/`reset`).
-    ///
-    /// The sparse tick driver uses this to replay a cached estimate for an
-    /// idle node instead of re-deriving it each tick; because the contract
-    /// is bitwise, the replay is indistinguishable from a fresh call. The
-    /// default is the always-safe `false`.
-    fn is_static(&self) -> bool {
-        false
-    }
-
-    /// Forgets all state.
-    fn reset(&mut self);
-}
-
-/// The naive estimator: a node is wherever it last reported.
-///
-/// This is what a broker *without* a location estimator effectively does,
-/// and is the paper's "without LE" arm in Figures 7–9.
-///
-/// # Examples
-///
-/// ```
-/// use mobigrid_forecast::{LastKnown, PositionEstimator};
-/// use mobigrid_geo::Point;
-///
-/// let mut lk = LastKnown::new();
-/// lk.observe(0.0, Point::new(1.0, 1.0));
-/// lk.observe(5.0, Point::new(9.0, 2.0));
-/// assert_eq!(lk.estimate(100.0), Some(Point::new(9.0, 2.0)));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LastKnown {
-    last: Option<Point>,
-}
-
-impl LastKnown {
-    /// Creates an estimator with no observations.
-    #[must_use]
-    pub fn new() -> Self {
-        LastKnown::default()
-    }
-}
-
-impl PositionEstimator for LastKnown {
-    fn observe(&mut self, _time_s: f64, position: Point) {
-        self.last = Some(position);
-    }
-
-    fn estimate(&mut self, _time_s: f64) -> Option<Point> {
-        self.last
-    }
-
-    /// The last-known position never depends on the query time.
-    fn is_static(&self) -> bool {
-        true
-    }
-
-    fn reset(&mut self) {
-        self.last = None;
-    }
-}
-
 /// Dead reckoning: extrapolates along the velocity between the last two
 /// observations.
 ///
 /// Cheap and accurate for straight-line motion, but it never forgets a turn —
 /// a single noisy update sends the estimate off at full speed in the wrong
-/// direction. Included as the middle rung between [`LastKnown`] and the
-/// paper's smoothed estimator.
+/// direction. Included as the middle rung between holding the last received
+/// position and the paper's smoothed estimator.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeadReckoning {
     last: Option<(f64, Point)>,
@@ -115,10 +21,10 @@ impl DeadReckoning {
     pub fn new() -> Self {
         DeadReckoning::default()
     }
-}
 
-impl PositionEstimator for DeadReckoning {
-    fn observe(&mut self, time_s: f64, position: Point) {
+    /// Feeds a received location update; observation times must be
+    /// non-decreasing.
+    pub fn observe(&mut self, time_s: f64, position: Point) {
         if let Some((t0, p0)) = self.last {
             let dt = time_s - t0;
             if dt > 0.0 {
@@ -128,23 +34,22 @@ impl PositionEstimator for DeadReckoning {
         self.last = Some((time_s, position));
     }
 
-    fn estimate(&mut self, time_s: f64) -> Option<Point> {
+    /// Estimates the position at `time_s`, or `None` before any
+    /// observation.
+    pub fn estimate(&mut self, time_s: f64) -> Option<Point> {
         let (t0, p0) = self.last?;
         let dt = (time_s - t0).max(0.0);
         Some(p0 + self.velocity * dt)
     }
 
-    /// Static before any observation (always `None`) and while the tracked
-    /// velocity is exactly zero: `p0 + (±0·dt)` preserves `p0`'s bits for
-    /// every positive `dt`, because the signed zero's sign is independent
-    /// of `dt`.
-    fn is_static(&self) -> bool {
+    /// Whether [`DeadReckoning::estimate`] returns the same bits for every
+    /// query time until the next `observe`: before any observation (always
+    /// `None`) and while the tracked velocity is exactly zero, since
+    /// `p0 + (±0·dt)` preserves `p0`'s bits for every positive `dt` (the
+    /// signed zero's sign is independent of `dt`).
+    #[must_use]
+    pub fn is_static(&self) -> bool {
         self.last.is_none() || self.velocity == Vec2::ZERO
-    }
-
-    fn reset(&mut self) {
-        self.last = None;
-        self.velocity = Vec2::ZERO;
     }
 }
 
@@ -171,7 +76,7 @@ impl PositionEstimator for DeadReckoning {
 /// # Examples
 ///
 /// ```
-/// use mobigrid_forecast::{BrownPositionEstimator, PositionEstimator};
+/// use mobigrid_forecast::BrownPositionEstimator;
 /// use mobigrid_geo::Point;
 ///
 /// let mut est = BrownPositionEstimator::new(0.5).unwrap();
@@ -212,14 +117,14 @@ pub struct BrownPositionEstimator {
     /// folded into the anchor with [`Self::HOME_PRIOR_WEIGHT`]
     /// pseudo-observations.
     home_prior: Option<Point>,
-    /// The memoised state-only terms of [`PositionEstimator::estimate`].
+    /// The memoised state-only terms of [`BrownPositionEstimator::estimate`].
     plan: Plan,
 }
 
 /// The terms of [`BrownPositionEstimator`]'s estimate that depend only on
 /// its state, not on the query time: derived by the first `estimate` after
-/// a mutation and reused until the next `observe`, `set_home_anchor` or
-/// `reset`. A broker estimates a filtered node every tick but only a
+/// a mutation and reused until the next `observe` or `set_home_anchor`. A
+/// broker estimates a filtered node every tick but only a
 /// received update changes these terms.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Plan {
@@ -336,7 +241,7 @@ impl BrownPositionEstimator {
         self.direction.level().map(Heading::from_radians)
     }
 
-    /// Derives the state-only terms of [`PositionEstimator::estimate`].
+    /// Derives the state-only terms of [`BrownPositionEstimator::estimate`].
     fn derive_plan(&self) -> Plan {
         let (Some(speed), Some(dir)) = (self.speed.forecast(1.0), self.direction.forecast(1.0))
         else {
@@ -364,10 +269,10 @@ impl BrownPositionEstimator {
             sin: heading.sin(),
         }
     }
-}
 
-impl PositionEstimator for BrownPositionEstimator {
-    fn observe(&mut self, time_s: f64, position: Point) {
+    /// Feeds a received location update; observation times must be
+    /// non-decreasing.
+    pub fn observe(&mut self, time_s: f64, position: Point) {
         self.plan = Plan::Stale;
         if let Some((t0, p0)) = self.last {
             let dt = time_s - t0;
@@ -430,7 +335,13 @@ impl PositionEstimator for BrownPositionEstimator {
         self.last = Some((time_s, position));
     }
 
-    fn estimate(&mut self, time_s: f64) -> Option<Point> {
+    /// Estimates the position at `time_s` (typically later than the last
+    /// observation), or `None` before any observation.
+    ///
+    /// Takes `&mut self` to memoise the terms of the answer that depend
+    /// only on the estimator's state; the result does not depend on whether
+    /// that memo is warm.
+    pub fn estimate(&mut self, time_s: f64) -> Option<Point> {
         let (t0, p0) = self.last?;
         let dt = (time_s - t0).max(0.0);
         if matches!(self.plan, Plan::Stale) {
@@ -468,34 +379,27 @@ impl PositionEstimator for BrownPositionEstimator {
         }
     }
 
-    fn set_home_anchor(&mut self, anchor: Point) {
+    /// Supplies prior knowledge of where the node *lives* (the centre of
+    /// its registered home region), folded into the long-horizon anchor
+    /// with [`Self::HOME_PRIOR_WEIGHT`] pseudo-observations.
+    pub fn set_home_anchor(&mut self, anchor: Point) {
         self.plan = Plan::Stale;
         self.home_prior = Some(anchor);
     }
 
-    /// Static until the speed/direction smoothers warm up (fewer than two
-    /// motion samples): `estimate` then falls back to the last reported
-    /// coordinate regardless of the query time. A node that never moves
-    /// never derives a heading, so its smoother never warms and its
-    /// estimate stays static for ever. Once warmed, the silence decay and
-    /// anchor blend make the estimate genuinely time-dependent.
-    fn is_static(&self) -> bool {
+    /// Whether [`BrownPositionEstimator::estimate`] returns the same bits
+    /// for every query time until the next mutation: true until the
+    /// speed/direction smoothers warm up (fewer than two motion samples),
+    /// when `estimate` falls back to the last reported coordinate whatever
+    /// the query time. A node that never moves never derives a heading, so
+    /// its smoother never warms and its estimate stays static for ever.
+    /// Once warmed, the silence decay and anchor blend make the estimate
+    /// genuinely time-dependent.
+    #[must_use]
+    pub fn is_static(&self) -> bool {
         self.last.is_none()
             || self.speed.forecast(1.0).is_none()
             || self.direction.forecast(1.0).is_none()
-    }
-
-    fn reset(&mut self) {
-        self.plan = Plan::Stale;
-        self.speed.reset();
-        self.direction.reset();
-        self.last = None;
-        self.unwrapped_heading = None;
-        self.dir_mean = None;
-        self.silence_speed.reset();
-        self.mean_pos = Point::ORIGIN;
-        self.obs_count = 0;
-        // The home prior is configuration, not history: it survives reset.
     }
 }
 
@@ -532,16 +436,17 @@ impl<F: Forecaster> AxisSmoothing<F> {
             last: None,
         }
     }
-}
 
-impl<F: Forecaster> PositionEstimator for AxisSmoothing<F> {
-    fn observe(&mut self, time_s: f64, position: Point) {
+    /// Feeds a received location update.
+    pub fn observe(&mut self, time_s: f64, position: Point) {
         self.x.observe(position.x);
         self.y.observe(position.y);
         self.last = Some((time_s, position));
     }
 
-    fn estimate(&mut self, time_s: f64) -> Option<Point> {
+    /// Estimates the position at `time_s`, or `None` before any
+    /// observation; before both axes warm up, the last observation.
+    pub fn estimate(&mut self, time_s: f64) -> Option<Point> {
         let (t0, p0) = self.last?;
         let horizon = ((time_s - t0).max(0.0)) / self.nominal_dt;
         match (self.x.forecast(horizon), self.y.forecast(horizon)) {
@@ -550,18 +455,15 @@ impl<F: Forecaster> PositionEstimator for AxisSmoothing<F> {
         }
     }
 
-    /// Static until both axis forecasters warm up, at which point `estimate`
-    /// falls back to the last observation. (All in-tree forecasters decide
-    /// warm-up from their observation count, never from the horizon, so a
-    /// single probe per axis is decisive.)
-    fn is_static(&self) -> bool {
+    /// Whether [`AxisSmoothing::estimate`] returns the same bits for every
+    /// query time until the next `observe`: true until both axis
+    /// forecasters warm up, while `estimate` falls back to the last
+    /// observation. (All in-tree forecasters decide warm-up from their
+    /// observation count, never from the horizon, so a single probe per
+    /// axis is decisive.)
+    #[must_use]
+    pub fn is_static(&self) -> bool {
         self.last.is_none() || self.x.forecast(1.0).is_none() || self.y.forecast(1.0).is_none()
-    }
-
-    fn reset(&mut self) {
-        self.x.reset();
-        self.y.reset();
-        self.last = None;
     }
 }
 
@@ -569,12 +471,6 @@ impl<F: Forecaster> PositionEstimator for AxisSmoothing<F> {
 mod tests {
     use super::*;
     use crate::HoltLinear;
-
-    #[test]
-    fn last_known_before_any_observation() {
-        let mut lk = LastKnown::new();
-        assert_eq!(lk.estimate(0.0), None);
-    }
 
     #[test]
     fn dead_reckoning_extrapolates_linearly() {
@@ -666,15 +562,6 @@ mod tests {
         assert!((p.y - 202.0).abs() < 2.0);
     }
 
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut est = BrownPositionEstimator::new(0.5).unwrap();
-        est.observe(0.0, Point::new(1.0, 1.0));
-        est.observe(1.0, Point::new(2.0, 2.0));
-        est.reset();
-        assert_eq!(est.estimate(2.0), None);
-    }
-
     /// The estimate formula as it stood before the plan was memoised: every
     /// state-only term re-derived on every call. The oracle for
     /// `brown_memoised_estimate_matches_the_unmemoised_formula`.
@@ -762,24 +649,10 @@ mod tests {
         pos += Vec2::new(0.5, 0.5);
         est.observe(t, pos);
         check(&mut est, t, "after anchor");
-        // Reset forgets the history but keeps the prior; warm up again.
-        est.reset();
-        check(&mut est, t, "reset");
-        est.observe(t + 1.0, Point::new(1.0, 1.0));
-        check(&mut est, t + 1.0, "reset, one report");
-        est.observe(t + 2.0, Point::new(1.0, 2.5));
-        est.observe(t + 3.0, Point::new(1.0, 4.0));
-        check(&mut est, t + 3.0, "rewarmed");
     }
 
     #[test]
     fn is_static_tracks_warmup_state() {
-        // LastKnown is static always.
-        let mut lk = LastKnown::new();
-        assert!(lk.is_static());
-        lk.observe(0.0, Point::new(1.0, 2.0));
-        assert!(lk.is_static());
-
         // Dead reckoning: static with no velocity, dynamic once one exists.
         let mut dr = DeadReckoning::new();
         assert!(dr.is_static());
@@ -819,18 +692,5 @@ mod tests {
             est.observe(t as f64, Point::new(t as f64, 2.0 * t as f64));
         }
         assert!(!est.is_static());
-    }
-
-    #[test]
-    fn estimators_are_object_safe() {
-        let mut boxed: Vec<Box<dyn PositionEstimator>> = vec![
-            Box::new(LastKnown::new()),
-            Box::new(DeadReckoning::new()),
-            Box::new(BrownPositionEstimator::new(0.5).unwrap()),
-        ];
-        for est in &mut boxed {
-            est.observe(0.0, Point::ORIGIN);
-            assert!(est.estimate(1.0).is_some());
-        }
     }
 }

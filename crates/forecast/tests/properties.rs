@@ -1,8 +1,7 @@
 //! Property-based tests for the forecasting substrate.
 
 use mobigrid_forecast::{
-    metrics, BrownDouble, BrownPositionEstimator, Forecaster, HoltLinear, PositionEstimator,
-    SingleExponential,
+    metrics, BrownDouble, BrownPositionEstimator, Forecaster, HoltLinear, SingleExponential,
 };
 use mobigrid_geo::Point;
 use proptest::prelude::*;
