@@ -5,8 +5,9 @@ use mobigrid_sim::par::ShardPool;
 use mobigrid_sim::stats::Rmse;
 use mobigrid_sim::WakeWheel;
 use mobigrid_telemetry::{
-    ApplyOutcome, BucketSpec, EventKind, HistogramDelta, LinkFate, MobilityClass, MonitorSet,
-    NodeFate, NoopRecorder, Phase, Recorder, TickVitals, Violation,
+    ApplyOutcome, BlockReport, BucketSpec, EventKind, HistogramDelta, LinkFate, MobilityClass,
+    MonitorSet, MonitorShard, NodeBlock, NodeFate, NoopRecorder, Phase, Recorder, TickVitals,
+    Violation,
 };
 use mobigrid_wireless::{
     event_noise, AccessNetwork, DropCause, FaultChannel, IngestRecord, LinkEvent, LocationUpdate,
@@ -241,6 +242,8 @@ impl SimBuilder {
             monitors: MonitorSet::standard(),
             violations: Vec::new(),
             sparse,
+            #[cfg(test)]
+            fault: None,
         })
     }
 }
@@ -283,6 +286,10 @@ struct TickScratch {
     /// Per-node flag: a deferred frame for this node arrived late and was
     /// accepted earlier in the tick (resets the staleness baseline).
     late_accepted: Vec<bool>,
+    /// Per-shard findings of the per-node invariant monitors, which each
+    /// shard's apply pass checks on its own chunk; cleared and refilled
+    /// every tick, so a healthy tick allocates nothing.
+    checks: Vec<BlockReport>,
 }
 
 impl TickScratch {
@@ -298,6 +305,7 @@ impl TickScratch {
             fates: vec![NodeFate::Idle; nodes],
             staleness: vec![0u32; nodes],
             late_accepted: vec![false; nodes],
+            checks: vec![BlockReport::default(); mobigrid_sim::par::shard_count(nodes, SHARD_SIZE)],
         }
     }
 }
@@ -534,13 +542,12 @@ impl SparseState {
             .zip(self.memo.iter_mut())
             .zip(self.counts.iter_mut())
             .map(
-                move |((((idle, force_eval), last_eval), memo), counts)| SparseShard {
+                |((((idle, force_eval), last_eval), memo), counts)| SparseShard {
                     idle,
                     force_eval,
                     last_eval,
                     memo,
                     counts,
-                    tick,
                 },
             )
     }
@@ -696,6 +703,9 @@ pub struct MobileGridSim {
     violations: Vec<Violation>,
     /// Sparse-driver state (`None` under [`TickDriver::Dense`]).
     sparse: Option<Box<SparseState>>,
+    /// The monitors' fault hook (see `MonitorFault`).
+    #[cfg(test)]
+    fault: Option<MonitorFault>,
 }
 
 impl std::fmt::Debug for MobileGridSim {
@@ -713,6 +723,7 @@ impl std::fmt::Debug for MobileGridSim {
 /// mutable slices of the per-node state plus read-only slices of this tick's
 /// inputs, all covering the same `[base, base + len)` node-index range.
 struct ShardJob<'a> {
+    tick: u64,
     kinds: &'a [RegionKind],
     observations: &'a [(MnId, Point)],
     decisions: &'a [Decision],
@@ -738,6 +749,81 @@ struct ShardJob<'a> {
     /// The shard's flight-recorder scratch, present only on a recorded
     /// tick.
     rec: Option<&'a mut ShardRecording>,
+    /// The shard's share of the per-node invariant monitors.
+    check: ShardCheck<'a>,
+}
+
+impl ShardJob<'_> {
+    /// Checks the per-node invariants (seq monotonicity, staleness
+    /// consistency) over the shard's columns, which the apply pass has
+    /// just written or, on a memo hit, proved current. Every node is
+    /// checked; a quiet shard costs the kernel's one branch-free scan.
+    fn check_monitors(&mut self) {
+        let check = &mut self.check;
+        check.report.clear();
+        #[cfg(test)]
+        let fault = check.fault.filter(|f| f.tick == self.tick);
+        #[cfg(test)]
+        if let Some(f) = fault {
+            f.shift(
+                self.le.base(),
+                self.staleness,
+                self.sent_seqs,
+                MonitorFault::OFFSET,
+            );
+        }
+        let block = NodeBlock {
+            tick: self.tick,
+            fates: self.fates,
+            wire_seqs: self.sent_seqs,
+            staleness: self.staleness,
+            late_accepted: check.late_accepted,
+        };
+        check.baselines.check(block, check.report);
+        #[cfg(test)]
+        if let Some(f) = fault {
+            let undo = MonitorFault::OFFSET.wrapping_neg();
+            f.shift(self.le.base(), self.staleness, self.sent_seqs, undo);
+        }
+    }
+}
+
+/// One shard's share of the per-node invariant monitors: the late flags
+/// the transmit phase left, the shard's view of the strict monitors'
+/// baselines and the shard's reusable report.
+struct ShardCheck<'a> {
+    late_accepted: &'a [bool],
+    baselines: MonitorShard<'a>,
+    report: &'a mut BlockReport,
+    /// The test-only fault hook.
+    #[cfg(test)]
+    fault: Option<MonitorFault>,
+}
+
+/// A test-only fault for the per-node monitors: on `tick`, the shard pass
+/// hands the monitors one node's staleness counter and another's sent seq
+/// off by [`MonitorFault::OFFSET`], and restores both afterwards.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+struct MonitorFault {
+    tick: u64,
+    staleness_node: usize,
+    seq_node: usize,
+}
+
+#[cfg(test)]
+impl MonitorFault {
+    const OFFSET: u32 = 7;
+
+    /// Adds `by` (wrapping) to the named nodes' entries of a shard's
+    /// columns, the shard's first node being `base`.
+    fn shift(self, base: usize, staleness: &mut [u32], sent_seqs: &mut [u32], by: u32) {
+        for (node, column) in [(self.staleness_node, staleness), (self.seq_node, sent_seqs)] {
+            if let Some(v) = node.checked_sub(base).and_then(|k| column.get_mut(k)) {
+                *v = v.wrapping_add(by);
+            }
+        }
+    }
 }
 
 /// The sparse driver's per-shard slices of its idle-replay columns.
@@ -749,7 +835,6 @@ struct SparseShard<'a> {
     memo: &'a mut Option<ShardSums>,
     /// This shard's event counts.
     counts: &'a mut ShardCounts,
-    tick: u64,
 }
 
 /// One node's flight-recorder sample from the apply/measure phase: the
@@ -1424,6 +1509,20 @@ impl MobileGridSim {
         let link: Option<&[LinkOutcome]> = self.network.is_some().then_some(&scratch.link);
         let tick = self.tick;
         let mut sparse_shards = self.sparse.as_deref_mut().map(|sp| sp.shards(tick));
+        #[cfg(test)]
+        let fault = self.fault;
+        let checks = scratch
+            .late_accepted
+            .chunks(SHARD_SIZE)
+            .zip(self.monitors.shard_views(self.cols.len(), SHARD_SIZE))
+            .zip(scratch.checks.iter_mut())
+            .map(|((late_accepted, baselines), report)| ShardCheck {
+                late_accepted,
+                baselines,
+                report,
+                #[cfg(test)]
+                fault,
+            });
         let jobs = self
             .cols
             .region_kinds()
@@ -1436,13 +1535,18 @@ impl MobileGridSim {
             .zip(self.broker_raw.shard_views_iter(SHARD_SIZE))
             .zip(scratch.staleness.chunks_mut(SHARD_SIZE))
             .zip(scratch.fates.chunks_mut(SHARD_SIZE))
+            .zip(checks)
             .enumerate()
             .map(
                 move |(
                     i,
-                    ((((((((kinds, obs), dec), sent_seqs), seqs), le), raw), staleness), fates),
+                    (
+                        ((((((((kinds, obs), dec), sent_seqs), seqs), le), raw), staleness), fates),
+                        check,
+                    ),
                 )| {
                     ShardJob {
+                        tick,
                         kinds,
                         observations: obs,
                         decisions: dec,
@@ -1455,6 +1559,7 @@ impl MobileGridSim {
                         fates,
                         sparse: sparse_shards.as_mut().and_then(Iterator::next),
                         rec: rec_slots.next(),
+                        check,
                     }
                 },
             );
@@ -1568,10 +1673,18 @@ impl MobileGridSim {
     }
 
     /// The online invariant monitors — every tick, recording or not. The
-    /// apply phase left each node's with-LE staleness counter in
-    /// `staleness`: every node gets exactly one apply call there, its
-    /// `ApplyInfo` carries the counter after the call, and nothing after
-    /// it (the counter deltas included) touches staleness.
+    /// per-node laws already ran inside the shard pass
+    /// (`ShardJob::check_monitors`), each shard on its own chunk of the
+    /// columns the apply phase wrote: every node gets exactly one apply
+    /// call there, its `ApplyInfo` carries the with-LE staleness counter
+    /// after the call, and nothing after it (the counter deltas included)
+    /// touches staleness. What is left here is sequential and scalar:
+    /// filter and channel conservation, and the apply pass's stale count
+    /// against the sum of the shards' kernel counts.
+    /// [`MonitorSet::finish_tick`] merges the violations in monitor
+    /// order: filter, channel, every shard's seq violations in shard
+    /// order, the stale-count violation, then every shard's staleness
+    /// violations in shard order — the order of a whole-population check.
     fn check_monitors(&mut self, flow: Flow, stale: u32, recording: bool, rec: &mut dyn Recorder) {
         let scratch = &self.scratch;
         debug_assert!(
@@ -1601,12 +1714,9 @@ impl MobileGridSim {
             arrived_late: u64::from(flow.late),
             in_flight: self.channel.as_ref().map_or(0, |ch| ch.in_flight() as u64),
             stale_nodes: stale,
-            node_fates: &scratch.fates,
-            wire_seqs: &scratch.sent_seq,
-            staleness: &scratch.staleness,
-            late_accepted: &scratch.late_accepted,
+            ..TickVitals::default()
         };
-        let found = self.monitors.check_tick(&vitals);
+        let found = self.monitors.finish_tick(&vitals, &scratch.checks);
         if !found.is_empty() {
             if recording {
                 rec.counter_add("sim.invariant_violations", found.len() as u64);
@@ -1640,6 +1750,7 @@ impl MobileGridSim {
         // keeps the memo up to date).
         if job.rec.is_none() {
             if let Some(sums) = Self::replay_memo(time_s, &mut job) {
+                job.check_monitors();
                 out.sums = sums;
                 out.replays = job.observations.len() as u64;
                 out.memo_hit = true;
@@ -1748,8 +1859,8 @@ impl MobileGridSim {
             // was pure idle AND both estimators are provably
             // time-invariant until their next observation.
             if let Some(sp) = &mut job.sparse {
-                out.max_eval_gap = out.max_eval_gap.max(sp.tick - sp.last_eval[i]);
-                sp.last_eval[i] = sp.tick;
+                out.max_eval_gap = out.max_eval_gap.max(job.tick - sp.last_eval[i]);
+                sp.last_eval[i] = job.tick;
                 sp.force_eval[i] = false;
                 if idle_path && job.le.estimator_is_static(*id) && job.raw.estimator_is_static(*id)
                 {
@@ -1767,6 +1878,7 @@ impl MobileGridSim {
                 }
             }
         }
+        job.check_monitors();
         out.sums.le_delta = job.le.into_delta();
         out.sums.raw_delta = job.raw.into_delta();
         if let Some(sp) = job.sparse {
@@ -1953,6 +2065,7 @@ mod tests {
     use mobigrid_campus::RegionId;
     use mobigrid_geo::{Point, Polyline};
     use mobigrid_mobility::{LoopMode, MobilityPattern, NodeType, PathFollower, StopModel};
+    use mobigrid_telemetry::MonitorKind;
     use mobigrid_wireless::{FaultPlan, MnId};
 
     /// Default execution options plus the given fault plan.
@@ -2742,6 +2855,94 @@ mod tests {
             .sum();
         assert!(faults > 0, "the fault plan injected nothing");
         assert_eq!(faulty.invariant_violations(), &[], "faulty run");
+    }
+
+    /// Sends every node from `first` on, every tick; filters the rest.
+    struct SendFrom {
+        first: usize,
+    }
+
+    impl FilterPolicy for SendFrom {
+        fn process_tick(
+            &mut self,
+            _time_s: f64,
+            observations: &[(MnId, Point)],
+            decisions: &mut Vec<Decision>,
+        ) {
+            decisions.clear();
+            decisions.extend((0..observations.len()).map(|i| match i >= self.first {
+                true => Decision::Sent,
+                false => Decision::Filtered,
+            }));
+        }
+
+        fn name(&self) -> &str {
+            "send-from"
+        }
+    }
+
+    /// The per-node monitors run inside the shard pass, memo shards
+    /// included, and their violations merge in the order of a
+    /// whole-population check. One parked shard falls quiet (a memo shard
+    /// under the sparse driver) and two shards of walkers send every
+    /// tick. On tick `T` the fault hook hands the monitors node 5's
+    /// staleness and node 130's sent seq off by 7, and puts both back
+    /// after the check; the baselines keep the faulty values, so tick
+    /// `T + 1` flags both nodes again.
+    #[test]
+    fn shard_pass_monitors_report_in_population_order() {
+        const T: u64 = 20;
+        let off = i64::from(MonitorFault::OFFSET);
+        for driver in [TickDriver::Dense, TickDriver::Sparse] {
+            for threads in [1, 2] {
+                let nodes = (0..3 * SHARD_SIZE as u32)
+                    .map(|i| match i < SHARD_SIZE as u32 {
+                        true => parked(i),
+                        false => walker(i, 2.0),
+                    })
+                    .collect();
+                let mut sim = SimBuilder::new()
+                    .nodes(nodes)
+                    .policy(SendFrom { first: SHARD_SIZE })
+                    .runtime(RuntimeOptions {
+                        driver,
+                        threads,
+                        ..RuntimeOptions::default()
+                    })
+                    .build()
+                    .unwrap();
+                sim.fault = Some(MonitorFault {
+                    tick: T,
+                    staleness_node: 5,
+                    seq_node: 130,
+                });
+                for tick in 1..=T + 1 {
+                    sim.step();
+                    if tick == T && driver == TickDriver::Sparse {
+                        assert!(sim.scratch.outs[0].memo_hit, "shard 0 is a memo shard");
+                    }
+                }
+                // Node 130 has sent once a tick: `T - 1` seqs before `T`.
+                let seq = (T - 1) as i64;
+                let found: Vec<_> = sim
+                    .invariant_violations()
+                    .iter()
+                    .map(|v| (v.tick, v.monitor, v.node, v.expected, v.actual))
+                    .collect();
+                let (seqs, stale) = (
+                    MonitorKind::SeqMonotonicity,
+                    MonitorKind::StalenessConsistency,
+                );
+                let expected = vec![
+                    (T, seqs, Some(130), seq, seq + off),
+                    (T, stale, None, 1, 0),
+                    (T, stale, Some(5), 0, off),
+                    (T + 1, seqs, Some(130), seq + off + 1, seq + 1),
+                    (T + 1, stale, Some(5), off, 0),
+                ];
+                assert_eq!(found, expected, "{driver:?} driver, {threads} threads");
+            }
+        }
     }
 
     /// A recorded tick must link every update's lifecycle through its

@@ -72,5 +72,7 @@ pub use event::{
     ApplyOutcome, Event, EventKind, EventRing, LinkFate, MobilityClass, Phase, SpanRecord,
 };
 pub use hist::{BucketSpec, HistogramDelta, MAX_BUCKETS};
-pub use monitor::{MonitorKind, MonitorSet, NodeFate, TickVitals, Violation};
+pub use monitor::{
+    BlockReport, MonitorKind, MonitorSet, MonitorShard, NodeBlock, NodeFate, TickVitals, Violation,
+};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};

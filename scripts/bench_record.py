@@ -8,7 +8,8 @@ default, or `--root DIR`, e.g. an exported parent commit to compare
 against) and appends one entry to the ledger, `BENCH_perfbench.json` at
 this repository's root by default:
 
-    {"commit", "workload", "seed", "seconds", "end_to_end", "host_steal"}
+    {"commit", "workload", "seed", "seconds", "end_to_end", "host_steal",
+     "diagnostics"}
 
 plus `"label"` when `--label` is given. `commit` is the checkout's
 `git rev-parse HEAD`, suffixed `-dirty` when its tracked files differ from
@@ -17,7 +18,11 @@ names an uncommitted change, so runs of different changes on top of one
 parent do not all read `<parent>-dirty`; `scripts/bench_check.py` tells
 runs apart by label first, then by commit. `end_to_end` maps each end-to-end metric to its value (units are
 in `BENCHMARK.json`); `host_steal` is the run's host steal in percent, or
-null when the run did not report it. The ledger is a JSON list, oldest entry
+null when the run did not report it. `diagnostics` maps the name of every
+`# <workload> <name> = <value> <unit>` line the run printed to its value
+(a finite one; others are left out), in the printed unit (`sim_city`'s 2-thread `tick_us_p50_2t`, the tick
+percentiles, the host hygiene readings and so on);
+`scripts/bench_check.py` does not read it. The ledger is a JSON list, oldest entry
 first. The script only reads `perfbench/` and `BENCHMARK.json`; it writes
 nothing but the ledger. It exits with run.py's code when the run fails, and
 records nothing then.
@@ -25,13 +30,14 @@ records nothing then.
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STEAL = re.compile(r"^# \S+ host\.steal_pct = (\S+)")
+DIAGNOSTIC = re.compile(r"^# \S+ (\S+) = (\S+) \S+$")
 
 
 def commit_of(root):
@@ -81,16 +87,19 @@ def main():
         sys.stdout.write(run.stdout)
         sys.exit(run.returncode or 1)
     result = json.loads(lines[-1])
-    steal = next(
-        (float(m.group(1)) for m in map(STEAL.match, lines) if m), None
-    )
+    diagnostics = {
+        m.group(1): float(m.group(2)) for m in map(DIAGNOSTIC.match, lines) if m
+    }
+    # A reading that is not a finite number has no JSON form.
+    diagnostics = {k: v for k, v in diagnostics.items() if math.isfinite(v)}
     entry = {
         "commit": commit,
         "workload": args.workload,
         "seed": args.seed,
         "seconds": args.seconds,
         "end_to_end": {k: v["value"] for k, v in result["metrics"].items()},
-        "host_steal": steal,
+        "host_steal": diagnostics.get("host.steal_pct"),
+        "diagnostics": diagnostics,
     }
     if args.label:
         entry["label"] = args.label

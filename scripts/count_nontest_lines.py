@@ -4,8 +4,9 @@
 Usage: count_nontest_lines.py [REPO_ROOT]
 
 Sums every line (code, comments and blank lines alike) of the `.rs` files
-under `crates/*/src`, `src/` and `examples/`, leaving out each item marked
-`#[cfg(test)]` (the attribute line through the item's closing brace).
+under `crates/*/src`, `src/` and `examples/`, leaving out each item, statement or
+field marked `#[cfg(test)]` (the attribute line through the item's closing
+brace, or its closing semicolon or comma).
 Integration tests and benches live outside those directories and are not
 counted. Run it on two checkouts to compare them.
 """
@@ -22,12 +23,13 @@ def count(path):
             i += 1
             continue
         # Skip the attributed item: up to its matching closing brace, or
-        # to its semicolon when it has no body.
+        # to its semicolon when it has no body, or to its comma when it is
+        # a struct field or a field of a struct literal.
         depth, opened, i = 0, False, i + 1
         while i < len(lines):
             depth += lines[i].count("{") - lines[i].count("}")
             opened = opened or "{" in lines[i]
-            done = depth <= 0 if opened else lines[i].rstrip().endswith(";")
+            done = depth <= 0 if opened else lines[i].rstrip().endswith((";", ","))
             i += 1
             if done:
                 break
