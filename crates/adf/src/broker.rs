@@ -2,6 +2,7 @@ use mobigrid_forecast::{
     AxisSmoothing, BrownPositionEstimator, DeadReckoning, HoltLinear, KalmanCv,
 };
 use mobigrid_geo::Point;
+use mobigrid_sim::par::select;
 use mobigrid_telemetry::ApplyOutcome;
 use mobigrid_wireless::{IngestRecord, MnId};
 
@@ -396,7 +397,7 @@ pub struct BrokerShard<'a> {
     base: usize,
     hot: &'a mut [HotSlot],
     cold: &'a mut [ColdSlot],
-    /// The shard's replay clock (see [`BrokerShard::restamp_all`]).
+    /// The shard's replay clock (see [`GridBroker::restamp_shard`]).
     clock: &'a mut Option<f64>,
     delta: BrokerDelta,
 }
@@ -530,7 +531,7 @@ impl BrokerShard<'_> {
     /// nothing else and counting nothing. The caller counts the estimate
     /// (see [`BrokerShard::replay_filtered`]). Like every per-node write it
     /// first materialises the shard's replay clock; to move every stored
-    /// estimate of the shard at once, see [`BrokerShard::restamp_all`].
+    /// estimate of a shard at once, see [`GridBroker::restamp_shard`].
     #[inline]
     pub(crate) fn restamp(&mut self, local: usize, time_s: f64) {
         materialise(self.clock, self.hot);
@@ -545,42 +546,6 @@ impl BrokerShard<'_> {
             self.hot[local].record.map(|r| r.position),
             "the replayed record holds the static estimate"
         );
-    }
-
-    /// Moves every record the shard holds to `time_s` with one write: sets
-    /// the shard's replay clock, which every reader resolves and the next
-    /// per-node write materialises. The sparse driver's memo hit calls it
-    /// instead of [`BrokerShard::restamp`] per stored estimate.
-    ///
-    /// The caller guarantees that every record the shard holds is a stored
-    /// estimate of a static estimator, so restamping each is exact — in a
-    /// memo shard every node with a record replays a stored estimate, since
-    /// a node with a record has a last receipt, so a filtered apply with a
-    /// static estimate stores one. Debug builds check it record by record.
-    #[inline]
-    pub(crate) fn restamp_all(&mut self, time_s: f64) {
-        #[cfg(debug_assertions)]
-        for (hot, cold) in self.hot.iter().zip(self.cold.iter_mut()) {
-            if let Some(record) = hot.record {
-                debug_assert!(record.estimated, "a restamped record is an estimate");
-                debug_assert!(
-                    cold.last_rx.is_some(),
-                    "a node with a record has a last receipt"
-                );
-                debug_assert!(cold.is_static(), "a restamped estimate is static");
-                debug_assert_eq!(
-                    cold.estimate(time_s),
-                    Some(record.position),
-                    "the restamped record holds the static estimate"
-                );
-            }
-        }
-        *self.clock = Some(time_s);
-    }
-
-    /// The staleness counter of the shard's `local`-th node.
-    pub(crate) fn staleness_at(&self, local: usize) -> u32 {
-        self.hot[local].staleness
     }
 
     /// The shard's current belief about a node — a direct dense-slot read,
@@ -649,7 +614,7 @@ pub struct GridBroker {
     hot: Vec<HotSlot>,
     /// Per-node cold halves (estimator, anchor, last receipt), same index.
     cold: Vec<ColdSlot>,
-    /// One replay clock per view shard (see [`BrokerShard::restamp_all`]).
+    /// One replay clock per view shard (see [`GridBroker::restamp_shard`]).
     /// [`GridBroker::shard_views_iter`] allocates them, so a broker that
     /// never takes views has none.
     clocks: Vec<Option<f64>>,
@@ -788,6 +753,49 @@ impl GridBroker {
         &mut self,
         shard_size: usize,
     ) -> impl ExactSizeIterator<Item = BrokerShard<'_>> {
+        let shards = self.hot.len().div_ceil(shard_size.max(1));
+        self.shard_views_at(shard_size, 0..shards)
+    }
+
+    /// Like [`GridBroker::shard_views_iter`], but only the views of
+    /// `shards`, given in ascending order; the shards between them cost
+    /// nothing. The sparse tick hands its shard pass the views of the
+    /// shards its memo does not serve.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard_size` is zero, or when `shards` does not ascend
+    /// or names a shard past the slots.
+    pub fn shard_views_at<I>(
+        &mut self,
+        shard_size: usize,
+        shards: I,
+    ) -> impl ExactSizeIterator<Item = BrokerShard<'_>>
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        self.size_clocks(shard_size);
+        let kind = self.kind;
+        let slots = self
+            .hot
+            .chunks_mut(shard_size)
+            .zip(self.cold.chunks_mut(shard_size))
+            .zip(self.clocks.iter_mut());
+        select(slots, shards).map(move |(shard, ((hot, cold), clock))| BrokerShard {
+            kind,
+            base: shard * shard_size,
+            hot,
+            cold,
+            clock,
+            delta: BrokerDelta::default(),
+        })
+    }
+
+    /// Sizes the replay clocks for views of `shard_size` nodes: one per
+    /// view shard, all unset, after materialising any clock of an earlier
+    /// view size.
+    fn size_clocks(&mut self, shard_size: usize) {
         assert!(shard_size > 0, "shard size must be positive");
         if self.clock_span != shard_size {
             if self.clock_span > 0 {
@@ -804,20 +812,47 @@ impl GridBroker {
         }
         self.clocks
             .resize(self.hot.len().div_ceil(shard_size), None);
-        let kind = self.kind;
-        self.hot
-            .chunks_mut(shard_size)
-            .zip(self.cold.chunks_mut(shard_size))
-            .zip(self.clocks.iter_mut())
-            .enumerate()
-            .map(move |(i, ((hot, cold), clock))| BrokerShard {
-                kind,
-                base: i * shard_size,
-                hot,
-                cold,
-                clock,
-                delta: BrokerDelta::default(),
-            })
+    }
+
+    /// Moves every record view shard `shard` (of `shard_size` nodes)
+    /// holds to `time_s` with one write: sets the shard's replay clock,
+    /// which every reader resolves and the next per-node write
+    /// materialises. The sparse driver's memo hit calls it instead of
+    /// [`BrokerShard::restamp`] per stored estimate, without taking a
+    /// view.
+    ///
+    /// The caller guarantees that every record the shard holds is a stored
+    /// estimate of a static estimator, so restamping each is exact — in a
+    /// memo shard every node with a record replays a stored estimate, since
+    /// a node with a record has a last receipt, so a filtered apply with a
+    /// static estimate stores one. Debug builds check it record by record.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard_size` is zero or `shard` is past the slots.
+    pub(crate) fn restamp_shard(&mut self, shard_size: usize, shard: usize, time_s: f64) {
+        self.size_clocks(shard_size);
+        #[cfg(debug_assertions)]
+        {
+            let start = shard * shard_size;
+            let end = self.hot.len().min(start + shard_size);
+            for (hot, cold) in self.hot[start..end].iter().zip(&mut self.cold[start..end]) {
+                if let Some(record) = hot.record {
+                    debug_assert!(record.estimated, "a restamped record is an estimate");
+                    debug_assert!(
+                        cold.last_rx.is_some(),
+                        "a node with a record has a last receipt"
+                    );
+                    debug_assert!(cold.is_static(), "a restamped estimate is static");
+                    debug_assert_eq!(
+                        cold.estimate(time_s),
+                        Some(record.position),
+                        "the restamped record holds the static estimate"
+                    );
+                }
+            }
+        }
+        self.clocks[shard] = Some(time_s);
     }
 
     /// Merges a shard's counter changes back into the broker.
@@ -1475,7 +1510,7 @@ mod tests {
                     0..=3 => {
                         let whole = |s: &mut BrokerShard<'_>| (0..s.len()).all(|l| restampable(s, l, t));
                         if with_shard(&mut twin, span, k, whole) {
-                            with_shard(&mut clocked, span, k, |s| s.restamp_all(t));
+                            clocked.restamp_shard(span, k, t);
                             with_shard(&mut twin, span, k, |s| {
                                 for l in 0..s.len() {
                                     if s.location_at(l).is_some() {
@@ -1529,6 +1564,33 @@ mod tests {
                 proptest::prop_assert_eq!(clocked.state_digest(), twin.state_digest());
             }
         }
+    }
+
+    /// Views of chosen shards are the views the full split hands out for
+    /// them: the same base, slots and replay clock.
+    #[test]
+    fn chosen_shard_views_match_the_full_split() {
+        let mut b = GridBroker::new(EstimatorKind::WithoutLe).unwrap();
+        b.ensure_nodes(14);
+        for i in 0..14 {
+            b.apply(&lu(i, 1.0, f64::from(i), 0.0));
+            b.apply(&filtered(i, 1.5));
+        }
+        b.restamp_shard(4, 3, 2.0);
+        let full: Vec<_> = b
+            .shard_views_iter(4)
+            .map(|s| (s.base(), s.len(), s.location_at(0)))
+            .collect();
+        let chosen: Vec<_> = b
+            .shard_views_at(4, [1, 3])
+            .map(|s| (s.base(), s.len(), s.location_at(0)))
+            .collect();
+        assert_eq!(chosen, [full[1], full[3]]);
+        assert_eq!(
+            chosen[1].2.map(|r| r.time_s),
+            Some(2.0),
+            "shard 3 is clocked"
+        );
     }
 
     #[test]

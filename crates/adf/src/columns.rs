@@ -45,6 +45,7 @@ use mobigrid_geo::Point;
 use mobigrid_mobility::{
     MobilityEngine, MobilityKind, MobilityModel, MobilityPattern, NodeType, Quiescence, Trace,
 };
+use mobigrid_sim::par::select;
 use mobigrid_sim::SplitMix64;
 use mobigrid_wireless::{MnId, RetryPolicy};
 
@@ -125,8 +126,9 @@ impl MovementShard<'_> {
     ///
     /// The caller files the reported nodes into its wake wheel *in shard
     /// order*, keeping the schedule history — and therefore the drain
-    /// order — independent of thread count. A shard whose every node is
-    /// asleep returns at once, touching no column.
+    /// order — independent of thread count. The caller also skips a shard
+    /// whose every node is asleep without building its view (debug builds
+    /// check that no such shard gets here).
     pub fn advance_sparse(
         self,
         base: usize,
@@ -137,10 +139,11 @@ impl MovementShard<'_> {
     ) -> Vec<(u32, u64)> {
         debug_assert_eq!(self.engines.len(), obs.len());
         debug_assert_eq!(self.engines.len(), asleep.len());
+        debug_assert!(
+            !asleep.iter().all(|&a| a),
+            "an all-asleep shard is skipped before its view is built"
+        );
         let mut newly_asleep = Vec::new();
-        if asleep.iter().all(|&a| a) {
-            return newly_asleep;
-        }
         for (k, (engine, rng)) in self.engines.iter_mut().zip(self.rng.iter_mut()).enumerate() {
             if asleep[k] {
                 continue;
@@ -282,21 +285,44 @@ impl NodeColumns {
         &mut self,
         shard_size: usize,
     ) -> impl ExactSizeIterator<Item = MovementShard<'_>> {
-        self.engines
+        let shards = self.len().div_ceil(shard_size);
+        self.movement_shards_at(shard_size, 0..shards)
+    }
+
+    /// Like [`NodeColumns::movement_shards`], but only the shards whose
+    /// indices `shards` lists, in ascending order; the shards between them
+    /// cost nothing. The sparse driver moves only the shards that hold an
+    /// awake node.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shards` does not ascend or names a shard past the
+    /// population.
+    pub fn movement_shards_at<I>(
+        &mut self,
+        shard_size: usize,
+        shards: I,
+    ) -> impl ExactSizeIterator<Item = MovementShard<'_>>
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let columns = self
+            .engines
             .chunks_mut(shard_size)
             .zip(self.rng.chunks_mut(shard_size))
             .zip(self.positions.chunks_mut(shard_size))
             .zip(self.traces.chunks_mut(shard_size))
-            .zip(self.record_trace.chunks(shard_size))
-            .map(
-                |((((engines, rng), positions), traces), record_trace)| MovementShard {
-                    engines,
-                    rng,
-                    positions,
-                    traces,
-                    record_trace,
-                },
-            )
+            .zip(self.record_trace.chunks(shard_size));
+        select(columns, shards).map(
+            |(_, ((((engines, rng), positions), traces), record_trace))| MovementShard {
+                engines,
+                rng,
+                positions,
+                traces,
+                record_trace,
+            },
+        )
     }
 }
 

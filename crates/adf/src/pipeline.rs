@@ -1,7 +1,7 @@
 use mobigrid_campus::RegionKind;
 use mobigrid_geo::Point;
 use mobigrid_mobility::MobilityPattern;
-use mobigrid_sim::par::ShardPool;
+use mobigrid_sim::par::{select, ShardPool};
 use mobigrid_sim::stats::Rmse;
 use mobigrid_sim::WakeWheel;
 use mobigrid_telemetry::{
@@ -15,6 +15,7 @@ use mobigrid_wireless::{
 };
 
 use crate::broker::{ApplyInfo, BrokerDelta, BrokerShard};
+use crate::filter::same_bits;
 use crate::runtime::{FaultSpec, RuntimeOptions, SimError, TickDriver};
 use crate::{
     Decision, EstimatorKind, FilterPolicy, GridBroker, MobileNode, NodeColumns, NodeView,
@@ -28,6 +29,13 @@ use crate::{
 /// reduction below are bit-identical whether a tick runs on one thread or
 /// many. Threads only decide *where* a shard executes.
 const SHARD_SIZE: usize = 64;
+
+/// The node indices of shard `shard` of a `nodes`-node population (the
+/// last shard may be shorter).
+fn shard_range(nodes: usize, shard: usize) -> std::ops::Range<usize> {
+    let start = shard * SHARD_SIZE;
+    start..nodes.min(start + SHARD_SIZE)
+}
 
 // A shard reports its newly idle-cached nodes as one bit each of a `u64`.
 const _: () = assert!(SHARD_SIZE <= 64);
@@ -271,7 +279,12 @@ struct TickScratch {
     sent_seq: Vec<u32>,
     /// Deferred frames that came due this tick, drained from the channel.
     late_lus: Vec<LocationUpdate>,
-    /// Per-shard partial results of the fused apply/measure phase.
+    /// This tick's shards that get an apply job, ascending: every shard
+    /// under the dense driver, every shard but the memo hits under the
+    /// sparse one. `fold_shard_outs` keys each job's output by them.
+    jobs: Vec<usize>,
+    /// Per-job partial results of the fused apply/measure phase, in the
+    /// order of `jobs`.
     outs: Vec<ShardOut>,
     /// Per-shard flight-recorder scratch of the apply/measure phase: sized
     /// on the first recorded tick, and touched only on recorded ticks.
@@ -300,6 +313,7 @@ impl TickScratch {
             link: vec![LinkOutcome::Idle; nodes],
             sent_seq: vec![0u32; nodes],
             late_lus: Vec::new(),
+            jobs: Vec::with_capacity(mobigrid_sim::par::shard_count(nodes, SHARD_SIZE)),
             outs: Vec::with_capacity(mobigrid_sim::par::shard_count(nodes, SHARD_SIZE)),
             recording: Vec::new(),
             fates: vec![NodeFate::Idle; nodes],
@@ -416,8 +430,9 @@ impl RetryState {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IdleCache {
     valid: bool,
-    /// Ground-truth position when the cache was captured; any change
-    /// (compared bitwise) invalidates the cached errors.
+    /// Ground-truth position when the cache was captured; any change,
+    /// compared bitwise (so +0.0 and -0.0 differ, and a NaN matches its
+    /// own bits), invalidates the cached errors.
     pos: Point,
     /// Whether the with-LE broker's filtered apply stored an estimate
     /// (`false` = `NoRecord`: no estimator or no estimate yet).
@@ -444,7 +459,7 @@ impl IdleCache {
     /// evaluation, and ground truth has not moved.
     #[inline]
     fn replays(&self, force_eval: bool, pos: Point) -> bool {
-        self.valid && !force_eval && self.pos == pos
+        self.valid && !force_eval && same_bits(self.pos, pos)
     }
 }
 
@@ -468,9 +483,9 @@ struct SparseState {
     asleep_count: usize,
     /// Per-node idle-replay caches for the apply/measure phase.
     idle: Vec<IdleCache>,
-    /// Per-shard replay memo: the sums of the shard's last tick, kept
-    /// only when every node of the shard replayed an idle cache with an
-    /// idle fate on that tick (see `MobileGridSim::replay_memo`).
+    /// Per-shard replay memo: the sums of the shard's last evaluated
+    /// tick, kept only when every node of the shard replayed an idle cache
+    /// with an idle fate on that tick (see `MobileGridSim::serve_memo_hits`).
     memo: Vec<Option<ShardSums>>,
     /// Per-shard counts behind the memo's O(1) proof.
     counts: Vec<ShardCounts>,
@@ -480,8 +495,15 @@ struct SparseState {
     last_eval: Vec<u64>,
     /// Scratch: this tick's drained mobility wakes (reused).
     woken: Vec<u32>,
-    /// Scratch: per-shard newly-asleep lists from the movement kernel.
+    /// Scratch: per-shard newly-asleep lists from the movement kernel,
+    /// one per shard of `moving`.
     newly_asleep: Vec<Vec<(u32, u64)>>,
+    /// Scratch: this tick's shards holding an awake node, ascending; only
+    /// these reach the movement kernel.
+    moving: Vec<usize>,
+    /// Scratch: this tick's memo hits, ascending (see
+    /// `MobileGridSim::serve_memo_hits`).
+    hits: Vec<usize>,
     /// Cumulative mobility wakes fired.
     wake_mobility: u64,
     /// Cumulative refresh wakes fired.
@@ -498,6 +520,7 @@ struct SparseState {
 
 impl SparseState {
     fn new(nodes: usize) -> Self {
+        let shards = mobigrid_sim::par::shard_count(nodes, SHARD_SIZE);
         SparseState {
             // Mobility sleeps are open-ended — a fixed horizon with
             // overflow spill is the classic trade. Refresh wakes land
@@ -509,12 +532,14 @@ impl SparseState {
             slept_at: vec![0; nodes],
             asleep_count: 0,
             idle: vec![IdleCache::INVALID; nodes],
-            memo: vec![None; mobigrid_sim::par::shard_count(nodes, SHARD_SIZE)],
-            counts: vec![ShardCounts::default(); mobigrid_sim::par::shard_count(nodes, SHARD_SIZE)],
+            memo: vec![None; shards],
+            counts: vec![ShardCounts::default(); shards],
             force_eval: vec![false; nodes],
             last_eval: vec![0; nodes],
             woken: Vec::new(),
             newly_asleep: Vec::new(),
+            moving: Vec::with_capacity(shards),
+            hits: Vec::with_capacity(shards),
             wake_mobility: 0,
             wake_refresh: 0,
             slept_node_ticks: 0,
@@ -524,10 +549,10 @@ impl SparseState {
         }
     }
 
-    /// The apply phase's per-shard views of the idle-replay columns. Due
-    /// staleness-refresh wakes first force a full evaluation of their node
-    /// this tick; the full path re-arms them ([`SparseState::fold_shard_outs`]).
-    fn shards(&mut self, tick: u64) -> impl Iterator<Item = SparseShard<'_>> {
+    /// Fires the staleness-refresh wakes due this tick: each forces a full
+    /// evaluation of its node, and the full path re-arms it
+    /// ([`SparseState::fold_shard_outs`]).
+    fn drain_refresh(&mut self, tick: u64) {
         let due = self.refresh.advance(tick);
         for &node in due {
             let i = node as usize;
@@ -535,21 +560,6 @@ impl SparseState {
             self.force_eval[i] = true;
         }
         self.wake_refresh += due.len() as u64;
-        self.idle
-            .chunks_mut(SHARD_SIZE)
-            .zip(self.force_eval.chunks_mut(SHARD_SIZE))
-            .zip(self.last_eval.chunks_mut(SHARD_SIZE))
-            .zip(self.memo.iter_mut())
-            .zip(self.counts.iter_mut())
-            .map(
-                |((((idle, force_eval), last_eval), memo), counts)| SparseShard {
-                    idle,
-                    force_eval,
-                    last_eval,
-                    memo,
-                    counts,
-                },
-            )
     }
 
     /// The apply phase's post-pass: folds the shards' wake accounting,
@@ -558,10 +568,10 @@ impl SparseState {
     /// order, so the wheels' schedule history, and therefore every future
     /// drain order, stays a pure function of the simulation, never of
     /// thread scheduling.
-    fn fold_shard_outs(&mut self, outs: &[ShardOut], tick: u64) {
-        for (shard, out) in outs.iter().enumerate() {
+    /// `outs` holds one output per shard of `jobs`, in its order.
+    fn fold_shard_outs(&mut self, jobs: &[usize], outs: &[ShardOut], tick: u64) {
+        for (&shard, out) in jobs.iter().zip(outs) {
             self.replayed_node_ticks += out.replays;
-            self.replayed_shard_ticks += u64::from(out.memo_hit);
             if out.max_eval_gap > self.max_eval_gap {
                 self.max_eval_gap = out.max_eval_gap;
             }
@@ -590,7 +600,7 @@ impl SparseState {
 /// The sparse driver's per-shard counts of the events that can break a
 /// quiet shard, each kept where its event happens. With a memo, a shard
 /// whose counts read all asleep and nothing else is a memo hit, proved
-/// without reading a node (see `MobileGridSim::replay_memo`).
+/// without reading a node (see `MobileGridSim::serve_memo_hits`).
 #[derive(Debug, Clone, Copy, Default)]
 struct ShardCounts {
     /// Nodes whose movement the kernel skips this tick: a mobility wake
@@ -608,6 +618,21 @@ struct ShardCounts {
     /// Nodes with a frame on the air this tick (first sends and due
     /// retries), written by the routing phase; zero without a network.
     link_active: u32,
+}
+
+impl ShardCounts {
+    /// Whether every node of this `len`-node shard is asleep: no node of
+    /// it moves this tick.
+    fn parked(&self, len: usize) -> bool {
+        self.asleep as usize == len
+    }
+
+    /// Whether this `len`-node shard is quiet: every node asleep, no
+    /// refresh due, no filter send and no frame on the air. With a memo
+    /// that makes the shard a memo hit (see `MobileGridSim::serve_memo_hits`).
+    fn quiet(&self, len: usize) -> bool {
+        self.parked(len) && self.refresh_due == 0 && self.filter_sends == 0 && self.link_active == 0
+    }
 }
 
 /// A snapshot of the sparse driver's wake accounting (see
@@ -753,41 +778,6 @@ struct ShardJob<'a> {
     check: ShardCheck<'a>,
 }
 
-impl ShardJob<'_> {
-    /// Checks the per-node invariants (seq monotonicity, staleness
-    /// consistency) over the shard's columns, which the apply pass has
-    /// just written or, on a memo hit, proved current. Every node is
-    /// checked; a quiet shard costs the kernel's one branch-free scan.
-    fn check_monitors(&mut self) {
-        let check = &mut self.check;
-        check.report.clear();
-        #[cfg(test)]
-        let fault = check.fault.filter(|f| f.tick == self.tick);
-        #[cfg(test)]
-        if let Some(f) = fault {
-            f.shift(
-                self.le.base(),
-                self.staleness,
-                self.sent_seqs,
-                MonitorFault::OFFSET,
-            );
-        }
-        let block = NodeBlock {
-            tick: self.tick,
-            fates: self.fates,
-            wire_seqs: self.sent_seqs,
-            staleness: self.staleness,
-            late_accepted: check.late_accepted,
-        };
-        check.baselines.check(block, check.report);
-        #[cfg(test)]
-        if let Some(f) = fault {
-            let undo = MonitorFault::OFFSET.wrapping_neg();
-            f.shift(self.le.base(), self.staleness, self.sent_seqs, undo);
-        }
-    }
-}
-
 /// One shard's share of the per-node invariant monitors: the late flags
 /// the transmit phase left, the shard's view of the strict monitors'
 /// baselines and the shard's reusable report.
@@ -798,6 +788,45 @@ struct ShardCheck<'a> {
     /// The test-only fault hook.
     #[cfg(test)]
     fault: Option<MonitorFault>,
+}
+
+impl ShardCheck<'_> {
+    /// Checks the per-node invariants (seq monotonicity, staleness
+    /// consistency) over one shard's columns, the shard's first node
+    /// being `base`: columns the apply pass has just written or, on a
+    /// memo hit, proved current. Every node is checked; a quiet shard
+    /// costs the kernel's one branch-free scan. `base` places the
+    /// test-only fault.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn run(
+        &mut self,
+        tick: u64,
+        base: usize,
+        fates: &[NodeFate],
+        sent_seqs: &mut [u32],
+        staleness: &mut [u32],
+    ) {
+        self.report.clear();
+        #[cfg(test)]
+        let fault = self.fault.filter(|f| f.tick == tick);
+        #[cfg(test)]
+        if let Some(f) = fault {
+            f.shift(base, staleness, sent_seqs, MonitorFault::OFFSET);
+        }
+        let block = NodeBlock {
+            tick,
+            fates,
+            wire_seqs: sent_seqs,
+            staleness,
+            late_accepted: self.late_accepted,
+        };
+        self.baselines.check(block, self.report);
+        #[cfg(test)]
+        if let Some(f) = fault {
+            let undo = MonitorFault::OFFSET.wrapping_neg();
+            f.shift(base, staleness, sent_seqs, undo);
+        }
+    }
 }
 
 /// A test-only fault for the per-node monitors: on `tick`, the shard pass
@@ -960,8 +989,6 @@ pub(crate) struct ShardOut {
     newly_cached: u64,
     /// Sparse driver: replayed node-ticks in this shard.
     replays: u64,
-    /// Sparse driver: the shard was served from its replay memo.
-    memo_hit: bool,
     /// Sparse driver: largest full-evaluation gap observed in this shard.
     max_eval_gap: u64,
 }
@@ -1187,7 +1214,9 @@ impl MobileGridSim {
     /// node's skipped no-op ticks), the kernel then skips still-asleep
     /// nodes — their position and observation slots are provably
     /// bit-unchanged — and newly quiescent nodes are filed into the wake
-    /// wheel in shard order after the apply phase.
+    /// wheel in shard order after the apply phase. A shard whose counts
+    /// read every node asleep is skipped before its view is built: it
+    /// gets no kernel call and no newly-asleep list.
     fn observe(&mut self, time_s: f64) {
         let observations = &mut self.scratch.observations;
         match self.sparse.as_deref_mut() {
@@ -1214,15 +1243,33 @@ impl MobileGridSim {
                 sp.wake_mobility += sp.woken.len() as u64;
                 sp.slept_node_ticks += sp.asleep_count as u64;
 
+                let nodes = self.cols.len();
+                sp.moving.clear();
+                for (shard, counts) in sp.counts.iter().enumerate() {
+                    if !counts.parked(shard_range(nodes, shard).len()) {
+                        sp.moving.push(shard);
+                    }
+                }
+                let asleep = &sp.asleep;
+                let slices = select(
+                    observations.chunks_mut(SHARD_SIZE),
+                    sp.moving.iter().copied(),
+                )
+                .map(move |(shard, obs)| {
+                    let range = shard_range(nodes, shard);
+                    (range.start, obs, &asleep[range])
+                });
                 let shards = self
                     .cols
-                    .movement_shards(SHARD_SIZE)
-                    .zip(observations.chunks_mut(SHARD_SIZE))
-                    .zip(sp.asleep.chunks(SHARD_SIZE));
-                self.pool
-                    .run_into(shards, &mut sp.newly_asleep, |i, ((shard, obs), asleep)| {
-                        shard.advance_sparse(i * SHARD_SIZE, time_s, DT, obs, asleep)
-                    });
+                    .movement_shards_at(SHARD_SIZE, sp.moving.iter().copied())
+                    .zip(slices);
+                self.pool.run_into(
+                    shards,
+                    &mut sp.newly_asleep,
+                    |_, (shard, (base, obs, asleep))| {
+                        shard.advance_sparse(base, time_s, DT, obs, asleep)
+                    },
+                );
                 // New sleepers moved this tick: they are filed after the
                 // apply phase, so until then `asleep` marks exactly the
                 // nodes whose observation repeats the previous tick's.
@@ -1485,19 +1532,20 @@ impl MobileGridSim {
     /// Phases 3+4 fused, shard-parallel, apply and measure: applies each
     /// decision to both brokers and measures location error against ground
     /// truth — the paper's RMSE over all n nodes at time t — from the
-    /// freshly updated dense slots. The job list is a lazy zip of per-shard
-    /// slices; results land in the reused `outs` buffer in shard order, and
-    /// a recorded tick's samples in the shards' reused `recording` scratch.
-    /// Returns the shard-ordered reduction of the shards' sums, whose
-    /// broker deltas are already merged into the brokers.
+    /// freshly updated dense slots. Each driver's pass builds its job list
+    /// lazily from per-shard slices; results land in the reused `outs`
+    /// buffer in job order, and a recorded tick's samples in the shards'
+    /// reused `recording` scratch. Returns the shard-ordered reduction of
+    /// the shards' sums, whose broker deltas are already merged into the
+    /// brokers.
     fn apply_and_measure(
         &mut self,
         time_s: f64,
         recording: bool,
         rec: &mut dyn Recorder,
     ) -> ShardSums {
-        let scratch = &mut self.scratch;
         let recorded_shards = if recording {
+            let scratch = &mut self.scratch;
             let shards = mobigrid_sim::par::shard_count(scratch.observations.len(), SHARD_SIZE);
             scratch.recording.resize_with(shards, ShardRecording::new);
             scratch.recording.iter_mut().for_each(ShardRecording::clear);
@@ -1505,82 +1553,14 @@ impl MobileGridSim {
         } else {
             0
         };
-        let mut rec_slots = scratch.recording[..recorded_shards].iter_mut();
-        let link: Option<&[LinkOutcome]> = self.network.is_some().then_some(&scratch.link);
-        let tick = self.tick;
-        let mut sparse_shards = self.sparse.as_deref_mut().map(|sp| sp.shards(tick));
-        #[cfg(test)]
-        let fault = self.fault;
-        let checks = scratch
-            .late_accepted
-            .chunks(SHARD_SIZE)
-            .zip(self.monitors.shard_views(self.cols.len(), SHARD_SIZE))
-            .zip(scratch.checks.iter_mut())
-            .map(|((late_accepted, baselines), report)| ShardCheck {
-                late_accepted,
-                baselines,
-                report,
-                #[cfg(test)]
-                fault,
-            });
-        let jobs = self
-            .cols
-            .region_kinds()
-            .chunks(SHARD_SIZE)
-            .zip(scratch.observations.chunks(SHARD_SIZE))
-            .zip(scratch.decisions.chunks(SHARD_SIZE))
-            .zip(scratch.sent_seq.chunks_mut(SHARD_SIZE))
-            .zip(self.seqs.chunks_mut(SHARD_SIZE))
-            .zip(self.broker_le.shard_views_iter(SHARD_SIZE))
-            .zip(self.broker_raw.shard_views_iter(SHARD_SIZE))
-            .zip(scratch.staleness.chunks_mut(SHARD_SIZE))
-            .zip(scratch.fates.chunks_mut(SHARD_SIZE))
-            .zip(checks)
-            .enumerate()
-            .map(
-                move |(
-                    i,
-                    (
-                        ((((((((kinds, obs), dec), sent_seqs), seqs), le), raw), staleness), fates),
-                        check,
-                    ),
-                )| {
-                    ShardJob {
-                        tick,
-                        kinds,
-                        observations: obs,
-                        decisions: dec,
-                        link: link.map(|d| &d[i * SHARD_SIZE..(i * SHARD_SIZE + obs.len())]),
-                        sent_seqs,
-                        seqs,
-                        le,
-                        raw,
-                        staleness,
-                        fates,
-                        sparse: sparse_shards.as_mut().and_then(Iterator::next),
-                        rec: rec_slots.next(),
-                        check,
-                    }
-                },
-            );
-        self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
-            Self::run_shard(time_s, job)
-        });
-
-        // Shard-ordered reduction: exact for the integer tallies and
-        // counters, and a fixed floating-point summation order for the
-        // RMSE partials.
-        let mut sums = ShardSums::default();
-        for out in &scratch.outs {
-            sums.merge(&out.sums);
-        }
+        let sums = self.apply_shards(time_s, recorded_shards);
         self.broker_le.apply_delta(&sums.le_delta);
         self.broker_raw.apply_delta(&sums.raw_delta);
         // Drain the shards' flight samples in shard order, so the
         // apply/error event stream is identical at any thread count (the
         // recording slice is empty on an unrecorded tick).
-        let gen_seq = tick as u32;
-        for s in scratch.recording[..recorded_shards]
+        let gen_seq = self.tick as u32;
+        for s in self.scratch.recording[..recorded_shards]
             .iter()
             .flat_map(|r| &r.flight)
         {
@@ -1598,11 +1578,210 @@ impl MobileGridSim {
                 err_raw: s.err_raw,
             });
         }
-        if let Some(sp) = self.sparse.as_deref_mut() {
-            sp.fold_shard_outs(&scratch.outs, tick);
-        }
         self.cumulative.merge(&sums.tally);
         sums
+    }
+
+    /// The apply pass over every shard: under the sparse driver the memo
+    /// hits are served first ([`MobileGridSim::serve_memo_hits`]); every
+    /// other shard — every shard under the dense driver — gets a job,
+    /// carrying its real shard index, and takes the per-node loop of
+    /// `run_shard`. Returns the reduction of the hits' memo sums and the
+    /// jobs' sums in whole-population shard order: exact for the integer
+    /// tallies and counters, and a fixed floating-point summation order
+    /// for the RMSE partials.
+    fn apply_shards(&mut self, time_s: f64, recorded_shards: usize) -> ShardSums {
+        let tick = self.tick;
+        let nodes = self.cols.len();
+        self.scratch.jobs.clear();
+        if self.sparse.is_some() {
+            self.serve_memo_hits(time_s, recorded_shards > 0);
+        } else {
+            let shards = mobigrid_sim::par::shard_count(nodes, SHARD_SIZE);
+            self.scratch.jobs.extend(0..shards);
+        }
+        let scratch = &mut self.scratch;
+        let link: Option<&[LinkOutcome]> = self.network.is_some().then_some(&scratch.link);
+        #[cfg(test)]
+        let fault = self.fault;
+        let job_shards = &scratch.jobs;
+        let at = || job_shards.iter().copied();
+        let views = self
+            .broker_le
+            .shard_views_at(SHARD_SIZE, at())
+            .zip(self.broker_raw.shard_views_at(SHARD_SIZE, at()))
+            .zip(select(self.monitors.shard_views(nodes, SHARD_SIZE), at()));
+        let columns = scratch
+            .sent_seq
+            .chunks_mut(SHARD_SIZE)
+            .zip(self.seqs.chunks_mut(SHARD_SIZE))
+            .zip(scratch.staleness.chunks_mut(SHARD_SIZE))
+            .zip(scratch.fates.chunks_mut(SHARD_SIZE))
+            .zip(scratch.checks.iter_mut());
+        let mut sparse = self.sparse.as_deref_mut().map(|sp| {
+            let columns = sp
+                .idle
+                .chunks_mut(SHARD_SIZE)
+                .zip(sp.force_eval.chunks_mut(SHARD_SIZE))
+                .zip(sp.last_eval.chunks_mut(SHARD_SIZE))
+                .zip(sp.memo.iter_mut())
+                .zip(sp.counts.iter_mut());
+            select(columns, at()).map(|(_, ((((idle, force_eval), last_eval), memo), counts))| {
+                SparseShard {
+                    idle,
+                    force_eval,
+                    last_eval,
+                    memo,
+                    counts,
+                }
+            })
+        });
+        let mut rec_slots = scratch.recording[..recorded_shards].iter_mut();
+        let (kinds, observations) = (self.cols.region_kinds(), &scratch.observations);
+        let (decisions, late_accepted) = (&scratch.decisions, &scratch.late_accepted);
+        let jobs = select(columns, at()).zip(views).map(
+            move |(
+                (shard, ((((sent_seqs, seqs), staleness), fates), report)),
+                ((le, raw), (_, baselines)),
+            )| {
+                let range = shard_range(nodes, shard);
+                ShardJob {
+                    tick,
+                    kinds: &kinds[range.clone()],
+                    observations: &observations[range.clone()],
+                    decisions: &decisions[range.clone()],
+                    link: link.map(|link| &link[range.clone()]),
+                    sent_seqs,
+                    seqs,
+                    le,
+                    raw,
+                    staleness,
+                    fates,
+                    sparse: sparse
+                        .as_mut()
+                        .map(|s| s.next().expect("sparse columns per job")),
+                    // A recorded tick gives every shard a job in order;
+                    // None on an unrecorded tick.
+                    rec: rec_slots.next(),
+                    check: ShardCheck {
+                        late_accepted: &late_accepted[range],
+                        baselines,
+                        report,
+                        #[cfg(test)]
+                        fault,
+                    },
+                }
+            },
+        );
+        self.pool.run_into(jobs, &mut scratch.outs, |_, job| {
+            Self::run_shard(time_s, job)
+        });
+
+        let memo = self.sparse.as_deref().map(|sp| &sp.memo[..]);
+        let mut sums = ShardSums::default();
+        let mut outs = scratch.outs.iter();
+        let mut jobs = scratch.jobs.iter().peekable();
+        for shard in 0..mobigrid_sim::par::shard_count(nodes, SHARD_SIZE) {
+            sums.merge(if jobs.next_if_eq(&&shard).is_some() {
+                &outs.next().expect("one output per job").sums
+            } else {
+                memo.and_then(|memo| memo[shard].as_ref())
+                    .expect("a memo hit keeps its memo")
+            });
+        }
+        if let Some(sp) = self.sparse.as_deref_mut() {
+            sp.fold_shard_outs(&scratch.jobs, &scratch.outs, tick);
+        }
+        sums
+    }
+
+    /// The sparse driver's memo pre-pass. Due refresh wakes fire first;
+    /// then each shard's [`ShardCounts`] decide, before any view of it is
+    /// built, whether it is a **memo hit**: not a recorded tick (which
+    /// needs every node's flight sample), a memo present, and the shard
+    /// quiet ([`ShardCounts::quiet`]). A hit shard takes no job. Its
+    /// sums are its memo's, bit for bit; both brokers' replay clocks for
+    /// it take the new time in one write each
+    /// ([`GridBroker::restamp_shard`]); and the monitor kernel checks its
+    /// existing columns, so the monitors still see every node. All of it
+    /// runs on the calling thread. Every other shard goes on
+    /// `TickScratch::jobs`, and its job's per-node loop rewrites its memo.
+    ///
+    /// The clock restamps exactly the stored estimates, because in a memo
+    /// shard every record is one: a node with a record has an estimator,
+    /// and each cache was captured with static estimators, whose filtered
+    /// apply stores an estimate.
+    ///
+    /// *Why the counts prove a hit:* every sparse tick evaluates or hits
+    /// every shard, and the per-node loop rewrites the memo, so a memo
+    /// means the shard's last evaluation replayed every node: each cache
+    /// was valid, unforced and at the node's position. A cache changes
+    /// only on a full evaluation, which rewrites the memo, or is
+    /// invalidated by a late frame, which clears it. With every node
+    /// asleep this tick each observation repeats the previous one, so each
+    /// cache is at its node's position again; no refresh due means none is
+    /// forced; no filter send (and, with a network, no frame on the air)
+    /// means every fate is idle. So every cache the shard would replay now
+    /// is the one it replayed on the memo's tick: the same errors pushed
+    /// in the same order, the same tally entries, the same staleness
+    /// counters (only a full evaluation or a late frame moves one) and the
+    /// same estimate counts. The per-node columns the pass owns are
+    /// therefore already what the loop would write. Debug builds re-prove
+    /// all of it node by node.
+    fn serve_memo_hits(&mut self, time_s: f64, recording: bool) {
+        let tick = self.tick;
+        let nodes = self.cols.len();
+        let sp = self.sparse.as_deref_mut().expect("the sparse driver");
+        let scratch = &mut self.scratch;
+        #[cfg(test)]
+        let fault = self.fault;
+        sp.drain_refresh(tick);
+        // A recorded tick needs every node's flight sample and histogram
+        // entries, so it evaluates every shard (which still keeps each
+        // memo up to date).
+        sp.hits.clear();
+        for (shard, (memo, counts)) in sp.memo.iter().zip(&sp.counts).enumerate() {
+            let hit = !recording && memo.is_some() && counts.quiet(shard_range(nodes, shard).len());
+            if hit {
+                sp.hits.push(shard);
+            } else {
+                scratch.jobs.push(shard);
+            }
+        }
+        let hit_views = select(
+            self.monitors.shard_views(nodes, SHARD_SIZE),
+            sp.hits.iter().copied(),
+        );
+        for (shard, baselines) in hit_views {
+            let range = shard_range(nodes, shard);
+            #[cfg(debug_assertions)]
+            prove_memo_hit(
+                sp,
+                scratch,
+                self.network.is_some().then_some(&scratch.link),
+                &self.broker_le,
+                &self.broker_raw,
+                shard,
+            );
+            self.broker_le.restamp_shard(SHARD_SIZE, shard, time_s);
+            self.broker_raw.restamp_shard(SHARD_SIZE, shard, time_s);
+            ShardCheck {
+                late_accepted: &scratch.late_accepted[range.clone()],
+                baselines,
+                report: &mut scratch.checks[shard],
+                #[cfg(test)]
+                fault,
+            }
+            .run(
+                tick,
+                range.start,
+                &scratch.fates[range.clone()],
+                &mut scratch.sent_seq[range.clone()],
+                &mut scratch.staleness[range.clone()],
+            );
+            sp.replayed_node_ticks += range.len() as u64;
+        }
+        sp.replayed_shard_ticks += sp.hits.len() as u64;
     }
 
     /// Tick telemetry, on a recorded tick: the merged location-error
@@ -1674,7 +1853,7 @@ impl MobileGridSim {
 
     /// The online invariant monitors — every tick, recording or not. The
     /// per-node laws already ran inside the shard pass
-    /// (`ShardJob::check_monitors`), each shard on its own chunk of the
+    /// ([`ShardCheck::run`]), each shard on its own chunk of the
     /// columns the apply phase wrote: every node gets exactly one apply
     /// call there, its `ApplyInfo` carries the with-LE staleness counter
     /// after the call, and nothing after it (the counter deltas included)
@@ -1742,21 +1921,8 @@ impl MobileGridSim {
             sums: ShardSums::default(),
             newly_cached: 0,
             replays: 0,
-            memo_hit: false,
             max_eval_gap: 0,
         };
-        // A recorded tick needs every node's flight sample and histogram
-        // entries, so it always takes the per-node loop below (which still
-        // keeps the memo up to date).
-        if job.rec.is_none() {
-            if let Some(sums) = Self::replay_memo(time_s, &mut job) {
-                job.check_monitors();
-                out.sums = sums;
-                out.replays = job.observations.len() as u64;
-                out.memo_hit = true;
-                return out;
-            }
-        }
         // Whether every node so far replayed its idle cache with an idle
         // fate: the condition for keeping this tick's sums as the memo.
         let mut memo_ok = true;
@@ -1878,7 +2044,13 @@ impl MobileGridSim {
                 }
             }
         }
-        job.check_monitors();
+        job.check.run(
+            job.tick,
+            job.le.base(),
+            job.fates,
+            job.sent_seqs,
+            job.staleness,
+        );
         out.sums.le_delta = job.le.into_delta();
         out.sums.raw_delta = job.raw.into_delta();
         if let Some(sp) = job.sparse {
@@ -1887,91 +2059,6 @@ impl MobileGridSim {
             sp.counts.refresh_due = 0;
         }
         out
-    }
-
-    /// The sparse driver's shard-level replay: when the shard's memo holds
-    /// the sums of the previous tick, on which every node replayed its
-    /// idle cache, and every node replays it again this tick with an idle
-    /// fate, this tick's sums are the memo's, bit for bit, and the only
-    /// work left is moving every stored estimate's timestamp. The proof
-    /// reads no node: it takes the memo and the shard's [`ShardCounts`].
-    /// On a hit each broker shard's replay clock takes the new time in one
-    /// write ([`BrokerShard::restamp_all`]). That restamps exactly the
-    /// stored estimates, because in a memo shard every record is one: a
-    /// node with a record has an estimator, and each cache was captured
-    /// with static estimators, whose filtered apply stores an estimate.
-    /// Returns `None`, having touched nothing, when the counts do not
-    /// prove the hit; the shard then takes the per-node loop.
-    ///
-    /// *Why the counts prove it:* every sparse tick runs every shard, and
-    /// the per-node loop rewrites the memo, so a memo means the previous
-    /// tick replayed every node: each cache was valid, unforced and at the
-    /// node's position. A cache changes only on a full evaluation, which
-    /// rewrites the memo, or is invalidated by a late frame, which clears
-    /// it. With every node asleep this tick each observation repeats the
-    /// previous one, so each cache is at its node's position again; no
-    /// refresh due means none is forced; no filter send (and, with a
-    /// network, no frame on the air) means every fate is idle. So every
-    /// cache the shard replays now is the one it replayed on the memo's
-    /// tick: the same errors pushed in the same order, the same tally
-    /// entries, the same staleness counters (only a full evaluation or a
-    /// late frame moves one) and the same estimate counts. The per-node
-    /// columns the pass owns are therefore already what the loop would
-    /// write. Debug builds re-prove all of it node by node.
-    ///
-    /// Out of line: inlined into `run_shard`, it measured ~2% slower in
-    /// the dense driver's apply pass, which never takes the memo.
-    #[inline(never)]
-    fn replay_memo(time_s: f64, job: &mut ShardJob<'_>) -> Option<ShardSums> {
-        let sp = job.sparse.as_ref()?;
-        let sums = (*sp.memo)?;
-        let counts = *sp.counts;
-        if counts.asleep as usize != job.observations.len()
-            || counts.refresh_due != 0
-            || counts.filter_sends != 0
-            || counts.link_active != 0
-        {
-            return None;
-        }
-        debug_assert_eq!(
-            counts.refresh_due as usize,
-            sp.force_eval.iter().filter(|f| **f).count(),
-            "the refresh count matches the shard's flags"
-        );
-        debug_assert!(
-            {
-                let link = job.link;
-                job.observations
-                    .iter()
-                    .zip(job.decisions)
-                    .zip(sp.idle.iter().zip(sp.force_eval.iter()))
-                    .enumerate()
-                    .all(|(i, (((_, pos), decision), (cache, force_eval)))| {
-                        let link = link.map(|link| link[i]);
-                        NodeOp::of(*decision, link).fate(link) == NodeFate::Idle
-                            && cache.replays(*force_eval, *pos)
-                    })
-            },
-            "a shard the counts prove quiet replays every node with an idle fate"
-        );
-        debug_assert!(
-            sp.idle.iter().enumerate().all(|(i, cache)| {
-                cache.le_stored == job.le.location_at(i).is_some()
-                    && cache.raw_stored == job.raw.location_at(i).is_some()
-            }),
-            "in a memo shard every record is a stored estimate"
-        );
-        job.le.restamp_all(time_s);
-        job.raw.restamp_all(time_s);
-        debug_assert!(
-            job.fates.iter().all(|f| *f == NodeFate::Idle),
-            "a memo shard's fates are all idle"
-        );
-        debug_assert!(
-            (0..job.staleness.len()).all(|i| job.staleness[i] == job.le.staleness_at(i)),
-            "a memo shard's staleness column is current"
-        );
-        Some(sums)
     }
 
     /// Runs `ticks` steps, collecting every tick's statistics.
@@ -2056,6 +2143,55 @@ impl MobileGridSim {
     pub fn run_recorded(&mut self, ticks: u64, rec: &mut dyn Recorder) -> Vec<TickStats> {
         (0..ticks).map(|_| self.step_recorded(rec)).collect()
     }
+}
+
+/// Debug builds: re-proves node by node what the counts proved for memo
+/// hit `shard` (see `MobileGridSim::serve_memo_hits`): every node replays its
+/// idle cache with an idle fate, every record of the shard is a stored
+/// estimate, and the shard's fate and staleness columns are current.
+#[cfg(debug_assertions)]
+fn prove_memo_hit(
+    sp: &SparseState,
+    scratch: &TickScratch,
+    link: Option<&[LinkOutcome]>,
+    le: &GridBroker,
+    raw: &GridBroker,
+    shard: usize,
+) {
+    let range = shard_range(scratch.observations.len(), shard);
+    debug_assert_eq!(
+        sp.counts[shard].refresh_due as usize,
+        sp.force_eval[range.clone()].iter().filter(|f| **f).count(),
+        "the refresh count matches the shard's flags"
+    );
+    debug_assert!(
+        range.clone().all(|i| {
+            let link = link.map(|link| link[i]);
+            NodeOp::of(scratch.decisions[i], link).fate(link) == NodeFate::Idle
+                && sp.idle[i].replays(sp.force_eval[i], scratch.observations[i].1)
+        }),
+        "a shard the counts prove quiet replays every node with an idle fate"
+    );
+    debug_assert!(
+        range.clone().all(|i| {
+            let id = MnId::new(i as u32);
+            sp.idle[i].le_stored == le.location(id).is_some()
+                && sp.idle[i].raw_stored == raw.location(id).is_some()
+        }),
+        "in a memo shard every record is a stored estimate"
+    );
+    debug_assert!(
+        scratch.fates[range.clone()]
+            .iter()
+            .all(|f| *f == NodeFate::Idle),
+        "a memo shard's fates are all idle"
+    );
+    debug_assert!(
+        range
+            .clone()
+            .all(|i| scratch.staleness[i] == le.staleness(MnId::new(i as u32))),
+        "a memo shard's staleness column is current"
+    );
 }
 
 #[cfg(test)]
@@ -2162,6 +2298,36 @@ mod tests {
             wake.max_eval_gap <= STALENESS_REFRESH + 1,
             "eval gap {} exceeds the staleness window",
             wake.max_eval_gap
+        );
+    }
+
+    /// An idle cache replays only at its captured position's exact bits,
+    /// as the filter and classifier compare positions: a ground truth of
+    /// -0.0 where the cache holds +0.0 is a move, and a NaN coordinate
+    /// matches its own bits. A forced refresh or an invalid cache never
+    /// replays.
+    #[test]
+    fn idle_cache_compares_positions_bitwise() {
+        let cache = IdleCache {
+            valid: true,
+            pos: Point::new(0.0, 2.0),
+            ..IdleCache::INVALID
+        };
+        assert!(cache.replays(false, Point::new(0.0, 2.0)));
+        assert!(!cache.replays(false, Point::new(-0.0, 2.0)), "signed zero");
+        assert!(!cache.replays(true, Point::new(0.0, 2.0)), "forced refresh");
+        let invalid = IdleCache {
+            valid: false,
+            ..cache
+        };
+        assert!(!invalid.replays(false, Point::new(0.0, 2.0)));
+        let nan = IdleCache {
+            pos: Point::new(f64::NAN, 2.0),
+            ..cache
+        };
+        assert!(
+            nan.replays(false, Point::new(f64::NAN, 2.0)),
+            "same NaN bits"
         );
     }
 
@@ -2857,12 +3023,65 @@ mod tests {
         assert_eq!(faulty.invariant_violations(), &[], "faulty run");
     }
 
-    /// Sends every node from `first` on, every tick; filters the rest.
-    struct SendFrom {
-        first: usize,
+    /// Filters every node, except that the second shard's nodes send
+    /// while `time_s` is below 6: shard 0 of a parked population is cached
+    /// on tick 1, shard 1 on tick 6, when shard 0 is already a memo hit.
+    /// Each refresh wake must be re-armed for the node its evaluation
+    /// re-cached, so the first shard's rounds come on ticks 33, 65 and 97
+    /// and the second's on 38 and 70.
+    #[test]
+    fn refresh_wakes_rearm_the_shard_behind_a_memo_hit() {
+        struct SendEarly;
+
+        impl FilterPolicy for SendEarly {
+            fn process_tick(
+                &mut self,
+                time_s: f64,
+                observations: &[(MnId, Point)],
+                decisions: &mut Vec<Decision>,
+            ) {
+                decisions.clear();
+                decisions.extend((0..observations.len()).map(|i| {
+                    match i >= SHARD_SIZE && time_s < 6.0 {
+                        true => Decision::Sent,
+                        false => Decision::Filtered,
+                    }
+                }));
+            }
+
+            fn name(&self) -> &str {
+                "send-early"
+            }
+        }
+
+        let nodes = (0..2 * SHARD_SIZE as u32).map(parked).collect();
+        let mut sim = SimBuilder::new()
+            .nodes(nodes)
+            .policy(SendEarly)
+            .runtime(RuntimeOptions {
+                driver: TickDriver::Sparse,
+                ..RuntimeOptions::default()
+            })
+            .build()
+            .unwrap();
+        for tick in 1..=100 {
+            sim.step();
+            if tick == 6 {
+                let sp = sim.sparse.as_ref().expect("sparse run");
+                assert_eq!((&sp.hits[..], &sim.scratch.jobs[..]), (&[0][..], &[1][..]));
+            }
+        }
+        let wake = sim.wake_stats().expect("sparse run reports wake stats");
+        assert_eq!(wake.refresh_wakes, 5 * SHARD_SIZE as u64);
+        assert!(wake.max_eval_gap <= STALENESS_REFRESH + 1);
     }
 
-    impl FilterPolicy for SendFrom {
+    /// Sends every node outside `parked`, every tick; filters the rest.
+    struct SendMovers {
+        parked: std::ops::Range<usize>,
+    }
+
+    impl FilterPolicy for SendMovers {
         fn process_tick(
             &mut self,
             _time_s: f64,
@@ -2870,40 +3089,50 @@ mod tests {
             decisions: &mut Vec<Decision>,
         ) {
             decisions.clear();
-            decisions.extend((0..observations.len()).map(|i| match i >= self.first {
-                true => Decision::Sent,
-                false => Decision::Filtered,
-            }));
+            decisions.extend(
+                (0..observations.len()).map(|i| match self.parked.contains(&i) {
+                    true => Decision::Filtered,
+                    false => Decision::Sent,
+                }),
+            );
         }
 
         fn name(&self) -> &str {
-            "send-from"
+            "send-movers"
         }
     }
 
-    /// The per-node monitors run inside the shard pass, memo shards
-    /// included, and their violations merge in the order of a
-    /// whole-population check. One parked shard falls quiet (a memo shard
-    /// under the sparse driver) and two shards of walkers send every
-    /// tick. On tick `T` the fault hook hands the monitors node 5's
-    /// staleness and node 130's sent seq off by 7, and puts both back
-    /// after the check; the baselines keep the faulty values, so tick
-    /// `T + 1` flags both nodes again.
-    #[test]
-    fn shard_pass_monitors_report_in_population_order() {
+    /// Runs `nodes` nodes, those in `parked_ids` parked and the rest walkers
+    /// that send every tick, for `T + 1` ticks under both drivers at 1 and
+    /// 2 threads, with the monitor fault hook handing the monitors
+    /// `staleness_node`'s staleness and `seq_node`'s sent seq off by 7 on
+    /// tick `T` and putting both back after the check. The baselines keep
+    /// the faulty values, so tick `T + 1` flags both nodes again. Under the
+    /// sparse driver the parked shard `hit` is a memo hit on tick `T`.
+    /// Every run must report exactly the violations of a whole-population
+    /// check, in its order.
+    fn monitors_report_in_population_order(
+        nodes: u32,
+        parked_ids: std::ops::Range<u32>,
+        hit: usize,
+        staleness_node: usize,
+        seq_node: u32,
+    ) {
         const T: u64 = 20;
         let off = i64::from(MonitorFault::OFFSET);
         for driver in [TickDriver::Dense, TickDriver::Sparse] {
             for threads in [1, 2] {
-                let nodes = (0..3 * SHARD_SIZE as u32)
-                    .map(|i| match i < SHARD_SIZE as u32 {
+                let population = (0..nodes)
+                    .map(|i| match parked_ids.contains(&i) {
                         true => parked(i),
                         false => walker(i, 2.0),
                     })
                     .collect();
                 let mut sim = SimBuilder::new()
-                    .nodes(nodes)
-                    .policy(SendFrom { first: SHARD_SIZE })
+                    .nodes(population)
+                    .policy(SendMovers {
+                        parked: parked_ids.start as usize..parked_ids.end as usize,
+                    })
                     .runtime(RuntimeOptions {
                         driver,
                         threads,
@@ -2913,16 +3142,18 @@ mod tests {
                     .unwrap();
                 sim.fault = Some(MonitorFault {
                     tick: T,
-                    staleness_node: 5,
-                    seq_node: 130,
+                    staleness_node,
+                    seq_node: seq_node as usize,
                 });
                 for tick in 1..=T + 1 {
                     sim.step();
-                    if tick == T && driver == TickDriver::Sparse {
-                        assert!(sim.scratch.outs[0].memo_hit, "shard 0 is a memo shard");
+                    if tick == T {
+                        if let Some(sp) = &sim.sparse {
+                            assert_eq!(sp.hits, [hit], "shard {hit} is the one memo hit");
+                        }
                     }
                 }
-                // Node 130 has sent once a tick: `T - 1` seqs before `T`.
+                // The seq node has sent once a tick: `T - 1` seqs before `T`.
                 let seq = (T - 1) as i64;
                 let found: Vec<_> = sim
                     .invariant_violations()
@@ -2933,16 +3164,38 @@ mod tests {
                     MonitorKind::SeqMonotonicity,
                     MonitorKind::StalenessConsistency,
                 );
+                let stale_node = Some(staleness_node as u32);
                 let expected = vec![
-                    (T, seqs, Some(130), seq, seq + off),
+                    (T, seqs, Some(seq_node), seq, seq + off),
                     (T, stale, None, 1, 0),
-                    (T, stale, Some(5), 0, off),
-                    (T + 1, seqs, Some(130), seq + off + 1, seq + 1),
-                    (T + 1, stale, Some(5), off, 0),
+                    (T, stale, stale_node, 0, off),
+                    (T + 1, seqs, Some(seq_node), seq + off + 1, seq + 1),
+                    (T + 1, stale, stale_node, off, 0),
                 ];
                 assert_eq!(found, expected, "{driver:?} driver, {threads} threads");
             }
         }
+    }
+
+    /// The per-node monitors run inside the shard pass, memo hits
+    /// included, and their violations merge in the order of a
+    /// whole-population check: one parked shard falls quiet (the memo
+    /// hit) before two shards of walkers that send every tick, and the
+    /// fault lands in the hit shard's staleness and a walker's seq.
+    #[test]
+    fn shard_pass_monitors_report_in_population_order() {
+        let shard = SHARD_SIZE as u32;
+        monitors_report_in_population_order(3 * shard, 0..shard, 0, 5, 130);
+    }
+
+    /// The same with the memo hit last: two shards of walkers, then a
+    /// ragged last shard of 40 parked nodes, which the sparse driver must
+    /// prove quiet against its real length. The staleness fault lands in
+    /// the ragged hit, the seq fault in the first walker shard.
+    #[test]
+    fn a_ragged_parked_last_shard_is_a_memo_hit_and_still_monitored() {
+        let shard = SHARD_SIZE as u32;
+        monitors_report_in_population_order(2 * shard + 40, 2 * shard..2 * shard + 40, 2, 150, 10);
     }
 
     /// A recorded tick must link every update's lifecycle through its

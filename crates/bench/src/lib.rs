@@ -46,7 +46,7 @@ fn adf_sim(nodes: Vec<MobileNode>, runtime: RuntimeOptions) -> MobileGridSim {
 
 /// Builds an idle-dominated workload for the sparse tick driver: `parked`
 /// permanently stationary nodes plus `walkers` ping-pong path followers,
-/// under the given [`TickDriver`]. This is the
+/// under the given [`TickDriver`] on one thread. This is the
 /// regime the wake wheel targets — most of the population is provably
 /// quiescent, so the sparse driver sleeps it and replays the cached
 /// broker evaluations, while the dense driver re-evaluates everything
@@ -61,6 +61,26 @@ pub fn build_idle_sim(
     parked: usize,
     walkers: usize,
     driver: TickDriver,
+) -> MobileGridSim {
+    let runtime = RuntimeOptions {
+        driver,
+        ..RuntimeOptions::default()
+    };
+    build_idle_sim_with(seed, parked, walkers, runtime)
+}
+
+/// [`build_idle_sim`]'s population executed with a whole `runtime`
+/// (driver and thread count).
+///
+/// # Panics
+///
+/// Panics if `runtime` is invalid.
+#[must_use]
+pub fn build_idle_sim_with(
+    seed: u64,
+    parked: usize,
+    walkers: usize,
+    runtime: RuntimeOptions,
 ) -> MobileGridSim {
     use mobigrid_campus::{RegionId, RegionKind};
     use mobigrid_geo::{Point, Polyline};
@@ -95,16 +115,13 @@ pub fn build_idle_sim(
             seed ^ u64::from(i),
         ));
     }
-    let runtime = RuntimeOptions {
-        driver,
-        ..RuntimeOptions::default()
-    };
     adf_sim(nodes, runtime)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobigrid_adf::WakeStats;
 
     #[test]
     fn city_helper_reaches_bench_scale() {
@@ -123,5 +140,34 @@ mod tests {
         }
         let wake = sparse.wake_stats().expect("sparse run");
         assert_eq!(wake.asleep, 300, "all parked nodes sleep");
+    }
+
+    /// Pins every wake counter after 100 sparse ticks of 1,000 parked
+    /// nodes and 40 walkers (three reclusterings and their refresh wakes),
+    /// at 1 and 2 threads. perfbench's traced `wheel.*` readings come from
+    /// these counters, so a restructured sparse tick must not move them.
+    #[test]
+    fn idle_wake_stats_are_pinned() {
+        let expected = WakeStats {
+            mobility_wakes: 0,
+            refresh_wakes: 2000,
+            asleep: 1000,
+            slept_node_ticks: 99_000,
+            replayed_node_ticks: 93_000,
+            replayed_shard_ticks: 1350,
+            dozed_blocks: 1230,
+            wheel_occupancy: 1000,
+            max_eval_gap: 32,
+        };
+        for threads in [1, 2] {
+            let runtime = RuntimeOptions {
+                driver: TickDriver::Sparse,
+                threads,
+                ..RuntimeOptions::default()
+            };
+            let mut sim = build_idle_sim_with(3, 1000, 40, runtime);
+            sim.run(100);
+            assert_eq!(sim.wake_stats(), Some(expected), "{threads} threads");
+        }
     }
 }

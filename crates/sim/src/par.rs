@@ -172,6 +172,43 @@ pub fn shard_count(len: usize, shard_size: usize) -> usize {
     len.div_ceil(shard_size)
 }
 
+/// The items of `items` at `indices`, which ascend, each with its index.
+/// Skipped items cost one `nth` each, which per-shard iterators
+/// (`chunks_mut`, `iter_mut` and zips of them) do in O(1), so a few
+/// chosen shards of a large population cost only themselves.
+///
+/// # Panics
+///
+/// The returned iterator panics when `indices` does not ascend or names
+/// an index past `items`.
+///
+/// # Examples
+///
+/// ```
+/// use mobigrid_sim::par::select;
+///
+/// let mut data = [0u8; 10];
+/// for (shard, chunk) in select(data.chunks_mut(4), [0, 2]) {
+///     chunk.fill(shard as u8 + 1);
+/// }
+/// assert_eq!(data, [1, 1, 1, 1, 0, 0, 0, 0, 3, 3]);
+/// ```
+pub fn select<T, I>(items: T, indices: I) -> impl ExactSizeIterator<Item = (usize, T::Item)>
+where
+    T: IntoIterator,
+    I: IntoIterator<Item = usize>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut items = items.into_iter();
+    // The first index no earlier item has handed out or skipped.
+    let mut next = 0;
+    indices.into_iter().map(move |index| {
+        let skip = index.checked_sub(next).expect("indices ascend");
+        next = index + 1;
+        (index, items.nth(skip).expect("an index within the items"))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

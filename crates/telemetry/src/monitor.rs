@@ -519,6 +519,62 @@ fn split_front<'a, T>(col: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     head
 }
 
+/// Drops the first `skip` elements of `col` and detaches the next `size`,
+/// both clipped to the column: past its end the result is empty.
+fn cut<'a, T>(col: &mut &'a mut [T], skip: usize, size: usize) -> &'a mut [T] {
+    split_front(col, skip.min(col.len()));
+    split_front(col, size.min(col.len()))
+}
+
+/// The baseline columns cut front to back into `size`-node views, one per
+/// block; past a column's length a view's slice of it is empty. `nth`
+/// skips blocks in O(1).
+struct Views<'a> {
+    strict: bool,
+    size: usize,
+    /// The first node of the next view.
+    base: usize,
+    /// The views left.
+    blocks: usize,
+    expected: &'a mut [u32],
+    prev: &'a mut [u32],
+    seq_sighted: &'a mut [bool],
+    stale_sighted: &'a mut [bool],
+}
+
+impl<'a> Iterator for Views<'a> {
+    type Item = MonitorShard<'a>;
+
+    fn next(&mut self) -> Option<MonitorShard<'a>> {
+        self.nth(0)
+    }
+
+    fn nth(&mut self, n: usize) -> Option<MonitorShard<'a>> {
+        if n >= self.blocks {
+            self.blocks = 0;
+            return None;
+        }
+        self.blocks -= n + 1;
+        let (skip, size) = (n * self.size, self.size);
+        let base = self.base + skip;
+        self.base = base + size;
+        Some(MonitorShard {
+            strict: self.strict,
+            base,
+            expected: cut(&mut self.expected, skip, size),
+            prev: cut(&mut self.prev, skip, size),
+            seq_sighted: cut(&mut self.seq_sighted, skip, size),
+            stale_sighted: cut(&mut self.stale_sighted, skip, size),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.blocks, Some(self.blocks))
+    }
+}
+
+impl ExactSizeIterator for Views<'_> {}
+
 /// How many nodes a [`MonitorSet::check_tick`] block spans; the pipeline's
 /// shards are as wide.
 const BLOCK: usize = 64;
@@ -617,7 +673,9 @@ impl MonitorSet {
     /// Per-shard views of the baselines of a `nodes`-node population, in
     /// `size`-node shards: the pipeline's shard pass checks each shard's
     /// columns against its view ([`MonitorShard::check`]) and hands the
-    /// shards' reports to [`MonitorSet::finish_tick`].
+    /// shards' reports to [`MonitorSet::finish_tick`]. `nth` skips views
+    /// in O(1), so a caller that checks a few chosen shards pays only for
+    /// those.
     pub fn shard_views(
         &mut self,
         nodes: usize,
@@ -630,13 +688,7 @@ impl MonitorSet {
     /// baselines and the first `stale_len` staleness baselines, growing
     /// either column to its length first; past a column's length a view's
     /// slice of it is empty.
-    fn views(
-        &mut self,
-        seq_len: usize,
-        stale_len: usize,
-        size: usize,
-        blocks: usize,
-    ) -> impl ExactSizeIterator<Item = MonitorShard<'_>> {
+    fn views(&mut self, seq_len: usize, stale_len: usize, size: usize, blocks: usize) -> Views<'_> {
         let strict = self.strict;
         let lazy = move |len: usize| if strict { 0 } else { len };
         if self.expected.len() < seq_len {
@@ -647,22 +699,16 @@ impl MonitorSet {
             self.prev.resize(stale_len, 0);
             self.stale_sighted.resize(lazy(stale_len), false);
         }
-        let mut expected = &mut self.expected[..seq_len];
-        let mut seq_sighted = &mut self.seq_sighted[..lazy(seq_len)];
-        let mut prev = &mut self.prev[..stale_len];
-        let mut stale_sighted = &mut self.stale_sighted[..lazy(stale_len)];
-        (0..blocks).map(move |b| {
-            let base = b * size;
-            let len = |col: usize| col.saturating_sub(base).min(size);
-            MonitorShard {
-                strict,
-                base,
-                expected: split_front(&mut expected, len(seq_len)),
-                prev: split_front(&mut prev, len(stale_len)),
-                seq_sighted: split_front(&mut seq_sighted, len(lazy(seq_len))),
-                stale_sighted: split_front(&mut stale_sighted, len(lazy(stale_len))),
-            }
-        })
+        Views {
+            strict,
+            size,
+            base: 0,
+            blocks,
+            expected: &mut self.expected[..seq_len],
+            prev: &mut self.prev[..stale_len],
+            seq_sighted: &mut self.seq_sighted[..lazy(seq_len)],
+            stale_sighted: &mut self.stale_sighted[..lazy(stale_len)],
+        }
     }
 
     /// Finishes a tick whose per-node columns the kernel has checked
@@ -1143,13 +1189,16 @@ mod tests {
     type Columns = (Vec<NodeFate>, Vec<u32>, Vec<u32>, Vec<bool>);
 
     /// A set checked through per-shard views in `size`-node shards and
-    /// the shard-order merge, as the pipeline's shard pass does it.
+    /// the shard-order merge, as the pipeline's shard pass does it. The
+    /// views are taken out of order, as the sparse tick takes its memo
+    /// hits and its evaluated shards: blocks 1, 4, 7, … through one
+    /// iterator whose `nth` skips the two between, then every other block
+    /// from a fresh iterator.
     fn check_split(set: &mut MonitorSet, v: &TickVitals<'_>, size: usize) -> Vec<Violation> {
         let n = v.node_fates.len();
-        let mut reports = Vec::new();
-        for (b, mut view) in set.shard_views(n, size).enumerate() {
+        let mut reports = vec![BlockReport::default(); n.div_ceil(size)];
+        let mut check = |b: usize, mut view: MonitorShard<'_>| {
             let nodes = b * size..((b + 1) * size).min(n);
-            let mut report = BlockReport::default();
             view.check(
                 NodeBlock {
                     tick: v.tick,
@@ -1158,9 +1207,22 @@ mod tests {
                     staleness: &v.staleness[nodes.clone()],
                     late_accepted: &v.late_accepted[nodes],
                 },
-                &mut report,
+                &mut reports[b],
             );
-            reports.push(report);
+        };
+        {
+            let mut views = set.shard_views(n, size);
+            let mut b = 1;
+            while let Some(view) = views.nth(if b == 1 { 1 } else { 2 }) {
+                check(b, view);
+                b += 3;
+            }
+        }
+        for b in (0..n.div_ceil(size)).filter(|b| b % 3 != 1) {
+            check(
+                b,
+                set.shard_views(n, size).nth(b).expect("a view per block"),
+            );
         }
         set.finish_tick(v, &reports).to_vec()
     }
