@@ -53,6 +53,11 @@ echo "==> non-test line count (informational)"
 # Rust sources (scripts/count_nontest_lines.py says which).
 python3 scripts/count_nontest_lines.py || echo "count_nontest_lines.py: informational only"
 
+echo "==> per-node footprint (informational)"
+# Live heap bytes per node after build and warm-up, warm-up allocations per
+# node and peak RSS, for city_1140 and the sim_idle population.
+cargo run --release -q -p mobigrid-bench --example footprint || echo "footprint: informational only"
+
 echo "==> perf ledger check (advisory)"
 # Compares the newest side of each workload in BENCH_perfbench.json with
 # the side before it, inside BENCHMARK.json's bounds. Ledger runs come from

@@ -153,14 +153,16 @@ impl MovementShard<'_> {
             if self.record_trace[k] {
                 self.traces[k].record(time_s, pos);
             } else {
-                match engine.quiescence(dt) {
-                    Quiescence::Active => {}
-                    Quiescence::Until(ticks) => {
-                        newly_asleep.push(((base + k) as u32, ticks));
-                    }
-                    Quiescence::Forever => {
-                        newly_asleep.push(((base + k) as u32, u64::MAX));
-                    }
+                let ticks = match engine.quiescence(dt) {
+                    Quiescence::Active => None,
+                    Quiescence::Until(ticks) => Some(ticks),
+                    Quiescence::Forever => Some(u64::MAX),
+                };
+                if let Some(ticks) = ticks {
+                    // At most the rest of the shard falls asleep: the list
+                    // allocates once, not once per doubling.
+                    newly_asleep.reserve(asleep.len() - k);
+                    newly_asleep.push(((base + k) as u32, ticks));
                 }
             }
             obs[k] = (MnId::new((base + k) as u32), pos);

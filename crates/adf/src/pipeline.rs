@@ -216,13 +216,8 @@ impl SimBuilder {
                 broker_raw.set_home_anchor(MnId::new(i as u32), *anchor);
             }
         }
-        // Per-node policies win; `runtime.retry` fills the gaps.
-        let retry_policies: Vec<Option<RetryPolicy>> = cols
-            .retry_policies()
-            .iter()
-            .map(|p| p.or(self.runtime.retry))
-            .collect();
-        for policy in retry_policies.iter().flatten() {
+        // `runtime.validate` checked the default retry policy.
+        for policy in cols.retry_policies().iter().flatten() {
             policy.validate()?;
         }
         let seqs = vec![0u32; cols.len()];
@@ -239,7 +234,7 @@ impl SimBuilder {
             broker_raw,
             network: self.network,
             channel,
-            retry_policies,
+            default_retry: self.runtime.retry,
             retry,
             tick: 0,
             seqs,
@@ -709,7 +704,9 @@ pub struct MobileGridSim {
     broker_raw: GridBroker,
     network: Option<AccessNetwork>,
     channel: Option<FaultChannel>,
-    retry_policies: Vec<Option<RetryPolicy>>,
+    /// The retry policy of every node that does not carry its own
+    /// (`RuntimeOptions::retry`).
+    default_retry: Option<RetryPolicy>,
     retry: Vec<RetryState>,
     tick: u64,
     seqs: Vec<u32>,
@@ -1442,7 +1439,9 @@ impl MobileGridSim {
                 }
                 LinkEvent::Dropped { cause } => {
                     flow.lost += 1;
-                    let retry = self.retry_policies[i].filter(|p| attempt < p.max_retries);
+                    // The node's own policy wins over the default.
+                    let policy = self.cols.retry_policies()[i].or(self.default_retry);
+                    let retry = policy.filter(|p| attempt < p.max_retries);
                     if let Some(policy) = retry {
                         let next = attempt + 1;
                         let noise = event_noise(

@@ -1,6 +1,6 @@
 use std::collections::BTreeMap;
 
-use mobigrid_cluster::Bsas;
+use mobigrid_cluster::OnlineBsas;
 use mobigrid_geo::Point;
 use mobigrid_mobility::MobilityPattern;
 use mobigrid_sim::stats::Welford;
@@ -300,11 +300,7 @@ struct AdfNodeState {
 impl AdfNodeState {
     fn new(cfg: &AdfConfig) -> Self {
         AdfNodeState {
-            classifier: MobilityClassifier::new(cfg.classifier_window, cfg.v_walk).with_thresholds(
-                cfg.direction_change_threshold,
-                cfg.speed_change_fraction,
-                cfg.frequent_fraction,
-            ),
+            classifier: MobilityClassifier::new(cfg),
             // DTH 0 until the initial clustering: pass everything through,
             // matching the paper's "similar to the ideal LU at initial".
             filter: DistanceFilter::with_reference(0.0, cfg.reference),
@@ -435,6 +431,13 @@ impl AdfNodeTable {
         self.slots.get_mut(node.index()).and_then(Option::as_mut)
     }
 
+    /// Makes room for `nodes` slots at once, so a table that learns its
+    /// population from one tick's observations is one exact-size block.
+    fn reserve(&mut self, nodes: usize) {
+        self.slots
+            .reserve_exact(nodes.saturating_sub(self.slots.len()));
+    }
+
     /// The node's state, created from `cfg` on first sight.
     fn get_or_insert(&mut self, node: MnId, cfg: &AdfConfig) -> &mut AdfNodeState {
         let index = node.index();
@@ -457,6 +460,7 @@ impl AdfNodeTable {
     }
 
     /// `(id, state)` pairs in ascending-id order.
+    #[cfg(test)]
     fn iter(&self) -> impl Iterator<Item = (MnId, &AdfNodeState)> {
         self.slots
             .iter()
@@ -494,6 +498,9 @@ pub struct AdaptiveDistanceFilter {
     config: AdfConfig,
     tick: u64,
     clustered_once: bool,
+    /// The velocity clusterer, cleared and refilled at every reclustering
+    /// so its centroid buffers are reused.
+    bsas: OnlineBsas,
     global_speeds: Welford,
     nodes: AdfNodeTable,
     cluster_count: usize,
@@ -522,6 +529,7 @@ impl AdaptiveDistanceFilter {
             config,
             tick: 0,
             clustered_once: false,
+            bsas: OnlineBsas::new(config.alpha),
             global_speeds: Welford::new(),
             nodes: AdfNodeTable::default(),
             cluster_count: 0,
@@ -598,6 +606,7 @@ impl AdaptiveDistanceFilter {
         } else {
             &[]
         };
+        self.nodes.reserve(observations.len());
         let recluster = self.recluster_due(self.tick);
         if self.dozing > 0 && (recluster || asleep.is_empty()) {
             self.wake_all();
@@ -796,52 +805,39 @@ impl AdaptiveDistanceFilter {
     /// Reclassifies every node and rebuilds the velocity clusters,
     /// re-deriving each node's DTH (steps (1), (2) and (6) of the ADF
     /// process).
+    ///
+    /// The moving nodes join the clusters in ascending-id order on their
+    /// mean speed; once all have joined, each takes its cluster's final
+    /// centroid as its DTH base. The clusterer's buffers are reused, so a
+    /// reclustering allocates only when it forms more clusters than any
+    /// before it.
     fn recluster(&mut self) {
-        // Classify.
-        for state in self.nodes.values_mut() {
-            state.pattern = state.classifier.classify();
+        let AdaptiveDistanceFilter {
+            config,
+            bsas,
+            nodes,
+            ..
+        } = self;
+        // Classify, and cluster the moving nodes on their mean velocity.
+        bsas.clear();
+        for state in nodes.values_mut() {
+            state.pattern = state.classifier.classify(config);
+            state.cluster = (state.pattern != MobilityPattern::Stop)
+                .then(|| bsas.push_scalar(state.classifier.mean_speed()));
         }
-
-        // Cluster the moving nodes on their mean velocity.
-        let moving: Vec<MnId> = self
-            .nodes
-            .iter()
-            .filter(|(_, s)| s.pattern != MobilityPattern::Stop)
-            .map(|(id, _)| id)
-            .collect();
-        let features: Vec<Vec<f64>> = moving
-            .iter()
-            .map(|id| {
-                let state = self.nodes.get(*id).expect("moving node exists");
-                vec![state.classifier.mean_speed()]
-            })
-            .collect();
-
-        let fallback_dth = self.config.dth_factor * self.global_speeds.mean();
-
-        if features.is_empty() {
-            self.cluster_count = 0;
-        } else {
-            let clustering = Bsas::new(self.config.alpha).cluster(&features);
-            self.cluster_count = clustering.cluster_count();
-            for (i, id) in moving.iter().enumerate() {
-                let cluster = clustering.assignment(i);
-                let cluster_speed = clustering.centroid(cluster)[0];
-                let state = self.nodes.get_mut(*id).expect("moving node exists");
-                state.cluster = Some(cluster);
-                state.filter.set_dth(self.config.dth_factor * cluster_speed);
-            }
-        }
+        self.cluster_count = bsas.cluster_count();
 
         // Stopped nodes are excluded from clustering; any positive DTH
         // suppresses their (zero-displacement) updates. Size it from the
         // global average so a node that starts moving again behaves like
         // the general DF until the next reclustering.
-        for state in self.nodes.values_mut() {
-            if state.pattern == MobilityPattern::Stop {
-                state.cluster = None;
-                state.filter.set_dth(fallback_dth.max(f64::MIN_POSITIVE));
-            }
+        let fallback_dth = config.dth_factor * self.global_speeds.mean();
+        for state in nodes.values_mut() {
+            let dth = match state.cluster {
+                Some(cluster) => config.dth_factor * bsas.centroid(cluster)[0],
+                None => fallback_dth.max(f64::MIN_POSITIVE),
+            };
+            state.filter.set_dth(dth);
         }
         self.clustered_once = true;
     }
@@ -1071,7 +1067,9 @@ mod tests {
     /// per-shard result every shard of every tick writes and copies. Each
     /// broker's cold slot keeps its estimator behind one pointer: an
     /// inline estimator would put Brown's bytes in every slot of both
-    /// brokers.
+    /// brokers. These are inline sizes only: the heap each node holds (its
+    /// classifier's window ring and its estimator box) is pinned by the
+    /// bench crate's `footprint` test.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn per_node_footprint_does_not_grow() {
@@ -1080,13 +1078,13 @@ mod tests {
         use mobigrid_forecast::BrownPositionEstimator;
         use std::mem::size_of;
         let sizes = [
-            ("MobilityClassifier", size_of::<MobilityClassifier>(), 120),
+            ("MobilityClassifier", size_of::<MobilityClassifier>(), 64),
             ("DistanceFilter", size_of::<DistanceFilter>(), 96),
-            ("AdfNodeState", size_of::<AdfNodeState>(), 240),
+            ("AdfNodeState", size_of::<AdfNodeState>(), 184),
             (
                 "BrownPositionEstimator",
                 size_of::<BrownPositionEstimator>(),
-                272,
+                248,
             ),
             ("Doze", size_of::<Doze>(), 24),
             ("IdleCache", size_of::<IdleCache>(), 40),

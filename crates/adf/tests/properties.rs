@@ -120,7 +120,12 @@ proptest! {
         window in 2usize..12,
         v_walk in 0.5..3.0f64,
     ) {
-        let mut lazy = MobilityClassifier::new(window, v_walk);
+        let cfg = AdfConfig {
+            classifier_window: window,
+            v_walk,
+            ..AdfConfig::default()
+        };
+        let mut lazy = MobilityClassifier::new(&cfg);
         let mut eager = EagerClassifier::new(window, v_walk);
         let mut t = 0.0;
         let mut pos = Point::new(10.0, -4.0);
@@ -142,9 +147,9 @@ proptest! {
             }
             lazy.observe(t, pos);
             eager.observe(t, pos);
-            prop_assert_eq!(lazy.classify(), eager.classify(), "step {}", i);
+            prop_assert_eq!(lazy.classify(&cfg), eager.classify(), "step {}", i);
             prop_assert_eq!(
-                lazy.change_fraction().to_bits(),
+                lazy.change_fraction(&cfg).to_bits(),
                 eager.change_fraction().to_bits(),
                 "step {}", i
             );
@@ -216,25 +221,30 @@ proptest! {
     /// never reports Stop for a node moving faster than walking pace.
     #[test]
     fn classifier_speed_extremes(speed in 2.5..15.0f64, steps in 5usize..40) {
-        let mut moving = MobilityClassifier::new(10, 2.0);
-        let mut still = MobilityClassifier::new(10, 2.0);
+        let cfg = AdfConfig::default();
+        let mut moving = MobilityClassifier::new(&cfg);
+        let mut still = MobilityClassifier::new(&cfg);
         for t in 0..steps {
             let t_f = t as f64;
             moving.observe(t_f, Point::new(speed * t_f, 0.0));
             still.observe(t_f, Point::new(5.0, 5.0));
         }
-        prop_assert_eq!(moving.classify(), MobilityPattern::Linear);
-        prop_assert_eq!(still.classify(), MobilityPattern::Stop);
+        prop_assert_eq!(moving.classify(&cfg), MobilityPattern::Linear);
+        prop_assert_eq!(still.classify(&cfg), MobilityPattern::Stop);
     }
 
     /// Classifier change fraction is a valid fraction.
     #[test]
     fn classifier_change_fraction_is_bounded(traj in trajectory()) {
-        let mut c = MobilityClassifier::new(12, 2.0);
+        let cfg = AdfConfig {
+            classifier_window: 12,
+            ..AdfConfig::default()
+        };
+        let mut c = MobilityClassifier::new(&cfg);
         for (t, p) in traj.iter().enumerate() {
             c.observe(t as f64, *p);
         }
-        let f = c.change_fraction();
+        let f = c.change_fraction(&cfg);
         prop_assert!((0.0..=1.0).contains(&f));
         prop_assert!(c.mean_speed() >= 0.0);
     }

@@ -217,9 +217,7 @@ fn ablation_silence_tau() {
     // at 3 m/s for 20 s, then moves at 1 m/s silently for 60 s.
     let mut rows = Vec::new();
     for tau in [5.0, 15.0, 30.0, 60.0] {
-        let mut est = BrownPositionEstimator::new(0.5)
-            .expect("valid alpha")
-            .with_silence_tau(tau);
+        let mut est = BrownPositionEstimator::new(0.5).expect("valid alpha");
         for t in 0..20 {
             est.observe(f64::from(t), Point::new(3.0 * f64::from(t), 0.0));
         }
@@ -229,7 +227,7 @@ fn ablation_silence_tau() {
         for s in 1..=60u32 {
             let truth = last_reported + mobigrid_geo::Vec2::new(f64::from(s), 0.0);
             let err = est
-                .estimate(19.0 + f64::from(s))
+                .estimate_with_tau(19.0 + f64::from(s), tau)
                 .expect("warmed up")
                 .distance_to(truth);
             worst = worst.max(err);

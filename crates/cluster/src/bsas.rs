@@ -79,14 +79,20 @@ impl Bsas {
 
 /// Incremental BSAS with running centroids.
 ///
-/// The ADF's cluster manager keeps one of these per reclustering round,
-/// pushing each moving node's feature vector and reading back its cluster id
-/// immediately.
+/// The ADF's cluster manager keeps one of these for its lifetime, clearing
+/// it at each reclustering round and pushing each moving node's feature
+/// (its mean speed, through [`OnlineBsas::push_scalar`]) and reading back
+/// its cluster id immediately. Centroids live in one flat buffer, so a
+/// cleared clusterer refills without allocating until it forms more
+/// clusters than it ever held.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineBsas {
     threshold: f64,
     max_clusters: Option<usize>,
-    centroids: Vec<Vec<f64>>,
+    /// Feature dimension, fixed by the first push after a clear.
+    dim: usize,
+    /// Centroids, `dim` values each, cluster after cluster.
+    centroids: Vec<f64>,
     counts: Vec<usize>,
 }
 
@@ -106,6 +112,7 @@ impl OnlineBsas {
         OnlineBsas {
             threshold,
             max_clusters: None,
+            dim: 0,
             centroids: Vec::new(),
             counts: Vec::new(),
         }
@@ -130,39 +137,53 @@ impl OnlineBsas {
     ///
     /// Panics when `item`'s dimension differs from previously pushed items.
     pub fn push(&mut self, item: &[f64]) -> usize {
-        let nearest = self
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, euclidean(item, c)))
+        if self.counts.is_empty() {
+            self.dim = item.len();
+        }
+        let nearest = (0..self.counts.len())
+            .map(|i| (i, euclidean(item, self.centroid(i))))
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
 
         let at_cap = self
             .max_clusters
-            .is_some_and(|max| self.centroids.len() >= max);
+            .is_some_and(|max| self.counts.len() >= max);
 
         match nearest {
             Some((idx, dist)) if dist < self.threshold || at_cap => {
                 // Incremental centroid update: c' = c + (x - c)/(n + 1).
                 let n = self.counts[idx] as f64;
-                for (c, x) in self.centroids[idx].iter_mut().zip(item) {
+                let centroid = &mut self.centroids[idx * self.dim..][..self.dim];
+                for (c, x) in centroid.iter_mut().zip(item) {
                     *c += (x - *c) / (n + 1.0);
                 }
                 self.counts[idx] += 1;
                 idx
             }
             _ => {
-                self.centroids.push(item.to_vec());
+                self.centroids.extend_from_slice(item);
                 self.counts.push(1);
-                self.centroids.len() - 1
+                self.counts.len() - 1
             }
         }
+    }
+
+    /// [`OnlineBsas::push`] of the one-dimensional feature `[x]`: the same
+    /// distances (`((x − c)·(x − c)).sqrt()`) and centroid updates, bit
+    /// for bit, without a slice to build.
+    pub fn push_scalar(&mut self, x: f64) -> usize {
+        self.push(std::slice::from_ref(&x))
+    }
+
+    /// Forgets every cluster, keeping the buffers for the next round.
+    pub fn clear(&mut self) {
+        self.centroids.clear();
+        self.counts.clear();
     }
 
     /// Number of clusters formed so far.
     #[must_use]
     pub fn cluster_count(&self) -> usize {
-        self.centroids.len()
+        self.counts.len()
     }
 
     /// Current centroid of cluster `idx`.
@@ -172,7 +193,8 @@ impl OnlineBsas {
     /// Panics when `idx` is out of range.
     #[must_use]
     pub fn centroid(&self, idx: usize) -> &[f64] {
-        &self.centroids[idx]
+        assert!(idx < self.counts.len(), "cluster {idx} out of range");
+        &self.centroids[idx * self.dim..][..self.dim]
     }
 
     /// Current member count of cluster `idx`.
@@ -188,7 +210,9 @@ impl OnlineBsas {
     /// Consumes the clusterer, returning the centroids.
     #[must_use]
     pub fn into_centroids(self) -> Vec<Vec<f64>> {
-        self.centroids
+        (0..self.counts.len())
+            .map(|i| self.centroid(i).to_vec())
+            .collect()
     }
 }
 
@@ -274,6 +298,36 @@ mod tests {
         assert_eq!(ob.count(0), 2);
         assert_eq!(ob.count(1), 1);
         assert!((ob.centroid(0)[0] - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn scalar_pushes_match_slice_pushes_across_clears() {
+        // The same scan twice through one cleared clusterer, as scalars,
+        // against a fresh clusterer fed one-element slices.
+        let speeds = [0.0, 1.2, 0.7, 5.5, 1.9, 6.4, 0.25, f64::MIN_POSITIVE];
+        let mut reused = OnlineBsas::new(1.0);
+        for _ in 0..2 {
+            reused.clear();
+            let mut fresh = OnlineBsas::new(1.0);
+            for x in speeds {
+                assert_eq!(reused.push_scalar(x), fresh.push(&[x]));
+            }
+            assert_eq!(reused, fresh);
+            for i in 0..fresh.cluster_count() {
+                assert_eq!(
+                    reused.centroid(i)[0].to_bits(),
+                    fresh.centroid(i)[0].to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share dimension")]
+    fn mixed_dimensions_panic() {
+        let mut ob = OnlineBsas::new(1.0);
+        ob.push(&[1.0, 2.0]);
+        ob.push(&[1.0]);
     }
 
     #[test]

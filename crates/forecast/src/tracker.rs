@@ -97,18 +97,12 @@ pub struct BrownPositionEstimator {
     /// Smoothed mean of unit heading vectors; its norm is the
     /// direction-consistency gate.
     dir_mean: Option<Vec2>,
-    consistency_alpha: f64,
-    /// Time constant τ of the silence decay: extrapolated displacement
-    /// saturates at `v̂·τ` as dead time grows.
-    silence_tau_secs: f64,
-    /// Expected observation spacing; gaps meaningfully longer than this are
-    /// silences.
-    nominal_dt: f64,
     /// Smoothed mean speed *across silences* (displacement ÷ gap for gaps
-    /// longer than `nominal_dt`). Extrapolation during a silence uses this
-    /// instead of the send-time speed: an update being filtered is evidence
-    /// the node slowed below its distance threshold, so the speed observed
-    /// while it was reporting every second overestimates its speed now.
+    /// longer than [`Self::NOMINAL_DT`]). Extrapolation during a silence
+    /// uses this instead of the send-time speed: an update being filtered
+    /// is evidence the node slowed below its distance threshold, so the
+    /// speed observed while it was reporting every second overestimates
+    /// its speed now.
     silence_speed: SingleExponential,
     /// Running mean of every observed position — the long-horizon anchor.
     mean_pos: Point,
@@ -149,12 +143,18 @@ impl BrownPositionEstimator {
     /// sluggish so a few chance-aligned random steps don't open the gate.
     pub const DEFAULT_CONSISTENCY_ALPHA: f64 = 0.15;
 
+    /// Expected observation spacing in seconds; gaps meaningfully longer
+    /// than this are silences.
+    pub const NOMINAL_DT: f64 = 1.0;
+
     /// Weight of the home-anchor prior, in pseudo-observations: a node that
     /// has reported fewer than this many positions is anchored mostly by
     /// its home region; a long-observed node by its own history.
     pub const HOME_PRIOR_WEIGHT: f64 = 60.0;
 
-    /// Default silence time constant τ in seconds.
+    /// Silence time constant τ in seconds, the one
+    /// [`BrownPositionEstimator::estimate`] uses: extrapolated displacement
+    /// saturates at `v̂·τ` as dead time grows.
     ///
     /// Estimation is only invoked when an update was *filtered*, and under
     /// the paper's distance filter a filtered second means the node moved
@@ -178,9 +178,6 @@ impl BrownPositionEstimator {
             last: None,
             unwrapped_heading: None,
             dir_mean: None,
-            consistency_alpha: Self::DEFAULT_CONSISTENCY_ALPHA,
-            silence_tau_secs: Self::DEFAULT_SILENCE_TAU_SECS,
-            nominal_dt: 1.0,
             silence_speed: SingleExponential::new(0.3).expect("valid constant"),
             mean_pos: Point::ORIGIN,
             obs_count: 0,
@@ -205,21 +202,6 @@ impl BrownPositionEstimator {
             None if self.obs_count >= 8 => Some(self.mean_pos),
             None => None,
         }
-    }
-
-    /// Overrides the silence time constant τ in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `secs` is not strictly positive.
-    #[must_use]
-    pub fn with_silence_tau(mut self, secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs > 0.0,
-            "silence time constant must be positive"
-        );
-        self.silence_tau_secs = secs;
-        self
     }
 
     /// The current direction-consistency gate in `[0, 1]`: ≈ 1 for steady
@@ -280,7 +262,7 @@ impl BrownPositionEstimator {
                 let delta = position - p0;
                 let speed = delta.norm() / dt;
                 self.speed.observe(speed);
-                if dt > 1.5 * self.nominal_dt {
+                if dt > 1.5 * Self::NOMINAL_DT {
                     // This update ends a silence: its mean speed is a
                     // direct sample of how fast the node moves while its
                     // updates are being filtered.
@@ -315,7 +297,7 @@ impl BrownPositionEstimator {
                     self.direction.observe(unwrapped);
                     // Fold the unit heading into the consistency gate.
                     let unit = h.unit_vector();
-                    let a = self.consistency_alpha;
+                    let a = Self::DEFAULT_CONSISTENCY_ALPHA;
                     self.dir_mean = Some(match self.dir_mean {
                         None => unit,
                         Some(prev) => prev * (1.0 - a) + unit * a,
@@ -341,7 +323,16 @@ impl BrownPositionEstimator {
     /// Takes `&mut self` to memoise the terms of the answer that depend
     /// only on the estimator's state; the result does not depend on whether
     /// that memo is warm.
+    #[inline]
     pub fn estimate(&mut self, time_s: f64) -> Option<Point> {
+        self.estimate_with_tau(time_s, Self::DEFAULT_SILENCE_TAU_SECS)
+    }
+
+    /// [`BrownPositionEstimator::estimate`] under silence time constant
+    /// `tau` (seconds) in place of [`Self::DEFAULT_SILENCE_TAU_SECS`], for
+    /// the τ ablation. τ enters only the query-time terms, so the state
+    /// and its memo are the same for every `tau`.
+    pub fn estimate_with_tau(&mut self, time_s: f64, tau: f64) -> Option<Point> {
         let (t0, p0) = self.last?;
         let dt = (time_s - t0).max(0.0);
         if matches!(self.plan, Plan::Stale) {
@@ -357,7 +348,6 @@ impl BrownPositionEstimator {
             return Some(p0);
         };
         // Silence decay: ≈ dt while the gap is fresh, saturating at τ.
-        let tau = self.silence_tau_secs;
         let effective_dt = tau * (1.0 - (-dt / tau).exp());
         // `Vec2::from_polar` with the memoised cosine and sine.
         let magnitude = speed * effective_dt * gate;
@@ -578,7 +568,7 @@ mod tests {
             None => speed,
         };
         let heading = Heading::from_radians(dir);
-        let tau = est.silence_tau_secs;
+        let tau = BrownPositionEstimator::DEFAULT_SILENCE_TAU_SECS;
         let effective_dt = tau * (1.0 - (-dt / tau).exp());
         let gate = est.direction_consistency().powi(2);
         let linear = p0 + Vec2::from_polar(speed * effective_dt * gate, heading);

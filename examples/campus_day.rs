@@ -6,7 +6,7 @@
 //! cargo run --example campus_day
 //! ```
 
-use mobigrid::adf::MobilityClassifier;
+use mobigrid::adf::{AdfConfig, MobilityClassifier};
 use mobigrid::campus::Campus;
 use mobigrid::geo::Rect;
 use mobigrid::mobility::{
@@ -80,7 +80,8 @@ fn main() {
     ]);
 
     let mut rng = StdRng::seed_from_u64(7);
-    let mut classifier = MobilityClassifier::new(10, 2.0);
+    let adf = AdfConfig::default();
+    let mut classifier = MobilityClassifier::new(&adf);
     let mut last_phase = usize::MAX;
 
     for t in 0..1200u32 {
@@ -96,7 +97,7 @@ fn main() {
             println!(
                 "t={t:>4}s    at {pos} in {region}: intended {}, classifier sees {}",
                 day.pattern(),
-                classifier.classify()
+                classifier.classify(&adf)
             );
         }
         if day.is_finished() {
