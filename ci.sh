@@ -23,6 +23,18 @@ echo "==> fault_matrix smoke"
 cargo run --release -p mobigrid-experiments --bin experiment -- \
   --experiment fault_matrix --ticks 60 > /dev/null
 
+echo "==> examples smoke"
+# The root examples are the only callers of Schedule, PathFollower and most
+# of the HLA API outside the tests: each must run to completion.
+for example in quickstart campus_day traffic_reduction location_estimation hla_federation; do
+  cargo run --release -q --example "$example" > /dev/null
+done
+
+echo "==> seed sweep smoke (2 campaign threads)"
+# The seeds fan out over the campaign thread budget.
+cargo run --release -p mobigrid-experiments --bin experiment -- \
+  --experiment seeds --ticks 30 --campaign-threads 2 > /dev/null
+
 echo "==> telemetry export smoke"
 smoke_jsonl="$(mktemp -t mobigrid-telemetry.XXXXXX.jsonl)"
 cargo run --release -p mobigrid-experiments --bin experiment -- \

@@ -17,8 +17,8 @@
 //!  engines[i]       MobilityEngine    regions[i]        RegionId
 //!  rng[i]           SplitMix64 (u64)  region_kinds[i]   RegionKind
 //!  positions[i]     Point             node_types[i]     NodeType
-//!  record_trace[i]  bool              patterns[i]       MobilityPattern
-//!  traces[i]        Trace             mobility_kinds[i] MobilityKind
+//!                                     patterns[i]       MobilityPattern
+//!                                     mobility_kinds[i] MobilityKind
 //!                                     home_anchors[i]   Option<Point>
 //!                                     retry_policies[i] Option<RetryPolicy>
 //! ```
@@ -43,7 +43,7 @@
 use mobigrid_campus::{RegionId, RegionKind};
 use mobigrid_geo::Point;
 use mobigrid_mobility::{
-    MobilityEngine, MobilityKind, MobilityModel, MobilityPattern, NodeType, Quiescence, Trace,
+    MobilityEngine, MobilityKind, MobilityModel, MobilityPattern, NodeType, Quiescence,
 };
 use mobigrid_sim::par::select;
 use mobigrid_sim::SplitMix64;
@@ -75,10 +75,6 @@ pub struct NodeColumns {
     /// Engine variant discriminants, cached densely for kernels that only
     /// need to branch on the kind.
     mobility_kinds: Vec<MobilityKind>,
-    /// Ground-truth traces (empty unless recording was requested).
-    traces: Vec<Trace>,
-    /// Whether `advance` records into `traces`.
-    record_trace: Vec<bool>,
     /// Estimator prior anchors, when the workload set them.
     home_anchors: Vec<Option<Point>>,
     /// Per-node retry policies, when attached.
@@ -91,27 +87,23 @@ pub struct MovementShard<'a> {
     engines: &'a mut [MobilityEngine],
     rng: &'a mut [SplitMix64],
     positions: &'a mut [Point],
-    traces: &'a mut [Trace],
-    record_trace: &'a [bool],
 }
 
 impl MovementShard<'_> {
-    /// Advances every node in the shard by `dt` seconds to simulation time
-    /// `time_s`, writing the new position both into the position column and
-    /// into `obs` (the tick's `(node, position)` observation slice, same
-    /// indexing). `base` is the shard's first node index.
+    /// Advances every node in the shard by `dt` seconds, writing the new
+    /// position both into the position column and into `obs` (the tick's
+    /// `(node, position)` observation slice, same indexing). `base` is the
+    /// shard's first node index. `_time_s`, the tick's simulation time, is
+    /// not read: it stays in the signature for the benchmark harness,
+    /// which times this kernel directly.
     ///
-    /// Exactly the legacy `MobileNode::step` semantics per node, in the
-    /// same node order: step the engine with the node's own RNG stream,
-    /// then record the trace point only when recording is enabled.
-    pub fn advance(self, base: usize, time_s: f64, dt: f64, obs: &mut [(MnId, Point)]) {
+    /// Exactly [`MobileNode::step`] per node, in the same node order: step
+    /// the engine with the node's own RNG stream.
+    pub fn advance(self, base: usize, _time_s: f64, dt: f64, obs: &mut [(MnId, Point)]) {
         debug_assert_eq!(self.engines.len(), obs.len());
         for (k, (engine, rng)) in self.engines.iter_mut().zip(self.rng.iter_mut()).enumerate() {
             let pos = engine.step(dt, rng);
             self.positions[k] = pos;
-            if self.record_trace[k] {
-                self.traces[k].record(time_s, pos);
-            }
             obs[k] = (MnId::new((base + k) as u32), pos);
         }
     }
@@ -120,8 +112,7 @@ impl MovementShard<'_> {
     /// `asleep` are skipped entirely — their position and observation slots
     /// already hold the correct (bit-unchanged) values from the tick they
     /// fell asleep. Every node that *does* step is then probed for
-    /// quiescence; provably quiescent nodes (that are not recording a
-    /// trace, which must sample every tick) are reported in `newly_asleep`
+    /// quiescence; provably quiescent nodes are reported in `newly_asleep`
     /// as `(node_id, quiescent_ticks)` with `u64::MAX` meaning "for ever".
     ///
     /// The caller files the reported nodes into its wake wheel *in shard
@@ -132,7 +123,6 @@ impl MovementShard<'_> {
     pub fn advance_sparse(
         self,
         base: usize,
-        time_s: f64,
         dt: f64,
         obs: &mut [(MnId, Point)],
         asleep: &[bool],
@@ -150,20 +140,16 @@ impl MovementShard<'_> {
             }
             let pos = engine.step(dt, rng);
             self.positions[k] = pos;
-            if self.record_trace[k] {
-                self.traces[k].record(time_s, pos);
-            } else {
-                let ticks = match engine.quiescence(dt) {
-                    Quiescence::Active => None,
-                    Quiescence::Until(ticks) => Some(ticks),
-                    Quiescence::Forever => Some(u64::MAX),
-                };
-                if let Some(ticks) = ticks {
-                    // At most the rest of the shard falls asleep: the list
-                    // allocates once, not once per doubling.
-                    newly_asleep.reserve(asleep.len() - k);
-                    newly_asleep.push(((base + k) as u32, ticks));
-                }
+            let ticks = match engine.quiescence(dt) {
+                Quiescence::Active => None,
+                Quiescence::Until(ticks) => Some(ticks),
+                Quiescence::Forever => Some(u64::MAX),
+            };
+            if let Some(ticks) = ticks {
+                // At most the rest of the shard falls asleep: the list
+                // allocates once, not once per doubling.
+                newly_asleep.reserve(asleep.len() - k);
+                newly_asleep.push(((base + k) as u32, ticks));
             }
             obs[k] = (MnId::new((base + k) as u32), pos);
         }
@@ -186,8 +172,6 @@ impl NodeColumns {
             node_types: Vec::with_capacity(n),
             patterns: Vec::with_capacity(n),
             mobility_kinds: Vec::with_capacity(n),
-            traces: Vec::with_capacity(n),
-            record_trace: Vec::with_capacity(n),
             home_anchors: Vec::with_capacity(n),
             retry_policies: Vec::with_capacity(n),
         };
@@ -206,8 +190,6 @@ impl NodeColumns {
             cols.region_kinds.push(parts.region_kind);
             cols.node_types.push(parts.node_type);
             cols.patterns.push(parts.declared_pattern);
-            cols.traces.push(parts.trace);
-            cols.record_trace.push(parts.record_trace);
             cols.home_anchors.push(parts.home_anchor);
             cols.retry_policies.push(parts.retry_policy);
         }
@@ -313,18 +295,12 @@ impl NodeColumns {
             .engines
             .chunks_mut(shard_size)
             .zip(self.rng.chunks_mut(shard_size))
-            .zip(self.positions.chunks_mut(shard_size))
-            .zip(self.traces.chunks_mut(shard_size))
-            .zip(self.record_trace.chunks(shard_size));
-        select(columns, shards).map(
-            |(_, ((((engines, rng), positions), traces), record_trace))| MovementShard {
-                engines,
-                rng,
-                positions,
-                traces,
-                record_trace,
-            },
-        )
+            .zip(self.positions.chunks_mut(shard_size));
+        select(columns, shards).map(|(_, ((engines, rng), positions))| MovementShard {
+            engines,
+            rng,
+            positions,
+        })
     }
 }
 
@@ -385,13 +361,6 @@ impl NodeView<'_> {
     #[must_use]
     pub fn position(&self) -> Point {
         self.cols.positions[self.index]
-    }
-
-    /// The recorded ground-truth trace (empty unless recording was
-    /// enabled on the source node).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.cols.traces[self.index]
     }
 
     /// The home-region anchor, when set.
@@ -509,7 +478,7 @@ mod tests {
                 shard.advance(base, time_s, 1.0, &mut obs[base..end]);
             }
             for (i, node) in aos.iter_mut().enumerate() {
-                let want = node.step(time_s, 1.0);
+                let want = node.step(1.0);
                 assert_eq!(obs[i], (MnId::new(i as u32), want), "tick {t} node {i}");
                 assert_eq!(cols.positions()[i], want);
             }

@@ -1,8 +1,6 @@
 use mobigrid_campus::{RegionId, RegionKind};
 use mobigrid_geo::Point;
-use mobigrid_mobility::{
-    MobilityEngine, MobilityKind, MobilityModel, MobilityPattern, NodeType, Trace,
-};
+use mobigrid_mobility::{MobilityEngine, MobilityKind, MobilityModel, MobilityPattern, NodeType};
 use mobigrid_sim::SplitMix64;
 use mobigrid_wireless::{MnId, RetryPolicy};
 
@@ -11,8 +9,8 @@ use mobigrid_wireless::{MnId, RetryPolicy};
 ///
 /// The node owns its RNG state (seeded deterministically per node by the
 /// workload generator, via the golden-trace-compatible
-/// [`SplitMix64::from_stdrng_seed`] path) and records its ground-truth
-/// trace, which the experiments compare broker beliefs against.
+/// [`SplitMix64::from_stdrng_seed`] path); its ground-truth position is
+/// what the experiments compare broker beliefs against.
 ///
 /// Inside [`MobileGridSim`](crate::MobileGridSim) the population does not
 /// live as a `Vec<MobileNode>`: the builder decomposes the nodes into the
@@ -30,8 +28,6 @@ pub struct MobileNode {
     engine: MobilityEngine,
     rng: SplitMix64,
     position: Point,
-    trace: Trace,
-    record_trace: bool,
     home_anchor: Option<Point>,
     retry_policy: Option<RetryPolicy>,
 }
@@ -47,8 +43,6 @@ pub(crate) struct NodeParts {
     pub(crate) engine: MobilityEngine,
     pub(crate) rng: SplitMix64,
     pub(crate) position: Point,
-    pub(crate) trace: Trace,
-    pub(crate) record_trace: bool,
     pub(crate) home_anchor: Option<Point>,
     pub(crate) retry_policy: Option<RetryPolicy>,
 }
@@ -73,8 +67,7 @@ impl MobileNode {
     ///
     /// `model` is an already-built [`MobilityEngine`] or any mobility model
     /// that converts into one: `StopModel`, `RandomWalk`, `IndoorWalker`,
-    /// `RoadPatroller`, `PathFollower`, `GaussMarkov`, `Schedule` or
-    /// `TraceReplay`. `rng_seed` seeds the node's SplitMix64 stream
+    /// `RoadPatroller`, `PathFollower` or `Schedule`. `rng_seed` seeds the node's SplitMix64 stream
     /// exactly like the former per-node `StdRng::seed_from_u64(rng_seed)`
     /// did, so trajectories are unchanged from the AoS era.
     pub fn new(
@@ -97,23 +90,9 @@ impl MobileNode {
             engine,
             rng: SplitMix64::from_stdrng_seed(rng_seed),
             position,
-            trace: Trace::new(),
-            record_trace: false,
             home_anchor: None,
             retry_policy: None,
         }
-    }
-
-    /// Enables ground-truth trace recording on [`MobileNode::step`].
-    ///
-    /// Off by default: an unbounded trace grows (and occasionally
-    /// reallocates) on every tick, which both breaks the simulation's
-    /// allocation-free steady state and leaks memory linearly in run length.
-    /// Turn it on only for workload export or trace-replay capture.
-    #[must_use]
-    pub fn with_trace_recording(mut self) -> Self {
-        self.record_trace = true;
-        self
     }
 
     /// Attaches the node's home-region anchor (e.g. the region centre),
@@ -190,21 +169,9 @@ impl MobileNode {
         self.position
     }
 
-    /// The recorded ground-truth trace (empty unless
-    /// [`MobileNode::with_trace_recording`] was requested).
-    #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Advances the node by `dt` seconds to simulation time `time_s`,
-    /// returning the new position. Records the trace point only when trace
-    /// recording is enabled.
-    pub fn step(&mut self, time_s: f64, dt: f64) -> Point {
+    /// Advances the node by `dt` seconds, returning the new position.
+    pub fn step(&mut self, dt: f64) -> Point {
         self.position = self.engine.step(dt, &mut self.rng);
-        if self.record_trace {
-            self.trace.record(time_s, self.position);
-        }
         self.position
     }
 
@@ -219,8 +186,6 @@ impl MobileNode {
             engine: self.engine,
             rng: self.rng,
             position: self.position,
-            trace: self.trace,
-            record_trace: self.record_trace,
             home_anchor: self.home_anchor,
             retry_policy: self.retry_policy,
         }
@@ -258,19 +223,6 @@ mod tests {
         assert_eq!(n.mobility_kind(), MobilityKind::Stop);
     }
 
-    #[test]
-    fn stepping_records_the_trace_only_when_enabled() {
-        let mut silent = parked_node();
-        let mut recording = parked_node().with_trace_recording();
-        for t in 1..=5 {
-            silent.step(t as f64, 1.0);
-            recording.step(t as f64, 1.0);
-        }
-        assert_eq!(silent.trace().len(), 0);
-        assert_eq!(recording.trace().len(), 5);
-        assert_eq!(recording.trace().total_distance(), 0.0);
-    }
-
     /// The seed-compat contract at the node level: a node seeded with
     /// `rng_seed` walks the exact trajectory of the legacy AoS node that
     /// held `StdRng::seed_from_u64(rng_seed)` and a boxed model.
@@ -294,7 +246,7 @@ mod tests {
             Box::new(RandomWalk::new(bounds, start, 1.2));
         let mut rng = StdRng::seed_from_u64(99);
         for t in 1..=200 {
-            let got = node.step(t as f64, 1.0);
+            let got = node.step(1.0);
             let want = model.step(1.0, &mut rng);
             assert_eq!(got, want, "tick {t}");
         }

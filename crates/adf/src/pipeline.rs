@@ -1263,9 +1263,7 @@ impl MobileGridSim {
                 self.pool.run_into(
                     shards,
                     &mut sp.newly_asleep,
-                    |_, (shard, (base, obs, asleep))| {
-                        shard.advance_sparse(base, time_s, DT, obs, asleep)
-                    },
+                    |_, (shard, (base, obs, asleep))| shard.advance_sparse(base, DT, obs, asleep),
                 );
                 // New sleepers moved this tick: they are filed after the
                 // apply phase, so until then `asleep` marks exactly the

@@ -145,7 +145,7 @@ fn ablation_classifier_window() {
             let obs: Vec<_> = nodes
                 .iter_mut()
                 .map(|n| {
-                    let p = n.step(t as f64, 1.0);
+                    let p = n.step(1.0);
                     (n.id(), p)
                 })
                 .collect();

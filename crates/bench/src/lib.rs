@@ -18,7 +18,7 @@ use mobigrid_campus::Campus;
 use mobigrid_experiments::workload;
 
 /// Builds an ADF simulation over a [`Campus::grid_city`] of `blocks` with
-/// the Table-1 per-region densities — the scalability workload
+/// the Table-1 per-region densities — the grid-city workload
 /// `tick_timing` runs across thread counts. An 8×8 city holds 1140 nodes.
 ///
 /// # Panics

@@ -225,11 +225,6 @@ impl CampusBuilder {
         Ok(id)
     }
 
-    /// Adds an anonymous junction waypoint.
-    pub fn add_junction(&mut self, at: Point) -> NodeId {
-        self.graph.add_node(at)
-    }
-
     /// Connects two waypoints with a walkable edge.
     ///
     /// # Errors
@@ -271,7 +266,7 @@ mod tests {
         .unwrap();
         let g = b.add_waypoint("gate", Point::new(-50.0, 0.0)).unwrap();
         let e = b.add_entrance("B1", Point::new(15.0, 10.0)).unwrap();
-        let j = b.add_junction(Point::new(15.0, 0.0));
+        let j = b.add_waypoint("junction", Point::new(15.0, 0.0)).unwrap();
         b.connect(g, j).unwrap();
         b.connect(j, e).unwrap();
         b.build()

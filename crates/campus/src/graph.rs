@@ -90,12 +90,6 @@ impl WaypointGraph {
         self.points.len()
     }
 
-    /// Number of undirected edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
-    }
-
     /// The location of waypoint `id`.
     ///
     /// # Panics
@@ -109,20 +103,6 @@ impl WaypointGraph {
     /// Iterates over every waypoint id in the graph.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.points.len()).map(NodeId)
-    }
-
-    /// The waypoint nearest to `p`, or `None` for an empty graph.
-    #[must_use]
-    pub fn nearest_node(&self, p: Point) -> Option<NodeId> {
-        self.points
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.distance_sq_to(p)
-                    .partial_cmp(&b.distance_sq_to(p))
-                    .expect("finite coordinates")
-            })
-            .map(|(i, _)| NodeId(i))
     }
 
     /// Shortest path from `from` to `to` as a polyline through waypoint
@@ -254,17 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_node_finds_closest() {
-        let (g, _a, b, ..) = diamond();
-        assert_eq!(g.nearest_node(Point::new(0.5, 9.0)), Some(b));
-    }
-
-    #[test]
-    fn nearest_node_of_empty_graph_is_none() {
-        assert_eq!(WaypointGraph::new().nearest_node(Point::ORIGIN), None);
-    }
-
-    #[test]
     fn edge_to_unknown_node_errors() {
         let mut g = WaypointGraph::new();
         let a = g.add_node(Point::ORIGIN);
@@ -276,7 +245,6 @@ mod tests {
     fn counts_track_structure() {
         let (g, ..) = diamond();
         assert_eq!(g.node_count(), 4);
-        assert_eq!(g.edge_count(), 4);
     }
 
     #[test]

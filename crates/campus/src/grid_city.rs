@@ -1,4 +1,4 @@
-//! A parametric grid-city layout for scalability experiments.
+//! A parametric grid-city layout for the scale scenarios.
 //!
 //! The paper evaluates one campus with 11 regions and 140 nodes. To ask how
 //! the ADF behaves as the deployment grows — more regions, more clusters,

@@ -95,22 +95,6 @@ impl Clustering {
             .filter(move |(_, &a)| a == cluster)
             .map(|(i, _)| i)
     }
-
-    /// Mean within-cluster distance to centroid — a compactness measure used
-    /// by the α-sweep ablation.
-    #[must_use]
-    pub fn mean_distortion(&self, items: &[Vec<f64>]) -> f64 {
-        assert_eq!(items.len(), self.assignments.len(), "items must match");
-        if items.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = items
-            .iter()
-            .zip(&self.assignments)
-            .map(|(item, &a)| crate::euclidean(item, &self.centroids[a]))
-            .sum();
-        total / items.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -138,14 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_distortion_hand_computed() {
-        let c = sample();
-        let items = vec![vec![0.0], vec![2.0], vec![5.0]];
-        // distances: 1, 1, 0 -> mean 2/3
-        assert!((c.mean_distortion(&items) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_assignment() {
         let _ = Clustering::new(vec![0, 3], vec![vec![1.0]]);
@@ -156,6 +132,5 @@ mod tests {
         let c = Clustering::new(vec![], vec![]);
         assert_eq!(c.cluster_count(), 0);
         assert_eq!(c.item_count(), 0);
-        assert_eq!(c.mean_distortion(&[]), 0.0);
     }
 }

@@ -294,9 +294,13 @@ mod tests {
     #[test]
     fn execute_rejects_unknown_experiments() {
         let cli = Cli::default();
-        assert!(execute(&cli, "nope")
-            .unwrap_err()
-            .contains("unknown experiment"));
+        // Names retired from the registry stay unknown.
+        for name in ["nope", "scalability", "serve_bench"] {
+            assert!(execute(&cli, name)
+                .unwrap_err()
+                .contains("unknown experiment"));
+        }
+        assert_eq!(crate::experiment::all().len(), 13);
     }
 
     #[test]

@@ -18,9 +18,7 @@ use crate::campaign::{run_campaign_recorded, CampaignData};
 use crate::config::ExperimentConfig;
 use crate::fault_matrix::{self, FaultMatrixConfig};
 use crate::report::text_table;
-use crate::{
-    extensions, fig4, fig5, fig6, fig7, fig89, intervals, robustness, scalability, scale, table1,
-};
+use crate::{extensions, fig4, fig5, fig6, fig7, fig89, intervals, robustness, scale, table1};
 use mobigrid_telemetry::Recorder;
 
 /// The rendered outcome of one experiment run.
@@ -257,36 +255,13 @@ impl Experiment for IntervalsExp {
     }
 }
 
-struct ScalabilityExp;
-impl Experiment for ScalabilityExp {
-    fn name(&self) -> &'static str {
-        "scalability"
-    }
-    fn description(&self) -> &'static str {
-        "Scalability sweep over grid cities of growing size"
-    }
-    fn run(&self, cfg: &ExperimentConfig, _rec: &mut dyn Recorder) -> Report {
-        // Full 1800-tick runs at 900+ nodes take a while; trim the default.
-        let mut cfg = cfg.clone();
-        if cfg.duration_ticks == 1800 {
-            cfg.duration_ticks = 300;
-        }
-        let sizes = [(1, 1), (2, 2), (3, 3), (5, 5)];
-        Report {
-            name: self.name(),
-            text: scalability::sweep_city_sizes(&cfg, &sizes).to_string(),
-            csv: None,
-        }
-    }
-}
-
 struct ScaleExp;
 impl Experiment for ScaleExp {
     fn name(&self) -> &'static str {
         "scale"
     }
     fn description(&self) -> &'static str {
-        "Scale benchmark: ns/tick and LU/s over campus_140 -> city_1140 -> metro_100k"
+        "Scale sweep: ns/tick, LU/s, sent share and RMSE over campus_140 -> city_1140 -> metro_100k"
     }
     fn run(&self, cfg: &ExperimentConfig, _rec: &mut dyn Recorder) -> Report {
         let sweep: Vec<&crate::scenarios::Scenario> = ["campus_140", "city_1140", "metro_100k"]
@@ -342,28 +317,10 @@ impl Experiment for ExtensionsExp {
     }
 }
 
-struct ServeBenchExp;
-impl Experiment for ServeBenchExp {
-    fn name(&self) -> &'static str {
-        "serve_bench"
-    }
-    fn description(&self) -> &'static str {
-        "Serve ingest benchmark: codec + sharded store replay with parity check"
-    }
-    fn run(&self, cfg: &ExperimentConfig, _rec: &mut dyn Recorder) -> Report {
-        let report = crate::serve_bench::compute(cfg);
-        Report {
-            name: self.name(),
-            text: report.to_string(),
-            csv: Some(report.to_csv()),
-        }
-    }
-}
-
 /// Every registered experiment, in presentation order.
 #[must_use]
 pub fn all() -> &'static [&'static dyn Experiment] {
-    static REGISTRY: [&dyn Experiment; 15] = [
+    static REGISTRY: [&dyn Experiment; 13] = [
         &Table1Exp,
         &Fig4Exp,
         &Fig5Exp,
@@ -374,11 +331,9 @@ pub fn all() -> &'static [&'static dyn Experiment] {
         &Fig89Exp,
         &FaultMatrixExp,
         &IntervalsExp,
-        &ScalabilityExp,
         &ScaleExp,
         &SeedsExp,
         &ExtensionsExp,
-        &ServeBenchExp,
     ];
     &REGISTRY
 }

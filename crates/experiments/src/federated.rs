@@ -137,7 +137,7 @@ pub fn run_federated_adf(cfg: &ExperimentConfig, dth_factor: f64) -> FederatedRe
         // (1) MN federate: advance ground truth, publish one raw LU each.
         let mut truth: BTreeMap<MnId, Point> = BTreeMap::new();
         for (node, obj) in nodes.iter_mut().zip(&raw_objects) {
-            let pos = node.step(time_s, 1.0);
+            let pos = node.step(1.0);
             truth.insert(node.id(), pos);
             let lu = LocationUpdate::new(node.id(), time_s, pos, step as u32);
             mn_fed

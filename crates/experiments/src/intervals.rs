@@ -60,7 +60,7 @@ pub fn measure_intervals(cfg: &ExperimentConfig, factor: f64) -> IntervalReport 
         let obs: Vec<_> = nodes
             .iter_mut()
             .map(|n| {
-                let p = n.step(time_s, 1.0);
+                let p = n.step(1.0);
                 (n.id(), p)
             })
             .collect();

@@ -70,10 +70,8 @@ pub mod fig89;
 pub mod intervals;
 pub mod report;
 pub mod robustness;
-pub mod scalability;
 pub mod scale;
 pub mod scenarios;
-pub mod serve_bench;
 pub mod simconfig;
 pub mod table1;
 pub mod trace;

@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use mobigrid_sim::par::ShardPool;
 use mobigrid_sim::stats::Welford;
 
 use crate::campaign::run_campaign;
@@ -38,13 +39,15 @@ pub struct SeedSweep {
     pub factors: Vec<FactorStats>,
 }
 
-/// Runs the campaign once per seed — campaigns on separate threads, one per
-/// seed — and aggregates the headline metrics in seed order (so the result
-/// is identical to a sequential sweep).
+/// Runs the campaign once per seed — the seeds fanned out over
+/// `base.campaign_threads` workers, each seed's campaign running its runs
+/// in order — and aggregates the headline metrics in seed order (so the
+/// result is identical for every thread budget).
 ///
 /// # Panics
 ///
-/// Panics on an empty seed list or if a worker thread panics.
+/// Panics on an empty seed list, on `campaign_threads == 0`, or if a
+/// worker thread panics.
 #[must_use]
 pub fn sweep_seeds(base: &ExperimentConfig, seeds: &[u64]) -> SeedSweep {
     assert!(!seeds.is_empty(), "sweep needs at least one seed");
@@ -59,22 +62,19 @@ pub fn sweep_seeds(base: &ExperimentConfig, seeds: &[u64]) -> SeedSweep {
         })
         .collect();
 
-    // Each seed's campaign is independent; fan out with scoped threads.
-    let campaigns = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| {
-                let mut cfg = base.clone();
-                cfg.seed = seed;
-                scope.spawn(move |_| run_campaign(&cfg))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("sweep scope panicked");
+    assert!(
+        base.campaign_threads >= 1,
+        "campaign_threads must be at least 1"
+    );
+    // Each seed's campaign is independent: the seeds share the thread
+    // budget, and the pool hands the campaigns back in seed order.
+    let campaigns = ShardPool::new(base.campaign_threads).run(seeds.to_vec(), |_, seed| {
+        run_campaign(&ExperimentConfig {
+            seed,
+            campaign_threads: 1,
+            ..base.clone()
+        })
+    });
 
     for data in &campaigns {
         let ideal = data.ideal.total_sent() as f64;
@@ -179,6 +179,19 @@ mod tests {
         );
         let text = sweep.to_string();
         assert!(text.contains("±"));
+    }
+
+    #[test]
+    fn sweep_is_identical_at_every_campaign_thread_budget() {
+        let cfg = |campaign_threads| ExperimentConfig {
+            duration_ticks: 60,
+            campaign_threads,
+            ..ExperimentConfig::default()
+        };
+        let one = sweep_seeds(&cfg(1), &[1, 2, 3]);
+        let two = sweep_seeds(&cfg(2), &[1, 2, 3]);
+        assert_eq!(one, two);
+        assert_eq!(one.to_string(), two.to_string());
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Scale benchmark: per-tick wall-clock across the named scenarios.
+//! Scale sweep: cost and accuracy across the named scenarios.
 //!
-//! Where [`scalability`](crate::scalability) asks whether the *filter*
-//! stays effective as the map grows, this experiment asks whether the
-//! *engine* does: it drives the ADF pipeline over `campus_140` →
-//! `city_1140` → `metro_100k` and reports ns/tick and location-update
-//! throughput (observations processed per wall-clock second) at each
-//! scale. The tick budget is capped per scenario so the sweep stays
-//! bounded — `metro_100k` runs tens of ticks, not the campus's hundreds.
+//! Drives the ADF pipeline over `campus_140` → `city_1140` → `metro_100k`
+//! and reports, at each scale, what the engine costs (ns/tick and
+//! location-update throughput, observations processed per wall-clock
+//! second) and what the filter buys (the share of updates sent, and the
+//! mean location RMSE with the estimator). The first shows whether the
+//! engine keeps up as the map grows, the other two whether the filter
+//! stays effective. The tick budget is capped per scenario so the sweep
+//! stays bounded — `metro_100k` runs tens of ticks, not the campus's
+//! hundreds.
 
 use std::fmt;
 use std::time::Instant;
@@ -41,6 +43,9 @@ pub struct ScaleBenchRow {
     pub lu_per_s: f64,
     /// Fraction of observations the filter let through, percent.
     pub sent_pct: f64,
+    /// Mean RMSE with the location estimator over the measured window,
+    /// metres.
+    pub rmse_with_le: f64,
 }
 
 /// The sweep's outcome.
@@ -102,6 +107,8 @@ pub fn run_scale(cfg: &ExperimentConfig, scenarios: &[&Scenario]) -> ScaleBenchR
                 0.0
             },
             sent_pct: 100.0 * sent as f64 / observed.max(1) as f64,
+            rmse_with_le: stats.iter().map(|t| t.rmse_with_le).sum::<f64>()
+                / stats.len().max(1) as f64,
         });
     }
     ScaleBenchReport {
@@ -115,11 +122,12 @@ impl ScaleBenchReport {
     /// Machine-readable CSV, one row per scenario.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("scenario,nodes,ticks,ns_per_tick,lu_per_s,sent_pct\n");
+        let mut out =
+            String::from("scenario,nodes,ticks,ns_per_tick,lu_per_s,sent_pct,rmse_with_le\n");
         for r in &self.rows {
             out.push_str(&format!(
-                "{},{},{},{:.0},{:.0},{:.2}\n",
-                r.scenario, r.nodes, r.ticks, r.ns_per_tick, r.lu_per_s, r.sent_pct
+                "{},{},{},{:.0},{:.0},{:.2},{:.3}\n",
+                r.scenario, r.nodes, r.ticks, r.ns_per_tick, r.lu_per_s, r.sent_pct, r.rmse_with_le
             ));
         }
         out
@@ -130,7 +138,7 @@ impl fmt::Display for ScaleBenchReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "Scale benchmark (ADF tick engine, {} thread{}, {} driver)",
+            "Scale sweep (ADF tick engine, {} thread{}, {} driver)",
             self.threads,
             if self.threads == 1 { "" } else { "s" },
             self.driver,
@@ -146,11 +154,20 @@ impl fmt::Display for ScaleBenchReport {
                     format!("{:.0}", r.ns_per_tick),
                     format!("{:.2e}", r.lu_per_s),
                     format!("{:.1}%", r.sent_pct),
+                    format!("{:.2}", r.rmse_with_le),
                 ]
             })
             .collect();
         let t = text_table(
-            &["scenario", "nodes", "ticks", "ns/tick", "LU/s", "sent"],
+            &[
+                "scenario",
+                "nodes",
+                "ticks",
+                "ns/tick",
+                "LU/s",
+                "sent",
+                "RMSE w/ LE",
+            ],
             &rows,
         );
         writeln!(f, "{t}")
@@ -200,8 +217,39 @@ mod tests {
         assert!(row.ns_per_tick > 0.0);
         assert!(row.lu_per_s > 0.0);
         assert!((0.0..=100.0).contains(&row.sent_pct));
+        assert!(row.rmse_with_le.is_finite());
         let text = report.to_string();
         assert!(text.contains("campus_140"));
         assert!(report.to_csv().starts_with("scenario,"));
+    }
+
+    /// The filter's cut holds as the map grows: the campus and the city
+    /// both send well under every observation, by similar shares, and every
+    /// row carries a finite error.
+    #[test]
+    fn traffic_cut_is_meaningful_and_stable_across_scales() {
+        let cfg = ExperimentConfig {
+            duration_ticks: 120,
+            ..ExperimentConfig::default()
+        };
+        let sweep = [
+            scenarios::find("campus_140").unwrap(),
+            scenarios::find("city_1140").unwrap(),
+        ];
+        let report = run_scale(&cfg, &sweep);
+        for row in &report.rows {
+            assert!(
+                row.sent_pct < 80.0,
+                "no meaningful cut at {}: {report}",
+                row.scenario
+            );
+            assert!(row.rmse_with_le.is_finite(), "{report}");
+        }
+        let (campus, city) = (&report.rows[0], &report.rows[1]);
+        assert!(
+            (campus.sent_pct - city.sent_pct).abs() <= 25.0,
+            "cut is not scale-stable: {report}"
+        );
+        assert!(report.to_csv().lines().all(|l| l.split(',').count() == 7));
     }
 }

@@ -125,7 +125,8 @@ fn building_rect(region: &Region) -> mobigrid_geo::Rect {
 /// Populates a campus with the Table-1 per-region densities: 10 nodes per
 /// road (5 human LMS + 5 vehicle LMS) and 15 per building (5 SS + 5 RMS +
 /// 5 LMS). On [`Campus::inha_like`] that is the paper's 140 nodes; the
-/// scalability experiments use [`Campus::grid_city`] layouts.
+/// scale scenarios (`city_1140`, `metro_100k`) use [`Campus::grid_city`]
+/// layouts.
 ///
 /// Every node draws its velocity, start position and RNG from
 /// `SeedStream::new(seed)`, so two calls with the same seed produce

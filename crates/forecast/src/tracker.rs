@@ -211,18 +211,6 @@ impl BrownPositionEstimator {
         self.dir_mean.map_or(0.0, |v| v.norm().clamp(0.0, 1.0))
     }
 
-    /// The current smoothed speed estimate in m/s, if warmed up.
-    #[must_use]
-    pub fn speed_estimate(&self) -> Option<f64> {
-        self.speed.level().map(|v| v.max(0.0))
-    }
-
-    /// The current smoothed heading estimate, if warmed up.
-    #[must_use]
-    pub fn heading_estimate(&self) -> Option<Heading> {
-        self.direction.level().map(Heading::from_radians)
-    }
-
     /// Derives the state-only terms of [`BrownPositionEstimator::estimate`].
     fn derive_plan(&self) -> Plan {
         let (Some(speed), Some(dir)) = (self.speed.forecast(1.0), self.direction.forecast(1.0))
@@ -490,16 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn brown_speed_estimate_converges() {
-        let mut est = BrownPositionEstimator::new(0.4).unwrap();
-        for t in 0..60 {
-            est.observe(t as f64, Point::new(3.0 * t as f64, 0.0));
-        }
-        assert!((est.speed_estimate().unwrap() - 3.0).abs() < 1e-6);
-        assert!(est.heading_estimate().unwrap().angle_to(Heading::EAST) < 1e-6);
-    }
-
-    #[test]
     fn brown_single_observation_falls_back_to_last_position() {
         let mut est = BrownPositionEstimator::new(0.5).unwrap();
         est.observe(0.0, Point::new(7.0, 8.0));
@@ -536,8 +514,10 @@ mod tests {
         est.observe(1.0, Point::new(0.0, 0.0));
         est.observe(1.0, Point::new(100.0, 0.0)); // dt = 0: no velocity sample
         est.observe(2.0, Point::new(101.0, 0.0));
-        // Speed from the only valid interval is 1 m/s, not 100.
-        assert!((est.speed_estimate().unwrap() - 1.0).abs() < 1e-9);
+        // Speed from the only valid interval is 1 m/s, not 100: one second
+        // on, the estimate stays near x = 102, not x = 201.
+        let p = est.estimate(3.0).unwrap();
+        assert!((p.x - 102.0).abs() < 1.0, "x = {}", p.x);
     }
 
     #[test]

@@ -126,15 +126,6 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Returns `true` when the two rectangles share any point.
-    #[must_use]
-    pub fn intersects(self, other: Rect) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
-    }
-
     /// The nearest point inside the rectangle to `p` (identity when `p` is
     /// already inside).
     #[must_use]
@@ -216,17 +207,6 @@ mod tests {
         assert!(r.contains(Point::new(1.0, 1.0)));
         assert!(r.contains(Point::new(0.5, 0.5)));
         assert!(!r.contains(Point::new(1.0001, 0.5)));
-    }
-
-    #[test]
-    fn intersects_overlapping_and_touching() {
-        let a = unit();
-        let b = Rect::new(Point::new(0.5, 0.5), Point::new(2.0, 2.0)).unwrap();
-        let c = Rect::new(Point::new(1.0, 0.0), Point::new(2.0, 1.0)).unwrap();
-        let d = Rect::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0)).unwrap();
-        assert!(a.intersects(b));
-        assert!(a.intersects(c)); // touching edges count
-        assert!(!a.intersects(d));
     }
 
     #[test]

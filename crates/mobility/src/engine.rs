@@ -3,8 +3,8 @@ use rand::RngCore;
 use mobigrid_geo::Point;
 
 use crate::{
-    GaussMarkov, IndoorWalker, MobilityModel, MobilityPattern, PathFollower, RandomWalk,
-    RoadPatroller, Schedule, StopModel, TraceReplay,
+    IndoorWalker, MobilityModel, MobilityPattern, PathFollower, RandomWalk, RoadPatroller,
+    Schedule, StopModel,
 };
 
 /// How long a mobility engine is guaranteed to hold its current position.
@@ -49,12 +49,8 @@ pub enum MobilityKind {
     RoadPatrol,
     /// [`PathFollower`] — arc-length travel along a route (LMS).
     Path,
-    /// [`GaussMarkov`] — temporally correlated velocity process.
-    GaussMarkov,
     /// [`Schedule`] — phases composed into a day.
     Schedule,
-    /// [`TraceReplay`] — deterministic replay of a recorded trace.
-    TraceReplay,
 }
 
 /// Every in-tree mobility model as one enum, dispatched by `match` instead
@@ -87,12 +83,8 @@ pub enum MobilityEngine {
     RoadPatrol(RoadPatroller),
     /// A route follower.
     Path(PathFollower),
-    /// A Gauss–Markov process.
-    GaussMarkov(GaussMarkov),
     /// A phase schedule.
     Schedule(Schedule),
-    /// A trace replayer.
-    TraceReplay(TraceReplay),
 }
 
 impl MobilityEngine {
@@ -105,9 +97,7 @@ impl MobilityEngine {
             MobilityEngine::IndoorWalk(_) => MobilityKind::IndoorWalk,
             MobilityEngine::RoadPatrol(_) => MobilityKind::RoadPatrol,
             MobilityEngine::Path(_) => MobilityKind::Path,
-            MobilityEngine::GaussMarkov(_) => MobilityKind::GaussMarkov,
             MobilityEngine::Schedule(_) => MobilityKind::Schedule,
-            MobilityEngine::TraceReplay(_) => MobilityKind::TraceReplay,
         }
     }
 
@@ -150,9 +140,7 @@ impl MobilityEngine {
             MobilityEngine::IndoorWalk(m) => m,
             MobilityEngine::RoadPatrol(m) => m,
             MobilityEngine::Path(m) => m,
-            MobilityEngine::GaussMarkov(m) => m,
             MobilityEngine::Schedule(m) => m,
-            MobilityEngine::TraceReplay(m) => m,
         }
     }
 }
@@ -166,9 +154,7 @@ impl MobilityModel for MobilityEngine {
             MobilityEngine::IndoorWalk(m) => m.step(dt, rng),
             MobilityEngine::RoadPatrol(m) => m.step(dt, rng),
             MobilityEngine::Path(m) => m.step(dt, rng),
-            MobilityEngine::GaussMarkov(m) => m.step(dt, rng),
             MobilityEngine::Schedule(m) => m.step(dt, rng),
-            MobilityEngine::TraceReplay(m) => m.step(dt, rng),
         }
     }
 
@@ -224,19 +210,9 @@ impl From<PathFollower> for MobilityEngine {
         MobilityEngine::Path(m)
     }
 }
-impl From<GaussMarkov> for MobilityEngine {
-    fn from(m: GaussMarkov) -> Self {
-        MobilityEngine::GaussMarkov(m)
-    }
-}
 impl From<Schedule> for MobilityEngine {
     fn from(m: Schedule) -> Self {
         MobilityEngine::Schedule(m)
-    }
-}
-impl From<TraceReplay> for MobilityEngine {
-    fn from(m: TraceReplay) -> Self {
-        MobilityEngine::TraceReplay(m)
     }
 }
 

@@ -5,7 +5,7 @@
 //! State** (RMS — milling around a lab or coffee corner) and **Linear
 //! Movement State** (LMS — walking or driving toward a destination). This
 //! crate implements generators for each, plus the machinery to compose them
-//! into daily schedules and to record/replay position traces:
+//! into daily schedules:
 //!
 //! * [`StopModel`] — SS: a fixed position,
 //! * [`RandomWalk`] — RMS: bounded jittery movement inside a footprint,
@@ -13,8 +13,7 @@
 //!   ping-pong patrolling for road nodes,
 //! * [`IndoorWalker`] — LMS indoors: straight hallway legs between random
 //!   targets,
-//! * [`Schedule`] — phases composed into a day (Tom's §3.1 scenario),
-//! * [`Trace`] / [`TraceReplay`] — recording and deterministic replay.
+//! * [`Schedule`] — phases composed into a day (Tom's §3.1 scenario).
 //!
 //! All models implement [`MobilityModel`] and advance with an explicit
 //! `dt`-second step and caller-supplied RNG, so whole populations evolve
@@ -40,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod gauss_markov;
 mod indoor;
 mod linear;
 mod model;
@@ -49,16 +47,13 @@ mod pattern;
 mod random_walk;
 mod schedule;
 mod stop;
-mod trace;
 
 pub use engine::{MobilityEngine, MobilityKind, Quiescence};
-pub use gauss_markov::GaussMarkov;
 pub use indoor::IndoorWalker;
 pub use linear::{LoopMode, PathFollower};
-pub use model::{MobilityModel, PositionSample};
+pub use model::MobilityModel;
 pub use patrol::RoadPatroller;
 pub use pattern::{MobilityPattern, NodeType};
 pub use random_walk::RandomWalk;
 pub use schedule::{Phase, Schedule};
 pub use stop::StopModel;
-pub use trace::{Trace, TraceReplay};

@@ -1,26 +1,8 @@
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use mobigrid_geo::Point;
 
 use crate::MobilityPattern;
-
-/// A timestamped position, the unit of every trace and location update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PositionSample {
-    /// Simulation time in seconds.
-    pub time_s: f64,
-    /// Where the node was at that time.
-    pub position: Point,
-}
-
-impl PositionSample {
-    /// Creates a sample.
-    #[must_use]
-    pub const fn new(time_s: f64, position: Point) -> Self {
-        PositionSample { time_s, position }
-    }
-}
 
 /// A mobility generator: owns a node's kinematic state and advances it in
 /// discrete time steps.
@@ -66,13 +48,6 @@ pub trait MobilityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sample_round_trips_fields() {
-        let s = PositionSample::new(3.5, Point::new(1.0, 2.0));
-        assert_eq!(s.time_s, 3.5);
-        assert_eq!(s.position, Point::new(1.0, 2.0));
-    }
 
     #[test]
     fn trait_is_object_safe() {

@@ -132,12 +132,6 @@ impl Schedule {
         self.phases[self.current_phase_index()].label()
     }
 
-    /// Total number of phases.
-    #[must_use]
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
-
     fn phase_done(&self) -> bool {
         let phase = &self.phases[self.current];
         if phase.model.is_finished() {
@@ -443,12 +437,11 @@ mod tests {
     }
 
     #[test]
-    fn phase_count_and_labels() {
+    fn phase_labels() {
         let s = Schedule::new(vec![
             Phase::until_arrival("a", walk_to(1.0, 1.0)),
             Phase::until_arrival("b", walk_to(2.0, 1.0)),
         ]);
-        assert_eq!(s.phase_count(), 2);
         assert_eq!(s.current_phase_label(), "a");
     }
 }

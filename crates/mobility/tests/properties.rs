@@ -2,7 +2,7 @@
 
 use mobigrid_geo::{Point, Polyline, Rect};
 use mobigrid_mobility::{
-    IndoorWalker, LoopMode, MobilityModel, PathFollower, RandomWalk, StopModel, Trace,
+    IndoorWalker, LoopMode, MobilityModel, PathFollower, RandomWalk, StopModel,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -98,38 +98,5 @@ proptest! {
         for _ in 0..20 {
             prop_assert_eq!(m.step(1.0, &mut rng), p);
         }
-    }
-
-    #[test]
-    fn trace_interpolation_brackets_samples(
-        xs in prop::collection::vec((-100.0..100.0f64, -100.0..100.0f64), 2..30),
-        q in 0.0..1.0f64,
-    ) {
-        let mut t = Trace::new();
-        for (i, (x, y)) in xs.iter().enumerate() {
-            t.record(i as f64, Point::new(*x, *y));
-        }
-        let query = q * t.duration();
-        let p = t.position_at(query).unwrap();
-        // Interpolated point lies within the bounding box of the samples.
-        let bb = Rect::bounding(xs.iter().map(|&(x, y)| Point::new(x, y))).unwrap();
-        prop_assert!(bb.inflated(1e-9).contains(p));
-    }
-
-    #[test]
-    fn trace_average_speed_is_nonnegative_and_finite(
-        xs in prop::collection::vec((-100.0..100.0f64, -100.0..100.0f64), 2..30),
-    ) {
-        let mut t = Trace::new();
-        for (i, (x, y)) in xs.iter().enumerate() {
-            t.record(i as f64, Point::new(*x, *y));
-        }
-        let v = t.average_speed();
-        prop_assert!(v >= 0.0 && v.is_finite());
-        // Average speed ≤ max instantaneous speed over 1 s steps.
-        let max_step: f64 = t.samples().windows(2)
-            .map(|w| w[0].position.distance_to(w[1].position))
-            .fold(0.0, f64::max);
-        prop_assert!(v <= max_step + 1e-9);
     }
 }

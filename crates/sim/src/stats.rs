@@ -75,16 +75,6 @@ impl Welford {
         }
     }
 
-    /// Sample variance (divide by n−1); zero with fewer than two samples.
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     #[must_use]
     pub fn std_dev(&self) -> f64 {
@@ -207,7 +197,6 @@ mod tests {
         assert_eq!(w.count(), 5);
         assert_eq!(w.mean(), 3.0);
         assert_eq!(w.population_variance(), 2.0);
-        assert_eq!(w.sample_variance(), 2.5);
         assert_eq!(w.min(), Some(1.0));
         assert_eq!(w.max(), Some(5.0));
     }

@@ -15,7 +15,7 @@
 //! | [`sim`] | `mobigrid-sim` | Seed streams, sharded executor, wake wheel, statistics |
 //! | [`hla`] | `mobigrid-hla` | Mini HLA 1.3 RTI: pub/sub, object, time management |
 //! | [`campus`] | `mobigrid-campus` | The Figure-1 experiment site and routing |
-//! | [`mobility`] | `mobigrid-mobility` | SS/RMS/LMS mobility models, schedules, traces |
+//! | [`mobility`] | `mobigrid-mobility` | SS/RMS/LMS mobility models, schedules |
 //! | [`wireless`] | `mobigrid-wireless` | Gateways, coverage, LU frames, traffic meters |
 //! | [`forecast`] | `mobigrid-forecast` | Brown DES and comparators, position estimators |
 //! | [`cluster`] | `mobigrid-cluster` | Sequential clustering (BSAS) |

@@ -2,8 +2,7 @@
 //! public API of the umbrella crate.
 
 use mobigrid::adf::{
-    AdaptiveDistanceFilter, AdfConfig, EstimatorKind, IdealPolicy, MobileNode, SimBuilder,
-    TickStats,
+    AdaptiveDistanceFilter, AdfConfig, EstimatorKind, IdealPolicy, SimBuilder, TickStats,
 };
 use mobigrid::campus::Campus;
 use mobigrid::experiments::workload;
@@ -128,42 +127,5 @@ fn nodes_stay_inside_their_home_regions() {
             region.name(),
             node.position()
         );
-    }
-}
-
-#[test]
-fn ground_truth_traces_are_recorded_when_opted_in() {
-    // Trace recording is off by default (the steady-state tick path is
-    // allocation-free); analyses that want ground-truth traces opt in
-    // per node.
-    let campus = Campus::inha_like();
-    let nodes: Vec<_> = workload::populate(&campus, 4)
-        .into_iter()
-        .map(MobileNode::with_trace_recording)
-        .collect();
-    let mut sim = SimBuilder::new()
-        .nodes(nodes)
-        .policy(IdealPolicy::new())
-        .build()
-        .expect("valid simulation");
-    sim.run(50);
-    for node in (0..sim.node_count()).map(|i| sim.node(i)) {
-        assert_eq!(node.trace().len(), 50);
-        assert!((node.trace().duration() - 49.0).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn traces_stay_empty_by_default() {
-    let campus = Campus::inha_like();
-    let nodes = workload::populate(&campus, 4);
-    let mut sim = SimBuilder::new()
-        .nodes(nodes)
-        .policy(IdealPolicy::new())
-        .build()
-        .expect("valid simulation");
-    sim.run(50);
-    for node in (0..sim.node_count()).map(|i| sim.node(i)) {
-        assert!(node.trace().is_empty());
     }
 }
