@@ -71,10 +71,15 @@ echo "==> per-node footprint (informational)"
 cargo run --release -q -p mobigrid-bench --example footprint || echo "footprint: informational only"
 
 echo "==> perf ledger check (advisory)"
-# Compares the newest side of each workload in BENCH_perfbench.json with
-# the side before it, inside BENCHMARK.json's bounds. Ledger runs come from
+# Compares the newest two sides of each workload in BENCH_perfbench.json,
+# pair by pair, inside BENCHMARK.json's bounds. Ledger runs come from
 # a noisy shared host, so this step reports and never fails the build.
 python3 scripts/bench_check.py || echo "bench_check.py: advisory only, not a gate"
+
+echo "==> perf ledger check's own tests"
+# The comparison logic itself is a gate: side order, (seed, seconds)
+# pairing and the per-pair win counts, on fixed ledger fixtures.
+python3 scripts/test_bench_check.py
 
 echo "==> metro_100k smoke (scale sweep, 50-tick cap)"
 # Drives the columnar engine through campus_140 -> city_1140 -> metro_100k;

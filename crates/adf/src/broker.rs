@@ -172,12 +172,12 @@ pub struct ApplyInfo {
     pub blend: f64,
 }
 
-/// The hot half of a node's broker slot: what a replayed idle evaluation
-/// touches (the record's timestamp) and what the per-tick reads
+/// The hot half of a node's broker slot: what the per-tick reads
 /// ([`GridBroker::location`], [`GridBroker::staleness`],
-/// [`GridBroker::records`]) read. Kept in its own dense column, 40 B per
-/// node, so a tick that replays thousands of parked nodes streams through
-/// these and never through the cold half.
+/// [`GridBroker::records`]) read and what a replay clock's
+/// materialisation dates. Kept in its own dense column, 40 B per node, so
+/// a sweep over thousands of parked nodes streams through these and never
+/// through the cold half.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct HotSlot {
     record: Option<LocationRecord>,
@@ -492,48 +492,21 @@ impl BrokerShard<'_> {
     /// update is a `NoRecord` no-op; under [`EstimatorKind::WithoutLe`],
     /// the estimate is the last receipt.
     ///
-    /// This is the safety gate for [`BrokerShard::replay_filtered`].
+    /// This is the safety gate of the sparse driver's shard replay memo,
+    /// which keeps a shard's sums only when every node's estimator is
+    /// static.
     #[must_use]
     pub fn estimator_is_static(&self, node: MnId) -> bool {
         self.cold[self.local(node)].is_static()
     }
 
-    /// Replays a cached [`IngestRecord::Filtered`] evaluation without
-    /// consulting the estimator. When the previous evaluation stored an
-    /// estimate (`stored`), the slot's record still holds it, so only its
-    /// timestamp moves to `time_s`; otherwise this does nothing, as the
-    /// evaluation would not.
-    ///
-    /// Bit-identical to [`BrokerShard::apply`] of the filtered op
-    /// **provided** the slot's estimator was static
-    /// ([`BrokerShard::estimator_is_static`]) and untouched (no receive /
-    /// loss) since the evaluation being replayed — the sparse driver's
-    /// idle-replay contract.
-    pub fn replay_filtered(&mut self, node: MnId, time_s: f64, stored: bool) -> ApplyInfo {
-        let local = self.local(node);
-        if stored {
-            self.restamp(local, time_s);
-        }
-        self.delta.estimated += u64::from(stored);
-        ApplyInfo {
-            outcome: if stored {
-                ApplyOutcome::Estimated
-            } else {
-                ApplyOutcome::NoRecord
-            },
-            staleness: self.hot[local].staleness,
-            blend: 1.0,
-        }
-    }
-
-    /// The hot-column half of a replayed estimate: moves the stored
-    /// estimate of the shard's `local`-th node to `time_s`, touching
-    /// nothing else and counting nothing. The caller counts the estimate
-    /// (see [`BrokerShard::replay_filtered`]). Like every per-node write it
-    /// first materialises the shard's replay clock; to move every stored
-    /// estimate of a shard at once, see [`GridBroker::restamp_shard`].
-    #[inline]
-    pub(crate) fn restamp(&mut self, local: usize, time_s: f64) {
+    /// Moves the stored estimate of the shard's `local`-th node to
+    /// `time_s`, touching nothing else and counting nothing: the per-node
+    /// reference [`GridBroker::restamp_shard`]'s replay clock must read
+    /// like. Like every per-node write it first materialises the shard's
+    /// replay clock.
+    #[cfg(test)]
+    fn restamp(&mut self, local: usize, time_s: f64) {
         materialise(self.clock, self.hot);
         let record = self.hot[local]
             .record
@@ -818,8 +791,7 @@ impl GridBroker {
     /// holds to `time_s` with one write: sets the shard's replay clock,
     /// which every reader resolves and the next per-node write
     /// materialises. The sparse driver's memo hit calls it instead of
-    /// [`BrokerShard::restamp`] per stored estimate, without taking a
-    /// view.
+    /// restamping each stored estimate, without taking a view.
     ///
     /// The caller guarantees that every record the shard holds is a stored
     /// estimate of a static estimator, so restamping each is exact — in a
@@ -1365,76 +1337,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_filtered_matches_apply_for_static_estimators() {
-        // A node that never moves: Brown's direction smoother never warms,
-        // so the estimator stays static and each filtered op stores
-        // the same position. The replay must be indistinguishable.
-        let mk = || GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
-        let (mut live, mut replayed) = (mk(), mk());
-        for b in [&mut live, &mut replayed] {
-            b.ensure_nodes(2);
-            b.apply(&lu(0, 0.0, 5.0, 5.0));
-            b.apply(&lu(0, 1.0, 5.0, 5.0));
-            // A loss leaves a staleness the replays must report unchanged.
-            b.apply(&lost(0, 1.5));
-        }
-        let node = MnId::new(0);
-        let apply = |b: &mut GridBroker, f: &mut dyn FnMut(&mut BrokerShard<'_>)| {
-            let mut shards = b.shard_views_iter(2).collect::<Vec<_>>();
-            f(&mut shards[0]);
-            let d: Vec<BrokerDelta> = shards.into_iter().map(BrokerShard::into_delta).collect();
-            for delta in &d {
-                b.apply_delta(delta);
-            }
-        };
-
-        // Both sides evaluate t = 2 in full; that is the cache point.
-        let mut captured = None;
-        for b in [&mut live, &mut replayed] {
-            apply(b, &mut |s| {
-                assert!(s.estimator_is_static(node));
-                let info = s.apply(&filtered(0, 2.0)).unwrap();
-                assert_eq!(info.outcome, ApplyOutcome::Estimated);
-                captured = s.location(node);
-            });
-        }
-        let captured = captured.expect("an estimate was stored");
-        assert!(captured.estimated && captured.time_s == 2.0);
-
-        // Then the live side keeps evaluating while the other replays:
-        // a time-only restamp of the record the full evaluation left.
-        for t in [3.0, 4.0, 7.5] {
-            let mut live_info = None;
-            apply(&mut live, &mut |s| {
-                live_info = s.apply(&filtered(0, t));
-            });
-            let mut replay_info = None;
-            apply(&mut replayed, &mut |s| {
-                replay_info = Some(s.replay_filtered(node, t, true));
-            });
-            assert_eq!(replay_info, live_info);
-            assert_eq!(replay_info.map(|i| i.staleness), Some(1));
-            let rec = replayed.location(node).expect("record kept");
-            assert_eq!(rec.position, captured.position, "only the time moves");
-            assert_eq!(rec.time_s, t);
-            assert_eq!(live.location(node), Some(rec));
-        }
-        assert_eq!(live.estimated_count(), replayed.estimated_count());
-        assert_eq!(live.node_count(), replayed.node_count());
-        assert_eq!(live.state_digest(), replayed.state_digest());
-
-        // A never-heard-from node: static (no estimator), and replaying
-        // its NoRecord evaluation changes nothing.
-        let ghost = MnId::new(1);
-        let mut r = replayed.shard_views_iter(2).collect::<Vec<_>>();
-        assert!(r[0].estimator_is_static(ghost));
-        let info = r[0].replay_filtered(ghost, 5.0, false);
-        assert_eq!(info.outcome, ApplyOutcome::NoRecord);
-        let dr: Vec<BrokerDelta> = r.into_iter().map(BrokerShard::into_delta).collect();
-        assert_eq!(dr[0], BrokerDelta::default());
-    }
-
-    #[test]
     fn moving_node_estimator_is_not_static() {
         let mut b = GridBroker::new(EstimatorKind::Brown { alpha: 0.5 }).unwrap();
         b.ensure_nodes(1);
@@ -1482,8 +1384,9 @@ mod tests {
         /// reads exactly like a twin that restamps each stored estimate:
         /// the same locations, through the broker and through views, the
         /// same records and the same digest, through updates, filtered
-        /// and lost applies and single-node idle replays into clocked
-        /// shards, late broker-level applies, and one change of view span.
+        /// and lost applies (filtered ones of static estimates among them)
+        /// into clocked shards, late broker-level applies, and one change
+        /// of view span.
         #[test]
         fn replay_clock_reads_like_per_node_restamps(
             steps in proptest::collection::vec((0u8..11, 0u32..10, 0u8..4), 1..80),
@@ -1524,17 +1427,10 @@ mod tests {
                     4 => Some(lu(node, t, x, 0.0)),
                     5..=7 => Some(filtered(node, t)),
                     8 => Some(lost(node, t)),
-                    9 => {
-                        // One node's idle replay: a per-node restamp.
-                        let id = MnId::new(node);
-                        if with_shard(&mut twin, span, k, |s| restampable(s, local, t)) {
-                            let stored = twin.location(id).is_some();
-                            let a = with_shard(&mut clocked, span, k, |s| s.replay_filtered(id, t, stored));
-                            let b = with_shard(&mut twin, span, k, |s| s.replay_filtered(id, t, stored));
-                            proptest::prop_assert_eq!(a, b);
-                        }
-                        None
-                    }
+                    // One node's idle evaluation of a static estimate,
+                    // into a possibly clocked shard.
+                    9 => with_shard(&mut twin, span, k, |s| restampable(s, local, t))
+                        .then(|| filtered(node, t)),
                     _ => {
                         // A late frame, applied broker-level into a
                         // possibly clocked shard; older than the node's

@@ -15,7 +15,6 @@ use mobigrid_wireless::{
 };
 
 use crate::broker::{ApplyInfo, BrokerDelta, BrokerShard};
-use crate::filter::same_bits;
 use crate::runtime::{FaultSpec, RuntimeOptions, SimError, TickDriver};
 use crate::{
     Decision, EstimatorKind, FilterPolicy, GridBroker, MobileNode, NodeColumns, NodeView,
@@ -37,13 +36,10 @@ fn shard_range(nodes: usize, shard: usize) -> std::ops::Range<usize> {
     start..nodes.min(start + SHARD_SIZE)
 }
 
-// A shard reports its newly idle-cached nodes as one bit each of a `u64`.
-const _: () = assert!(SHARD_SIZE <= 64);
-
-/// Sparse driver only: the most ticks a cached broker evaluation is
-/// replayed before a staleness-refresh wake forces a full re-evaluation of
-/// that node. Bounds how long any estimation drift could go unobserved if
-/// a cache invariant were ever violated.
+/// Sparse driver only: a shard's replay memo is served only while it is
+/// younger than this many ticks; after that the shard is evaluated in
+/// full again and its memo captured anew. Bounds how long any estimation
+/// drift could go unobserved if a memo invariant were ever violated.
 const STALENESS_REFRESH: u64 = 32;
 
 /// Upper bound on the invariant violations [`MobileGridSim`] retains in
@@ -276,11 +272,11 @@ struct TickScratch {
     late_lus: Vec<LocationUpdate>,
     /// This tick's shards that get an apply job, ascending: every shard
     /// under the dense driver, every shard but the memo hits under the
-    /// sparse one. `fold_shard_outs` keys each job's output by them.
+    /// sparse one. `apply_shards` keys each job's output by them.
     jobs: Vec<usize>,
-    /// Per-job partial results of the fused apply/measure phase, in the
-    /// order of `jobs`.
-    outs: Vec<ShardOut>,
+    /// Per-job sums of the fused apply/measure phase, in the order of
+    /// `jobs`.
+    outs: Vec<ShardSums>,
     /// Per-shard flight-recorder scratch of the apply/measure phase: sized
     /// on the first recorded tick, and touched only on recorded ticks.
     recording: Vec<ShardRecording>,
@@ -410,84 +406,27 @@ impl RetryState {
     };
 }
 
-/// One node's cached idle-path evaluation for the sparse driver's
-/// broker-replay fast path.
-///
-/// Created after a full apply/measure evaluation of a node that (a) took
-/// the pure filtered/idle path and (b) has provably *static* estimators on
-/// both brokers (`BrokerShard::estimator_is_static`). While valid — no
-/// receive, no loss, no late frame, ground truth bit-unchanged, no
-/// refresh wake — the node's next idle evaluation is a pure replay:
-/// nothing has touched either broker slot since the capture, so each
-/// still holds the estimate that evaluation stored, and
-/// `replay_filtered` only moves its timestamp; the cached errors are
-/// pushed. All of it is bit-identical to the dense computation it skips.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct IdleCache {
-    valid: bool,
-    /// Ground-truth position when the cache was captured; any change,
-    /// compared bitwise (so +0.0 and -0.0 differ, and a NaN matches its
-    /// own bits), invalidates the cached errors.
-    pos: Point,
-    /// Whether the with-LE broker's filtered apply stored an estimate
-    /// (`false` = `NoRecord`: no estimator or no estimate yet).
-    le_stored: bool,
-    /// Same for the without-LE broker.
-    raw_stored: bool,
-    /// Cached location errors against ground truth.
-    err_le: f64,
-    err_raw: f64,
-}
-
-impl IdleCache {
-    const INVALID: IdleCache = IdleCache {
-        valid: false,
-        pos: Point::ORIGIN,
-        le_stored: false,
-        raw_stored: false,
-        err_le: 0.0,
-        err_raw: 0.0,
-    };
-
-    /// Whether a filtered evaluation of the node at `pos` is a pure replay
-    /// of this cache: the cache is valid, no refresh wake forces a full
-    /// evaluation, and ground truth has not moved.
-    #[inline]
-    fn replays(&self, force_eval: bool, pos: Point) -> bool {
-        self.valid && !force_eval && same_bits(self.pos, pos)
-    }
-}
-
 /// All state the sparse ([`TickDriver::Sparse`]) driver adds on top of the
-/// dense tick path: the two deterministic wake wheels, the per-node sleep
-/// and idle-cache columns, and the wake accounting surfaced through
+/// dense tick path: the mobility wake wheel, the per-node sleep columns,
+/// the per-shard replay memos and the wake accounting surfaced through
 /// [`MobileGridSim::wake_stats`].
 struct SparseState {
     /// Mobility wake wheel: nodes asleep with a finite quiescence horizon
     /// (`Quiescence::Until`) are due here; `Forever` sleepers never are.
     mobility: WakeWheel,
-    /// Staleness-refresh wheel: every idle-cached node gets a wake
-    /// [`STALENESS_REFRESH`] ticks after its last full evaluation, forcing a
-    /// full re-evaluation so no cached belief outlives the window.
-    refresh: WakeWheel,
     /// Per-node: movement is skipped while set (position provably frozen).
     asleep: Vec<bool>,
     /// Tick on which the node fell asleep (valid while `asleep`).
     slept_at: Vec<u64>,
     /// Number of nodes currently asleep.
     asleep_count: usize,
-    /// Per-node idle-replay caches for the apply/measure phase.
-    idle: Vec<IdleCache>,
-    /// Per-shard replay memo: the sums of the shard's last evaluated
-    /// tick, kept only when every node of the shard replayed an idle cache
-    /// with an idle fate on that tick (see `MobileGridSim::serve_memo_hits`).
-    memo: Vec<Option<ShardSums>>,
+    /// Per-shard replay memo: the sums of the shard's last full
+    /// evaluation, kept only when every node of the shard took a filtered
+    /// op with an idle fate and static estimators on both brokers (see
+    /// `MobileGridSim::serve_memo_hits`).
+    memo: Vec<Option<Memo>>,
     /// Per-shard counts behind the memo's O(1) proof.
     counts: Vec<ShardCounts>,
-    /// Per-node: a refresh wake forces a full evaluation this tick.
-    force_eval: Vec<bool>,
-    /// Tick of each node's last full (non-replayed) broker evaluation.
-    last_eval: Vec<u64>,
     /// Scratch: this tick's drained mobility wakes (reused).
     woken: Vec<u32>,
     /// Scratch: per-shard newly-asleep lists from the movement kernel,
@@ -501,16 +440,24 @@ struct SparseState {
     hits: Vec<usize>,
     /// Cumulative mobility wakes fired.
     wake_mobility: u64,
-    /// Cumulative refresh wakes fired.
+    /// Cumulative nodes of shards a memo expiry sent to a full evaluation.
     wake_refresh: u64,
     /// Cumulative node-ticks of skipped movement.
     slept_node_ticks: u64,
-    /// Cumulative node-ticks of replayed broker evaluation.
+    /// Cumulative node-ticks served from a shard's memo.
     replayed_node_ticks: u64,
     /// Cumulative shard-ticks served whole from the replay memo.
     replayed_shard_ticks: u64,
-    /// Largest observed gap (ticks) between full evaluations of any node.
+    /// Largest observed gap (ticks) between full evaluations of any shard.
     max_eval_gap: u64,
+}
+
+/// A shard's replay memo: the sums of the full evaluation that captured
+/// it, and that evaluation's tick.
+#[derive(Clone, Copy)]
+struct Memo {
+    at: u64,
+    sums: ShardSums,
 }
 
 impl SparseState {
@@ -518,19 +465,13 @@ impl SparseState {
         let shards = mobigrid_sim::par::shard_count(nodes, SHARD_SIZE);
         SparseState {
             // Mobility sleeps are open-ended — a fixed horizon with
-            // overflow spill is the classic trade. Refresh wakes land
-            // exactly `STALENESS_REFRESH` ticks out, so that wheel's
-            // horizon covers the window.
+            // overflow spill is the classic trade.
             mobility: WakeWheel::new(1024),
-            refresh: WakeWheel::new(STALENESS_REFRESH as usize + 1),
             asleep: vec![false; nodes],
             slept_at: vec![0; nodes],
             asleep_count: 0,
-            idle: vec![IdleCache::INVALID; nodes],
             memo: vec![None; shards],
             counts: vec![ShardCounts::default(); shards],
-            force_eval: vec![false; nodes],
-            last_eval: vec![0; nodes],
             woken: Vec::new(),
             newly_asleep: Vec::new(),
             moving: Vec::with_capacity(shards),
@@ -544,39 +485,28 @@ impl SparseState {
         }
     }
 
-    /// Fires the staleness-refresh wakes due this tick: each forces a full
-    /// evaluation of its node, and the full path re-arms it
-    /// ([`SparseState::fold_shard_outs`]).
-    fn drain_refresh(&mut self, tick: u64) {
-        let due = self.refresh.advance(tick);
-        for &node in due {
-            let i = node as usize;
-            self.counts[i / SHARD_SIZE].refresh_due += u32::from(!self.force_eval[i]);
-            self.force_eval[i] = true;
-        }
-        self.wake_refresh += due.len() as u64;
+    /// The nodes of the `nodes`-node population's shards that hold a
+    /// memo.
+    fn memo_nodes(&self, nodes: usize) -> usize {
+        let memo_shards = self.memo.iter().enumerate().filter(|(_, m)| m.is_some());
+        memo_shards
+            .map(|(shard, _)| shard_range(nodes, shard).len())
+            .sum()
     }
 
-    /// The apply phase's post-pass: folds the shards' wake accounting,
-    /// re-arms the refresh wake of every node a full evaluation just
-    /// (re)cached, and files this tick's new sleepers. All of it in shard
-    /// order, so the wheels' schedule history, and therefore every future
-    /// drain order, stays a pure function of the simulation, never of
-    /// thread scheduling.
-    /// `outs` holds one output per shard of `jobs`, in its order.
-    fn fold_shard_outs(&mut self, jobs: &[usize], outs: &[ShardOut], tick: u64) {
-        for (&shard, out) in jobs.iter().zip(outs) {
-            self.replayed_node_ticks += out.replays;
-            if out.max_eval_gap > self.max_eval_gap {
-                self.max_eval_gap = out.max_eval_gap;
-            }
-            let mut cached = out.newly_cached;
-            while cached != 0 {
-                let node = shard * SHARD_SIZE + cached.trailing_zeros() as usize;
-                cached &= cached - 1;
-                self.refresh.schedule(node as u32, tick + STALENESS_REFRESH);
-            }
+    /// Clears `shard`'s memo, which then can no longer be served, and
+    /// counts the gap to the evaluation that replaces it this tick.
+    fn clear_memo(&mut self, shard: usize, tick: u64) {
+        if let Some(memo) = self.memo[shard].take() {
+            self.max_eval_gap = self.max_eval_gap.max(tick - memo.at);
         }
+    }
+
+    /// The apply phase's post-pass: files this tick's new sleepers, in
+    /// shard order, so the wheel's schedule history, and therefore every
+    /// future drain order, stays a pure function of the simulation, never
+    /// of thread scheduling.
+    fn file_sleepers(&mut self, tick: u64) {
         for list in &self.newly_asleep {
             for &(node, ticks) in list {
                 let i = node as usize;
@@ -603,10 +533,6 @@ struct ShardCounts {
     /// after the apply phase, so during a tick a node counts only when its
     /// observation repeats the previous tick's.
     asleep: u32,
-    /// Refresh wakes due this tick (set `force_eval` flags): each due
-    /// wake adds one, and the shard's per-node pass, which gives every
-    /// flagged node a full evaluation, clears them all.
-    refresh_due: u32,
     /// `Sent` filter decisions this tick, written by the filter-split
     /// loop.
     filter_sends: u32,
@@ -623,10 +549,11 @@ impl ShardCounts {
     }
 
     /// Whether this `len`-node shard is quiet: every node asleep, no
-    /// refresh due, no filter send and no frame on the air. With a memo
-    /// that makes the shard a memo hit (see `MobileGridSim::serve_memo_hits`).
+    /// filter send and no frame on the air. With a memo younger than
+    /// [`STALENESS_REFRESH`] ticks that makes the shard a memo hit (see
+    /// `MobileGridSim::serve_memo_hits`).
     fn quiet(&self, len: usize) -> bool {
-        self.parked(len) && self.refresh_due == 0 && self.filter_sends == 0 && self.link_active == 0
+        self.parked(len) && self.filter_sends == 0 && self.link_active == 0
     }
 }
 
@@ -636,27 +563,33 @@ impl ShardCounts {
 pub struct WakeStats {
     /// Mobility wakes fired so far (nodes woken from a finite sleep).
     pub mobility_wakes: u64,
-    /// Staleness-refresh wakes fired so far (forced full re-evaluations).
+    /// Staleness-refresh wakes so far: the nodes whose full evaluation a
+    /// memo expiry forced, a quiet shard's length each time its memo
+    /// reached the staleness-refresh window (32 ticks).
     pub refresh_wakes: u64,
     /// Nodes currently asleep (movement skipped).
     pub asleep: usize,
     /// Cumulative node-ticks of skipped movement.
     pub slept_node_ticks: u64,
-    /// Cumulative node-ticks of replayed broker evaluation.
+    /// Cumulative node-ticks served from a shard's replay memo: the nodes
+    /// of every memo hit.
     pub replayed_node_ticks: u64,
     /// Cumulative shard-ticks whose apply/measure phase was served whole
-    /// from the shard's replay memo: every node replayed its idle cache,
-    /// and the shard's sums were those of an earlier all-replay tick.
-    /// Recorded ticks never take the memo path.
+    /// from the shard's replay memo: the sums of the shard's last full
+    /// evaluation, in which every node took a filtered op with an idle
+    /// fate and static estimators. Recorded ticks never take the memo
+    /// path.
     pub replayed_shard_ticks: u64,
     /// Cumulative node blocks the filter policy absorbed whole, at one
     /// clock write each ([`FilterPolicy::dozed_blocks`]).
     pub dozed_blocks: u64,
-    /// Nodes with a pending wake across both wheels.
+    /// Nodes with a pending mobility wake, plus the nodes of the shards
+    /// that hold a replay memo (each due a full evaluation when its memo
+    /// expires).
     pub wheel_occupancy: usize,
-    /// Largest gap (ticks) between full broker evaluations of any node —
-    /// bounded by the staleness-refresh window (32 ticks) plus one for
-    /// idle-cached nodes.
+    /// Largest gap (ticks) between full broker evaluations of any shard,
+    /// measured from a memo's capture tick — bounded by the
+    /// staleness-refresh window (32 ticks).
     pub max_eval_gap: u64,
 }
 
@@ -764,10 +697,9 @@ struct ShardJob<'a> {
     staleness: &'a mut [u32],
     /// Where each node's apply fate for the invariant monitors goes.
     fates: &'a mut [NodeFate],
-    /// Sparse-driver context (idle caches, refresh flags, eval clocks for
-    /// this shard's nodes); `None` under the dense driver, whose per-node
-    /// path is then exactly the historical one.
-    sparse: Option<SparseShard<'a>>,
+    /// Sparse driver: this shard's replay memo, which the per-node loop
+    /// captures or clears; `None` under the dense driver.
+    memo: Option<&'a mut Option<Memo>>,
     /// The shard's flight-recorder scratch, present only on a recorded
     /// tick.
     rec: Option<&'a mut ShardRecording>,
@@ -852,17 +784,6 @@ impl MonitorFault {
     }
 }
 
-/// The sparse driver's per-shard slices of its idle-replay columns.
-struct SparseShard<'a> {
-    idle: &'a mut [IdleCache],
-    force_eval: &'a mut [bool],
-    last_eval: &'a mut [u64],
-    /// This shard's replay memo.
-    memo: &'a mut Option<ShardSums>,
-    /// This shard's event counts.
-    counts: &'a mut ShardCounts,
-}
-
 /// One node's flight-recorder sample from the apply/measure phase: the
 /// with-LE broker's apply verdict plus both brokers' location errors.
 /// Collected per shard only while a recorder is enabled, and drained in
@@ -880,8 +801,8 @@ struct FlightSample {
 /// partials are reduced in shard order so the floating-point sums are
 /// bit-identical across thread counts. This is also what a shard's replay
 /// memo keeps.
-#[derive(Clone, Copy, Default)]
-struct ShardSums {
+#[derive(Clone, Copy, Default, PartialEq)]
+pub(crate) struct ShardSums {
     sent: u32,
     stale: u32,
     tally: RegionTally,
@@ -896,6 +817,24 @@ struct ShardSums {
 }
 
 impl ShardSums {
+    /// Counts one node's apply: whether its op was `sent`, its with-LE
+    /// staleness counter after the apply, and both brokers' location
+    /// errors.
+    #[inline]
+    fn measure(&mut self, kind: RegionKind, sent: bool, staleness: u32, err_le: f64, err_raw: f64) {
+        self.sent += u32::from(sent);
+        self.tally.record(kind, sent);
+        self.stale += u32::from(staleness > 0);
+        self.all_le.push(err_le);
+        self.all_raw.push(err_raw);
+        let (le, raw) = match kind {
+            RegionKind::Road => (&mut self.road_le, &mut self.road_raw),
+            RegionKind::Building => (&mut self.bld_le, &mut self.bld_raw),
+        };
+        le.push(err_le);
+        raw.push(err_raw);
+    }
+
     /// Folds `other` into these sums; called in shard order.
     fn merge(&mut self, other: &ShardSums) {
         self.sent += other.sent;
@@ -973,21 +912,6 @@ impl ShardRecording {
             err_raw,
         });
     }
-}
-
-/// One shard's partial results: its sums plus what is fed back to the
-/// sparse driver. What only a recorder reads lives in the shard's
-/// [`ShardRecording`], so the unrecorded tick never zeroes or copies it.
-pub(crate) struct ShardOut {
-    sums: ShardSums,
-    /// Sparse driver: bit `k` is set when a full evaluation (re)captured
-    /// the idle cache of the shard's `k`-th node this tick — the caller
-    /// re-arms their refresh wakes in shard order.
-    newly_cached: u64,
-    /// Sparse driver: replayed node-ticks in this shard.
-    replays: u64,
-    /// Sparse driver: largest full-evaluation gap observed in this shard.
-    max_eval_gap: u64,
 }
 
 impl MobileGridSim {
@@ -1080,7 +1004,7 @@ impl MobileGridSim {
             replayed_node_ticks: sp.replayed_node_ticks,
             replayed_shard_ticks: sp.replayed_shard_ticks,
             dozed_blocks: self.policy.dozed_blocks(),
-            wheel_occupancy: sp.mobility.occupancy() + sp.refresh.occupancy(),
+            wheel_occupancy: sp.mobility.occupancy() + sp.memo_nodes(self.cols.len()),
             max_eval_gap: sp.max_eval_gap,
         })
     }
@@ -1491,11 +1415,9 @@ impl MobileGridSim {
             let info = self.broker_le.apply(&op).expect("an update is a broker op");
             self.broker_raw.apply(&op);
             // A late arrival touches the node's estimator (or at least its
-            // dedup state): its idle-replay cache, if any, is no longer
-            // safe to replay, nor is its shard's memo.
+            // dedup state): its shard's memo is no longer safe to serve.
             if let Some(sp) = self.sparse.as_deref_mut() {
-                sp.idle[lu.node.index()].valid = false;
-                sp.memo[lu.node.index() / SHARD_SIZE] = None;
+                sp.clear_memo(lu.node.index() / SHARD_SIZE, self.tick);
             }
             if info.outcome == ApplyOutcome::Accepted {
                 // Resets the node's staleness baseline before the apply
@@ -1615,24 +1537,8 @@ impl MobileGridSim {
             .zip(scratch.staleness.chunks_mut(SHARD_SIZE))
             .zip(scratch.fates.chunks_mut(SHARD_SIZE))
             .zip(scratch.checks.iter_mut());
-        let mut sparse = self.sparse.as_deref_mut().map(|sp| {
-            let columns = sp
-                .idle
-                .chunks_mut(SHARD_SIZE)
-                .zip(sp.force_eval.chunks_mut(SHARD_SIZE))
-                .zip(sp.last_eval.chunks_mut(SHARD_SIZE))
-                .zip(sp.memo.iter_mut())
-                .zip(sp.counts.iter_mut());
-            select(columns, at()).map(|(_, ((((idle, force_eval), last_eval), memo), counts))| {
-                SparseShard {
-                    idle,
-                    force_eval,
-                    last_eval,
-                    memo,
-                    counts,
-                }
-            })
-        });
+        let mut memos = (self.sparse.as_deref_mut())
+            .map(|sp| select(sp.memo.iter_mut(), at()).map(|(_, memo)| memo));
         let mut rec_slots = scratch.recording[..recorded_shards].iter_mut();
         let (kinds, observations) = (self.cols.region_kinds(), &scratch.observations);
         let (decisions, late_accepted) = (&scratch.decisions, &scratch.late_accepted);
@@ -1654,9 +1560,9 @@ impl MobileGridSim {
                     raw,
                     staleness,
                     fates,
-                    sparse: sparse
+                    memo: memos
                         .as_mut()
-                        .map(|s| s.next().expect("sparse columns per job")),
+                        .map(|m| m.next().expect("a memo slot per job")),
                     // A recorded tick gives every shard a job in order;
                     // None on an unrecorded tick.
                     rec: rec_slots.next(),
@@ -1680,51 +1586,52 @@ impl MobileGridSim {
         let mut jobs = scratch.jobs.iter().peekable();
         for shard in 0..mobigrid_sim::par::shard_count(nodes, SHARD_SIZE) {
             sums.merge(if jobs.next_if_eq(&&shard).is_some() {
-                &outs.next().expect("one output per job").sums
+                outs.next().expect("one output per job")
             } else {
                 memo.and_then(|memo| memo[shard].as_ref())
+                    .map(|memo| &memo.sums)
                     .expect("a memo hit keeps its memo")
             });
         }
         if let Some(sp) = self.sparse.as_deref_mut() {
-            sp.fold_shard_outs(&scratch.jobs, &scratch.outs, tick);
+            sp.file_sleepers(tick);
         }
         sums
     }
 
-    /// The sparse driver's memo pre-pass. Due refresh wakes fire first;
-    /// then each shard's [`ShardCounts`] decide, before any view of it is
-    /// built, whether it is a **memo hit**: not a recorded tick (which
-    /// needs every node's flight sample), a memo present, and the shard
-    /// quiet ([`ShardCounts::quiet`]). A hit shard takes no job. Its
+    /// The sparse driver's memo pre-pass. Each shard's [`ShardCounts`]
+    /// decide, before any view of it is built, whether it is a **memo
+    /// hit**: not a recorded tick (which needs every node's flight
+    /// sample), a memo younger than [`STALENESS_REFRESH`] ticks, and the
+    /// shard quiet ([`ShardCounts::quiet`]). A hit shard takes no job. Its
     /// sums are its memo's, bit for bit; both brokers' replay clocks for
     /// it take the new time in one write each
     /// ([`GridBroker::restamp_shard`]); and the monitor kernel checks its
     /// existing columns, so the monitors still see every node. All of it
     /// runs on the calling thread. Every other shard goes on
-    /// `TickScratch::jobs`, and its job's per-node loop rewrites its memo.
+    /// `TickScratch::jobs`, and its job's per-node loop captures or clears
+    /// its memo. A quiet shard whose memo has reached the window is one of
+    /// them: the expiry forces its full evaluation, and its nodes count as
+    /// refresh wakes.
     ///
-    /// The clock restamps exactly the stored estimates, because in a memo
-    /// shard every record is one: a node with a record has an estimator,
-    /// and each cache was captured with static estimators, whose filtered
-    /// apply stores an estimate.
-    ///
-    /// *Why the counts prove a hit:* every sparse tick evaluates or hits
-    /// every shard, and the per-node loop rewrites the memo, so a memo
-    /// means the shard's last evaluation replayed every node: each cache
-    /// was valid, unforced and at the node's position. A cache changes
-    /// only on a full evaluation, which rewrites the memo, or is
-    /// invalidated by a late frame, which clears it. With every node
-    /// asleep this tick each observation repeats the previous one, so each
-    /// cache is at its node's position again; no refresh due means none is
-    /// forced; no filter send (and, with a network, no frame on the air)
-    /// means every fate is idle. So every cache the shard would replay now
-    /// is the one it replayed on the memo's tick: the same errors pushed
-    /// in the same order, the same tally entries, the same staleness
-    /// counters (only a full evaluation or a late frame moves one) and the
-    /// same estimate counts. The per-node columns the pass owns are
-    /// therefore already what the loop would write. Debug builds re-prove
-    /// all of it node by node.
+    /// *Why a hit is exact:* only the per-node loop writes a memo, and
+    /// only when every node of the shard took a filtered op with an idle
+    /// fate and both brokers' estimators were static, so each of those
+    /// applies stored an estimate that is the same at any query time (or,
+    /// for a node never heard from, nothing). Every tick evaluates or hits
+    /// every shard, and an evaluation rewrites the memo, so every tick
+    /// since the capture was a hit. Until the shard is next evaluated, a
+    /// hit requires four things: every node is asleep, so its observation
+    /// repeats the evaluated one; no filter send; no frame on the air; and
+    /// no late frame, since one clears the memo. So every node's apply
+    /// would store the same estimate, push the same two errors, add the
+    /// same tally entry, and leave its staleness counter and the estimate
+    /// counts as they were on the capture tick: the memo's sums, and the
+    /// per-node columns the pass owns already hold what the loop would
+    /// write. The clock restamps exactly the stored estimates, because in
+    /// a memo shard every record is one: a node with a record has a last
+    /// receipt, so its filtered apply stored an estimate. Debug builds
+    /// re-prove every hit from the brokers' records (`prove_memo_hit`).
     fn serve_memo_hits(&mut self, time_s: f64, recording: bool) {
         let tick = self.tick;
         let nodes = self.cols.len();
@@ -1732,16 +1639,26 @@ impl MobileGridSim {
         let scratch = &mut self.scratch;
         #[cfg(test)]
         let fault = self.fault;
-        sp.drain_refresh(tick);
         // A recorded tick needs every node's flight sample and histogram
         // entries, so it evaluates every shard (which still keeps each
         // memo up to date).
         sp.hits.clear();
         for (shard, (memo, counts)) in sp.memo.iter().zip(&sp.counts).enumerate() {
-            let hit = !recording && memo.is_some() && counts.quiet(shard_range(nodes, shard).len());
-            if hit {
+            let len = shard_range(nodes, shard).len();
+            // Ticks since the shard's last full evaluation: a shard with
+            // no memo had one on the tick before, or lost its memo to a
+            // late frame, which counted its gap (`SparseState::clear_memo`).
+            let gap = memo.as_ref().map_or(1, |memo| tick - memo.at);
+            let quiet = !recording && memo.is_some() && counts.quiet(len);
+            if quiet && gap < STALENESS_REFRESH {
                 sp.hits.push(shard);
             } else {
+                if quiet {
+                    // Its memo has expired: the expiry forces the
+                    // evaluation.
+                    sp.wake_refresh += len as u64;
+                }
+                sp.max_eval_gap = sp.max_eval_gap.max(gap);
                 scratch.jobs.push(shard);
             }
         }
@@ -1756,8 +1673,8 @@ impl MobileGridSim {
                 sp,
                 scratch,
                 self.network.is_some().then_some(&scratch.link),
-                &self.broker_le,
-                &self.broker_raw,
+                self.cols.region_kinds(),
+                (&self.broker_le, &self.broker_raw),
                 shard,
             );
             self.broker_le.restamp_shard(SHARD_SIZE, shard, time_s);
@@ -1912,17 +1829,15 @@ impl MobileGridSim {
 
     /// Applies one shard's decisions to both broker shards and accumulates
     /// the shard's tally and RMSE partials (plus, on a recorded tick, each
-    /// node's flight sample and location-error histogram entries).
-    fn run_shard(time_s: f64, mut job: ShardJob<'_>) -> ShardOut {
-        let mut out = ShardOut {
-            sums: ShardSums::default(),
-            newly_cached: 0,
-            replays: 0,
-            max_eval_gap: 0,
-        };
-        // Whether every node so far replayed its idle cache with an idle
-        // fate: the condition for keeping this tick's sums as the memo.
-        let mut memo_ok = true;
+    /// node's flight sample and location-error histogram entries). Under
+    /// the sparse driver it also captures the shard's replay memo, or
+    /// clears it (see `MobileGridSim::serve_memo_hits`).
+    fn run_shard(time_s: f64, mut job: ShardJob<'_>) -> ShardSums {
+        let mut sums = ShardSums::default();
+        // Sparse driver: whether every node so far took a filtered op
+        // with an idle fate and static estimators on both brokers, the
+        // condition for keeping this tick's sums as the shard's memo.
+        let mut memo_ok = job.memo.is_some();
         for (i, (id, pos)) in job.observations.iter().enumerate() {
             let kind = job.kinds[i];
             let link = job.link.map(|link| link[i]);
@@ -1932,44 +1847,6 @@ impl MobileGridSim {
             // The pure filtered/idle path: nothing reaches the broker,
             // both slots just estimate.
             let idle_path = node_op == NodeOp::Filtered;
-            // Sparse idle-replay fast path: with a valid cache, unchanged
-            // ground truth and no forced refresh, the evaluation below is
-            // provably bit-identical to the cached one — re-store the
-            // cached estimates (keeping broker records and deltas exact)
-            // and push the cached errors. This runs before the op record
-            // is built, and keeps its own copy of the tail below: building
-            // the record first measured ~15% slower per idle-dominated
-            // tick, folding into the shared tail ~5% slower (2-vCPU VM).
-            if let Some(sp) = &mut job.sparse {
-                let cache = sp.idle[i];
-                if idle_path && cache.replays(sp.force_eval[i], *pos) {
-                    memo_ok &= fate == NodeFate::Idle;
-                    out.sums.tally.record(kind, false);
-                    let apply = job.le.replay_filtered(*id, time_s, cache.le_stored);
-                    job.raw.replay_filtered(*id, time_s, cache.raw_stored);
-                    job.staleness[i] = apply.staleness;
-                    out.sums.stale += u32::from(apply.staleness > 0);
-                    out.replays += 1;
-                    let (err_le, err_raw) = (cache.err_le, cache.err_raw);
-                    out.sums.all_le.push(err_le);
-                    out.sums.all_raw.push(err_raw);
-                    if let Some(rec) = &mut job.rec {
-                        rec.push(id.raw(), apply, err_le, err_raw);
-                    }
-                    match kind {
-                        RegionKind::Road => {
-                            out.sums.road_le.push(err_le);
-                            out.sums.road_raw.push(err_raw);
-                        }
-                        RegionKind::Building => {
-                            out.sums.bld_le.push(err_le);
-                            out.sums.bld_raw.push(err_raw);
-                        }
-                    }
-                    continue;
-                }
-            }
-            memo_ok = false;
             let seq = match (job.link, node_op) {
                 // No network: this phase owns the sequence counters, and
                 // writes the used value back for the seq-monotonicity
@@ -1987,7 +1864,7 @@ impl MobileGridSim {
             // Node ids are dense, so the shard's `i`-th slot is `id`'s.
             debug_assert_eq!(id.index(), job.le.base() + i);
             let apply = job.le.apply_at(i, &op).expect("a node op is a broker op");
-            let raw = job.raw.apply_at(i, &op).expect("a node op is a broker op");
+            job.raw.apply_at(i, &op).expect("a node op is a broker op");
             if node_op == (NodeOp::Update { duplicate: true }) {
                 // The second copy is byte-identical; the broker rejects it
                 // and counts the rejection.
@@ -1997,49 +1874,16 @@ impl MobileGridSim {
             // Measure against ground truth via direct dense-slot reads.
             let err = |b: &BrokerShard<'_>| b.position_at(i).map_or(0.0, |p| p.distance_to(*pos));
             let (err_le, err_raw) = (err(&job.le), err(&job.raw));
-            out.sums.sent += u32::from(!idle_path);
-            out.sums.tally.record(kind, !idle_path);
             job.staleness[i] = apply.staleness;
-            out.sums.stale += u32::from(apply.staleness > 0);
-            out.sums.all_le.push(err_le);
-            out.sums.all_raw.push(err_raw);
+            sums.measure(kind, !idle_path, apply.staleness, err_le, err_raw);
             if let Some(rec) = &mut job.rec {
                 rec.push(id.raw(), apply, err_le, err_raw);
             }
-            match kind {
-                RegionKind::Road => {
-                    out.sums.road_le.push(err_le);
-                    out.sums.road_raw.push(err_raw);
-                }
-                RegionKind::Building => {
-                    out.sums.bld_le.push(err_le);
-                    out.sums.bld_raw.push(err_raw);
-                }
-            }
-            // Sparse bookkeeping after a full evaluation: account the eval
-            // gap, clear any pending refresh, and capture (or invalidate)
-            // the idle-replay cache. A cache is only valid when the tick
-            // was pure idle AND both estimators are provably
-            // time-invariant until their next observation.
-            if let Some(sp) = &mut job.sparse {
-                out.max_eval_gap = out.max_eval_gap.max(job.tick - sp.last_eval[i]);
-                sp.last_eval[i] = job.tick;
-                sp.force_eval[i] = false;
-                if idle_path && job.le.estimator_is_static(*id) && job.raw.estimator_is_static(*id)
-                {
-                    sp.idle[i] = IdleCache {
-                        valid: true,
-                        pos: *pos,
-                        le_stored: apply.outcome == ApplyOutcome::Estimated,
-                        raw_stored: raw.outcome == ApplyOutcome::Estimated,
-                        err_le,
-                        err_raw,
-                    };
-                    out.newly_cached |= 1 << i;
-                } else {
-                    sp.idle[i].valid = false;
-                }
-            }
+            memo_ok = memo_ok
+                && idle_path
+                && fate == NodeFate::Idle
+                && job.le.estimator_is_static(*id)
+                && job.raw.estimator_is_static(*id);
         }
         job.check.run(
             job.tick,
@@ -2048,14 +1892,12 @@ impl MobileGridSim {
             job.sent_seqs,
             job.staleness,
         );
-        out.sums.le_delta = job.le.into_delta();
-        out.sums.raw_delta = job.raw.into_delta();
-        if let Some(sp) = job.sparse {
-            *sp.memo = memo_ok.then_some(out.sums);
-            // Every node a refresh flagged took a full evaluation above.
-            sp.counts.refresh_due = 0;
+        sums.le_delta = job.le.into_delta();
+        sums.raw_delta = job.raw.into_delta();
+        if let Some(memo) = job.memo {
+            *memo = memo_ok.then_some(Memo { at: job.tick, sums });
         }
-        out
+        sums
     }
 
     /// Runs `ticks` steps, collecting every tick's statistics.
@@ -2086,10 +1928,10 @@ impl MobileGridSim {
     ///    estimates through (suppressed, idle, or out-of-coverage). The
     ///    shard-parallel apply phase touches disjoint per-node slots and
     ///    merges counter deltas in shard order, so the node-order
-    ///    sequential replay is state-identical. The sparse driver's
-    ///    idle-replay path is bit-identical to applying `Filtered` (pinned
-    ///    by the dense/sparse equivalence suite and the tap-parity test),
-    ///    so replayed nodes also map to `Filtered`;
+    ///    sequential replay is state-identical. A sparse memo hit is
+    ///    bit-identical to applying `Filtered` to each of its nodes
+    ///    (pinned by the dense/sparse equivalence suite and the tap-parity
+    ///    test), so its nodes also map to `Filtered`;
     /// 3. the `TickEnd` marker.
     pub fn step_tapped(&mut self, ops: &mut Vec<IngestRecord>) -> TickStats {
         self.step_tapped_recorded(&mut NoopRecorder, ops)
@@ -2143,51 +1985,44 @@ impl MobileGridSim {
 }
 
 /// Debug builds: re-proves node by node what the counts proved for memo
-/// hit `shard` (see `MobileGridSim::serve_memo_hits`): every node replays its
-/// idle cache with an idle fate, every record of the shard is a stored
-/// estimate, and the shard's fate and staleness columns are current.
+/// hit `shard` (see `MobileGridSim::serve_memo_hits`): every node's fate
+/// is idle, the shard's fate and staleness columns are current, and the
+/// shard's sums recomputed from both brokers' records against this tick's
+/// observations (the six RMSE partials, the tally, the stale count and the
+/// estimate counts) equal the memo's bit for bit.
 #[cfg(debug_assertions)]
 fn prove_memo_hit(
     sp: &SparseState,
     scratch: &TickScratch,
     link: Option<&[LinkOutcome]>,
-    le: &GridBroker,
-    raw: &GridBroker,
+    kinds: &[RegionKind],
+    (le, raw): (&GridBroker, &GridBroker),
     shard: usize,
 ) {
-    let range = shard_range(scratch.observations.len(), shard);
-    debug_assert_eq!(
-        sp.counts[shard].refresh_due as usize,
-        sp.force_eval[range.clone()].iter().filter(|f| **f).count(),
-        "the refresh count matches the shard's flags"
-    );
-    debug_assert!(
-        range.clone().all(|i| {
-            let link = link.map(|link| link[i]);
+    let mut sums = ShardSums::default();
+    for i in shard_range(scratch.observations.len(), shard) {
+        let (id, pos) = scratch.observations[i];
+        let link = link.map(|link| link[i]);
+        debug_assert!(
             NodeOp::of(scratch.decisions[i], link).fate(link) == NodeFate::Idle
-                && sp.idle[i].replays(sp.force_eval[i], scratch.observations[i].1)
-        }),
-        "a shard the counts prove quiet replays every node with an idle fate"
-    );
+                && scratch.fates[i] == NodeFate::Idle,
+            "a memo shard's fates are all idle"
+        );
+        let staleness = le.staleness(id);
+        debug_assert_eq!(
+            scratch.staleness[i], staleness,
+            "a memo shard's staleness column is current"
+        );
+        let (rec_le, rec_raw) = (le.location(id), raw.location(id));
+        let err = |r: Option<crate::LocationRecord>| r.map_or(0.0, |r| r.position.distance_to(pos));
+        sums.measure(kinds[i], false, staleness, err(rec_le), err(rec_raw));
+        sums.le_delta.estimated += u64::from(rec_le.is_some());
+        sums.raw_delta.estimated += u64::from(rec_raw.is_some());
+    }
+    let memo = sp.memo[shard].as_ref().expect("a memo hit keeps its memo");
     debug_assert!(
-        range.clone().all(|i| {
-            let id = MnId::new(i as u32);
-            sp.idle[i].le_stored == le.location(id).is_some()
-                && sp.idle[i].raw_stored == raw.location(id).is_some()
-        }),
-        "in a memo shard every record is a stored estimate"
-    );
-    debug_assert!(
-        scratch.fates[range.clone()]
-            .iter()
-            .all(|f| *f == NodeFate::Idle),
-        "a memo shard's fates are all idle"
-    );
-    debug_assert!(
-        range
-            .clone()
-            .all(|i| scratch.staleness[i] == le.staleness(MnId::new(i as u32))),
-        "a memo shard's staleness column is current"
+        sums == memo.sums,
+        "shard {shard}'s memo no longer matches its nodes"
     );
 }
 
@@ -2290,7 +2125,10 @@ mod tests {
         assert!(dense.wake_stats().is_none());
         let wake = sparse.wake_stats().expect("sparse run reports wake stats");
         assert_eq!(wake.asleep, 3, "the three parked nodes sleep");
-        assert!(wake.slept_node_ticks > 0 && wake.replayed_node_ticks > 0);
+        assert!(wake.slept_node_ticks > 0);
+        // The parked nodes share their one shard with the walkers, so it is
+        // evaluated in full every tick: only a whole quiet shard replays.
+        assert_eq!(wake.replayed_node_ticks, 0);
         assert!(
             wake.max_eval_gap <= STALENESS_REFRESH + 1,
             "eval gap {} exceeds the staleness window",
@@ -2298,46 +2136,17 @@ mod tests {
         );
     }
 
-    /// An idle cache replays only at its captured position's exact bits,
-    /// as the filter and classifier compare positions: a ground truth of
-    /// -0.0 where the cache holds +0.0 is a move, and a NaN coordinate
-    /// matches its own bits. A forced refresh or an invalid cache never
-    /// replays.
-    #[test]
-    fn idle_cache_compares_positions_bitwise() {
-        let cache = IdleCache {
-            valid: true,
-            pos: Point::new(0.0, 2.0),
-            ..IdleCache::INVALID
-        };
-        assert!(cache.replays(false, Point::new(0.0, 2.0)));
-        assert!(!cache.replays(false, Point::new(-0.0, 2.0)), "signed zero");
-        assert!(!cache.replays(true, Point::new(0.0, 2.0)), "forced refresh");
-        let invalid = IdleCache {
-            valid: false,
-            ..cache
-        };
-        assert!(!invalid.replays(false, Point::new(0.0, 2.0)));
-        let nan = IdleCache {
-            pos: Point::new(f64::NAN, 2.0),
-            ..cache
-        };
-        assert!(
-            nan.replays(false, Point::new(f64::NAN, 2.0)),
-            "same NaN bits"
-        );
-    }
-
     /// Satellite regression for the unbounded-idle hazard: a
     /// zero-velocity node whose classifier settles on the RMS
     /// zero-fixpoint still gets staleness-refresh wakes under the sparse
     /// driver, so no node's estimation error can grow unobserved beyond
-    /// the staleness window — `max_eval_gap` is the direct witness.
+    /// the staleness window — `max_eval_gap` is the direct witness. The
+    /// ticks are plain: a recorded tick evaluates every shard in full, so
+    /// under recording no memo ever ages to the window.
     #[test]
     fn zero_velocity_nodes_still_get_staleness_refresh_wakes() {
         use mobigrid_geo::Rect;
         use mobigrid_mobility::RandomWalk;
-        use mobigrid_telemetry::MemoryRecorder;
 
         // Parked stops plus a zero-max-speed walker: quiescent forever by
         // two different routes, neither ever trips the distance filter.
@@ -2363,9 +2172,8 @@ mod tests {
             })
             .build()
             .unwrap();
-        let mut rec = MemoryRecorder::new();
         for _ in 0..25 * window {
-            sim.step_recorded(&mut rec);
+            sim.step();
         }
         let wake = sim.wake_stats().expect("sparse run reports wake stats");
         assert_eq!(wake.asleep, 4, "all four quiescent nodes sleep");
@@ -2438,23 +2246,27 @@ mod tests {
         assert!(wake.replayed_shard_ticks > 0, "no memo shard to break");
     }
 
-    #[test]
-    fn refresh_rounds_reach_memo_shards() {
-        // Two whole shards of parked nodes under plain ticks: after every
-        // refresh round each shard re-evaluates in full once, rebuilds its
-        // memo on the next tick, and is served from it until the next
-        // round. The memo must not swallow the refresh wakes.
-        let window = STALENESS_REFRESH;
-        let nodes = (0..2 * SHARD_SIZE as u32).map(parked).collect();
-        let mut sim = SimBuilder::new()
-            .nodes(nodes)
+    /// Two whole shards of parked nodes under the ADF, sparse driver.
+    fn two_parked_shards() -> MobileGridSim {
+        SimBuilder::new()
+            .nodes((0..2 * SHARD_SIZE as u32).map(parked).collect())
             .policy(AdaptiveDistanceFilter::new(AdfConfig::new(1.0)).unwrap())
             .runtime(RuntimeOptions {
                 driver: TickDriver::Sparse,
                 ..RuntimeOptions::default()
             })
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn refresh_rounds_reach_memo_shards() {
+        // Two whole shards of parked nodes under plain ticks: each time a
+        // shard's memo reaches the staleness window the shard re-evaluates
+        // in full once, which captures its memo again, and is served from
+        // it until the next expiry. The memo must not outlive the window.
+        let window = STALENESS_REFRESH;
+        let mut sim = two_parked_shards();
         let ticks = 25 * window;
         for _ in 0..ticks {
             sim.step();
@@ -2467,13 +2279,36 @@ mod tests {
             wake.refresh_wakes
         );
         assert!(wake.max_eval_gap <= window + 1);
-        // Per round and shard: one full tick, one tick that rebuilds the
-        // memo, then memo hits.
+        // Per round and shard: one full tick, then memo hits.
         assert!(
-            wake.replayed_shard_ticks >= rounds * 2 * (window - 2),
+            wake.replayed_shard_ticks >= rounds * 2 * (window - 1),
             "{} memo shard-ticks",
             wake.replayed_shard_ticks
         );
+    }
+
+    /// The full evaluation a memo expiry forces captures the memo itself:
+    /// the very next tick serves both shards from it, with no tick in
+    /// between that rebuilds it.
+    #[test]
+    fn a_refresh_tick_captures_the_memo_it_serves_next() {
+        let mut sim = two_parked_shards();
+        let wake = |sim: &MobileGridSim| sim.wake_stats().expect("sparse run");
+        let mut refreshed = false;
+        for _ in 0..3 * STALENESS_REFRESH {
+            let before = wake(&sim).refresh_wakes;
+            sim.step();
+            if wake(&sim).refresh_wakes > before {
+                refreshed = true;
+                break;
+            }
+        }
+        assert!(refreshed, "no memo expired");
+        assert_eq!(sim.scratch.jobs, [0, 1], "the expiry evaluates both shards");
+        let hits = wake(&sim).replayed_shard_ticks;
+        sim.step();
+        assert_eq!(wake(&sim).replayed_shard_ticks, hits + 2);
+        assert!(wake(&sim).max_eval_gap <= STALENESS_REFRESH);
     }
 
     #[test]
@@ -2734,7 +2569,7 @@ mod tests {
     /// sequentially into fresh replica brokers — and through the sharded
     /// concurrent store — reproduces both live brokers (with and without
     /// the location estimator) bit for bit, every tick. Covered: both
-    /// tick drivers (the sparse one's idle replay included), the
+    /// tick drivers (the sparse one's memo hits included), the
     /// no-network branch, and a faulty network that drops, delays,
     /// duplicates and corrupts frames (every apply path exercised).
     #[test]
@@ -2765,9 +2600,11 @@ mod tests {
         for driver in [TickDriver::Dense, TickDriver::Sparse] {
             for faulty in [false, true] {
                 let case = format!("{driver:?}, faulty network: {faulty}");
+                // Nodes 64..128 are a whole shard of parked nodes, which the
+                // sparse driver serves from its replay memo.
                 let nodes = (0..40)
                     .map(|i| walker(i, 1.0 + f64::from(i % 5)))
-                    .chain((40..60).map(parked))
+                    .chain((40..128).map(parked))
                     .collect();
                 let mut builder = SimBuilder::new()
                     .nodes(nodes)
@@ -2826,7 +2663,7 @@ mod tests {
                     let wake = sim.wake_stats().expect("sparse run reports wake stats");
                     assert!(
                         wake.replayed_node_ticks > 0,
-                        "{case}: idle replay never ran"
+                        "{case}: the replay memo never served a shard"
                     );
                 }
             }
@@ -3021,13 +2858,12 @@ mod tests {
     }
 
     /// Filters every node, except that the second shard's nodes send
-    /// while `time_s` is below 6: shard 0 of a parked population is cached
-    /// on tick 1, shard 1 on tick 6, when shard 0 is already a memo hit.
-    /// Each refresh wake must be re-armed for the node its evaluation
-    /// re-cached, so the first shard's rounds come on ticks 33, 65 and 97
-    /// and the second's on 38 and 70.
+    /// while `time_s` is below 6: shard 0 of a parked population captures
+    /// its memo on tick 1, shard 1 on tick 6, when shard 0 is already a
+    /// memo hit. Each memo ages from its own capture, so the first shard's
+    /// memo expires on ticks 33, 65 and 97 and the second's on 38 and 70.
     #[test]
-    fn refresh_wakes_rearm_the_shard_behind_a_memo_hit() {
+    fn each_memo_expires_by_its_own_age() {
         struct SendEarly;
 
         impl FilterPolicy for SendEarly {

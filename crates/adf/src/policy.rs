@@ -1062,9 +1062,9 @@ mod tests {
     /// estimator must not grow: at 20,000 nodes every word is 160 kB, and
     /// the estimator's memoised plan is paid for by the smoothers' compact
     /// representation, not by extra bytes. The records a sleeping node
-    /// touches each sparse tick — its doze entry, its idle-replay cache
-    /// and its brokers' hot slots — are budgeted tighter still, as is the
-    /// per-shard result every shard of every tick writes and copies. Each
+    /// touches each sparse tick — its doze entry and its brokers' hot
+    /// slots — are budgeted tighter still, as are the per-shard sums every
+    /// evaluated shard of every tick writes and copies. Each
     /// broker's cold slot keeps its estimator behind one pointer: an
     /// inline estimator would put Brown's bytes in every slot of both
     /// brokers. These are inline sizes only: the heap each node holds (its
@@ -1074,7 +1074,7 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn per_node_footprint_does_not_grow() {
         use crate::broker::{ColdSlot, HotSlot};
-        use crate::pipeline::{IdleCache, ShardOut};
+        use crate::pipeline::ShardSums;
         use mobigrid_forecast::BrownPositionEstimator;
         use std::mem::size_of;
         let sizes = [
@@ -1087,10 +1087,9 @@ mod tests {
                 248,
             ),
             ("Doze", size_of::<Doze>(), 24),
-            ("IdleCache", size_of::<IdleCache>(), 40),
             ("HotSlot", size_of::<HotSlot>(), 40),
             ("ColdSlot", size_of::<ColdSlot>(), 72),
-            ("ShardOut", size_of::<ShardOut>(), 299),
+            ("ShardSums", size_of::<ShardSums>(), 216),
         ];
         for (name, size, budget) in sizes {
             assert!(

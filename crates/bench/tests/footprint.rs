@@ -120,8 +120,8 @@ fn a_node_costs_what_it_holds() {
     );
     let held = (live_bytes() - base) as f64 / NODES;
     assert!(
-        held <= 1_400.0,
-        "a warm node holds {held:.1} B of heap (budget 1,400 B)"
+        held <= 1_325.0,
+        "a warm node holds {held:.1} B of heap (budget 1,325 B)"
     );
     drop(sim);
 }

@@ -245,12 +245,11 @@ fn columnar_shard_sweep_does_not_allocate() {
 }
 
 /// The sparse (wake-wheel) driver keeps the same promise: with most of
-/// the population parked — asleep in the wheel, replayed from the idle
-/// cache and dozing in the ADF — and a few walkers keeping the dense
+/// the population parked — asleep in the wheel, served from the shard
+/// replay memo and dozing in the ADF — and a few walkers keeping the dense
 /// paths busy, a steady-state tick allocates nothing. The warmup covers
-/// the initial clustering, the nodes falling asleep and several
-/// staleness-refresh rounds, so every reused buffer has reached its
-/// high-water capacity.
+/// the initial clustering, the nodes falling asleep and several memo
+/// expiries, so every reused buffer has reached its high-water capacity.
 #[test]
 fn sparse_driver_ticks_do_not_allocate() {
     use mobigrid_adf::TickDriver;

@@ -42,8 +42,8 @@ use mobigrid_wireless::{FaultPlan, MnId, RetryPolicy};
 use proptest::prelude::*;
 
 /// Node `i`'s mobility: a mix chosen so every sparse mechanism fires —
-/// `Stop` and zero-speed walkers sleep forever, slow walkers exercise
-/// idle-replay caches under an active mobility kernel, path followers
+/// `Stop` and zero-speed walkers sleep forever, slow walkers keep an
+/// active mobility kernel in shards that hold sleepers, path followers
 /// stay fully dense.
 fn model_for(i: u32, seed: u64) -> (MobilityEngine, MobilityPattern, RegionKind) {
     let y = f64::from(i) * 13.0;
@@ -474,7 +474,8 @@ proptest! {
     /// ADF absorbs them on its block doze clock — and are then broken: a
     /// parked node woken mid-run by a mobility wake hops out and back
     /// (far, so its update is sent, or by a millimetre, so it is not),
-    /// refresh rounds force full evaluations,
+    /// memo expiries (the shard-level refresh rounds) force full
+    /// evaluations,
     /// under faults a dropped hop is retried and a deferred one arrives
     /// late into a shard quiet again, and reclustering ticks wake every
     /// dozer. Every `TickStats` field and both broker digests match the
@@ -488,9 +489,11 @@ proptest! {
         tiny_hop in any::<bool>(),
         with_faults in any::<bool>(),
     ) {
-        // Past three reclusterings (ticks 30, 60, 90) and two refresh
-        // rounds.
-        const TICKS: u64 = 100;
+        // Past four reclusterings (ticks 30, 60, 90, 120) and a memo
+        // expiry: a shard's memo expires only after 32 quiet ticks, and
+        // the faults' retries and 25-tick deferrals can keep every parked
+        // shard busy until past tick 90.
+        const TICKS: u64 = 130;
         let make = |threads: usize, driver: TickDriver| {
             let hop = if tiny_hop { 1e-3 } else { 25.0 };
             let nodes = quiet_population(walkers, seed, slot, f64::from(quiet), hop);

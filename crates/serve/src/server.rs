@@ -244,9 +244,9 @@ impl Server {
                 Ok(match self.store.position(node) {
                     Some(r) => format!(
                         "{{\"ok\":true,\"x\":{},\"y\":{},\"time_s\":{},\"estimated\":{}}}",
-                        json_f64(r.position.x),
-                        json_f64(r.position.y),
-                        json_f64(r.time_s),
+                        json::f64_or_null(r.position.x),
+                        json::f64_or_null(r.position.y),
+                        json::f64_or_null(r.time_s),
                         r.estimated
                     ),
                     None => err_line("no record for node"),
@@ -302,8 +302,8 @@ impl Server {
                     let _ = write!(
                         out,
                         ",\"{key}_p50_us\":{},\"{key}_p99_us\":{}",
-                        json_f64(p50),
-                        json_f64(p99)
+                        json::f64_or_null(p50),
+                        json::f64_or_null(p99)
                     );
                 }
                 out.push('}');
@@ -500,14 +500,6 @@ impl InProcClient {
     /// line (it cannot).
     pub fn call(&self, line: &str) -> Result<Value, String> {
         json::parse(&self.server.query_line(line))
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
     }
 }
 

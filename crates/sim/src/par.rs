@@ -117,11 +117,11 @@ impl ShardPool {
         }
 
         let f = &f;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = stripes
                 .into_iter()
                 .map(|stripe| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         stripe
                             .into_iter()
                             .map(|(i, shard)| (i, f(i, shard)))
@@ -140,8 +140,7 @@ impl ShardPool {
                     .into_iter()
                     .map(|r| r.expect("every shard produces exactly one result")),
             );
-        })
-        .expect("shard scope panicked");
+        });
     }
 
     /// Executes `f(shard_index, shard)` for every shard, discarding results.

@@ -9,20 +9,12 @@ use std::fmt::Write as _;
 
 use crate::event::EventKind;
 use crate::hist::HistogramDelta;
+use crate::json::f64_or_null;
 use crate::recorder::MemoryRecorder;
-
-/// A finite `f64` as a JSON number, anything else as `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// An `Option<f64>` bound as a JSON number or `null`.
 fn json_bound(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), json_f64)
+    v.map_or_else(|| "null".to_string(), f64_or_null)
 }
 
 fn write_histogram(out: &mut String, name: &str, h: &HistogramDelta) {
@@ -60,8 +52,8 @@ fn write_event_kind(out: &mut String, kind: &EventKind) {
             let _ = write!(
                 out,
                 "\"kind\":\"lu_generated\",\"node\":{node},\"seq\":{seq},\"x\":{},\"y\":{}",
-                json_f64(*x),
-                json_f64(*y)
+                f64_or_null(*x),
+                f64_or_null(*y)
             );
         }
         EventKind::LuClassified {
@@ -75,7 +67,7 @@ fn write_event_kind(out: &mut String, kind: &EventKind) {
                 out,
                 "\"kind\":\"lu_classified\",\"node\":{node},\"seq\":{seq},\"class\":\"{}\",\"cluster\":{cluster},\"dth\":{}",
                 class.name(),
-                json_f64(*dth)
+                f64_or_null(*dth)
             );
         }
         EventKind::LuDecision {
@@ -88,8 +80,8 @@ fn write_event_kind(out: &mut String, kind: &EventKind) {
             let _ = write!(
                 out,
                 "\"kind\":\"lu_decision\",\"node\":{node},\"seq\":{seq},\"sent\":{sent},\"displacement\":{},\"dth\":{}",
-                json_f64(*displacement),
-                json_f64(*dth)
+                f64_or_null(*displacement),
+                f64_or_null(*dth)
             );
         }
         EventKind::LuChannel {
@@ -117,7 +109,7 @@ fn write_event_kind(out: &mut String, kind: &EventKind) {
                 out,
                 "\"kind\":\"lu_apply\",\"node\":{node},\"seq\":{seq},\"outcome\":\"{}\",\"staleness\":{staleness},\"blend\":{}",
                 outcome.name(),
-                json_f64(*blend)
+                f64_or_null(*blend)
             );
         }
         EventKind::LuError {
@@ -129,8 +121,8 @@ fn write_event_kind(out: &mut String, kind: &EventKind) {
             let _ = write!(
                 out,
                 "\"kind\":\"lu_error\",\"node\":{node},\"seq\":{seq},\"err_le\":{},\"err_raw\":{}",
-                json_f64(*err_le),
-                json_f64(*err_raw)
+                f64_or_null(*err_le),
+                f64_or_null(*err_raw)
             );
         }
         EventKind::InvariantViolation {
@@ -164,8 +156,8 @@ fn write_event_kind(out: &mut String, kind: &EventKind) {
             let _ = write!(
                 out,
                 "\"kind\":\"ingest_batch\",\"batch_tick\":{batch_tick},\"batch_seq\":{batch_seq},\"records\":{records},\"wire_us\":{},\"apply_us\":{}",
-                json_f64(*wire_us),
-                json_f64(*apply_us)
+                f64_or_null(*wire_us),
+                f64_or_null(*apply_us)
             );
         }
     }
@@ -199,7 +191,7 @@ impl MemoryRecorder {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"gauge\",\"name\":\"{name}\",\"value\":{}}}",
-                json_f64(v)
+                f64_or_null(v)
             );
         }
         for (name, h) in self.histograms() {

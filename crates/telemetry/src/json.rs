@@ -1,17 +1,29 @@
-//! A minimal, dependency-free JSON validator and parser.
+//! A minimal, dependency-free JSON parser, and the one `f64` formatter
+//! the hand-rendered JSON writers share.
 //!
-//! The hermetic offline build carries no JSON crate, so the telemetry
-//! tests and the CI smoke step validate exported JSONL with this
-//! recursive-descent checker instead ([`validate`] / [`validate_jsonl`]
-//! check syntax only and build no tree), and the trace-analysis CLI reads
-//! exported lines back through [`parse`] into a [`Value`] tree.
+//! The hermetic offline build carries no JSON crate, so the trace-analysis
+//! CLI reads exported lines back through [`parse`] into a [`Value`] tree,
+//! and the telemetry tests and the CI smoke step check exported JSONL with
+//! [`validate`] / [`validate_jsonl`], which run the same parser and drop
+//! the tree: one grammar, not two.
 //!
-//! Both descend one call per nesting level, so both refuse documents
-//! nested deeper than [`MAX_DEPTH`]: a line of brackets from a hostile
-//! peer must get an error, not overflow the reading thread's stack.
+//! The parser descends one call per nesting level, so it refuses documents
+//! nested deeper than [`MAX_DEPTH`]: a line of brackets from a hostile peer
+//! must get an error, not overflow the reading thread's stack.
 
-/// The deepest array/object nesting [`validate`] and [`parse`] accept.
-/// Exported lines nest only a few levels.
+/// A finite `f64` as a JSON number (Rust's shortest round-trip form), and
+/// anything else, which JSON cannot carry, as `null`.
+#[must_use]
+pub fn f64_or_null(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// The deepest array/object nesting [`parse`] (and so [`validate`])
+/// accepts. Exported lines nest only a few levels.
 pub const MAX_DEPTH: usize = 64;
 
 /// Enters one more array/object level at `pos`, or refuses past
@@ -31,14 +43,7 @@ fn nest(depth: usize, pos: usize) -> Result<usize, String> {
 /// Returns the byte offset and a short description of the first syntax
 /// error.
 pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = skip_ws(b, 0);
-    pos = value(b, pos, 0)?;
-    pos = skip_ws(b, pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    parse(s).map(|_| ())
 }
 
 /// Validates every non-empty line of `s` as standalone JSON and returns
@@ -67,61 +72,11 @@ fn skip_ws(b: &[u8], mut pos: usize) -> usize {
     pos
 }
 
-fn value(b: &[u8], pos: usize, depth: usize) -> Result<usize, String> {
-    match b.get(pos) {
-        Some(b'{') => object(b, pos, nest(depth, pos)?),
-        Some(b'[') => array(b, pos, nest(depth, pos)?),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if *c == b'-' || c.is_ascii_digit() => number(b, pos),
-        Some(c) => Err(format!("unexpected byte {:?} at {pos}", *c as char)),
-        None => Err(format!("unexpected end of input at byte {pos}")),
-    }
-}
-
 fn literal(b: &[u8], pos: usize, lit: &[u8]) -> Result<usize, String> {
     if b[pos..].starts_with(lit) {
         Ok(pos + lit.len())
     } else {
         Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn object(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos + 1); // consume '{'
-    if b.get(pos) == Some(&b'}') {
-        return Ok(pos + 1);
-    }
-    loop {
-        pos = string(b, pos).map_err(|e| format!("object key: {e}"))?;
-        pos = skip_ws(b, pos);
-        if b.get(pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        pos = skip_ws(b, pos + 1);
-        pos = skip_ws(b, value(b, pos, depth)?);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b'}') => return Ok(pos + 1),
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn array(b: &[u8], mut pos: usize, depth: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos + 1); // consume '['
-    if b.get(pos) == Some(&b']') {
-        return Ok(pos + 1);
-    }
-    loop {
-        pos = skip_ws(b, value(b, pos, depth)?);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b']') => return Ok(pos + 1),
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
     }
 }
 

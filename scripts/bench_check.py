@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Compares the newest perf-ledger runs of each workload with the runs before.
+"""Compares the newest two sides of each workload in the perf ledger, pair by pair.
 
     python3 scripts/bench_check.py [--ledger BENCH_perfbench.json]
 
 For each workload in the ledger (`BENCH_perfbench.json` at the repository
-root, written by `scripts/bench_record.py`), the newest side is compared
-with the side before it. A side is an entry's `label` when it has one, else
-its `commit`; sides are ordered by their first entry, so the alternating
-parent/change pairs of one A/B compare change against parent whichever ran
-last. Only entries with the seed and seconds of the workload's newest entry
-count. Each side's value of a metric is the median over its entries, so a
-ledger holding one run per side compares those two runs.
+root, written by `scripts/bench_record.py`), the two sides with the newest
+entries are compared. A side is an entry's `label` when it has one, else its
+`commit`. Of the two, the older side is the one whose first entry, over all
+of its seeds, comes first in the ledger, so the alternating parent/change
+runs of one A/B compare change against parent whichever of them ran first on
+any one seed.
 
-For every end-to-end metric of `BENCHMARK.json` it prints both values, the
-change, the number of runs per side and a verdict, from the metric's
-`better` direction and `bound` (a fraction of the older value):
+The entries of the two sides are paired by `(seed, seconds)`, in ledger
+order within a key; an entry with no partner on the other side is left out.
+For every end-to-end metric of `BENCHMARK.json` it prints each side's median
+over all pairs, the change, how many pairs the newer side won (was strictly
+better in) and a verdict on the medians, from the metric's `better`
+direction and `bound` (a fraction of the older value):
 
     better   the newer side is better
     same     the values are equal
@@ -42,50 +44,77 @@ def side(entry):
 def verdict(old, new, better, bound):
     if new == old:
         return "same"
-    improved = new < old if better == "lower" else new > old
-    if improved:
+    if improved(old, new, better):
         return "better"
     worse_by = abs(new - old) / abs(old) if old else float("inf")
     return "worse" if worse_by <= bound else "BOUND"
 
 
+def improved(old, new, better):
+    return new < old if better == "lower" else new > old
+
+
+def newest_sides(entries):
+    """The two sides with the newest entries, older side first, or None."""
+    last = {}
+    first = {}
+    for i, entry in enumerate(entries):
+        first.setdefault(side(entry), i)
+        last[side(entry)] = i
+    if len(last) < 2:
+        return None
+    pair = sorted(last, key=last.get)[-2:]
+    return tuple(sorted(pair, key=first.get))
+
+
+def pairs(entries, old_side, new_side):
+    """The two sides' entries paired by (seed, seconds), in ledger order."""
+    runs = {old_side: {}, new_side: {}}
+    for entry in entries:
+        if side(entry) in runs:
+            key = (entry["seed"], entry["seconds"])
+            runs[side(entry)].setdefault(key, []).append(entry)
+    paired = []
+    for key, olds in runs[old_side].items():
+        paired.extend(zip(olds, runs[new_side].get(key, [])))
+    return paired
+
+
 def compare(entries, metrics):
-    """Prints one workload's comparison; returns whether a bound broke."""
-    newest = entries[-1]
-    key = (newest["seed"], newest["seconds"])
-    same_setup = [e for e in entries if (e["seed"], e["seconds"]) == key]
-    sides = list(dict.fromkeys(side(e) for e in same_setup))
-    workload = newest["workload"]
-    if len(sides) < 2:
-        print(f"{workload}: no runs of another side at seed {key[0]}, "
-              f"{key[1]} s to compare with")
-        return False
-    old_side, new_side = sides[-2:]
-    runs = {
-        s: [e for e in same_setup if side(e) == s] for s in (old_side, new_side)
-    }
-    print(f"{workload} (seed {key[0]}, {key[1]} s): "
-          f"{old_side} ({len(runs[old_side])} runs) -> "
-          f"{new_side} ({len(runs[new_side])} runs)")
+    """One workload's report lines, and whether a bound broke."""
+    workload = entries[-1]["workload"]
+    sides = newest_sides(entries)
+    if sides is None:
+        return [f"{workload}: only one side in the ledger"], False
+    old_side, new_side = sides
+    paired = pairs(entries, old_side, new_side)
+    lines = [f"{workload}: {old_side} -> {new_side} ({len(paired)} pairs)"]
+    if not paired:
+        lines.append("  no (seed, seconds) run on both sides")
+        return lines, False
     broke = False
     for metric in metrics:
-        name = metric["name"]
-        values = {
-            s: [e["end_to_end"][name] for e in runs[s] if name in e["end_to_end"]]
-            for s in runs
-        }
-        if not values[old_side] or not values[new_side]:
-            print(f"  {name:<12} missing on one side")
+        name, better = metric["name"], metric["better"]
+        values = [
+            (o["end_to_end"][name], n["end_to_end"][name])
+            for o, n in paired
+            if name in o["end_to_end"] and name in n["end_to_end"]
+        ]
+        if not values:
+            lines.append(f"  {name:<12} missing on one side")
             continue
-        old = statistics.median(values[old_side])
-        new = statistics.median(values[new_side])
+        old = statistics.median(o for o, _ in values)
+        new = statistics.median(n for _, n in values)
+        won = sum(improved(o, n, better) for o, n in values)
         change = (new - old) / abs(old) * 100 if old else float("nan")
-        v = verdict(old, new, metric["better"], metric["bound"])
+        v = verdict(old, new, better, metric["bound"])
         broke |= v == "BOUND"
-        print(f"  {name:<12} {old:>14.6g} -> {new:<14.6g} {change:+7.2f}%  "
-              f"{v} ({metric['better']} is better, bound "
-              f"{metric['bound'] * 100:.0f}%)")
-    return broke
+        lines.append(
+            f"  {name:<12} {old:>14.6g} -> {new:<14.6g} {change:+7.2f}%  "
+            f"won {won}/{len(values)}  {v} ({better} is better, bound "
+            f"{metric['bound'] * 100:.0f}%)"
+        )
+    return lines, broke
 
 
 def main():
@@ -110,7 +139,9 @@ def main():
         workloads.setdefault(entry["workload"], []).append(entry)
     broke = False
     for entries in workloads.values():
-        broke |= compare(entries, metrics)
+        lines, workload_broke = compare(entries, metrics)
+        print("\n".join(lines))
+        broke |= workload_broke
     sys.exit(1 if broke else 0)
 
 
