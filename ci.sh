@@ -81,6 +81,12 @@ echo "==> perf ledger check's own tests"
 # pairing and the per-pair win counts, on fixed ledger fixtures.
 python3 scripts/test_bench_check.py
 
+echo "==> mutation ledger's own tests"
+# Every entry of scripts/mutants.json must still match its file exactly
+# once, so a change that moves mutated code updates its entry; builds
+# nothing (the workflow's advisory mutants job runs the ledger itself).
+python3 scripts/test_mutants.py
+
 echo "==> metro_100k smoke (scale sweep, 50-tick cap)"
 # Drives the columnar engine through campus_140 -> city_1140 -> metro_100k;
 # the 100k-node city must build and tick. The printed ns/tick is advisory

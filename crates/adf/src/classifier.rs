@@ -211,9 +211,9 @@ impl MobilityClassifier {
     /// precondition fails it returns `false` with no state change and the
     /// caller must use [`MobilityClassifier::observe`].
     ///
-    /// The ADF's sparse path calls it to arm a parked node's doze; the
-    /// further calls the doze defers are applied in one step when the
-    /// node wakes.
+    /// The ADF's sparse path calls it for every hinted parked node; a
+    /// 64-node block whose nodes all take it dozes, and the further calls
+    /// the doze defers are applied in one step when the block wakes.
     pub fn observe_stationary(&mut self, time_s: f64, position: Point) -> bool {
         let Some((t0, p0)) = self.last else {
             return false;
@@ -232,15 +232,19 @@ impl MobilityClassifier {
     }
 
     /// Applies `k` deferred [`MobilityClassifier::observe_stationary`]
-    /// calls at once, the last of which observed `position` at `time_s`.
+    /// calls at once, the last of which observed the frozen position at
+    /// `time_s`.
     ///
     /// Sound only while the node sat at the zero-motion fixpoint for all
     /// `k` calls: each would have bumped the trailing zero run and
-    /// re-stamped the last observation, and nothing else. The ADF's doze
+    /// re-stamped the last observation's time, and nothing else. The
+    /// position is already the last observed one. The ADF's doze
     /// ([`crate::AdaptiveDistanceFilter`]) defers exactly those calls.
-    pub(crate) fn catch_up_stationary(&mut self, k: u32, time_s: f64, position: Point) {
+    pub(crate) fn catch_up_stationary(&mut self, k: u32, time_s: f64) {
         self.zero_run = self.zero_run.saturating_add(k as usize);
-        self.last = Some((time_s, position));
+        if let Some((last_time, _)) = &mut self.last {
+            *last_time = time_s;
+        }
     }
 
     /// Number of motion steps currently in the window.

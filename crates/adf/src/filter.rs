@@ -191,8 +191,8 @@ impl DistanceFilter {
     /// `0.0 >= dth` — `Sent` during the zero-DTH warmup, `Filtered` once
     /// a positive DTH is assigned. Returns `None` with no state change
     /// when the fast path does not apply; the caller must then use
-    /// [`DistanceFilter::observe`]. Like the classifier's twin, the ADF
-    /// calls it to arm a parked node's doze.
+    /// [`DistanceFilter::observe`]. Like the classifier's twin, the ADF's
+    /// sparse path calls it for every hinted parked node.
     pub fn observe_stationary(&mut self, position: Point) -> Option<Decision> {
         if !self.is_frozen_repeat(position) {
             return None;

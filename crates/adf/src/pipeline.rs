@@ -27,7 +27,7 @@ use crate::{
 /// thread count — so per-shard partial results and the shard-ordered
 /// reduction below are bit-identical whether a tick runs on one thread or
 /// many. Threads only decide *where* a shard executes.
-const SHARD_SIZE: usize = 64;
+pub(crate) const SHARD_SIZE: usize = 64;
 
 /// The node indices of shard `shard` of a `nodes`-node population (the
 /// last shard may be shorter).

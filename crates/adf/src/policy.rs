@@ -6,7 +6,7 @@ use mobigrid_mobility::MobilityPattern;
 use mobigrid_sim::stats::Welford;
 use mobigrid_wireless::MnId;
 
-use crate::filter::same_bits;
+use crate::pipeline::SHARD_SIZE;
 use crate::{AdfConfig, Decision, DistanceFilter, FilterReference, MobilityClassifier, MotionStep};
 
 /// A snapshot of the per-node filter state behind one decision, exposed
@@ -95,12 +95,6 @@ pub trait FilterPolicy {
         0
     }
 
-    /// The node's current distance threshold, when the policy uses one.
-    fn dth_for(&self, node: MnId) -> Option<f64> {
-        let _ = node;
-        None
-    }
-
     /// The filter state behind the node's most recent decision, for the
     /// flight recorder. `None` (the default) means the policy tracks no
     /// per-node state worth recording.
@@ -136,10 +130,6 @@ impl<P: FilterPolicy + ?Sized> FilterPolicy for Box<P> {
 
     fn dozed_blocks(&self) -> u64 {
         (**self).dozed_blocks()
-    }
-
-    fn dth_for(&self, node: MnId) -> Option<f64> {
-        (**self).dth_for(node)
     }
 
     fn probe(&self, node: MnId) -> Option<FilterProbe> {
@@ -276,10 +266,6 @@ impl FilterPolicy for GeneralDistanceFilter {
         "general-df"
     }
 
-    fn dth_for(&self, node: MnId) -> Option<f64> {
-        self.filters.get(&node).map(DistanceFilter::dth)
-    }
-
     fn probe(&self, node: MnId) -> Option<FilterProbe> {
         self.filters.get(&node).map(|f| FilterProbe {
             pattern: None,
@@ -334,78 +320,48 @@ impl AdfNodeState {
     }
 }
 
-/// One node's entry in the ADF's doze table: the sleep-hinted ticks a
-/// node at the zero-motion fixpoint has spent without its
-/// [`AdfNodeState`] being touched.
+/// The doze clock of one [`SHARD_SIZE`]-node block of consecutive node
+/// ids: the sleep-hinted ticks the whole block has spent at the
+/// zero-motion fixpoint without its nodes' [`AdfNodeState`]s being
+/// touched.
 ///
-/// While armed, each hinted tick that observes the node at the bit-equal
-/// `pos` is *absorbed*: it only moves the entry's last absorbed tick, and
-/// [`Doze::wake`] later applies every absorbed tick in one step. Ticks are
-/// policy ticks, stamped as `u32` (the sparse path runs only below
-/// `u32::MAX` ticks). An entry's last absorbed tick is the later of its
-/// own `last` and its block's clock ([`DozeBlock::last`]), which absorbs
-/// all 64 entries of a whole-dozing block at once; [`Doze::absorbed`]
-/// resolves the two. Between calls every armed entry has absorbed the
-/// previous call, so within a call the stamp tells an entry this call
-/// already absorbed from one it has not.
+/// A dozing block is absorbed by one clock write per call (`last` takes
+/// the call's tick) and [`DozeBlock::wake`] later applies every absorbed
+/// call to all its nodes in one step. Ticks are policy ticks, stamped as
+/// `u32` (the sparse path runs only below `u32::MAX` ticks). Between
+/// calls every dozing block has absorbed the previous call or was armed
+/// by it, so within a call `last` tells a block this call already
+/// absorbed from one it has not.
 #[derive(Clone, Copy)]
-struct Doze {
-    pos: Point,
-    /// Policy tick of the arming call; `u32::MAX` while disarmed.
+struct DozeBlock {
+    /// Policy tick of the arming call; `u32::MAX` while awake.
     armed_at: u32,
-    /// Policy tick of the last call that absorbed this entry on its own.
+    /// Policy tick of the last call that absorbed (or armed) the block.
     last: u32,
 }
 
-impl Doze {
-    const IDLE: Doze = Doze {
-        pos: Point::ORIGIN,
+impl DozeBlock {
+    const AWAKE: DozeBlock = DozeBlock {
         armed_at: u32::MAX,
         last: 0,
     };
 
-    fn armed(&self) -> bool {
+    fn dozing(&self) -> bool {
         self.armed_at != u32::MAX
     }
 
-    /// The policy tick this entry last absorbed, given its block's clock.
-    #[inline]
-    fn absorbed(&self, block: &DozeBlock) -> u32 {
-        self.last.max(block.last)
+    /// Catches the block's nodes, `states`, up on the calls absorbed
+    /// after the arming one and wakes the block. `last_time` is the time
+    /// of the last absorbed call.
+    fn wake(&mut self, states: &mut [Option<AdfNodeState>], last_time: f64) {
+        let pending = self.last - self.armed_at;
+        // Arming proved every node of the block present.
+        for state in states.iter_mut().flatten() {
+            state.classifier.catch_up_stationary(pending, last_time);
+            state.filter.catch_up_filtered(pending);
+        }
+        *self = DozeBlock::AWAKE;
     }
-
-    /// Catches `state` up on the ticks absorbed after the arming one and
-    /// disarms the entry. `last` is the entry's last absorbed tick
-    /// ([`Doze::absorbed`]) and `time_s` that tick's time.
-    fn wake(&mut self, state: &mut AdfNodeState, last: u32, time_s: f64) {
-        let pending = last - self.armed_at;
-        state
-            .classifier
-            .catch_up_stationary(pending, time_s, self.pos);
-        state.filter.catch_up_filtered(pending);
-        *self = Doze::IDLE;
-    }
-}
-
-/// Nodes per doze block: the ADF's doze clock runs per fixed block of
-/// this many consecutive node ids, the sparse driver's shard size.
-const DOZE_BLOCK: usize = 64;
-
-/// The doze clock of one [`DOZE_BLOCK`]-node block.
-///
-/// A *whole-dozing* block is absorbed by one clock write per call instead
-/// of one write per entry: `last` takes the call's tick, and each entry
-/// reads it through [`Doze::absorbed`]. A later per-entry stamp wins over
-/// an older clock, so a per-node touch never needs to rewrite the block.
-#[derive(Clone, Copy, Default)]
-struct DozeBlock {
-    /// Policy tick of the last call that absorbed the whole block.
-    last: u32,
-    /// Whether the next call may absorb the block whole: at the end of the
-    /// last call all its entries were armed, each absorbed by the
-    /// observation in its own slot (slot index = node index), and nothing
-    /// touched them after that. Every per-node touch of an entry clears it.
-    whole: bool,
 }
 
 /// Dense per-node state table indexed by [`MnId::index`].
@@ -447,13 +403,6 @@ impl AdfNodeTable {
         self.slots[index].get_or_insert_with(|| AdfNodeState::new(cfg))
     }
 
-    /// The state of a node the table is known to hold.
-    fn expect_mut(&mut self, index: usize) -> &mut AdfNodeState {
-        self.slots[index]
-            .as_mut()
-            .expect("a dozing node has filter state")
-    }
-
     /// Present states in ascending-id order.
     fn values_mut(&mut self) -> impl Iterator<Item = &mut AdfNodeState> {
         self.slots.iter_mut().flatten()
@@ -492,7 +441,7 @@ impl AdfNodeTable {
 ///     adf.decide_tick(t as f64, &obs);
 /// }
 /// // After warmup the walker has a positive, velocity-proportional DTH.
-/// assert!(adf.dth_for(walker).unwrap() > 0.0);
+/// assert!(adf.probe(walker).and_then(|p| p.dth).unwrap() > 0.0);
 /// ```
 pub struct AdaptiveDistanceFilter {
     config: AdfConfig,
@@ -504,13 +453,9 @@ pub struct AdaptiveDistanceFilter {
     global_speeds: Welford,
     nodes: AdfNodeTable,
     cluster_count: usize,
-    /// Per-node doze entries, indexed like `nodes`; sized by the sparse
-    /// path.
-    doze: Vec<Doze>,
-    /// One doze clock per [`DOZE_BLOCK`] entries of `doze`.
+    /// One doze clock per [`SHARD_SIZE`] slots of `nodes`; sized by the
+    /// sparse path.
     blocks: Vec<DozeBlock>,
-    /// Number of armed doze entries.
-    dozing: usize,
     /// Cumulative blocks absorbed whole by their doze clock.
     block_ticks: u64,
     /// `time_s` of the previous tick.
@@ -533,9 +478,7 @@ impl AdaptiveDistanceFilter {
             global_speeds: Welford::new(),
             nodes: AdfNodeTable::default(),
             cluster_count: 0,
-            doze: Vec::new(),
             blocks: Vec::new(),
-            dozing: 0,
             block_ticks: 0,
             last_time: 0.0,
         })
@@ -588,8 +531,8 @@ impl AdaptiveDistanceFilter {
     /// in the same ascending observation order either way and is read only
     /// at reclustering.
     ///
-    /// Dozing nodes (see [`AdaptiveDistanceFilter::doze_tick`]) are caught
-    /// up before anything else reads their state: here, before a
+    /// Dozing blocks (see [`AdaptiveDistanceFilter::doze_tick`]) are caught
+    /// up before anything else reads their nodes' state: here, before a
     /// reclustering or a dense tick, and in `doze_tick` otherwise.
     fn run_tick(
         &mut self,
@@ -608,7 +551,7 @@ impl AdaptiveDistanceFilter {
         };
         self.nodes.reserve(observations.len());
         let recluster = self.recluster_due(self.tick);
-        if self.dozing > 0 && (recluster || asleep.is_empty()) {
+        if recluster || asleep.is_empty() {
             self.wake_all();
         }
 
@@ -639,33 +582,34 @@ impl AdaptiveDistanceFilter {
 
     /// A sleep-hinted, non-reclustering tick.
     ///
-    /// A hinted node whose classifier and filter both take their
-    /// stationary fast paths (window full of exact zeros, position
-    /// bit-frozen, decision `Filtered`) is *armed*: from then on each
-    /// hinted tick that observes it at the same bits is only absorbed
-    /// by its doze entry and yields `Filtered`, without touching its
-    /// [`AdfNodeState`]. Those ticks would have bumped the classifier's
-    /// zero run, re-stamped its last observation and counted one more
-    /// filtered update, and nothing else, so the wake applies all of them
-    /// in one step. Pattern, cluster and DTH change only at reclustering,
-    /// and the filter's last displacement is already the `0.0` of the
-    /// arming tick, so [`FilterPolicy::probe`] and
-    /// [`FilterPolicy::dth_for`] read a dozing node correctly as it is.
-    /// Every other node takes the per-node kernel, as on a dense tick.
+    /// Every hinted node at the zero-motion fixpoint (window full of exact
+    /// zeros, position bit-frozen, decision `Filtered`) takes the
+    /// classifier's and the filter's stationary fast paths; every other
+    /// node takes the per-node kernel, as on a dense tick. Observations go in
+    /// [`SHARD_SIZE`]-slot chunks, and a chunk whose 64 slots each hold
+    /// their own node (slot index = node index) and each take the fast
+    /// path *arms* its block's doze clock ([`DozeBlock`]).
     ///
-    /// An armed node wakes when it is observed unhinted, at other bits, at
-    /// a time that does not advance, or a second time in one call; an
-    /// armed node the call did not observe at all wakes at the end of it.
+    /// While its block dozes, a node's [`AdfNodeState`] is not touched. A
+    /// later call whose chunk is all hinted and whose time advances
+    /// *absorbs* the block with one clock write and yields 64 `Filtered`:
+    /// by the hint's contract each slot repeats the previous call's, which
+    /// the block absorbed or armed at its node's frozen position, so each
+    /// node would take the fast path again. Only debug builds re-prove
+    /// that per node. An absorbed call would only have bumped each node's
+    /// classifier zero run, re-stamped its last observation's time and
+    /// counted one more filtered update, and nothing else, so the wake
+    /// applies all of them in one step. Pattern, cluster and DTH change
+    /// only at reclustering, and the filter's last displacement is already
+    /// the `0.0` of the arming call, so [`FilterPolicy::probe`] reads a
+    /// dozing node correctly as it is.
     ///
-    /// Observations go in [`DOZE_BLOCK`]-slot chunks. A chunk whose block
-    /// is whole-dozing ([`DozeBlock::whole`]) and whose every slot is
-    /// hinted costs one clock write: by the hint's contract each slot
-    /// repeats the previous call's, which absorbed node `slot` at its
-    /// armed position, so every entry would be absorbed again. Only debug
-    /// builds re-prove that per node. Any other chunk takes the per-node
-    /// path, which re-proves every gate itself and marks its block whole
-    /// again once all of the block's entries are absorbed from their own
-    /// slots.
+    /// A dozing block wakes, all 64 nodes at once, when the per-node path
+    /// meets one of its nodes: its chunk is not absorbed whole, or the
+    /// node turns up in another chunk (or a second time). A call that ends
+    /// without absorbing it wakes it too, as does
+    /// [`AdaptiveDistanceFilter::wake_all`]. The per-node path re-proves
+    /// every gate itself.
     fn doze_tick(
         &mut self,
         time_s: f64,
@@ -673,98 +617,74 @@ impl AdaptiveDistanceFilter {
         asleep: &[bool],
         decisions: &mut Vec<Decision>,
     ) {
-        // One entry per node seen before this tick: only those can arm.
-        if self.doze.len() < self.nodes.slots.len() {
-            self.doze.resize(self.nodes.slots.len(), Doze::IDLE);
-            self.blocks
-                .resize(self.doze.len().div_ceil(DOZE_BLOCK), DozeBlock::default());
+        // One block per chunk of nodes seen before this tick: only those
+        // can arm.
+        let block_count = self.nodes.slots.len().div_ceil(SHARD_SIZE);
+        if self.blocks.len() < block_count {
+            self.blocks.resize(block_count, DozeBlock::AWAKE);
         }
         // `run_tick` keeps the sparse path below `u32::MAX` ticks.
         let now = self.tick as u32;
         let prev_time = self.last_time;
         // The classifier's own same-time guard, against the time every
-        // armed entry last absorbed.
+        // dozing block last absorbed.
         let stalled = time_s - prev_time <= 0.0;
         // Split borrows: the loop keeps its tables in locals.
         let AdaptiveDistanceFilter {
             config,
             global_speeds: speeds,
             nodes,
-            doze,
             blocks,
-            dozing,
             block_ticks,
             ..
         } = self;
-        // Armed entries this call has absorbed or armed.
-        let mut touched = 0usize;
         for (b, (chunk, hints)) in observations
-            .chunks(DOZE_BLOCK)
-            .zip(asleep.chunks(DOZE_BLOCK))
+            .chunks(SHARD_SIZE)
+            .zip(asleep.chunks(SHARD_SIZE))
             .enumerate()
         {
-            let base = b * DOZE_BLOCK;
+            let base = b * SHARD_SIZE;
             if !stalled
-                && chunk.len() == DOZE_BLOCK
-                && blocks.get(b).is_some_and(|block| block.whole)
+                && chunk.len() == SHARD_SIZE
+                && blocks.get(b).is_some_and(DozeBlock::dozing)
                 // One branch-free pass over the 64 hints.
                 && hints.iter().fold(true, |all, &h| all & h)
             {
                 debug_assert!(
-                    chunk.iter().enumerate().all(|(k, (node, pos))| {
-                        let entry = &doze[base + k];
-                        node.index() == base + k
-                            && entry.armed()
-                            && entry.absorbed(&blocks[b]) == now - 1
-                            && same_bits(entry.pos, *pos)
-                    }),
-                    "a hinted whole-dozing block repeats the previous call's observations"
+                    blocks[b].last == now - 1
+                        && chunk.iter().enumerate().all(|(k, (node, pos))| {
+                            node.index() == base + k
+                                && nodes
+                                    .get(*node)
+                                    .is_some_and(|s| s.filter.suppresses_repeat(*pos))
+                        }),
+                    "a hinted dozing block repeats the previous call's observations"
                 );
                 blocks[b].last = now;
                 *block_ticks += 1;
-                touched += DOZE_BLOCK;
-                decisions.extend(std::iter::repeat_n(Decision::Filtered, DOZE_BLOCK));
+                decisions.extend(std::iter::repeat_n(Decision::Filtered, SHARD_SIZE));
                 continue;
             }
-            // Slots of this chunk absorbed or armed by their own node.
+            // Own-slot nodes of this chunk that took the fast path.
             let mut own = 0usize;
             for (k, ((node, pos), &hinted)) in chunk.iter().zip(hints).enumerate() {
                 let index = node.index();
-                let own_slot = index == base + k;
-                if let Some(entry) = doze.get_mut(index).filter(|e| e.armed()) {
-                    let block = &mut blocks[index / DOZE_BLOCK];
-                    block.whole = false;
-                    let last = entry.absorbed(block);
-                    if hinted && last != now && !stalled && same_bits(entry.pos, *pos) {
-                        entry.last = now;
-                        touched += 1;
-                        own += usize::from(own_slot);
-                        decisions.push(Decision::Filtered);
-                        continue;
-                    }
-                    let this_call = last == now;
-                    touched -= usize::from(this_call);
-                    *dozing -= 1;
-                    let last_time = if this_call { time_s } else { prev_time };
-                    entry.wake(nodes.expect_mut(index), last, last_time);
+                // The node's block wakes whole before the node is touched.
+                let home = index / SHARD_SIZE;
+                if let Some(block) = blocks.get_mut(home).filter(|block| block.dozing()) {
+                    // The time of the call the block last absorbed.
+                    let last_time = if block.last == now { time_s } else { prev_time };
+                    let start = home * SHARD_SIZE;
+                    block.wake(&mut nodes.slots[start..start + SHARD_SIZE], last_time);
                 }
                 if hinted {
                     if let Some(state) = nodes.get_mut(*node) {
-                        // Arming: both halves take their stationary path and
-                        // the filter suppresses the repeat.
                         if state.filter.suppresses_repeat(*pos)
                             && state.classifier.observe_stationary(time_s, *pos)
                         {
                             let decision = state.filter.observe_stationary(*pos);
                             debug_assert_eq!(decision, Some(Decision::Filtered));
-                            doze[index] = Doze {
-                                pos: *pos,
-                                armed_at: now,
-                                last: now,
-                            };
-                            *dozing += 1;
-                            touched += 1;
-                            own += usize::from(own_slot);
+                            own += usize::from(index == base + k);
                             decisions.push(Decision::Filtered);
                             continue;
                         }
@@ -773,33 +693,33 @@ impl AdaptiveDistanceFilter {
                 let state = nodes.get_or_insert(*node, config);
                 decisions.push(state.observe(speeds, time_s, *pos));
             }
-            if own == DOZE_BLOCK {
-                blocks[b].whole = true;
+            if own == SHARD_SIZE {
+                blocks[b] = DozeBlock {
+                    armed_at: now,
+                    last: now,
+                };
             }
         }
-        if *dozing > touched {
-            for (index, entry) in doze.iter_mut().enumerate() {
-                let block = &mut blocks[index / DOZE_BLOCK];
-                if entry.armed() && entry.absorbed(block) != now {
-                    block.whole = false;
-                    let last = entry.absorbed(block);
-                    entry.wake(nodes.expect_mut(index), last, prev_time);
-                    *dozing -= 1;
-                }
-            }
-        }
+        self.wake_where(|block| block.last != now);
     }
 
-    /// Wakes every dozing node; each last absorbed the previous tick.
+    /// Wakes every dozing block; each last absorbed the previous call.
     fn wake_all(&mut self) {
-        for (index, entry) in self.doze.iter_mut().enumerate() {
-            if entry.armed() {
-                let last = entry.absorbed(&self.blocks[index / DOZE_BLOCK]);
-                entry.wake(self.nodes.expect_mut(index), last, self.last_time);
+        self.wake_where(|_| true);
+    }
+
+    /// Wakes every dozing block for which `stale` holds. Each last
+    /// absorbed the previous call, whose time is `self.last_time`.
+    fn wake_where(&mut self, stale: impl Fn(&DozeBlock) -> bool) {
+        for (b, block) in self.blocks.iter_mut().enumerate() {
+            if block.dozing() && stale(block) {
+                let base = b * SHARD_SIZE;
+                block.wake(
+                    &mut self.nodes.slots[base..base + SHARD_SIZE],
+                    self.last_time,
+                );
             }
         }
-        self.blocks.iter_mut().for_each(|block| block.whole = false);
-        self.dozing = 0;
     }
 
     /// Reclassifies every node and rebuilds the velocity clusters,
@@ -885,10 +805,6 @@ impl FilterPolicy for AdaptiveDistanceFilter {
         self.block_ticks
     }
 
-    fn dth_for(&self, node: MnId) -> Option<f64> {
-        self.nodes.get(node).map(|s| s.filter.dth())
-    }
-
     fn probe(&self, node: MnId) -> Option<FilterProbe> {
         self.nodes.get(node).map(|s| FilterProbe {
             pattern: Some(s.pattern),
@@ -902,6 +818,7 @@ impl FilterPolicy for AdaptiveDistanceFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::same_bits;
 
     /// The sleep-hinted entry point must be bit-identical to the dense
     /// one across warmup, window saturation and reclustering ticks — even
@@ -937,12 +854,12 @@ mod tests {
             sparse.process_tick_sparse(time_s, &obs, &asleep, &mut sparse_out);
             assert_eq!(dense_out, sparse_out, "decisions diverged at tick {t}");
             for id in &nodes {
+                let (d, s) = (dense.probe(*id), sparse.probe(*id));
                 assert_eq!(
-                    dense.dth_for(*id).map(f64::to_bits),
-                    sparse.dth_for(*id).map(f64::to_bits),
+                    d.and_then(|p| p.dth).map(f64::to_bits),
+                    s.and_then(|p| p.dth).map(f64::to_bits),
                     "DTH diverged at tick {t} for {id:?}"
                 );
-                let (d, s) = (dense.probe(*id), sparse.probe(*id));
                 assert_eq!(
                     d.as_ref().map(|p| (p.pattern, p.cluster)),
                     s.as_ref().map(|p| (p.pattern, p.cluster)),
@@ -959,10 +876,11 @@ mod tests {
 
     /// Every doze catch-up restores exactly the state the eager path
     /// would have built, counters included (which no public accessor
-    /// shows): after sleeps of every length, woken by moving, by a
-    /// reclustering, by a dense call, by being left out of a tick and by
-    /// being observed twice in one — per node, and through the block doze
-    /// clock of whole-dozing blocks, one of whose nodes then wakes alone.
+    /// shows): after sleeps of every length, woken by a node moving, by a
+    /// reclustering, by a dense call, by being left out of a tick, by a
+    /// node shifting slot and by a node observed twice in one. Block 0's
+    /// parked nodes share it with a walker, so they never doze and take
+    /// the eager fast path instead.
     #[test]
     fn doze_wake_restores_the_eager_state() {
         fn assert_same_state(doze: &AdaptiveDistanceFilter, eager: &AdaptiveDistanceFilter) {
@@ -975,10 +893,10 @@ mod tests {
                 assert_eq!((d.pattern, d.cluster), (e.pattern, e.cluster));
             }
         }
-        // Nodes 0-5 in block 0 (node 0 walks, so block 0 never dozes
-        // whole), parked nodes after them through two whole blocks.
+        // Nodes 0-5 in block 0 (node 0 walks, so block 0 never dozes),
+        // parked nodes after them through two whole blocks.
         // Tick 115 repeats tick 114's time.
-        const NODES: u32 = 3 * DOZE_BLOCK as u32;
+        const NODES: u32 = 3 * SHARD_SIZE as u32;
         let cfg = AdfConfig {
             recluster_interval: 40,
             ..AdfConfig::new(1.0)
@@ -1022,7 +940,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, &(id, pos))| {
-                    if id.index() < DOZE_BLOCK {
+                    if id.index() < SHARD_SIZE {
                         id.raw() != 0
                     } else {
                         prev.get(i)
@@ -1034,13 +952,14 @@ mod tests {
             if t % 37 == 0 {
                 doze.process_tick(time_s, &obs, &mut d_out);
             } else {
-                let whole = doze.blocks.get(1).is_some_and(|b| b.whole);
+                let dozing = doze.blocks.get(1).is_some_and(DozeBlock::dozing);
                 doze.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
-                // Node 100 wakes alone out of a whole-dozing block.
-                woke_from_block |= t == 77 && whole && doze.doze[100].armed_at == u32::MAX;
+                // Node 100 steps out of its dozing block and wakes it.
+                woke_from_block |= t == 77 && dozing && !doze.blocks[1].dozing();
             }
             assert_eq!(d_out, e_out, "decisions diverged at tick {t}");
-            max_dozing = max_dozing.max(doze.dozing);
+            let dozing = doze.blocks.iter().filter(|b| b.dozing()).count();
+            max_dozing = max_dozing.max(dozing);
             if t % 10 == 0 || t == 77 {
                 // A wake at an arbitrary point catches up whatever the
                 // sleeps and the block clocks have deferred so far.
@@ -1049,21 +968,20 @@ mod tests {
             }
             prev = obs;
         }
-        assert_eq!(
-            max_dozing,
-            NODES as usize - 1,
-            "every parked node dozed at some point"
-        );
+        assert_eq!(max_dozing, 2, "both all-parked blocks dozed at once");
         assert!(doze.dozed_blocks() > 100, "the block clocks never ran");
-        assert!(woke_from_block, "no node woke out of a whole-dozing block");
+        assert!(
+            woke_from_block,
+            "node 100 stepping out did not wake its block"
+        );
     }
 
     /// The per-node state of the filter kernel and of the broker's Brown
     /// estimator must not grow: at 20,000 nodes every word is 160 kB, and
     /// the estimator's memoised plan is paid for by the smoothers' compact
     /// representation, not by extra bytes. The records a sleeping node
-    /// touches each sparse tick — its doze entry and its brokers' hot
-    /// slots — are budgeted tighter still, as are the per-shard sums every
+    /// touches each sparse tick — its block's doze clock and its brokers'
+    /// hot slots — are budgeted tighter still, as are the per-shard sums every
     /// evaluated shard of every tick writes and copies. Each
     /// broker's cold slot keeps its estimator behind one pointer: an
     /// inline estimator would put Brown's bytes in every slot of both
@@ -1086,7 +1004,7 @@ mod tests {
                 size_of::<BrownPositionEstimator>(),
                 248,
             ),
-            ("Doze", size_of::<Doze>(), 24),
+            ("DozeBlock", size_of::<DozeBlock>(), 8),
             ("HotSlot", size_of::<HotSlot>(), 40),
             ("ColdSlot", size_of::<ColdSlot>(), 72),
             ("ShardSums", size_of::<ShardSums>(), 216),
@@ -1128,7 +1046,8 @@ mod tests {
         let dth = p.global_dth();
         assert!((dth - 5.0).abs() < 0.5, "global dth = {dth}");
         // The slow node is over-filtered: its DTH (5 m) exceeds its speed.
-        assert_eq!(p.dth_for(MnId::new(0)), p.dth_for(MnId::new(1)));
+        let dth = |id: u32| p.probe(MnId::new(id)).and_then(|probe| probe.dth);
+        assert_eq!(dth(0), dth(1));
     }
 
     #[test]
@@ -1164,8 +1083,9 @@ mod tests {
         assert_eq!(p.cluster_count(), 2);
         assert_eq!(p.cluster_of(MnId::new(0)), p.cluster_of(MnId::new(1)));
         assert_ne!(p.cluster_of(MnId::new(0)), p.cluster_of(MnId::new(2)));
-        let walker_dth = p.dth_for(MnId::new(0)).unwrap();
-        let vehicle_dth = p.dth_for(MnId::new(2)).unwrap();
+        let dth = |id: u32| p.probe(MnId::new(id)).and_then(|probe| probe.dth);
+        let walker_dth = dth(0).unwrap();
+        let vehicle_dth = dth(2).unwrap();
         assert!(
             vehicle_dth > 4.0 * walker_dth,
             "walker {walker_dth} vehicle {vehicle_dth}"

@@ -279,7 +279,10 @@ proptest! {
             let decisions = adf.decide_tick(t as f64, &obs);
             prop_assert_eq!(decisions.len(), obs.len());
             for (id, _) in &obs {
-                let dth = adf.dth_for(*id).expect("observed node has a threshold");
+                let dth = adf
+                    .probe(*id)
+                    .and_then(|p| p.dth)
+                    .expect("observed node has a threshold");
                 prop_assert!(dth.is_finite() && dth >= 0.0);
             }
         }
@@ -606,7 +609,7 @@ impl Xorshift {
 }
 
 /// Asserts that two ADFs report the same per-node view — the probe
-/// (class, cluster, DTH, displacement) and `dth_for` — bit for bit.
+/// (class, cluster, DTH, displacement) — bit for bit.
 fn assert_same_view(
     dozing: &AdaptiveDistanceFilter,
     eager: &AdaptiveDistanceFilter,
@@ -625,11 +628,6 @@ fn assert_same_view(
             d.map(|p| (p.dth.map(f64::to_bits), p.displacement.map(f64::to_bits))),
             e.map(|p| (p.dth.map(f64::to_bits), p.displacement.map(f64::to_bits))),
             "DTH/displacement of node {i} at tick {tick}"
-        );
-        assert_eq!(
-            dozing.dth_for(id).map(f64::to_bits),
-            eager.dth_for(id).map(f64::to_bits),
-            "dth_for node {i} at tick {tick}"
         );
     }
 }

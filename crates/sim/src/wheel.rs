@@ -9,16 +9,15 @@
 //!
 //! # Determinism contract
 //!
-//! * One pending wake per node (`schedule` overwrites, last write wins);
-//!   the drained set for a tick is exactly the nodes whose latest
-//!   scheduled wake equals that tick.
+//! * A node has at most one pending wake: the caller schedules a node
+//!   again only after its wake has fired. The drained set for a tick is
+//!   exactly the nodes whose wake is due by then.
 //! * [`WakeWheel::advance`] returns the due set sorted ascending, and is
-//!   a pure function of the schedule/cancel history — never of wall
-//!   clock, allocation order or thread interleaving.
+//!   a pure function of the schedule history — never of wall clock,
+//!   allocation order or thread interleaving.
 //!
-//! Slot entries are *lazy*: cancelling or rescheduling leaves the stale
-//! entry in place and it is filtered (or re-filed, for far wakes that
-//! wrapped) on drain. This keeps `schedule`/`cancel` O(1) amortised.
+//! There is no cancel: a scheduled wake always fires, so every entry the
+//! wheel holds is live and `schedule` is O(1) amortised.
 
 /// A deterministic calendar/timer-wheel queue keyed on tick.
 ///
@@ -39,14 +38,11 @@
 pub struct WakeWheel {
     /// Near-horizon slots, indexed by `tick & (len - 1)`.
     slots: Vec<Vec<u32>>,
-    /// Wakes at or beyond `now + horizon`, keyed by due tick.
+    /// Wakes at or beyond `now + len` when scheduled, keyed by due tick.
     overflow: std::collections::BTreeMap<u64, Vec<u32>>,
-    /// Authoritative pending wake per node (`u64::MAX` = none). Grows on
-    /// demand; doubles as the lazy-cancellation filter.
-    next_wake: Vec<u64>,
     /// The last tick passed to [`WakeWheel::advance`] (0 before any).
     now: u64,
-    /// Number of nodes with a pending wake.
+    /// Number of pending wakes.
     pending: usize,
     /// Scratch for the due set, reused across advances.
     due: Vec<u32>,
@@ -61,17 +57,10 @@ impl WakeWheel {
         WakeWheel {
             slots: vec![Vec::new(); len],
             overflow: std::collections::BTreeMap::new(),
-            next_wake: Vec::new(),
             now: 0,
             pending: 0,
             due: Vec::new(),
         }
-    }
-
-    /// Number of near-horizon slots.
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.slots.len()
     }
 
     /// Number of nodes with a pending wake.
@@ -80,25 +69,10 @@ impl WakeWheel {
         self.pending
     }
 
-    /// The pending wake tick for `node`, if any.
-    #[must_use]
-    pub fn pending_wake(&self, node: u32) -> Option<u64> {
-        match self.next_wake.get(node as usize) {
-            Some(&t) if t != u64::MAX => Some(t),
-            _ => None,
-        }
-    }
-
-    fn ensure(&mut self, node: u32) {
-        let idx = node as usize;
-        if idx >= self.next_wake.len() {
-            self.next_wake.resize(idx + 1, u64::MAX);
-        }
-    }
-
-    /// Schedules (or reschedules) `node` to wake at `tick`. A node has at
-    /// most one pending wake: the latest call wins. `tick` must be after
-    /// the last [`WakeWheel::advance`]d tick.
+    /// Schedules `node` to wake at `tick`, which must be after the last
+    /// [`WakeWheel::advance`]d tick. `node` must have no pending wake: the
+    /// wheel keeps no per-node state to replace one by, so a second wake
+    /// would fire twice.
     ///
     /// # Panics
     ///
@@ -109,13 +83,7 @@ impl WakeWheel {
             "wake for node {node} at tick {tick} is not after now={}",
             self.now
         );
-        self.ensure(node);
-        let prev = std::mem::replace(&mut self.next_wake[node as usize], tick);
-        if prev == u64::MAX {
-            self.pending += 1;
-        }
-        // Lazy: a stale entry for `prev` stays where it is and is filtered
-        // on drain against `next_wake`.
+        self.pending += 1;
         if tick - self.now < self.slots.len() as u64 {
             let idx = (tick as usize) & (self.slots.len() - 1);
             self.slots[idx].push(node);
@@ -124,19 +92,15 @@ impl WakeWheel {
         }
     }
 
-    /// Cancels `node`'s pending wake, if any. Idempotent.
-    pub fn cancel(&mut self, node: u32) {
-        if let Some(slot) = self.next_wake.get_mut(node as usize) {
-            if *slot != u64::MAX {
-                *slot = u64::MAX;
-                self.pending -= 1;
-            }
-        }
-    }
-
-    /// Advances the wheel to `tick` and returns the nodes due exactly then,
+    /// Advances the wheel to `tick` and returns the nodes due by then,
     /// ascending. Ticks may be skipped; wakes scheduled for a skipped tick
     /// fire on the next `advance` at or after their due tick.
+    ///
+    /// Every entry of a swept slot is due. A near wake `w` is filed with
+    /// `now < w < now + len`, and no tick in `(now, w)` maps to its slot,
+    /// so the first sweep `(prev, tick]` that reaches the slot has
+    /// `prev < w < prev + len`. A sweep shorter than a lap reaches it only
+    /// at `t = w`, so `w <= tick`; a whole lap has `w < prev + len <= tick`.
     ///
     /// # Panics
     ///
@@ -157,57 +121,19 @@ impl WakeWheel {
         let span = (tick - prev).min(len);
         for t in (tick - span + 1)..=tick {
             let idx = (t as usize) & (self.slots.len() - 1);
-            if self.slots[idx].is_empty() {
-                continue;
-            }
-            let mut entries = std::mem::take(&mut self.slots[idx]);
-            for node in entries.drain(..) {
-                match self.next_wake[node as usize] {
-                    w if w <= tick && w != u64::MAX => self.due.push(node),
-                    // A far wake that wrapped into this slot: re-file it.
-                    w if w != u64::MAX => {
-                        if w - tick < len {
-                            let j = (w as usize) & (self.slots.len() - 1);
-                            self.slots[j].push(node);
-                        } else {
-                            self.overflow.entry(w).or_default().push(node);
-                        }
-                    }
-                    _ => {} // cancelled: drop the stale entry
-                }
-            }
-            // Hand the emptied Vec's capacity back to the slot.
-            self.slots[idx] = entries;
+            self.due.append(&mut self.slots[idx]);
         }
 
         // Overflow entries due by now (covers skipped ticks too).
-        while let Some((&t, _)) = self.overflow.first_key_value() {
-            if t > tick {
+        while let Some(entry) = self.overflow.first_entry() {
+            if *entry.key() > tick {
                 break;
             }
-            let (_, nodes) = self.overflow.pop_first().expect("non-empty");
-            for node in nodes {
-                let w = self.next_wake[node as usize];
-                if w <= tick && w != u64::MAX {
-                    self.due.push(node);
-                } else if w != u64::MAX {
-                    // Rescheduled further out after landing in overflow.
-                    if w - tick < len {
-                        let j = (w as usize) & (self.slots.len() - 1);
-                        self.slots[j].push(node);
-                    } else {
-                        self.overflow.entry(w).or_default().push(node);
-                    }
-                }
-            }
+            self.due.extend(entry.remove());
         }
 
         self.due.sort_unstable();
-        self.due.dedup();
-        for &node in &self.due {
-            self.next_wake[node as usize] = u64::MAX;
-            self.pending -= 1;
-        }
+        self.pending -= self.due.len();
         &self.due
     }
 }
@@ -241,50 +167,12 @@ mod tests {
     }
 
     #[test]
-    fn cancel_and_reschedule_are_idempotent() {
-        let mut w = WakeWheel::new(8);
-        w.schedule(5, 2);
-        w.schedule(5, 2); // same tick again: still one wake
-        assert_eq!(w.occupancy(), 1);
-        w.cancel(5);
-        w.cancel(5); // double cancel: no-op
-        assert_eq!(w.occupancy(), 0);
-        assert_eq!(w.advance(2), &[] as &[u32]);
-
-        w.schedule(5, 4);
-        w.schedule(5, 6); // reschedule: last write wins
-        assert_eq!(w.occupancy(), 1);
-        assert_eq!(w.advance(4), &[] as &[u32]);
-        assert_eq!(w.advance(6), &[5]);
-    }
-
-    #[test]
-    fn reschedule_from_overflow_back_into_the_near_window() {
-        let mut w = WakeWheel::new(8);
-        w.schedule(1, 100); // overflow
-        w.schedule(1, 3); // near
-        assert_eq!(w.advance(3), &[1]);
-        assert_eq!(w.advance(100), &[] as &[u32]);
-    }
-
-    #[test]
     fn skipped_ticks_still_fire_pending_wakes() {
         let mut w = WakeWheel::new(8);
         w.schedule(2, 5);
         w.schedule(3, 40);
         // Jump straight past both due ticks in one advance.
         assert_eq!(w.advance(60), &[2, 3]);
-    }
-
-    #[test]
-    fn pending_wake_reports_the_latest_schedule() {
-        let mut w = WakeWheel::new(8);
-        assert_eq!(w.pending_wake(7), None);
-        w.schedule(7, 9);
-        w.schedule(7, 30);
-        assert_eq!(w.pending_wake(7), Some(30));
-        w.cancel(7);
-        assert_eq!(w.pending_wake(7), None);
     }
 
     #[test]
@@ -302,10 +190,11 @@ mod tests {
     }
 
     proptest! {
-        /// An arbitrary interleaving of schedule / cancel / advance
-        /// operations never loses a wake, never duplicates one, and
-        /// always drains in ascending id order — checked against the
-        /// obvious map-based reference model.
+        /// An arbitrary interleaving of schedule / advance operations
+        /// never loses a wake, never duplicates one, and always drains in
+        /// ascending id order — checked against the obvious map-based
+        /// reference model. Like the sparse driver, it schedules only
+        /// nodes with no pending wake.
         #[test]
         fn arbitrary_ops_never_lose_or_duplicate_wakes(
             horizon in 1usize..64,
@@ -319,14 +208,14 @@ mod tests {
             let mut now = 0u64;
             for (op, node, delta) in ops {
                 match op {
-                    0 => {
-                        let tick = now + delta;
-                        wheel.schedule(node, tick);
-                        model.pending.insert(node, tick);
-                    }
-                    1 => {
-                        wheel.cancel(node);
-                        model.pending.remove(&node);
+                    0 | 1 => {
+                        if let std::collections::btree_map::Entry::Vacant(slot) =
+                            model.pending.entry(node)
+                        {
+                            let tick = now + delta;
+                            wheel.schedule(node, tick);
+                            slot.insert(tick);
+                        }
                     }
                     _ => {
                         now += delta;

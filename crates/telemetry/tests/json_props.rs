@@ -1,7 +1,8 @@
-//! Property tests for the JSON validator and parser: neither may panic
-//! on any input, and both accept and reject exactly the same documents.
+//! Property tests for the JSON parser: it may not panic on any input.
+//! (`json::validate` is the parser with the value dropped, so the
+//! properties parse each input once.)
 
-use mobigrid_telemetry::json::{parse, validate};
+use mobigrid_telemetry::json::parse;
 use proptest::prelude::*;
 
 /// JSON tokens and fragments of tokens, so random strings reach deep into
@@ -35,15 +36,9 @@ fn bracket_runs() -> impl Strategy<Value = String> {
     })
 }
 
-/// Neither entry point panics, and they agree on what is valid JSON.
+/// The parser returns, accepting or rejecting `doc`, without panicking.
 fn check(doc: &str) {
-    let validated = validate(doc);
-    let parsed = parse(doc);
-    assert_eq!(
-        validated.is_ok(),
-        parsed.is_ok(),
-        "{doc:?}: {validated:?} vs {parsed:?}"
-    );
+    let _ = parse(doc);
 }
 
 proptest! {

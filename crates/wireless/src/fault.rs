@@ -406,13 +406,12 @@ impl FaultChannel {
                 cause: DropCause::Fault,
             };
         }
-        let mut frame = [0u8; LocationUpdate::WIRE_SIZE];
-        lu.encode_into(&mut frame);
+        let frame = lu.encode();
         if unit_f64(self.roll(lu, attempt, SALT_CORRUPT)) < self.plan.corrupt_rate {
             let damaged = self.corrupted_copy(&frame, lu, attempt);
             // The receiver validates the CRC before trusting any field; a
             // single-byte flip is always caught, so the frame is discarded.
-            if LocationUpdate::decode_from(&damaged).is_err() {
+            if LocationUpdate::decode(&damaged).is_err() {
                 self.stats.corrupted += 1;
                 return LinkEvent::Dropped {
                     cause: DropCause::Corrupted,
@@ -445,8 +444,8 @@ impl FaultChannel {
                 break;
             }
             let frame = entry.remove();
-            let lu = LocationUpdate::decode_from(&frame)
-                .expect("deferred frames were validated at transmit");
+            let lu =
+                LocationUpdate::decode(&frame).expect("deferred frames were validated at transmit");
             self.stats.delivered += 1;
             out.push(lu);
         }
@@ -664,7 +663,7 @@ mod tests {
         let ch = FaultChannel::new(FaultPlan::lossless(), 77).unwrap();
         for seq in 0..200 {
             let update = lu(4, seq);
-            let frame = update.encode_to_array();
+            let frame = update.encode();
             let damaged = ch.corrupted_copy(&frame, &update, 0);
             let diff = frame
                 .iter()
@@ -673,7 +672,7 @@ mod tests {
                 .count();
             assert_eq!(diff, 1, "seq {seq}: exactly one byte must change");
             assert!(
-                LocationUpdate::decode_from(&damaged).is_err(),
+                LocationUpdate::decode(&damaged).is_err(),
                 "seq {seq}: corrupted frame must not decode"
             );
         }

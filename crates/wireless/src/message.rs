@@ -1,6 +1,5 @@
 use std::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use mobigrid_geo::Point;
@@ -128,20 +127,12 @@ impl LocationUpdate {
         }
     }
 
-    /// Serialises to the fixed 36-byte big-endian wire format in a freshly
-    /// allocated buffer. Hot paths should prefer
-    /// [`LocationUpdate::encode_into`], which writes into caller-provided
-    /// (typically stack) storage.
+    /// Serialises to the fixed 36-byte big-endian wire frame, on the
+    /// stack: no heap traffic. The trailer bytes carry the CRC-32 of the
+    /// 32-byte payload.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(Self::WIRE_SIZE);
-        buf.put_slice(&self.encode_to_array());
-        buf.freeze()
-    }
-
-    /// Serialises into a caller-provided frame buffer — no heap traffic.
-    /// The trailer bytes carry the CRC-32 of the 32-byte payload.
-    pub fn encode_into(&self, frame: &mut [u8; Self::WIRE_SIZE]) {
+    pub fn encode(&self) -> [u8; Self::WIRE_SIZE] {
+        let mut frame = [0u8; Self::WIRE_SIZE];
         frame[0..4].copy_from_slice(&self.node.raw().to_be_bytes());
         frame[4..8].copy_from_slice(&self.seq.to_be_bytes());
         frame[8..16].copy_from_slice(&self.time_s.to_be_bytes());
@@ -149,30 +140,12 @@ impl LocationUpdate {
         frame[24..32].copy_from_slice(&self.position.y.to_be_bytes());
         let crc = crc32(&frame[..Self::PAYLOAD_SIZE]);
         frame[32..36].copy_from_slice(&crc.to_be_bytes());
-    }
-
-    /// Serialises to a stack-allocated wire frame.
-    #[must_use]
-    pub fn encode_to_array(&self) -> [u8; Self::WIRE_SIZE] {
-        let mut frame = [0u8; Self::WIRE_SIZE];
-        self.encode_into(&mut frame);
         frame
     }
 
-    /// Parses a frame produced by [`LocationUpdate::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WirelessError::MalformedFrame`] for frames whose length is
-    /// not exactly [`LocationUpdate::WIRE_SIZE`] and
-    /// [`WirelessError::ChecksumMismatch`] when the CRC trailer does not
-    /// match the payload.
-    pub fn decode(frame: &[u8]) -> Result<Self, WirelessError> {
-        Self::decode_from(frame)
-    }
-
-    /// Zero-copy parse of a borrowed wire frame: reads the fields straight
-    /// out of the slice without an owned intermediate buffer.
+    /// Zero-copy parse of a wire frame produced by
+    /// [`LocationUpdate::encode`]: reads the fields straight out of the
+    /// slice without an owned intermediate buffer.
     ///
     /// The frame length must be exactly [`LocationUpdate::WIRE_SIZE`]:
     /// truncated *and* over-length buffers are rejected. A server ingesting
@@ -190,7 +163,7 @@ impl LocationUpdate {
     /// not exactly [`LocationUpdate::WIRE_SIZE`] (truncated, over-length or
     /// empty) and [`WirelessError::ChecksumMismatch`] when the CRC trailer
     /// does not match the payload.
-    pub fn decode_from(frame: &[u8]) -> Result<Self, WirelessError> {
+    pub fn decode(frame: &[u8]) -> Result<Self, WirelessError> {
         if frame.len() != Self::WIRE_SIZE {
             return Err(WirelessError::MalformedFrame {
                 got: frame.len(),
@@ -227,6 +200,13 @@ mod tests {
         let wire = lu.encode();
         assert_eq!(wire.len(), LocationUpdate::WIRE_SIZE);
         assert_eq!(LocationUpdate::decode(&wire).unwrap(), lu);
+        // The big-endian field layout: node, seq, time, x, y, CRC trailer.
+        assert_eq!(wire[0..4], 42u32.to_be_bytes());
+        assert_eq!(wire[4..8], 9u32.to_be_bytes());
+        assert_eq!(wire[8..16], 3.25f64.to_be_bytes());
+        assert_eq!(wire[16..24], (-7.5f64).to_be_bytes());
+        assert_eq!(wire[24..32], 1e6f64.to_be_bytes());
+        assert_eq!(wire[32..36], crc32(&wire[..32]).to_be_bytes());
     }
 
     #[test]
@@ -244,17 +224,17 @@ mod tests {
     #[test]
     fn decode_rejects_corrupted_frames() {
         let lu = LocationUpdate::new(MnId::new(8), 2.5, Point::new(10.0, -4.0), 3);
-        let mut frame = lu.encode_to_array();
+        let mut frame = lu.encode();
         frame[17] ^= 0x40; // flip one payload bit
         assert!(matches!(
-            LocationUpdate::decode_from(&frame).unwrap_err(),
+            LocationUpdate::decode(&frame).unwrap_err(),
             WirelessError::ChecksumMismatch { .. }
         ));
         // A damaged trailer is caught too.
-        let mut frame = lu.encode_to_array();
+        let mut frame = lu.encode();
         frame[35] ^= 0x01;
         assert!(matches!(
-            LocationUpdate::decode_from(&frame).unwrap_err(),
+            LocationUpdate::decode(&frame).unwrap_err(),
             WirelessError::ChecksumMismatch { .. }
         ));
     }
@@ -271,12 +251,8 @@ mod tests {
         // broken; accepting the prefix would desynchronise the stream.
         let lu = LocationUpdate::new(MnId::new(1), 1.0, Point::new(2.0, 3.0), 4);
         let mut wire = [0xFFu8; LocationUpdate::WIRE_SIZE + 8];
-        lu.encode_into(
-            (&mut wire[..LocationUpdate::WIRE_SIZE])
-                .try_into()
-                .expect("frame-sized prefix"),
-        );
-        let err = LocationUpdate::decode_from(&wire).unwrap_err();
+        wire[..LocationUpdate::WIRE_SIZE].copy_from_slice(&lu.encode());
+        let err = LocationUpdate::decode(&wire).unwrap_err();
         assert_eq!(
             err,
             WirelessError::MalformedFrame {
@@ -286,16 +262,16 @@ mod tests {
         );
         // The exact-length prefix still decodes.
         let exact = &wire[..LocationUpdate::WIRE_SIZE];
-        assert_eq!(LocationUpdate::decode_from(exact).unwrap(), lu);
+        assert_eq!(LocationUpdate::decode(exact).unwrap(), lu);
     }
 
     #[test]
     fn decode_rejects_truncated_and_empty_frames() {
         let lu = LocationUpdate::new(MnId::new(9), 7.0, Point::new(-1.0, 8.0), 2);
-        let wire = lu.encode_to_array();
+        let wire = lu.encode();
         // Every strict prefix — including the empty frame — is malformed.
         for cut in [0usize, 1, 4, 35] {
-            let err = LocationUpdate::decode_from(&wire[..cut]).unwrap_err();
+            let err = LocationUpdate::decode(&wire[..cut]).unwrap_err();
             assert_eq!(
                 err,
                 WirelessError::MalformedFrame {
@@ -306,21 +282,6 @@ mod tests {
             );
         }
         assert!(LocationUpdate::decode(&[]).is_err());
-    }
-
-    #[test]
-    fn stack_and_heap_encodings_agree() {
-        let lu = LocationUpdate::new(MnId::new(77), 123.5, Point::new(-1.25, 9e3), 6);
-        assert_eq!(lu.encode_to_array().as_slice(), lu.encode().as_ref());
-        assert_eq!(
-            LocationUpdate::decode_from(&lu.encode_to_array()).unwrap(),
-            LocationUpdate::decode(&lu.encode()).unwrap()
-        );
-        // Short frames fail identically through both entry points.
-        assert_eq!(
-            LocationUpdate::decode_from(&[0u8; 35]).unwrap_err(),
-            LocationUpdate::decode(&[0u8; 35]).unwrap_err()
-        );
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl AccessNetwork {
     ///
     /// The update crosses the air interface as its wire encoding: it is
     /// serialised into a stack frame and parsed back zero-copy with
-    /// [`LocationUpdate::decode_from`], so routing and accounting see
+    /// [`LocationUpdate::decode`], so routing and accounting see
     /// exactly what the wire carries and the path never touches the heap.
     ///
     /// Counts the frame in the aggregate and per-gateway meters and records
@@ -233,9 +233,8 @@ impl AccessNetwork {
     /// Returns [`WirelessError::NoCoverage`] (and counts a drop) when no
     /// gateway covers the position.
     pub fn transmit(&mut self, lu: &LocationUpdate) -> Result<GatewayId, WirelessError> {
-        let mut frame = [0u8; LocationUpdate::WIRE_SIZE];
-        lu.encode_into(&mut frame);
-        let lu = LocationUpdate::decode_from(&frame).expect("self-encoded frame is well-formed");
+        let frame = lu.encode();
+        let lu = LocationUpdate::decode(&frame).expect("self-encoded frame is well-formed");
         let Some(gw) = self
             .best_gateway_at(lu.position, lu.time_s)
             .map(Gateway::id)

@@ -137,7 +137,7 @@ impl IngestRecord {
         match self {
             IngestRecord::Update(lu) => {
                 out.push(OP_UPDATE);
-                out.extend_from_slice(&lu.encode_to_array());
+                out.extend_from_slice(&lu.encode());
             }
             IngestRecord::Filtered { node, time_s } => {
                 out.push(OP_FILTERED);
@@ -237,7 +237,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Vec<IngestRecord>, WirelessError
         match opcode {
             OP_UPDATE => {
                 let frame = take(LocationUpdate::WIRE_SIZE)?;
-                records.push(IngestRecord::Update(LocationUpdate::decode_from(frame)?));
+                records.push(IngestRecord::Update(LocationUpdate::decode(frame)?));
                 at += LocationUpdate::WIRE_SIZE;
             }
             OP_FILTERED | OP_LOST => {
@@ -303,7 +303,7 @@ pub fn verify_batch_crcs(payload: &[u8]) -> Result<u64, WirelessError> {
                             got: rest.len(),
                             needed: LocationUpdate::WIRE_SIZE,
                         })?;
-                LocationUpdate::decode_from(frame)?;
+                LocationUpdate::decode(frame)?;
                 checked += 1;
                 LocationUpdate::WIRE_SIZE
             }

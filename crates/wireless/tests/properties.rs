@@ -237,10 +237,10 @@ proptest! {
             LinkEvent::Delivered { duplicate, .. } => {
                 prop_assert!(duplicate);
                 // Both copies decode back to the transmitted update.
-                let frame = lu.encode_to_array();
-                let copy = LocationUpdate::decode_from(&frame).unwrap();
+                let frame = lu.encode();
+                let copy = LocationUpdate::decode(&frame).unwrap();
                 prop_assert_eq!(copy, lu);
-                prop_assert_eq!(copy.encode_to_array(), frame);
+                prop_assert_eq!(copy.encode(), frame);
                 prop_assert_eq!(ch.stats().delivered, 2);
                 prop_assert_eq!(ch.stats().duplicated, 1);
             }
@@ -259,10 +259,10 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let lu = LocationUpdate::new(MnId::new(node), t, Point::new(x, y), seq);
-        let mut frame = lu.encode_to_array();
+        let mut frame = lu.encode();
         frame[index] ^= flip;
         prop_assert!(
-            LocationUpdate::decode_from(&frame).is_err(),
+            LocationUpdate::decode(&frame).is_err(),
             "flip {flip:#04x} at byte {index} must not decode"
         );
     }
