@@ -1,10 +1,12 @@
 use mobigrid_forecast::{
-    AxisSmoothing, BrownPositionEstimator, DeadReckoning, HoltLinear, KalmanCv,
+    AxisSmoothing, BrownPositionEstimator, DeadReckoning, HoltLinear, KalmanCv, RestPrefix,
 };
 use mobigrid_geo::Point;
 use mobigrid_sim::par::select;
 use mobigrid_telemetry::ApplyOutcome;
 use mobigrid_wireless::{IngestRecord, MnId};
+
+use crate::filter::same_bits;
 
 /// Which location estimator the broker runs for filtered nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,12 +50,17 @@ impl Default for EstimatorKind {
 }
 
 impl EstimatorKind {
-    /// A fresh estimator for a node first heard from; `None` for
-    /// [`EstimatorKind::WithoutLe`], whose slots hold their last receipt
-    /// instead.
-    fn build(self) -> Option<Box<Estimator>> {
+    /// The estimator of a node first heard from at `position`. A Brown
+    /// node at a finite position only starts counting its receipts
+    /// ([`SlotEstimator::Resting`]); the other kinds are boxed at once,
+    /// and [`EstimatorKind::WithoutLe`] builds nothing, its slots holding
+    /// their last receipt instead.
+    fn first(self, position: Point) -> SlotEstimator {
         let estimator = match self {
-            EstimatorKind::WithoutLe => return None,
+            EstimatorKind::WithoutLe => return SlotEstimator::Unbuilt,
+            EstimatorKind::Brown { .. } if position.x.is_finite() && position.y.is_finite() => {
+                return SlotEstimator::Resting(RestPrefix::FIRST);
+            }
             EstimatorKind::Brown { alpha } => Estimator::Brown(
                 BrownPositionEstimator::new(alpha).expect("validated smoothing factor"),
             ),
@@ -69,7 +76,7 @@ impl EstimatorKind {
                 KalmanCv::new(accel_sigma, measurement_sigma).expect("validated sigmas"),
             ),
         };
-        Some(Box::new(estimator))
+        SlotEstimator::Built(Box::new(estimator))
     }
 
     /// Validates the embedded parameters.
@@ -125,6 +132,26 @@ impl Estimator {
             Estimator::HoltAxes(e) => e.observe(time_s, position),
             Estimator::DeadReckoning(e) => e.observe(time_s, position),
             Estimator::KalmanCv(e) => e.observe(time_s, position),
+        }
+    }
+
+    #[inline]
+    fn estimate(&mut self, time_s: f64) -> Option<Point> {
+        match self {
+            Estimator::Brown(e) => e.estimate(time_s),
+            Estimator::HoltAxes(e) => e.estimate(time_s),
+            Estimator::DeadReckoning(e) => e.estimate(time_s),
+            Estimator::KalmanCv(e) => e.estimate(time_s),
+        }
+    }
+
+    #[inline]
+    fn is_static(&self) -> bool {
+        match self {
+            Estimator::Brown(e) => e.is_static(),
+            Estimator::HoltAxes(e) => e.is_static(),
+            Estimator::DeadReckoning(e) => e.is_static(),
+            Estimator::KalmanCv(e) => e.is_static(),
         }
     }
 }
@@ -185,30 +212,51 @@ pub(crate) struct HotSlot {
     staleness: u32,
 }
 
+/// What a slot holds of its node's estimator.
+///
+/// The paper's estimator is boxed only at the node's first motion: a
+/// parked node's receipts all sit at one position, and Brown's estimator
+/// folds such receipts into nothing but counts (see
+/// [`BrownPositionEstimator::at_rest`]), never warms its smoothers, and
+/// estimates the last receipt. The ablation estimators are boxed at the
+/// first receipt: no measured workload runs them, and each would need its
+/// own proof that a resting prefix folds to counts.
+#[derive(Default)]
+enum SlotEstimator {
+    /// No estimator: a node never heard from, or any node of a without-LE
+    /// broker.
+    #[default]
+    Unbuilt,
+    /// A Brown node whose every receipt so far sat at the last receipt's
+    /// finite position, bit for bit.
+    Resting(RestPrefix),
+    /// A built estimator.
+    Built(Box<Estimator>),
+}
+
 /// The cold half of a node's broker slot: the per-node estimator, the
 /// registration anchor and the last receipt, which only a full
-/// evaluation reads or writes. A node has an estimator exactly when it
-/// has a receipt, unless its broker runs [`EstimatorKind::WithoutLe`],
-/// which builds none.
+/// evaluation reads or writes. A node has an estimator, resting or built,
+/// exactly when it has a receipt, unless its broker runs
+/// [`EstimatorKind::WithoutLe`], which builds none.
 #[derive(Default)]
 pub(crate) struct ColdSlot {
-    estimator: Option<Box<Estimator>>,
+    estimator: SlotEstimator,
     home_anchor: Option<Point>,
     last_rx: Option<LastRx>,
 }
 
 impl ColdSlot {
     /// The node's believed position at `time_s`: its estimator's, or else
-    /// its last receipt's (a without-LE slot); `None` for a node never
-    /// heard from.
+    /// its last receipt's (a resting or without-LE slot); `None` for a
+    /// node never heard from.
     #[inline]
     fn estimate(&mut self, time_s: f64) -> Option<Point> {
-        match self.estimator.as_deref_mut() {
-            Some(Estimator::Brown(e)) => e.estimate(time_s),
-            Some(Estimator::HoltAxes(e)) => e.estimate(time_s),
-            Some(Estimator::DeadReckoning(e)) => e.estimate(time_s),
-            Some(Estimator::KalmanCv(e)) => e.estimate(time_s),
-            None => self.last_rx.map(|rx| rx.position),
+        match &mut self.estimator {
+            SlotEstimator::Built(estimator) => estimator.estimate(time_s),
+            SlotEstimator::Unbuilt | SlotEstimator::Resting(_) => {
+                self.last_rx.map(|rx| rx.position)
+            }
         }
     }
 
@@ -216,22 +264,57 @@ impl ColdSlot {
     /// the node's next receipt.
     #[inline]
     fn is_static(&self) -> bool {
-        match self.estimator.as_deref() {
-            Some(Estimator::Brown(e)) => e.is_static(),
-            Some(Estimator::HoltAxes(e)) => e.is_static(),
-            Some(Estimator::DeadReckoning(e)) => e.is_static(),
-            Some(Estimator::KalmanCv(e)) => e.is_static(),
-            None => true,
+        match &self.estimator {
+            SlotEstimator::Built(estimator) => estimator.is_static(),
+            SlotEstimator::Unbuilt | SlotEstimator::Resting(_) => true,
         }
     }
 
     /// Hands the registered home anchor, if any, to the estimator; of the
-    /// estimators, only Brown's keeps one.
+    /// estimators, only a built Brown keeps one.
     fn share_anchor(&mut self) {
-        if let (Some(Estimator::Brown(brown)), Some(anchor)) =
-            (self.estimator.as_deref_mut(), self.home_anchor)
+        if let (SlotEstimator::Built(estimator), Some(anchor)) =
+            (&mut self.estimator, self.home_anchor)
         {
-            brown.set_home_anchor(anchor);
+            if let Estimator::Brown(brown) = estimator.as_mut() {
+                brown.set_home_anchor(anchor);
+            }
+        }
+    }
+
+    /// Feeds the estimator an accepted receipt, `previous` being the one
+    /// before it. A resting slot counts a receipt at its position and
+    /// builds its box at the first that moves (or would overflow a
+    /// count), from the counts and the previous receipt, before
+    /// observing it.
+    fn observe(
+        &mut self,
+        kind: EstimatorKind,
+        previous: Option<LastRx>,
+        time_s: f64,
+        position: Point,
+    ) {
+        match (&mut self.estimator, previous) {
+            (_, None) => {
+                self.estimator = kind.first(position);
+                self.share_anchor();
+            }
+            (SlotEstimator::Resting(rest), Some(rx)) => {
+                if same_bits(rx.position, position) && rest.count(time_s - rx.time_s) {
+                    return;
+                }
+                let EstimatorKind::Brown { alpha } = kind else {
+                    unreachable!("only Brown slots rest");
+                };
+                let brown = BrownPositionEstimator::at_rest(alpha, *rest, rx.time_s, rx.position)
+                    .expect("validated smoothing factor");
+                self.estimator = SlotEstimator::Built(Box::new(Estimator::Brown(brown)));
+                self.share_anchor();
+            }
+            _ => {}
+        }
+        if let SlotEstimator::Built(estimator) = &mut self.estimator {
+            estimator.observe(time_s, position);
         }
     }
 }
@@ -288,25 +371,19 @@ impl NodeSlot<'_> {
                     counters.rejected += 1;
                     ApplyOutcome::Stale
                 }
-                _ => {
+                previous => {
                     self.hot.record = Some(LocationRecord {
                         position: lu.position,
                         time_s: lu.time_s,
                         estimated: false,
                     });
-                    if self.cold.last_rx.is_none() {
-                        self.cold.estimator = kind.build();
-                        self.cold.share_anchor();
-                    }
+                    self.cold.observe(kind, previous, lu.time_s, lu.position);
                     self.cold.last_rx = Some(LastRx {
                         time_s: lu.time_s,
                         seq: lu.seq,
                         position: lu.position,
                     });
                     self.hot.staleness = 0;
-                    if let Some(estimator) = &mut self.cold.estimator {
-                        estimator.observe(lu.time_s, lu.position);
-                    }
                     counters.received += 1;
                     ApplyOutcome::Accepted
                 }
@@ -1458,6 +1535,133 @@ mod tests {
                     twin.records().collect::<Vec<_>>()
                 );
                 proptest::prop_assert_eq!(clocked.state_digest(), twin.state_digest());
+            }
+        }
+    }
+
+    /// Builds every resting Brown slot of `broker` the way slots were
+    /// built before they rested: at the first receipt, the anchor handed
+    /// over and the receipt observed. Called after every apply, so a
+    /// resting slot holds its first receipt only.
+    fn build_resting(broker: &mut GridBroker) {
+        let EstimatorKind::Brown { alpha } = broker.kind else {
+            unreachable!("only Brown slots rest");
+        };
+        for cold in &mut broker.cold {
+            if let (SlotEstimator::Resting(rest), Some(rx)) = (&cold.estimator, cold.last_rx) {
+                assert_eq!(*rest, RestPrefix::FIRST, "built at the first receipt");
+                let mut brown = BrownPositionEstimator::new(alpha).unwrap();
+                if let Some(anchor) = cold.home_anchor {
+                    brown.set_home_anchor(anchor);
+                }
+                brown.observe(rx.time_s, rx.position);
+                cold.estimator = SlotEstimator::Built(Box::new(Estimator::Brown(brown)));
+            }
+        }
+    }
+
+    /// A record's bits, so `-0.0` and `NaN` compare exactly.
+    fn record_bits(record: Option<LocationRecord>) -> Option<[u64; 4]> {
+        record.map(|r| {
+            [
+                r.position.x.to_bits(),
+                r.position.y.to_bits(),
+                r.time_s.to_bits(),
+                u64::from(r.estimated),
+            ]
+        })
+    }
+
+    /// A slot's Brown estimator, when built, by its debug form (which
+    /// prints every float exactly, signed zeros included).
+    fn built_brown(cold: &ColdSlot) -> Option<String> {
+        match &cold.estimator {
+            SlotEstimator::Built(estimator) => match estimator.as_ref() {
+                Estimator::Brown(brown) => Some(format!("{brown:?}")),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A broker whose Brown slots rest until their node moves reads
+        /// bit for bit like one that builds every estimator at the first
+        /// receipt: the same apply outcomes, estimates, static flags and
+        /// digest, and, once built, the same estimator. The streams hold
+        /// repeats at one position, silences, same-time, duplicate and
+        /// stale receipts, signed zeros, a subnormal step, home anchors
+        /// set before and after first contact, losses, and motion after
+        /// a long rest.
+        #[test]
+        fn resting_slots_match_eager_estimators(
+            rest in 0u32..60,
+            anchor_first in 0u8..2,
+            ops in proptest::collection::vec((0u8..12, 0u32..3, 0u8..7, 0u8..4, -30.0..30.0f64), 0..50),
+        ) {
+            const NODES: u32 = 3;
+            let mk = || {
+                let mut b = GridBroker::new(EstimatorKind::default()).unwrap();
+                b.ensure_nodes(NODES as usize);
+                b
+            };
+            let (mut lazy, mut eager) = (mk(), mk());
+            if anchor_first == 1 {
+                lazy.set_home_anchor(MnId::new(0), Point::new(4.0, 4.0));
+                eager.set_home_anchor(MnId::new(0), Point::new(4.0, 4.0));
+            }
+            // Per node: its last update (time, position, seq).
+            let starts = [Point::new(0.0, -0.0), Point::new(6.0, 2.0), Point::new(-0.0, 0.0)];
+            let mut last: Vec<(f64, Point, u32)> = starts.iter().map(|&p| (0.0, p, 0)).collect();
+            // The rest: node 0 reports its spot over gaps of one second,
+            // a silence and none.
+            let rests = (0..rest).map(|i| (0, 0, 0, [1, 2, 0][i as usize % 3], 0.0));
+            for (i, (op, node, spot, gap, v)) in rests.chain(ops).enumerate() {
+                let id = MnId::new(node);
+                let (time_s, position, seq) = last[node as usize];
+                let dt = [1.0, 2.5, 0.0, 0.5][usize::from(gap)];
+                let record = match op {
+                    0..=5 => {
+                        let position = match spot {
+                            0..=2 => position,
+                            3 => Point::new(-0.0, 0.0),
+                            4 => Point::new(0.0, -0.0),
+                            // From a zero, a subnormal step whose speed
+                            // underflows to +0.0 over a silence.
+                            5 => Point::new(5e-324, 0.0),
+                            _ => Point::new(v, 0.5 * v),
+                        };
+                        last[node as usize] = (time_s + dt, position, seq + 1);
+                        let lu = LocationUpdate::new(id, time_s + dt, position, seq + 1);
+                        IngestRecord::Update(lu)
+                    }
+                    // A channel duplicate of the last update, and a frame
+                    // older than it.
+                    6 => IngestRecord::Update(LocationUpdate::new(id, time_s, position, seq)),
+                    7 => IngestRecord::Update(LocationUpdate::new(id, time_s - 1.0, position, seq + 7)),
+                    8 | 9 => filtered(node, time_s + [0.5, 1.0, 7.0, 40.0][usize::from(gap)]),
+                    10 => lost(node, time_s + 1.0 + dt),
+                    _ => {
+                        lazy.set_home_anchor(id, Point::new(v, -v));
+                        eager.set_home_anchor(id, Point::new(v, -v));
+                        continue;
+                    }
+                };
+                let (a, b) = (lazy.apply(&record), eager.apply(&record));
+                build_resting(&mut eager);
+                proptest::prop_assert_eq!(a, b, "op {}", i);
+                for n in 0..NODES {
+                    let (l, e) = (&lazy.cold[n as usize], &eager.cold[n as usize]);
+                    let id = MnId::new(n);
+                    proptest::prop_assert_eq!(record_bits(lazy.location(id)), record_bits(eager.location(id)));
+                    proptest::prop_assert_eq!(l.is_static(), e.is_static(), "op {} node {}", i, n);
+                    if let Some(brown) = built_brown(l) {
+                        proptest::prop_assert_eq!(Some(brown), built_brown(e), "op {} node {}", i, n);
+                    }
+                }
+                proptest::prop_assert_eq!(lazy.state_digest(), eager.state_digest(), "op {}", i);
             }
         }
     }

@@ -27,11 +27,19 @@ struct WindowSample {
 }
 
 impl WindowSample {
-    /// What an unfilled ring slot holds; never read as a sample.
+    /// What an unfilled ring slot holds, and the sample a step between two
+    /// bit-equal finite positions derives: speed `+0.0`, displacement
+    /// `(+0.0, +0.0)`.
     const EMPTY: WindowSample = WindowSample {
         speed: 0.0,
         delta: Vec2::ZERO,
     };
+
+    /// Whether this sample is bit-equal to [`WindowSample::EMPTY`]; a
+    /// subnormal step whose speed underflows to `+0.0` is not.
+    fn is_empty(self) -> bool {
+        self.speed.to_bits() == 0 && self.delta.dx.to_bits() == 0 && self.delta.dy.to_bits() == 0
+    }
 }
 
 /// The paper's Figure-2 mobility-pattern classification algorithm.
@@ -55,9 +63,12 @@ impl WindowSample {
 /// every node of a policy alike, so the readings that use them take the
 /// policy's [`AdfConfig`] as an argument instead of a per-node copy.
 ///
-/// The window is one ring of exactly `classifier_window` samples,
-/// allocated once by [`MobilityClassifier::new`]. It is read oldest to
-/// newest, the order the samples arrived in, so
+/// The window is one ring of exactly `classifier_window` samples. It is
+/// allocated by the first sample that is not the empty one (speed `+0.0`,
+/// displacement `(+0.0, +0.0)`), so a node that has never moved holds no
+/// heap: until then every sample it took is that empty one, and the ring
+/// is built full of them, with the head and length it would have had. It
+/// is read oldest to newest, the order the samples arrived in, so
 /// [`MobilityClassifier::mean_speed`] sums them in that order.
 ///
 /// # Examples
@@ -76,28 +87,34 @@ impl WindowSample {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MobilityClassifier {
-    /// The window's slots. While filling, samples sit in `ring[..len]`,
-    /// oldest first; once full, the oldest is `ring[head]` and the newest
-    /// the slot before it.
-    ring: Box<[WindowSample]>,
+    /// The window's slots, `None` until the first sample that is not
+    /// [`WindowSample::EMPTY`]. While filling, samples sit in
+    /// `ring[..len]`, oldest first; once full, the oldest is `ring[head]`
+    /// and the newest the slot before it. `head` and `len` advance the same
+    /// way whether or not the ring is built.
+    ring: Option<Box<[WindowSample]>>,
+    /// The window length, `classifier_window`.
+    window: u32,
     /// Index of the oldest sample once the ring is full; `0` before.
     head: u32,
     /// Number of samples in the window.
     len: u32,
+    /// Number of consecutive most-recent samples with speed exactly `+0.0`,
+    /// saturating (every reading compares it with a length that fits a
+    /// `u32`). Once this reaches the window length the whole window is
+    /// zeros and [`MobilityClassifier::mean_speed`] short-circuits — the
+    /// mean of `n` positive zeros is exactly `+0.0`, so the fast path is
+    /// bit-identical to the summation it skips.
+    zero_run: u32,
     last: Option<(f64, Point)>,
-    /// Number of consecutive most-recent samples with speed exactly `+0.0`.
-    /// Once this reaches the window length the whole window is zeros and
-    /// [`MobilityClassifier::mean_speed`] short-circuits — the mean of `n`
-    /// positive zeros is exactly `+0.0`, so the fast path is bit-identical
-    /// to the summation it skips.
-    zero_run: usize,
 }
 
 /// Two classifiers are equal when their windows hold the same samples in
-/// the same order, whatever slot each sample sits in.
+/// the same order, whatever slot each sample sits in and whether or not
+/// the ring is built.
 impl PartialEq for MobilityClassifier {
     fn eq(&self, other: &Self) -> bool {
-        self.ring.len() == other.ring.len()
+        self.window == other.window
             && self.samples().eq(other.samples())
             && self.last == other.last
             && self.zero_run == other.zero_run
@@ -118,7 +135,8 @@ impl MobilityClassifier {
     pub const DEFAULT_FREQUENT_FRACTION: f64 = 0.35;
 
     /// Creates a classifier with an empty sliding window of
-    /// `cfg.classifier_window` motion steps, allocating the window's ring.
+    /// `cfg.classifier_window` motion steps. It allocates nothing: the
+    /// window's ring is built at the node's first motion.
     ///
     /// # Panics
     ///
@@ -127,31 +145,50 @@ impl MobilityClassifier {
     pub fn new(cfg: &AdfConfig) -> Self {
         let window = cfg.classifier_window;
         assert!(window >= 2, "classifier window must hold at least 2 steps");
-        assert!(u32::try_from(window).is_ok(), "classifier window too long");
         MobilityClassifier {
-            ring: vec![WindowSample::EMPTY; window].into_boxed_slice(),
+            ring: None,
+            window: u32::try_from(window).expect("classifier window too long"),
             head: 0,
             len: 0,
-            last: None,
             zero_run: 0,
+            last: None,
         }
     }
 
     /// The window's samples, oldest first.
     fn samples(&self) -> impl DoubleEndedIterator<Item = &WindowSample> {
         let (head, len) = (self.head as usize, self.len as usize);
-        self.ring[head..len].iter().chain(&self.ring[..head])
+        let (older, newer, unbuilt): (&[WindowSample], &[WindowSample], usize) = match &self.ring {
+            Some(ring) => (&ring[head..len], &ring[..head], 0),
+            // An unbuilt ring has taken only empty samples.
+            None => (&[], &[], len),
+        };
+        older
+            .iter()
+            .chain(newer)
+            .chain(std::iter::repeat_n(&WindowSample::EMPTY, unbuilt))
     }
 
-    /// Appends `sample` as the newest, evicting the oldest once full.
+    /// Appends `sample` as the newest, evicting the oldest once full. The
+    /// first sample that is not [`WindowSample::EMPTY`] builds the ring:
+    /// every sample before it was the empty one, so a ring of empty
+    /// samples with `head` and `len` kept is the ring they would have
+    /// filled.
     fn push(&mut self, sample: WindowSample) {
+        if self.ring.is_none() && !sample.is_empty() {
+            self.ring = Some(vec![WindowSample::EMPTY; self.window as usize].into_boxed_slice());
+        }
         let len = self.len as usize;
-        if len < self.ring.len() {
-            self.ring[len] = sample;
+        if self.len < self.window {
+            if let Some(ring) = &mut self.ring {
+                ring[len] = sample;
+            }
             self.len += 1;
         } else {
             let head = self.head as usize;
-            self.ring[head] = sample;
+            if let Some(ring) = &mut self.ring {
+                ring[head] = sample;
+            }
             self.head = if head + 1 == len { 0 } else { self.head + 1 };
         }
     }
@@ -222,8 +259,7 @@ impl MobilityClassifier {
         if !frozen || time_s - t0 <= 0.0 {
             return false;
         }
-        let window = self.ring.len();
-        if self.sample_count() < window || self.zero_run < window {
+        if self.len < self.window || self.zero_run < self.window {
             return false;
         }
         self.zero_run = self.zero_run.saturating_add(1);
@@ -241,7 +277,7 @@ impl MobilityClassifier {
     /// position is already the last observed one. The ADF's doze
     /// ([`crate::AdaptiveDistanceFilter`]) defers exactly those calls.
     pub(crate) fn catch_up_stationary(&mut self, k: u32, time_s: f64) {
-        self.zero_run = self.zero_run.saturating_add(k as usize);
+        self.zero_run = self.zero_run.saturating_add(k);
         if let Some((last_time, _)) = &mut self.last {
             *last_time = time_s;
         }
@@ -262,7 +298,7 @@ impl MobilityClassifier {
         }
         // Zero fixpoint: every sample in the window is `+0.0`, so the sum
         // and the mean are exactly `+0.0` — skip the window walk.
-        if self.zero_run >= len {
+        if self.zero_run as usize >= len {
             return 0.0;
         }
         self.samples().map(|s| s.speed).sum::<f64>() / len as f64
@@ -501,7 +537,7 @@ mod tests {
         for t in 0..10 {
             c.observe(t as f64, Point::new(3.0, 4.0));
         }
-        assert!(c.zero_run >= c.sample_count());
+        assert!(c.zero_run as usize >= c.sample_count());
         let mut slow = c.clone();
         slow.zero_run = 0;
         assert_eq!(c.mean_speed().to_bits(), slow.mean_speed().to_bits());
@@ -511,6 +547,90 @@ mod tests {
         c.observe(10.0, Point::new(4.0, 4.0));
         assert_eq!(c.zero_run, 0);
         assert!(c.mean_speed() > 0.0);
+    }
+
+    /// The classifier as it was before the ring became lazy: its ring
+    /// built at construction.
+    fn eager(cfg: &AdfConfig) -> MobilityClassifier {
+        let mut c = MobilityClassifier::new(cfg);
+        c.ring = Some(vec![WindowSample::EMPTY; cfg.classifier_window].into_boxed_slice());
+        c
+    }
+
+    /// A sample's bits, so `-0.0` and `NaN` compare exactly.
+    fn bits(s: &WindowSample) -> [u64; 3] {
+        [
+            s.speed.to_bits(),
+            s.delta.dx.to_bits(),
+            s.delta.dy.to_bits(),
+        ]
+    }
+
+    /// Everything a reader can see of a classifier, by bits.
+    fn view(c: &MobilityClassifier, cfg: &AdfConfig) -> impl PartialEq + std::fmt::Debug {
+        (
+            c.samples().map(bits).collect::<Vec<_>>(),
+            (c.head, c.len, c.zero_run),
+            c.last
+                .map(|(t, p)| [t.to_bits(), p.x.to_bits(), p.y.to_bits()]),
+            c.mean_speed().to_bits(),
+            c.last_heading().map(|h| h.radians().to_bits()),
+            c.change_fraction(cfg).to_bits(),
+            c.classify(cfg),
+        )
+    }
+
+    /// One observation of [`lazy_and_eager_rings_agree`]'s streams: the
+    /// step after `(time_s, position)`, by `op`.
+    fn next_observation(op: (u8, u8, f64), time_s: f64, position: Point) -> (f64, Point) {
+        let (kind, gap, v) = op;
+        // Same-time, one second, a silence, half a second, out of order.
+        let time_s = time_s + [0.0, 1.0, 2.5, 0.5, -1.0][usize::from(gap % 5)];
+        let position = match kind {
+            // Stay put: repeats at one position, long rests.
+            0..=3 => position,
+            // Signed zeros: from `(+0.0, -0.0)` to `(-0.0, +0.0)` is a step
+            // of zero speed whose displacement is `(-0.0, +0.0)`.
+            4 => Point::new(-0.0, 0.0),
+            5 => Point::new(0.0, -0.0),
+            // A subnormal step from any zero: over a gap above one second
+            // its speed underflows to +0.0, its displacement does not.
+            6 => Point::new(5e-324, 0.0),
+            // Motion.
+            _ => Point::new(v, v * 0.5 - 3.0),
+        };
+        (time_s, position)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A lazy ring and an eager one agree sample for sample and on
+        /// every reading, the stationary fast path included, over streams
+        /// of rests, signed zeros, subnormal steps, same-time and
+        /// out-of-order observations and motion after a long rest.
+        #[test]
+        fn lazy_and_eager_rings_agree(
+            window in 2usize..7,
+            start in 0usize..3,
+            rest in 0u32..40,
+            ops in proptest::collection::vec((0u8..9, 0u8..5, -40.0..40.0f64), 0..60),
+        ) {
+            let cfg = cfg(window);
+            let (mut lazy, mut eager) = (MobilityClassifier::new(&cfg), eager(&cfg));
+            let starts = [Point::new(0.0, -0.0), Point::new(-0.0, 0.0), Point::new(3.0, -7.5)];
+            let (mut time_s, mut position) = (0.0, starts[start]);
+            let rests = (0..rest).map(|_| (0, 1, 0.0));
+            for (i, op) in rests.chain(ops).enumerate() {
+                (time_s, position) = next_observation(op, time_s, position);
+                let fast = lazy.clone().observe_stationary(time_s, position);
+                proptest::prop_assert_eq!(fast, eager.clone().observe_stationary(time_s, position));
+                let (a, b) = (lazy.observe(time_s, position), eager.observe(time_s, position));
+                proptest::prop_assert_eq!(a, b, "step {}", i);
+                proptest::prop_assert_eq!(view(&lazy, &cfg), view(&eager, &cfg), "step {}", i);
+                proptest::prop_assert!(lazy == eager, "step {}", i);
+            }
+        }
     }
 
     #[test]

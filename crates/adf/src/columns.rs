@@ -20,11 +20,16 @@
 //!                                     patterns[i]       MobilityPattern
 //!                                     mobility_kinds[i] MobilityKind
 //!                                     home_anchors[i]   Option<Point>
-//!                                     retry_policies[i] Option<RetryPolicy>
+//!
+//!  engines[i] is 24 B: a parked node's StopModel inline, every larger
+//!  model boxed.
+//!
+//!        sparse side table (ascending node id, set nodes only)
+//!  retry_policies   (MnId, RetryPolicy)
 //! ```
 //!
-//! The remaining per-node state the ISSUE's layout calls for already lives
-//! in sibling dense columns owned by their phases: classification history,
+//! The remaining per-node state lives in sibling dense columns owned by
+//! their phases: classification history,
 //! cluster id and DTH in the adaptive policy's dense per-node table
 //! (`AdaptiveDistanceFilter`), staleness counters in each broker's dense
 //! slots, and retry/backoff state plus wire sequence numbers in the
@@ -77,8 +82,9 @@ pub struct NodeColumns {
     mobility_kinds: Vec<MobilityKind>,
     /// Estimator prior anchors, when the workload set them.
     home_anchors: Vec<Option<Point>>,
-    /// Per-node retry policies, when attached.
-    retry_policies: Vec<Option<RetryPolicy>>,
+    /// The nodes' own retry policies, by ascending node id: a sparse side
+    /// table, as no workload attaches one and only the drop path reads it.
+    retry_policies: Vec<(MnId, RetryPolicy)>,
 }
 
 /// One shard of the movement kernel: disjoint mutable slices of every
@@ -173,7 +179,7 @@ impl NodeColumns {
             patterns: Vec::with_capacity(n),
             mobility_kinds: Vec::with_capacity(n),
             home_anchors: Vec::with_capacity(n),
-            retry_policies: Vec::with_capacity(n),
+            retry_policies: Vec::new(),
         };
         for node in nodes {
             let parts = node.into_parts();
@@ -191,7 +197,9 @@ impl NodeColumns {
             cols.node_types.push(parts.node_type);
             cols.patterns.push(parts.declared_pattern);
             cols.home_anchors.push(parts.home_anchor);
-            cols.retry_policies.push(parts.retry_policy);
+            if let Some(policy) = parts.retry_policy {
+                cols.retry_policies.push((parts.id, policy));
+            }
         }
         cols
     }
@@ -226,10 +234,20 @@ impl NodeColumns {
         &self.mobility_kinds
     }
 
-    /// The per-node retry policies (dense, `None` where unset).
+    /// The retry policies attached to nodes, by ascending node id (nodes
+    /// without one are absent).
     #[must_use]
-    pub fn retry_policies(&self) -> &[Option<RetryPolicy>] {
+    pub fn retry_policies(&self) -> &[(MnId, RetryPolicy)] {
         &self.retry_policies
+    }
+
+    /// Node `index`'s own retry policy, when attached.
+    #[must_use]
+    pub fn retry_policy(&self, index: usize) -> Option<RetryPolicy> {
+        let found = self
+            .retry_policies
+            .binary_search_by_key(&index, |(id, _)| id.index());
+        found.ok().map(|at| self.retry_policies[at].1)
     }
 
     /// The per-node home anchors (dense, `None` where unset).
@@ -372,7 +390,7 @@ impl NodeView<'_> {
     /// The node's retry policy, when attached.
     #[must_use]
     pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.cols.retry_policies[self.index]
+        self.cols.retry_policy(self.index)
     }
 }
 
@@ -496,6 +514,34 @@ mod tests {
             };
             assert_eq!(cols.mobility_kinds()[i], expect);
             assert_eq!(cols.view(i).mobility_kind(), expect);
+        }
+    }
+
+    #[test]
+    fn retry_policies_sit_in_a_side_table_by_node_id() {
+        let policy = |max_retries| RetryPolicy {
+            max_retries,
+            ..RetryPolicy::default()
+        };
+        let nodes = mixed_population(9)
+            .into_iter()
+            .enumerate()
+            .map(|(i, n)| match i {
+                2 | 3 | 7 => n.with_retry_policy(policy(i as u32)),
+                _ => n,
+            })
+            .collect();
+        let cols = NodeColumns::from_nodes(nodes);
+        let ids: Vec<usize> = cols
+            .retry_policies()
+            .iter()
+            .map(|(id, _)| id.index())
+            .collect();
+        assert_eq!(ids, [2, 3, 7]);
+        for i in 0..9 {
+            let want = matches!(i, 2 | 3 | 7).then(|| policy(i as u32));
+            assert_eq!(cols.retry_policy(i), want, "node {i}");
+            assert_eq!(cols.view(i).retry_policy(), want, "node {i}");
         }
     }
 

@@ -213,7 +213,7 @@ impl SimBuilder {
             }
         }
         // `runtime.validate` checked the default retry policy.
-        for policy in cols.retry_policies().iter().flatten() {
+        for (_, policy) in cols.retry_policies() {
             policy.validate()?;
         }
         let seqs = vec![0u32; cols.len()];
@@ -1362,7 +1362,7 @@ impl MobileGridSim {
                 LinkEvent::Dropped { cause } => {
                     flow.lost += 1;
                     // The node's own policy wins over the default.
-                    let policy = self.cols.retry_policies()[i].or(self.default_retry);
+                    let policy = self.cols.retry_policy(i).or(self.default_retry);
                     let retry = policy.filter(|p| attempt < p.max_retries);
                     if let Some(policy) = retry {
                         let next = attempt + 1;

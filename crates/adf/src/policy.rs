@@ -276,6 +276,7 @@ impl FilterPolicy for GeneralDistanceFilter {
     }
 }
 
+#[derive(Clone)]
 struct AdfNodeState {
     classifier: MobilityClassifier,
     filter: DistanceFilter,
@@ -310,6 +311,13 @@ impl AdfNodeState {
             speeds.push(self.classifier.mean_speed());
         }
         step
+    }
+
+    /// Applies `pending` deferred stationary calls, the last at
+    /// `last_time`: what a dozing block's wake does to each of its nodes.
+    fn catch_up(&mut self, pending: u32, last_time: f64) {
+        self.classifier.catch_up_stationary(pending, last_time);
+        self.filter.catch_up_filtered(pending);
     }
 
     /// The per-node ADF kernel of a non-reclustering tick: steps (3)–(5)
@@ -357,8 +365,7 @@ impl DozeBlock {
         let pending = self.last - self.armed_at;
         // Arming proved every node of the block present.
         for state in states.iter_mut().flatten() {
-            state.classifier.catch_up_stationary(pending, last_time);
-            state.filter.catch_up_filtered(pending);
+            state.catch_up(pending, last_time);
         }
         *self = DozeBlock::AWAKE;
     }
@@ -507,6 +514,23 @@ impl AdaptiveDistanceFilter {
     #[must_use]
     pub fn cluster_of(&self, node: MnId) -> Option<usize> {
         self.nodes.get(node).and_then(|s| s.cluster)
+    }
+
+    /// Copies of `node`'s classifier and distance filter as the eager
+    /// path would hold them, if it has been observed: when its block
+    /// dozes, the copies take the calls the block deferred, as its wake
+    /// would, and the ADF itself is left dozing. Every call ends with
+    /// each dozing block having absorbed it, so the deferred calls end at
+    /// the last call's time.
+    #[must_use]
+    pub fn node_state(&self, node: MnId) -> Option<(MobilityClassifier, DistanceFilter)> {
+        let mut state = self.nodes.get(node)?.clone();
+        if let Some(block) = self.blocks.get(node.index() / SHARD_SIZE) {
+            if block.dozing() {
+                state.catch_up(block.last - block.armed_at, self.last_time);
+            }
+        }
+        Some((state.classifier, state.filter))
     }
 
     /// Whether tick number `tick` runs steps (1)/(2)/(6): the initial
@@ -983,17 +1007,21 @@ mod tests {
     /// touches each sparse tick — its block's doze clock and its brokers'
     /// hot slots — are budgeted tighter still, as are the per-shard sums every
     /// evaluated shard of every tick writes and copies. Each
-    /// broker's cold slot keeps its estimator behind one pointer: an
-    /// inline estimator would put Brown's bytes in every slot of both
-    /// brokers. These are inline sizes only: the heap each node holds (its
-    /// classifier's window ring and its estimator box) is pinned by the
-    /// bench crate's `footprint` test.
+    /// broker's cold slot keeps its estimator behind one pointer, or the
+    /// 12-B count of a resting node's receipts in its place: an inline
+    /// estimator would put Brown's bytes in every slot of both brokers. A
+    /// node's mobility engine holds a parked node's model inline and every
+    /// larger one boxed, so the engine column carries no padding for the
+    /// largest model. These are inline sizes only: the heap each node
+    /// holds (its classifier's window ring, its estimator box and a moving
+    /// node's boxed model) is pinned by the bench crate's `footprint` test.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn per_node_footprint_does_not_grow() {
         use crate::broker::{ColdSlot, HotSlot};
         use crate::pipeline::ShardSums;
         use mobigrid_forecast::BrownPositionEstimator;
+        use mobigrid_mobility::MobilityEngine;
         use std::mem::size_of;
         let sizes = [
             ("MobilityClassifier", size_of::<MobilityClassifier>(), 64),
@@ -1006,7 +1034,8 @@ mod tests {
             ),
             ("DozeBlock", size_of::<DozeBlock>(), 8),
             ("HotSlot", size_of::<HotSlot>(), 40),
-            ("ColdSlot", size_of::<ColdSlot>(), 72),
+            ("ColdSlot", size_of::<ColdSlot>(), 80),
+            ("MobilityEngine", size_of::<MobilityEngine>(), 24),
             ("ShardSums", size_of::<ShardSums>(), 216),
         ];
         for (name, size, budget) in sizes {

@@ -609,7 +609,9 @@ impl Xorshift {
 }
 
 /// Asserts that two ADFs report the same per-node view — the probe
-/// (class, cluster, DTH, displacement) — bit for bit.
+/// (class, cluster, DTH, displacement) bit for bit — and hold the same
+/// per-node state: classifier window, zero run and last observation, and
+/// filter state, a dozing block's deferred calls applied.
 fn assert_same_view(
     dozing: &AdaptiveDistanceFilter,
     eager: &AdaptiveDistanceFilter,
@@ -618,6 +620,8 @@ fn assert_same_view(
 ) {
     for i in 0..nodes {
         let id = MnId::new(i as u32);
+        let (d, e) = (dozing.node_state(id), eager.node_state(id));
+        assert!(d == e, "state of node {i} at tick {tick}: {d:?} != {e:?}");
         let (d, e) = (dozing.probe(id), eager.probe(id));
         assert_eq!(
             d.map(|p| (p.pattern, p.cluster)),
@@ -722,8 +726,8 @@ fn doze_case(nodes: usize, ticks: u64, recluster_interval: u64, seed: u64) {
 /// except in the ragged tail, where they are random. So whole blocks doze
 /// on their block clock, and then break: a single node hops out of one,
 /// a node left out of a tick shifts the slots after it, a node is
-/// observed twice, the time stalls, or the tick reaches the dozing twin
-/// dense.
+/// observed twice, the tick stops short of a block, the time stalls, or
+/// the tick reaches the dozing twin dense.
 fn doze_block_case(blocks: usize, ticks: u64, recluster_interval: u64, seed: u64) {
     const BLOCK: usize = 64;
     let cfg = AdfConfig {
@@ -764,6 +768,11 @@ fn doze_block_case(blocks: usize, ticks: u64, recluster_interval: u64, seed: u64
         if rng.chance(30) {
             let k = rng.next() as usize % obs.len();
             obs.push(obs[k]);
+        }
+        if rng.chance(20) {
+            // The tick stops short: the blocks past the cut are not
+            // observed at all, so only the end-of-call wake reaches them.
+            obs.truncate(rng.next() as usize % obs.len());
         }
         let hint: Vec<bool> = obs
             .iter()

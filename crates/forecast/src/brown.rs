@@ -75,6 +75,18 @@ impl BrownDouble {
     pub fn trend(&self) -> Option<f64> {
         (self.count > 0).then(|| self.alpha / (1.0 - self.alpha) * (self.s1 - self.s2))
     }
+
+    /// `n` observations of `+0.0` in one step, on a smoother that has seen
+    /// nothing else: the first seeds both series with `+0.0` and every
+    /// later one computes `α·0 + (1 − α)·0 = +0.0`, so only the count
+    /// moves.
+    pub(crate) fn observe_zeros(&mut self, n: u64) {
+        debug_assert!(
+            self.s1.to_bits() == 0 && self.s2.to_bits() == 0,
+            "the smoother has seen only +0.0"
+        );
+        self.count += n;
+    }
 }
 
 impl Forecaster for BrownDouble {

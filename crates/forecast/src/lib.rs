@@ -47,7 +47,7 @@ pub use error::ForecastError;
 pub use holt::HoltLinear;
 pub use kalman::KalmanCv;
 pub use ses::SingleExponential;
-pub use tracker::{AxisSmoothing, BrownPositionEstimator, DeadReckoning};
+pub use tracker::{AxisSmoothing, BrownPositionEstimator, DeadReckoning, RestPrefix};
 
 /// A scalar one-dimensional forecaster.
 ///

@@ -57,6 +57,14 @@ impl SingleExponential {
     pub fn level(&self) -> Option<f64> {
         (self.count > 0).then_some(self.level)
     }
+
+    /// `n` observations of `+0.0` in one step, on a smoother that has seen
+    /// nothing else: the level stays `+0.0` (`α·0 + (1 − α)·0`), only the
+    /// count moves.
+    pub(crate) fn observe_zeros(&mut self, n: u64) {
+        debug_assert!(self.level.to_bits() == 0, "the smoother has seen only +0.0");
+        self.count += n;
+    }
 }
 
 impl Forecaster for SingleExponential {

@@ -186,6 +186,50 @@ impl BrownPositionEstimator {
         })
     }
 
+    /// The estimator [`BrownPositionEstimator::observe`] leaves after the
+    /// receipts `rest` counted, every one at `position`, the last at
+    /// `time_s`: [`Self::new`] then the same receipts observed one by one,
+    /// bit for bit, but in constant time.
+    ///
+    /// The first receipt is observed as such: it records the last report
+    /// and folds `mean_pos` (`0 + (p − 0)/1`, so `−0.0` becomes `+0.0`).
+    /// Every later one sits at a bit-equal finite position, so its step has
+    /// displacement `(+0.0, +0.0)` and speed `+0.0`, no heading, and
+    /// leaves the mean where the first put it (`m + (p − m)/n` is `m`,
+    /// `+0.0` when `p` is `−0.0`). All it adds is a zero to the speed
+    /// smoother when its gap is positive, a zero to the silence smoother
+    /// when the gap is a silence, and one to the observation count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ForecastError::InvalidSmoothingFactor`] for invalid
+    /// `alpha`.
+    pub fn at_rest(
+        alpha: f64,
+        rest: RestPrefix,
+        time_s: f64,
+        position: Point,
+    ) -> Result<Self, ForecastError> {
+        debug_assert!(
+            position.x.is_finite() && position.y.is_finite(),
+            "a resting node's position is finite"
+        );
+        let mut estimator = Self::new(alpha)?;
+        estimator.observe(time_s, position);
+        estimator.speed.observe_zeros(u64::from(rest.steps));
+        estimator
+            .silence_speed
+            .observe_zeros(u64::from(rest.silences));
+        estimator.obs_count = u64::from(rest.receipts);
+        Ok(estimator)
+    }
+
+    /// Whether an update `dt` seconds after the one before ends a
+    /// silence: a gap meaningfully longer than [`Self::NOMINAL_DT`].
+    fn ends_silence(dt: f64) -> bool {
+        dt > 1.5 * Self::NOMINAL_DT
+    }
+
     /// The blended long-horizon anchor: observation mean shrunk toward the
     /// home prior (when one is set).
     fn anchor(&self) -> Option<Point> {
@@ -250,7 +294,7 @@ impl BrownPositionEstimator {
                 let delta = position - p0;
                 let speed = delta.norm() / dt;
                 self.speed.observe(speed);
-                if dt > 1.5 * Self::NOMINAL_DT {
+                if Self::ends_silence(dt) {
                     // This update ends a silence: its mean speed is a
                     // direct sample of how fast the node moves while its
                     // updates are being filtered.
@@ -378,6 +422,52 @@ impl BrownPositionEstimator {
         self.last.is_none()
             || self.speed.forecast(1.0).is_none()
             || self.direction.forecast(1.0).is_none()
+    }
+}
+
+/// The receipts of a node that has not moved, counted instead of folded
+/// into a [`BrownPositionEstimator`]: how many there were, how many came
+/// a positive gap after the one before (each a zero-speed sample) and how
+/// many of those ended a silence (a gap over 1.5 ×
+/// [`BrownPositionEstimator::NOMINAL_DT`]). [`BrownPositionEstimator::at_rest`]
+/// builds the estimator these receipts would have left, once the node
+/// moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RestPrefix {
+    receipts: u32,
+    steps: u32,
+    silences: u32,
+}
+
+impl RestPrefix {
+    /// The prefix of a node's first receipt.
+    pub const FIRST: RestPrefix = RestPrefix {
+        receipts: 1,
+        steps: 0,
+        silences: 0,
+    };
+
+    /// Counts one more receipt at the resting position, `dt` seconds after
+    /// the one before, as [`BrownPositionEstimator::observe`] would fold
+    /// it. Returns `false`, counting nothing, when a count would overflow;
+    /// the caller then builds the estimator instead.
+    #[must_use]
+    pub fn count(&mut self, dt: f64) -> bool {
+        let step = u32::from(dt > 0.0);
+        let silence = u32::from(BrownPositionEstimator::ends_silence(dt));
+        let (Some(receipts), Some(steps), Some(silences)) = (
+            self.receipts.checked_add(1),
+            self.steps.checked_add(step),
+            self.silences.checked_add(silence),
+        ) else {
+            return false;
+        };
+        *self = RestPrefix {
+            receipts,
+            steps,
+            silences,
+        };
+        true
     }
 }
 

@@ -1,7 +1,8 @@
 //! Property-based tests for the forecasting substrate.
 
 use mobigrid_forecast::{
-    metrics, BrownDouble, BrownPositionEstimator, Forecaster, HoltLinear, SingleExponential,
+    metrics, BrownDouble, BrownPositionEstimator, Forecaster, HoltLinear, RestPrefix,
+    SingleExponential,
 };
 use mobigrid_geo::Point;
 use proptest::prelude::*;
@@ -101,5 +102,56 @@ proptest! {
         let a2: Vec<f64> = a.iter().map(|x| x + shift).collect();
         let e2: Vec<f64> = e.iter().map(|x| x + shift).collect();
         prop_assert!((metrics::rmse(&a, &e) - metrics::rmse(&a2, &e2)).abs() < 1e-6);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// An estimator built from a resting node's counted receipts is the
+    /// one those receipts observed one by one leave, bit for bit, and the
+    /// two stay equal through the motion that follows: over gaps that
+    /// repeat a time, run a second or end a silence, at signed-zero and
+    /// subnormal positions.
+    #[test]
+    fn at_rest_matches_the_receipts_it_counts(
+        spot in 0usize..5,
+        gaps in prop::collection::vec(0usize..4, 0..80),
+        anchor in 0u8..2,
+        moves in prop::collection::vec((-50.0..50.0f64, 0usize..4), 1..6),
+    ) {
+        let position = [
+            Point::new(0.0, -0.0),
+            Point::new(-0.0, 0.0),
+            Point::new(5e-324, -7.5),
+            Point::new(12.25, -3.0),
+            Point::new(-1e9, 1e-300),
+        ][spot];
+        let gap = |g: usize| [0.0, 1.0, 2.5, 0.25][g];
+        let mut eager = BrownPositionEstimator::new(0.5).unwrap();
+        let mut rest = RestPrefix::FIRST;
+        let mut time_s = 10.0;
+        eager.observe(time_s, position);
+        for &g in &gaps {
+            time_s += gap(g);
+            eager.observe(time_s, position);
+            prop_assert!(rest.count(gap(g)));
+        }
+        let mut lazy = BrownPositionEstimator::at_rest(0.5, rest, time_s, position).unwrap();
+        prop_assert_eq!(format!("{lazy:?}"), format!("{eager:?}"));
+        if anchor == 1 {
+            lazy.set_home_anchor(Point::new(3.0, 4.0));
+            eager.set_home_anchor(Point::new(3.0, 4.0));
+        }
+        for (v, g) in moves {
+            time_s += gap(g);
+            lazy.observe(time_s, Point::new(v, 0.5 * v));
+            eager.observe(time_s, Point::new(v, 0.5 * v));
+            let at = time_s + 3.0;
+            let (a, b) = (lazy.estimate(at).unwrap(), eager.estimate(at).unwrap());
+            prop_assert_eq!((a.x.to_bits(), a.y.to_bits()), (b.x.to_bits(), b.y.to_bits()));
+            prop_assert_eq!(lazy.is_static(), eager.is_static());
+            prop_assert_eq!(format!("{lazy:?}"), format!("{eager:?}"));
+        }
     }
 }

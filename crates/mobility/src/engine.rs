@@ -57,8 +57,10 @@ pub enum MobilityKind {
 /// of a `Box<dyn MobilityModel>` vtable.
 ///
 /// The simulation stores one engine per node in a dense column; enum
-/// dispatch keeps the movement kernel branch-predictable and free of heap
-/// pointer chasing.
+/// dispatch keeps the movement kernel branch-predictable. A parked node's
+/// [`StopModel`] sits inline and every larger model behind one box, so an
+/// engine is 24 B and a parked node carries no padding for the largest
+/// variant (a moving node pays one pointer for its 64–104-B model).
 ///
 /// # Examples
 ///
@@ -76,15 +78,15 @@ pub enum MobilityEngine {
     /// A parked node.
     Stop(StopModel),
     /// A bounded random walker.
-    RandomWalk(RandomWalk),
+    RandomWalk(Box<RandomWalk>),
     /// An indoor hallway walker.
-    IndoorWalk(IndoorWalker),
+    IndoorWalk(Box<IndoorWalker>),
     /// A road patroller.
-    RoadPatrol(RoadPatroller),
+    RoadPatrol(Box<RoadPatroller>),
     /// A route follower.
-    Path(PathFollower),
+    Path(Box<PathFollower>),
     /// A phase schedule.
-    Schedule(Schedule),
+    Schedule(Box<Schedule>),
 }
 
 impl MobilityEngine {
@@ -136,11 +138,11 @@ impl MobilityEngine {
     fn inner(&self) -> &dyn MobilityModel {
         match self {
             MobilityEngine::Stop(m) => m,
-            MobilityEngine::RandomWalk(m) => m,
-            MobilityEngine::IndoorWalk(m) => m,
-            MobilityEngine::RoadPatrol(m) => m,
-            MobilityEngine::Path(m) => m,
-            MobilityEngine::Schedule(m) => m,
+            MobilityEngine::RandomWalk(m) => &**m,
+            MobilityEngine::IndoorWalk(m) => &**m,
+            MobilityEngine::RoadPatrol(m) => &**m,
+            MobilityEngine::Path(m) => &**m,
+            MobilityEngine::Schedule(m) => &**m,
         }
     }
 }
@@ -192,27 +194,27 @@ impl From<StopModel> for MobilityEngine {
 }
 impl From<RandomWalk> for MobilityEngine {
     fn from(m: RandomWalk) -> Self {
-        MobilityEngine::RandomWalk(m)
+        MobilityEngine::RandomWalk(Box::new(m))
     }
 }
 impl From<IndoorWalker> for MobilityEngine {
     fn from(m: IndoorWalker) -> Self {
-        MobilityEngine::IndoorWalk(m)
+        MobilityEngine::IndoorWalk(Box::new(m))
     }
 }
 impl From<RoadPatroller> for MobilityEngine {
     fn from(m: RoadPatroller) -> Self {
-        MobilityEngine::RoadPatrol(m)
+        MobilityEngine::RoadPatrol(Box::new(m))
     }
 }
 impl From<PathFollower> for MobilityEngine {
     fn from(m: PathFollower) -> Self {
-        MobilityEngine::Path(m)
+        MobilityEngine::Path(Box::new(m))
     }
 }
 impl From<Schedule> for MobilityEngine {
     fn from(m: Schedule) -> Self {
-        MobilityEngine::Schedule(m)
+        MobilityEngine::Schedule(Box::new(m))
     }
 }
 

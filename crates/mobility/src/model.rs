@@ -45,6 +45,31 @@ pub trait MobilityModel {
     }
 }
 
+/// A boxed model is a model, so a model taken out of one of
+/// [`MobilityEngine`](crate::MobilityEngine)'s boxed variants still steps,
+/// and boxes again as a `Box<dyn MobilityModel>`.
+impl<M: MobilityModel + ?Sized> MobilityModel for Box<M> {
+    fn step(&mut self, dt: f64, rng: &mut dyn RngCore) -> Point {
+        (**self).step(dt, rng)
+    }
+
+    fn position(&self) -> Point {
+        (**self).position()
+    }
+
+    fn pattern(&self) -> MobilityPattern {
+        (**self).pattern()
+    }
+
+    fn is_finished(&self) -> bool {
+        (**self).is_finished()
+    }
+
+    fn is_stationary(&self) -> bool {
+        (**self).is_stationary()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
