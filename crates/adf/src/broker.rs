@@ -116,8 +116,8 @@ impl EstimatorKind {
 
 /// One node's location estimator, for every [`EstimatorKind`] but
 /// [`EstimatorKind::WithoutLe`]. A slot holds it boxed: inline, every slot
-/// of both brokers would pay for the largest variant (Brown's), while the
-/// without-LE broker needs no estimator at all.
+/// would pay for the largest variant (Brown's), while a parked Brown node
+/// and every without-LE slot need no estimator at all.
 enum Estimator {
     Brown(BrownPositionEstimator),
     HoltAxes(AxisSmoothing<HoltLinear>),
@@ -351,7 +351,8 @@ impl NodeSlot<'_> {
     ///   weight `W / (W + staleness - 1)` (`W =`
     ///   [`STALENESS_TRUST_WINDOW`]): the first loss trusts the estimator
     ///   fully, sustained silence decays smoothly back to the last thing
-    ///   the node actually said.
+    ///   the node actually said. A without-LE slot stores the last receipt
+    ///   itself, bit for bit.
     #[inline]
     fn apply(
         self,
@@ -400,10 +401,15 @@ impl NodeSlot<'_> {
                         if let (true, Some(rx)) = (lost, &self.cold.last_rx) {
                             blend = STALENESS_TRUST_WINDOW
                                 / (STALENESS_TRUST_WINDOW + f64::from(self.hot.staleness - 1));
-                            position = Point::new(
-                                rx.position.x + (position.x - rx.position.x) * blend,
-                                rx.position.y + (position.y - rx.position.y) * blend,
-                            );
+                            // A slot with no estimator estimates the receipt
+                            // itself, which the blend would only alter (−0.0
+                            // to +0.0, a NaN's payload).
+                            if !matches!(self.cold.estimator, SlotEstimator::Unbuilt) {
+                                position = Point::new(
+                                    rx.position.x + (position.x - rx.position.x) * blend,
+                                    rx.position.y + (position.y - rx.position.y) * blend,
+                                );
+                            }
                         }
                         self.hot.record = Some(LocationRecord {
                             position,
@@ -618,6 +624,14 @@ impl BrokerShard<'_> {
         self.hot[local].record.map(|r| r.position)
     }
 
+    /// The position of the shard's `local`-th node's last accepted
+    /// receipt: what a without-LE broker fed the same ops believes (see
+    /// [`GridBroker::without_le`]).
+    #[inline]
+    pub(crate) fn last_receipt_at(&self, local: usize) -> Option<Point> {
+        self.cold[local].last_rx.map(|rx| rx.position)
+    }
+
     /// Consumes the shard, yielding the counter changes it accumulated.
     #[must_use]
     pub fn into_delta(self) -> BrokerDelta {
@@ -776,6 +790,55 @@ impl GridBroker {
     pub fn location(&self, node: MnId) -> Option<LocationRecord> {
         let index = node.index();
         resolve(self.hot.get(index)?.record, self.clock_of(index))
+    }
+
+    /// The position of `node`'s last accepted receipt, the paper's
+    /// "without LE" belief; `None` for a node never heard from.
+    #[must_use]
+    pub fn last_receipt(&self, node: MnId) -> Option<Point> {
+        self.cold.get(node.index())?.last_rx.map(|rx| rx.position)
+    }
+
+    /// Builds the [`EstimatorKind::WithoutLe`] broker that applying this
+    /// broker's op stream would have built: every record moved to its
+    /// node's last receipt, with this broker's record times, `estimated`
+    /// flags, staleness counters, receipts, anchors and lifetime counters.
+    /// Dedup, staleness and the counters depend on the receipts alone;
+    /// every estimator answers once its node has a receipt, so both
+    /// brokers store a record on the same ops; and a without-LE slot
+    /// stores the receipt itself, lost ops included.
+    ///
+    /// O(nodes) and allocating: for digests and reports, never a tick.
+    #[must_use]
+    pub fn without_le(&self) -> GridBroker {
+        let (hot, cold) = (self.hot.iter().zip(&self.cold).enumerate())
+            .map(|(i, (hot, cold))| {
+                let record = resolve(hot.record, self.clock_of(i)).map(|record| LocationRecord {
+                    position: cold
+                        .last_rx
+                        .expect("a node with a record has a receipt")
+                        .position,
+                    ..record
+                });
+                let hot = HotSlot {
+                    record,
+                    staleness: hot.staleness,
+                };
+                let cold = ColdSlot {
+                    estimator: SlotEstimator::Unbuilt,
+                    ..*cold
+                };
+                (hot, cold)
+            })
+            .unzip();
+        GridBroker {
+            kind: EstimatorKind::WithoutLe,
+            hot,
+            cold,
+            clocks: Vec::new(),
+            clock_span: 0,
+            counters: self.counters,
+        }
     }
 
     /// The replay clock of the view shard holding slot `index`, if set.
@@ -1663,6 +1726,146 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(lazy.state_digest(), eager.state_digest(), "op {}", i);
             }
+        }
+    }
+
+    /// A without-LE lost op stores the last receipt bit for bit, a signed
+    /// zero included, and reports the same blend weight as before; a
+    /// resting Brown slot still blends, which turns −0.0 into +0.0.
+    #[test]
+    fn without_le_lost_stores_the_receipt_bits() {
+        let x_bits = |b: &GridBroker| b.location(MnId::new(1)).map(|r| r.position.x.to_bits());
+        let mut b = GridBroker::new(EstimatorKind::WithoutLe).unwrap();
+        b.apply(&lu(1, 0.0, -0.0, 1.0));
+        assert_eq!(b.apply(&lost(1, 1.0)).unwrap().blend, 1.0);
+        assert_eq!(x_bits(&b), Some((-0.0f64).to_bits()));
+        let info = b.apply(&lost(1, 2.0)).unwrap();
+        assert_eq!(
+            (info.outcome, info.blend),
+            (ApplyOutcome::Degraded, 8.0 / 9.0)
+        );
+        assert_eq!(x_bits(&b), Some((-0.0f64).to_bits()));
+        b.apply(&filtered(1, 3.0));
+        assert_eq!(x_bits(&b), Some((-0.0f64).to_bits()));
+        assert_eq!(b.location(MnId::new(1)).unwrap().position.y, 1.0);
+
+        let mut resting = GridBroker::new(EstimatorKind::default()).unwrap();
+        resting.apply(&lu(1, 0.0, -0.0, 1.0));
+        resting.apply(&lost(1, 1.0));
+        assert_eq!(x_bits(&resting), Some(0.0f64.to_bits()));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `without_le` builds exactly what a without-LE replica fed the
+        /// same op stream holds, for every estimator kind: the same digest,
+        /// and bit-equal records and staleness for every node, through
+        /// updates (exact duplicates and stale frames among them) at signed
+        /// zeros, filtered and lost ops, home anchors set before and after
+        /// first contact, applies through shard views and memo-style
+        /// restamps that leave a shard's replay clock set. The copy then
+        /// keeps matching the replica as a broker of its own.
+        #[test]
+        fn without_le_matches_a_without_le_replica(
+            kind in 0usize..5,
+            span in 1usize..5,
+            ops in proptest::collection::vec(
+                (0u8..10, 0u32..4, 0u8..12, -50.0..50.0f64, -50.0..50.0f64),
+                1..120,
+            ),
+        ) {
+            const NODES: u32 = 4;
+            let kind = [
+                EstimatorKind::WithoutLe,
+                EstimatorKind::default(),
+                EstimatorKind::HoltAxes { alpha: 0.5, beta: 0.3 },
+                EstimatorKind::DeadReckoning,
+                EstimatorKind::KalmanCv { accel_sigma: 1.0, measurement_sigma: 2.0 },
+            ][kind];
+            let mut b = GridBroker::new(kind).unwrap();
+            let mut replica = GridBroker::new(EstimatorKind::WithoutLe).unwrap();
+            b.ensure_nodes(NODES as usize);
+            replica.ensure_nodes(NODES as usize);
+            let mut last_update = None;
+            for (step, &(op, node, shape, x, y)) in ops.iter().enumerate() {
+                let (t, id, k) = (step as f64, MnId::new(node), node as usize / span);
+                // `back` ticks late; one x in four is a signed zero.
+                let (back, zero) = (shape % 3, usize::from(shape / 3));
+                let x = [-0.0, 0.0, x, x][zero];
+                let op = match op {
+                    0 => {
+                        b.set_home_anchor(id, Point::new(x, y));
+                        replica.set_home_anchor(id, Point::new(x, y));
+                        None
+                    }
+                    // `back` > 0 sends a frame from an earlier tick, which
+                    // is stale when the node has heard something newer.
+                    1..=3 => Some(IngestRecord::Update(LocationUpdate::new(
+                        id,
+                        t - f64::from(back),
+                        Point::new(x, y),
+                        step as u32,
+                    ))),
+                    // The previous update frame again, byte for byte.
+                    4 => last_update.map(IngestRecord::Update),
+                    5 | 6 => Some(filtered(node, t)),
+                    7 => Some(lost(node, t)),
+                    // A memo hit on the node's shard: its clock restamps
+                    // the static estimates and the memo's estimate count
+                    // merges, as the replica's filtered op on each node.
+                    _ => {
+                        let whole = |s: &mut BrokerShard<'_>| (0..s.len()).all(|l| restampable(s, l, t));
+                        if with_shard(&mut b, span, k, whole) {
+                            let records = with_shard(&mut b, span, k, |s| {
+                                (0..s.len()).filter(|&l| s.location_at(l).is_some()).count()
+                            });
+                            b.restamp_shard(span, k, t);
+                            b.apply_delta(&BrokerDelta {
+                                estimated: records as u64,
+                                ..BrokerDelta::default()
+                            });
+                            for n in (k * span) as u32..NODES.min(((k + 1) * span) as u32) {
+                                replica.apply(&filtered(n, t));
+                            }
+                        }
+                        None
+                    }
+                };
+                if let Some(op) = op {
+                    if let IngestRecord::Update(lu) = op {
+                        last_update = Some(lu);
+                    }
+                    if step % 2 == 1 {
+                        // A repeated frame may name another node.
+                        let k = op.node().expect("a node op").index() / span;
+                        with_shard(&mut b, span, k, |s| s.apply(&op));
+                    } else {
+                        b.apply(&op);
+                    }
+                    replica.apply(&op);
+                }
+                let copy = b.without_le();
+                proptest::prop_assert_eq!(copy.estimator_kind(), EstimatorKind::WithoutLe);
+                for n in 0..NODES {
+                    let id = MnId::new(n);
+                    proptest::prop_assert_eq!(
+                        record_bits(copy.location(id)),
+                        record_bits(replica.location(id)),
+                        "step {} node {}", step, n
+                    );
+                    proptest::prop_assert_eq!(copy.staleness(id), replica.staleness(id));
+                    proptest::prop_assert_eq!(b.last_receipt(id), replica.last_receipt(id));
+                }
+                proptest::prop_assert_eq!(copy.state_digest(), replica.state_digest(), "step {}", step);
+            }
+            let mut copy = b.without_le();
+            for n in 0..NODES {
+                for op in [lost(n, 1e3), filtered(n, 1e3 + 1.0)] {
+                    proptest::prop_assert_eq!(copy.apply(&op), replica.apply(&op));
+                }
+            }
+            proptest::prop_assert_eq!(copy.state_digest(), replica.state_digest());
         }
     }
 

@@ -134,8 +134,8 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the "with LE" broker's estimator (the "without LE" broker always
-    /// runs [`EstimatorKind::WithoutLe`]).
+    /// Sets the "with LE" broker's estimator (the "without LE" arm always
+    /// reads the last receipt, see [`MobileGridSim::broker_without_le`]).
     #[must_use]
     pub fn estimator(mut self, kind: EstimatorKind) -> Self {
         self.estimator = kind;
@@ -189,9 +189,7 @@ impl SimBuilder {
             }
         }
         let mut broker_le = GridBroker::new(self.estimator).map_err(SimError::Config)?;
-        let mut broker_raw = GridBroker::new(EstimatorKind::WithoutLe).map_err(SimError::Config)?;
         broker_le.ensure_nodes(self.nodes.len());
-        broker_raw.ensure_nodes(self.nodes.len());
         let channel = match &self.runtime.faults {
             Some(FaultSpec { plan, seed }) => {
                 if self.network.is_none() {
@@ -209,7 +207,6 @@ impl SimBuilder {
         for (i, anchor) in cols.home_anchors().iter().enumerate() {
             if let Some(anchor) = anchor {
                 broker_le.set_home_anchor(MnId::new(i as u32), *anchor);
-                broker_raw.set_home_anchor(MnId::new(i as u32), *anchor);
             }
         }
         // `runtime.validate` checked the default retry policy.
@@ -227,7 +224,6 @@ impl SimBuilder {
             cols,
             policy,
             broker_le,
-            broker_raw,
             network: self.network,
             channel,
             default_retry: self.runtime.retry,
@@ -422,7 +418,7 @@ struct SparseState {
     asleep_count: usize,
     /// Per-shard replay memo: the sums of the shard's last full
     /// evaluation, kept only when every node of the shard took a filtered
-    /// op with an idle fate and static estimators on both brokers (see
+    /// op with an idle fate and a static estimator (see
     /// `MobileGridSim::serve_memo_hits`).
     memo: Vec<Option<Memo>>,
     /// Per-shard counts behind the memo's O(1) proof.
@@ -597,9 +593,11 @@ pub struct WakeStats {
 /// network → twin brokers (with and without the location estimator).
 ///
 /// Each [`MobileGridSim::step`] advances every node one tick, filters the
-/// resulting location updates, feeds both brokers identically, and measures
-/// each broker's location error against ground truth — producing exactly the
-/// quantities plotted in the paper's Figures 4–9.
+/// resulting location updates, feeds them to the broker, and measures the
+/// location error of both of the paper's arms against ground truth — the
+/// broker's belief ("with LE") and each node's last accepted receipt
+/// ("without LE") — producing exactly the quantities plotted in the paper's
+/// Figures 4–9.
 ///
 /// # Examples
 ///
@@ -634,7 +632,6 @@ pub struct MobileGridSim {
     cols: NodeColumns,
     policy: Box<dyn FilterPolicy + Send>,
     broker_le: GridBroker,
-    broker_raw: GridBroker,
     network: Option<AccessNetwork>,
     channel: Option<FaultChannel>,
     /// The retry policy of every node that does not carry its own
@@ -692,7 +689,6 @@ struct ShardJob<'a> {
     sent_seqs: &'a mut [u32],
     seqs: &'a mut [u32],
     le: BrokerShard<'a>,
-    raw: BrokerShard<'a>,
     /// Where each node's with-LE staleness counter after its apply goes.
     staleness: &'a mut [u32],
     /// Where each node's apply fate for the invariant monitors goes.
@@ -785,7 +781,7 @@ impl MonitorFault {
 }
 
 /// One node's flight-recorder sample from the apply/measure phase: the
-/// with-LE broker's apply verdict plus both brokers' location errors.
+/// broker's apply verdict plus both arms' location errors.
 /// Collected per shard only while a recorder is enabled, and drained in
 /// shard order into `lu_apply`/`lu_error` events so the emission order is
 /// independent of the thread count.
@@ -797,7 +793,7 @@ struct FlightSample {
 }
 
 /// One shard's sums: `sent`, the stale count, the tally and the broker
-/// deltas are exact (`u32`/`u64`) under any merge order; the RMSE
+/// delta are exact (`u32`/`u64`) under any merge order; the RMSE
 /// partials are reduced in shard order so the floating-point sums are
 /// bit-identical across thread counts. This is also what a shard's replay
 /// memo keeps.
@@ -813,13 +809,11 @@ pub(crate) struct ShardSums {
     bld_le: Rmse,
     bld_raw: Rmse,
     le_delta: BrokerDelta,
-    raw_delta: BrokerDelta,
 }
 
 impl ShardSums {
     /// Counts one node's apply: whether its op was `sent`, its with-LE
-    /// staleness counter after the apply, and both brokers' location
-    /// errors.
+    /// staleness counter after the apply, and both arms' location errors.
     #[inline]
     fn measure(&mut self, kind: RegionKind, sent: bool, staleness: u32, err_le: f64, err_raw: f64) {
         self.sent += u32::from(sent);
@@ -847,7 +841,6 @@ impl ShardSums {
         self.bld_le.merge(&other.bld_le);
         self.bld_raw.merge(&other.bld_raw);
         self.le_delta.merge(&other.le_delta);
-        self.raw_delta.merge(&other.raw_delta);
     }
 }
 
@@ -950,10 +943,13 @@ impl MobileGridSim {
         &self.broker_le
     }
 
-    /// The broker without estimation (last-received only).
+    /// The broker without estimation (last-received only), the paper's
+    /// "without LE" arm. The sim runs one broker, so this **builds** the
+    /// arm's broker from the with-LE one ([`GridBroker::without_le`]):
+    /// O(nodes) and allocating, for digests and reports, never a tick.
     #[must_use]
-    pub fn broker_without_le(&self) -> &GridBroker {
-        &self.broker_raw
+    pub fn broker_without_le(&self) -> GridBroker {
+        self.broker_le.without_le()
     }
 
     /// The access network, when attached.
@@ -1069,7 +1065,7 @@ impl MobileGridSim {
     /// - `lu_apply` — the with-LE broker's verdict (accepted, duplicate,
     ///   stale, estimated, degraded) with the node's staleness counter
     ///   and trust-blend weight;
-    /// - `lu_error` — both brokers' location error against ground truth.
+    /// - `lu_error` — both arms' location error against ground truth.
     ///
     /// Alongside the chain each tick emits **spans** for the four phases,
     /// `staleness` transition and `invariant_violation` events,
@@ -1400,7 +1396,7 @@ impl MobileGridSim {
     }
 
     /// Delivers the fault channel's deferred frames that came due this
-    /// tick to both brokers, before anything sent this tick, so their
+    /// tick to the broker, before anything sent this tick, so their
     /// (older) timestamps stay in order. Returns how many arrived; none
     /// without a channel.
     fn drain_late(&mut self, recording: bool, rec: &mut dyn Recorder) -> u32 {
@@ -1413,7 +1409,6 @@ impl MobileGridSim {
         for lu in &scratch.late_lus {
             let op = IngestRecord::Update(*lu);
             let info = self.broker_le.apply(&op).expect("an update is a broker op");
-            self.broker_raw.apply(&op);
             // A late arrival touches the node's estimator (or at least its
             // dedup state): its shard's memo is no longer safe to serve.
             if let Some(sp) = self.sparse.as_deref_mut() {
@@ -1449,14 +1444,14 @@ impl MobileGridSim {
     }
 
     /// Phases 3+4 fused, shard-parallel, apply and measure: applies each
-    /// decision to both brokers and measures location error against ground
-    /// truth — the paper's RMSE over all n nodes at time t — from the
-    /// freshly updated dense slots. Each driver's pass builds its job list
-    /// lazily from per-shard slices; results land in the reused `outs`
-    /// buffer in job order, and a recorded tick's samples in the shards'
-    /// reused `recording` scratch. Returns the shard-ordered reduction of
-    /// the shards' sums, whose broker deltas are already merged into the
-    /// brokers.
+    /// decision to the broker and measures both arms' location error
+    /// against ground truth — the paper's RMSE over all n nodes at time t —
+    /// from the freshly updated dense slots. Each driver's pass builds its
+    /// job list lazily from per-shard slices; results land in the reused
+    /// `outs` buffer in job order, and a recorded tick's samples in the
+    /// shards' reused `recording` scratch. Returns the shard-ordered reduction of
+    /// the shards' sums, whose broker delta is already merged into the
+    /// broker.
     fn apply_and_measure(
         &mut self,
         time_s: f64,
@@ -1474,7 +1469,6 @@ impl MobileGridSim {
         };
         let sums = self.apply_shards(time_s, recorded_shards);
         self.broker_le.apply_delta(&sums.le_delta);
-        self.broker_raw.apply_delta(&sums.raw_delta);
         // Drain the shards' flight samples in shard order, so the
         // apply/error event stream is identical at any thread count (the
         // recording slice is empty on an unrecorded tick).
@@ -1528,7 +1522,6 @@ impl MobileGridSim {
         let views = self
             .broker_le
             .shard_views_at(SHARD_SIZE, at())
-            .zip(self.broker_raw.shard_views_at(SHARD_SIZE, at()))
             .zip(select(self.monitors.shard_views(nodes, SHARD_SIZE), at()));
         let columns = scratch
             .sent_seq
@@ -1545,7 +1538,7 @@ impl MobileGridSim {
         let jobs = select(columns, at()).zip(views).map(
             move |(
                 (shard, ((((sent_seqs, seqs), staleness), fates), report)),
-                ((le, raw), (_, baselines)),
+                (le, (_, baselines)),
             )| {
                 let range = shard_range(nodes, shard);
                 ShardJob {
@@ -1557,7 +1550,6 @@ impl MobileGridSim {
                     sent_seqs,
                     seqs,
                     le,
-                    raw,
                     staleness,
                     fates,
                     memo: memos
@@ -1604,10 +1596,10 @@ impl MobileGridSim {
     /// hit**: not a recorded tick (which needs every node's flight
     /// sample), a memo younger than [`STALENESS_REFRESH`] ticks, and the
     /// shard quiet ([`ShardCounts::quiet`]). A hit shard takes no job. Its
-    /// sums are its memo's, bit for bit; both brokers' replay clocks for
-    /// it take the new time in one write each
-    /// ([`GridBroker::restamp_shard`]); and the monitor kernel checks its
-    /// existing columns, so the monitors still see every node. All of it
+    /// sums are its memo's, bit for bit; the broker's replay clock for it
+    /// takes the new time in one write ([`GridBroker::restamp_shard`]);
+    /// and the monitor kernel checks its existing columns, so the monitors
+    /// still see every node. All of it
     /// runs on the calling thread. Every other shard goes on
     /// `TickScratch::jobs`, and its job's per-node loop captures or clears
     /// its memo. A quiet shard whose memo has reached the window is one of
@@ -1616,22 +1608,22 @@ impl MobileGridSim {
     ///
     /// *Why a hit is exact:* only the per-node loop writes a memo, and
     /// only when every node of the shard took a filtered op with an idle
-    /// fate and both brokers' estimators were static, so each of those
-    /// applies stored an estimate that is the same at any query time (or,
-    /// for a node never heard from, nothing). Every tick evaluates or hits
-    /// every shard, and an evaluation rewrites the memo, so every tick
-    /// since the capture was a hit. Until the shard is next evaluated, a
-    /// hit requires four things: every node is asleep, so its observation
-    /// repeats the evaluated one; no filter send; no frame on the air; and
-    /// no late frame, since one clears the memo. So every node's apply
-    /// would store the same estimate, push the same two errors, add the
-    /// same tally entry, and leave its staleness counter and the estimate
-    /// counts as they were on the capture tick: the memo's sums, and the
+    /// fate and a static estimator, so each of those applies stored an
+    /// estimate that is the same at any query time (or, for a node never
+    /// heard from, nothing), and left the node's last receipt as it was.
+    /// Every tick evaluates or hits every shard, and an evaluation
+    /// rewrites the memo, so every tick since the capture was a hit. Until
+    /// the shard is next evaluated, a hit requires four things: every node
+    /// is asleep, so its observation repeats the evaluated one; no filter
+    /// send; no frame on the air; and no late frame, since one clears the
+    /// memo. So every node's apply would store the same estimate, push the
+    /// same two errors, add the same tally entry, and leave its staleness
+    /// counter and the estimate count as they were on the capture tick: the memo's sums, and the
     /// per-node columns the pass owns already hold what the loop would
     /// write. The clock restamps exactly the stored estimates, because in
     /// a memo shard every record is one: a node with a record has a last
     /// receipt, so its filtered apply stored an estimate. Debug builds
-    /// re-prove every hit from the brokers' records (`prove_memo_hit`).
+    /// re-prove every hit from the broker's records (`prove_memo_hit`).
     fn serve_memo_hits(&mut self, time_s: f64, recording: bool) {
         let tick = self.tick;
         let nodes = self.cols.len();
@@ -1674,11 +1666,10 @@ impl MobileGridSim {
                 scratch,
                 self.network.is_some().then_some(&scratch.link),
                 self.cols.region_kinds(),
-                (&self.broker_le, &self.broker_raw),
+                &self.broker_le,
                 shard,
             );
             self.broker_le.restamp_shard(SHARD_SIZE, shard, time_s);
-            self.broker_raw.restamp_shard(SHARD_SIZE, shard, time_s);
             ShardCheck {
                 late_accepted: &scratch.late_accepted[range.clone()],
                 baselines,
@@ -1738,16 +1729,18 @@ impl MobileGridSim {
         rec.gauge_set("sim.building.rmse_with_le", sums.bld_le.value());
         rec.gauge_set("sim.building.rmse_without_le", sums.bld_raw.value());
 
-        let (le, raw) = (self.broker_le.counters(), self.broker_raw.counters());
+        // The without-LE arm's counters (`broker.raw.*`) are the broker's:
+        // they depend on the receipts alone (see `GridBroker::without_le`).
+        let c = self.broker_le.counters();
         for (name, count) in [
-            ("broker.le.received", le.received),
-            ("broker.le.estimated", le.estimated),
-            ("broker.le.lost", le.lost),
-            ("broker.le.rejected", le.rejected),
-            ("broker.raw.received", raw.received),
-            ("broker.raw.estimated", raw.estimated),
-            ("broker.raw.lost", raw.lost),
-            ("broker.raw.rejected", raw.rejected),
+            ("broker.le.received", c.received),
+            ("broker.le.estimated", c.estimated),
+            ("broker.le.lost", c.lost),
+            ("broker.le.rejected", c.rejected),
+            ("broker.raw.received", c.received),
+            ("broker.raw.estimated", c.estimated),
+            ("broker.raw.lost", c.lost),
+            ("broker.raw.rejected", c.rejected),
         ] {
             rec.gauge_set(name, count as f64);
         }
@@ -1827,7 +1820,7 @@ impl MobileGridSim {
         }
     }
 
-    /// Applies one shard's decisions to both broker shards and accumulates
+    /// Applies one shard's decisions to its broker shard and accumulates
     /// the shard's tally and RMSE partials (plus, on a recorded tick, each
     /// node's flight sample and location-error histogram entries). Under
     /// the sparse driver it also captures the shard's replay memo, or
@@ -1835,8 +1828,8 @@ impl MobileGridSim {
     fn run_shard(time_s: f64, mut job: ShardJob<'_>) -> ShardSums {
         let mut sums = ShardSums::default();
         // Sparse driver: whether every node so far took a filtered op
-        // with an idle fate and static estimators on both brokers, the
-        // condition for keeping this tick's sums as the shard's memo.
+        // with an idle fate and a static estimator, the condition for
+        // keeping this tick's sums as the shard's memo.
         let mut memo_ok = job.memo.is_some();
         for (i, (id, pos)) in job.observations.iter().enumerate() {
             let kind = job.kinds[i];
@@ -1844,8 +1837,8 @@ impl MobileGridSim {
             let node_op = NodeOp::of(job.decisions[i], link);
             let fate = node_op.fate(link);
             job.fates[i] = fate;
-            // The pure filtered/idle path: nothing reaches the broker,
-            // both slots just estimate.
+            // The pure filtered/idle path: nothing reaches the broker, the
+            // slot just estimates.
             let idle_path = node_op == NodeOp::Filtered;
             let seq = match (job.link, node_op) {
                 // No network: this phase owns the sequence counters, and
@@ -1864,26 +1857,22 @@ impl MobileGridSim {
             // Node ids are dense, so the shard's `i`-th slot is `id`'s.
             debug_assert_eq!(id.index(), job.le.base() + i);
             let apply = job.le.apply_at(i, &op).expect("a node op is a broker op");
-            job.raw.apply_at(i, &op).expect("a node op is a broker op");
             if node_op == (NodeOp::Update { duplicate: true }) {
                 // The second copy is byte-identical; the broker rejects it
                 // and counts the rejection.
                 job.le.apply_at(i, &op);
-                job.raw.apply_at(i, &op);
             }
-            // Measure against ground truth via direct dense-slot reads.
-            let err = |b: &BrokerShard<'_>| b.position_at(i).map_or(0.0, |p| p.distance_to(*pos));
-            let (err_le, err_raw) = (err(&job.le), err(&job.raw));
+            // Measure against ground truth via direct dense-slot reads:
+            // the without-LE belief is the last accepted receipt.
+            let err = |p: Option<Point>| p.map_or(0.0, |p| p.distance_to(*pos));
+            let (err_le, err_raw) = (err(job.le.position_at(i)), err(job.le.last_receipt_at(i)));
             job.staleness[i] = apply.staleness;
             sums.measure(kind, !idle_path, apply.staleness, err_le, err_raw);
             if let Some(rec) = &mut job.rec {
                 rec.push(id.raw(), apply, err_le, err_raw);
             }
-            memo_ok = memo_ok
-                && idle_path
-                && fate == NodeFate::Idle
-                && job.le.estimator_is_static(*id)
-                && job.raw.estimator_is_static(*id);
+            memo_ok =
+                memo_ok && idle_path && fate == NodeFate::Idle && job.le.estimator_is_static(*id);
         }
         job.check.run(
             job.tick,
@@ -1893,7 +1882,6 @@ impl MobileGridSim {
             job.staleness,
         );
         sums.le_delta = job.le.into_delta();
-        sums.raw_delta = job.raw.into_delta();
         if let Some(memo) = job.memo {
             *memo = memo_ok.then_some(Memo { at: job.tick, sums });
         }
@@ -1907,7 +1895,7 @@ impl MobileGridSim {
 
     /// Executes one tick like [`MobileGridSim::step`] and appends the
     /// tick's **broker operation stream** to `ops` — exactly the
-    /// [`IngestRecord`]s both brokers applied, in order, terminated by an
+    /// [`IngestRecord`]s the broker applied, in order, terminated by an
     /// [`IngestRecord::TickEnd`] marker.
     ///
     /// Replaying the stream in order against a fresh broker running the
@@ -1987,16 +1975,16 @@ impl MobileGridSim {
 /// Debug builds: re-proves node by node what the counts proved for memo
 /// hit `shard` (see `MobileGridSim::serve_memo_hits`): every node's fate
 /// is idle, the shard's fate and staleness columns are current, and the
-/// shard's sums recomputed from both brokers' records against this tick's
-/// observations (the six RMSE partials, the tally, the stale count and the
-/// estimate counts) equal the memo's bit for bit.
+/// shard's sums recomputed from the broker's records and receipts against
+/// this tick's observations (the six RMSE partials, the tally, the stale
+/// count and the estimate count) equal the memo's bit for bit.
 #[cfg(debug_assertions)]
 fn prove_memo_hit(
     sp: &SparseState,
     scratch: &TickScratch,
     link: Option<&[LinkOutcome]>,
     kinds: &[RegionKind],
-    (le, raw): (&GridBroker, &GridBroker),
+    le: &GridBroker,
     shard: usize,
 ) {
     let mut sums = ShardSums::default();
@@ -2013,11 +2001,17 @@ fn prove_memo_hit(
             scratch.staleness[i], staleness,
             "a memo shard's staleness column is current"
         );
-        let (rec_le, rec_raw) = (le.location(id), raw.location(id));
-        let err = |r: Option<crate::LocationRecord>| r.map_or(0.0, |r| r.position.distance_to(pos));
-        sums.measure(kinds[i], false, staleness, err(rec_le), err(rec_raw));
-        sums.le_delta.estimated += u64::from(rec_le.is_some());
-        sums.raw_delta.estimated += u64::from(rec_raw.is_some());
+        let record = le.location(id);
+        let err = |p: Option<Point>| p.map_or(0.0, |p| p.distance_to(pos));
+        let err_raw = err(le.last_receipt(id));
+        sums.measure(
+            kinds[i],
+            false,
+            staleness,
+            err(record.map(|r| r.position)),
+            err_raw,
+        );
+        sums.le_delta.estimated += u64::from(record.is_some());
     }
     let memo = sp.memo[shard].as_ref().expect("a memo hit keeps its memo");
     debug_assert!(

@@ -1036,7 +1036,7 @@ mod tests {
             ("HotSlot", size_of::<HotSlot>(), 40),
             ("ColdSlot", size_of::<ColdSlot>(), 80),
             ("MobilityEngine", size_of::<MobilityEngine>(), 24),
-            ("ShardSums", size_of::<ShardSums>(), 216),
+            ("ShardSums", size_of::<ShardSums>(), 176),
         ];
         for (name, size, budget) in sizes {
             assert!(

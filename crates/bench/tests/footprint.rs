@@ -6,7 +6,7 @@
 //! parked nodes and 64 walkers, sparse driver, one thread) it pins:
 //!
 //! * that first sight allocates nothing per node: a node's classifier ring
-//!   and its with-LE broker's Brown estimator are built at its first
+//!   and its broker slot's Brown estimator are built at its first
 //!   motion, so only the walkers pay for them, once each, afterwards;
 //! * the live heap bytes per node once the population is warm.
 //!
@@ -128,8 +128,8 @@ fn a_node_costs_what_it_holds() {
     );
     let held = (live_bytes() - base) as f64 / NODES;
     assert!(
-        held <= 655.0,
-        "a warm node holds {held:.1} B of heap (budget 655 B)"
+        held <= 533.5,
+        "a warm node holds {held:.1} B of heap (budget 533.5 B)"
     );
     drop(sim);
 }

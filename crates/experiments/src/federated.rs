@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use mobigrid_adf::{AdaptiveDistanceFilter, AdfConfig, EstimatorKind, FilterPolicy, GridBroker};
+use mobigrid_adf::{AdaptiveDistanceFilter, AdfConfig, FilterPolicy, GridBroker};
 use mobigrid_campus::Campus;
 use mobigrid_geo::Point;
 use mobigrid_hla::{Callback, FedTime, ObjectHandle, ObjectModel, Rti};
@@ -118,12 +118,12 @@ pub fn run_federated_adf(cfg: &ExperimentConfig, dth_factor: f64) -> FederatedRe
         ..cfg.adf
     };
     let mut policy = AdaptiveDistanceFilter::new(adf_cfg).expect("validated configuration");
-    let mut broker_le = GridBroker::new(cfg.estimator).expect("validated estimator");
-    let mut broker_raw = GridBroker::new(EstimatorKind::WithoutLe).expect("always valid");
+    // One broker serves both arms: the without-LE belief is each node's
+    // last accepted receipt, which the broker keeps.
+    let mut broker = GridBroker::new(cfg.estimator).expect("validated estimator");
     for node in &nodes {
         if let Some(anchor) = node.home_anchor() {
-            broker_le.set_home_anchor(node.id(), anchor);
-            broker_raw.set_home_anchor(node.id(), anchor);
+            broker.set_home_anchor(node.id(), anchor);
         }
     }
 
@@ -183,19 +183,15 @@ pub fn run_federated_adf(cfg: &ExperimentConfig, dth_factor: f64) -> FederatedRe
                 total_reflections += 1;
                 let lu = LocationUpdate::decode(&values[0].1).expect("well-formed frame");
                 heard.push(lu.node);
-                let op = IngestRecord::Update(lu);
-                broker_le.apply(&op);
-                broker_raw.apply(&op);
+                broker.apply(&IngestRecord::Update(lu));
             }
         }
         for node in nodes.iter() {
             if !heard.contains(&node.id()) {
-                let op = IngestRecord::Filtered {
+                broker.apply(&IngestRecord::Filtered {
                     node: node.id(),
                     time_s,
-                };
-                broker_le.apply(&op);
-                broker_raw.apply(&op);
+                });
             }
         }
 
@@ -203,12 +199,9 @@ pub fn run_federated_adf(cfg: &ExperimentConfig, dth_factor: f64) -> FederatedRe
         let mut with_le = Rmse::new();
         let mut without_le = Rmse::new();
         for (id, pos) in &truth {
-            let err = |b: &GridBroker| {
-                b.location(*id)
-                    .map_or(0.0, |r| r.position.distance_to(*pos))
-            };
-            with_le.push(err(&broker_le));
-            without_le.push(err(&broker_raw));
+            let err = |p: Option<Point>| p.map_or(0.0, |p| p.distance_to(*pos));
+            with_le.push(err(broker.location(*id).map(|r| r.position)));
+            without_le.push(err(broker.last_receipt(*id)));
         }
 
         mn_fed.tick().expect("joined");

@@ -13,8 +13,7 @@
 //!   [`DeadReckoning`], [`AxisSmoothing`], plus the constant-velocity
 //!   [`KalmanCv`], each with inherent `observe`, `estimate` and
 //!   `is_static` methods (the paper's "without LE" arm needs no tracker:
-//!   it holds the last received position),
-//! * error metrics: [`metrics::rmse`], [`metrics::mae`], [`metrics::mape`].
+//!   it holds the last received position).
 //!
 //! # Examples
 //!
@@ -38,7 +37,6 @@ mod brown;
 mod error;
 mod holt;
 mod kalman;
-pub mod metrics;
 mod ses;
 mod tracker;
 

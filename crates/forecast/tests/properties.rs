@@ -1,8 +1,7 @@
 //! Property-based tests for the forecasting substrate.
 
 use mobigrid_forecast::{
-    metrics, BrownDouble, BrownPositionEstimator, Forecaster, HoltLinear, RestPrefix,
-    SingleExponential,
+    BrownDouble, BrownPositionEstimator, Forecaster, HoltLinear, RestPrefix, SingleExponential,
 };
 use mobigrid_geo::Point;
 use proptest::prelude::*;
@@ -82,26 +81,6 @@ proptest! {
         let p1 = est.estimate(20.0).unwrap();
         let p2 = est.estimate(20.001).unwrap();
         prop_assert!(p1.distance_to(p2) < 0.1);
-    }
-
-    #[test]
-    fn rmse_bounds_mae(
-        pairs in prop::collection::vec((-1e3..1e3f64, -1e3..1e3f64), 1..100)
-    ) {
-        let (a, e): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
-        prop_assert!(metrics::rmse(&a, &e) + 1e-9 >= metrics::mae(&a, &e));
-        prop_assert!(metrics::max_abs_error(&a, &e) + 1e-9 >= metrics::rmse(&a, &e));
-    }
-
-    #[test]
-    fn rmse_is_translation_invariant(
-        pairs in prop::collection::vec((-1e3..1e3f64, -1e3..1e3f64), 1..100),
-        shift in -1e3..1e3f64,
-    ) {
-        let (a, e): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
-        let a2: Vec<f64> = a.iter().map(|x| x + shift).collect();
-        let e2: Vec<f64> = e.iter().map(|x| x + shift).collect();
-        prop_assert!((metrics::rmse(&a, &e) - metrics::rmse(&a2, &e2)).abs() < 1e-6);
     }
 }
 

@@ -94,7 +94,7 @@ impl GatewayGrid {
 }
 
 /// The campus access network: a set of gateways with association, handoff
-/// tracking and per-gateway traffic accounting.
+/// tracking and aggregate traffic accounting.
 ///
 /// A node transmits through the *nearest covering* gateway. The network
 /// remembers each node's previous association so the experiments can count
@@ -121,7 +121,6 @@ pub struct AccessNetwork {
     gateways: Vec<Gateway>,
     grid: GatewayGrid,
     meter: TrafficMeter,
-    per_gateway: Vec<TrafficMeter>,
     associations: BTreeMap<MnId, GatewayId>,
     handoffs: u64,
     dropped: u64,
@@ -133,20 +132,19 @@ impl AccessNetwork {
     ///
     /// # Panics
     ///
-    /// Panics when gateway ids are not the dense sequence `0..n` — dense ids
-    /// let the per-gateway meters be plain vectors.
+    /// Panics when gateway ids are not the dense sequence `0..n` — the
+    /// spatial index's candidate lists rely on id order matching insertion
+    /// order.
     #[must_use]
     pub fn new(gateways: Vec<Gateway>) -> Self {
         for (i, gw) in gateways.iter().enumerate() {
             assert_eq!(gw.id().index(), i, "gateway ids must be dense 0..n");
         }
-        let per_gateway = vec![TrafficMeter::new(); gateways.len()];
         let grid = GatewayGrid::build(&gateways);
         AccessNetwork {
             gateways,
             grid,
             meter: TrafficMeter::new(),
-            per_gateway,
             associations: BTreeMap::new(),
             handoffs: 0,
             dropped: 0,
@@ -225,7 +223,7 @@ impl AccessNetwork {
     /// [`LocationUpdate::decode`], so routing and accounting see
     /// exactly what the wire carries and the path never touches the heap.
     ///
-    /// Counts the frame in the aggregate and per-gateway meters and records
+    /// Counts the frame in the aggregate meter and records
     /// a handoff when the node's association changed.
     ///
     /// # Errors
@@ -245,7 +243,6 @@ impl AccessNetwork {
             });
         };
         self.meter.count(frame.len());
-        self.per_gateway[gw.index()].count(frame.len());
         match self.associations.insert(lu.node, gw) {
             Some(prev) if prev != gw => self.handoffs += 1,
             _ => {}
@@ -257,16 +254,6 @@ impl AccessNetwork {
     #[must_use]
     pub fn meter(&self) -> &TrafficMeter {
         &self.meter
-    }
-
-    /// Traffic carried by one gateway.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` does not belong to this network.
-    #[must_use]
-    pub fn gateway_meter(&self, id: GatewayId) -> &TrafficMeter {
-        &self.per_gateway[id.index()]
     }
 
     /// The gateway a node is currently associated with, if it has ever
@@ -297,19 +284,6 @@ impl AccessNetwork {
         rec.gauge_set("net.bytes", self.meter.bytes() as f64);
         rec.gauge_set("net.handoffs", self.handoffs as f64);
         rec.gauge_set("net.dropped", self.dropped as f64);
-    }
-
-    /// Resets meters, associations and counters; gateways stay, and with
-    /// them the spatial index — it derives only from the gateway set, so a
-    /// reset (or an outage-schedule change) never invalidates it.
-    pub fn reset(&mut self) {
-        self.meter.reset();
-        for m in &mut self.per_gateway {
-            m.reset();
-        }
-        self.associations.clear();
-        self.handoffs = 0;
-        self.dropped = 0;
     }
 }
 
@@ -358,8 +332,6 @@ mod tests {
         assert_eq!(net.meter().messages(), 3);
         assert_eq!(net.meter().bytes(), 3 * LocationUpdate::WIRE_SIZE as u64);
         assert_eq!(net.meter().bytes(), 108);
-        assert_eq!(net.gateway_meter(GatewayId::new(0)).messages(), 2);
-        assert_eq!(net.gateway_meter(GatewayId::new(1)).messages(), 1);
     }
 
     #[test]
@@ -382,17 +354,6 @@ mod tests {
         net.transmit(&lu(mn, 2.0, 290.0)).unwrap(); // cell change
         assert_eq!(net.handoffs(), 1);
         assert_eq!(net.association(MnId::new(mn)), Some(GatewayId::new(1)));
-    }
-
-    #[test]
-    fn reset_clears_state_but_keeps_gateways() {
-        let mut net = two_cell_network();
-        net.transmit(&lu(1, 0.0, 10.0)).unwrap();
-        net.reset();
-        assert_eq!(net.meter().messages(), 0);
-        assert_eq!(net.handoffs(), 0);
-        assert_eq!(net.association(MnId::new(1)), None);
-        assert_eq!(net.gateways().len(), 2);
     }
 
     #[test]
@@ -499,23 +460,6 @@ mod tests {
             }
             px += 13.0;
         }
-    }
-
-    #[test]
-    fn reset_keeps_spatial_index_consistent() {
-        let fresh = two_cell_network();
-        let mut net = two_cell_network();
-        net.transmit(&lu(1, 0.0, 10.0)).unwrap();
-        net.reset();
-        // Post-reset lookups behave exactly like a freshly built network.
-        for x in [0.0, 10.0, 150.0, 290.0, 500.0] {
-            let p = Point::new(x, 0.0);
-            assert_eq!(
-                net.best_gateway(p).map(Gateway::id),
-                fresh.best_gateway(p).map(Gateway::id)
-            );
-        }
-        assert_eq!(net, fresh);
     }
 
     #[test]

@@ -44,17 +44,6 @@ impl TrafficMeter {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// Adds another meter's counts into this one.
-    pub fn merge(&mut self, other: &TrafficMeter) {
-        self.messages += other.messages;
-        self.bytes += other.bytes;
-    }
-
-    /// Resets both counters to zero.
-    pub fn reset(&mut self) {
-        *self = TrafficMeter::default();
-    }
 }
 
 #[cfg(test)]
@@ -68,25 +57,5 @@ mod tests {
         m.count(22);
         assert_eq!(m.messages(), 2);
         assert_eq!(m.bytes(), 32);
-    }
-
-    #[test]
-    fn merge_sums_counters() {
-        let mut a = TrafficMeter::new();
-        a.count(8);
-        let mut b = TrafficMeter::new();
-        b.count(8);
-        b.count(8);
-        a.merge(&b);
-        assert_eq!(a.messages(), 3);
-        assert_eq!(a.bytes(), 24);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut m = TrafficMeter::new();
-        m.count(100);
-        m.reset();
-        assert_eq!(m, TrafficMeter::new());
     }
 }

@@ -10,8 +10,8 @@
 
 use mobigrid::adf::{DistanceFilter, EstimatorKind, GridBroker};
 use mobigrid::campus::{Campus, RegionShape};
-use mobigrid::forecast::metrics;
 use mobigrid::mobility::{MobilityModel, RoadPatroller};
+use mobigrid::sim::stats::Rmse;
 use mobigrid::wireless::{IngestRecord, LocationUpdate, MnId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,9 +45,8 @@ fn main() {
         .map(|(_, k)| GridBroker::new(*k).expect("valid estimator"))
         .collect();
 
-    let mut truth_x = Vec::new();
-    let mut truth_y = Vec::new();
-    let mut beliefs: Vec<(Vec<f64>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); kinds.len()];
+    // Per estimator, the RMSE of its belief along each axis.
+    let mut errors = vec![(Rmse::new(), Rmse::new()); kinds.len()];
     let mut sent = 0u32;
     let ticks = 600u32;
 
@@ -66,12 +65,10 @@ fn main() {
         if decision.is_sent() {
             sent += 1;
         }
-        truth_x.push(pos.x);
-        truth_y.push(pos.y);
-        for (i, broker) in brokers.iter().enumerate() {
+        for (broker, (x, y)) in brokers.iter().zip(&mut errors) {
             let b = broker.location(mn).expect("record exists after first LU");
-            beliefs[i].0.push(b.position.x);
-            beliefs[i].1.push(b.position.y);
+            x.push(pos.x - b.position.x);
+            y.push(pos.y - b.position.y);
         }
     }
 
@@ -81,11 +78,7 @@ fn main() {
     );
     println!("{:<22} {:>10} {:>10}", "estimator", "RMSE x", "RMSE y");
     println!("{}", "-".repeat(44));
-    for ((name, _), (bx, by)) in kinds.iter().zip(&beliefs) {
-        println!(
-            "{name:<22} {:>10.2} {:>10.2}",
-            metrics::rmse(&truth_x, bx),
-            metrics::rmse(&truth_y, by)
-        );
+    for ((name, _), (x, y)) in kinds.iter().zip(&errors) {
+        println!("{name:<22} {:>10.2} {:>10.2}", x.value(), y.value());
     }
 }
