@@ -202,14 +202,64 @@ pub struct ApplyInfo {
 /// The hot half of a node's broker slot: what the per-tick reads
 /// ([`GridBroker::location`], [`GridBroker::staleness`],
 /// [`GridBroker::records`]) read and what a replay clock's
-/// materialisation dates. Kept in its own dense column, 40 B per node, so
+/// materialisation dates. Kept in its own dense column, 32 B per node, so
 /// a sweep over thousands of parked nodes streams through these and never
-/// through the cold half.
+/// through the cold half. The record is stored unpacked, so the
+/// staleness counter and the record's kind share the word an
+/// `Option<LocationRecord>` would pad out.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct HotSlot {
-    record: Option<LocationRecord>,
+    /// The record's position; read only when `held` says there is one.
+    position: Point,
+    /// The record's time; likewise.
+    time_s: f64,
     /// Consecutive expected-but-lost updates since the last receipt.
     staleness: u32,
+    held: Held,
+}
+
+/// Whether a [`HotSlot`] holds a record, and of which kind.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum Held {
+    #[default]
+    Nothing,
+    Received,
+    Estimated,
+}
+
+impl HotSlot {
+    /// The stored record, as written.
+    #[inline]
+    fn record(&self) -> Option<LocationRecord> {
+        let estimated = match self.held {
+            Held::Nothing => return None,
+            Held::Received => false,
+            Held::Estimated => true,
+        };
+        Some(LocationRecord {
+            position: self.position,
+            time_s: self.time_s,
+            estimated,
+        })
+    }
+
+    /// Stores `record`.
+    #[inline]
+    fn set_record(&mut self, record: LocationRecord) {
+        self.position = record.position;
+        self.time_s = record.time_s;
+        self.held = if record.estimated {
+            Held::Estimated
+        } else {
+            Held::Received
+        };
+    }
+
+    /// The stored record's position.
+    #[inline]
+    fn position(&self) -> Option<Point> {
+        (self.held != Held::Nothing).then_some(self.position)
+    }
 }
 
 /// What a slot holds of its node's estimator.
@@ -360,7 +410,7 @@ impl NodeSlot<'_> {
         op: &IngestRecord,
         counters: &mut BrokerDelta,
     ) -> Option<ApplyInfo> {
-        let had_record = self.hot.record.is_some();
+        let had_record = self.hot.held != Held::Nothing;
         let mut blend = 1.0;
         let outcome = match op {
             IngestRecord::Update(lu) => match self.cold.last_rx {
@@ -373,7 +423,7 @@ impl NodeSlot<'_> {
                     ApplyOutcome::Stale
                 }
                 previous => {
-                    self.hot.record = Some(LocationRecord {
+                    self.hot.set_record(LocationRecord {
                         position: lu.position,
                         time_s: lu.time_s,
                         estimated: false,
@@ -411,7 +461,7 @@ impl NodeSlot<'_> {
                                 );
                             }
                         }
-                        self.hot.record = Some(LocationRecord {
+                        self.hot.set_record(LocationRecord {
                             position,
                             time_s: *time_s,
                             estimated: true,
@@ -427,7 +477,7 @@ impl NodeSlot<'_> {
             }
             IngestRecord::TickEnd { .. } | IngestRecord::BatchSpan { .. } => return None,
         };
-        counters.fresh_records += u64::from(!had_record && self.hot.record.is_some());
+        counters.fresh_records += u64::from(!had_record && self.hot.held != Held::Nothing);
         Some(ApplyInfo {
             outcome,
             staleness: self.hot.staleness,
@@ -502,8 +552,9 @@ fn materialise(clock: &mut Option<f64>, hot: &mut [HotSlot]) {
 /// materialises at most once per tick).
 #[cold]
 fn date_records(hot: &mut [HotSlot], time_s: f64) {
-    for record in hot.iter_mut().filter_map(|slot| slot.record.as_mut()) {
-        record.time_s = time_s;
+    // A slot without a record never reads its time.
+    for slot in hot {
+        slot.time_s = time_s;
     }
 }
 
@@ -591,15 +642,15 @@ impl BrokerShard<'_> {
     #[cfg(test)]
     fn restamp(&mut self, local: usize, time_s: f64) {
         materialise(self.clock, self.hot);
-        let record = self.hot[local]
-            .record
-            .as_mut()
-            .expect("a replayed estimate has a record");
-        debug_assert!(record.estimated, "the replayed record is an estimate");
-        record.time_s = time_s;
+        let hot = &mut self.hot[local];
+        debug_assert!(
+            hot.held == Held::Estimated,
+            "the replayed record is an estimate"
+        );
+        hot.time_s = time_s;
         debug_assert_eq!(
             self.cold[local].estimate(time_s),
-            self.hot[local].record.map(|r| r.position),
+            hot.position(),
             "the replayed record holds the static estimate"
         );
     }
@@ -614,14 +665,14 @@ impl BrokerShard<'_> {
     /// The belief about the shard's `local`-th node.
     #[inline]
     pub(crate) fn location_at(&self, local: usize) -> Option<LocationRecord> {
-        resolve(self.hot[local].record, *self.clock)
+        resolve(self.hot[local].record(), *self.clock)
     }
 
     /// The believed position of the shard's `local`-th node: the clock
     /// only dates a record, so this reads the hot column alone.
     #[inline]
     pub(crate) fn position_at(&self, local: usize) -> Option<Point> {
-        self.hot[local].record.map(|r| r.position)
+        self.hot[local].position()
     }
 
     /// The position of the shard's `local`-th node's last accepted
@@ -789,7 +840,7 @@ impl GridBroker {
     #[must_use]
     pub fn location(&self, node: MnId) -> Option<LocationRecord> {
         let index = node.index();
-        resolve(self.hot.get(index)?.record, self.clock_of(index))
+        resolve(self.hot.get(index)?.record(), self.clock_of(index))
     }
 
     /// The position of `node`'s last accepted receipt, the paper's
@@ -813,17 +864,16 @@ impl GridBroker {
     pub fn without_le(&self) -> GridBroker {
         let (hot, cold) = (self.hot.iter().zip(&self.cold).enumerate())
             .map(|(i, (hot, cold))| {
-                let record = resolve(hot.record, self.clock_of(i)).map(|record| LocationRecord {
-                    position: cold
-                        .last_rx
-                        .expect("a node with a record has a receipt")
-                        .position,
-                    ..record
-                });
-                let hot = HotSlot {
-                    record,
-                    staleness: hot.staleness,
-                };
+                let mut hot = *hot;
+                if let Some(record) = resolve(hot.record(), self.clock_of(i)) {
+                    hot.set_record(LocationRecord {
+                        position: cold
+                            .last_rx
+                            .expect("a node with a record has a receipt")
+                            .position,
+                        ..record
+                    });
+                }
                 let cold = ColdSlot {
                     estimator: SlotEstimator::Unbuilt,
                     ..*cold
@@ -949,7 +999,7 @@ impl GridBroker {
             let start = shard * shard_size;
             let end = self.hot.len().min(start + shard_size);
             for (hot, cold) in self.hot[start..end].iter().zip(&mut self.cold[start..end]) {
-                if let Some(record) = hot.record {
+                if let Some(record) = hot.record() {
                     debug_assert!(record.estimated, "a restamped record is an estimate");
                     debug_assert!(
                         cold.last_rx.is_some(),
@@ -1014,7 +1064,7 @@ impl GridBroker {
     /// crate's census and staleness queries are built on.
     pub fn records(&self) -> impl Iterator<Item = (MnId, LocationRecord, u32)> + '_ {
         self.hot.iter().enumerate().filter_map(|(i, slot)| {
-            resolve(slot.record, self.clock_of(i))
+            resolve(slot.record(), self.clock_of(i))
                 .map(|record| (MnId::new(i as u32), record, slot.staleness))
         })
     }

@@ -155,6 +155,25 @@ impl MobilityClassifier {
         }
     }
 
+    /// The classifier of a node that has not moved: observed last at
+    /// `position` and `time_s`, with a trailing run of `zero_run` empty
+    /// samples and stationary calls since its first observation. Equal to
+    /// the classifier those calls built from [`MobilityClassifier::new`].
+    /// Each of its samples was the empty one, and a stationary call comes
+    /// only once the window is full, so the window holds
+    /// `min(zero_run, window)` empty samples and the ring stays unbuilt.
+    /// Which slot holds the oldest of a window of empty samples is not
+    /// state (equality and every reading go by the samples' order), so the
+    /// window starts at slot 0. The ADF's resting nodes are built with it
+    /// at their first motion.
+    pub(crate) fn at_rest(cfg: &AdfConfig, time_s: f64, position: Point, zero_run: u32) -> Self {
+        let mut classifier = MobilityClassifier::new(cfg);
+        classifier.len = zero_run.min(classifier.window);
+        classifier.zero_run = zero_run;
+        classifier.last = Some((time_s, position));
+        classifier
+    }
+
     /// The window's samples, oldest first.
     fn samples(&self) -> impl DoubleEndedIterator<Item = &WindowSample> {
         let (head, len) = (self.head as usize, self.len as usize);
@@ -281,6 +300,12 @@ impl MobilityClassifier {
         if let Some((last_time, _)) = &mut self.last {
             *last_time = time_s;
         }
+    }
+
+    /// The last observation, `(time, position)`, bit for bit.
+    #[cfg(test)]
+    pub(crate) fn last_observation(&self) -> Option<(f64, Point)> {
+        self.last
     }
 
     /// Number of motion steps currently in the window.

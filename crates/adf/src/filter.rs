@@ -95,7 +95,7 @@ impl DistanceFilter {
     /// Panics when `dth` is negative or non-finite.
     #[must_use]
     pub fn with_reference(dth: f64, reference: FilterReference) -> Self {
-        assert!(dth.is_finite() && dth >= 0.0, "DTH must be non-negative");
+        assert_valid_dth(dth);
         DistanceFilter {
             dth,
             reference,
@@ -125,8 +125,35 @@ impl DistanceFilter {
     ///
     /// Panics when `dth` is negative or non-finite.
     pub fn set_dth(&mut self, dth: f64) {
-        assert!(dth.is_finite() && dth >= 0.0, "DTH must be non-negative");
+        assert_valid_dth(dth);
         self.dth = dth;
+    }
+
+    /// The filter of a node whose every observation so far sat at
+    /// `position`, finite, bit for bit: `sent` of them sent, the first
+    /// among them, and `filtered` suppressed. Equal, bit for bit, to the
+    /// filter those observations built from
+    /// [`DistanceFilter::with_reference`]: its anchors are `position`
+    /// once it has observed anything, and each observation after the
+    /// first measured a displacement of exactly `+0.0` (for finite `x`,
+    /// `x - x` is `+0.0`). The ADF's resting nodes are built with it at
+    /// their first motion.
+    pub(crate) fn at_rest(
+        dth: f64,
+        reference: FilterReference,
+        position: Point,
+        sent: u64,
+        filtered: u64,
+    ) -> Self {
+        let anchor = (sent > 0).then_some(position);
+        DistanceFilter {
+            last_sent: anchor,
+            last_observed: anchor,
+            last_step: (sent.saturating_add(filtered) > 1).then_some(0.0),
+            sent,
+            filtered,
+            ..DistanceFilter::with_reference(dth, reference)
+        }
     }
 
     /// The last transmitted position, if any update has been sent.
@@ -255,6 +282,12 @@ impl DistanceFilter {
     pub fn filtered_count(&self) -> u64 {
         self.filtered
     }
+}
+
+/// Panics unless `dth` is a valid distance threshold: finite and
+/// non-negative.
+pub(crate) fn assert_valid_dth(dth: f64) {
+    assert!(dth.is_finite() && dth >= 0.0, "DTH must be non-negative");
 }
 
 /// Whether two points have bit-identical coordinates.

@@ -189,7 +189,6 @@ impl SimBuilder {
             }
         }
         let mut broker_le = GridBroker::new(self.estimator).map_err(SimError::Config)?;
-        broker_le.ensure_nodes(self.nodes.len());
         let channel = match &self.runtime.faults {
             Some(FaultSpec { plan, seed }) => {
                 if self.network.is_none() {
@@ -204,6 +203,9 @@ impl SimBuilder {
         // Dense ids were validated above: decompose the population into the
         // columnar SoA store the tick kernels sweep.
         let cols = NodeColumns::from_nodes(self.nodes);
+        // Sized once the nodes are decomposed and freed, so the build's
+        // peak heap never holds both the nodes and the broker.
+        broker_le.ensure_nodes(cols.len());
         for (i, anchor) in cols.home_anchors().iter().enumerate() {
             if let Some(anchor) = anchor {
                 broker_le.set_home_anchor(MnId::new(i as u32), *anchor);
@@ -214,8 +216,14 @@ impl SimBuilder {
             policy.validate()?;
         }
         let seqs = vec![0u32; cols.len()];
-        let retry = vec![RetryState::IDLE; cols.len()];
-        let scratch = TickScratch::new(cols.len());
+        // The network-only columns: with no network nothing is on the air.
+        let on_air = if self.network.is_some() {
+            cols.len()
+        } else {
+            0
+        };
+        let retry = vec![RetryState::IDLE; on_air];
+        let scratch = TickScratch::new(cols.len(), on_air);
         let sparse = match self.runtime.driver {
             TickDriver::Dense => None,
             TickDriver::Sparse => Some(Box::new(SparseState::new(cols.len()))),
@@ -249,8 +257,8 @@ impl SimBuilder {
 /// Every buffer is sized for the (fixed) node population at build time and
 /// reused on every [`MobileGridSim::step`], so the steady-state tick path
 /// performs no heap allocations (see `DESIGN.md`, "Tick memory model").
-/// `observations`, `link` and `sent_seq` are fixed-length and overwritten
-/// in place; `decisions`, `late_lus` and `outs` are cleared and refilled,
+/// `observations`, `link` (empty without a network) and `sent_seq` are
+/// fixed-length and overwritten in place; `decisions`, `late_lus` and `outs` are cleared and refilled,
 /// reusing their high-water capacity.
 struct TickScratch {
     /// This tick's `(node, ground-truth position)` pairs, node order.
@@ -258,7 +266,8 @@ struct TickScratch {
     observations: Vec<(MnId, Point)>,
     /// One filter decision per observation, written by the policy.
     decisions: Vec<Decision>,
-    /// Per-node network outcome when an access network is attached.
+    /// Per-node network outcome when an access network is attached;
+    /// empty otherwise.
     link: Vec<LinkOutcome>,
     /// Sequence number each node transmitted with this tick (valid only
     /// where `link` records a transmission; phase 2b owns `seqs` when a
@@ -293,11 +302,13 @@ struct TickScratch {
 }
 
 impl TickScratch {
-    fn new(nodes: usize) -> Self {
+    /// Buffers for `nodes` nodes, of which `on_air` (all of them with a
+    /// network, none without) get a link outcome.
+    fn new(nodes: usize, on_air: usize) -> Self {
         TickScratch {
             observations: vec![(MnId::new(0), Point::ORIGIN); nodes],
             decisions: Vec::with_capacity(nodes),
-            link: vec![LinkOutcome::Idle; nodes],
+            link: vec![LinkOutcome::Idle; on_air],
             sent_seq: vec![0u32; nodes],
             late_lus: Vec::new(),
             jobs: Vec::with_capacity(mobigrid_sim::par::shard_count(nodes, SHARD_SIZE)),
@@ -637,6 +648,7 @@ pub struct MobileGridSim {
     /// The retry policy of every node that does not carry its own
     /// (`RuntimeOptions::retry`).
     default_retry: Option<RetryPolicy>,
+    /// Per-node retransmission state; empty without a network.
     retry: Vec<RetryState>,
     tick: u64,
     seqs: Vec<u32>,

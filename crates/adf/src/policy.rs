@@ -6,6 +6,7 @@ use mobigrid_mobility::MobilityPattern;
 use mobigrid_sim::stats::Welford;
 use mobigrid_wireless::MnId;
 
+use crate::filter::{assert_valid_dth, same_bits};
 use crate::pipeline::SHARD_SIZE;
 use crate::{AdfConfig, Decision, DistanceFilter, FilterReference, MobilityClassifier, MotionStep};
 
@@ -285,6 +286,10 @@ struct AdfNodeState {
 }
 
 impl AdfNodeState {
+    /// The state of a node seen for the first time, before its first
+    /// observation: what a resting node is built from, by the calls it
+    /// rested through.
+    #[cfg(test)]
     fn new(cfg: &AdfConfig) -> Self {
         AdfNodeState {
             classifier: MobilityClassifier::new(cfg),
@@ -326,12 +331,206 @@ impl AdfNodeState {
         let step = self.observe_motion(speeds, time_s, pos);
         self.filter.observe_after(pos, step)
     }
+
+    /// The doze's per-node fast path: the classifier's and the filter's
+    /// stationary paths, when the node sits at the zero-motion fixpoint
+    /// and its filter suppresses the repeat. `false`, with nothing
+    /// changed, otherwise.
+    fn observe_stationary(&mut self, time_s: f64, pos: Point) -> bool {
+        if !(self.filter.suppresses_repeat(pos) && self.classifier.observe_stationary(time_s, pos))
+        {
+            return false;
+        }
+        let decision = self.filter.observe_stationary(pos);
+        debug_assert_eq!(decision, Some(Decision::Filtered));
+        true
+    }
+}
+
+/// A node's ADF state until its first motion, 48 B in place of the 184 B
+/// of an [`AdfNodeState`]: what that state holds of a node whose every
+/// observation sat at one finite position, bit for bit.
+///
+/// Every sample such a node's classifier took is the empty one, so its
+/// zero run tells the whole window (see [`MobilityClassifier::at_rest`]);
+/// its filter sent its first observation, measured `+0.0` on every later
+/// one and counted each (see [`DistanceFilter::at_rest`]); its pattern is
+/// Stop and its cluster none; and its DTH is `0.0` until a reclustering
+/// sees it, then the one the latest reclustering gave every stopped node,
+/// which the table keeps once for all of them. [`RestingNode::build`]
+/// makes the [`AdfNodeState`] the same calls would have made. The node
+/// is built at the first observation it cannot hold: a position not
+/// bit-equal to its own (a step between `−0.0` and `+0.0` derives an
+/// empty sample yet moves the filter's anchor) or not finite, or a time
+/// step that is not a number.
+#[derive(Clone, Copy)]
+struct RestingNode {
+    /// Where the node has sat since its first observation.
+    position: Point,
+    /// The time of the classifier's last observation.
+    time_s: f64,
+    /// Observations the filter sent.
+    sent: u64,
+    /// Observations the filter suppressed.
+    filtered: u64,
+    /// The classifier's trailing zero run.
+    zero_run: u32,
+    /// Whether a reclustering has seen the node.
+    reclustered: bool,
+}
+
+impl RestingNode {
+    /// Whether an observation at `position` keeps the node at rest.
+    fn holds(&self, position: Point) -> bool {
+        same_bits(self.position, position) && position.x.is_finite() && position.y.is_finite()
+    }
+
+    /// The node's DTH, given the one the latest reclustering gave every
+    /// stopped node.
+    fn dth(&self, stop_dth: f64) -> f64 {
+        if self.reclustered {
+            stop_dth
+        } else {
+            0.0
+        }
+    }
+
+    /// [`AdfNodeState::observe_motion`] at rest; `false`, with nothing
+    /// changed, when the observation would build the node.
+    fn observe_motion(
+        &mut self,
+        cfg: &AdfConfig,
+        speeds: &mut Welford,
+        time_s: f64,
+        position: Point,
+    ) -> bool {
+        if !self.holds(position) {
+            return false;
+        }
+        let dt = time_s - self.time_s;
+        if dt <= 0.0 {
+            // The classifier ignores a same-time or out-of-order repeat.
+            return true;
+        }
+        if dt.is_nan() {
+            // A step over a time that is not a number has a speed that is
+            // not one either.
+            return false;
+        }
+        // An empty sample. While the window fills, it grows the window,
+        // whose mean is then `+0.0`.
+        if (self.zero_run as usize) < cfg.classifier_window {
+            speeds.push(0.0);
+        }
+        self.zero_run = self.zero_run.saturating_add(1);
+        self.time_s = time_s;
+        true
+    }
+
+    /// The filter's [`DistanceFilter::observe`] at rest; `None`, with
+    /// nothing changed, when the observation would build the node.
+    fn filter(&mut self, stop_dth: f64, position: Point) -> Option<Decision> {
+        if !self.holds(position) {
+            return None;
+        }
+        // The first observation has no anchor and is sent; each later one
+        // measures `+0.0`.
+        if self.sent == 0 || 0.0 >= self.dth(stop_dth) {
+            self.sent += 1;
+            Some(Decision::Sent)
+        } else {
+            self.filtered += 1;
+            Some(Decision::Filtered)
+        }
+    }
+
+    /// [`DistanceFilter::suppresses_repeat`] at rest.
+    fn suppresses_repeat(&self, cfg: &AdfConfig, stop_dth: f64, position: Point) -> bool {
+        cfg.reference == FilterReference::PreviousObservation
+            && self.sent > 0
+            && self.holds(position)
+            && self.dth(stop_dth) > 0.0
+    }
+
+    /// [`AdfNodeState::observe_stationary`] at rest: the gates of
+    /// [`DistanceFilter::suppresses_repeat`] and
+    /// [`MobilityClassifier::observe_stationary`], then their writes.
+    fn observe_stationary(
+        &mut self,
+        cfg: &AdfConfig,
+        stop_dth: f64,
+        time_s: f64,
+        position: Point,
+    ) -> bool {
+        let window_full = self.zero_run as usize >= cfg.classifier_window;
+        if !self.suppresses_repeat(cfg, stop_dth, position)
+            || !window_full
+            || time_s - self.time_s <= 0.0
+        {
+            return false;
+        }
+        self.zero_run = self.zero_run.saturating_add(1);
+        self.time_s = time_s;
+        self.filtered += 1;
+        true
+    }
+
+    /// [`AdfNodeState::catch_up`] at rest.
+    fn catch_up(&mut self, pending: u32, last_time: f64) {
+        self.zero_run = self.zero_run.saturating_add(pending);
+        self.time_s = last_time;
+        self.filtered += u64::from(pending);
+    }
+
+    /// The state the eager path would hold for this node.
+    fn build(&self, cfg: &AdfConfig, stop_dth: f64) -> AdfNodeState {
+        AdfNodeState {
+            classifier: MobilityClassifier::at_rest(cfg, self.time_s, self.position, self.zero_run),
+            filter: DistanceFilter::at_rest(
+                self.dth(stop_dth),
+                cfg.reference,
+                self.position,
+                self.sent,
+                self.filtered,
+            ),
+            pattern: MobilityPattern::Stop,
+            cluster: None,
+        }
+    }
+
+    /// What [`FilterPolicy::probe`] reads of the node.
+    fn probe(&self, stop_dth: f64) -> FilterProbe {
+        FilterProbe {
+            pattern: Some(MobilityPattern::Stop),
+            cluster: None,
+            dth: Some(self.dth(stop_dth)),
+            displacement: (self.sent.saturating_add(self.filtered) > 1).then_some(0.0),
+        }
+    }
+}
+
+/// One node's slot of the [`AdfNodeTable`].
+#[derive(Clone, Copy, Default)]
+enum NodeSlot {
+    /// A node never observed.
+    #[default]
+    Vacant,
+    /// A node that has not moved yet.
+    Resting(RestingNode),
+    /// A node that has moved: the index of its state in the table's
+    /// built states.
+    Built(u32),
+}
+
+/// A node's state as the table holds it.
+enum NodeRef<'a> {
+    Resting(&'a RestingNode),
+    Built(&'a AdfNodeState),
 }
 
 /// The doze clock of one [`SHARD_SIZE`]-node block of consecutive node
 /// ids: the sleep-hinted ticks the whole block has spent at the
-/// zero-motion fixpoint without its nodes' [`AdfNodeState`]s being
-/// touched.
+/// zero-motion fixpoint without its nodes' states being touched.
 ///
 /// A dozing block is absorbed by one clock write per call (`last` takes
 /// the call's tick) and [`DozeBlock::wake`] later applies every absorbed
@@ -358,15 +557,13 @@ impl DozeBlock {
         self.armed_at != u32::MAX
     }
 
-    /// Catches the block's nodes, `states`, up on the calls absorbed
-    /// after the arming one and wakes the block. `last_time` is the time
-    /// of the last absorbed call.
-    fn wake(&mut self, states: &mut [Option<AdfNodeState>], last_time: f64) {
+    /// Catches the block's nodes, slots `start..start + SHARD_SIZE` of
+    /// `nodes`, up on the calls absorbed after the arming one and wakes
+    /// the block. `last_time` is the time of the last absorbed call.
+    fn wake(&mut self, nodes: &mut AdfNodeTable, start: usize, last_time: f64) {
         let pending = self.last - self.armed_at;
         // Arming proved every node of the block present.
-        for state in states.iter_mut().flatten() {
-            state.catch_up(pending, last_time);
-        }
+        nodes.catch_up(start..start + SHARD_SIZE, pending, last_time);
         *self = DozeBlock::AWAKE;
     }
 }
@@ -375,23 +572,36 @@ impl DozeBlock {
 ///
 /// Node ids in this codebase are dense (`0..population`), so a flat `Vec`
 /// replaces the pointer-chasing `BTreeMap` the hot observe loop used to
-/// traverse twice per node per tick. Unobserved slots hold `None`; memory
-/// is proportional to the largest observed id, not the id space. Every
-/// iterator below walks slots in ascending-id order — exactly the order
-/// `BTreeMap` iteration used — so classification, BSAS feature order and
-/// Welford pushes are bit-identical to the map-based implementation.
+/// traverse twice per node per tick. Unobserved slots are vacant; memory
+/// is proportional to the largest observed id, not the id space. A node
+/// rests in its slot ([`RestingNode`]) until its first motion, which
+/// builds its [`AdfNodeState`] in a second, dense column, in the order
+/// the nodes first moved. Every iterator below walks slots in
+/// ascending-id order — exactly the order `BTreeMap` iteration used — so
+/// classification, BSAS feature order and Welford pushes are
+/// bit-identical to the map-based implementation.
 #[derive(Default)]
 struct AdfNodeTable {
-    slots: Vec<Option<AdfNodeState>>,
+    slots: Vec<NodeSlot>,
+    /// The states of the nodes that have moved.
+    built: Vec<AdfNodeState>,
+    /// The DTH the latest reclustering gave every stopped node, which a
+    /// resting node it saw holds.
+    stop_dth: f64,
+    /// Build every node at first sight from this configuration, as
+    /// before nodes rested: the eager twin the resting form is tested
+    /// against.
+    #[cfg(test)]
+    eager: Option<AdfConfig>,
 }
 
 impl AdfNodeTable {
-    fn get(&self, node: MnId) -> Option<&AdfNodeState> {
-        self.slots.get(node.index()).and_then(Option::as_ref)
-    }
-
-    fn get_mut(&mut self, node: MnId) -> Option<&mut AdfNodeState> {
-        self.slots.get_mut(node.index()).and_then(Option::as_mut)
+    fn get(&self, node: MnId) -> Option<NodeRef<'_>> {
+        match self.slots.get(node.index())? {
+            NodeSlot::Vacant => None,
+            NodeSlot::Resting(rest) => Some(NodeRef::Resting(rest)),
+            NodeSlot::Built(i) => Some(NodeRef::Built(&self.built[*i as usize])),
+        }
     }
 
     /// Makes room for `nodes` slots at once, so a table that learns its
@@ -401,27 +611,157 @@ impl AdfNodeTable {
             .reserve_exact(nodes.saturating_sub(self.slots.len()));
     }
 
-    /// The node's state, created from `cfg` on first sight.
-    fn get_or_insert(&mut self, node: MnId, cfg: &AdfConfig) -> &mut AdfNodeState {
+    /// The built state of the node in slot `index`, building it from its
+    /// resting form first: its first motion.
+    fn built(&mut self, index: usize, cfg: &AdfConfig) -> &mut AdfNodeState {
+        let i = match self.slots[index] {
+            NodeSlot::Built(i) => i as usize,
+            NodeSlot::Resting(rest) => {
+                let i = self.built.len();
+                if i == self.built.capacity() {
+                    // Grow by doubling, but never past the population.
+                    let resting = self.slots.len() - i;
+                    self.built.reserve_exact(i.max(4).min(resting));
+                }
+                self.built.push(rest.build(cfg, self.stop_dth));
+                self.slots[index] = NodeSlot::Built(i as u32);
+                i
+            }
+            NodeSlot::Vacant => unreachable!("a node is built after its first observation"),
+        };
+        &mut self.built[i]
+    }
+
+    /// Fills the vacant slot `index` with its node at its first
+    /// observation, which the classifier only anchors on.
+    fn first_sight(&mut self, index: usize, time_s: f64, pos: Point) {
+        #[cfg(test)]
+        if let Some(cfg) = &self.eager {
+            let mut state = AdfNodeState::new(cfg);
+            state.classifier.observe(time_s, pos);
+            self.slots[index] = NodeSlot::Built(self.built.len() as u32);
+            self.built.push(state);
+            return;
+        }
+        self.slots[index] = NodeSlot::Resting(RestingNode {
+            position: pos,
+            time_s,
+            sent: 0,
+            filtered: 0,
+            zero_run: 0,
+            reclustered: false,
+        });
+    }
+
+    /// Step (3) for one observation: [`AdfNodeState::observe_motion`].
+    /// A node's first observation fills its slot, which the table grows
+    /// to.
+    fn observe_motion(
+        &mut self,
+        cfg: &AdfConfig,
+        speeds: &mut Welford,
+        node: MnId,
+        time_s: f64,
+        pos: Point,
+    ) {
         let index = node.index();
         if index >= self.slots.len() {
-            self.slots.resize_with(index + 1, || None);
+            self.slots.resize(index + 1, NodeSlot::Vacant);
         }
-        self.slots[index].get_or_insert_with(|| AdfNodeState::new(cfg))
+        match &mut self.slots[index] {
+            NodeSlot::Vacant => return self.first_sight(index, time_s, pos),
+            NodeSlot::Resting(rest) => {
+                if rest.observe_motion(cfg, speeds, time_s, pos) {
+                    return;
+                }
+            }
+            NodeSlot::Built(_) => {}
+        }
+        self.built(index, cfg).observe_motion(speeds, time_s, pos);
     }
 
-    /// Present states in ascending-id order.
-    fn values_mut(&mut self) -> impl Iterator<Item = &mut AdfNodeState> {
-        self.slots.iter_mut().flatten()
+    /// Steps (4)/(5) for one observation of a node already observed
+    /// this tick: the filter's [`DistanceFilter::observe`].
+    fn filter(&mut self, cfg: &AdfConfig, node: MnId, pos: Point) -> Decision {
+        let index = node.index();
+        if let NodeSlot::Resting(rest) = &mut self.slots[index] {
+            if let Some(decision) = rest.filter(self.stop_dth, pos) {
+                return decision;
+            }
+        }
+        self.built(index, cfg).filter.observe(pos)
     }
 
-    /// `(id, state)` pairs in ascending-id order.
+    /// The per-node ADF kernel, [`AdfNodeState::observe`], for one
+    /// observation.
+    fn observe(
+        &mut self,
+        cfg: &AdfConfig,
+        speeds: &mut Welford,
+        node: MnId,
+        time_s: f64,
+        pos: Point,
+    ) -> Decision {
+        // A moving node's slot is read once.
+        if let Some(NodeSlot::Built(i)) = self.slots.get(node.index()) {
+            return self.built[*i as usize].observe(speeds, time_s, pos);
+        }
+        // Unfused, a node this observation builds measures the step again:
+        // `observe_after` is bit-identical to `observe`.
+        self.observe_motion(cfg, speeds, node, time_s, pos);
+        self.filter(cfg, node, pos)
+    }
+
+    /// The doze's per-node fast path, [`AdfNodeState::observe_stationary`],
+    /// for an observed node; `false` for any other.
+    fn observe_stationary(&mut self, cfg: &AdfConfig, node: MnId, time_s: f64, pos: Point) -> bool {
+        match self.slots.get_mut(node.index()) {
+            Some(NodeSlot::Resting(rest)) => {
+                rest.observe_stationary(cfg, self.stop_dth, time_s, pos)
+            }
+            Some(NodeSlot::Built(i)) => self.built[*i as usize].observe_stationary(time_s, pos),
+            _ => false,
+        }
+    }
+
+    /// Whether `node`'s filter would suppress a repeat at `pos`
+    /// ([`DistanceFilter::suppresses_repeat`]).
+    fn suppresses_repeat(&self, cfg: &AdfConfig, node: MnId, pos: Point) -> bool {
+        match self.get(node) {
+            Some(NodeRef::Resting(rest)) => rest.suppresses_repeat(cfg, self.stop_dth, pos),
+            Some(NodeRef::Built(state)) => state.filter.suppresses_repeat(pos),
+            None => false,
+        }
+    }
+
+    /// [`AdfNodeState::catch_up`] for every node of `slots`.
+    fn catch_up(&mut self, slots: std::ops::Range<usize>, pending: u32, last_time: f64) {
+        for slot in &mut self.slots[slots] {
+            match slot {
+                NodeSlot::Vacant => {}
+                NodeSlot::Resting(rest) => rest.catch_up(pending, last_time),
+                NodeSlot::Built(i) => self.built[*i as usize].catch_up(pending, last_time),
+            }
+        }
+    }
+
+    /// `node`'s state as the eager path would hold it, if it has been
+    /// observed.
+    fn state(&self, node: MnId, cfg: &AdfConfig) -> Option<AdfNodeState> {
+        Some(match self.get(node)? {
+            NodeRef::Resting(rest) => rest.build(cfg, self.stop_dth),
+            NodeRef::Built(state) => state.clone(),
+        })
+    }
+
+    /// `(id, state)` pairs in ascending-id order, as the eager path would
+    /// hold them.
     #[cfg(test)]
-    fn iter(&self) -> impl Iterator<Item = (MnId, &AdfNodeState)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (MnId::new(i as u32), s)))
+    fn iter<'a>(&'a self, cfg: &'a AdfConfig) -> impl Iterator<Item = (MnId, AdfNodeState)> + 'a {
+        (0..self.slots.len()).filter_map(move |i| {
+            let node = MnId::new(i as u32);
+            self.state(node, cfg).map(|state| (node, state))
+        })
     }
 }
 
@@ -506,14 +846,14 @@ impl AdaptiveDistanceFilter {
     /// The last classification of `node`, if it has been observed.
     #[must_use]
     pub fn pattern_of(&self, node: MnId) -> Option<MobilityPattern> {
-        self.nodes.get(node).map(|s| s.pattern)
+        self.probe(node)?.pattern
     }
 
     /// The cluster `node` was assigned at the last reclustering (`None` for
     /// stopped nodes, which the paper excludes from clustering).
     #[must_use]
     pub fn cluster_of(&self, node: MnId) -> Option<usize> {
-        self.nodes.get(node).and_then(|s| s.cluster)
+        self.probe(node)?.cluster
     }
 
     /// Copies of `node`'s classifier and distance filter as the eager
@@ -524,7 +864,7 @@ impl AdaptiveDistanceFilter {
     /// the last call's time.
     #[must_use]
     pub fn node_state(&self, node: MnId) -> Option<(MobilityClassifier, DistanceFilter)> {
-        let mut state = self.nodes.get(node)?.clone();
+        let mut state = self.nodes.state(node, &self.config)?;
         if let Some(block) = self.blocks.get(node.index() / SHARD_SIZE) {
             if block.dozing() {
                 state.catch_up(block.last - block.armed_at, self.last_time);
@@ -579,24 +919,21 @@ impl AdaptiveDistanceFilter {
             self.wake_all();
         }
 
+        let (nodes, speeds, config) = (&mut self.nodes, &mut self.global_speeds, &self.config);
         if recluster {
             // Step (3): acquire locations; update per-node motion history.
             for (node, pos) in observations {
-                let state = self.nodes.get_or_insert(*node, &self.config);
-                state.observe_motion(&mut self.global_speeds, time_s, *pos);
+                nodes.observe_motion(config, speeds, *node, time_s, *pos);
             }
             // Steps (1)/(2)/(6): classify, cluster, size the DTHs.
             self.recluster();
             // Steps (4)/(5): distance-filter each observation.
             for (node, pos) in observations {
-                let state = self.nodes.get_or_insert(*node, &self.config);
-                decisions.push(state.filter.observe(*pos));
+                decisions.push(self.nodes.filter(&self.config, *node, *pos));
             }
         } else if asleep.is_empty() {
-            let (nodes, speeds, config) = (&mut self.nodes, &mut self.global_speeds, &self.config);
             for (node, pos) in observations {
-                let state = nodes.get_or_insert(*node, config);
-                decisions.push(state.observe(speeds, time_s, *pos));
+                decisions.push(nodes.observe(config, speeds, *node, time_s, *pos));
             }
         } else {
             self.doze_tick(time_s, observations, asleep, decisions);
@@ -614,8 +951,8 @@ impl AdaptiveDistanceFilter {
     /// their own node (slot index = node index) and each take the fast
     /// path *arms* its block's doze clock ([`DozeBlock`]).
     ///
-    /// While its block dozes, a node's [`AdfNodeState`] is not touched. A
-    /// later call whose chunk is all hinted and whose time advances
+    /// While its block dozes, a node's state, resting or built, is not
+    /// touched. A later call whose chunk is all hinted and whose time advances
     /// *absorbs* the block with one clock write and yields 64 `Filtered`:
     /// by the hint's contract each slot repeats the previous call's, which
     /// the block absorbed or armed at its node's frozen position, so each
@@ -677,10 +1014,7 @@ impl AdaptiveDistanceFilter {
                 debug_assert!(
                     blocks[b].last == now - 1
                         && chunk.iter().enumerate().all(|(k, (node, pos))| {
-                            node.index() == base + k
-                                && nodes
-                                    .get(*node)
-                                    .is_some_and(|s| s.filter.suppresses_repeat(*pos))
+                            node.index() == base + k && nodes.suppresses_repeat(config, *node, *pos)
                         }),
                     "a hinted dozing block repeats the previous call's observations"
                 );
@@ -698,24 +1032,14 @@ impl AdaptiveDistanceFilter {
                 if let Some(block) = blocks.get_mut(home).filter(|block| block.dozing()) {
                     // The time of the call the block last absorbed.
                     let last_time = if block.last == now { time_s } else { prev_time };
-                    let start = home * SHARD_SIZE;
-                    block.wake(&mut nodes.slots[start..start + SHARD_SIZE], last_time);
+                    block.wake(nodes, home * SHARD_SIZE, last_time);
                 }
-                if hinted {
-                    if let Some(state) = nodes.get_mut(*node) {
-                        if state.filter.suppresses_repeat(*pos)
-                            && state.classifier.observe_stationary(time_s, *pos)
-                        {
-                            let decision = state.filter.observe_stationary(*pos);
-                            debug_assert_eq!(decision, Some(Decision::Filtered));
-                            own += usize::from(index == base + k);
-                            decisions.push(Decision::Filtered);
-                            continue;
-                        }
-                    }
+                if hinted && nodes.observe_stationary(config, *node, time_s, *pos) {
+                    own += usize::from(index == base + k);
+                    decisions.push(Decision::Filtered);
+                    continue;
                 }
-                let state = nodes.get_or_insert(*node, config);
-                decisions.push(state.observe(speeds, time_s, *pos));
+                decisions.push(nodes.observe(config, speeds, *node, time_s, *pos));
             }
             if own == SHARD_SIZE {
                 blocks[b] = DozeBlock {
@@ -737,11 +1061,7 @@ impl AdaptiveDistanceFilter {
     fn wake_where(&mut self, stale: impl Fn(&DozeBlock) -> bool) {
         for (b, block) in self.blocks.iter_mut().enumerate() {
             if block.dozing() && stale(block) {
-                let base = b * SHARD_SIZE;
-                block.wake(
-                    &mut self.nodes.slots[base..base + SHARD_SIZE],
-                    self.last_time,
-                );
+                block.wake(&mut self.nodes, b * SHARD_SIZE, self.last_time);
             }
         }
     }
@@ -754,7 +1074,8 @@ impl AdaptiveDistanceFilter {
     /// mean speed; once all have joined, each takes its cluster's final
     /// centroid as its DTH base. The clusterer's buffers are reused, so a
     /// reclustering allocates only when it forms more clusters than any
-    /// before it.
+    /// before it. A resting node classifies as Stop and only notes that a
+    /// reclustering saw it: the table holds the stopped nodes' DTH once.
     fn recluster(&mut self) {
         let AdaptiveDistanceFilter {
             config,
@@ -764,10 +1085,21 @@ impl AdaptiveDistanceFilter {
         } = self;
         // Classify, and cluster the moving nodes on their mean velocity.
         bsas.clear();
-        for state in nodes.values_mut() {
-            state.pattern = state.classifier.classify(config);
-            state.cluster = (state.pattern != MobilityPattern::Stop)
-                .then(|| bsas.push_scalar(state.classifier.mean_speed()));
+        let mut resting = false;
+        for slot in &mut nodes.slots {
+            match slot {
+                NodeSlot::Vacant => {}
+                NodeSlot::Resting(rest) => {
+                    rest.reclustered = true;
+                    resting = true;
+                }
+                NodeSlot::Built(i) => {
+                    let state = &mut nodes.built[*i as usize];
+                    state.pattern = state.classifier.classify(config);
+                    state.cluster = (state.pattern != MobilityPattern::Stop)
+                        .then(|| bsas.push_scalar(state.classifier.mean_speed()));
+                }
+            }
         }
         self.cluster_count = bsas.cluster_count();
 
@@ -775,11 +1107,15 @@ impl AdaptiveDistanceFilter {
         // suppresses their (zero-displacement) updates. Size it from the
         // global average so a node that starts moving again behaves like
         // the general DF until the next reclustering.
-        let fallback_dth = config.dth_factor * self.global_speeds.mean();
-        for state in nodes.values_mut() {
+        let stop_dth = (config.dth_factor * self.global_speeds.mean()).max(f64::MIN_POSITIVE);
+        if resting {
+            assert_valid_dth(stop_dth);
+        }
+        nodes.stop_dth = stop_dth;
+        for state in &mut nodes.built {
             let dth = match state.cluster {
                 Some(cluster) => config.dth_factor * bsas.centroid(cluster)[0],
-                None => fallback_dth.max(f64::MIN_POSITIVE),
+                None => stop_dth,
             };
             state.filter.set_dth(dth);
         }
@@ -830,11 +1166,14 @@ impl FilterPolicy for AdaptiveDistanceFilter {
     }
 
     fn probe(&self, node: MnId) -> Option<FilterProbe> {
-        self.nodes.get(node).map(|s| FilterProbe {
-            pattern: Some(s.pattern),
-            cluster: s.cluster,
-            dth: Some(s.filter.dth()),
-            displacement: s.filter.last_displacement(),
+        Some(match self.nodes.get(node)? {
+            NodeRef::Resting(rest) => rest.probe(self.nodes.stop_dth),
+            NodeRef::Built(s) => FilterProbe {
+                pattern: Some(s.pattern),
+                cluster: s.cluster,
+                dth: Some(s.filter.dth()),
+                displacement: s.filter.last_displacement(),
+            },
         })
     }
 }
@@ -842,7 +1181,6 @@ impl FilterPolicy for AdaptiveDistanceFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::same_bits;
 
     /// The sleep-hinted entry point must be bit-identical to the dense
     /// one across warmup, window saturation and reclustering ticks — even
@@ -910,7 +1248,11 @@ mod tests {
         fn assert_same_state(doze: &AdaptiveDistanceFilter, eager: &AdaptiveDistanceFilter) {
             assert_eq!(doze.global_speeds, eager.global_speeds);
             assert_eq!(doze.nodes.slots.len(), eager.nodes.slots.len());
-            for ((i, d), (j, e)) in doze.nodes.iter().zip(eager.nodes.iter()) {
+            let (d_nodes, e_nodes) = (
+                doze.nodes.iter(&doze.config),
+                eager.nodes.iter(&eager.config),
+            );
+            for ((i, d), (j, e)) in d_nodes.zip(e_nodes) {
                 assert_eq!(i, j);
                 assert_eq!(d.classifier, e.classifier, "classifier of node {i:?}");
                 assert_eq!(d.filter, e.filter, "filter of node {i:?}");
@@ -1000,6 +1342,170 @@ mod tests {
         );
     }
 
+    /// Everything a reader sees of `node` by bits: the classifier and
+    /// filter [`AdaptiveDistanceFilter::node_state`] returns, and the
+    /// probe.
+    fn node_view(
+        adf: &AdaptiveDistanceFilter,
+        node: MnId,
+    ) -> Option<impl PartialEq + std::fmt::Debug> {
+        let (classifier, filter) = adf.node_state(node)?;
+        let probe = adf.probe(node)?;
+        let last = classifier
+            .last_observation()
+            .map(|(t, p)| [t.to_bits(), p.x.to_bits(), p.y.to_bits()]);
+        Some((
+            last,
+            classifier.sample_count(),
+            classifier.mean_speed().to_bits(),
+            classifier.classify(&adf.config),
+            // Debug prints each float's sign of zero.
+            format!("{filter:?}"),
+            classifier,
+            probe.pattern,
+            probe.cluster,
+            probe.dth.map(f64::to_bits),
+            probe.displacement.map(f64::to_bits),
+        ))
+    }
+
+    /// A small deterministic generator for [`a_resting_slot_matches_its_eager_twin`].
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn chance(&mut self, one_in: u64) -> bool {
+            self.below(one_in) == 0
+        }
+    }
+
+    /// Where node plan `plan` is at tick `t`: at its start until `moves`,
+    /// then, by `kind`, one step that flips a signed zero, one subnormal
+    /// step, or a walk of `walk` ticks after which it stops again.
+    fn plan_position(plan: (Point, u32, u64, u32), t: u32) -> Point {
+        let (start, moves, kind, walk) = plan;
+        if t < moves {
+            return start;
+        }
+        match kind {
+            0 => Point::new(-start.x, start.y),
+            1 => Point::new(start.x + 5e-324, start.y),
+            _ => Point::new(
+                start.x + 1.3 * f64::from((t - moves).min(walk)),
+                start.y - 0.25,
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A resting slot against an eager [`AdfNodeState`] twin, built at
+        /// first sight: the same calls reach both ADFs, and after every
+        /// call their decisions, global speeds and every node's state
+        /// (through `node_state`) and probe are bit-equal.
+        ///
+        /// One whole block of nodes rests from tick 1 through a calm
+        /// stretch (warm-up at DTH 0, the first reclusterings, the block
+        /// dozing on truthful hints), then each first moves at a random
+        /// tick or never: by a step between `+0.0` and `−0.0`, a subnormal
+        /// step, or a walk after which it stops. Two more nodes are first
+        /// seen at a random tick, before or after a reclustering. The
+        /// chaotic stretch leaves nodes out, repeats them, stalls the
+        /// time, drops hints and makes some calls dense.
+        #[test]
+        fn a_resting_slot_matches_its_eager_twin(
+            seed in proptest::prelude::any::<u64>(),
+            warmup_ticks in 0u64..8,
+            recluster_interval in 3u64..20,
+            classifier_window in 2usize..8,
+        ) {
+            let cfg = AdfConfig {
+                warmup_ticks,
+                recluster_interval,
+                classifier_window,
+                ..AdfConfig::new(1.0)
+            };
+            let mut rest = AdaptiveDistanceFilter::new(cfg).expect("valid config");
+            let mut eager = AdaptiveDistanceFilter::new(cfg).expect("valid config");
+            eager.nodes.eager = Some(cfg);
+            let mut rng = Stream(seed | 1);
+            let starts = [Point::new(0.0, -0.0), Point::new(-0.0, 0.0), Point::new(3.0, -7.5)];
+            let calm = (warmup_ticks + recluster_interval) as u32 + 2 * classifier_window as u32 + 6;
+            let ticks = calm + 80;
+            let nodes = SHARD_SIZE + 2;
+            // Per node: start, first-motion tick, kind of motion, walk
+            // length; and the tick it is first seen.
+            let plans: Vec<(Point, u32, u64, u32)> = (0..nodes)
+                .map(|i| {
+                    let start = starts[rng.below(3) as usize];
+                    let moves = if i < SHARD_SIZE {
+                        calm + rng.below(120) as u32
+                    } else {
+                        1 + rng.below(u64::from(ticks)) as u32
+                    };
+                    (start, moves, rng.below(4), rng.below(12) as u32)
+                })
+                .collect();
+            let enters: Vec<u32> = (0..nodes)
+                .map(|i| if i < SHARD_SIZE { 1 } else { 1 + rng.below(u64::from(calm) + 30) as u32 })
+                .collect();
+            let (mut r_out, mut e_out) = (Vec::new(), Vec::new());
+            let mut prev: Vec<(MnId, Point)> = Vec::new();
+            let mut time_s = 0.0;
+            for t in 1..=ticks {
+                let chaos = t > calm;
+                time_s += [1.0, 1.0, 1.0, 2.5, 0.5, 0.0][rng.below(if chaos { 6 } else { 3 }) as usize];
+                let mut obs = Vec::with_capacity(nodes + 1);
+                for i in 0..nodes {
+                    if enters[i] > t || (chaos && rng.chance(30)) {
+                        continue;
+                    }
+                    let entry = (MnId::new(i as u32), plan_position(plans[i], t));
+                    obs.push(entry);
+                    if chaos && rng.chance(40) {
+                        obs.push(entry);
+                    }
+                }
+                // Truthful hints, some dropped: a slot repeats the previous
+                // call's, node id included, bit for bit.
+                let hint: Vec<bool> = obs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(id, p))| {
+                        prev.get(k).is_some_and(|&(pid, pp)| pid == id && same_bits(pp, p))
+                            && !(chaos && rng.chance(25))
+                    })
+                    .collect();
+                if chaos && rng.chance(6) {
+                    rest.process_tick(time_s, &obs, &mut r_out);
+                    eager.process_tick(time_s, &obs, &mut e_out);
+                } else {
+                    rest.process_tick_sparse(time_s, &obs, &hint, &mut r_out);
+                    eager.process_tick_sparse(time_s, &obs, &hint, &mut e_out);
+                }
+                proptest::prop_assert_eq!(&r_out, &e_out, "decisions at tick {}", t);
+                proptest::prop_assert!(rest.global_speeds == eager.global_speeds, "speeds at tick {}", t);
+                for i in 0..nodes {
+                    let node = MnId::new(i as u32);
+                    proptest::prop_assert_eq!(node_view(&rest, node), node_view(&eager, node), "node {} at tick {}", i, t);
+                }
+                prev = obs;
+            }
+            // The stream rested, dozed and moved.
+            proptest::prop_assert!(rest.dozed_blocks() > 0, "the resting block never dozed");
+            proptest::prop_assert!(!rest.nodes.built.is_empty(), "no node moved");
+            let resting = rest.nodes.slots.iter().filter(|s| matches!(s, NodeSlot::Resting(_))).count();
+            proptest::prop_assert!(resting > 0, "no node rested to the end");
+        }
+    }
+
     /// The per-node state of the filter kernel and of the broker's Brown
     /// estimator must not grow: at 20,000 nodes every word is 160 kB, and
     /// the estimator's memoised plan is paid for by the smoothers' compact
@@ -1027,13 +1533,14 @@ mod tests {
             ("MobilityClassifier", size_of::<MobilityClassifier>(), 64),
             ("DistanceFilter", size_of::<DistanceFilter>(), 96),
             ("AdfNodeState", size_of::<AdfNodeState>(), 184),
+            ("NodeSlot", size_of::<NodeSlot>(), 48),
             (
                 "BrownPositionEstimator",
                 size_of::<BrownPositionEstimator>(),
                 248,
             ),
             ("DozeBlock", size_of::<DozeBlock>(), 8),
-            ("HotSlot", size_of::<HotSlot>(), 40),
+            ("HotSlot", size_of::<HotSlot>(), 32),
             ("ColdSlot", size_of::<ColdSlot>(), 80),
             ("MobilityEngine", size_of::<MobilityEngine>(), 24),
             ("ShardSums", size_of::<ShardSums>(), 176),

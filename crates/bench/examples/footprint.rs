@@ -11,6 +11,8 @@
 //!
 //! * the live heap bytes per node after the build and after 100 warm-up
 //!   ticks (perfbench's `sim_idle` warm-up),
+//! * the heap's high-water mark per node during the build, which the
+//!   build's transient buffers can lift above what the built sim keeps,
 //! * the allocations per node during the warm-up,
 //! * the process's peak resident set (`VmHWM`) so far, from
 //!   `/proc/self/status` (absent without `/proc`). The workloads run in
@@ -32,23 +34,31 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Adds `bytes` to the live count and raises the high-water mark.
+fn grow(bytes: u64) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow(layout.size() as u64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow(layout.size() as u64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        // Counted as the move it may be: both blocks live at once.
+        grow(new_size as u64);
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -80,9 +90,11 @@ fn live_since(base: u64) -> i64 {
 
 fn measure(name: &str, build: impl FnOnce() -> MobileGridSim) {
     let base = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(base, Ordering::Relaxed);
     let mut sim = build();
     let nodes = sim.columns().len() as f64;
     let built = live_since(base);
+    let build_peak = PEAK_BYTES.load(Ordering::Relaxed) - base;
     let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..WARMUP_TICKS {
         sim.step();
@@ -91,9 +103,10 @@ fn measure(name: &str, build: impl FnOnce() -> MobileGridSim) {
     let warmup_allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
     let hwm = vm_hwm_kb().map_or_else(|| "n/a".to_string(), |kb| format!("{kb} KiB"));
     println!(
-        "{name:<9} {nodes:>6} nodes  heap/node built {:>7.1} B  warm {:>7.1} B  \
-         warm-up allocs/node {:>6.2}  VmHWM {hwm}",
+        "{name:<9} {nodes:>6} nodes  heap/node built {:>7.1} B  build peak {:>7.1} B  \
+         warm {:>7.1} B  warm-up allocs/node {:>6.2}  VmHWM {hwm}",
         built as f64 / nodes,
+        build_peak as f64 / nodes,
         warm as f64 / nodes,
         warmup_allocations as f64 / nodes,
     );

@@ -128,8 +128,8 @@ fn a_node_costs_what_it_holds() {
     );
     let held = (live_bytes() - base) as f64 / NODES;
     assert!(
-        held <= 533.5,
-        "a warm node holds {held:.1} B of heap (budget 533.5 B)"
+        held <= 382.6,
+        "a warm node holds {held:.1} B of heap (budget 382.6 B)"
     );
     drop(sim);
 }
