@@ -70,6 +70,11 @@ echo "==> per-node footprint (informational)"
 # node and peak RSS, for city_1140 and the sim_idle population.
 cargo run --release -q -p mobigrid-bench --example footprint || echo "footprint: informational only"
 
+echo "==> tick timer smoke (idle, with the walkers-only control)"
+# The interleaved A/B timer must keep building and running; its timings are
+# informational on a shared host, completion is the gate.
+cargo run --release -q -p mobigrid-bench --example tick_timing -- idle 2000 50 1 10 50 1 > /dev/null
+
 echo "==> perf ledger check (advisory)"
 # Compares the newest two sides of each workload in BENCH_perfbench.json,
 # pair by pair, inside BENCHMARK.json's bounds. Ledger runs come from

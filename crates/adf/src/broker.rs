@@ -530,7 +530,7 @@ pub struct BrokerShard<'a> {
     base: usize,
     hot: &'a mut [HotSlot],
     cold: &'a mut [ColdSlot],
-    /// The shard's replay clock (see [`GridBroker::restamp_shard`]).
+    /// The shard's replay clock (see [`GridBroker::restamp_shards`]).
     clock: &'a mut Option<f64>,
     delta: BrokerDelta,
 }
@@ -636,7 +636,7 @@ impl BrokerShard<'_> {
 
     /// Moves the stored estimate of the shard's `local`-th node to
     /// `time_s`, touching nothing else and counting nothing: the per-node
-    /// reference [`GridBroker::restamp_shard`]'s replay clock must read
+    /// reference [`GridBroker::restamp_shards`]'s replay clock must read
     /// like. Like every per-node write it first materialises the shard's
     /// replay clock.
     #[cfg(test)]
@@ -729,7 +729,7 @@ pub struct GridBroker {
     hot: Vec<HotSlot>,
     /// Per-node cold halves (estimator, anchor, last receipt), same index.
     cold: Vec<ColdSlot>,
-    /// One replay clock per view shard (see [`GridBroker::restamp_shard`]).
+    /// One replay clock per view shard (see [`GridBroker::restamp_shards`]).
     /// [`GridBroker::shard_views_iter`] allocates them, so a broker that
     /// never takes views has none.
     clocks: Vec<Option<f64>>,
@@ -977,13 +977,13 @@ impl GridBroker {
             .resize(self.hot.len().div_ceil(shard_size), None);
     }
 
-    /// Moves every record view shard `shard` (of `shard_size` nodes)
-    /// holds to `time_s` with one write: sets the shard's replay clock,
-    /// which every reader resolves and the next per-node write
-    /// materialises. The sparse driver's memo hit calls it instead of
-    /// restamping each stored estimate, without taking a view.
+    /// Moves every record view shards `shards` (of `shard_size` nodes
+    /// each) hold to `time_s` with one write per shard: sets the shards'
+    /// replay clocks, which every reader resolves and the next per-node
+    /// write materialises. The sparse driver's runs of memo hits call it
+    /// instead of restamping each stored estimate, without taking a view.
     ///
-    /// The caller guarantees that every record the shard holds is a stored
+    /// The caller guarantees that every record the shards hold is a stored
     /// estimate of a static estimator, so restamping each is exact — in a
     /// memo shard every node with a record replays a stored estimate, since
     /// a node with a record has a last receipt, so a filtered apply with a
@@ -991,13 +991,18 @@ impl GridBroker {
     ///
     /// # Panics
     ///
-    /// Panics when `shard_size` is zero or `shard` is past the slots.
-    pub(crate) fn restamp_shard(&mut self, shard_size: usize, shard: usize, time_s: f64) {
+    /// Panics when `shard_size` is zero or `shards` reaches past the slots.
+    pub(crate) fn restamp_shards(
+        &mut self,
+        shard_size: usize,
+        shards: std::ops::Range<usize>,
+        time_s: f64,
+    ) {
         self.size_clocks(shard_size);
         #[cfg(debug_assertions)]
         {
-            let start = shard * shard_size;
-            let end = self.hot.len().min(start + shard_size);
+            let start = shards.start * shard_size;
+            let end = self.hot.len().min(shards.end * shard_size);
             for (hot, cold) in self.hot[start..end].iter().zip(&mut self.cold[start..end]) {
                 if let Some(record) = hot.record() {
                     debug_assert!(record.estimated, "a restamped record is an estimate");
@@ -1014,7 +1019,7 @@ impl GridBroker {
                 }
             }
         }
-        self.clocks[shard] = Some(time_s);
+        self.clocks[shards].fill(Some(time_s));
     }
 
     /// Merges a shard's counter changes back into the broker.
@@ -1603,7 +1608,7 @@ mod tests {
                     0..=3 => {
                         let whole = |s: &mut BrokerShard<'_>| (0..s.len()).all(|l| restampable(s, l, t));
                         if with_shard(&mut twin, span, k, whole) {
-                            clocked.restamp_shard(span, k, t);
+                            clocked.restamp_shards(span, k..k + 1, t);
                             with_shard(&mut twin, span, k, |s| {
                                 for l in 0..s.len() {
                                     if s.location_at(l).is_some() {
@@ -1870,7 +1875,7 @@ mod tests {
                             let records = with_shard(&mut b, span, k, |s| {
                                 (0..s.len()).filter(|&l| s.location_at(l).is_some()).count()
                             });
-                            b.restamp_shard(span, k, t);
+                            b.restamp_shards(span, k..k + 1, t);
                             b.apply_delta(&BrokerDelta {
                                 estimated: records as u64,
                                 ..BrokerDelta::default()
@@ -1929,7 +1934,7 @@ mod tests {
             b.apply(&lu(i, 1.0, f64::from(i), 0.0));
             b.apply(&filtered(i, 1.5));
         }
-        b.restamp_shard(4, 3, 2.0);
+        b.restamp_shards(4, 3..4, 2.0);
         let full: Vec<_> = b
             .shard_views_iter(4)
             .map(|s| (s.base(), s.len(), s.location_at(0)))

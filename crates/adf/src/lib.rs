@@ -63,6 +63,7 @@ pub use node::MobileNode;
 pub use pipeline::{error_bucket_spec, MobileGridSim, SimBuilder, TickStats, WakeStats};
 pub use policy::{
     AdaptiveDistanceFilter, FilterPolicy, FilterProbe, GeneralDistanceFilter, IdealPolicy,
+    SleepBlock, SLEEP_BLOCK,
 };
 pub use runtime::{FaultSpec, RuntimeOptions, SimError, TickDriver};
 pub use stats::{KindTally, RegionTally};

@@ -18,7 +18,7 @@ use crate::broker::{ApplyInfo, BrokerDelta, BrokerShard};
 use crate::runtime::{FaultSpec, RuntimeOptions, SimError, TickDriver};
 use crate::{
     Decision, EstimatorKind, FilterPolicy, GridBroker, MobileNode, NodeColumns, NodeView,
-    RegionTally,
+    RegionTally, SleepBlock,
 };
 
 /// Nodes per shard in the parallel tick phases.
@@ -257,14 +257,19 @@ impl SimBuilder {
 /// Every buffer is sized for the (fixed) node population at build time and
 /// reused on every [`MobileGridSim::step`], so the steady-state tick path
 /// performs no heap allocations (see `DESIGN.md`, "Tick memory model").
-/// `observations`, `link` (empty without a network) and `sent_seq` are
-/// fixed-length and overwritten in place; `decisions`, `late_lus` and `outs` are cleared and refilled,
-/// reusing their high-water capacity.
+/// `observations`, `link` (empty without a network), `sent_seq` and
+/// `late_accepted` are fixed-length and overwritten in place (a late flag
+/// only where a late frame lands); the policy refills `decisions`, and
+/// `late_lus` and `outs` are cleared and refilled, all reusing their
+/// high-water capacity.
 struct TickScratch {
     /// This tick's `(node, ground-truth position)` pairs, node order.
     /// Written by phase 1 through disjoint per-shard slices.
     observations: Vec<(MnId, Point)>,
-    /// One filter decision per observation, written by the policy.
+    /// One filter decision per observation, written by the policy. The
+    /// sparse driver hands the policy the previous tick's column, whose
+    /// entries the policy may keep where it proves them this tick's
+    /// (see [`FilterPolicy::process_tick_sparse`]).
     decisions: Vec<Decision>,
     /// Per-node network outcome when an access network is attached;
     /// empty otherwise.
@@ -273,7 +278,8 @@ struct TickScratch {
     /// where `link` records a transmission; phase 2b owns `seqs` when a
     /// network is attached and hands the used value to phase 3 here).
     sent_seq: Vec<u32>,
-    /// Deferred frames that came due this tick, drained from the channel.
+    /// Deferred frames that came due this tick, drained from the channel;
+    /// kept until the next tick's drain.
     late_lus: Vec<LocationUpdate>,
     /// This tick's shards that get an apply job, ascending: every shard
     /// under the dense driver, every shard but the memo hits under the
@@ -293,11 +299,15 @@ struct TickScratch {
     /// `ApplyInfo` of its one apply call.
     staleness: Vec<u32>,
     /// Per-node flag: a deferred frame for this node arrived late and was
-    /// accepted earlier in the tick (resets the staleness baseline).
+    /// accepted earlier in the tick (resets the staleness baseline). Only
+    /// the late-frame drain sets one, and the next tick's drain clears
+    /// the flags of the frames the last one left in `late_lus`, so a tick
+    /// without a late frame touches none.
     late_accepted: Vec<bool>,
     /// Per-shard findings of the per-node invariant monitors, which each
-    /// shard's apply pass checks on its own chunk; cleared and refilled
-    /// every tick, so a healthy tick allocates nothing.
+    /// shard's apply pass checks on its own chunk (a run of memo hits, on
+    /// all its chunks into its first shard's report); refilled every
+    /// tick, so a healthy tick allocates nothing.
     checks: Vec<BlockReport>,
 }
 
@@ -415,8 +425,14 @@ impl RetryState {
 
 /// All state the sparse ([`TickDriver::Sparse`]) driver adds on top of the
 /// dense tick path: the mobility wake wheel, the per-node sleep columns,
-/// the per-shard replay memos and the wake accounting surfaced through
-/// [`MobileGridSim::wake_stats`].
+/// the per-shard counts and replay memos and the wake accounting surfaced
+/// through [`MobileGridSim::wake_stats`].
+///
+/// The per-shard columns hold the counts of the events that can break a
+/// quiet shard, each kept where its event happens, so that every pass
+/// over all shards per tick reads counts, never a node: with a memo, a
+/// shard whose counts read all asleep and nothing else is a memo hit,
+/// proved without reading a node (see `MobileGridSim::serve_memo_hits`).
 struct SparseState {
     /// Mobility wake wheel: nodes asleep with a finite quiescence horizon
     /// (`Quiescence::Until`) are due here; `Forever` sleepers never are.
@@ -427,13 +443,26 @@ struct SparseState {
     slept_at: Vec<u64>,
     /// Number of nodes currently asleep.
     asleep_count: usize,
-    /// Per-shard replay memo: the sums of the shard's last full
-    /// evaluation, kept only when every node of the shard took a filtered
-    /// op with an idle fate and a static estimator (see
-    /// `MobileGridSim::serve_memo_hits`).
-    memo: Vec<Option<Memo>>,
-    /// Per-shard counts behind the memo's O(1) proof.
-    counts: Vec<ShardCounts>,
+    /// Per shard, the filter policy's sleep block. `asleep` counts the
+    /// nodes whose movement the kernel skips this tick: a mobility wake
+    /// takes one off before movement, and a new sleeper is added only
+    /// after the apply phase, so during a tick a node counts only when
+    /// its observation repeats the previous tick's. `sends` counts the
+    /// shard's `Sent` filter decisions this tick, which the policy writes
+    /// ([`FilterPolicy::process_tick_sparse`]).
+    blocks: Vec<SleepBlock>,
+    /// Per shard: nodes with a frame on the air this tick (first sends and
+    /// due retries), written by the routing phase; zero without a network.
+    link_active: Vec<u32>,
+    /// Per shard: its replay memo's tag, `None` without one. A memo keeps
+    /// the sums of the shard's last full evaluation, and only when every
+    /// node of the shard took a filtered op with an idle fate and a
+    /// static estimator (see `MobileGridSim::serve_memo_hits`).
+    memo: Vec<Option<MemoTag>>,
+    /// Per shard: its memo's sums, valid where `memo` holds a tag; kept
+    /// apart from the tags, so the per-tick hit choice strides over the
+    /// tags alone.
+    memo_sums: Vec<ShardSums>,
     /// Scratch: this tick's drained mobility wakes (reused).
     woken: Vec<u32>,
     /// Scratch: per-shard newly-asleep lists from the movement kernel,
@@ -442,9 +471,19 @@ struct SparseState {
     /// Scratch: this tick's shards holding an awake node, ascending; only
     /// these reach the movement kernel.
     moving: Vec<usize>,
-    /// Scratch: this tick's memo hits, ascending (see
-    /// `MobileGridSim::serve_memo_hits`).
-    hits: Vec<usize>,
+    /// This tick's memo hits as maximal runs of consecutive shards,
+    /// ascending (see `MobileGridSim::serve_memo_hits`).
+    hits: Vec<std::ops::Range<usize>>,
+    /// The previous tick's memo hit runs: while this tick's are the same,
+    /// `hit_total` and the hit runs' monitor reports still hold.
+    prev_hits: Vec<std::ops::Range<usize>>,
+    /// This tick's memo hits whose memo has a nonzero RMSE partial,
+    /// ascending: the only hits the apply phase merges one by one.
+    float_hits: Vec<usize>,
+    /// The merged sums of this tick's other hits, whose RMSE partials
+    /// are all `+0.0`: integers only. Rebuilt only on a tick whose hit
+    /// runs differ from the previous tick's.
+    hit_total: ShardSums,
     /// Cumulative mobility wakes fired.
     wake_mobility: u64,
     /// Cumulative nodes of shards a memo expiry sent to a full evaluation.
@@ -459,12 +498,16 @@ struct SparseState {
     max_eval_gap: u64,
 }
 
-/// A shard's replay memo: the sums of the full evaluation that captured
-/// it, and that evaluation's tick.
+/// A shard's replay memo tag: the tick of the full evaluation that
+/// captured the memo, and whether the memo's six RMSE partials are all
+/// `+0.0`.
 #[derive(Clone, Copy)]
-struct Memo {
+struct MemoTag {
     at: u64,
-    sums: ShardSums,
+    /// Every RMSE partial of the memo is `+0.0`, so merging it adds
+    /// nothing to the tick's running sums of squares, which are never
+    /// `−0.0`: only its integers count.
+    integer: bool,
 }
 
 impl SparseState {
@@ -477,12 +520,17 @@ impl SparseState {
             asleep: vec![false; nodes],
             slept_at: vec![0; nodes],
             asleep_count: 0,
+            blocks: vec![SleepBlock::default(); shards],
+            link_active: vec![0; shards],
             memo: vec![None; shards],
-            counts: vec![ShardCounts::default(); shards],
+            memo_sums: vec![ShardSums::default(); shards],
             woken: Vec::new(),
             newly_asleep: Vec::new(),
             moving: Vec::with_capacity(shards),
-            hits: Vec::with_capacity(shards),
+            hits: Vec::with_capacity(shards.div_ceil(2)),
+            prev_hits: Vec::with_capacity(shards.div_ceil(2)),
+            float_hits: Vec::with_capacity(shards),
+            hit_total: ShardSums::default(),
             wake_mobility: 0,
             wake_refresh: 0,
             slept_node_ticks: 0,
@@ -520,7 +568,7 @@ impl SparseState {
                 self.asleep[i] = true;
                 self.slept_at[i] = tick;
                 self.asleep_count += 1;
-                self.counts[i / SHARD_SIZE].asleep += 1;
+                self.blocks[i / SHARD_SIZE].asleep += 1;
                 if ticks != u64::MAX {
                     self.mobility.schedule(node, tick + ticks + 1);
                 }
@@ -529,39 +577,12 @@ impl SparseState {
     }
 }
 
-/// The sparse driver's per-shard counts of the events that can break a
-/// quiet shard, each kept where its event happens. With a memo, a shard
-/// whose counts read all asleep and nothing else is a memo hit, proved
-/// without reading a node (see `MobileGridSim::serve_memo_hits`).
-#[derive(Debug, Clone, Copy, Default)]
-struct ShardCounts {
-    /// Nodes whose movement the kernel skips this tick: a mobility wake
-    /// takes one off before movement, and a new sleeper is added only
-    /// after the apply phase, so during a tick a node counts only when its
-    /// observation repeats the previous tick's.
-    asleep: u32,
-    /// `Sent` filter decisions this tick, written by the filter-split
-    /// loop.
-    filter_sends: u32,
-    /// Nodes with a frame on the air this tick (first sends and due
-    /// retries), written by the routing phase; zero without a network.
-    link_active: u32,
-}
-
-impl ShardCounts {
-    /// Whether every node of this `len`-node shard is asleep: no node of
-    /// it moves this tick.
-    fn parked(&self, len: usize) -> bool {
-        self.asleep as usize == len
-    }
-
-    /// Whether this `len`-node shard is quiet: every node asleep, no
-    /// filter send and no frame on the air. With a memo younger than
-    /// [`STALENESS_REFRESH`] ticks that makes the shard a memo hit (see
-    /// `MobileGridSim::serve_memo_hits`).
-    fn quiet(&self, len: usize) -> bool {
-        self.parked(len) && self.filter_sends == 0 && self.link_active == 0
-    }
+/// Whether a `len`-node shard with sleep block `block` and `link_active`
+/// frames on the air is quiet: every node asleep, no filter send and no
+/// frame on the air. With a memo younger than [`STALENESS_REFRESH`] ticks
+/// that makes the shard a memo hit (see `MobileGridSim::serve_memo_hits`).
+fn is_quiet(block: SleepBlock, link_active: u32, len: usize) -> bool {
+    block.asleep as usize == len && block.sends == 0 && link_active == 0
 }
 
 /// A snapshot of the sparse driver's wake accounting (see
@@ -705,9 +726,9 @@ struct ShardJob<'a> {
     staleness: &'a mut [u32],
     /// Where each node's apply fate for the invariant monitors goes.
     fates: &'a mut [NodeFate],
-    /// Sparse driver: this shard's replay memo, which the per-node loop
-    /// captures or clears; `None` under the dense driver.
-    memo: Option<&'a mut Option<Memo>>,
+    /// Sparse driver: this shard's replay memo tag and sums, which the
+    /// per-node loop captures or clears; `None` under the dense driver.
+    memo: Option<(&'a mut Option<MemoTag>, &'a mut ShardSums)>,
     /// The shard's flight-recorder scratch, present only on a recorded
     /// tick.
     rec: Option<&'a mut ShardRecording>,
@@ -715,9 +736,9 @@ struct ShardJob<'a> {
     check: ShardCheck<'a>,
 }
 
-/// One shard's share of the per-node invariant monitors: the late flags
-/// the transmit phase left, the shard's view of the strict monitors'
-/// baselines and the shard's reusable report.
+/// One shard's share of the per-node invariant monitors, or a run of memo
+/// hit shards': the late flags the transmit phase left, the view of the
+/// strict monitors' baselines and the reusable report.
 struct ShardCheck<'a> {
     late_accepted: &'a [bool],
     baselines: MonitorShard<'a>,
@@ -729,11 +750,11 @@ struct ShardCheck<'a> {
 
 impl ShardCheck<'_> {
     /// Checks the per-node invariants (seq monotonicity, staleness
-    /// consistency) over one shard's columns, the shard's first node
-    /// being `base`: columns the apply pass has just written or, on a
-    /// memo hit, proved current. Every node is checked; a quiet shard
-    /// costs the kernel's one branch-free scan. `base` places the
-    /// test-only fault.
+    /// consistency) over one shard's columns, or a run of memo hit
+    /// shards', the first node being `base`: columns the apply pass has
+    /// just written or, on a memo hit, proved current. Every node is
+    /// checked; quiet columns cost the kernel's one branch-free scan.
+    /// `base` places the test-only fault.
     #[cfg_attr(not(test), allow(unused_variables))]
     fn run(
         &mut self,
@@ -839,6 +860,21 @@ impl ShardSums {
         };
         le.push(err_le);
         raw.push(err_raw);
+    }
+
+    /// Whether all six RMSE partials are `+0.0`: merged into sums of
+    /// squares, which are never `−0.0`, they leave every bit as it was.
+    fn rmse_is_zero(&self) -> bool {
+        [
+            &self.all_le,
+            &self.all_raw,
+            &self.road_le,
+            &self.road_raw,
+            &self.bld_le,
+            &self.bld_raw,
+        ]
+        .iter()
+        .all(|rmse| rmse.sum_sq().to_bits() == 0)
     }
 
     /// Folds `other` into these sums; called in shard order.
@@ -1166,7 +1202,7 @@ impl MobileGridSim {
                         self.cols.replay_quiescent(i, skipped, DT);
                     }
                     sp.asleep[i] = false;
-                    sp.counts[i / SHARD_SIZE].asleep -= 1;
+                    sp.blocks[i / SHARD_SIZE].asleep -= 1;
                 }
                 sp.asleep_count -= sp.woken.len();
                 sp.wake_mobility += sp.woken.len() as u64;
@@ -1174,8 +1210,8 @@ impl MobileGridSim {
 
                 let nodes = self.cols.len();
                 sp.moving.clear();
-                for (shard, counts) in sp.counts.iter().enumerate() {
-                    if !counts.parked(shard_range(nodes, shard).len()) {
+                for (shard, block) in sp.blocks.iter().enumerate() {
+                    if block.asleep as usize != shard_range(nodes, shard).len() {
                         sp.moving.push(shard);
                     }
                 }
@@ -1205,34 +1241,38 @@ impl MobileGridSim {
     }
 
     /// Phase 2, filter — sequential: the ADF clusters across all nodes. The
-    /// sparse driver passes its sleep mask so the policy can take its own
-    /// (bit-identical) replay path for frozen nodes. Returns the split of
-    /// the decisions, which the filter-conservation monitor needs every
-    /// tick; the sparse driver also keeps each shard's part of it.
+    /// sparse driver passes its sleep mask and its shards' sleep blocks so
+    /// the policy can take its own (bit-identical) replay path for frozen
+    /// nodes, and keeps each shard's sends as the policy counted them.
+    /// Returns the split of the decisions, which the filter-conservation
+    /// monitor needs every tick: the dense driver counts the decisions,
+    /// the sparse one sums its shards' sends.
     fn filter(&mut self, time_s: f64, recording: bool, rec: &mut dyn Recorder) -> Flow {
         let scratch = &mut self.scratch;
-        match self.sparse.as_deref() {
+        let sent = match self.sparse.as_deref_mut() {
             None => {
                 self.policy
                     .process_tick(time_s, &scratch.observations, &mut scratch.decisions);
+                scratch.decisions.iter().filter(|d| d.is_sent()).count() as u32
             }
-            Some(sp) => self.policy.process_tick_sparse(
-                time_s,
-                &scratch.observations,
-                &sp.asleep,
-                &mut scratch.decisions,
-            ),
-        }
+            Some(sp) => {
+                self.policy.process_tick_sparse(
+                    time_s,
+                    &scratch.observations,
+                    &sp.asleep,
+                    &mut sp.blocks,
+                    &mut scratch.decisions,
+                );
+                debug_assert!(
+                    (sp.blocks.iter().zip(scratch.decisions.chunks(SHARD_SIZE)))
+                        .all(|(b, chunk)| b.sends as usize
+                            == chunk.iter().filter(|d| d.is_sent()).count()),
+                    "the policy miscounted a block's sends"
+                );
+                sp.blocks.iter().map(|b| b.sends).sum()
+            }
+        };
         debug_assert_eq!(scratch.decisions.len(), scratch.observations.len());
-        let mut sent = 0u32;
-        let mut shard_sends = self.sparse.as_deref_mut().map(|sp| sp.counts.iter_mut());
-        for chunk in scratch.decisions.chunks(SHARD_SIZE) {
-            let shard_sent = chunk.iter().map(|d| u32::from(d.is_sent())).sum::<u32>();
-            sent += shard_sent;
-            if let Some(counts) = shard_sends.as_mut().and_then(Iterator::next) {
-                counts.filter_sends = shard_sent;
-            }
-        }
         let suppressed = scratch.decisions.len() as u32 - sent;
         if recording {
             // An update's flight-recorder identity is (node, generation
@@ -1293,7 +1333,6 @@ impl MobileGridSim {
     /// network nothing is on the air, and every sent update reaches the
     /// brokers directly.
     fn transmit(&mut self, time_s: f64, flow: &mut Flow, recording: bool, rec: &mut dyn Recorder) {
-        self.scratch.late_accepted.fill(false);
         flow.late = self.drain_late(recording, rec);
         let Some(net) = self.network.as_mut() else {
             flow.delivered = flow.filter_sent;
@@ -1301,9 +1340,9 @@ impl MobileGridSim {
         };
         let gen_seq = self.tick as u32;
         let scratch = &mut self.scratch;
-        let mut shard_counts = self.sparse.as_deref_mut().map(|sp| &mut sp.counts[..]);
-        if let Some(counts) = shard_counts.as_deref_mut() {
-            counts.iter_mut().for_each(|c| c.link_active = 0);
+        let mut link_active = self.sparse.as_deref_mut().map(|sp| &mut sp.link_active[..]);
+        if let Some(counts) = link_active.as_deref_mut() {
+            counts.fill(0);
         }
         for (i, (((id, pos), decision), out)) in scratch
             .observations
@@ -1318,8 +1357,8 @@ impl MobileGridSim {
                 *out = LinkOutcome::Idle;
                 continue;
             }
-            if let Some(counts) = shard_counts.as_deref_mut() {
-                counts[i / SHARD_SIZE].link_active += 1;
+            if let Some(counts) = link_active.as_deref_mut() {
+                counts[i / SHARD_SIZE] += 1;
             }
             let attempt = state.attempt;
             let seq = self.seqs[i];
@@ -1409,13 +1448,17 @@ impl MobileGridSim {
 
     /// Delivers the fault channel's deferred frames that came due this
     /// tick to the broker, before anything sent this tick, so their
-    /// (older) timestamps stay in order. Returns how many arrived; none
-    /// without a channel.
+    /// (older) timestamps stay in order, and flags the accepted ones in
+    /// `late_accepted`, after clearing the previous drain's flags. Returns
+    /// how many arrived; none without a channel.
     fn drain_late(&mut self, recording: bool, rec: &mut dyn Recorder) -> u32 {
         let Some(ch) = self.channel.as_mut() else {
             return 0;
         };
         let scratch = &mut self.scratch;
+        for lu in &scratch.late_lus {
+            scratch.late_accepted[lu.node.index()] = false;
+        }
         scratch.late_lus.clear();
         ch.drain_due(self.tick, &mut scratch.late_lus);
         for lu in &scratch.late_lus {
@@ -1512,9 +1555,12 @@ impl MobileGridSim {
     /// other shard — every shard under the dense driver — gets a job,
     /// carrying its real shard index, and takes the per-node loop of
     /// `run_shard`. Returns the reduction of the hits' memo sums and the
-    /// jobs' sums in whole-population shard order: exact for the integer
-    /// tallies and counters, and a fixed floating-point summation order
-    /// for the RMSE partials.
+    /// jobs' sums: the jobs' and the hits with a nonzero RMSE partial in
+    /// whole-population shard order, a fixed floating-point summation
+    /// order for the RMSE partials, then the integer-only hits' total
+    /// (`SparseState::hit_total`). Every tally and counter is exact in any
+    /// order, and an all-`+0.0` partial changes no sum of squares, so the
+    /// result is bit for bit the shard-order reduction of every shard.
     fn apply_shards(&mut self, time_s: f64, recorded_shards: usize) -> ShardSums {
         let tick = self.tick;
         let nodes = self.cols.len();
@@ -1542,8 +1588,10 @@ impl MobileGridSim {
             .zip(scratch.staleness.chunks_mut(SHARD_SIZE))
             .zip(scratch.fates.chunks_mut(SHARD_SIZE))
             .zip(scratch.checks.iter_mut());
-        let mut memos = (self.sparse.as_deref_mut())
-            .map(|sp| select(sp.memo.iter_mut(), at()).map(|(_, memo)| memo));
+        let mut memos = self.sparse.as_deref_mut().map(|sp| {
+            let slots = sp.memo.iter_mut().zip(sp.memo_sums.iter_mut());
+            select(slots, at()).map(|(_, memo)| memo)
+        });
         let mut rec_slots = scratch.recording[..recorded_shards].iter_mut();
         let (kinds, observations) = (self.cols.region_kinds(), &scratch.observations);
         let (decisions, late_accepted) = (&scratch.decisions, &scratch.late_accepted);
@@ -1584,39 +1632,51 @@ impl MobileGridSim {
             Self::run_shard(time_s, job)
         });
 
-        let memo = self.sparse.as_deref().map(|sp| &sp.memo[..]);
         let mut sums = ShardSums::default();
-        let mut outs = scratch.outs.iter();
-        let mut jobs = scratch.jobs.iter().peekable();
-        for shard in 0..mobigrid_sim::par::shard_count(nodes, SHARD_SIZE) {
-            sums.merge(if jobs.next_if_eq(&&shard).is_some() {
-                outs.next().expect("one output per job")
-            } else {
-                memo.and_then(|memo| memo[shard].as_ref())
-                    .map(|memo| &memo.sums)
-                    .expect("a memo hit keeps its memo")
-            });
+        let Some(sp) = self.sparse.as_deref_mut() else {
+            scratch.outs.iter().for_each(|out| sums.merge(out));
+            return sums;
+        };
+        let mut float_hits = sp.float_hits.iter().copied().peekable();
+        for (&shard, out) in scratch.jobs.iter().zip(&scratch.outs) {
+            while let Some(hit) = float_hits.next_if(|&hit| hit < shard) {
+                sums.merge(&sp.memo_sums[hit]);
+            }
+            sums.merge(out);
         }
-        if let Some(sp) = self.sparse.as_deref_mut() {
-            sp.file_sleepers(tick);
-        }
+        float_hits.for_each(|hit| sums.merge(&sp.memo_sums[hit]));
+        sums.merge(&sp.hit_total);
+        sp.file_sleepers(tick);
         sums
     }
 
-    /// The sparse driver's memo pre-pass. Each shard's [`ShardCounts`]
-    /// decide, before any view of it is built, whether it is a **memo
+    /// The sparse driver's memo pre-pass. Each shard's counts decide,
+    /// before anything of its nodes is read, whether it is a **memo
     /// hit**: not a recorded tick (which needs every node's flight
     /// sample), a memo younger than [`STALENESS_REFRESH`] ticks, and the
-    /// shard quiet ([`ShardCounts::quiet`]). A hit shard takes no job. Its
-    /// sums are its memo's, bit for bit; the broker's replay clock for it
-    /// takes the new time in one write ([`GridBroker::restamp_shard`]);
-    /// and the monitor kernel checks its existing columns, so the monitors
-    /// still see every node. All of it
-    /// runs on the calling thread. Every other shard goes on
-    /// `TickScratch::jobs`, and its job's per-node loop captures or clears
-    /// its memo. A quiet shard whose memo has reached the window is one of
-    /// them: the expiry forces its full evaluation, and its nodes count as
-    /// refresh wakes.
+    /// shard quiet ([`is_quiet`]). The choice reads each shard's memo tag
+    /// and counts, never its memo's sums, and gathers the hits into runs
+    /// of consecutive shards. A hit shard takes no job. Its sums are its
+    /// memo's, bit for bit: a hit whose memo has a nonzero RMSE partial
+    /// goes on `SparseState::float_hits` for the apply phase's
+    /// shard-order merge, and the others' sums are kept merged in
+    /// `SparseState::hit_total`, rebuilt only when this tick's hit runs
+    /// differ from the previous tick's (a shard that is a hit on both
+    /// ticks was not evaluated in between, so its memo is the same).
+    ///
+    /// Each run of hits is then served whole: the broker's replay clocks
+    /// of its shards take the new time ([`GridBroker::restamp_shards`]),
+    /// and one call of the monitor kernel checks the existing columns of
+    /// all its nodes through one baseline view
+    /// ([`MonitorSet::span_view`]), so the monitors still see every node.
+    /// The kernel's findings over a run are its shards' in node order; the
+    /// run's first shard's report holds them, and its other shards'
+    /// reports stay empty (cleared when the runs change, and written by
+    /// nothing else while they hold). All of it runs on the calling
+    /// thread. Every other shard goes on `TickScratch::jobs`, and its
+    /// job's per-node loop captures or clears its memo. A quiet shard
+    /// whose memo has reached the window is one of them: the expiry forces
+    /// its full evaluation, and its nodes count as refresh wakes.
     ///
     /// *Why a hit is exact:* only the per-node loop writes a memo, and
     /// only when every node of the shard took a filtered op with an idle
@@ -1643,49 +1703,72 @@ impl MobileGridSim {
         let scratch = &mut self.scratch;
         #[cfg(test)]
         let fault = self.fault;
-        // A recorded tick needs every node's flight sample and histogram
-        // entries, so it evaluates every shard (which still keeps each
-        // memo up to date).
+        std::mem::swap(&mut sp.hits, &mut sp.prev_hits);
         sp.hits.clear();
-        for (shard, (memo, counts)) in sp.memo.iter().zip(&sp.counts).enumerate() {
+        sp.float_hits.clear();
+        // The first shard of the open run of hits.
+        let mut run = None;
+        let counts = sp.memo.iter().zip(&sp.blocks).zip(&sp.link_active);
+        for (shard, ((tag, block), link_active)) in counts.enumerate() {
             let len = shard_range(nodes, shard).len();
             // Ticks since the shard's last full evaluation: a shard with
             // no memo had one on the tick before, or lost its memo to a
             // late frame, which counted its gap (`SparseState::clear_memo`).
-            let gap = memo.as_ref().map_or(1, |memo| tick - memo.at);
-            let quiet = !recording && memo.is_some() && counts.quiet(len);
+            let gap = tag.map_or(1, |tag| tick - tag.at);
+            // A recorded tick needs every node's flight sample and
+            // histogram entries, so it evaluates every shard (which still
+            // keeps each memo up to date).
+            let quiet = !recording && tag.is_some() && is_quiet(*block, *link_active, len);
             if quiet && gap < STALENESS_REFRESH {
-                sp.hits.push(shard);
-            } else {
-                if quiet {
-                    // Its memo has expired: the expiry forces the
-                    // evaluation.
-                    sp.wake_refresh += len as u64;
+                run.get_or_insert(shard);
+                if tag.is_some_and(|tag| !tag.integer) {
+                    sp.float_hits.push(shard);
                 }
-                sp.max_eval_gap = sp.max_eval_gap.max(gap);
-                scratch.jobs.push(shard);
+                continue;
             }
+            if let Some(start) = run.take() {
+                sp.hits.push(start..shard);
+            }
+            if quiet {
+                // Its memo has expired: the expiry forces the evaluation.
+                sp.wake_refresh += len as u64;
+            }
+            sp.max_eval_gap = sp.max_eval_gap.max(gap);
+            scratch.jobs.push(shard);
         }
-        let hit_views = select(
-            self.monitors.shard_views(nodes, SHARD_SIZE),
-            sp.hits.iter().copied(),
+        if let Some(start) = run {
+            sp.hits.push(start..sp.memo.len());
+        }
+        let same = sp.hits == sp.prev_hits;
+        let integer_total = |sp: &SparseState| {
+            let mut total = ShardSums::default();
+            for shard in sp.hits.iter().flat_map(Clone::clone) {
+                if sp.memo[shard].is_some_and(|tag| tag.integer) {
+                    total.merge(&sp.memo_sums[shard]);
+                }
+            }
+            total
+        };
+        if !same {
+            sp.hit_total = integer_total(sp);
+        }
+        debug_assert!(
+            sp.hit_total == integer_total(sp) && sp.hit_total.rmse_is_zero(),
+            "the integer-only hits' total is this tick's and holds no RMSE"
         );
-        for (shard, baselines) in hit_views {
-            let range = shard_range(nodes, shard);
-            #[cfg(debug_assertions)]
-            prove_memo_hit(
-                sp,
-                scratch,
-                self.network.is_some().then_some(&scratch.link),
-                self.cols.region_kinds(),
-                &self.broker_le,
-                shard,
-            );
-            self.broker_le.restamp_shard(SHARD_SIZE, shard, time_s);
+
+        for run in &sp.hits {
+            let range = run.start * SHARD_SIZE..nodes.min(run.end * SHARD_SIZE);
+            (self.broker_le).restamp_shards(SHARD_SIZE, run.clone(), time_s);
+            let (report, rest) =
+                (scratch.checks[run.clone()].split_first_mut()).expect("a run holds a shard");
+            if !same {
+                rest.iter_mut().for_each(BlockReport::clear);
+            }
             ShardCheck {
                 late_accepted: &scratch.late_accepted[range.clone()],
-                baselines,
-                report: &mut scratch.checks[shard],
+                baselines: self.monitors.span_view(nodes, range.clone()),
+                report,
                 #[cfg(test)]
                 fault,
             }
@@ -1697,8 +1780,19 @@ impl MobileGridSim {
                 &mut scratch.staleness[range.clone()],
             );
             sp.replayed_node_ticks += range.len() as u64;
+            sp.replayed_shard_ticks += run.len() as u64;
         }
-        sp.replayed_shard_ticks += sp.hits.len() as u64;
+        #[cfg(debug_assertions)]
+        for shard in sp.hits.iter().flat_map(Clone::clone) {
+            prove_memo_hit(
+                sp,
+                scratch,
+                self.network.is_some().then_some(&scratch.link),
+                self.cols.region_kinds(),
+                &self.broker_le,
+                shard,
+            );
+        }
     }
 
     /// Tick telemetry, on a recorded tick: the merged location-error
@@ -1894,8 +1988,14 @@ impl MobileGridSim {
             job.staleness,
         );
         sums.le_delta = job.le.into_delta();
-        if let Some(memo) = job.memo {
-            *memo = memo_ok.then_some(Memo { at: job.tick, sums });
+        if let Some((tag, memo)) = job.memo {
+            *tag = memo_ok.then(|| {
+                *memo = sums;
+                MemoTag {
+                    at: job.tick,
+                    integer: sums.rmse_is_zero(),
+                }
+            });
         }
         sums
     }
@@ -2025,9 +2125,9 @@ fn prove_memo_hit(
         );
         sums.le_delta.estimated += u64::from(record.is_some());
     }
-    let memo = sp.memo[shard].as_ref().expect("a memo hit keeps its memo");
+    debug_assert!(sp.memo[shard].is_some(), "a memo hit keeps its memo");
     debug_assert!(
-        sums == memo.sums,
+        sums == sp.memo_sums[shard],
         "shard {shard}'s memo no longer matches its nodes"
     );
 }
@@ -2571,6 +2671,132 @@ mod tests {
         assert!(sim.broker_with_le().received_count() > 0);
     }
 
+    /// This tick's memo hit runs, as `(first, end)` shard pairs.
+    fn hit_runs(sp: &SparseState) -> Vec<(usize, usize)> {
+        sp.hits.iter().map(|run| (run.start, run.end)).collect()
+    }
+
+    /// Sends observation `node` on policy tick `at` and filters
+    /// everything else.
+    struct SendOnce {
+        node: usize,
+        at: u64,
+        tick: u64,
+    }
+
+    impl FilterPolicy for SendOnce {
+        fn process_tick(
+            &mut self,
+            _time_s: f64,
+            observations: &[(MnId, Point)],
+            decisions: &mut Vec<Decision>,
+        ) {
+            self.tick += 1;
+            decisions.clear();
+            decisions.resize(observations.len(), Decision::Filtered);
+            if self.tick == self.at {
+                decisions[self.node] = Decision::Sent;
+            }
+        }
+
+        fn name(&self) -> &str {
+            "send-once"
+        }
+    }
+
+    /// A late frame under the sparse driver: one node of two whole parked
+    /// shards sends once, the channel defers the frame, and it arrives
+    /// while its shard is served from the memo. The node's late flag is
+    /// set on the arrival tick and clear on the next; the shard loses its
+    /// memo to the frame, is evaluated and re-captures its memo on that
+    /// tick, and is served from it again on the next; and the sparse
+    /// driver's `TickStats`, both broker digests and the monitors'
+    /// findings match the dense driver's every tick, at 1 and 2 threads,
+    /// through the next refresh round.
+    #[test]
+    fn a_late_frame_into_a_parked_memo_shard_matches_dense() {
+        const NODE: usize = 5;
+        const SENT_AT: u64 = 10;
+        const MAX_DELAY: u64 = 6;
+        let plan = FaultPlan {
+            delay_rate: 1.0,
+            max_delay_ticks: MAX_DELAY,
+            ..FaultPlan::lossless()
+        };
+        let build = |seed: u64, driver: TickDriver, threads: usize| {
+            SimBuilder::new()
+                .nodes((0..2 * SHARD_SIZE as u32).map(parked).collect())
+                .policy(SendOnce {
+                    node: NODE,
+                    at: SENT_AT,
+                    tick: 0,
+                })
+                .network(wide_net())
+                .runtime(RuntimeOptions {
+                    driver,
+                    threads,
+                    ..faulty(plan.clone(), seed)
+                })
+                .build()
+                .unwrap()
+        };
+        // The first channel seed that defers the frame two ticks or more:
+        // the tick after the send re-captures the shard's memo, so from
+        // the second on the shard is served from it.
+        let (seed, arrival) = (0..64)
+            .find_map(|seed| {
+                let mut probe = build(seed, TickDriver::Dense, 1);
+                let arrival = (1..=SENT_AT + MAX_DELAY).find(|_| probe.step().late > 0)?;
+                (arrival >= SENT_AT + 2).then_some((seed, arrival))
+            })
+            .expect("a seed that defers the frame two ticks or more");
+        let digests = |sim: &MobileGridSim| {
+            (
+                sim.broker_with_le().state_digest(),
+                sim.broker_without_le().state_digest(),
+            )
+        };
+        let mut dense = build(seed, TickDriver::Dense, 1);
+        let mut sparse = [
+            build(seed, TickDriver::Sparse, 1),
+            build(seed, TickDriver::Sparse, 2),
+        ];
+        for t in 1..=arrival + STALENESS_REFRESH + 2 {
+            let d = dense.step();
+            for sim in &mut sparse {
+                let memo_before = sim.sparse.as_ref().expect("sparse run").memo[0];
+                let s = sim.step();
+                assert_eq!(d, s, "TickStats diverged at tick {t}");
+                assert_eq!(
+                    digests(&dense),
+                    digests(sim),
+                    "brokers diverged at tick {t}"
+                );
+                assert_eq!(dense.invariant_violations(), sim.invariant_violations());
+                let sp = sim.sparse.as_ref().expect("sparse run");
+                let flag = sim.scratch.late_accepted[NODE];
+                if t == arrival {
+                    assert_eq!(s.late, 1, "the frame arrives on tick {t}");
+                    assert!(memo_before.is_some(), "the frame lands in a memo shard");
+                    assert!(flag, "the accepted late frame's flag is set");
+                    assert_eq!(sim.scratch.jobs, [0], "the frame's shard is evaluated");
+                    assert_eq!(hit_runs(sp), [(1, 2)], "the other shard is served");
+                    assert_eq!(sp.memo[0].map(|m| m.at), Some(t), "the memo is re-captured");
+                } else {
+                    assert!(!flag, "no late flag is set on tick {t}");
+                }
+                if t == arrival + 1 {
+                    assert_eq!(
+                        hit_runs(sp),
+                        [(0, 2)],
+                        "both shards are served from their memos"
+                    );
+                }
+            }
+        }
+        assert!(dense.invariant_violations().is_empty());
+    }
+
     /// The op-stream tap contract: replaying `step_tapped`'s records
     /// sequentially into fresh replica brokers — and through the sharded
     /// concurrent store — reproduces both live brokers (with and without
@@ -2907,7 +3133,10 @@ mod tests {
             sim.step();
             if tick == 6 {
                 let sp = sim.sparse.as_ref().expect("sparse run");
-                assert_eq!((&sp.hits[..], &sim.scratch.jobs[..]), (&[0][..], &[1][..]));
+                assert_eq!(
+                    (hit_runs(sp), &sim.scratch.jobs[..]),
+                    (vec![(0, 1)], &[1][..])
+                );
             }
         }
         let wake = sim.wake_stats().expect("sparse run reports wake stats");
@@ -2988,7 +3217,11 @@ mod tests {
                     sim.step();
                     if tick == T {
                         if let Some(sp) = &sim.sparse {
-                            assert_eq!(sp.hits, [hit], "shard {hit} is the one memo hit");
+                            assert_eq!(
+                                hit_runs(sp),
+                                [(hit, hit + 1)],
+                                "shard {hit} is the one memo hit"
+                            );
                         }
                     }
                 }

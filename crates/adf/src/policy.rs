@@ -32,6 +32,34 @@ pub struct FilterProbe {
     pub displacement: Option<f64>,
 }
 
+/// Observations per block of a sleep-hinted tick ([`SleepBlock`]): the
+/// sparse tick driver's shard size, so each block is one shard.
+pub const SLEEP_BLOCK: usize = SHARD_SIZE;
+
+/// One [`SLEEP_BLOCK`]-observation block of a sleep-hinted tick (see
+/// [`FilterPolicy::process_tick_sparse`]): block `b` covers observations
+/// `b * SLEEP_BLOCK` up to the next block or the end. The driver keeps
+/// `asleep` as its nodes fall asleep and wake, and the policy writes
+/// `sends`, so neither re-counts a block per tick. A policy may trust
+/// `asleep` without reading the hints: a count that differs from the
+/// block's set hints is a logic error.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SleepBlock {
+    /// The block's observations whose sleep hint is set.
+    pub asleep: u32,
+    /// The block's `Sent` decisions this tick.
+    pub sends: u32,
+}
+
+impl SleepBlock {
+    /// Writes each block's `sends` from `decisions`, one per observation.
+    pub(crate) fn count_sends(blocks: &mut [SleepBlock], decisions: &[Decision]) {
+        for (block, chunk) in blocks.iter_mut().zip(decisions.chunks(SLEEP_BLOCK)) {
+            block.sends = chunk.iter().map(|d| u32::from(d.is_sent())).sum();
+        }
+    }
+}
+
 /// A location-update filtering policy: the component that sits between the
 /// wireless gateways and the grid broker and decides, each tick, which
 /// nodes' location updates are forwarded.
@@ -54,26 +82,55 @@ pub trait FilterPolicy {
         decisions: &mut Vec<Decision>,
     );
 
-    /// Like [`FilterPolicy::process_tick`], with a per-observation sleep
-    /// hint from the sparse tick driver.
+    /// Like [`FilterPolicy::process_tick`], with the sparse tick driver's
+    /// sleep hints in and each block's send count out.
     ///
     /// `asleep[i]` is `true` when the driver proved observation `i` is a
     /// bit-identical repeat of the previous tick's observation `i`, node
     /// id included (the node is quiescent and the movement kernel skipped
-    /// it this tick). Policies may exploit the hint to take a cheaper
-    /// path, but the contract is strict: decisions and every piece of
-    /// internal state must end up bit-identical to a plain
-    /// [`FilterPolicy::process_tick`] call — the dense/sparse differential
-    /// suite enforces this. The default ignores the hint.
+    /// it this tick). `blocks` holds one [`SleepBlock`] per
+    /// [`SLEEP_BLOCK`] observations, the last block possibly shorter.
+    /// Each block's `asleep` counts its set hints, so a block whose every
+    /// observation repeats is told by its count alone. The policy writes
+    /// every block's `sends`, the block's `Sent` decisions; the driver
+    /// sums them for the tick and keeps them as its shard counts, so it
+    /// reads no decision.
+    ///
+    /// `decisions` is the column the previous call left, handed back as
+    /// it was, or cut short (emptied, say). The policy leaves one decision
+    /// per observation in it, and may keep an entry where its own state
+    /// proves the previous call's decision there is this call's: the ADF
+    /// keeps a dozing block's 64 `Filtered` and writes `Filtered` into
+    /// any slot past the column's end, so a parked block costs no store.
+    ///
+    /// It is a logic error to hand in an `asleep` count that differs from
+    /// its block's set hints, or a column with an entry changed since the
+    /// previous call. The decisions and the policy's state are then
+    /// unspecified, but memory-safe; the ADF's debug builds check both
+    /// and panic.
+    ///
+    /// Policies may exploit the hints to take a cheaper path, but the
+    /// contract is strict: decisions and every piece of internal state
+    /// must end up bit-identical to a plain [`FilterPolicy::process_tick`]
+    /// call — the dense/sparse differential suite enforces this. The
+    /// default ignores the hints and counts each block's sends from the
+    /// decisions.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic when `blocks` does not hold one block
+    /// per [`SLEEP_BLOCK`] observations.
     fn process_tick_sparse(
         &mut self,
         time_s: f64,
         observations: &[(MnId, Point)],
         asleep: &[bool],
+        blocks: &mut [SleepBlock],
         decisions: &mut Vec<Decision>,
     ) {
         let _ = asleep;
         self.process_tick(time_s, observations, decisions);
+        SleepBlock::count_sends(blocks, decisions);
     }
 
     /// Convenience wrapper around [`FilterPolicy::process_tick`] that
@@ -120,9 +177,10 @@ impl<P: FilterPolicy + ?Sized> FilterPolicy for Box<P> {
         time_s: f64,
         observations: &[(MnId, Point)],
         asleep: &[bool],
+        blocks: &mut [SleepBlock],
         decisions: &mut Vec<Decision>,
     ) {
-        (**self).process_tick_sparse(time_s, observations, asleep, decisions);
+        (**self).process_tick_sparse(time_s, observations, asleep, blocks, decisions);
     }
 
     fn name(&self) -> &str {
@@ -885,7 +943,9 @@ impl AdaptiveDistanceFilter {
 
     /// One tick of steps (3)–(6), shared by the dense and the sparse entry
     /// points. `asleep` is the sparse driver's sleep hint, either empty or
-    /// one flag per observation.
+    /// one flag per observation; `sleep` is empty on a dense call and
+    /// holds the sparse call's blocks otherwise, whose sends every path
+    /// writes.
     ///
     /// On a reclustering tick the cross-node recluster sits between the
     /// per-node observe and filter steps, so the tick takes two passes.
@@ -903,10 +963,10 @@ impl AdaptiveDistanceFilter {
         time_s: f64,
         observations: &[(MnId, Point)],
         asleep: &[bool],
+        sleep: &mut [SleepBlock],
         decisions: &mut Vec<Decision>,
     ) {
         self.tick += 1;
-        decisions.clear();
         // Doze stamps are `u32` ticks: past that range every tick is dense.
         let asleep = if self.tick < u64::from(u32::MAX) {
             asleep
@@ -915,28 +975,29 @@ impl AdaptiveDistanceFilter {
         };
         self.nodes.reserve(observations.len());
         let recluster = self.recluster_due(self.tick);
-        if recluster || asleep.is_empty() {
-            self.wake_all();
-        }
-
-        let (nodes, speeds, config) = (&mut self.nodes, &mut self.global_speeds, &self.config);
-        if recluster {
-            // Step (3): acquire locations; update per-node motion history.
-            for (node, pos) in observations {
-                nodes.observe_motion(config, speeds, *node, time_s, *pos);
-            }
-            // Steps (1)/(2)/(6): classify, cluster, size the DTHs.
-            self.recluster();
-            // Steps (4)/(5): distance-filter each observation.
-            for (node, pos) in observations {
-                decisions.push(self.nodes.filter(&self.config, *node, *pos));
-            }
-        } else if asleep.is_empty() {
-            for (node, pos) in observations {
-                decisions.push(nodes.observe(config, speeds, *node, time_s, *pos));
-            }
+        if !recluster && !asleep.is_empty() {
+            self.doze_tick(time_s, observations, asleep, sleep, decisions);
         } else {
-            self.doze_tick(time_s, observations, asleep, decisions);
+            self.wake_all();
+            decisions.clear();
+            let (nodes, speeds, config) = (&mut self.nodes, &mut self.global_speeds, &self.config);
+            if recluster {
+                // Step (3): acquire locations; update per-node motion history.
+                for (node, pos) in observations {
+                    nodes.observe_motion(config, speeds, *node, time_s, *pos);
+                }
+                // Steps (1)/(2)/(6): classify, cluster, size the DTHs.
+                self.recluster();
+                // Steps (4)/(5): distance-filter each observation.
+                for (node, pos) in observations {
+                    decisions.push(self.nodes.filter(&self.config, *node, *pos));
+                }
+            } else {
+                for (node, pos) in observations {
+                    decisions.push(nodes.observe(config, speeds, *node, time_s, *pos));
+                }
+            }
+            SleepBlock::count_sends(sleep, decisions);
         }
         self.last_time = time_s;
     }
@@ -947,13 +1008,16 @@ impl AdaptiveDistanceFilter {
     /// zeros, position bit-frozen, decision `Filtered`) takes the
     /// classifier's and the filter's stationary fast paths; every other
     /// node takes the per-node kernel, as on a dense tick. Observations go in
-    /// [`SHARD_SIZE`]-slot chunks, and a chunk whose 64 slots each hold
-    /// their own node (slot index = node index) and each take the fast
-    /// path *arms* its block's doze clock ([`DozeBlock`]).
+    /// [`SHARD_SIZE`]-slot chunks, one per [`SleepBlock`], and a chunk
+    /// whose 64 slots each hold their own node (slot index = node index)
+    /// and each take the fast path *arms* its block's doze clock
+    /// ([`DozeBlock`]). Each chunk's sends go to its sleep block.
     ///
     /// While its block dozes, a node's state, resting or built, is not
-    /// touched. A later call whose chunk is all hinted and whose time advances
-    /// *absorbs* the block with one clock write and yields 64 `Filtered`:
+    /// touched. A later call whose chunk is all hinted, as its sleep block's
+    /// count tells, and whose time advances *absorbs* the block with one
+    /// clock write and no send, and leaves the block's 64 decisions as
+    /// the call that absorbed or armed it wrote them, `Filtered`:
     /// by the hint's contract each slot repeats the previous call's, which
     /// the block absorbed or armed at its node's frozen position, so each
     /// node would take the fast path again. Only debug builds re-prove
@@ -976,6 +1040,7 @@ impl AdaptiveDistanceFilter {
         time_s: f64,
         observations: &[(MnId, Point)],
         asleep: &[bool],
+        sleep: &mut [SleepBlock],
         decisions: &mut Vec<Decision>,
     ) {
         // One block per chunk of nodes seen before this tick: only those
@@ -999,33 +1064,44 @@ impl AdaptiveDistanceFilter {
             block_ticks,
             ..
         } = self;
-        for (b, (chunk, hints)) in observations
-            .chunks(SHARD_SIZE)
-            .zip(asleep.chunks(SHARD_SIZE))
-            .enumerate()
-        {
+        // The column holds the previous call's decisions, which an
+        // absorbed block keeps: the call that absorbed or armed it wrote
+        // 64 `Filtered` there.
+        decisions.resize(observations.len(), Decision::Filtered);
+        for (b, sleep) in sleep.iter_mut().enumerate() {
             let base = b * SHARD_SIZE;
             if !stalled
-                && chunk.len() == SHARD_SIZE
+                && sleep.asleep as usize == SHARD_SIZE
                 && blocks.get(b).is_some_and(DozeBlock::dozing)
-                // One branch-free pass over the 64 hints.
-                && hints.iter().fold(true, |all, &h| all & h)
             {
                 debug_assert!(
                     blocks[b].last == now - 1
-                        && chunk.iter().enumerate().all(|(k, (node, pos))| {
-                            node.index() == base + k && nodes.suppresses_repeat(config, *node, *pos)
-                        }),
+                        && asleep[base..base + SHARD_SIZE].iter().all(|&h| h)
+                        && (observations[base..base + SHARD_SIZE].iter().enumerate()).all(
+                            |(k, (node, pos))| {
+                                node.index() == base + k
+                                    && nodes.suppresses_repeat(config, *node, *pos)
+                            }
+                        ),
                     "a hinted dozing block repeats the previous call's observations"
+                );
+                debug_assert!(
+                    decisions[base..base + SHARD_SIZE]
+                        .iter()
+                        .all(|d| *d == Decision::Filtered),
+                    "an absorbed block's decisions are the previous call's"
                 );
                 blocks[b].last = now;
                 *block_ticks += 1;
-                decisions.extend(std::iter::repeat_n(Decision::Filtered, SHARD_SIZE));
+                sleep.sends = 0;
                 continue;
             }
+            let slots = base..observations.len().min(base + SHARD_SIZE);
+            let (hints, out) = (&asleep[slots.clone()], &mut decisions[slots.clone()]);
             // Own-slot nodes of this chunk that took the fast path.
-            let mut own = 0usize;
-            for (k, ((node, pos), &hinted)) in chunk.iter().zip(hints).enumerate() {
+            let (mut own, mut sends) = (0usize, 0u32);
+            let chunk = observations[slots].iter().zip(hints).zip(out);
+            for (k, (((node, pos), &hinted), out)) in chunk.enumerate() {
                 let index = node.index();
                 // The node's block wakes whole before the node is touched.
                 let home = index / SHARD_SIZE;
@@ -1036,11 +1112,13 @@ impl AdaptiveDistanceFilter {
                 }
                 if hinted && nodes.observe_stationary(config, *node, time_s, *pos) {
                     own += usize::from(index == base + k);
-                    decisions.push(Decision::Filtered);
+                    *out = Decision::Filtered;
                     continue;
                 }
-                decisions.push(nodes.observe(config, speeds, *node, time_s, *pos));
+                *out = nodes.observe(config, speeds, *node, time_s, *pos);
+                sends += u32::from(out.is_sent());
             }
+            sleep.sends = sends;
             if own == SHARD_SIZE {
                 blocks[b] = DozeBlock {
                     armed_at: now,
@@ -1130,7 +1208,7 @@ impl FilterPolicy for AdaptiveDistanceFilter {
         observations: &[(MnId, Point)],
         decisions: &mut Vec<Decision>,
     ) {
-        self.run_tick(time_s, observations, &[], decisions);
+        self.run_tick(time_s, observations, &[], &mut [], decisions);
     }
 
     /// Lets hinted nodes at the zero-motion fixpoint doze: once a node's
@@ -1140,21 +1218,34 @@ impl FilterPolicy for AdaptiveDistanceFilter {
     /// one step when it next wakes. A block of 64 dozing nodes observed
     /// in their own slots and all hinted costs one clock write. The
     /// per-node path re-proves every gate, so a wrong hint there is
-    /// harmless; the block path trusts the hint (debug builds check it).
-    /// Reclustering ticks ignore the hint.
+    /// harmless; the block path trusts its sleep block's count (debug
+    /// builds check each hint). An absorbed block's sends are none;
+    /// every other block's are counted as its decisions are made.
+    /// Reclustering ticks ignore the hints.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `blocks` does not hold one block per [`SLEEP_BLOCK`]
+    /// observations.
     fn process_tick_sparse(
         &mut self,
         time_s: f64,
         observations: &[(MnId, Point)],
         asleep: &[bool],
+        blocks: &mut [SleepBlock],
         decisions: &mut Vec<Decision>,
     ) {
+        assert_eq!(
+            blocks.len(),
+            observations.len().div_ceil(SLEEP_BLOCK),
+            "one sleep block per {SLEEP_BLOCK} observations"
+        );
         let hint = if asleep.len() == observations.len() {
             asleep
         } else {
             &[]
         };
-        self.run_tick(time_s, observations, hint, decisions);
+        self.run_tick(time_s, observations, hint, blocks, decisions);
     }
 
     fn name(&self) -> &str {
@@ -1181,6 +1272,29 @@ impl FilterPolicy for AdaptiveDistanceFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sleep-hinted call with the blocks of `hint`, checking each
+    /// block's sends against its decisions.
+    fn sparse_tick(
+        adf: &mut AdaptiveDistanceFilter,
+        time_s: f64,
+        obs: &[(MnId, Point)],
+        hint: &[bool],
+        decisions: &mut Vec<Decision>,
+    ) {
+        let asleep = |hints: &[bool]| hints.iter().filter(|&&h| h).count() as u32;
+        let mut blocks: Vec<SleepBlock> = (hint.chunks(SLEEP_BLOCK))
+            .map(|hints| SleepBlock {
+                asleep: asleep(hints),
+                sends: 0,
+            })
+            .collect();
+        adf.process_tick_sparse(time_s, obs, hint, &mut blocks, decisions);
+        for (block, chunk) in blocks.iter().zip(decisions.chunks(SLEEP_BLOCK)) {
+            let sends = chunk.iter().filter(|d| d.is_sent()).count();
+            assert_eq!(block.sends as usize, sends, "a block's sends");
+        }
+    }
 
     /// The sleep-hinted entry point must be bit-identical to the dense
     /// one across warmup, window saturation and reclustering ticks — even
@@ -1213,7 +1327,7 @@ mod tests {
                 })
                 .collect();
             dense.process_tick(time_s, &obs, &mut dense_out);
-            sparse.process_tick_sparse(time_s, &obs, &asleep, &mut sparse_out);
+            sparse_tick(&mut sparse, time_s, &obs, &asleep, &mut sparse_out);
             assert_eq!(dense_out, sparse_out, "decisions diverged at tick {t}");
             for id in &nodes {
                 let (d, s) = (dense.probe(*id), sparse.probe(*id));
@@ -1319,7 +1433,7 @@ mod tests {
                 doze.process_tick(time_s, &obs, &mut d_out);
             } else {
                 let dozing = doze.blocks.get(1).is_some_and(DozeBlock::dozing);
-                doze.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+                sparse_tick(&mut doze, time_s, &obs, &hint, &mut d_out);
                 // Node 100 steps out of its dozing block and wakes it.
                 woke_from_block |= t == 77 && dozing && !doze.blocks[1].dozing();
             }
@@ -1487,8 +1601,8 @@ mod tests {
                     rest.process_tick(time_s, &obs, &mut r_out);
                     eager.process_tick(time_s, &obs, &mut e_out);
                 } else {
-                    rest.process_tick_sparse(time_s, &obs, &hint, &mut r_out);
-                    eager.process_tick_sparse(time_s, &obs, &hint, &mut e_out);
+                    sparse_tick(&mut rest, time_s, &obs, &hint, &mut r_out);
+                    sparse_tick(&mut eager, time_s, &obs, &hint, &mut e_out);
                 }
                 proptest::prop_assert_eq!(&r_out, &e_out, "decisions at tick {}", t);
                 proptest::prop_assert!(rest.global_speeds == eager.global_speeds, "speeds at tick {}", t);

@@ -1,9 +1,9 @@
 //! Property-based tests for the adaptive distance filter.
 
 use mobigrid_adf::{
-    AdaptiveDistanceFilter, AdfConfig, DistanceFilter, EstimatorKind, FilterPolicy,
+    AdaptiveDistanceFilter, AdfConfig, Decision, DistanceFilter, EstimatorKind, FilterPolicy,
     FilterReference, GridBroker, LocationRecord, MobileGridSim, MobileNode, MobilityClassifier,
-    RegionTally, RuntimeOptions, SimBuilder,
+    RegionTally, RuntimeOptions, SimBuilder, SleepBlock, SLEEP_BLOCK,
 };
 use mobigrid_campus::{RegionId, RegionKind};
 use std::collections::VecDeque;
@@ -608,6 +608,29 @@ impl Xorshift {
     }
 }
 
+/// A sleep-hinted call with the blocks of `hint`, checking each block's
+/// sends against its decisions.
+fn sparse_tick(
+    adf: &mut AdaptiveDistanceFilter,
+    time_s: f64,
+    obs: &[(MnId, Point)],
+    hint: &[bool],
+    decisions: &mut Vec<Decision>,
+) {
+    let asleep = |hints: &[bool]| hints.iter().filter(|&&h| h).count() as u32;
+    let mut blocks: Vec<SleepBlock> = (hint.chunks(SLEEP_BLOCK))
+        .map(|hints| SleepBlock {
+            asleep: asleep(hints),
+            sends: 0,
+        })
+        .collect();
+    adf.process_tick_sparse(time_s, obs, hint, &mut blocks, decisions);
+    for (block, chunk) in blocks.iter().zip(decisions.chunks(SLEEP_BLOCK)) {
+        let sends = chunk.iter().filter(|d| d.is_sent()).count();
+        assert_eq!(block.sends as usize, sends, "a block's sends");
+    }
+}
+
 /// Asserts that two ADFs report the same per-node view — the probe
 /// (class, cluster, DTH, displacement) bit for bit — and hold the same
 /// per-node state: classifier window, zero run and last observation, and
@@ -690,7 +713,7 @@ fn doze_case(nodes: usize, ticks: u64, recluster_interval: u64, seed: u64) {
         if rng.chance(40) {
             dozing.process_tick(time_s, &obs, &mut d_out);
         } else {
-            dozing.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+            sparse_tick(&mut dozing, time_s, &obs, &hint, &mut d_out);
         }
         assert_eq!(d_out, e_out, "decisions diverged at tick {tick}");
         assert_same_view(&dozing, &eager, nodes, tick);
@@ -708,7 +731,7 @@ fn doze_case(nodes: usize, ticks: u64, recluster_interval: u64, seed: u64) {
             .collect();
         let hint = vec![k % 3 == 0; nodes];
         eager.process_tick(time_s, &obs, &mut e_out);
-        dozing.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+        sparse_tick(&mut dozing, time_s, &obs, &hint, &mut d_out);
         assert_eq!(d_out, e_out, "decisions diverged in the tail, step {k}");
         assert_same_view(&dozing, &eager, nodes, ticks + k);
     }
@@ -792,7 +815,7 @@ fn doze_block_case(blocks: usize, ticks: u64, recluster_interval: u64, seed: u64
         if rng.chance(25) {
             dozing.process_tick(time_s, &obs, &mut d_out);
         } else {
-            dozing.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+            sparse_tick(&mut dozing, time_s, &obs, &hint, &mut d_out);
         }
         assert_eq!(d_out, e_out, "decisions diverged at tick {tick}");
         assert_same_view(&dozing, &eager, nodes, tick);
@@ -813,7 +836,7 @@ fn doze_block_case(blocks: usize, ticks: u64, recluster_interval: u64, seed: u64
             .collect();
         let hint = vec![false; obs.len()];
         eager.process_tick(time_s, &obs, &mut e_out);
-        dozing.process_tick_sparse(time_s, &obs, &hint, &mut d_out);
+        sparse_tick(&mut dozing, time_s, &obs, &hint, &mut d_out);
         assert_eq!(d_out, e_out, "decisions diverged in the tail, step {k}");
         assert_same_view(&dozing, &eager, nodes, ticks + k);
     }

@@ -19,6 +19,11 @@
 //! Phases are read off the tick's phase spans by a recorder that is not
 //! enabled, so the timed tick takes the unrecorded path.
 //!
+//! The idle form also times a walkers-only control (`idle 0 [walkers]`),
+//! its reps interleaved with the parked run's, and prints each phase's
+//! parked overhead: the parked run's phase median minus the control's.
+//! That is what the parked nodes cost each phase, read in one session.
+//!
 //! On noisy shared hosts only best-of or interleaved readings are
 //! meaningful; the gated, recorded numbers come from `perfbench` and its
 //! ledger `BENCH_perfbench.json`.
@@ -71,6 +76,82 @@ impl Recorder for PhaseClock {
     }
 }
 
+/// One simulation under the timer, with every timed tick's readings.
+struct Timed {
+    sim: MobileGridSim,
+    label: String,
+    /// Every timed tick's wall time in µs.
+    totals: Vec<f64>,
+    /// Every timed tick's phase times in µs, one column per [`PHASES`].
+    phases: [Vec<f64>; 5],
+    /// The best rep's mean ns/tick.
+    best: u128,
+}
+
+impl Timed {
+    fn new(mut sim: MobileGridSim, label: String, warmup: u64) -> Self {
+        sim.run(warmup);
+        Timed {
+            sim,
+            label,
+            totals: Vec::new(),
+            phases: Default::default(),
+            best: u128::MAX,
+        }
+    }
+
+    /// Times `ticks` steps and returns their mean ns/tick.
+    fn rep(&mut self, clock: &mut PhaseClock, ticks: u64) -> u128 {
+        let started = Instant::now();
+        for _ in 0..ticks {
+            let tick_start = Instant::now();
+            self.sim.step_recorded(clock);
+            let total = tick_start.elapsed().as_secs_f64() * 1e6;
+            let [observe, filter, transmit, estimate, _] = clock.tick;
+            clock.tick[4] = total - (observe + filter + transmit + estimate);
+            self.totals.push(total);
+            for (column, t) in self.phases.iter_mut().zip(clock.tick) {
+                column.push(t);
+            }
+        }
+        let per_tick = started.elapsed().as_nanos() / u128::from(ticks);
+        self.best = self.best.min(per_tick);
+        per_tick
+    }
+
+    /// Prints the summary and returns the phase medians.
+    fn summary(&mut self, threads: usize) -> [f64; 5] {
+        println!(
+            "best: {} ns/tick ({}, {threads} threads)",
+            self.best, self.label
+        );
+        self.totals.sort_by(f64::total_cmp);
+        println!(
+            "tick us: p50 {:.1} p90 {:.1} p99 {:.1} ({} ticks)",
+            quantile(&self.totals, 0.5),
+            quantile(&self.totals, 0.9),
+            quantile(&self.totals, 0.99),
+            self.totals.len()
+        );
+        let medians = self.phases.each_mut().map(|column| {
+            column.sort_by(f64::total_cmp);
+            quantile(column, 0.5)
+        });
+        print_phases("phase us p50", medians);
+        medians
+    }
+}
+
+/// Prints one value per [`PHASES`] after `title`.
+fn print_phases(title: &str, values: [f64; 5]) {
+    let columns: Vec<String> = PHASES
+        .iter()
+        .zip(values)
+        .map(|(name, v)| format!("{name} {v:.1}"))
+        .collect();
+    println!("{title}: {}", columns.join(" "));
+}
+
 /// The `q`-quantile of `sorted` (nearest rank).
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     let rank = (q * sorted.len() as f64).ceil() as usize;
@@ -98,60 +179,37 @@ fn main() {
     let ticks = arg(4, 200).max(1);
     let reps = arg(5, 5).max(1);
 
-    let (mut sim, label): (MobileGridSim, String) = if idle {
+    let mut runs = if idle {
         let runtime = RuntimeOptions {
             driver: TickDriver::Sparse,
             threads,
             ..RuntimeOptions::default()
         };
-        let sim = build_idle_sim_with(41, a as usize, b as usize, runtime);
-        (sim, format!("idle {a}+{b}"))
+        let idle_run = |parked: u64| {
+            let sim = build_idle_sim_with(41, parked as usize, b as usize, runtime.clone());
+            Timed::new(sim, format!("idle {parked}+{b}"), warmup)
+        };
+        // The walkers-only control, interleaved rep by rep.
+        vec![idle_run(a), idle_run(0)]
     } else {
         let sim = build_city_sim(11, (a as usize, b as usize), threads);
-        (sim, format!("{a}x{b} city"))
+        vec![Timed::new(sim, format!("{a}x{b} city"), warmup)]
     };
-    sim.run(warmup);
 
     let mut clock = PhaseClock {
         mark: Instant::now(),
         tick: [0.0; 5],
     };
-    let mut totals = Vec::new();
-    let mut phases: [Vec<f64>; 5] = Default::default();
-    let mut best = u128::MAX;
     for rep in 0..reps {
-        let started = Instant::now();
-        for _ in 0..ticks {
-            let tick_start = Instant::now();
-            sim.step_recorded(&mut clock);
-            let total = tick_start.elapsed().as_secs_f64() * 1e6;
-            let [observe, filter, transmit, estimate, _] = clock.tick;
-            clock.tick[4] = total - (observe + filter + transmit + estimate);
-            totals.push(total);
-            for (column, t) in phases.iter_mut().zip(clock.tick) {
-                column.push(t);
-            }
-        }
-        let per_tick = started.elapsed().as_nanos() / u128::from(ticks);
-        best = best.min(per_tick);
-        println!("rep {rep}: {per_tick} ns/tick");
+        let readings: Vec<String> = runs
+            .iter_mut()
+            .map(|run| format!("{} ns/tick", run.rep(&mut clock, ticks)))
+            .collect();
+        println!("rep {rep}: {}", readings.join(", "));
     }
-    println!("best: {best} ns/tick ({label}, {threads} threads)");
-    totals.sort_by(f64::total_cmp);
-    println!(
-        "tick us: p50 {:.1} p90 {:.1} p99 {:.1} ({} ticks)",
-        quantile(&totals, 0.5),
-        quantile(&totals, 0.9),
-        quantile(&totals, 0.99),
-        totals.len()
-    );
-    let medians: Vec<String> = PHASES
-        .iter()
-        .zip(phases.iter_mut())
-        .map(|(name, column)| {
-            column.sort_by(f64::total_cmp);
-            format!("{name} {:.1}", quantile(column, 0.5))
-        })
-        .collect();
-    println!("phase us p50: {}", medians.join(" "));
+    let medians: Vec<[f64; 5]> = runs.iter_mut().map(|run| run.summary(threads)).collect();
+    if let [parked, control] = medians[..] {
+        let overhead = std::array::from_fn(|k| parked[k] - control[k]);
+        print_phases("parked overhead us p50", overhead);
+    }
 }

@@ -170,6 +170,12 @@ impl Rmse {
         self.count
     }
 
+    /// The sum of the squared errors.
+    #[must_use]
+    pub fn sum_sq(&self) -> f64 {
+        self.sum_sq
+    }
+
     /// The RMSE; zero when empty.
     #[must_use]
     pub fn value(&self) -> f64 {

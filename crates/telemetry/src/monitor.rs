@@ -691,14 +691,7 @@ impl MonitorSet {
     fn views(&mut self, seq_len: usize, stale_len: usize, size: usize, blocks: usize) -> Views<'_> {
         let strict = self.strict;
         let lazy = move |len: usize| if strict { 0 } else { len };
-        if self.expected.len() < seq_len {
-            self.expected.resize(seq_len, 0);
-            self.seq_sighted.resize(lazy(seq_len), false);
-        }
-        if self.prev.len() < stale_len {
-            self.prev.resize(stale_len, 0);
-            self.stale_sighted.resize(lazy(stale_len), false);
-        }
+        self.grow(seq_len, stale_len);
         Views {
             strict,
             size,
@@ -708,6 +701,46 @@ impl MonitorSet {
             prev: &mut self.prev[..stale_len],
             seq_sighted: &mut self.seq_sighted[..lazy(seq_len)],
             stale_sighted: &mut self.stale_sighted[..lazy(stale_len)],
+        }
+    }
+
+    /// The view of the baselines of nodes `span` of a `nodes`-node
+    /// population: one view over any run of consecutive nodes, where
+    /// [`MonitorSet::shard_views`] cuts the population into equal shards.
+    /// The kernel's findings over a span are its shards' in node order,
+    /// so the pipeline checks a run of consecutive quiet shards in one
+    /// kernel call through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `span` reaches past `nodes`.
+    pub fn span_view(&mut self, nodes: usize, span: std::ops::Range<usize>) -> MonitorShard<'_> {
+        assert!(span.end <= nodes, "a span inside the population");
+        self.grow(nodes, nodes);
+        // The sighted flags are empty in strict mode.
+        let lazy = if self.strict { 0..0 } else { span.clone() };
+        MonitorShard {
+            strict: self.strict,
+            base: span.start,
+            expected: &mut self.expected[span.clone()],
+            prev: &mut self.prev[span],
+            seq_sighted: &mut self.seq_sighted[lazy.clone()],
+            stale_sighted: &mut self.stale_sighted[lazy],
+        }
+    }
+
+    /// Grows the seq baselines to `seq_len` nodes and the staleness
+    /// baselines to `stale_len`, with the lazy mode's sighted flags.
+    fn grow(&mut self, seq_len: usize, stale_len: usize) {
+        let strict = self.strict;
+        let lazy = move |len: usize| if strict { 0 } else { len };
+        if self.expected.len() < seq_len {
+            self.expected.resize(seq_len, 0);
+            self.seq_sighted.resize(lazy(seq_len), false);
+        }
+        if self.prev.len() < stale_len {
+            self.prev.resize(stale_len, 0);
+            self.stale_sighted.resize(lazy(stale_len), false);
         }
     }
 
