@@ -24,11 +24,23 @@ cargo run --release -p mobigrid-experiments --bin experiment -- \
   --experiment fault_matrix --ticks 60 > /dev/null
 
 echo "==> examples smoke"
-# The root examples are the only callers of Schedule, PathFollower and most
-# of the HLA API outside the tests: each must run to completion.
-for example in quickstart campus_day traffic_reduction location_estimation hla_federation; do
+# The root examples are the only callers of Schedule and PathFollower
+# outside the tests: each must run to completion.
+for example in quickstart campus_day traffic_reduction location_estimation; do
   cargo run --release -q --example "$example" > /dev/null
 done
+
+echo "==> Figure-3 federation smoke (1 vs 2 threads)"
+# The three-federate HLA run next to the in-process one; the report must
+# not depend on the tick's thread count.
+fed_1="$(mktemp -t mobigrid-federated.XXXXXX)"
+fed_2="$(mktemp -t mobigrid-federated.XXXXXX)"
+cargo run --release -q -p mobigrid-experiments --bin experiment -- \
+  --experiment federated --ticks 60 --threads 1 > "$fed_1"
+cargo run --release -q -p mobigrid-experiments --bin experiment -- \
+  --experiment federated --ticks 60 --threads 2 > "$fed_2"
+cmp "$fed_1" "$fed_2"
+rm -f "$fed_1" "$fed_2"
 
 echo "==> seed sweep smoke (2 campaign threads)"
 # The seeds fan out over the campaign thread budget.

@@ -300,7 +300,7 @@ mod tests {
                 .unwrap_err()
                 .contains("unknown experiment"));
         }
-        assert_eq!(crate::experiment::all().len(), 13);
+        assert_eq!(crate::experiment::all().len(), 14);
     }
 
     #[test]

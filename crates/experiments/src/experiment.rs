@@ -14,9 +14,10 @@
 //! every figure from **one** campaign instead of recomputing it per
 //! figure.
 
-use crate::campaign::{run_campaign_recorded, CampaignData};
+use crate::campaign::{run_campaign_recorded, run_policy, CampaignData, PolicySpec};
 use crate::config::ExperimentConfig;
 use crate::fault_matrix::{self, FaultMatrixConfig};
+use crate::federated::run_federated_adf;
 use crate::report::text_table;
 use crate::{extensions, fig4, fig5, fig6, fig7, fig89, intervals, robustness, scale, table1};
 use mobigrid_telemetry::Recorder;
@@ -317,10 +318,77 @@ impl Experiment for ExtensionsExp {
     }
 }
 
+struct FederatedExp;
+impl Experiment for FederatedExp {
+    fn name(&self) -> &'static str {
+        "federated"
+    }
+    fn description(&self) -> &'static str {
+        "Figure 3 on the HLA RTI: MN, ADF and broker federates against the in-process ADF run"
+    }
+    fn run(&self, cfg: &ExperimentConfig, _rec: &mut dyn Recorder) -> Report {
+        // The federation models no access network, so neither does the
+        // in-process arm it is compared with.
+        let local_cfg = ExperimentConfig {
+            with_network: false,
+            ..cfg.clone()
+        };
+        let share = |sent: u64, observed: u64| 100.0 * sent as f64 / observed.max(1) as f64;
+        let rows: Vec<Vec<String>> = cfg
+            .dth_factors
+            .iter()
+            .map(|&factor| {
+                let fed = run_federated_adf(cfg, factor);
+                let local = run_policy(&local_cfg, PolicySpec::Adf(factor));
+                let parity = fed
+                    .ticks
+                    .iter()
+                    .map(|t| t.sent)
+                    .eq(local.ticks.iter().map(|t| t.sent));
+                let local_observed = local.ticks.iter().map(|t| u64::from(t.observed)).sum();
+                let (fed_le, fed_nole) = fed.mean_rmse();
+                let (local_le, local_nole) = local.mean_rmse();
+                vec![
+                    format!("{factor:.2}av"),
+                    format!("{:.2}", share(fed.total_sent(), fed.total_observed())),
+                    format!("{:.2}", share(local.total_sent(), local_observed)),
+                    if parity { "yes" } else { "no" }.to_string(),
+                    format!("{fed_le:.3}"),
+                    format!("{local_le:.3}"),
+                    format!("{fed_nole:.3}"),
+                    format!("{local_nole:.3}"),
+                ]
+            })
+            .collect();
+        let table = text_table(
+            &[
+                "DTH",
+                "sent% fed",
+                "sent% sim",
+                "sent parity",
+                "LE fed",
+                "LE sim",
+                "no-LE fed",
+                "no-LE sim",
+            ],
+            &rows,
+        );
+        Report {
+            name: self.name(),
+            text: format!(
+                "Figure 3 federation (MN -> ADF -> broker on the RTI) vs the in-process ADF, {} ticks\n\
+                 (mean RMSE in metres; the federated broker gets each forwarded LU at its next grant, one tick late)\n{table}",
+                cfg.duration_ticks
+            ),
+            csv: None,
+        }
+    }
+}
+
 /// Every registered experiment, in presentation order.
 #[must_use]
 pub fn all() -> &'static [&'static dyn Experiment] {
-    static REGISTRY: [&dyn Experiment; 13] = [
+    static REGISTRY: [&dyn Experiment; 14] = [
         &Table1Exp,
         &Fig4Exp,
         &Fig5Exp,
@@ -334,6 +402,7 @@ pub fn all() -> &'static [&'static dyn Experiment] {
         &ScaleExp,
         &SeedsExp,
         &ExtensionsExp,
+        &FederatedExp,
     ];
     &REGISTRY
 }
@@ -376,6 +445,25 @@ mod tests {
         }
         // table1 + fig4..fig9 + fig89.
         assert_eq!(rendered, 8);
+    }
+
+    #[test]
+    fn federated_report_is_thread_invariant_with_sent_parity() {
+        let run = |threads| {
+            let mut cfg = ExperimentConfig {
+                duration_ticks: 60,
+                ..ExperimentConfig::default()
+            };
+            cfg.runtime.threads = threads;
+            find("federated").unwrap().run(&cfg, &mut NoopRecorder)
+        };
+        let one = run(1);
+        assert_eq!(one.text, run(2).text);
+        let rows: Vec<&str> = one.text.lines().filter(|l| l.contains("av ")).collect();
+        assert_eq!(rows.len(), 3, "one row per DTH factor:\n{}", one.text);
+        for row in rows {
+            assert_eq!(row.split_whitespace().nth(3), Some("yes"), "{row}");
+        }
     }
 
     #[test]

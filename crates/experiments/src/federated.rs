@@ -59,6 +59,16 @@ impl FederatedResult {
     pub fn total_observed(&self) -> u64 {
         self.ticks.iter().map(|t| u64::from(t.observed)).sum()
     }
+
+    /// Mean broker RMSE over the run, with and without the location
+    /// estimator.
+    #[must_use]
+    pub fn mean_rmse(&self) -> (f64, f64) {
+        let n = self.ticks.len().max(1) as f64;
+        let with = self.ticks.iter().map(|t| t.rmse_with_le).sum::<f64>() / n;
+        let without = self.ticks.iter().map(|t| t.rmse_without_le).sum::<f64>() / n;
+        (with, without)
+    }
 }
 
 /// Runs the ADF evaluation through the three-federate architecture.

@@ -1,23 +1,14 @@
-use bytes::Bytes;
-
-use crate::{
-    AttributeHandle, FedTime, InteractionClassHandle, ObjectClassHandle, ObjectHandle,
-    ParameterHandle,
-};
+use crate::{AttributeHandle, FedTime, ObjectClassHandle, ObjectHandle};
 
 /// Attribute values carried by an update/reflect: `(attribute, bytes)` pairs
 /// in attribute-handle order.
-pub type AttributeValues = Vec<(AttributeHandle, Bytes)>;
-
-/// Parameter values carried by an interaction.
-pub type ParameterValues = Vec<(ParameterHandle, Bytes)>;
+pub type AttributeValues = Vec<(AttributeHandle, Vec<u8>)>;
 
 /// A callback evoked on a federate by [`Federate::tick`](crate::Federate::tick).
 ///
 /// These mirror the HLA 1.3 `FederateAmbassador` services the paper's
-/// simulation uses: object discovery, attribute reflection, interaction
-/// receipt, object removal, time grants and synchronization-point
-/// notifications.
+/// simulation uses: object discovery, attribute reflection, time grants and
+/// synchronization-point notifications.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Callback {
@@ -38,20 +29,6 @@ pub enum Callback {
         values: AttributeValues,
         /// The update's timestamp when it was sent timestamp-ordered.
         time: Option<FedTime>,
-    },
-    /// A subscribed interaction arrived.
-    ReceiveInteraction {
-        /// The interaction class.
-        class: InteractionClassHandle,
-        /// Its parameter values.
-        values: ParameterValues,
-        /// The timestamp when sent timestamp-ordered.
-        time: Option<FedTime>,
-    },
-    /// A discovered object instance was deleted by its owner.
-    RemoveObject {
-        /// The removed instance.
-        object: ObjectHandle,
     },
     /// The federate's pending time-advance request was granted.
     TimeAdvanceGrant {

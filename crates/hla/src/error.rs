@@ -17,11 +17,11 @@ pub enum RtiError {
         /// The requested name.
         name: String,
     },
-    /// The federate handle is not joined (or has resigned).
+    /// The federate handle is not joined to this federation.
     NotJoined,
-    /// A FOM handle (class, attribute, interaction, parameter) is unknown.
+    /// A FOM handle (object class or attribute) is unknown.
     UnknownHandle,
-    /// The object instance is unknown or has been deleted.
+    /// The object instance is unknown.
     UnknownObject,
     /// The federate tried to update an object it does not own, or update a
     /// class it has not published.
@@ -49,12 +49,9 @@ pub enum RtiError {
         /// The offending label.
         label: String,
     },
-    /// A routing region was malformed, unknown, not owned by the caller, or
-    /// its dimensionality disagrees with the federation's routing space.
-    InvalidRegion {
-        /// What was wrong with it.
-        reason: String,
-    },
+    /// A federate panicked while it held the RTI core, so the core's state
+    /// may be half-updated; every later service call fails with this.
+    Poisoned,
 }
 
 impl fmt::Display for RtiError {
@@ -79,7 +76,7 @@ impl fmt::Display for RtiError {
             RtiError::InvalidSyncPoint { label } => {
                 write!(f, "invalid synchronization point: {label}")
             }
-            RtiError::InvalidRegion { reason } => write!(f, "invalid routing region: {reason}"),
+            RtiError::Poisoned => write!(f, "a federate panicked while holding the RTI"),
         }
     }
 }

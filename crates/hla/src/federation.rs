@@ -1,33 +1,20 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use bytes::Bytes;
-
 use crate::time_mgmt::TimeManager;
 use crate::{
-    AttributeHandle, AttributeValues, Callback, FedTime, FederateHandle, InteractionClassHandle,
-    ObjectClassHandle, ObjectHandle, ObjectModel, ParameterValues, RegionHandle, RoutingRegion,
-    RtiError,
+    AttributeHandle, AttributeValues, Callback, FedTime, FederateHandle, ObjectClassHandle,
+    ObjectHandle, ObjectModel, RtiError,
 };
-
-/// One federate's subscription to an object class: the attribute set plus an
-/// optional DDM routing region narrowing its interest.
-#[derive(Debug, Clone)]
-struct Subscription {
-    attributes: BTreeSet<AttributeHandle>,
-    region: Option<RegionHandle>,
-}
 
 #[derive(Debug, Default)]
 struct FederateState {
-    name: String,
     /// Receive-order queue, drained by `tick`.
     ro_queue: VecDeque<Callback>,
     /// Timestamp-order store, released into the RO queue on time grants.
     tso_queue: BTreeMap<(FedTime, u64), Callback>,
     published_classes: BTreeSet<ObjectClassHandle>,
-    subscriptions: BTreeMap<ObjectClassHandle, Subscription>,
-    published_interactions: BTreeSet<InteractionClassHandle>,
-    subscribed_interactions: BTreeSet<InteractionClassHandle>,
+    /// The subscribed attributes of each subscribed class.
+    subscriptions: BTreeMap<ObjectClassHandle, BTreeSet<AttributeHandle>>,
 }
 
 #[derive(Debug)]
@@ -46,11 +33,6 @@ pub(crate) struct Federation {
     objects: BTreeMap<ObjectHandle, ObjectState>,
     time: TimeManager,
     sync_points: BTreeMap<String, BTreeSet<FederateHandle>>,
-    regions: BTreeMap<RegionHandle, (FederateHandle, RoutingRegion)>,
-    routing_dims: Option<usize>,
-    next_federate: u32,
-    next_object: u32,
-    next_region: u32,
     tso_seq: u64,
 }
 
@@ -62,61 +44,21 @@ impl Federation {
             objects: BTreeMap::new(),
             time: TimeManager::new(),
             sync_points: BTreeMap::new(),
-            regions: BTreeMap::new(),
-            routing_dims: None,
-            next_federate: 0,
-            next_object: 0,
-            next_region: 0,
             tso_seq: 0,
         }
     }
 
-    pub fn fom(&self) -> &ObjectModel {
-        &self.fom
-    }
-
-    pub fn federate_count(&self) -> usize {
-        self.federates.len()
-    }
-
     // --- Federation management -------------------------------------------
 
-    pub fn join(&mut self, name: &str) -> FederateHandle {
-        let handle = FederateHandle::from_raw(self.next_federate);
-        self.next_federate += 1;
-        self.federates.insert(
-            handle,
-            FederateState {
-                name: name.to_string(),
-                ..FederateState::default()
-            },
+    /// Federates and objects are never removed, so the next handle of each
+    /// kind is the count issued so far.
+    pub fn join(&mut self) -> FederateHandle {
+        let handle = FederateHandle::from_raw(
+            u32::try_from(self.federates.len()).expect("fewer than 2^32 federates"),
         );
+        self.federates.insert(handle, FederateState::default());
         self.time.join(handle);
         handle
-    }
-
-    pub fn resign(&mut self, fed: FederateHandle) -> Result<(), RtiError> {
-        if self.federates.remove(&fed).is_none() {
-            return Err(RtiError::NotJoined);
-        }
-        self.time.resign(fed);
-        // Delete the resigning federate's objects, notifying subscribers.
-        let owned: Vec<ObjectHandle> = self
-            .objects
-            .iter()
-            .filter(|(_, st)| st.owner == fed)
-            .map(|(h, _)| *h)
-            .collect();
-        for object in owned {
-            let class = self.objects[&object].class;
-            self.objects.remove(&object);
-            self.broadcast_to_subscribers(class, fed, |_| Callback::RemoveObject { object });
-        }
-        // A departed regulator may unblock pending advances.
-        self.dispatch_grants();
-        // Sync points no longer wait on the resigned federate.
-        self.settle_sync_points();
-        Ok(())
     }
 
     fn state(&self, fed: FederateHandle) -> Result<&FederateState, RtiError> {
@@ -125,11 +67,6 @@ impl Federation {
 
     fn state_mut(&mut self, fed: FederateHandle) -> Result<&mut FederateState, RtiError> {
         self.federates.get_mut(&fed).ok_or(RtiError::NotJoined)
-    }
-
-    /// Names of the currently joined federates, in handle order.
-    pub fn federate_names(&self) -> Vec<String> {
-        self.federates.values().map(|s| s.name.clone()).collect()
     }
 
     // --- Declaration management ------------------------------------------
@@ -152,19 +89,6 @@ impl Federation {
         class: ObjectClassHandle,
         attributes: &[AttributeHandle],
     ) -> Result<(), RtiError> {
-        self.subscribe_object_class_scoped(fed, class, attributes, None)
-    }
-
-    pub fn subscribe_object_class_scoped(
-        &mut self,
-        fed: FederateHandle,
-        class: ObjectClassHandle,
-        attributes: &[AttributeHandle],
-        region: Option<RegionHandle>,
-    ) -> Result<(), RtiError> {
-        if let Some(r) = region {
-            self.check_region(fed, r)?;
-        }
         if !self.fom.has_object_class(class) {
             return Err(RtiError::UnknownHandle);
         }
@@ -185,38 +109,10 @@ impl Federation {
             })
             .collect();
         let state = self.state_mut(fed)?;
-        state.subscriptions.insert(
-            class,
-            Subscription {
-                attributes: attributes.iter().copied().collect(),
-                region,
-            },
-        );
+        state
+            .subscriptions
+            .insert(class, attributes.iter().copied().collect());
         state.ro_queue.extend(discoveries);
-        Ok(())
-    }
-
-    pub fn publish_interaction(
-        &mut self,
-        fed: FederateHandle,
-        class: InteractionClassHandle,
-    ) -> Result<(), RtiError> {
-        if !self.fom.has_interaction(class) {
-            return Err(RtiError::UnknownHandle);
-        }
-        self.state_mut(fed)?.published_interactions.insert(class);
-        Ok(())
-    }
-
-    pub fn subscribe_interaction(
-        &mut self,
-        fed: FederateHandle,
-        class: InteractionClassHandle,
-    ) -> Result<(), RtiError> {
-        if !self.fom.has_interaction(class) {
-            return Err(RtiError::UnknownHandle);
-        }
-        self.state_mut(fed)?.subscribed_interactions.insert(class);
         Ok(())
     }
 
@@ -230,8 +126,9 @@ impl Federation {
         if !self.state(fed)?.published_classes.contains(&class) {
             return Err(RtiError::NotPublished);
         }
-        let handle = ObjectHandle::from_raw(self.next_object);
-        self.next_object += 1;
+        let handle = ObjectHandle::from_raw(
+            u32::try_from(self.objects.len()).expect("fewer than 2^32 objects"),
+        );
         let class_name = self
             .fom
             .object_class_name(class)
@@ -246,53 +143,17 @@ impl Federation {
                 owner: fed,
             },
         );
-        self.broadcast_to_subscribers(class, fed, |_| Callback::DiscoverObject {
+        let discover = Callback::DiscoverObject {
             object: handle,
             class,
-            name: name.clone(),
-        });
+            name,
+        };
+        for (target, fs) in &mut self.federates {
+            if *target != fed && fs.subscriptions.contains_key(&class) {
+                fs.ro_queue.push_back(discover.clone());
+            }
+        }
         Ok(handle)
-    }
-
-    pub fn delete_object(
-        &mut self,
-        fed: FederateHandle,
-        object: ObjectHandle,
-    ) -> Result<(), RtiError> {
-        let st = self.objects.get(&object).ok_or(RtiError::UnknownObject)?;
-        if st.owner != fed {
-            return Err(RtiError::NotPublished);
-        }
-        let class = st.class;
-        self.objects.remove(&object);
-        self.broadcast_to_subscribers(class, fed, |_| Callback::RemoveObject { object });
-        Ok(())
-    }
-
-    /// Delivers a callback to every federate subscribed to `class`
-    /// (excluding `sender`).
-    fn broadcast_to_subscribers<F>(
-        &mut self,
-        class: ObjectClassHandle,
-        sender: FederateHandle,
-        mut make: F,
-    ) where
-        F: FnMut(FederateHandle) -> Callback,
-    {
-        let targets: Vec<FederateHandle> = self
-            .federates
-            .iter()
-            .filter(|(h, st)| **h != sender && st.subscriptions.contains_key(&class))
-            .map(|(h, _)| *h)
-            .collect();
-        for t in targets {
-            let cb = make(t);
-            self.federates
-                .get_mut(&t)
-                .expect("target federate exists")
-                .ro_queue
-                .push_back(cb);
-        }
     }
 
     pub fn update_attributes(
@@ -302,20 +163,6 @@ impl Federation {
         values: AttributeValues,
         time: Option<FedTime>,
     ) -> Result<(), RtiError> {
-        self.update_attributes_scoped(fed, object, values, None, time)
-    }
-
-    pub fn update_attributes_scoped(
-        &mut self,
-        fed: FederateHandle,
-        object: ObjectHandle,
-        values: AttributeValues,
-        update_region: Option<RegionHandle>,
-        time: Option<FedTime>,
-    ) -> Result<(), RtiError> {
-        if let Some(r) = update_region {
-            self.check_region(fed, r)?;
-        }
         let st = self.objects.get(&object).ok_or(RtiError::UnknownObject)?;
         if st.owner != fed {
             return Err(RtiError::NotPublished);
@@ -336,162 +183,34 @@ impl Federation {
             _ => None,
         };
 
-        let targets: Vec<(FederateHandle, AttributeValues)> = self
-            .federates
-            .iter()
-            .filter(|(h, _)| **h != fed)
-            .filter_map(|(h, fs)| {
-                let subscription = fs.subscriptions.get(&class)?;
-                // DDM: when both sides scoped their interest, deliver only
-                // on overlap; an unscoped side means "everywhere".
-                if let (Some(ur), Some(sr)) = (update_region, subscription.region) {
-                    let update = &self.regions.get(&ur)?.1;
-                    let interest = &self.regions.get(&sr)?.1;
-                    if !update.overlaps(interest) {
-                        return None;
-                    }
-                }
-                let relevant: AttributeValues = values
-                    .iter()
-                    .filter(|(a, _)| subscription.attributes.contains(a))
-                    .map(|(a, v)| (*a, Bytes::clone(v)))
-                    .collect();
-                if relevant.is_empty() {
-                    None
-                } else {
-                    Some((*h, relevant))
-                }
-            })
-            .collect();
-
-        for (target, relevant) in targets {
-            let constrained = self.time.is_constrained(target);
-            let fs = self
-                .federates
-                .get_mut(&target)
-                .expect("target federate exists");
-            match tso_time {
-                Some(t) if constrained => {
-                    let seq = self.tso_seq;
-                    self.tso_seq += 1;
-                    fs.tso_queue.insert(
-                        (t, seq),
-                        Callback::ReflectAttributes {
-                            object,
-                            values: relevant,
-                            time: Some(t),
-                        },
-                    );
-                }
-                _ => {
-                    fs.ro_queue.push_back(Callback::ReflectAttributes {
-                        object,
-                        values: relevant,
-                        time: tso_time,
-                    });
-                }
+        for (target, fs) in &mut self.federates {
+            if *target == fed {
+                continue;
             }
-        }
-        Ok(())
-    }
-
-    pub fn send_interaction(
-        &mut self,
-        fed: FederateHandle,
-        class: InteractionClassHandle,
-        values: ParameterValues,
-        time: Option<FedTime>,
-    ) -> Result<(), RtiError> {
-        if !self.state(fed)?.published_interactions.contains(&class) {
-            return Err(RtiError::NotPublished);
-        }
-        let tso_time = match time {
-            Some(t) if self.time.is_regulating(fed) => {
-                self.time.check_send_time(fed, t)?;
-                Some(t)
+            let Some(subscribed) = fs.subscriptions.get(&class) else {
+                continue;
+            };
+            let relevant: AttributeValues = values
+                .iter()
+                .filter(|(a, _)| subscribed.contains(a))
+                .cloned()
+                .collect();
+            if relevant.is_empty() {
+                continue;
             }
-            _ => None,
-        };
-        let targets: Vec<FederateHandle> = self
-            .federates
-            .iter()
-            .filter(|(h, fs)| **h != fed && fs.subscribed_interactions.contains(&class))
-            .map(|(h, _)| *h)
-            .collect();
-        for target in targets {
-            let constrained = self.time.is_constrained(target);
-            let fs = self
-                .federates
-                .get_mut(&target)
-                .expect("target federate exists");
-            let cb = Callback::ReceiveInteraction {
-                class,
-                values: values.iter().map(|(p, v)| (*p, Bytes::clone(v))).collect(),
+            let reflect = Callback::ReflectAttributes {
+                object,
+                values: relevant,
                 time: tso_time,
             };
             match tso_time {
-                Some(t) if constrained => {
-                    let seq = self.tso_seq;
+                Some(t) if self.time.is_constrained(*target) => {
+                    fs.tso_queue.insert((t, self.tso_seq), reflect);
                     self.tso_seq += 1;
-                    fs.tso_queue.insert((t, seq), cb);
                 }
-                _ => fs.ro_queue.push_back(cb),
+                _ => fs.ro_queue.push_back(reflect),
             }
         }
-        Ok(())
-    }
-
-    // --- Data distribution management ----------------------------------------
-
-    fn check_region(&self, fed: FederateHandle, region: RegionHandle) -> Result<(), RtiError> {
-        match self.regions.get(&region) {
-            None => Err(RtiError::InvalidRegion {
-                reason: format!("unknown region {region}"),
-            }),
-            Some((owner, _)) if *owner != fed => Err(RtiError::InvalidRegion {
-                reason: format!("region {region} is owned by another federate"),
-            }),
-            Some(_) => Ok(()),
-        }
-    }
-
-    pub fn create_region(
-        &mut self,
-        fed: FederateHandle,
-        region: RoutingRegion,
-    ) -> Result<RegionHandle, RtiError> {
-        self.state(fed)?;
-        match self.routing_dims {
-            None => self.routing_dims = Some(region.dimensions()),
-            Some(d) if d != region.dimensions() => {
-                return Err(RtiError::InvalidRegion {
-                    reason: format!(
-                        "routing space has {d} dimensions, region has {}",
-                        region.dimensions()
-                    ),
-                });
-            }
-            Some(_) => {}
-        }
-        let handle = RegionHandle::from_raw(self.next_region);
-        self.next_region += 1;
-        self.regions.insert(handle, (fed, region));
-        Ok(handle)
-    }
-
-    pub fn modify_region(
-        &mut self,
-        fed: FederateHandle,
-        handle: RegionHandle,
-        region: RoutingRegion,
-    ) -> Result<(), RtiError> {
-        self.check_region(fed, handle)?;
-        if self.routing_dims != Some(region.dimensions()) {
-            return Err(RtiError::InvalidRegion {
-                reason: "dimension change is not allowed".to_string(),
-            });
-        }
-        self.regions.insert(handle, (fed, region));
         Ok(())
     }
 

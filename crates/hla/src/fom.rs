@@ -1,8 +1,6 @@
 use std::collections::BTreeMap;
 
-use crate::{
-    AttributeHandle, InteractionClassHandle, ObjectClassHandle, ParameterHandle, RtiError,
-};
+use crate::{AttributeHandle, ObjectClassHandle, RtiError};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ObjectClassDef {
@@ -10,14 +8,8 @@ struct ObjectClassDef {
     attributes: BTreeMap<AttributeHandle, String>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct InteractionClassDef {
-    name: String,
-    parameters: BTreeMap<ParameterHandle, String>,
-}
-
 /// The federation object model (FOM): the declared object classes with
-/// their attributes and interaction classes with their parameters.
+/// their attributes.
 ///
 /// In HLA 1.3 this is the `.fed` file parsed at federation creation; here it
 /// is built programmatically and attached to
@@ -32,18 +24,14 @@ struct InteractionClassDef {
 /// let mn = fom.add_object_class("MobileNode");
 /// let pos = fom.add_attribute(mn, "position").unwrap();
 /// let vel = fom.add_attribute(mn, "velocity").unwrap();
-/// assert_eq!(fom.object_class_by_name("MobileNode"), Some(mn));
-/// assert_eq!(fom.attribute_by_name(mn, "position"), Some(pos));
+/// assert!(fom.class_has_attribute(mn, pos));
 /// assert_ne!(pos, vel);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObjectModel {
     object_classes: BTreeMap<ObjectClassHandle, ObjectClassDef>,
-    interactions: BTreeMap<InteractionClassHandle, InteractionClassDef>,
     next_class: u32,
     next_attribute: u32,
-    next_interaction: u32,
-    next_parameter: u32,
 }
 
 impl ObjectModel {
@@ -95,77 +83,6 @@ impl ObjectModel {
         Ok(handle)
     }
 
-    /// Declares an interaction class.
-    pub fn add_interaction_class(&mut self, name: impl Into<String>) -> InteractionClassHandle {
-        let handle = InteractionClassHandle::from_raw(self.next_interaction);
-        self.next_interaction += 1;
-        self.interactions.insert(
-            handle,
-            InteractionClassDef {
-                name: name.into(),
-                parameters: BTreeMap::new(),
-            },
-        );
-        handle
-    }
-
-    /// Declares a parameter of interaction `class`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::UnknownHandle`] for an undeclared interaction and
-    /// [`RtiError::DuplicateName`] for a repeated parameter name.
-    pub fn add_parameter(
-        &mut self,
-        class: InteractionClassHandle,
-        name: impl Into<String>,
-    ) -> Result<ParameterHandle, RtiError> {
-        let name = name.into();
-        let def = self
-            .interactions
-            .get_mut(&class)
-            .ok_or(RtiError::UnknownHandle)?;
-        if def.parameters.values().any(|n| *n == name) {
-            return Err(RtiError::DuplicateName { name });
-        }
-        let handle = ParameterHandle::from_raw(self.next_parameter);
-        self.next_parameter += 1;
-        def.parameters.insert(handle, name);
-        Ok(handle)
-    }
-
-    /// Looks up an object class by name (first declared wins).
-    #[must_use]
-    pub fn object_class_by_name(&self, name: &str) -> Option<ObjectClassHandle> {
-        self.object_classes
-            .iter()
-            .find(|(_, def)| def.name == name)
-            .map(|(h, _)| *h)
-    }
-
-    /// Looks up an attribute of `class` by name.
-    #[must_use]
-    pub fn attribute_by_name(
-        &self,
-        class: ObjectClassHandle,
-        name: &str,
-    ) -> Option<AttributeHandle> {
-        self.object_classes
-            .get(&class)?
-            .attributes
-            .iter()
-            .find_map(|(h, n)| if n == name { Some(*h) } else { None })
-    }
-
-    /// Looks up an interaction class by name.
-    #[must_use]
-    pub fn interaction_by_name(&self, name: &str) -> Option<InteractionClassHandle> {
-        self.interactions
-            .iter()
-            .find(|(_, def)| def.name == name)
-            .map(|(h, _)| *h)
-    }
-
     /// The name of an object class.
     #[must_use]
     pub fn object_class_name(&self, class: ObjectClassHandle) -> Option<&str> {
@@ -178,12 +95,6 @@ impl ObjectModel {
         self.object_classes.contains_key(&class)
     }
 
-    /// Whether `interaction` is declared.
-    #[must_use]
-    pub fn has_interaction(&self, interaction: InteractionClassHandle) -> bool {
-        self.interactions.contains_key(&interaction)
-    }
-
     /// Whether `attribute` belongs to `class`.
     #[must_use]
     pub fn class_has_attribute(
@@ -194,15 +105,6 @@ impl ObjectModel {
         self.object_classes
             .get(&class)
             .is_some_and(|d| d.attributes.contains_key(&attribute))
-    }
-
-    /// All attributes of `class`.
-    #[must_use]
-    pub fn attributes_of(&self, class: ObjectClassHandle) -> Vec<AttributeHandle> {
-        self.object_classes
-            .get(&class)
-            .map(|d| d.attributes.keys().copied().collect())
-            .unwrap_or_default()
     }
 }
 
@@ -218,7 +120,6 @@ mod tests {
         assert!(fom.has_object_class(mn));
         assert!(fom.class_has_attribute(mn, pos));
         assert_eq!(fom.object_class_name(mn), Some("MobileNode"));
-        assert_eq!(fom.attributes_of(mn), vec![pos]);
     }
 
     #[test]
@@ -237,30 +138,6 @@ mod tests {
         let mut fom = ObjectModel::new();
         let ghost = ObjectClassHandle::from_raw(99);
         assert_eq!(fom.add_attribute(ghost, "x"), Err(RtiError::UnknownHandle));
-    }
-
-    #[test]
-    fn interactions_and_parameters() {
-        let mut fom = ObjectModel::new();
-        let hello = fom.add_interaction_class("Hello");
-        let who = fom.add_parameter(hello, "who").unwrap();
-        assert!(fom.has_interaction(hello));
-        assert_eq!(fom.interaction_by_name("Hello"), Some(hello));
-        assert!(fom.add_parameter(hello, "who").is_err());
-        let _ = who;
-    }
-
-    #[test]
-    fn lookups_by_name() {
-        let mut fom = ObjectModel::new();
-        let a = fom.add_object_class("A");
-        let b = fom.add_object_class("B");
-        assert_eq!(fom.object_class_by_name("A"), Some(a));
-        assert_eq!(fom.object_class_by_name("B"), Some(b));
-        assert_eq!(fom.object_class_by_name("C"), None);
-        let ax = fom.add_attribute(a, "x").unwrap();
-        assert_eq!(fom.attribute_by_name(a, "x"), Some(ax));
-        assert_eq!(fom.attribute_by_name(b, "x"), None);
     }
 
     #[test]

@@ -45,25 +45,9 @@ handle_type!(
     "attribute"
 );
 handle_type!(
-    /// Identifies an interaction class declared in the FOM.
-    InteractionClassHandle,
-    "interaction"
-);
-handle_type!(
-    /// Identifies a parameter of an interaction class.
-    ParameterHandle,
-    "parameter"
-);
-handle_type!(
     /// Identifies a registered object instance.
     ObjectHandle,
     "object"
-);
-handle_type!(
-    /// Identifies a routing region created for data distribution
-    /// management.
-    RegionHandle,
-    "region"
 );
 
 #[cfg(test)]

@@ -2,19 +2,19 @@
 //!
 //! The paper evaluates the adaptive distance filter inside a distributed
 //! simulation built on the DMSO HLA RTI 1.3 — a closed-source US-DoD
-//! middleware. This crate reimplements the slice of HLA the paper's system
-//! actually uses, as an in-process, deterministic library:
+//! middleware — as three federates: mobile node, ADF and grid broker
+//! (Figure 3). This crate reimplements the slice of HLA that federation
+//! uses, as an in-process, deterministic library:
 //!
-//! * **Federation management** — create/join/resign federation executions
-//!   ([`Rti::create_federation`], [`Rti::join`], [`Federate::resign`]),
-//!   synchronization points,
+//! * **Federation management** — create and join federation executions
+//!   ([`Rti::create_federation`], [`Rti::join`]) and synchronization points,
 //! * **Declaration management** — a federation object model
-//!   ([`ObjectModel`]) of object classes/attributes and interaction
-//!   classes/parameters, with publish/subscribe,
+//!   ([`ObjectModel`]) of object classes and attributes, with
+//!   publish/subscribe,
 //! * **Object management** — register object instances, update attribute
-//!   values, reflections delivered to subscribers
-//!   ([`Federate::update_attributes`] → [`Callback::ReflectAttributes`]),
-//!   interactions,
+//!   values, reflections of the subscribed attributes delivered to
+//!   subscribers ([`Federate::update_attributes`] →
+//!   [`Callback::ReflectAttributes`]),
 //! * **Time management** — time-regulating and time-constrained federates
 //!   with lookahead, conservative time-advance grants, and timestamp-order
 //!   (TSO) message delivery.
@@ -23,8 +23,9 @@
 //! [`Federate::tick`], mirroring HLA's `tick()` evoked-callback model, which
 //! keeps multi-federate executions single-threaded and bit-reproducible.
 //! The handle types are `Send + Sync` (the core lives behind a
-//! [`parking_lot`] mutex), so federates may also run from separate threads —
-//! see the `threaded` integration test.
+//! [`std::sync::Mutex`]), so federates may also run from separate threads —
+//! see the `threaded` integration test. The experiments crate's
+//! `federated` experiment runs the paper's three-federate pipeline on it.
 //!
 //! # Examples
 //!
@@ -69,18 +70,13 @@ mod error;
 mod federation;
 mod fom;
 mod handles;
-mod region;
 mod rti;
 mod time;
 mod time_mgmt;
 
-pub use callback::{AttributeValues, Callback, ParameterValues};
+pub use callback::{AttributeValues, Callback};
 pub use error::RtiError;
 pub use fom::ObjectModel;
-pub use handles::{
-    AttributeHandle, FederateHandle, InteractionClassHandle, ObjectClassHandle, ObjectHandle,
-    ParameterHandle, RegionHandle,
-};
-pub use region::RoutingRegion;
+pub use handles::{AttributeHandle, FederateHandle, ObjectClassHandle, ObjectHandle};
 pub use rti::{Federate, Rti};
 pub use time::FedTime;

@@ -1,14 +1,10 @@
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use bytes::Bytes;
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::federation::Federation;
 use crate::{
-    AttributeHandle, AttributeValues, Callback, FedTime, FederateHandle, InteractionClassHandle,
-    ObjectClassHandle, ObjectHandle, ObjectModel, ParameterValues, RegionHandle, RoutingRegion,
-    RtiError,
+    AttributeHandle, AttributeValues, Callback, FedTime, FederateHandle, ObjectClassHandle,
+    ObjectHandle, ObjectModel, RtiError,
 };
 
 #[derive(Default)]
@@ -16,10 +12,19 @@ struct RtiCore {
     federations: BTreeMap<String, Federation>,
 }
 
+/// Locks the core. A federate that panicked while holding the lock may have
+/// left a federation half-updated, so a poisoned lock fails the call rather
+/// than handing out the state.
+fn lock(core: &Mutex<RtiCore>) -> Result<MutexGuard<'_, RtiCore>, RtiError> {
+    core.lock().map_err(|_| RtiError::Poisoned)
+}
+
 /// The RTI executive: creates federation executions and admits federates.
 ///
 /// Cloning an `Rti` yields another handle to the same executive (the core is
-/// shared behind a mutex), so federates can run from multiple threads.
+/// shared behind a mutex), so federates can run from multiple threads. Once
+/// a thread panics while holding the core, every service returns
+/// [`RtiError::Poisoned`].
 ///
 /// # Examples
 ///
@@ -38,10 +43,9 @@ pub struct Rti {
 
 impl std::fmt::Debug for Rti {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let core = self.core.lock();
-        f.debug_struct("Rti")
-            .field("federations", &core.federations.keys().collect::<Vec<_>>())
-            .finish()
+        let names =
+            lock(&self.core).map(|core| core.federations.keys().cloned().collect::<Vec<_>>());
+        f.debug_struct("Rti").field("federations", &names).finish()
     }
 }
 
@@ -63,29 +67,12 @@ impl Rti {
         fom: ObjectModel,
     ) -> Result<(), RtiError> {
         let name = name.into();
-        let mut core = self.core.lock();
+        let mut core = lock(&self.core)?;
         if core.federations.contains_key(&name) {
             return Err(RtiError::FederationAlreadyExists { name });
         }
         core.federations.insert(name, Federation::new(fom));
         Ok(())
-    }
-
-    /// Destroys a federation execution. In HLA this requires all federates
-    /// to have resigned; here any remaining federates are dropped with it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::UnknownFederation`] when no such execution
-    /// exists.
-    pub fn destroy_federation(&self, name: &str) -> Result<(), RtiError> {
-        let mut core = self.core.lock();
-        core.federations
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| RtiError::UnknownFederation {
-                name: name.to_string(),
-            })
     }
 
     /// Joins a federate to an execution, returning its service handle.
@@ -101,53 +88,20 @@ impl Rti {
     ) -> Result<Federate, RtiError> {
         let federation = federation.into();
         let federate_name = federate_name.into();
-        let mut core = self.core.lock();
+        let mut core = lock(&self.core)?;
         let fed_exec =
             core.federations
                 .get_mut(&federation)
                 .ok_or_else(|| RtiError::UnknownFederation {
                     name: federation.clone(),
                 })?;
-        let handle = fed_exec.join(&federate_name);
+        let handle = fed_exec.join();
         Ok(Federate {
             core: Arc::clone(&self.core),
             federation,
             handle,
             name: federate_name,
         })
-    }
-
-    /// Number of federates currently joined to `federation`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::UnknownFederation`] when no such execution
-    /// exists.
-    pub fn federate_count(&self, federation: &str) -> Result<usize, RtiError> {
-        let core = self.core.lock();
-        core.federations
-            .get(federation)
-            .map(Federation::federate_count)
-            .ok_or_else(|| RtiError::UnknownFederation {
-                name: federation.to_string(),
-            })
-    }
-
-    /// Names of the federates currently joined to `federation`, in join
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::UnknownFederation`] when no such execution
-    /// exists.
-    pub fn federate_names(&self, federation: &str) -> Result<Vec<String>, RtiError> {
-        let core = self.core.lock();
-        core.federations
-            .get(federation)
-            .map(Federation::federate_names)
-            .ok_or_else(|| RtiError::UnknownFederation {
-                name: federation.to_string(),
-            })
     }
 }
 
@@ -177,7 +131,7 @@ impl Federate {
         &self,
         f: impl FnOnce(&mut Federation) -> Result<R, RtiError>,
     ) -> Result<R, RtiError> {
-        let mut core = self.core.lock();
+        let mut core = lock(&self.core)?;
         let fed_exec = core.federations.get_mut(&self.federation).ok_or_else(|| {
             RtiError::UnknownFederation {
                 name: self.federation.clone(),
@@ -190,37 +144,6 @@ impl Federate {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The RTI-issued federate handle.
-    #[must_use]
-    pub fn handle(&self) -> FederateHandle {
-        self.handle
-    }
-
-    /// The federation this federate is joined to.
-    #[must_use]
-    pub fn federation(&self) -> &str {
-        &self.federation
-    }
-
-    /// A copy of the federation object model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::UnknownFederation`] if the execution was
-    /// destroyed.
-    pub fn fom(&self) -> Result<ObjectModel, RtiError> {
-        self.with(|fed| Ok(fed.fom().clone()))
-    }
-
-    /// Resigns from the federation, deleting owned objects.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::NotJoined`] when already resigned.
-    pub fn resign(&self) -> Result<(), RtiError> {
-        self.with(|fed| fed.resign(self.handle))
     }
 
     /// Declares intent to register instances / update attributes of `class`.
@@ -246,96 +169,6 @@ impl Federate {
         self.with(|fed| fed.subscribe_object_class(self.handle, class, attributes))
     }
 
-    /// Creates a DDM routing region owned by this federate.
-    ///
-    /// The first region created fixes the federation's routing-space
-    /// dimensionality.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::InvalidRegion`] for malformed regions or a
-    /// dimensionality mismatch with the routing space.
-    pub fn create_region(&self, region: RoutingRegion) -> Result<RegionHandle, RtiError> {
-        self.with(|fed| fed.create_region(self.handle, region))
-    }
-
-    /// Replaces an owned region's extents (e.g. tracking a moving area of
-    /// interest). The dimensionality must not change.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::InvalidRegion`] for unknown/foreign regions or a
-    /// dimensionality change.
-    pub fn modify_region(
-        &self,
-        handle: RegionHandle,
-        region: RoutingRegion,
-    ) -> Result<(), RtiError> {
-        self.with(|fed| fed.modify_region(self.handle, handle, region))
-    }
-
-    /// Subscribes to `class` with interest limited to an owned routing
-    /// region: updates tagged with a non-overlapping region are not
-    /// delivered.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Federate::subscribe_object_class`], plus
-    /// [`RtiError::InvalidRegion`] for unknown/foreign regions.
-    pub fn subscribe_object_class_with_region(
-        &self,
-        class: ObjectClassHandle,
-        attributes: &[AttributeHandle],
-        region: RegionHandle,
-    ) -> Result<(), RtiError> {
-        self.with(|fed| {
-            fed.subscribe_object_class_scoped(self.handle, class, attributes, Some(region))
-        })
-    }
-
-    /// Updates attribute values tagged with an owned routing region, so
-    /// region-scoped subscribers only see it when their interest overlaps.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Federate::update_attributes`], plus
-    /// [`RtiError::InvalidRegion`] for unknown/foreign regions.
-    pub fn update_attributes_with_region(
-        &self,
-        object: ObjectHandle,
-        values: Vec<(AttributeHandle, Vec<u8>)>,
-        region: RegionHandle,
-        time: Option<FedTime>,
-    ) -> Result<(), RtiError> {
-        let values: AttributeValues = values
-            .into_iter()
-            .map(|(a, v)| (a, Bytes::from(v)))
-            .collect();
-        self.with(|fed| {
-            fed.update_attributes_scoped(self.handle, object, values, Some(region), time)
-        })
-    }
-
-    /// Declares intent to send interaction `class`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::UnknownHandle`] for interactions missing from the
-    /// FOM.
-    pub fn publish_interaction(&self, class: InteractionClassHandle) -> Result<(), RtiError> {
-        self.with(|fed| fed.publish_interaction(self.handle, class))
-    }
-
-    /// Subscribes to interaction `class`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::UnknownHandle`] for interactions missing from the
-    /// FOM.
-    pub fn subscribe_interaction(&self, class: InteractionClassHandle) -> Result<(), RtiError> {
-        self.with(|fed| fed.subscribe_interaction(self.handle, class))
-    }
-
     /// Registers a new object instance of a published `class`.
     ///
     /// # Errors
@@ -343,16 +176,6 @@ impl Federate {
     /// Returns [`RtiError::NotPublished`] when the class was not published.
     pub fn register_object(&self, class: ObjectClassHandle) -> Result<ObjectHandle, RtiError> {
         self.with(|fed| fed.register_object(self.handle, class))
-    }
-
-    /// Deletes an owned object instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RtiError::UnknownObject`] / [`RtiError::NotPublished`] for
-    /// unknown or foreign objects.
-    pub fn delete_object(&self, object: ObjectHandle) -> Result<(), RtiError> {
-        self.with(|fed| fed.delete_object(self.handle, object))
     }
 
     /// Updates attribute values of an owned object. With `time = Some(t)`
@@ -367,32 +190,10 @@ impl Federate {
     pub fn update_attributes(
         &self,
         object: ObjectHandle,
-        values: Vec<(AttributeHandle, Vec<u8>)>,
+        values: AttributeValues,
         time: Option<FedTime>,
     ) -> Result<(), RtiError> {
-        let values: AttributeValues = values
-            .into_iter()
-            .map(|(a, v)| (a, Bytes::from(v)))
-            .collect();
         self.with(|fed| fed.update_attributes(self.handle, object, values, time))
-    }
-
-    /// Sends an interaction of a published `class`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Federate::update_attributes`].
-    pub fn send_interaction(
-        &self,
-        class: InteractionClassHandle,
-        values: Vec<(crate::ParameterHandle, Vec<u8>)>,
-        time: Option<FedTime>,
-    ) -> Result<(), RtiError> {
-        let values: ParameterValues = values
-            .into_iter()
-            .map(|(p, v)| (p, Bytes::from(v)))
-            .collect();
-        self.with(|fed| fed.send_interaction(self.handle, class, values, time))
     }
 
     /// Becomes time-regulating with the given lookahead.
@@ -428,7 +229,7 @@ impl Federate {
     ///
     /// # Errors
     ///
-    /// Returns [`RtiError::NotJoined`] after resignation.
+    /// Returns [`RtiError::Poisoned`] after a panic inside the RTI.
     pub fn time(&self) -> Result<FedTime, RtiError> {
         self.with(|fed| fed.federate_time(self.handle))
     }
@@ -458,7 +259,7 @@ impl Federate {
     ///
     /// # Errors
     ///
-    /// Returns [`RtiError::NotJoined`] after resignation.
+    /// Returns [`RtiError::Poisoned`] after a panic inside the RTI.
     pub fn tick(&self) -> Result<Vec<Callback>, RtiError> {
         self.with(|fed| fed.drain_callbacks(self.handle))
     }
@@ -476,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn create_join_resign_lifecycle() {
+    fn duplicate_federation_is_rejected() {
         let (fom, ..) = fom_with_node();
         let rti = Rti::new();
         rti.create_federation("f", fom).unwrap();
@@ -484,25 +285,6 @@ mod tests {
             rti.create_federation("f", ObjectModel::new()),
             Err(RtiError::FederationAlreadyExists { .. })
         ));
-        let a = rti.join("f", "a").unwrap();
-        assert_eq!(rti.federate_count("f").unwrap(), 1);
-        a.resign().unwrap();
-        assert_eq!(rti.federate_count("f").unwrap(), 0);
-        assert_eq!(a.resign(), Err(RtiError::NotJoined));
-        rti.destroy_federation("f").unwrap();
-        assert!(matches!(
-            rti.destroy_federation("f"),
-            Err(RtiError::UnknownFederation { .. })
-        ));
-    }
-
-    #[test]
-    fn federate_names_listed_in_join_order() {
-        let rti = Rti::new();
-        rti.create_federation("f", ObjectModel::new()).unwrap();
-        let _a = rti.join("f", "alpha").unwrap();
-        let _b = rti.join("f", "beta").unwrap();
-        assert_eq!(rti.federate_names("f").unwrap(), vec!["alpha", "beta"]);
     }
 
     #[test]
@@ -543,7 +325,7 @@ mod tests {
                 time,
             }] => {
                 assert_eq!(*object, obj);
-                assert_eq!(values[0].1.as_ref(), b"1,2");
+                assert_eq!(values[0].1, b"1,2");
                 assert!(time.is_none());
             }
             other => panic!("unexpected events {other:?}"),
@@ -661,7 +443,7 @@ mod tests {
         let payloads: Vec<&[u8]> = events
             .iter()
             .filter_map(|e| match e {
-                Callback::ReflectAttributes { values, .. } => Some(values[0].1.as_ref()),
+                Callback::ReflectAttributes { values, .. } => Some(values[0].1.as_slice()),
                 _ => None,
             })
             .collect();
@@ -669,26 +451,6 @@ mod tests {
         assert!(matches!(
             events.last(),
             Some(Callback::TimeAdvanceGrant { time }) if *time == FedTime::from_secs(3)
-        ));
-    }
-
-    #[test]
-    fn interactions_flow_to_subscribers() {
-        let mut fom = ObjectModel::new();
-        let ping = fom.add_interaction_class("Ping");
-        let payload = fom.add_parameter(ping, "payload").unwrap();
-        let rti = Rti::new();
-        rti.create_federation("f", fom).unwrap();
-        let a = rti.join("f", "a").unwrap();
-        let b = rti.join("f", "b").unwrap();
-        a.publish_interaction(ping).unwrap();
-        b.subscribe_interaction(ping).unwrap();
-        a.send_interaction(ping, vec![(payload, b"hi".to_vec())], None)
-            .unwrap();
-        let events = b.tick().unwrap();
-        assert!(matches!(
-            events.as_slice(),
-            [Callback::ReceiveInteraction { class, .. }] if *class == ping
         ));
     }
 
@@ -714,27 +476,28 @@ mod tests {
     }
 
     #[test]
-    fn resign_deletes_owned_objects() {
-        let (fom, mn, pos) = fom_with_node();
-        let rti = Rti::new();
-        rti.create_federation("f", fom).unwrap();
-        let owner = rti.join("f", "owner").unwrap();
-        let watcher = rti.join("f", "watcher").unwrap();
-        owner.publish_object_class(mn).unwrap();
-        watcher.subscribe_object_class(mn, &[pos]).unwrap();
-        let obj = owner.register_object(mn).unwrap();
-        watcher.tick().unwrap();
-        owner.resign().unwrap();
-        assert!(matches!(
-            watcher.tick().unwrap().as_slice(),
-            [Callback::RemoveObject { object }] if *object == obj
-        ));
-    }
-
-    #[test]
     fn rti_handles_are_send_sync() {
         fn check<T: Send + Sync>() {}
         check::<Rti>();
         check::<Federate>();
+    }
+
+    #[test]
+    fn a_panic_inside_the_core_poisons_every_later_call() {
+        let rti = Rti::new();
+        rti.create_federation("f", ObjectModel::new()).unwrap();
+        let fed = rti.join("f", "a").unwrap();
+        let core = Arc::clone(&rti.core);
+        let held = std::thread::spawn(move || {
+            let _guard = core.lock();
+            panic!("federate code panicked while holding the core");
+        });
+        assert!(held.join().is_err());
+        assert_eq!(fed.tick(), Err(RtiError::Poisoned));
+        assert_eq!(
+            rti.create_federation("g", ObjectModel::new()),
+            Err(RtiError::Poisoned)
+        );
+        assert!(format!("{rti:?}").contains("Poisoned"));
     }
 }

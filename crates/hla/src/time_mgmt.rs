@@ -57,10 +57,6 @@ impl TimeManager {
         self.states.insert(fed, TimeState::new());
     }
 
-    pub fn resign(&mut self, fed: FederateHandle) {
-        self.states.remove(&fed);
-    }
-
     pub fn state(&self, fed: FederateHandle) -> Option<&TimeState> {
         self.states.get(&fed)
     }
@@ -257,17 +253,6 @@ mod tests {
         let grants = tm.evaluate();
         // All three grant in one evaluation (fixpoint loop).
         assert_eq!(grants.len(), 3);
-    }
-
-    #[test]
-    fn resigning_regulator_unblocks() {
-        let mut tm = manager_with(2);
-        tm.enable_regulation(fed(0), FedTime::ZERO).unwrap();
-        tm.enable_constrained(fed(1)).unwrap();
-        tm.request_advance(fed(1), FedTime::from_secs(1)).unwrap();
-        assert!(tm.evaluate().is_empty());
-        tm.resign(fed(0));
-        assert_eq!(tm.evaluate().len(), 1);
     }
 
     #[test]
